@@ -2,6 +2,7 @@ package masksearch
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -253,5 +254,62 @@ func TestCheckpointIndexExplicit(t *testing.T) {
 	}
 	if fi2, err := os.Stat(gob); err != nil || !fi2.ModTime().Equal(mt) {
 		t.Fatalf("clean CheckpointIndex rewrote chi.gob (err %v)", err)
+	}
+}
+
+// TestQueryCorruptRLEMask damages one mask's stream in an rle dataset
+// and checks the failure surfaces through the facade as the store's
+// wrapped "corrupt rle stream" error — from a query that has to verify
+// the damaged mask, and from an eager index build, which loads it at
+// open — never as a panic, while a query over other masks still answers.
+func TestQueryCorruptRLEMask(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateDatasetCodec(dir, TinyDataset(), CodecRLE); err != nil {
+		t.Fatal(err)
+	}
+	const bad = 7
+	idx, err := os.ReadFile(filepath.Join(dir, "masks.rle.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "masks.rle"), os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 255 opens a 129-pixel repeat run: wider than any row of the mask.
+	if _, err := f.WriteAt([]byte{255}, int64(binary.LittleEndian.Uint64(idx[8*(bad-1):]))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := OpenWith(dir, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	_, err = db.Query(ctx, `SELECT mask_id FROM masks WHERE CP(mask, full, 0.5, 1.0) > 10`)
+	if err == nil || !strings.Contains(err.Error(), "corrupt rle stream") {
+		t.Fatalf("query verifying the damaged mask: err = %v, want a corrupt rle stream error", err)
+	}
+	e, err := db.Entry(bad + 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e0, _ := db.Entry(bad); e0.ImageID == e.ImageID {
+		t.Fatalf("masks %d and %d share image %d; pick another witness", bad, bad+3, e.ImageID)
+	}
+	res, err := db.Query(ctx, `SELECT mask_id FROM masks WHERE image_id = ? AND CP(mask, full, 0.0, 1.0) > 0`, e.ImageID)
+	if err != nil || len(res.IDs) == 0 {
+		t.Fatalf("query over undamaged masks: %d ids, err = %v", len(res.IDs), err)
+	}
+
+	if eager, err := OpenWith(dir, Options{EagerIndex: true}); err == nil {
+		eager.Close()
+		t.Fatal("eager index build accepted a corrupt rle stream")
+	} else if !strings.Contains(err.Error(), "corrupt rle stream") {
+		t.Fatalf("eager open: err = %v, want a corrupt rle stream error", err)
 	}
 }

@@ -30,7 +30,12 @@ type CompressRow struct {
 	StoredBytes   int64   `json:"stored_bytes,omitempty"`
 	DataBytes     int64   `json:"data_bytes,omitempty"`
 	Ratio         float64 `json:"ratio,omitempty"`
-	Identical     bool    `json:"identical"`
+	// WallVsRaw, on a timed phase, is its wall time over the raw
+	// codec's (ns_total / raw's ns_total, so 1 on the raw rows): the
+	// wall-time twin of the bytes assertions. Recorded, not asserted —
+	// off a fast disk, fewer bytes do not by themselves mean faster.
+	WallVsRaw float64 `json:"wall_vs_raw,omitempty"`
+	Identical bool    `json:"identical"`
 }
 
 // CompressReport carries the rendered table plus the JSON rows.
@@ -56,7 +61,10 @@ func codecLabel(c string) string {
 // drift from the reference layout. The RLE variant is generated (and
 // reused) next to the dataset as <name>-rle. The experiment fails
 // unless RLE reads strictly fewer bytes than raw in the load phase and
-// stores strictly fewer bytes on disk.
+// stores strictly fewer bytes on disk; every timed phase also records
+// its rle/raw wall-time ratio beside the bytes (CompressRow.WallVsRaw).
+// The load phase follows the index build, which has already loaded —
+// and so validated — every mask: it times repeat loads.
 func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed int64) (*CompressReport, error) {
 	rleDir := filepath.Join(dataDir, d.Params.Name+"-rle")
 	man, err := store.LoadManifest(rleDir)
@@ -84,7 +92,7 @@ func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed in
 	rep := &CompressReport{Report: NewReport(fmt.Sprintf(
 		"Compress — raw vs rle storage on %s (%d queries per family, %d workers)",
 		d.Params.Name, n, ex.EffectiveWorkers()))}
-	rep.Printf("%-12s %8s %12s %10s %12s\n", "phase", "codec", "ns total", "masks", "bytes")
+	rep.Printf("%-12s %8s %12s %10s %12s %8s\n", "phase", "codec", "ns total", "masks", "bytes", "x raw")
 
 	ids := d.Cat.MaskIDs(nil)
 	groups := d.Cat.GroupByImage(nil)
@@ -122,9 +130,19 @@ func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed in
 	refIDs := map[string][][]int64{}
 	loadBytes := map[string]int64{}
 	queryBytes := map[string]int64{}
+	rawNs := map[string]int64{} // phase → the raw variant's wall time
 
 	for _, v := range variants {
 		raw := v.st == d.Store
+		// vsRaw records a phase's wall time on the raw variant (which
+		// runs first) and returns the ratio to it on the rle variant.
+		vsRaw := func(phase string, el time.Duration) float64 {
+			if raw {
+				rawNs[phase] = el.Nanoseconds()
+				return 1
+			}
+			return float64(el.Nanoseconds()) / float64(max(1, rawNs[phase]))
+		}
 
 		// Layout footprint.
 		stored, logical := v.st.StoredBytes(), v.st.DataBytes()
@@ -150,12 +168,13 @@ func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed in
 		}
 		el := time.Since(start)
 		rs := v.st.Stats()
+		wall := vsRaw("index-build", el)
 		rep.Rows = append(rep.Rows, CompressRow{
 			Exp: "compress/index-build", Dataset: d.Params.Name, Codec: v.codec, Family: "index-build",
 			Workers: ex.EffectiveWorkers(), NsTotal: el.Nanoseconds(),
-			MasksLoaded: rs.MasksLoaded, BytesRead: rs.BytesRead, Identical: true,
+			MasksLoaded: rs.MasksLoaded, BytesRead: rs.BytesRead, WallVsRaw: wall, Identical: true,
 		})
-		rep.Printf("%-12s %8s %12d %10d %12d\n", "index-build", v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead)
+		rep.Printf("%-12s %8s %12d %10d %12d %8.2f\n", "index-build", v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead, wall)
 
 		// Whole-mask load loop: per-mask load latency and bytes. The
 		// RLE store hands back compressed-backed masks, so its bytes
@@ -172,14 +191,15 @@ func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed in
 		el = time.Since(start)
 		rs = v.st.Stats()
 		loadBytes[v.codec] = rs.BytesRead
+		wall = vsRaw("load", el)
 		rep.Rows = append(rep.Rows, CompressRow{
 			Exp: "compress/load", Dataset: d.Params.Name, Codec: v.codec, Family: "load",
 			Queries: len(ids), NsTotal: el.Nanoseconds(),
 			MasksLoaded: rs.MasksLoaded, BytesRead: rs.BytesRead,
-			LoadNsPerMask: el.Nanoseconds() / int64(max(1, len(ids))), Identical: true,
+			LoadNsPerMask: el.Nanoseconds() / int64(max(1, len(ids))), WallVsRaw: wall, Identical: true,
 		})
-		rep.Printf("%-12s %8s %12d %10d %12d (%d ns/mask)\n",
-			"load", v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead,
+		rep.Printf("%-12s %8s %12d %10d %12d %8.2f (%d ns/mask)\n",
+			"load", v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead, wall,
 			el.Nanoseconds()/int64(max(1, len(ids))))
 
 		// Query families, byte-identical to the raw reference.
@@ -205,12 +225,13 @@ func Compress(ctx context.Context, d *DatasetEnv, dataDir string, n int, seed in
 			el := time.Since(start)
 			rs := v.st.Stats()
 			queryBytes[v.codec] += rs.BytesRead
+			wall := vsRaw(f.name, el)
 			rep.Rows = append(rep.Rows, CompressRow{
 				Exp: "compress/" + f.name, Dataset: d.Params.Name, Codec: v.codec, Family: f.name,
 				Workers: ex.EffectiveWorkers(), Queries: n, NsTotal: el.Nanoseconds(),
-				MasksLoaded: rs.MasksLoaded, BytesRead: rs.BytesRead, Identical: identical,
+				MasksLoaded: rs.MasksLoaded, BytesRead: rs.BytesRead, WallVsRaw: wall, Identical: identical,
 			})
-			rep.Printf("%-12s %8s %12d %10d %12d\n", f.name, v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead)
+			rep.Printf("%-12s %8s %12d %10d %12d %8.2f\n", f.name, v.codec, el.Nanoseconds(), rs.MasksLoaded, rs.BytesRead, wall)
 		}
 	}
 

@@ -128,11 +128,17 @@ func (vr ValueRange) String() string {
 // store's codec; masks built in memory via NewMask are float-backed.
 // Consumers should read pixels through At, ExactCP or ToFloat rather
 // than ranging over Pix directly, which is nil on byte-backed masks.
+//
+// RowDir, when non-nil, is the row directory of RLE (see IndexRLE):
+// RowDir[y] is the stream offset of row y. It is an optional
+// accelerator the store attaches to the masks it loads; a hand-built
+// RLE mask leaves it nil and the kernels walk from row 0.
 type Mask struct {
-	W, H  int
-	Pix   []float32
-	Bytes []uint8
-	RLE   []byte
+	W, H   int
+	Pix    []float32
+	Bytes  []uint8
+	RLE    []byte
+	RowDir []uint32
 }
 
 // NewMask allocates a zero float-backed mask of the given dimensions.
@@ -159,24 +165,35 @@ func (m *Mask) At(x, y int) float32 {
 	return m.Pix[y*m.W+x]
 }
 
-// rleAt finds pixel (x, y) in the compressed stream by skipping whole
-// rows and runs via control bytes.
-func (m *Mask) rleAt(x, y int) uint8 {
+// rleRowStart returns the stream offset of row y: from the row
+// directory when the mask carries one, else by walking the control
+// bytes of every row above it.
+func (m *Mask) rleRowStart(y int) int {
+	if m.RowDir != nil {
+		return int(m.RowDir[y])
+	}
 	rle := m.RLE
 	i := 0
 	for row := 0; row < y; row++ {
 		for rx := 0; rx < m.W; {
 			c := int(rle[i])
-			i++
 			if c < 128 {
-				i += c + 1
+				i += c + 2
 				rx += c + 1
 			} else {
-				i++
+				i += 2
 				rx += c - 126
 			}
 		}
 	}
+	return i
+}
+
+// rleAt finds pixel (x, y) in the compressed stream by walking the
+// runs of its row.
+func (m *Mask) rleAt(x, y int) uint8 {
+	rle := m.RLE
+	i := m.rleRowStart(y)
 	for rx := 0; ; {
 		c := int(rle[i])
 		i++
@@ -232,8 +249,8 @@ func (m *Mask) ToFloat() *Mask {
 // when Bytes or Pix is already present, otherwise a byte-backed copy
 // decompressed from the RLE stream. It is the decode-then-scan
 // fallback for code without a compressed path (rendering, histograms,
-// region extraction). The stream must be valid (the store validates at
-// load time); a corrupt stream panics.
+// region extraction). The stream must be valid (the store validates
+// every mask it serves); a corrupt stream panics.
 func (m *Mask) Decoded() *Mask {
 	if m.Bytes != nil || m.RLE == nil {
 		return m

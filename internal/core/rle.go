@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -82,6 +83,12 @@ func appendLiteral(out, lit []byte) []byte {
 	return out
 }
 
+// RLEBound is an upper bound on len(EncodeRLE(pix, w, h)) for any
+// pixels: a row's literals cost one control byte per 128 pixels plus
+// one per fragment, and every repeat run that fragments them saves at
+// least one byte. Streams from other writers may be longer.
+func RLEBound(w, h int) int { return h * (w + w/rleMaxLiteral + 2) }
+
 // DecodeRLE decompresses an RLE stream into dst (length w*h). It
 // validates strictly and never panics on hostile input: every row's
 // runs must sum to exactly w, exactly h rows must be present, and the
@@ -140,14 +147,27 @@ func DecodeRLE(rle []byte, w, h int, dst []byte) error {
 
 // ValidateRLE checks the structural invariants of an RLE stream for
 // the given dimensions without materializing any pixels — it walks
-// control bytes only, so it costs O(runs), not O(w*h). The store runs
-// it once per load; the kernels then iterate the stream unchecked.
-func ValidateRLE(rle []byte, w, h int) error {
+// control bytes only, so it costs O(runs), not O(w*h). A stream that
+// passes may be iterated unchecked by the kernels; the store runs the
+// walk once per mask per open (as IndexRLE), not once per load.
+func ValidateRLE(rle []byte, w, h int) error { return IndexRLE(rle, w, h, nil) }
+
+// IndexRLE is ValidateRLE fused with the row-directory build: the same
+// single walk that accepts or rejects the stream stores the stream
+// offset of row y in dir[y]. dir holds h entries, or is nil to validate
+// only. When an error is returned dir's contents are unspecified.
+func IndexRLE(rle []byte, w, h int, dir []uint32) error {
 	if w <= 0 || h <= 0 {
 		return fmt.Errorf("core: rle: dimensions %dx%d must be positive", w, h)
 	}
+	if dir != nil && (len(dir) != h || len(rle) > math.MaxUint32) {
+		return fmt.Errorf("core: rle: row directory of %d entries cannot index a %d-byte stream of %d rows", len(dir), len(rle), h)
+	}
 	i := 0
 	for y := 0; y < h; y++ {
+		if dir != nil {
+			dir[y] = uint32(i)
+		}
 		x := 0
 		for x < w {
 			if i >= len(rle) {
@@ -236,9 +256,13 @@ func (rc rangeCounter) count(seg []byte) int64 {
 // exactCPRLE counts qualifying pixels directly on the compressed
 // stream, with no materialization: repeat runs contribute overlap ×
 // predicate(value) in O(1), literal runs go through the SWAR range
-// counter over their in-ROI slice. Rows outside the ROI are skipped by
-// walking control bytes only. The stream must have passed ValidateRLE
-// (the store validates at load time).
+// counter over their in-ROI slice. With a row directory the kernel
+// seeks: it starts each ROI row at its recorded offset and leaves it at
+// the ROI's right edge, so the cost follows the pixels counted. Without
+// one (hand-built masks) it walks the control bytes of the rows above
+// the ROI and runs every row to its end to find the next. The stream
+// must have passed ValidateRLE (the store validates each mask once per
+// open).
 func exactCPRLE(m *Mask, roi Rect, vr ValueRange) int64 {
 	bLo, bHi := vr.ByteBounds()
 	if bLo >= bHi {
@@ -248,28 +272,30 @@ func exactCPRLE(m *Mask, roi Rect, vr ValueRange) int64 {
 		return int64(roi.Area())
 	}
 	rc := newRangeCounter(bLo, bHi)
-	rle := m.RLE
-	i := 0
+	rle, dir := m.RLE, m.RowDir
+	i, xEnd := m.rleRowStart(roi.Y0), m.W
+	if dir != nil {
+		xEnd = roi.X1
+	}
 	var n int64
-	for y := 0; y < roi.Y1; y++ {
-		counting := y >= roi.Y0
-		x := 0
-		for x < m.W {
+	for y := roi.Y0; y < roi.Y1; y++ {
+		if dir != nil {
+			i = int(dir[y])
+		}
+		for x := 0; x < xEnd; {
 			c := int(rle[i])
 			i++
 			if c < 128 {
 				runLen := c + 1
-				if counting {
-					x0, x1 := max(x, roi.X0), min(x+runLen, roi.X1)
-					if x0 < x1 {
-						n += rc.count(rle[i+(x0-x) : i+(x1-x)])
-					}
+				x0, x1 := max(x, roi.X0), min(x+runLen, roi.X1)
+				if x0 < x1 {
+					n += rc.count(rle[i+(x0-x) : i+(x1-x)])
 				}
 				i += runLen
 				x += runLen
 			} else {
 				runLen := c - 126
-				if counting && rc.matches(rle[i]) {
+				if rc.matches(rle[i]) {
 					if ovl := min(x+runLen, roi.X1) - max(x, roi.X0); ovl > 0 {
 						n += int64(ovl)
 					}

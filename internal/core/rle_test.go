@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -51,6 +52,9 @@ func TestRLERoundTrip(t *testing.T) {
 			rle := EncodeRLE(pix, w, h)
 			if err := ValidateRLE(rle, w, h); err != nil {
 				t.Fatalf("%dx%d: encoder produced invalid stream: %v", w, h, err)
+			}
+			if len(rle) > RLEBound(w, h) {
+				t.Fatalf("%dx%d: stream of %d bytes exceeds RLEBound %d", w, h, len(rle), RLEBound(w, h))
 			}
 			dst := make([]byte, w*h)
 			if err := DecodeRLE(rle, w, h, dst); err != nil {
@@ -254,6 +258,9 @@ func FuzzRLE(f *testing.F) {
 		if again := EncodeRLE(dst, w, h); !bytes.Equal(again, rle) {
 			t.Fatal("encoding is not a fixed point of encode∘decode")
 		}
+		if len(rle) > RLEBound(w, h) {
+			t.Fatalf("stream of %d bytes exceeds RLEBound %d", len(rle), RLEBound(w, h))
+		}
 
 		// Direction 2: data as a hostile stream. Must never panic, and
 		// validate/decode must agree on acceptance.
@@ -262,7 +269,15 @@ func FuzzRLE(f *testing.F) {
 		if (vErr == nil) != (dErr == nil) {
 			t.Fatalf("validate err=%v but decode err=%v", vErr, dErr)
 		}
+		// The fused validate+directory walk accepts exactly what
+		// ValidateRLE accepts, and every offset it records is a row
+		// boundary of the decode.
+		dir := make([]uint32, h)
+		if iErr := IndexRLE(data, w, h, dir); (iErr == nil) != (vErr == nil) {
+			t.Fatalf("validate err=%v but index err=%v", vErr, iErr)
+		}
 		if vErr == nil {
+			checkRowDir(t, data, w, h, dir)
 			// An accepted stream is a real mask: kernels must agree with
 			// the decoded bytes.
 			rm := &Mask{W: w, H: h, RLE: data}
@@ -271,6 +286,182 @@ func FuzzRLE(f *testing.F) {
 			vr := ValueRange{0.5, 1}
 			if got, want := ExactCP(rm, roi, vr), ExactCP(bm, roi, vr); got != want {
 				t.Fatalf("ExactCP on accepted stream: rle=%d bytes=%d", got, want)
+			}
+		}
+	})
+}
+
+// checkRowDir asserts that dir is the row directory of the valid
+// stream rle: the offsets start at 0 and cut the stream into h
+// segments, each of which decodes as exactly one row.
+func checkRowDir(t *testing.T, rle []byte, w, h int, dir []uint32) {
+	t.Helper()
+	if len(dir) != h || dir[0] != 0 {
+		t.Fatalf("directory has %d entries starting at %d, want %d starting at 0", len(dir), dir[0], h)
+	}
+	row := make([]byte, w)
+	for y := 0; y < h; y++ {
+		end := len(rle)
+		if y+1 < h {
+			end = int(dir[y+1])
+		}
+		if int(dir[y]) > end || end > len(rle) {
+			t.Fatalf("row %d recorded at [%d, %d) of a %d-byte stream", y, dir[y], end, len(rle))
+		}
+		if err := DecodeRLE(rle[dir[y]:end], w, 1, row); err != nil {
+			t.Fatalf("row %d: [%d, %d) is not one row of the stream: %v", y, dir[y], end, err)
+		}
+	}
+}
+
+// withRowDir returns an RLE-backed mask over rle carrying the row
+// directory IndexRLE builds, the way the store serves it.
+func withRowDir(t testing.TB, rle []byte, w, h int) *Mask {
+	t.Helper()
+	dir := make([]uint32, h)
+	if err := IndexRLE(rle, w, h, dir); err != nil {
+		t.Fatal(err)
+	}
+	return &Mask{W: w, H: h, RLE: rle, RowDir: dir}
+}
+
+// TestIndexRLE checks the fused walk against ValidateRLE and the
+// decoder on encoder output of many shapes, and its argument checks.
+func TestIndexRLE(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {33, 17}, {64, 63}, {130, 6}} {
+		w, h := d[0], d[1]
+		rle := EncodeRLE(testPixels(rng, w, h), w, h)
+		checkRowDir(t, rle, w, h, withRowDir(t, rle, w, h).RowDir)
+		// A corrupted stream is rejected with or without a directory.
+		bad := append([]byte(nil), rle[:len(rle)-1]...)
+		if IndexRLE(bad, w, h, make([]uint32, h)) == nil || ValidateRLE(bad, w, h) == nil {
+			t.Fatalf("%dx%d: truncated stream accepted", w, h)
+		}
+	}
+	if IndexRLE([]byte{0, 1}, 1, 1, make([]uint32, 2)) == nil {
+		t.Fatal("IndexRLE accepted a wrong-sized directory")
+	}
+}
+
+// TestExactCPRLERowDir checks that seeking through a row directory
+// changes no count: with and without one, exactCPRLE equals the
+// byte-domain kernel on the decoded mask, for random rects and the
+// edge rects a seek could get wrong.
+func TestExactCPRLERowDir(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ranges := []ValueRange{{0.5, 1}, {0.25, 0.75}, {0, 0.001}, {128.0 / 255, 129.0 / 255}}
+	for _, d := range [][2]int{{5, 7}, {8, 8}, {33, 17}, {64, 63}, {130, 6}, {16, 1}} {
+		w, h := d[0], d[1]
+		for trial := 0; trial < 10; trial++ {
+			pix := testPixels(rng, w, h)
+			rle := EncodeRLE(pix, w, h)
+			bm := &Mask{W: w, H: h, Bytes: pix}
+			plain := &Mask{W: w, H: h, RLE: rle}
+			seek := withRowDir(t, rle, w, h)
+			y, x := rng.Intn(h), rng.Intn(w)
+			rois := []Rect{
+				{0, 0, w, h},         // Y0 = 0 and Y1 = H
+				{0, y, w, h},         // Y1 = H
+				{0, 0, w, y + 1},     // Y0 = 0
+				{0, y, w, y + 1},     // single row
+				{x, 0, x + 1, h},     // single column
+				{x, y, x + 1, y + 1}, // single pixel
+				{0, h - 1, w, h},     // last row
+			}
+			for i := 0; i < 8; i++ {
+				x0, y0 := rng.Intn(w), rng.Intn(h)
+				rois = append(rois, Rect{x0, y0, x0 + 1 + rng.Intn(w-x0), y0 + 1 + rng.Intn(h-y0)})
+			}
+			for _, roi := range rois {
+				for _, vr := range ranges {
+					want := exactCPBytes(bm, roi, vr)
+					if got := exactCPRLE(plain, roi, vr); got != want {
+						t.Fatalf("%dx%d roi=%v vr=%v: no directory: rle=%d bytes=%d", w, h, roi, vr, got, want)
+					}
+					if got := exactCPRLE(seek, roi, vr); got != want {
+						t.Fatalf("%dx%d roi=%v vr=%v: with directory: rle=%d bytes=%d", w, h, roi, vr, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchRLEMask is a 128x128 saliency-shaped mask in the RLE layout, the
+// shape the wilds-sim generator writes: 4-px-block background noise
+// (short repeat runs) under a Gaussian blob (literal runs).
+func benchRLEMask(tb testing.TB) *Mask {
+	const w, h = 128, 128
+	rng := rand.New(rand.NewSource(7))
+	pix := make([]byte, w*h)
+	noise := make([]float64, (w/4)*(h/4))
+	for i := range noise {
+		noise[i] = 0.12 * rng.Float64()
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			dx, dy := float64(x-70), float64(y-60)
+			v := 0.9*math.Exp(-(dx*dx+dy*dy)/(2*18*18)) + noise[(y/4)*(w/4)+x/4]
+			pix[y*w+x] = byte(math.Round(min(v, 1) * 255))
+		}
+	}
+	return withRowDir(tb, EncodeRLE(pix, w, h), w, h)
+}
+
+var benchSink int64
+
+// BenchmarkExactCPRLE is the verification kernel's layer benchmark on
+// the compressed form: the same 32-row rect at the top and at the
+// bottom of the mask, with the row directory (the store's masks) and
+// without (the walk from row 0 through every row's end).
+// bottom-rect/walk pays for 96 rows it does not count; with the
+// directory the two rects cost the same.
+func BenchmarkExactCPRLE(b *testing.B) {
+	m := benchRLEMask(b)
+	vr := ValueRange{0.6, 1}
+	for _, bc := range []struct {
+		name string
+		roi  Rect
+	}{
+		{"top-rect", Rect{32, 0, 96, 32}},
+		{"bottom-rect", Rect{32, 96, 96, 128}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(bc.roi.Area()))
+			for b.Loop() {
+				benchSink += exactCPRLE(m, bc.roi, vr)
+			}
+		})
+		b.Run(bc.name+"/walk", func(b *testing.B) {
+			plain := &Mask{W: m.W, H: m.H, RLE: m.RLE}
+			b.SetBytes(int64(bc.roi.Area()))
+			for b.Loop() {
+				benchSink += exactCPRLE(plain, bc.roi, vr)
+			}
+		})
+	}
+}
+
+// BenchmarkValidateRLE is the cost the store pays once per mask per
+// open: the bare validating walk, and the same walk recording the row
+// directory.
+func BenchmarkValidateRLE(b *testing.B) {
+	m := benchRLEMask(b)
+	b.Run("validate", func(b *testing.B) {
+		b.SetBytes(int64(len(m.RLE)))
+		for b.Loop() {
+			if err := ValidateRLE(m.RLE, m.W, m.H); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		dir := make([]uint32, m.H)
+		b.SetBytes(int64(len(m.RLE)))
+		for b.Loop() {
+			if err := IndexRLE(m.RLE, m.W, m.H, dir); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

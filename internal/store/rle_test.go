@@ -3,10 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"masksearch/internal/core"
@@ -351,4 +354,373 @@ func TestReadOnlyAppendErrors(t *testing.T) {
 			t.Fatalf("sharded append error %q lacks %q", err, want)
 		}
 	}
+}
+
+// cutRLEMask shortens mask id's stream in a single-segment rle dataset
+// by its last cut bytes, shifting every later offset down so the
+// layout still passes Open's size checks: the damage is confined to
+// one mask's byte range.
+func cutRLEMask(t *testing.T, dir string, id int64, cut int) {
+	t.Helper()
+	stPath, idxPath := filepath.Join(dir, masksRLEFile), filepath.Join(dir, masksRLEIndexFile)
+	data, err := os.ReadFile(stPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int(binary.LittleEndian.Uint64(idx[8*id:]))
+	data = append(data[:end-cut], data[end:]...)
+	for i := int(id); i < len(idx)/8; i++ {
+		binary.LittleEndian.PutUint64(idx[8*i:], binary.LittleEndian.Uint64(idx[8*i:])-uint64(cut))
+	}
+	if err := os.WriteFile(stPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idxPath, idx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRLECorruptMaskIsolated damages one mask's byte range — a flipped
+// control byte, a truncated stream — and checks that, on a fresh open,
+// the first LoadMask and the first LoadRegion of that mask each return
+// the wrapped "corrupt rle stream" error (never a panic, and again on
+// the next attempt: a failed validation is not remembered as a pass),
+// while every other mask still loads and validates.
+func TestRLECorruptMaskIsolated(t *testing.T) {
+	spec := Spec{Name: "t", Images: 6, Models: 1, W: 24, H: 20, Seed: 11}
+	const bad = int64(3)
+	damage := map[string]func(t *testing.T, dir string){
+		"flipped control byte": func(t *testing.T, dir string) {
+			idx, err := os.ReadFile(filepath.Join(dir, masksRLEIndexFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptFileAt(t, filepath.Join(dir, masksRLEFile), int64(binary.LittleEndian.Uint64(idx[8*(bad-1):])))
+		},
+		"truncated stream": func(t *testing.T, dir string) { cutRLEMask(t, dir, bad, 2) },
+	}
+	for name, apply := range damage {
+		dir := t.TempDir()
+		if err := GenerateCodec(dir, spec, CodecRLE); err != nil {
+			t.Fatal(err)
+		}
+		apply(t, dir)
+		loads := map[string]func(st *Store) error{
+			"LoadMask": func(st *Store) error {
+				m, err := st.LoadMask(bad)
+				st.ReleaseMask(m)
+				return err
+			},
+			"LoadRegion": func(st *Store) error {
+				_, err := st.LoadRegion(bad, core.Rect{X0: 2, Y0: 3, X1: 9, Y1: 12})
+				return err
+			},
+		}
+		for op, load := range loads {
+			st, _, err := Open(dir)
+			if err != nil {
+				t.Fatalf("%s: open: %v", name, err)
+			}
+			for attempt := 0; attempt < 2; attempt++ {
+				if err := load(st); err == nil || !containsStr(err.Error(), "corrupt rle stream") {
+					t.Fatalf("%s: %s attempt %d of the damaged mask: err = %v, want a corrupt rle stream error", name, op, attempt, err)
+				}
+			}
+			for id := int64(1); id <= int64(st.NumMasks()); id++ {
+				if id == bad {
+					continue
+				}
+				m, err := st.LoadMask(id)
+				if err != nil {
+					t.Fatalf("%s: undamaged mask %d: %v", name, id, err)
+				}
+				if m.RowDir == nil {
+					t.Fatalf("%s: mask %d served without its row directory", name, id)
+				}
+				st.ReleaseMask(m)
+			}
+			st.Close()
+		}
+	}
+}
+
+// TestRLEValidateOnce checks the validate-once contract end to end on
+// both layouts: the first load of a mask publishes its row directory,
+// repeat loads serve the identical directory and stream from pooled
+// buffers, the counters move exactly as they do with per-load
+// validation (one MasksLoaded and the compressed size per load), and
+// masks compacted in after Open get the same treatment.
+func TestRLEValidateOnce(t *testing.T) {
+	spec := Spec{Name: "t", Images: 12, Models: 1, W: 24, H: 20, Seed: 12}
+	for _, shards := range []int{1, 3} {
+		rawDir, rleDir := genBothCodecs(t, spec, shards)
+		rawSt, _, err := OpenAny(rawDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rawSt.Close()
+		st, _, err := OpenAny(rleDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var wantBytes int64
+		for pass := 0; pass < 3; pass++ {
+			for id := int64(1); id <= int64(st.NumMasks()); id++ {
+				ref, err := rawSt.LoadMask(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := st.LoadMask(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(m.RowDir) != spec.H {
+					t.Fatalf("shards=%d pass %d mask %d: row directory has %d entries, want %d", shards, pass, id, len(m.RowDir), spec.H)
+				}
+				if !bytes.Equal(m.Decoded().Bytes, ref.Bytes) {
+					t.Fatalf("shards=%d pass %d mask %d: pixels differ from raw", shards, pass, id)
+				}
+				roi := core.Rect{X0: 5, Y0: 7, X1: 19, Y1: 16}
+				vr := core.ValueRange{Lo: 0.3, Hi: 1}
+				if got, want := core.ExactCP(m, roi, vr), core.ExactCP(ref, roi, vr); got != want {
+					t.Fatalf("shards=%d pass %d mask %d: CP %d, raw says %d", shards, pass, id, got, want)
+				}
+				wantBytes += int64(len(m.RLE))
+				rawSt.ReleaseMask(ref)
+				st.ReleaseMask(m)
+			}
+		}
+		got := st.Stats()
+		if want := int64(3 * st.NumMasks()); got.MasksLoaded != want || got.BytesRead != wantBytes {
+			t.Fatalf("shards=%d: MasksLoaded=%d BytesRead=%d, want %d and %d", shards, got.MasksLoaded, got.BytesRead, want, wantBytes)
+		}
+		if wantBytes != 3*st.StoredBytes() {
+			t.Fatalf("shards=%d: three full passes read %d bytes, want 3 x StoredBytes = %d", shards, wantBytes, 3*st.StoredBytes())
+		}
+	}
+
+	// Masks compacted into the base after Open extend the table.
+	dir := t.TempDir()
+	if err := GenerateCodec(dir, spec, CodecRLE); err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := OpenIngest(DirFS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	if m, err := ws.LoadMask(1); err != nil { // validate one base mask before the table grows
+		t.Fatal(err)
+	} else {
+		ws.ReleaseMask(m)
+	}
+	for round := 0; round < 2; round++ {
+		batch := ingestBatch(3, spec.W, spec.H, byte(50+round))
+		ids, err := ws.Append(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, id := range append([]int64{1, int64(spec.NumMasks())}, ids...) {
+				m, err := ws.LoadMask(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.RLE == nil || len(m.RowDir) != spec.H {
+					t.Fatalf("round %d pass %d mask %d: not served compressed with a row directory", round, pass, id)
+				}
+				if i >= 2 && !bytes.Equal(m.Decoded().Bytes, batch[i-2].Pix) {
+					t.Fatalf("round %d pass %d mask %d: pixels differ after compaction", round, pass, id)
+				}
+				ws.ReleaseMask(m)
+			}
+		}
+	}
+}
+
+// wildsLikeSpec is wilds-sim's mask shape and generator settings at a
+// fraction of its mask count: per-mask properties (stream size, load
+// cost) match the benchmark's dataset.
+func wildsLikeSpec(images int) Spec {
+	spec := WildsSimSpec()
+	spec.Images = images
+	return spec
+}
+
+// TestRLERowDirFootprint holds the row directory to its stated budget:
+// at most 5 % of the stored bytes on wilds-sim masks.
+func TestRLERowDirFootprint(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateCodec(dir, wildsLikeSpec(40), CodecRLE); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var resident int64
+	for _, d := range st.rle.Load().dirs {
+		resident += int64(4*len(d.state) + 4*len(d.rows))
+	}
+	if want := int64(st.NumMasks()) * int64(4*(st.h+1)); resident != want {
+		t.Fatalf("row directories hold %d bytes, want %d (4*(h+1) per mask)", resident, want)
+	}
+	if share := float64(resident) / float64(st.StoredBytes()); share > 0.05 {
+		t.Fatalf("row directories are %.2f%% of the %d stored bytes, budget 5%%", 100*share, st.StoredBytes())
+	}
+}
+
+// TestRLELoadConcurrentFirstLoads races 8 goroutines through first
+// loads of the same ids — directory publication, the losers' fallback
+// and pool reuse all at once — and compares every CP to an oracle
+// computed from decoded pixels. Run under -race.
+func TestRLELoadConcurrentFirstLoads(t *testing.T) {
+	spec := Spec{Name: "t", Images: 24, Models: 1, W: 40, H: 33, Seed: 13}
+	rawDir, rleDir := genBothCodecs(t, spec, 1)
+	rawSt, _, err := Open(rawDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rawSt.Close()
+	n := rawSt.NumMasks()
+	roi := core.Rect{X0: 7, Y0: 9, X1: 31, Y1: 30}
+	vr := core.ValueRange{Lo: 0.2, Hi: 0.9}
+	want := make([]int64, n+1)
+	for id := int64(1); id <= int64(n); id++ {
+		m, err := rawSt.LoadMask(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = core.ExactCP(m, roi, vr)
+		rawSt.ReleaseMask(m)
+	}
+	for round := 0; round < 5; round++ {
+		st, _, err := Open(rleDir) // fresh store: every id is a first load again
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pass := 0; pass < 3; pass++ {
+					for id := int64(1); id <= int64(n); id++ {
+						m, err := st.LoadMask(id)
+						if err != nil {
+							t.Errorf("mask %d: %v", id, err)
+							return
+						}
+						if got := core.ExactCP(m, roi, vr); got != want[id] {
+							t.Errorf("mask %d: CP %d, oracle %d", id, got, want[id])
+						}
+						st.ReleaseMask(m)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		st.Close()
+	}
+}
+
+// TestRLELoadSteadyStateAllocs checks that, with the cache off, a
+// load+release of an already-validated rle mask reuses a pooled mask
+// and allocates nothing (one allocation of slack for a pool refill
+// after a GC cycle).
+func TestRLELoadSteadyStateAllocs(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateCodec(dir, Spec{Name: "t", Images: 8, Models: 1, W: 32, H: 32, Seed: 14}, CodecRLE); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	id := int64(0)
+	load := func() {
+		id = id%int64(st.NumMasks()) + 1
+		m, err := st.LoadMask(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ReleaseMask(m)
+	}
+	for i := 0; i < st.NumMasks(); i++ {
+		load() // first loads: validate and publish
+	}
+	if avg := testing.AllocsPerRun(200, load); avg > 1 {
+		t.Fatalf("steady-state rle LoadMask+ReleaseMask allocates %.1f times per call, want <= 1", avg)
+	}
+}
+
+// BenchmarkLoadMask is the store's load layer benchmark on wilds-sim
+// shaped masks with the cache off: a raw load, an rle load that is the
+// mask's first since Open (pread + the validating walk that records the
+// row directory), and a repeat rle load (pread only).
+func BenchmarkLoadMask(b *testing.B) {
+	rawDir, rleDir := b.TempDir(), b.TempDir()
+	spec := wildsLikeSpec(100)
+	if err := GenerateCodec(rawDir, spec, CodecRaw); err != nil {
+		b.Fatal(err)
+	}
+	if err := GenerateCodec(rleDir, spec, CodecRLE); err != nil {
+		b.Fatal(err)
+	}
+	open := func(dir string) *Store {
+		st, _, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	// The same shuffled id sequence for every variant.
+	ids := rand.New(rand.NewSource(1)).Perm(spec.NumMasks())
+	// first times first-since-Open loads (a fresh store each pass over
+	// the ids, reopened off the clock); otherwise every id is loaded
+	// once before the clock starts.
+	run := func(b *testing.B, dir string, first bool) {
+		st := open(dir)
+		defer func() { st.Close() }()
+		loadAll := func() {
+			for _, i := range ids {
+				m, err := st.LoadMask(int64(i + 1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.ReleaseMask(m)
+			}
+		}
+		if !first {
+			loadAll()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(ids)
+			if first && k == 0 && i > 0 {
+				b.StopTimer()
+				st.Close()
+				st = open(dir)
+				b.StartTimer()
+			}
+			m, err := st.LoadMask(int64(ids[k] + 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			st.ReleaseMask(m)
+		}
+	}
+	b.Run("raw", func(b *testing.B) { run(b, rawDir, false) })
+	b.Run("rle-first", func(b *testing.B) { run(b, rleDir, true) })
+	b.Run("rle-repeat", func(b *testing.B) { run(b, rleDir, false) })
 }

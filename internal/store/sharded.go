@@ -40,11 +40,6 @@ type ShardedStore struct {
 	// arenas each get an even slice of it).
 	cacheBytes int64
 	thr        Throttle
-
-	// pool is the mask-buffer pool shared by every shard: buffers are
-	// interchangeable across same-dimension segments, so a release on
-	// one shard can serve the next load on another.
-	pool *sync.Pool
 }
 
 // OpenSharded opens a sharded database directory (a top-level
@@ -61,7 +56,7 @@ func OpenSharded(dir string) (*ShardedStore, *Catalog, error) {
 	if !validCodec(man.Codec) {
 		return nil, nil, fmt.Errorf("store: open %s: unknown codec %q", dir, man.Codec)
 	}
-	ss := &ShardedStore{dir: dir, codec: man.Codec, genVersion: man.GenVersion, pool: &sync.Pool{}}
+	ss := &ShardedStore{dir: dir, codec: man.Codec, genVersion: man.GenVersion}
 	var entries []Entry
 	wantFirst := int64(1)
 	for _, info := range man.Shards {
@@ -82,7 +77,9 @@ func OpenSharded(dir string) (*ShardedStore, *Catalog, error) {
 			return nil, nil, fmt.Errorf("store: open %s: shard %s covers ids [%d, %d] but the manifest maps [%d, %d) starting at %d — regenerate the dataset",
 				dir, info.Dir, seg.base+1, seg.base+int64(seg.NumMasks()), info.FirstID, info.FirstID+int64(info.NumMasks), wantFirst)
 		}
-		seg.maskPool = ss.pool // one shared buffer pool across shards
+		if len(ss.shards) > 0 {
+			seg.sharePools(ss.shards[0])
+		}
 		ss.shards = append(ss.shards, seg)
 		ss.firstIDs = append(ss.firstIDs, info.FirstID)
 		ss.numMasks += seg.NumMasks()
@@ -179,7 +176,7 @@ func (ss *ShardedStore) addShard(seg *Store) error {
 	if seg.w != ss.w || seg.h != ss.h {
 		return fmt.Errorf("store: addShard: segment masks are %dx%d, store holds %dx%d", seg.w, seg.h, ss.w, ss.h)
 	}
-	seg.maskPool = ss.pool
+	seg.sharePools(ss.shards[0])
 	seg.SetThrottle(ss.thr)
 	if n := ss.cacheBytes; n != 0 {
 		per := n
@@ -243,15 +240,11 @@ func (ss *ShardedStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 
 // ReleaseMask returns a mask obtained from LoadMask. A cache-resident
 // mask is unpinned in its owning shard's arena; any other mask goes
-// back to the shared buffer pool. The probe loops over shard caches
+// back to the shared buffer pools. The probe loops over shard caches
 // because a mask does not carry its id; S is small, so this stays
 // cheap next to the load it retires.
 func (ss *ShardedStore) ReleaseMask(m *core.Mask) {
 	if m == nil || m.W != ss.w || m.H != ss.h {
-		return
-	}
-	pooled := m.Bytes != nil && len(m.Bytes) == ss.w*ss.h
-	if !pooled && m.RLE == nil {
 		return
 	}
 	ss.mu.RLock()
@@ -262,10 +255,7 @@ func (ss *ShardedStore) ReleaseMask(m *core.Mask) {
 			return
 		}
 	}
-	if pooled {
-		m.Pix = nil
-		ss.pool.Put(m)
-	}
+	shards[0].recycle(m)
 }
 
 // SetCacheBytes budgets the per-shard LRU cache arenas. The total

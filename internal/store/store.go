@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,12 +178,12 @@ type Store struct {
 	codec string
 	// genVersion is Manifest.GenVersion, 0 for ingested/legacy data.
 	genVersion int
-	// offsets, for the RLE codec, points at the immutable offset
-	// column: numMasks+1 entries, mask (base+i)'s stream at
-	// [offsets[i-1], offsets[i]) in f. Compaction publishes a new
-	// slice via extendRLE (copy-on-write) before bumping numMasks, so
-	// concurrent loads always see offsets covering every visible id.
-	offsets atomic.Pointer[[]int64]
+	// rle, for the RLE codec, points at the immutable snapshot loads
+	// work from: the offset column and the row-directory table.
+	// Compaction publishes a new snapshot via extendRLE (copy-on-write)
+	// before bumping numMasks, so concurrent loads always see one
+	// covering every visible id.
+	rle atomic.Pointer[rleIndex]
 	// numMasks is atomic because compaction extends the segment
 	// (extend) while concurrent queries route loads through checkID.
 	numMasks atomic.Int64
@@ -196,6 +197,12 @@ type Store struct {
 	// pointer so a ShardedStore can point every segment at one shared
 	// pool: buffers are interchangeable across same-dimension shards.
 	maskPool *sync.Pool
+	// rlePool recycles RLE-backed masks the same way on an RLE store.
+	// Pooled masks have cap(RLE) >= rleCap, which fits every stream the
+	// encoder can produce, so a steady load/release stream reslices and
+	// never allocates. Shared across shards like maskPool.
+	rlePool *sync.Pool
+	rleCap  int
 
 	// cache, when non-nil, keeps recently loaded masks resident so
 	// overlapping queries stop paying disk reads for shared masks. It
@@ -260,6 +267,8 @@ func Open(dir string) (*Store, *Catalog, error) {
 		genVersion: man.GenVersion,
 		base:       max(0, man.FirstID-1),
 		maskPool:   &sync.Pool{},
+		rlePool:    &sync.Pool{},
+		rleCap:     core.RLEBound(spec.W, spec.H),
 	}
 	// Fail fast on a truncated or corrupted mask file: without this
 	// check a short pixel file only surfaces mid-query as a confusing
@@ -280,7 +289,7 @@ func Open(dir string) (*Store, *Catalog, error) {
 			return nil, nil, fmt.Errorf("store: open %s: masks.rle is %d bytes, offset column says %d — truncated or corrupted dataset",
 				dir, fi.Size(), want)
 		}
-		s.offsets.Store(&offs)
+		s.rle.Store(&rleIndex{offsets: offs, dirs: []*rleDirs{newRLEDirs(0, man.NumMasks, spec.H)}})
 	} else if want := int64(man.NumMasks) * int64(spec.W) * int64(spec.H); fi.Size() != want {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: open %s: masks.bin is %d bytes, want exactly %d (%d masks of %dx%d) — truncated or corrupted dataset",
@@ -356,7 +365,7 @@ func (s *Store) GenVersion() int { return s.genVersion }
 // StoredBytes returns the on-disk size of the mask data.
 func (s *Store) StoredBytes() int64 {
 	if s.codec == CodecRLE {
-		offs := *s.offsets.Load()
+		offs := s.rle.Load().offsets
 		return offs[len(offs)-1]
 	}
 	return s.DataBytes()
@@ -376,14 +385,16 @@ func (s *Store) extend(n int) { s.numMasks.Add(int64(n)) }
 
 // extendRLE publishes masks appended (and fsynced) to masks.rle by
 // compaction: tail holds the end offset of each new stream, continuing
-// from the current last offset. The new offset column is published
-// before the mask count so concurrent loads never see an id whose
-// offsets are missing.
+// from the current last offset. The new snapshot — the offset column
+// extended, plus a fresh (unvalidated) row-directory chunk for the new
+// ids; the existing chunks are shared, not copied — is published before
+// the mask count so concurrent loads never see an id it does not cover.
 func (s *Store) extendRLE(tail []int64) {
-	old := *s.offsets.Load()
-	offs := make([]int64, 0, len(old)+len(tail))
-	offs = append(append(offs, old...), tail...)
-	s.offsets.Store(&offs)
+	old := s.rle.Load()
+	offs := make([]int64, 0, len(old.offsets)+len(tail))
+	offs = append(append(offs, old.offsets...), tail...)
+	dirs := append(old.dirs[:len(old.dirs):len(old.dirs)], newRLEDirs(int64(len(old.offsets)-1), len(tail), s.h))
+	s.rle.Store(&rleIndex{offsets: offs, dirs: dirs})
 	s.numMasks.Add(int64(len(tail)))
 }
 
@@ -404,15 +415,7 @@ func (s *Store) SetCacheBytes(n int64) {
 		s.cache = nil
 		return
 	}
-	s.cache = newMaskCache(n, func(m *core.Mask) {
-		// Only fixed-stride byte buffers are interchangeable; RLE-backed
-		// masks have per-mask sizes and are left to the GC.
-		if m.Bytes == nil || len(m.Bytes) != s.w*s.h {
-			return
-		}
-		m.Pix = nil
-		s.maskPool.Put(m)
-	})
+	s.cache = newMaskCache(n, s.recycle)
 }
 
 // CacheBytes reports the configured cache budget (0: no cache, < 0:
@@ -508,8 +511,10 @@ func (s *Store) checkID(id int64) error {
 // byte-backed buffer — or, with a cache configured (SetCacheBytes),
 // serving the resident copy with no disk traffic. On an RLE store the
 // mask comes back RLE-backed without decompression (the hot kernels
-// compute on the compressed form) and only the compressed bytes are
-// charged to the read stats and the cache budget. Cached masks are
+// compute on the compressed form), carrying its row directory, and
+// only the compressed bytes are charged to the read stats and the
+// cache budget; the stream is validated on the mask's first load since
+// Open and trusted after that. Cached masks are
 // shared between concurrent callers and must be treated as read-only;
 // pass them back through ReleaseMask when done so the cache can evict.
 func (s *Store) LoadMask(id int64) (*core.Mask, error) {
@@ -544,16 +549,85 @@ func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 	return m, nil
 }
 
+// rleIndex is what an RLE store's loads need beyond the file: where
+// each stream lies, and which streams have already been validated
+// together with their row directories. A snapshot is immutable in
+// shape; only the slots of its directory chunks fill in as masks are
+// first loaded.
+type rleIndex struct {
+	// offsets is the offset column: numMasks+1 entries, mask (base+i)'s
+	// stream at [offsets[i-1], offsets[i]) in f.
+	offsets []int64
+	// dirs covers local mask indexes [0, numMasks) in ascending
+	// contiguous chunks: one from Open plus one per extendRLE.
+	dirs []*rleDirs
+}
+
+// rleDirs is the validate-once state of a contiguous run of masks: per
+// mask a state word and the h row offsets core.IndexRLE records
+// (4*(h+1) resident bytes per mask). The base files are immutable
+// while the store is open — the trust the raw layout already places in
+// masks.bin — so a stream that validated once is not walked again; its
+// slot moves dirNone → dirBuilding → dirReady exactly once, and rows
+// are read only after dirReady is observed.
+type rleDirs struct {
+	first int64 // local 0-based index of the first mask covered
+	state []atomic.Uint32
+	rows  []uint32
+}
+
+const (
+	dirNone uint32 = iota
+	dirBuilding
+	dirReady
+)
+
+func newRLEDirs(first int64, n, h int) *rleDirs {
+	return &rleDirs{first: first, state: make([]atomic.Uint32, n), rows: make([]uint32, n*h)}
+}
+
+// validate makes the freshly read stream of mask i (local 0-based
+// index) safe for the unchecked kernels and attaches its row
+// directory. The first load of i walks the stream once — validation and
+// directory in the same pass — and publishes the directory; later loads
+// only attach it. A load that finds another goroutine mid-publication
+// validates its own copy and goes without a directory, which changes no
+// result, only where the kernel starts walking.
+func (x *rleIndex) validate(i int64, m *core.Mask) error {
+	d := x.dirs[sort.Search(len(x.dirs), func(k int) bool { return x.dirs[k].first > i })-1]
+	k := int(i - d.first)
+	rows := d.rows[k*m.H : (k+1)*m.H : (k+1)*m.H]
+	st := &d.state[k]
+	if st.Load() != dirReady {
+		if !st.CompareAndSwap(dirNone, dirBuilding) {
+			return core.ValidateRLE(m.RLE, m.W, m.H)
+		}
+		if err := core.IndexRLE(m.RLE, m.W, m.H, rows); err != nil {
+			st.Store(dirNone)
+			return err
+		}
+		st.Store(dirReady)
+	}
+	m.RowDir = rows
+	return nil
+}
+
 // loadMaskCompressed is the RLE-codec load path: it reads only the
 // mask's compressed stream and returns it as an RLE-backed mask, never
-// materializing pixels.
+// materializing pixels. With no cache the mask comes from rlePool; a
+// mask bound for the cache is allocated at its exact size instead, so
+// the cache's byte accounting stays the memory it really holds.
 func (s *Store) loadMaskCompressed(id int64, cache *maskCache) (*core.Mask, error) {
-	rle, err := s.readRLE(id)
+	x := s.rle.Load()
+	m, err := s.readRLE(x, id, cache == nil)
 	if err != nil {
 		return nil, err
 	}
-	s.account(1, 0, int64(len(rle)))
-	m := &core.Mask{W: s.w, H: s.h, RLE: rle}
+	if err := x.validate(id-s.base-1, m); err != nil {
+		s.recycle(m)
+		return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
+	}
+	s.account(1, 0, int64(len(m.RLE)))
 	if cache != nil {
 		var evicted int64
 		m, evicted = cache.insert(id, m)
@@ -562,20 +636,27 @@ func (s *Store) loadMaskCompressed(id int64, cache *maskCache) (*core.Mask, erro
 	return m, nil
 }
 
-// readRLE reads and structurally validates mask id's compressed
-// stream. Validation walks control bytes only; once it passes, the
-// kernels may iterate the stream unchecked.
-func (s *Store) readRLE(id int64) ([]byte, error) {
-	offs := *s.offsets.Load()
+// readRLE reads mask id's compressed stream, unvalidated, into an
+// RLE-backed mask: a pooled one when pooled is set, else one allocated
+// at exactly the stream's size.
+func (s *Store) readRLE(x *rleIndex, id int64, pooled bool) (*core.Mask, error) {
 	i := id - s.base
-	buf := make([]byte, offs[i]-offs[i-1])
-	if _, err := s.f.ReadAt(buf, offs[i-1]); err != nil {
+	n := int(x.offsets[i] - x.offsets[i-1])
+	var m *core.Mask
+	if pooled {
+		m, _ = s.rlePool.Get().(*core.Mask)
+		if m == nil || cap(m.RLE) < n {
+			m = &core.Mask{W: s.w, H: s.h, RLE: make([]byte, max(n, s.rleCap))}
+		}
+		m.RLE = m.RLE[:n]
+	} else {
+		m = &core.Mask{W: s.w, H: s.h, RLE: make([]byte, n)}
+	}
+	if _, err := s.f.ReadAt(m.RLE, x.offsets[i-1]); err != nil {
+		s.recycle(m)
 		return nil, fmt.Errorf("store: read mask %d: %w", id, err)
 	}
-	if err := core.ValidateRLE(buf, s.w, s.h); err != nil {
-		return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
-	}
-	return buf, nil
+	return m, nil
 }
 
 // ReleaseMask returns a mask obtained from LoadMask to the buffer
@@ -592,19 +673,32 @@ func (s *Store) ReleaseMask(m *core.Mask) {
 	if m == nil || m.W != s.w || m.H != s.h {
 		return
 	}
-	if m.Bytes == nil || len(m.Bytes) != s.w*s.h {
-		// RLE-backed masks still unpin from the cache but never enter
-		// the fixed-stride buffer pool.
-		if m.RLE != nil {
-			s.releaseCached(m)
+	if !s.releaseCached(m) {
+		s.recycle(m)
+	}
+}
+
+// sharePools points s at the buffer pools of o, a segment of the same
+// mask dimensions: buffers are interchangeable across the shards of a
+// ShardedStore, so a release on one shard can serve the next load on
+// another.
+func (s *Store) sharePools(o *Store) { s.maskPool, s.rlePool = o.maskPool, o.rlePool }
+
+// recycle hands a mask no cache owns to the pool matching its backing:
+// full-size byte buffers to maskPool, RLE-backed masks with the pooled
+// capacity to rlePool. Anything else (float masks, exact-size streams
+// the cache evicted, hand-built masks) is left to the GC.
+func (s *Store) recycle(m *core.Mask) {
+	switch {
+	case m.Bytes != nil:
+		if len(m.Bytes) == s.w*s.h {
+			m.Pix = nil
+			s.maskPool.Put(m)
 		}
-		return
+	case cap(m.RLE) >= s.rleCap:
+		m.RowDir = nil
+		s.rlePool.Put(m)
 	}
-	if s.releaseCached(m) {
-		return
-	}
-	m.Pix = nil
-	s.maskPool.Put(m)
 }
 
 // releaseCached unpins m when this store's cache owns it, reporting
@@ -669,25 +763,25 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 }
 
 // loadRegionCompressed extracts a region from an RLE mask by decoding
-// the full stream into a pooled scratch buffer and copying out the
-// requested rows. r is non-empty and clamped by the caller.
+// the full stream (through pooled stream and pixel buffers) and copying
+// out the requested rows. DecodeRLE validates strictly as it goes, so
+// the stream needs no separate walk. r is non-empty and clamped by the
+// caller.
 func (s *Store) loadRegionCompressed(id int64, r core.Rect) (*core.Mask, error) {
-	rle, err := s.readRLE(id)
+	src, err := s.readRLE(s.rle.Load(), id, true)
 	if err != nil {
 		return nil, err
 	}
-	s.account(0, 1, int64(len(rle)))
+	defer s.recycle(src)
 	tmp, _ := s.maskPool.Get().(*core.Mask)
 	if tmp == nil {
 		tmp = core.NewByteMask(s.w, s.h)
 	}
-	defer func() {
-		tmp.Pix = nil
-		s.maskPool.Put(tmp)
-	}()
-	if err := core.DecodeRLE(rle, s.w, s.h, tmp.Bytes); err != nil {
-		return nil, fmt.Errorf("store: mask %d: %w", id, err)
+	defer s.recycle(tmp)
+	if err := core.DecodeRLE(src.RLE, s.w, s.h, tmp.Bytes); err != nil {
+		return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
 	}
+	s.account(0, 1, int64(len(src.RLE)))
 	rw := r.W()
 	out := core.NewByteMask(rw, r.H())
 	for y := r.Y0; y < r.Y1; y++ {
