@@ -131,3 +131,38 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 		t.Fatalf("late Query: %v, want ErrClosed", err)
 	}
 }
+
+// TestLentMaskOutlivesClose pins the view-lifetime rule of DB.LoadMask:
+// a lent mask stays readable after Close, its release after Close is
+// safe (and is what finally unmaps the pixel file), and Close stays
+// idempotent throughout — under each cache setting, since a cached mask
+// is a view too.
+func TestLentMaskOutlivesClose(t *testing.T) {
+	for _, cache := range []int64{CacheDisabled, 4096, CacheUnbounded} {
+		db := openCloseDB(t, Options{CacheBytes: cache})
+		a, err := db.LoadMask(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := db.LoadMask(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, wantB := append([]uint8(nil), a.Bytes...), append([]uint8(nil), b.Bytes...)
+		if err := db.Close(); err != nil {
+			t.Fatalf("cache %d: Close with lent masks: %v", cache, err)
+		}
+		if string(a.Bytes) != string(wantA) || string(b.Bytes) != string(wantB) {
+			t.Fatalf("cache %d: lent masks changed across Close", cache)
+		}
+		db.ReleaseMask(a)
+		if string(b.Bytes) != string(wantB) {
+			t.Fatalf("cache %d: releasing one lent mask after Close invalidated the other", cache)
+		}
+		db.ReleaseMask(b)
+		db.ReleaseMask(nil)
+		if err := db.Close(); err != nil {
+			t.Fatalf("cache %d: second Close: %v (want nil)", cache, err)
+		}
+	}
+}

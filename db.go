@@ -153,6 +153,10 @@ type DB struct {
 	// teardown.
 	closemu sync.RWMutex
 	closed  bool
+	// lent counts masks DB.LoadMask handed out that DB.ReleaseMask has
+	// not seen back; while it is non-zero Close leaves the store's
+	// pixel files open and mapped (see LoadMask).
+	lent atomic.Int64
 }
 
 // beginOp admits one store-touching operation, failing with ErrClosed
@@ -301,7 +305,12 @@ func (db *DB) Close() error {
 			ferr = err
 		}
 	}
-	if err := db.st.Close(); err != nil && ferr == nil {
+	if db.lent.Load() != 0 {
+		// Masks lent by LoadMask are still out: seal the WAL but leave
+		// the pixel files they view open; the last ReleaseMask closes
+		// the store.
+		db.ws.CloseWAL()
+	} else if err := db.st.Close(); err != nil && ferr == nil {
 		ferr = err
 	}
 	return ferr
@@ -412,27 +421,45 @@ func (db *DB) Entries() []CatalogEntry { return db.cat.Entries() }
 // Entry returns one mask's catalog row.
 func (db *DB) Entry(id int64) (CatalogEntry, error) { return db.cat.Entry(id) }
 
-// LoadMask reads one mask from disk (counted in the store's stats).
-// With Options.CacheBytes configured the returned mask may be shared
-// with the cache and must be treated as read-only.
+// LoadMask returns one mask (counted in the store's stats). The mask
+// is a read-only view of the database's mapped pixel file — writing to
+// it faults — and, with Options.CacheBytes configured, may be shared
+// with the cache. It stays readable until both DB.Close has run and
+// the mask has been handed back through DB.ReleaseMask: the DB counts
+// the masks it has lent, and Close leaves the mapping in place while
+// any are outstanding. A lent mask that is never released therefore
+// keeps the mapping's address range until the process exits; it never
+// dangles.
 func (db *DB) LoadMask(id int64) (*Mask, error) {
 	if err := db.beginOp(); err != nil {
 		return nil, err
 	}
 	defer db.endOp()
-	return db.st.LoadMask(id)
+	m, err := db.st.LoadMask(id)
+	if err == nil {
+		db.lent.Add(1)
+	}
+	return m, err
 }
 
-// ReleaseMask returns a mask obtained from DB.LoadMask to the store's
-// buffer pool (or cache). Callers that load masks directly — rather
-// than through a query, which releases internally — should release
-// them when done so a steady inspection stream allocates nothing.
-// Safe on a nil mask and after Close.
+// ReleaseMask hands back a mask obtained from DB.LoadMask — exactly
+// once per mask, after which the caller must not touch it: its header
+// is reused by the next load (or its cache pin dropped), so a steady
+// inspection stream allocates nothing. Safe on a nil mask and after
+// Close; the release of the last lent mask after Close is what closes
+// and unmaps the pixel files.
 func (db *DB) ReleaseMask(m *Mask) {
 	if m == nil {
 		return
 	}
 	db.st.ReleaseMask(m)
+	// closemu orders this against Close: either Close sees the count
+	// already at zero and unmaps itself, or this release sees closed.
+	db.closemu.RLock()
+	if db.lent.Add(-1) == 0 && db.closed {
+		db.st.Close()
+	}
+	db.closemu.RUnlock()
 }
 
 // MaskDims reports the fixed pixel dimensions every mask in this
@@ -609,10 +636,7 @@ func (db *DB) Append(ctx context.Context, masks []AppendMask) ([]int64, error) {
 	// filter bounds without waiting to be verified by a query.
 	for i, id := range ids {
 		if chi, _ := db.idx.ChiFor(id); chi == nil {
-			m := core.NewByteMask(db.st.MaskW(), db.st.MaskH())
-			copy(m.Bytes, masks[i].Pixels)
-			db.idx.Observe(id, m)
-			db.st.ReleaseMask(m)
+			db.idx.Observe(id, &core.Mask{W: db.st.MaskW(), H: db.st.MaskH(), Bytes: masks[i].Pixels})
 			db.dirty.Store(true)
 		}
 	}

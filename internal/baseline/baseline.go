@@ -89,9 +89,8 @@ func (e *Engine) vals(id int64, terms []core.CPTerm, st *core.Stats) ([]int64, e
 				return nil, err
 			}
 			out[i] = core.ExactCP(sub, sub.Bounds(), t.Range)
-			// Region masks have their own dimensions, so the store's
-			// pool declines them today — released anyway to keep the
-			// ownership contract uniform (and pooled if that changes).
+			// Region masks are standalone copies the caller owns;
+			// released anyway to keep the ownership contract uniform.
 			e.st.ReleaseMask(sub)
 		}
 		st.Loaded++

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -320,7 +321,10 @@ func TestIncrementalObserve(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTrip checks Encode/ReadMemoryIndex preserve bounds.
+// TestIndexRoundTrip checks Encode/ReadMemoryIndex preserve bounds, and
+// that testdata/parent_chi.gob — the same fixture encoded by the commit
+// before the index became a paged table — still decodes to the same
+// index: the chi.gob envelope did not change.
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	_, idx, ids := buildEngineFixture(rng, 10, 16, 16)
@@ -328,20 +332,29 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err := idx.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMemoryIndex(&buf)
+	parent, err := os.ReadFile("testdata/parent_chi.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != idx.Len() || back.Config().Key() != idx.Config().Key() {
-		t.Fatalf("round trip lost state: %d/%s vs %d/%s", back.Len(), back.Config().Key(), idx.Len(), idx.Config().Key())
-	}
-	roi := Rect{3, 3, 13, 11}
-	vr := ValueRange{Lo: 0.35, Hi: 1.0}
-	for _, id := range ids {
-		a, _ := idx.ChiFor(id)
-		b, _ := back.ChiFor(id)
-		if a.CPBounds(roi, vr) != b.CPBounds(roi, vr) {
-			t.Fatalf("mask %d: bounds differ after round trip", id)
+	for name, enc := range map[string][]byte{"re-encoded": buf.Bytes(), "parent commit's file": parent} {
+		back, err := ReadMemoryIndex(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.Len() != idx.Len() || back.SizeBytes() != idx.SizeBytes() || back.Config().Key() != idx.Config().Key() {
+			t.Fatalf("%s: round trip lost state: %d/%d/%s vs %d/%d/%s", name, back.Len(), back.SizeBytes(), back.Config().Key(),
+				idx.Len(), idx.SizeBytes(), idx.Config().Key())
+		}
+		for _, roi := range []Rect{{3, 3, 13, 11}, {0, 0, 16, 16}, {5, 6, 7, 9}} {
+			for _, vr := range []ValueRange{{Lo: 0.35, Hi: 1.0}, {Lo: 0, Hi: 0.5}, {Lo: 0.8, Hi: 0.9}} {
+				for _, id := range ids {
+					a, _ := idx.ChiFor(id)
+					b, _ := back.ChiFor(id)
+					if b == nil || a.CPBounds(roi, vr) != b.CPBounds(roi, vr) {
+						t.Fatalf("%s: mask %d: bounds for %v %v differ after round trip", name, id, roi, vr)
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -264,7 +265,9 @@ func TestTauTracker(t *testing.T) {
 
 // TestMemoryIndexConcurrency is the satellite stress test: parallel
 // Observe, ChiFor, Add and Encode on one index must be race-free and
-// leave a fully populated, decodable index behind.
+// leave a fully populated, decodable index behind — including while the
+// observed ids straddle a page boundary and force the page directory to
+// grow under the readers.
 func TestMemoryIndexConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n = 60
@@ -320,4 +323,126 @@ func TestMemoryIndexConcurrency(t *testing.T) {
 	if back.Len() != n {
 		t.Fatalf("round trip lost entries: %d of %d", back.Len(), n)
 	}
+
+	// The storm: ids around the first page boundary and, further out,
+	// around one that needs a longer directory. Readers poll ChiFor on
+	// exactly the ids the writers are observing; whatever they see must
+	// be nil or the finished CHI of that id's mask.
+	var storm []int64
+	for d := int64(-20); d < 20; d++ {
+		storm = append(storm, chiPageSize+d, 3*chiPageSize+d)
+	}
+	maskOf := func(id int64) *Mask { return masks[id%n+1] }
+	roi, vr := Rect{2, 1, 11, 10}, ValueRange{Lo: 0.3, Hi: 0.9}
+	wantBounds := make(map[int64]Bounds, len(storm))
+	wantSize := idx.SizeBytes()
+	for _, id := range storm {
+		chi, err := Build(maskOf(id), idx.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBounds[id] = chi.CPBounds(roi, vr)
+		wantSize += chi.SizeBytes()
+	}
+	var writers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for i := range storm {
+				id := storm[(i*7+g*13)%len(storm)]
+				idx.Observe(id, maskOf(id))
+			}
+		}(g)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := storm[(i+g*11)%len(storm)]
+				chi, err := idx.ChiFor(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if chi != nil && chi.CPBounds(roi, vr) != wantBounds[id] {
+					t.Errorf("mask %d: reader saw a CHI with foreign bounds", id)
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	wg.Wait()
+	if got := idx.Len(); got != n+len(storm) {
+		t.Fatalf("Len %d after the storm, want %d", got, n+len(storm))
+	}
+	if got := idx.SizeBytes(); got != wantSize {
+		t.Fatalf("SizeBytes %d after the storm, want %d", got, wantSize)
+	}
+	for _, id := range storm {
+		if chi, _ := idx.ChiFor(id); chi == nil || chi.CPBounds(roi, vr) != wantBounds[id] {
+			t.Fatalf("mask %d missing or wrong after the storm", id)
+		}
+	}
+}
+
+// TestMemoryIndexOutOfRangeIDs checks the table's edges: ids that
+// cannot name a mask, and ids beyond the allocated pages, read as not
+// indexed and are never stored.
+func TestMemoryIndexOutOfRangeIDs(t *testing.T) {
+	idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
+	m := randomMask(rand.New(rand.NewSource(3)), 8, 8)
+	idx.Observe(7, m)
+	const minID, maxID = -1 << 63, 1<<63 - 1
+	for _, id := range []int64{minID, -5, 0, 8, chiPageSize, chiPageSize + 1, 1 << 40, maxID} {
+		if chi, err := idx.ChiFor(id); chi != nil || err != nil {
+			t.Errorf("ChiFor(%d) = %v, %v; want nil, nil", id, chi, err)
+		}
+	}
+	for _, id := range []int64{minID, -5, 0, maxIndexID + 1, maxID} {
+		idx.Observe(id, m)
+	}
+	if idx.Len() != 1 {
+		t.Fatalf("Len %d after observing ids that cannot name a mask, want 1", idx.Len())
+	}
+}
+
+// BenchmarkChiFor is the index lookup every engine worker makes once
+// per mask per query, alone and from GOMAXPROCS goroutines at once.
+func BenchmarkChiFor(b *testing.B) {
+	const n = 20000
+	idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
+	chi, err := Build(randomMask(rand.New(rand.NewSource(1)), 16, 16), idx.Config())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := int64(1); id <= n; id++ {
+		idx.Add(id, chi)
+	}
+	ids := rand.New(rand.NewSource(2)).Perm(n)
+	lookup := func(k int) {
+		if c, _ := idx.ChiFor(int64(ids[k%n] + 1)); c == nil {
+			b.Error("indexed id not found")
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lookup(i)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var starts atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for k := int(starts.Add(1)) * 37; pb.Next(); k++ {
+				lookup(k)
+			}
+		})
+	})
 }

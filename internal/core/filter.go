@@ -12,8 +12,9 @@ type MaskLoader interface {
 	LoadMask(id int64) (*Mask, error)
 }
 
-// MaskRecycler is optionally implemented by loaders that pool mask
-// buffers. The engine releases a mask back to its loader once
+// MaskRecycler is optionally implemented by loaders that recycle masks
+// (the store reuses headers and unpins cached masks). The engine
+// releases a mask back to its loader once
 // verification (including the OnVerify callback) is done with it, so
 // OnVerify implementations must not retain the mask or its backing
 // slices past their return.

@@ -5,60 +5,114 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // MemoryIndex is a thread-safe in-memory CHI collection. It serves
 // both the eager ("vanilla MaskSearch") mode, where every mask is
 // indexed up front, and the incremental mode (§3.6), where Observe
 // grows the index as queries verify masks.
+//
+// Mask ids are dense from 1, so the collection is a paged table rather
+// than a map: a copy-on-write directory of fixed-size pages whose slots
+// are atomic pointers. ChiFor — called once per mask per query by every
+// engine worker — is two atomic loads, with no lock and no hashing;
+// only growing the directory takes the mutex.
 type MemoryIndex struct {
-	mu   sync.RWMutex
-	cfg  Config
-	chis map[int64]*CHI
+	cfg Config
+	// dir is the page directory; page p holds ids
+	// [p*chiPageSize+1, (p+1)*chiPageSize]. A published directory is
+	// never modified: growth publishes a longer copy sharing the pages.
+	dir atomic.Pointer[[]*chiPage]
+	// grow serializes directory growth.
+	grow sync.Mutex
+	n    atomic.Int64
 }
+
+const (
+	chiPageBits = 10
+	chiPageSize = 1 << chiPageBits
+	// maxIndexID bounds the directory (to 32 MiB of page pointers) so a
+	// corrupt chi.gob cannot ask for an absurd allocation.
+	maxIndexID = 1 << 32
+)
+
+type chiPage [chiPageSize]atomic.Pointer[CHI]
 
 // NewMemoryIndex returns an empty index that builds CHIs with cfg.
 func NewMemoryIndex(cfg Config) *MemoryIndex {
 	if n, err := cfg.Normalize(); err == nil {
 		cfg = n
 	}
-	return &MemoryIndex{cfg: cfg, chis: make(map[int64]*CHI)}
+	return newIndex(cfg)
+}
+
+// newIndex returns an empty index holding cfg as given.
+func newIndex(cfg Config) *MemoryIndex {
+	ix := &MemoryIndex{cfg: cfg}
+	ix.dir.Store(new([]*chiPage))
+	return ix
 }
 
 // Config returns the build configuration of the index.
 func (ix *MemoryIndex) Config() Config { return ix.cfg }
 
-// ChiFor returns the CHI for id, or (nil, nil) when not indexed.
-func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.chis[id], nil
+// slot returns id's table slot, or nil when id lies outside the pages
+// allocated so far (ids < 1 included).
+func (ix *MemoryIndex) slot(id int64) *atomic.Pointer[CHI] {
+	dir := *ix.dir.Load()
+	if p := uint64(id-1) >> chiPageBits; p < uint64(len(dir)) {
+		return &dir[p][(id-1)&(chiPageSize-1)]
+	}
+	return nil
 }
 
-// Add stores a prebuilt CHI for id, replacing any existing entry.
+// ChiFor returns the CHI for id, or (nil, nil) when not indexed.
+func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
+	if s := ix.slot(id); s != nil {
+		return s.Load(), nil
+	}
+	return nil, nil
+}
+
+// Add stores a prebuilt CHI for id, replacing any existing entry. Ids
+// outside [1, 2^32] cannot name a mask and are ignored.
 func (ix *MemoryIndex) Add(id int64, chi *CHI) {
-	ix.mu.Lock()
-	ix.chis[id] = chi
-	ix.mu.Unlock()
+	if id < 1 || id > maxIndexID || chi == nil {
+		return
+	}
+	s := ix.slot(id)
+	if s == nil {
+		ix.grow.Lock()
+		dir := *ix.dir.Load()
+		if pages := int((id-1)>>chiPageBits) + 1; pages > len(dir) {
+			grown := make([]*chiPage, pages)
+			for p := copy(grown, dir); p < pages; p++ {
+				grown[p] = new(chiPage)
+			}
+			ix.dir.Store(&grown)
+		}
+		ix.grow.Unlock()
+		s = ix.slot(id)
+	}
+	if s.Swap(chi) == nil {
+		ix.n.Add(1)
+	}
 }
 
 // Observe indexes a mask that a query just loaded, if it is not
 // indexed yet. Its signature matches Env.OnVerify so the incremental
 // mode is wired as OnVerify: idx.Observe. It never retains m: the CHI
-// is fully built before it returns, so the engine may recycle the
-// mask's buffers immediately afterwards.
+// is fully built before it returns, so the engine may release the
+// mask immediately afterwards.
 //
 // The check-then-build sequence is deliberately not atomic: two
 // goroutines observing the same unindexed mask may both build its
 // CHI and the last Add wins. That race is benign — both builds
 // produce the identical index entry (Build is deterministic in m and
-// cfg) — and keeping Build outside the lock means a slow build never
-// blocks concurrent ChiFor readers.
+// cfg) — and a slow build never blocks concurrent ChiFor readers.
 func (ix *MemoryIndex) Observe(id int64, m *Mask) {
-	ix.mu.RLock()
-	_, ok := ix.chis[id]
-	ix.mu.RUnlock()
-	if ok {
+	if chi, _ := ix.ChiFor(id); chi != nil {
 		return
 	}
 	chi, err := Build(m, ix.cfg)
@@ -69,20 +123,23 @@ func (ix *MemoryIndex) Observe(id int64, m *Mask) {
 }
 
 // Len returns the number of indexed masks.
-func (ix *MemoryIndex) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.chis)
+func (ix *MemoryIndex) Len() int { return int(ix.n.Load()) }
+
+// each calls f for every indexed mask in id order.
+func (ix *MemoryIndex) each(f func(id int64, chi *CHI)) {
+	for p, page := range *ix.dir.Load() {
+		for i := range page {
+			if chi := page[i].Load(); chi != nil {
+				f(int64(p)<<chiPageBits+int64(i)+1, chi)
+			}
+		}
+	}
 }
 
 // SizeBytes estimates the index footprint.
 func (ix *MemoryIndex) SizeBytes() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	var n int64
-	for _, c := range ix.chis {
-		n += c.SizeBytes()
-	}
+	ix.each(func(_ int64, c *CHI) { n += c.SizeBytes() })
 	return n
 }
 
@@ -95,9 +152,9 @@ type indexFile struct {
 // Encode serializes the index so it can be reloaded with
 // ReadMemoryIndex (the DB facade persists to <db>/chi.gob).
 func (ix *MemoryIndex) Encode(w io.Writer) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: ix.chis})
+	chis := make(map[int64]*CHI, ix.Len())
+	ix.each(func(id int64, c *CHI) { chis[id] = c })
+	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: chis})
 }
 
 // ReadMemoryIndex reloads an index serialized by Encode.
@@ -106,8 +163,12 @@ func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("core: decode index: %w", err)
 	}
-	if f.Chis == nil {
-		f.Chis = make(map[int64]*CHI)
+	ix := newIndex(f.Cfg)
+	for id, chi := range f.Chis {
+		if id < 1 || id > maxIndexID {
+			return nil, fmt.Errorf("core: decode index: mask id %d out of range", id)
+		}
+		ix.Add(id, chi)
 	}
-	return &MemoryIndex{cfg: f.Cfg, chis: f.Chis}, nil
+	return ix, nil
 }

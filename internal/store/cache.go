@@ -10,31 +10,33 @@ import (
 // maskCache is a byte-budgeted LRU cache of whole masks, shared by
 // every reader of one Store. It exists for batched and concurrent
 // workloads where many queries touch overlapping mask sets: a resident
-// mask is served without disk traffic (and without charging
-// MasksLoaded/BytesRead), so an n-query batch pays each distinct mask
+// mask is served without charging MasksLoaded/BytesRead (and without
+// the simulated-disk wait), so an n-query batch pays each distinct mask
 // at most once.
 //
-// Ownership protocol — how the cache composes with the Store's
-// sync.Pool recycling:
+// Ownership protocol — how the cache composes with the Store's views
+// and header recycling. A resident mask is a header viewing the mapped
+// pixel file, like any loaded mask; the cache owns headers, never
+// pixels, and a hit saves the load's charge to the read stats and,
+// under a Throttle, its wait on the simulated disk.
 //
 //   - A mask returned by LoadMask is *pinned* (refcount > 0) while the
-//     caller holds it; the bytes of a pinned mask are never pooled, so
-//     engine workers can read a shared copy without racing a reload.
-//   - ReleaseMask unpins instead of pooling when the mask is
-//     cache-owned. The underlying buffer goes back to the Store's
-//     sync.Pool only once the cache has dropped the entry and no pins
-//     remain — the cache is simply a detour between LoadMask and the
-//     pool.
+//     caller holds it; a pinned header is never recycled, so workers
+//     read through a shared header without racing its reuse.
+//   - ReleaseMask unpins instead of recycling when the mask is
+//     cache-owned. The header returns to the header pool only once the
+//     cache has dropped the entry and no pins remain.
 //   - Eviction walks the cold (LRU) end whenever the resident bytes
 //     exceed the budget, at insert and at unpin. Unpinned entries are
-//     evicted and pooled. Entries with exactly one pin are *detached*:
-//     dropped from the cache but not pooled — the sole holder keeps
-//     reading safely, its eventual ReleaseMask pools the buffer
-//     through the ordinary path, and a holder that never releases
-//     just hands the mask to the garbage collector, exactly like an
-//     uncached load. Callers that hoard masks therefore cannot grow
-//     the cache past its budget. Only entries pinned more than once
-//     (several workers mid-read, necessarily transient) are skipped.
+//     evicted and their headers recycled. Entries with exactly one pin
+//     are *detached*: dropped from the cache but not recycled — the
+//     sole holder keeps reading safely, its eventual ReleaseMask
+//     recycles the header through the ordinary path, and a holder that
+//     never releases just hands the header to the garbage collector,
+//     exactly like an uncached load. Callers that hoard masks therefore
+//     cannot grow the cache past its budget. Only entries pinned more
+//     than once (several workers mid-read, necessarily transient) are
+//     skipped.
 //
 // All methods are safe for concurrent use.
 type maskCache struct {
@@ -43,10 +45,9 @@ type maskCache struct {
 	budget int64
 	size   int64
 	// lru is most-recent-first; elements hold *cacheEntry.
-	lru     *list.List
-	byID    map[int64]*cacheEntry
-	byMask  map[*core.Mask]*cacheEntry
-	recycle func(*core.Mask)
+	lru    *list.List
+	byID   map[int64]*cacheEntry
+	byMask map[*core.Mask]*cacheEntry
 }
 
 type cacheEntry struct {
@@ -57,14 +58,13 @@ type cacheEntry struct {
 }
 
 // newMaskCache returns a cache with the given byte budget (< 0:
-// unbounded). Evicted, unpinned buffers are handed to recycle.
-func newMaskCache(budget int64, recycle func(*core.Mask)) *maskCache {
+// unbounded).
+func newMaskCache(budget int64) *maskCache {
 	return &maskCache{
-		budget:  budget,
-		lru:     list.New(),
-		byID:    make(map[int64]*cacheEntry),
-		byMask:  make(map[*core.Mask]*cacheEntry),
-		recycle: recycle,
+		budget: budget,
+		lru:    list.New(),
+		byID:   make(map[int64]*cacheEntry),
+		byMask: make(map[*core.Mask]*cacheEntry),
 	}
 }
 
@@ -85,15 +85,15 @@ func (c *maskCache) acquire(id int64) *core.Mask {
 // insert makes a freshly loaded mask resident, pinned once for the
 // caller, and returns the canonical mask plus how many entries were
 // evicted. When another goroutine raced the same miss and inserted
-// first, the loser's buffer is recycled immediately and the resident
-// mask is returned instead, so all callers share one copy.
+// first, the loser's header is recycled immediately and the resident
+// mask is returned instead, so all callers share one header.
 func (c *maskCache) insert(id int64, m *core.Mask) (*core.Mask, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.byID[id]; ok {
 		e.pins++
 		c.lru.MoveToFront(e.el)
-		c.recycle(m)
+		recycle(m)
 		return e.m, 0
 	}
 	e := &cacheEntry{id: id, m: m, pins: 1}
@@ -105,8 +105,8 @@ func (c *maskCache) insert(id int64, m *core.Mask) (*core.Mask, int64) {
 }
 
 // unpin releases one pin on a cache-owned mask, reporting whether the
-// mask was cache-owned at all (false: the caller should fall back to
-// plain pooling) and how many entries the unpin let the cache evict.
+// mask was cache-owned at all (false: the caller should recycle the
+// header itself) and how many entries the unpin let the cache evict.
 func (c *maskCache) unpin(m *core.Mask) (bool, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,10 +121,10 @@ func (c *maskCache) unpin(m *core.Mask) (bool, int64) {
 }
 
 // evictLocked drops cold entries until the resident size is within
-// budget. Unpinned entries are recycled into the pool; singly-pinned
+// budget. Unpinned entries have their headers recycled; singly-pinned
 // entries are detached — removed from every cache structure without
-// pooling, so the one holder keeps exclusive, uncached-load semantics
-// (its ReleaseMask pools the buffer, or the GC reclaims it). Entries
+// recycling, so the one holder keeps exclusive, uncached-load semantics
+// (its ReleaseMask recycles the header, or the GC reclaims it). Entries
 // pinned more than once are shared between live readers and must stay
 // tracked, so they are skipped; they become evictable at unpin time.
 // Returns the number of entries dropped.
@@ -142,7 +142,7 @@ func (c *maskCache) evictLocked() int64 {
 			delete(c.byMask, e.m)
 			c.size -= maskFootprint(e.m)
 			if e.pins == 0 {
-				c.recycle(e.m)
+				recycle(e.m)
 			}
 			evicted++
 		}
@@ -152,8 +152,8 @@ func (c *maskCache) evictLocked() int64 {
 }
 
 // maskFootprint is the byte size a mask charges against the cache
-// budget: its resident backing, so an RLE-backed mask is accounted in
-// compressed bytes and the same budget holds proportionally more
+// budget: the bytes its view spans, so an RLE-backed mask is accounted
+// in compressed bytes and the same budget holds proportionally more
 // compressed masks.
 func maskFootprint(m *core.Mask) int64 {
 	return int64(len(m.Bytes) + len(m.RLE) + 4*len(m.Pix))

@@ -1,0 +1,16 @@
+//go:build !unix
+
+package store
+
+import "os"
+
+// mapFile on platforms without mmap reads the byte range [off, off+n)
+// of f into the heap, so the store keeps its single load path (views
+// of one resident copy); there is nothing to unmap.
+func mapFile(f *os.File, off, n int64) ([]byte, func(), error) {
+	b := make([]byte, n)
+	if _, err := f.ReadAt(b, off); err != nil {
+		return nil, nil, err
+	}
+	return b, func() {}, nil
+}

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"masksearch/internal/core"
@@ -568,7 +570,8 @@ func TestRLERowDirFootprint(t *testing.T) {
 	}
 	defer st.Close()
 	var resident int64
-	for _, d := range st.rle.Load().dirs {
+	for _, c := range st.seg.Load().chunks {
+		d := c.dirs
 		resident += int64(4*len(d.state) + 4*len(d.rows))
 	}
 	if want := int64(st.NumMasks()) * int64(4*(st.h+1)); resident != want {
@@ -666,8 +669,9 @@ func TestRLELoadSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkLoadMask is the store's load layer benchmark on wilds-sim
 // shaped masks with the cache off: a raw load, an rle load that is the
-// mask's first since Open (pread + the validating walk that records the
-// row directory), and a repeat rle load (pread only).
+// mask's first since Open (the validating walk that records the row
+// directory), and a repeat rle load — each also from GOMAXPROCS
+// goroutines at once, which is how the engine's workers load.
 func BenchmarkLoadMask(b *testing.B) {
 	rawDir, rleDir := b.TempDir(), b.TempDir()
 	spec := wildsLikeSpec(100)
@@ -686,41 +690,105 @@ func BenchmarkLoadMask(b *testing.B) {
 	}
 	// The same shuffled id sequence for every variant.
 	ids := rand.New(rand.NewSource(1)).Perm(spec.NumMasks())
-	// first times first-since-Open loads (a fresh store each pass over
-	// the ids, reopened off the clock); otherwise every id is loaded
-	// once before the clock starts.
-	run := func(b *testing.B, dir string, first bool) {
-		st := open(dir)
-		defer func() { st.Close() }()
-		loadAll := func() {
-			for _, i := range ids {
-				m, err := st.LoadMask(int64(i + 1))
+	load := func(st *Store, k int) {
+		m, err := st.LoadMask(int64(ids[k%len(ids)] + 1))
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		st.ReleaseMask(m)
+	}
+	// repeat times loads of masks already loaded once since Open.
+	repeat := func(dir string, parallel bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			st := open(dir)
+			defer st.Close()
+			for k := range ids {
+				load(st, k)
+			}
+			b.ResetTimer()
+			if !parallel {
+				for i := 0; i < b.N; i++ {
+					load(st, i)
+				}
+				return
+			}
+			var starts atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				for k := int(starts.Add(1)) * 37; pb.Next(); k++ {
+					load(st, k)
+				}
+			})
+		}
+	}
+	// first times first-since-Open loads: a fresh store for each pass
+	// over the ids, reopened off the clock. RunParallel cannot pause for
+	// the reopen, so the parallel variant stripes each pass over
+	// GOMAXPROCS goroutines itself.
+	first := func(parallel bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			workers := 1
+			if parallel {
+				workers = runtime.GOMAXPROCS(0)
+			}
+			for done := 0; done < b.N; done += len(ids) {
+				b.StopTimer()
+				st := open(rleDir)
+				n := min(len(ids), b.N-done)
+				b.StartTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < workers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for k := g; k < n; k += workers {
+							load(st, k)
+						}
+					}(g)
+				}
+				wg.Wait()
+				b.StopTimer()
+				st.Close()
+				b.StartTimer()
+			}
+		}
+	}
+	b.Run("raw", repeat(rawDir, false))
+	b.Run("raw/parallel", repeat(rawDir, true))
+	b.Run("rle-first", first(false))
+	b.Run("rle-first/parallel", first(true))
+	b.Run("rle-repeat", repeat(rleDir, false))
+	b.Run("rle-repeat/parallel", repeat(rleDir, true))
+}
+
+// BenchmarkLoadRegion is the ArraySlice access path on a raw store: a
+// full-width region (contiguous in the file) and a narrow one (one
+// strided row at a time), both half the mask's height.
+func BenchmarkLoadRegion(b *testing.B) {
+	dir := b.TempDir()
+	spec := wildsLikeSpec(100)
+	if err := GenerateCodec(dir, spec, CodecRaw); err != nil {
+		b.Fatal(err)
+	}
+	st, _, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	w, h := st.MaskW(), st.MaskH()
+	ids := rand.New(rand.NewSource(1)).Perm(spec.NumMasks())
+	for name, r := range map[string]core.Rect{
+		"full-width": {X0: 0, Y0: h / 4, X1: w, Y1: 3 * h / 4},
+		"narrow":     {X0: w / 4, Y0: h / 4, X1: 3 * w / 4, Y1: 3 * h / 4},
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, err := st.LoadRegion(int64(ids[i%len(ids)]+1), r)
 				if err != nil {
 					b.Fatal(err)
 				}
 				st.ReleaseMask(m)
 			}
-		}
-		if !first {
-			loadAll()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i % len(ids)
-			if first && k == 0 && i > 0 {
-				b.StopTimer()
-				st.Close()
-				st = open(dir)
-				b.StartTimer()
-			}
-			m, err := st.LoadMask(int64(ids[k] + 1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.ReleaseMask(m)
-		}
+		})
 	}
-	b.Run("raw", func(b *testing.B) { run(b, rawDir, false) })
-	b.Run("rle-first", func(b *testing.B) { run(b, rleDir, true) })
-	b.Run("rle-repeat", func(b *testing.B) { run(b, rleDir, false) })
 }

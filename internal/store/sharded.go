@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"masksearch/internal/core"
 )
@@ -21,25 +22,41 @@ import (
 //
 // All methods are safe for concurrent use, like Store's. The shard
 // list itself can grow at runtime: WAL compaction on a sharded layout
-// publishes each compacted batch as a fresh shard through addShard, so
-// the list is guarded by mu (loads take the read lock, addShard the
-// write lock).
+// publishes each compacted batch as a fresh shard through addShard. The
+// list is an immutable snapshot behind an atomic pointer — routing a
+// load takes no lock — and mu serializes the writers that replace it or
+// reconfigure every shard.
 type ShardedStore struct {
 	dir   string
 	codec string
 	// genVersion is the top-level Manifest.GenVersion, 0 for
 	// ingested/legacy data.
 	genVersion int
+	w, h       int
 
-	mu       sync.RWMutex
-	shards   []*Store
-	firstIDs []int64 // ascending; shard i serves [firstIDs[i], firstIDs[i]+shards[i].NumMasks())
-	numMasks int
-	w, h     int
+	set atomic.Pointer[shardSet]
+
+	mu sync.Mutex
 	// cacheBytes remembers the configured total budget (the per-shard
 	// arenas each get an even slice of it).
 	cacheBytes int64
 	thr        Throttle
+}
+
+// shardSet is one immutable snapshot of the shard list.
+type shardSet struct {
+	shards   []*Store
+	firstIDs []int64 // ascending; shard i serves [firstIDs[i], firstIDs[i]+shards[i].NumMasks())
+	numMasks int
+}
+
+// with returns a copy of set extended by seg.
+func (set *shardSet) with(seg *Store) *shardSet {
+	return &shardSet{
+		shards:   append(set.shards[:len(set.shards):len(set.shards)], seg),
+		firstIDs: append(set.firstIDs[:len(set.firstIDs):len(set.firstIDs)], seg.base+1),
+		numMasks: set.numMasks + seg.NumMasks(),
+	}
 }
 
 // OpenSharded opens a sharded database directory (a top-level
@@ -57,6 +74,8 @@ func OpenSharded(dir string) (*ShardedStore, *Catalog, error) {
 		return nil, nil, fmt.Errorf("store: open %s: unknown codec %q", dir, man.Codec)
 	}
 	ss := &ShardedStore{dir: dir, codec: man.Codec, genVersion: man.GenVersion}
+	set := &shardSet{}
+	ss.set.Store(set)
 	var entries []Entry
 	wantFirst := int64(1)
 	for _, info := range man.Shards {
@@ -77,20 +96,16 @@ func OpenSharded(dir string) (*ShardedStore, *Catalog, error) {
 			return nil, nil, fmt.Errorf("store: open %s: shard %s covers ids [%d, %d] but the manifest maps [%d, %d) starting at %d — regenerate the dataset",
 				dir, info.Dir, seg.base+1, seg.base+int64(seg.NumMasks()), info.FirstID, info.FirstID+int64(info.NumMasks), wantFirst)
 		}
-		if len(ss.shards) > 0 {
-			seg.sharePools(ss.shards[0])
-		}
-		ss.shards = append(ss.shards, seg)
-		ss.firstIDs = append(ss.firstIDs, info.FirstID)
-		ss.numMasks += seg.NumMasks()
+		set = set.with(seg)
+		ss.set.Store(set)
 		entries = append(entries, segCat.Entries()...)
 		wantFirst = info.FirstID + int64(info.NumMasks)
 	}
-	if ss.numMasks != man.NumMasks {
+	if set.numMasks != man.NumMasks {
 		ss.Close()
-		return nil, nil, fmt.Errorf("store: open %s: shards hold %d masks, manifest says %d", dir, ss.numMasks, man.NumMasks)
+		return nil, nil, fmt.Errorf("store: open %s: shards hold %d masks, manifest says %d", dir, set.numMasks, man.NumMasks)
 	}
-	ss.w, ss.h = ss.shards[0].w, ss.shards[0].h
+	ss.w, ss.h = set.shards[0].w, set.shards[0].h
 	return ss, NewCatalog(entries), nil
 }
 
@@ -98,18 +113,10 @@ func OpenSharded(dir string) (*ShardedStore, *Catalog, error) {
 func (ss *ShardedStore) Dir() string { return ss.dir }
 
 // NumShards returns the number of shard segments.
-func (ss *ShardedStore) NumShards() int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return len(ss.shards)
-}
+func (ss *ShardedStore) NumShards() int { return len(ss.set.Load().shards) }
 
 // NumMasks returns the total number of stored masks across shards.
-func (ss *ShardedStore) NumMasks() int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.numMasks
-}
+func (ss *ShardedStore) NumMasks() int { return ss.set.Load().numMasks }
 
 // MaskW and MaskH return the common mask dimensions.
 func (ss *ShardedStore) MaskW() int { return ss.w }
@@ -129,10 +136,8 @@ func (ss *ShardedStore) GenVersion() int { return ss.genVersion }
 
 // StoredBytes returns the on-disk mask data size summed over shards.
 func (ss *ShardedStore) StoredBytes() int64 {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	var n int64
-	for _, s := range ss.shards {
+	for _, s := range ss.set.Load().shards {
 		n += s.StoredBytes()
 	}
 	return n
@@ -147,13 +152,10 @@ func (ss *ShardedStore) Append(ctx context.Context, masks []IngestMask) ([]int64
 		ss.dir, ss.NumShards(), ErrReadOnly)
 }
 
-// Close releases every shard, returning the first error.
+// Close closes and unmaps every shard, returning the first error.
 func (ss *ShardedStore) Close() error {
-	ss.mu.RLock()
-	shards := ss.shards
-	ss.mu.RUnlock()
 	var ferr error
-	for _, s := range shards {
+	for _, s := range ss.set.Load().shards {
 		if err := s.Close(); err != nil && ferr == nil {
 			ferr = err
 		}
@@ -164,30 +166,28 @@ func (ss *ShardedStore) Close() error {
 // addShard publishes one additional shard segment opened from a
 // directory compaction just wrote and fsynced. The segment must
 // continue the id-space exactly (FirstID == NumMasks+1). The new
-// shard joins the shared buffer pool, inherits the throttle, and gets
-// an even slice of the configured cache budget without disturbing the
-// arenas (and resident masks) of existing shards.
+// shard inherits the throttle and gets an even slice of the configured
+// cache budget without disturbing the arenas (and resident masks) of
+// existing shards.
 func (ss *ShardedStore) addShard(seg *Store) error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if seg.base != int64(ss.numMasks) {
-		return fmt.Errorf("store: addShard: segment starts at id %d, want %d", seg.base+1, ss.numMasks+1)
+	set := ss.set.Load()
+	if seg.base != int64(set.numMasks) {
+		return fmt.Errorf("store: addShard: segment starts at id %d, want %d", seg.base+1, set.numMasks+1)
 	}
 	if seg.w != ss.w || seg.h != ss.h {
 		return fmt.Errorf("store: addShard: segment masks are %dx%d, store holds %dx%d", seg.w, seg.h, ss.w, ss.h)
 	}
-	seg.sharePools(ss.shards[0])
 	seg.SetThrottle(ss.thr)
 	if n := ss.cacheBytes; n != 0 {
 		per := n
 		if n > 0 {
-			per = n / int64(len(ss.shards)+1)
+			per = n / int64(len(set.shards)+1)
 		}
 		seg.SetCacheBytes(per)
 	}
-	ss.shards = append(ss.shards, seg)
-	ss.firstIDs = append(ss.firstIDs, seg.base+1)
-	ss.numMasks += seg.NumMasks()
+	ss.set.Store(set.with(seg))
 	return nil
 }
 
@@ -195,32 +195,28 @@ func (ss *ShardedStore) addShard(seg *Store) error {
 // map to the nearest shard; the segment's own id check rejects them.
 // It implements core.ShardedLoader, so the engine can group
 // verification work per shard.
-func (ss *ShardedStore) ShardOf(id int64) int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.shardOfLocked(id)
-}
+func (ss *ShardedStore) ShardOf(id int64) int { return ss.set.Load().shardOf(id) }
 
-func (ss *ShardedStore) shardOfLocked(id int64) int {
+func (set *shardSet) shardOf(id int64) int {
 	// firstIDs is ascending: find the last shard starting at or below id.
-	i := sort.Search(len(ss.firstIDs), func(i int) bool { return ss.firstIDs[i] > id }) - 1
+	i := sort.Search(len(set.firstIDs), func(i int) bool { return set.firstIDs[i] > id }) - 1
 	return max(0, i)
 }
 
-// shardFor resolves id to its owning shard under the read lock,
-// validating the range against the current mask count.
+// shardFor resolves id to its owning shard, validating the range
+// against the current mask count.
 func (ss *ShardedStore) shardFor(id int64) (*Store, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if id < 1 || id > int64(ss.numMasks) {
-		return nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ss.numMasks)
+	set := ss.set.Load()
+	if id < 1 || id > int64(set.numMasks) {
+		return nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, set.numMasks)
 	}
-	return ss.shards[ss.shardOfLocked(id)], nil
+	return set.shards[set.shardOf(id)], nil
 }
 
-// LoadMask reads one full mask from its owning shard (or that shard's
-// cache arena). The Store contract — pooled byte-backed buffers,
-// read-only cached masks, ReleaseMask when done — applies unchanged.
+// LoadMask returns one full mask from its owning shard (or that
+// shard's cache arena). The Store contract — a read-only view of the
+// shard's mapping, valid until Close, ReleaseMask when done — applies
+// unchanged.
 func (ss *ShardedStore) LoadMask(id int64) (*core.Mask, error) {
 	s, err := ss.shardFor(id)
 	if err != nil {
@@ -239,23 +235,20 @@ func (ss *ShardedStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 }
 
 // ReleaseMask returns a mask obtained from LoadMask. A cache-resident
-// mask is unpinned in its owning shard's arena; any other mask goes
-// back to the shared buffer pools. The probe loops over shard caches
+// mask is unpinned in its owning shard's arena; any other mask's header
+// goes back to the header pool. The probe loops over shard caches
 // because a mask does not carry its id; S is small, so this stays
 // cheap next to the load it retires.
 func (ss *ShardedStore) ReleaseMask(m *core.Mask) {
 	if m == nil || m.W != ss.w || m.H != ss.h {
 		return
 	}
-	ss.mu.RLock()
-	shards := ss.shards
-	ss.mu.RUnlock()
-	for _, s := range shards {
+	for _, s := range ss.set.Load().shards {
 		if s.releaseCached(m) {
 			return
 		}
 	}
-	shards[0].recycle(m)
+	recycle(m)
 }
 
 // SetCacheBytes budgets the per-shard LRU cache arenas. The total
@@ -269,8 +262,9 @@ func (ss *ShardedStore) SetCacheBytes(n int64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.cacheBytes = n
-	s := int64(len(ss.shards))
-	for i, seg := range ss.shards {
+	shards := ss.set.Load().shards
+	s := int64(len(shards))
+	for i, seg := range shards {
 		per := n
 		if n > 0 {
 			per = n / s
@@ -284,8 +278,8 @@ func (ss *ShardedStore) SetCacheBytes(n int64) {
 
 // CacheBytes reports the configured total cache budget across shards.
 func (ss *ShardedStore) CacheBytes() int64 {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	return ss.cacheBytes
 }
 
@@ -297,16 +291,14 @@ func (ss *ShardedStore) SetThrottle(t Throttle) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.thr = t
-	for _, s := range ss.shards {
+	for _, s := range ss.set.Load().shards {
 		s.SetThrottle(t)
 	}
 }
 
 // ResetStats zeroes every shard's resettable counters.
 func (ss *ShardedStore) ResetStats() {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	for _, s := range ss.shards {
+	for _, s := range ss.set.Load().shards {
 		s.ResetStats()
 	}
 }
@@ -314,10 +306,8 @@ func (ss *ShardedStore) ResetStats() {
 // Stats returns the read counters since the last reset, aggregated
 // over shards (the exact sum of ShardStats).
 func (ss *ShardedStore) Stats() ReadStats {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	var out ReadStats
-	for _, s := range ss.shards {
+	for _, s := range ss.set.Load().shards {
 		out.add(s.Stats())
 	}
 	return out
@@ -326,10 +316,8 @@ func (ss *ShardedStore) Stats() ReadStats {
 // LifetimeStats returns the never-reset counters aggregated over
 // shards.
 func (ss *ShardedStore) LifetimeStats() ReadStats {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	var out ReadStats
-	for _, s := range ss.shards {
+	for _, s := range ss.set.Load().shards {
 		out.add(s.LifetimeStats())
 	}
 	return out
@@ -338,10 +326,9 @@ func (ss *ShardedStore) LifetimeStats() ReadStats {
 // ShardStats returns each shard's resettable read counters, indexed
 // like ShardOf. Summing them reproduces Stats exactly.
 func (ss *ShardedStore) ShardStats() []ReadStats {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	out := make([]ReadStats, len(ss.shards))
-	for i, s := range ss.shards {
+	shards := ss.set.Load().shards
+	out := make([]ReadStats, len(shards))
+	for i, s := range shards {
 		out[i] = s.Stats()
 	}
 	return out

@@ -215,7 +215,7 @@ func TestShardedCacheArenas(t *testing.T) {
 		ss.ReleaseMask(m)
 	}
 	var resident int64
-	for _, seg := range ss.shards {
+	for _, seg := range ss.set.Load().shards {
 		if seg.cache != nil {
 			resident += seg.cache.residentBytes()
 		}

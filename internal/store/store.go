@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,12 +155,6 @@ type MaskStore interface {
 	LifetimeStats() ReadStats
 }
 
-// Store reads masks from a database directory. Masks are served
-// byte-backed (core.Mask.Bytes): the stored uint8 pixels are read
-// straight into the mask buffer with no per-pixel float conversion,
-// and ReleaseMask recycles those buffers through a sync.Pool so a
-// steady verification stream allocates nothing. All methods are safe
-// for concurrent use; the parallel engine loads from many goroutines.
 // IngestMask is one mask submitted to MaskStore.Append: its catalog
 // metadata (the MaskID field is assigned by the store) plus its raw
 // uint8 pixels, length MaskW*MaskH.
@@ -170,6 +163,14 @@ type IngestMask struct {
 	Pix   []byte
 }
 
+// Store reads masks from a database directory. The pixel file is
+// mapped read-only once at Open and LoadMask hands out views of that
+// mapping: a core.Mask whose Bytes (or RLE) is a sub-slice of the file
+// itself, so a load makes no system call and copies no pixel; only the
+// small mask headers are recycled (ReleaseMask). A view stays valid
+// until Close, and a write through one faults (PROT_READ) instead of
+// corrupting a shared mask. All methods are safe for concurrent use;
+// the parallel engine loads from many goroutines.
 type Store struct {
 	dir  string
 	f    *os.File
@@ -178,52 +179,97 @@ type Store struct {
 	codec string
 	// genVersion is Manifest.GenVersion, 0 for ingested/legacy data.
 	genVersion int
-	// rle, for the RLE codec, points at the immutable snapshot loads
-	// work from: the offset column and the row-directory table.
-	// Compaction publishes a new snapshot via extendRLE (copy-on-write)
-	// before bumping numMasks, so concurrent loads always see one
-	// covering every visible id.
-	rle atomic.Pointer[rleIndex]
-	// numMasks is atomic because compaction extends the segment
-	// (extend) while concurrent queries route loads through checkID.
-	numMasks atomic.Int64
 	// base offsets mask ids for sharded segments: the store serves ids
 	// (base, base+numMasks], and id i lives at offset (i-base-1)*W*H.
 	// 0 for ordinary unsharded stores.
 	base int64
-
-	// maskPool recycles whole-mask buffers between LoadMask and
-	// ReleaseMask. Pooled masks always have len(Bytes) == w*h. It is a
-	// pointer so a ShardedStore can point every segment at one shared
-	// pool: buffers are interchangeable across same-dimension shards.
-	maskPool *sync.Pool
-	// rlePool recycles RLE-backed masks the same way on an RLE store.
-	// Pooled masks have cap(RLE) >= rleCap, which fits every stream the
-	// encoder can produce, so a steady load/release stream reslices and
-	// never allocates. Shared across shards like maskPool.
-	rlePool *sync.Pool
-	rleCap  int
+	// seg is the snapshot loads work from; compaction (extend) swaps it.
+	seg atomic.Pointer[segment]
 
 	// cache, when non-nil, keeps recently loaded masks resident so
-	// overlapping queries stop paying disk reads for shared masks. It
-	// sits between LoadMask/ReleaseMask and maskPool: resident masks
-	// are pinned while callers hold them, and their buffers reach the
-	// pool only on eviction. Set via SetCacheBytes.
+	// overlapping queries stop being charged (and, under a Throttle,
+	// stop waiting) for shared masks. Set via SetCacheBytes.
 	cache *maskCache
 
-	statsMu sync.Mutex
-	stats   ReadStats
-	// lifetime accumulates the same counters but is never reset, so
-	// callers that bracket code which resets stats internally (e.g.
-	// msbench sampling around a report) still get true totals.
-	lifetime ReadStats
-	thr      Throttle
+	// life counts read traffic since Open with atomic adds, no lock.
+	// Stats reports life minus statsBase, ResetStats' snapshot of it.
+	life      readCounters
+	statsBase ReadStats
+
+	// statsMu guards statsBase and the simulated disk below; loads take
+	// it only while a Throttle is installed.
+	statsMu   sync.Mutex
+	throttled atomic.Bool
+	thr       Throttle
 	// thrFree is the simulated disk's next-available time: concurrent
 	// readers reserve back-to-back slots on one timeline so the
 	// aggregate bandwidth stays at BytesPerSec no matter how many
 	// engine workers read at once.
 	thrFree time.Time
 }
+
+// segment is one immutable snapshot of the pixel file as loads see it.
+// A load works from one snapshot alone, so it never sees an id whose
+// bytes or offsets are not covered; growth publishes a longer copy
+// sharing the chunks, which stay mapped — a view taken before a
+// compaction is still valid after it.
+type segment struct {
+	numMasks int64
+	// chunks are the mapped ranges of the file, ascending and contiguous:
+	// one from Open plus one per compaction, split at mask boundaries.
+	chunks []mapChunk
+	// offsets is the RLE offset column: numMasks+1 entries, local mask
+	// i's stream at [offsets[i-1], offsets[i]).
+	offsets []int64
+}
+
+// mapChunk is one mapped range of the pixel file, data[0] at file
+// offset off; dirs (RLE) is the validate-once state of its masks.
+type mapChunk struct {
+	off   int64
+	data  []byte
+	unmap func()
+	dirs  *rleDirs
+}
+
+// at returns the n file bytes at offset off as a capacity-clipped slice
+// of the chunk holding them, and that chunk.
+func (g *segment) at(off int64, n int) ([]byte, *mapChunk) {
+	lo, hi := 0, len(g.chunks)
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; g.chunks[mid].off <= off {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	c := &g.chunks[lo]
+	i := int(off - c.off)
+	return c.data[i : i+n : i+n], c
+}
+
+// readCounters is ReadStats (without the WAL layer's TailLoads) as
+// lock-free counters.
+type readCounters struct {
+	masksLoaded, regionReads, bytesRead  atomic.Int64
+	cacheHits, cacheMisses, cacheEvicted atomic.Int64
+}
+
+func (c *readCounters) snapshot() ReadStats {
+	return ReadStats{
+		MasksLoaded:  c.masksLoaded.Load(),
+		RegionReads:  c.regionReads.Load(),
+		BytesRead:    c.bytesRead.Load(),
+		CacheHits:    c.cacheHits.Load(),
+		CacheMisses:  c.cacheMisses.Load(),
+		CacheEvicted: c.cacheEvicted.Load(),
+	}
+}
+
+// headers recycles mask headers between LoadMask and ReleaseMask. A
+// header owns no pixels — it views a mapping or a WAL tail copy — so
+// one pool serves every store.
+var headers = sync.Pool{New: func() any { return new(core.Mask) }}
 
 // Open opens a single-segment database directory created by Generate
 // (or one shard segment of a sharded database) and returns the store
@@ -266,37 +312,56 @@ func Open(dir string) (*Store, *Catalog, error) {
 		codec:      man.Codec,
 		genVersion: man.GenVersion,
 		base:       max(0, man.FirstID-1),
-		maskPool:   &sync.Pool{},
-		rlePool:    &sync.Pool{},
-		rleCap:     core.RLEBound(spec.W, spec.H),
 	}
-	// Fail fast on a truncated or corrupted mask file: without this
-	// check a short pixel file only surfaces mid-query as a confusing
-	// ReadAt error on whatever mask happens to fall past the end.
+	// Fail fast on a truncated or corrupted mask file: a mapping longer
+	// than the file would fault mid-query on whatever mask falls past
+	// its end.
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
+	g := &segment{numMasks: int64(man.NumMasks)}
 	if man.Codec == CodecRLE {
-		offs, err := readOffsets(filepath.Join(dir, masksRLEIndexFile), man.NumMasks)
+		g.offsets, err = readOffsets(filepath.Join(dir, masksRLEIndexFile), man.NumMasks)
 		if err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
-		if want := offs[len(offs)-1]; fi.Size() != want {
+		if want := g.offsets[man.NumMasks]; fi.Size() != want {
 			f.Close()
 			return nil, nil, fmt.Errorf("store: open %s: masks.rle is %d bytes, offset column says %d — truncated or corrupted dataset",
 				dir, fi.Size(), want)
 		}
-		s.rle.Store(&rleIndex{offsets: offs, dirs: []*rleDirs{newRLEDirs(0, man.NumMasks, spec.H)}})
 	} else if want := int64(man.NumMasks) * int64(spec.W) * int64(spec.H); fi.Size() != want {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: open %s: masks.bin is %d bytes, want exactly %d (%d masks of %dx%d) — truncated or corrupted dataset",
 			dir, fi.Size(), want, man.NumMasks, spec.W, spec.H)
 	}
-	s.numMasks.Store(int64(man.NumMasks))
+	if fi.Size() > 0 {
+		c, err := s.mapRange(0, fi.Size(), 0, man.NumMasks)
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
+		}
+		g.chunks = []mapChunk{c}
+	}
+	s.seg.Store(g)
 	return s, NewCatalog(entries), nil
+}
+
+// mapRange maps bytes [from, to) of the pixel file, which hold the n
+// masks from local index first on, as one chunk.
+func (s *Store) mapRange(from, to, first int64, n int) (mapChunk, error) {
+	data, unmap, err := mapFile(s.f, from, to-from)
+	if err != nil {
+		return mapChunk{}, fmt.Errorf("store: map %s [%d, %d): %w", s.f.Name(), from, to, err)
+	}
+	c := mapChunk{off: from, data: data, unmap: unmap}
+	if s.codec == CodecRLE {
+		c.dirs = &rleDirs{first: first, state: make([]atomic.Uint32, n), rows: make([]uint32, n*s.h)}
+	}
+	return c, nil
 }
 
 // readOffsets reads and validates an RLE offset column of n masks.
@@ -345,7 +410,7 @@ func OpenAny(dir string) (MaskStore, *Catalog, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // NumMasks returns the number of stored masks.
-func (s *Store) NumMasks() int { return int(s.numMasks.Load()) }
+func (s *Store) NumMasks() int { return int(s.seg.Load().numMasks) }
 
 // MaskW and MaskH return the common mask dimensions.
 func (s *Store) MaskW() int { return s.w }
@@ -353,7 +418,7 @@ func (s *Store) MaskH() int { return s.h }
 
 // DataBytes returns the total logical pixel bytes (NumMasks * W * H),
 // independent of the codec.
-func (s *Store) DataBytes() int64 { return s.numMasks.Load() * int64(s.w) * int64(s.h) }
+func (s *Store) DataBytes() int64 { return s.seg.Load().numMasks * int64(s.w) * int64(s.h) }
 
 // Codec returns the on-disk pixel encoding.
 func (s *Store) Codec() string { return s.codec }
@@ -364,9 +429,8 @@ func (s *Store) GenVersion() int { return s.genVersion }
 
 // StoredBytes returns the on-disk size of the mask data.
 func (s *Store) StoredBytes() int64 {
-	if s.codec == CodecRLE {
-		offs := s.rle.Load().offsets
-		return offs[len(offs)-1]
+	if g := s.seg.Load(); s.codec == CodecRLE {
+		return g.offsets[g.numMasks]
 	}
 	return s.DataBytes()
 }
@@ -377,45 +441,45 @@ func (s *Store) Append(ctx context.Context, masks []IngestMask) ([]int64, error)
 	return nil, fmt.Errorf("store: append to read-only single-segment layout at %s: %w", s.dir, ErrReadOnly)
 }
 
-// extend publishes n additional masks appended (and fsynced) to
-// masks.bin by compaction: ids up to base+numMasks+n become loadable.
-// The caller must have made the new pixels durable first. Raw codec
-// only; RLE segments extend through extendRLE.
-func (s *Store) extend(n int) { s.numMasks.Add(int64(n)) }
-
-// extendRLE publishes masks appended (and fsynced) to masks.rle by
-// compaction: tail holds the end offset of each new stream, continuing
-// from the current last offset. The new snapshot — the offset column
-// extended, plus a fresh (unvalidated) row-directory chunk for the new
-// ids; the existing chunks are shared, not copied — is published before
-// the mask count so concurrent loads never see an id it does not cover.
-func (s *Store) extendRLE(tail []int64) {
-	old := s.rle.Load()
-	offs := make([]int64, 0, len(old.offsets)+len(tail))
-	offs = append(append(offs, old.offsets...), tail...)
-	dirs := append(old.dirs[:len(old.dirs):len(old.dirs)], newRLEDirs(int64(len(old.offsets)-1), len(tail), s.h))
-	s.rle.Store(&rleIndex{offsets: offs, dirs: dirs})
-	s.numMasks.Add(int64(len(tail)))
+// extend publishes n masks that compaction appended (and fsynced) to
+// the pixel file and mapped as c (mapRange): ids up to base+numMasks+n
+// become loadable. Under RLE, tail holds the end offset of each new
+// stream, continuing from the current last offset.
+func (s *Store) extend(n int, tail []int64, c mapChunk) {
+	old := s.seg.Load()
+	g := &segment{
+		numMasks: old.numMasks + int64(n),
+		chunks:   append(old.chunks[:len(old.chunks):len(old.chunks)], c),
+	}
+	if s.codec == CodecRLE {
+		g.offsets = append(append(make([]int64, 0, len(old.offsets)+n), old.offsets...), tail...)
+	}
+	s.seg.Store(g)
 }
 
-// Close releases the underlying file.
-func (s *Store) Close() error { return s.f.Close() }
+// Close closes the pixel file and unmaps it, which ends the life of
+// every view LoadMask handed out; call it once.
+func (s *Store) Close() error {
+	for _, c := range s.seg.Load().chunks {
+		c.unmap()
+	}
+	return s.f.Close()
+}
 
 // SetCacheBytes installs a byte-budgeted LRU mask cache: LoadMask
-// serves resident masks without disk traffic and an n-query batch
-// over overlapping targets pays each distinct mask at most once.
-// n == 0 removes the cache (the default: every LoadMask reads disk),
-// n < 0 caches without bound. Masks served from the cache are shared
-// between callers and must be treated as read-only. Reconfigure only
-// while no loads are in flight (normally once, right after Open);
-// masks already handed out by a previous cache stay valid and are
-// garbage-collected instead of pooled.
+// serves resident masks without charging MasksLoaded/BytesRead — and,
+// under a Throttle, without the simulated-disk wait — so an n-query
+// batch over overlapping targets pays each distinct mask at most once.
+// Resident masks are views like any other, shared between callers; the
+// budget counts the bytes they span. n == 0 removes the cache (the
+// default), n < 0 caches without bound. Reconfigure only while no
+// loads are in flight (normally once, right after Open).
 func (s *Store) SetCacheBytes(n int64) {
 	if n == 0 {
 		s.cache = nil
 		return
 	}
-	s.cache = newMaskCache(n, s.recycle)
+	s.cache = newMaskCache(n)
 }
 
 // CacheBytes reports the configured cache budget (0: no cache, < 0:
@@ -433,6 +497,7 @@ func (s *Store) SetThrottle(t Throttle) {
 	s.statsMu.Lock()
 	s.thr = t
 	s.thrFree = time.Time{}
+	s.throttled.Store(t.BytesPerSec > 0)
 	s.statsMu.Unlock()
 }
 
@@ -440,7 +505,7 @@ func (s *Store) SetThrottle(t Throttle) {
 // unaffected).
 func (s *Store) ResetStats() {
 	s.statsMu.Lock()
-	s.stats = ReadStats{}
+	s.statsBase = s.life.snapshot()
 	s.statsMu.Unlock()
 }
 
@@ -448,31 +513,27 @@ func (s *Store) ResetStats() {
 func (s *Store) Stats() ReadStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	return s.stats
+	return s.life.snapshot().Sub(s.statsBase)
 }
 
 // LifetimeStats returns the read counters accumulated since Open,
 // ignoring every ResetStats.
-func (s *Store) LifetimeStats() ReadStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lifetime
-}
+func (s *Store) LifetimeStats() ReadStats { return s.life.snapshot() }
 
-// account records a read and applies the throttle. Each read reserves
-// a slot on the shared disk timeline under the lock and sleeps out its
-// own wait outside it, so W concurrent readers still see BytesPerSec
-// in aggregate rather than W times it.
-func (s *Store) account(masks, regions, bytes int64) {
+// account records one read of kind (masksLoaded or regionReads) of
+// bytes logical bytes and applies the throttle when one is installed.
+// Each throttled read reserves a slot on the shared disk timeline
+// under statsMu and sleeps out its own wait outside it, so W concurrent
+// readers still see BytesPerSec in aggregate rather than W times it.
+func (s *Store) account(kind *atomic.Int64, bytes int64) {
+	kind.Add(1)
+	s.life.bytesRead.Add(bytes)
+	if bytes <= 0 || !s.throttled.Load() {
+		return
+	}
 	s.statsMu.Lock()
-	s.stats.MasksLoaded += masks
-	s.stats.RegionReads += regions
-	s.stats.BytesRead += bytes
-	s.lifetime.MasksLoaded += masks
-	s.lifetime.RegionReads += regions
-	s.lifetime.BytesRead += bytes
 	var wait time.Duration
-	if s.thr.BytesPerSec > 0 && bytes > 0 {
+	if s.thr.BytesPerSec > 0 {
 		d := time.Duration(float64(bytes) / s.thr.BytesPerSec * float64(time.Second))
 		now := time.Now()
 		if s.thrFree.Before(now) {
@@ -487,89 +548,73 @@ func (s *Store) account(masks, regions, bytes int64) {
 	}
 }
 
-// accountCache records cache traffic (no throttle: hits never touch
-// the simulated disk).
-func (s *Store) accountCache(hits, misses, evicted int64) {
-	s.statsMu.Lock()
-	s.stats.CacheHits += hits
-	s.stats.CacheMisses += misses
-	s.stats.CacheEvicted += evicted
-	s.lifetime.CacheHits += hits
-	s.lifetime.CacheMisses += misses
-	s.lifetime.CacheEvicted += evicted
-	s.statsMu.Unlock()
-}
-
-func (s *Store) checkID(id int64) error {
-	if n := s.numMasks.Load(); id <= s.base || id > s.base+n {
-		return fmt.Errorf("store: mask id %d out of range [%d, %d]", id, s.base+1, s.base+n)
+// stored returns what the file holds for mask id — its raw pixels or,
+// on an RLE store, its unvalidated stream — as a view of the mapping,
+// together with the chunk the view lies in.
+func (s *Store) stored(id int64) ([]byte, *mapChunk, error) {
+	g, i := s.seg.Load(), id-s.base
+	if i < 1 || i > g.numMasks {
+		return nil, nil, fmt.Errorf("store: mask id %d out of range [%d, %d]", id, s.base+1, s.base+g.numMasks)
 	}
-	return nil
+	off, n := (i-1)*int64(s.w*s.h), s.w*s.h
+	if s.codec == CodecRLE {
+		off, n = g.offsets[i-1], int(g.offsets[i]-g.offsets[i-1])
+	}
+	b, c := g.at(off, n)
+	return b, c, nil
 }
 
-// LoadMask returns one full mask, reading it from disk into a pooled
-// byte-backed buffer — or, with a cache configured (SetCacheBytes),
-// serving the resident copy with no disk traffic. On an RLE store the
-// mask comes back RLE-backed without decompression (the hot kernels
-// compute on the compressed form), carrying its row directory, and
-// only the compressed bytes are charged to the read stats and the
-// cache budget; the stream is validated on the mask's first load since
-// Open and trusted after that. Cached masks are
-// shared between concurrent callers and must be treated as read-only;
-// pass them back through ReleaseMask when done so the cache can evict.
+// LoadMask returns one full mask as a view of the mapped pixel file: a
+// pooled header whose Bytes is a capacity-clipped sub-slice of the
+// mapping — no system call, no copy. With a cache configured
+// (SetCacheBytes) a resident mask is served, pinned, without being
+// charged to the read stats. On an RLE store the mask comes back
+// RLE-backed without decompression, carrying its row directory, and
+// only the compressed bytes are charged to the read stats and the cache
+// budget; the stream is validated on the mask's first load since Open
+// and trusted after that. Every mask is read-only and valid until
+// Close; pass it back through ReleaseMask when done so its header is
+// reused and the cache can evict.
 func (s *Store) LoadMask(id int64) (*core.Mask, error) {
-	if err := s.checkID(id); err != nil {
+	b, c, err := s.stored(id)
+	if err != nil {
 		return nil, err
 	}
 	cache := s.cache
 	if cache != nil {
 		if m := cache.acquire(id); m != nil {
-			s.accountCache(1, 0, 0)
+			s.life.cacheHits.Add(1)
 			return m, nil
 		}
 	}
+	m := headers.Get().(*core.Mask)
+	m.W, m.H = s.w, s.h
 	if s.codec == CodecRLE {
-		return s.loadMaskCompressed(id, cache)
+		m.RLE = b
+		if err := c.dirs.validate(id-s.base-1, m); err != nil {
+			recycle(m)
+			return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
+		}
+	} else {
+		m.Bytes = b
 	}
-	n := s.w * s.h
-	m, _ := s.maskPool.Get().(*core.Mask)
-	if m == nil {
-		m = core.NewByteMask(s.w, s.h)
-	}
-	if _, err := s.f.ReadAt(m.Bytes, (id-s.base-1)*int64(n)); err != nil {
-		s.maskPool.Put(m)
-		return nil, fmt.Errorf("store: read mask %d: %w", id, err)
-	}
-	s.account(1, 0, int64(n))
+	s.account(&s.life.masksLoaded, int64(len(b)))
 	if cache != nil {
 		var evicted int64
 		m, evicted = cache.insert(id, m)
-		s.accountCache(0, 1, evicted)
+		s.life.cacheMisses.Add(1)
+		s.life.cacheEvicted.Add(evicted)
 	}
 	return m, nil
 }
 
-// rleIndex is what an RLE store's loads need beyond the file: where
-// each stream lies, and which streams have already been validated
-// together with their row directories. A snapshot is immutable in
-// shape; only the slots of its directory chunks fill in as masks are
-// first loaded.
-type rleIndex struct {
-	// offsets is the offset column: numMasks+1 entries, mask (base+i)'s
-	// stream at [offsets[i-1], offsets[i]) in f.
-	offsets []int64
-	// dirs covers local mask indexes [0, numMasks) in ascending
-	// contiguous chunks: one from Open plus one per extendRLE.
-	dirs []*rleDirs
-}
-
-// rleDirs is the validate-once state of a contiguous run of masks: per
-// mask a state word and the h row offsets core.IndexRLE records
-// (4*(h+1) resident bytes per mask). The base files are immutable
-// while the store is open — the trust the raw layout already places in
-// masks.bin — so a stream that validated once is not walked again; its
-// slot moves dirNone → dirBuilding → dirReady exactly once, and rows
-// are read only after dirReady is observed.
+// rleDirs is the validate-once state of the masks in one chunk of an
+// RLE store: per mask a state word and the h row offsets core.IndexRLE
+// records (4*(h+1) resident bytes per mask). The base files are
+// immutable while the store is open — the trust the raw layout already
+// places in masks.bin — so a stream that validated once is not walked
+// again; its slot moves dirNone → dirBuilding → dirReady exactly once,
+// and rows are read only after dirReady is observed.
 type rleDirs struct {
 	first int64 // local 0-based index of the first mask covered
 	state []atomic.Uint32
@@ -582,19 +627,14 @@ const (
 	dirReady
 )
 
-func newRLEDirs(first int64, n, h int) *rleDirs {
-	return &rleDirs{first: first, state: make([]atomic.Uint32, n), rows: make([]uint32, n*h)}
-}
-
-// validate makes the freshly read stream of mask i (local 0-based
-// index) safe for the unchecked kernels and attaches its row
-// directory. The first load of i walks the stream once — validation and
-// directory in the same pass — and publishes the directory; later loads
-// only attach it. A load that finds another goroutine mid-publication
-// validates its own copy and goes without a directory, which changes no
-// result, only where the kernel starts walking.
-func (x *rleIndex) validate(i int64, m *core.Mask) error {
-	d := x.dirs[sort.Search(len(x.dirs), func(k int) bool { return x.dirs[k].first > i })-1]
+// validate makes the stream view of mask i (local 0-based index) safe
+// for the unchecked kernels and attaches its row directory. The first
+// load of i walks the stream once — validation and directory in the
+// same pass — and publishes the directory; later loads only attach it.
+// A load that finds another goroutine mid-publication validates the
+// stream itself and goes without a directory, which changes no result,
+// only where the kernel starts walking.
+func (d *rleDirs) validate(i int64, m *core.Mask) error {
 	k := int(i - d.first)
 	rows := d.rows[k*m.H : (k+1)*m.H : (k+1)*m.H]
 	st := &d.state[k]
@@ -612,182 +652,94 @@ func (x *rleIndex) validate(i int64, m *core.Mask) error {
 	return nil
 }
 
-// loadMaskCompressed is the RLE-codec load path: it reads only the
-// mask's compressed stream and returns it as an RLE-backed mask, never
-// materializing pixels. With no cache the mask comes from rlePool; a
-// mask bound for the cache is allocated at its exact size instead, so
-// the cache's byte accounting stays the memory it really holds.
-func (s *Store) loadMaskCompressed(id int64, cache *maskCache) (*core.Mask, error) {
-	x := s.rle.Load()
-	m, err := s.readRLE(x, id, cache == nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := x.validate(id-s.base-1, m); err != nil {
-		s.recycle(m)
-		return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
-	}
-	s.account(1, 0, int64(len(m.RLE)))
-	if cache != nil {
-		var evicted int64
-		m, evicted = cache.insert(id, m)
-		s.accountCache(0, 1, evicted)
-	}
-	return m, nil
-}
-
-// readRLE reads mask id's compressed stream, unvalidated, into an
-// RLE-backed mask: a pooled one when pooled is set, else one allocated
-// at exactly the stream's size.
-func (s *Store) readRLE(x *rleIndex, id int64, pooled bool) (*core.Mask, error) {
-	i := id - s.base
-	n := int(x.offsets[i] - x.offsets[i-1])
-	var m *core.Mask
-	if pooled {
-		m, _ = s.rlePool.Get().(*core.Mask)
-		if m == nil || cap(m.RLE) < n {
-			m = &core.Mask{W: s.w, H: s.h, RLE: make([]byte, max(n, s.rleCap))}
-		}
-		m.RLE = m.RLE[:n]
-	} else {
-		m = &core.Mask{W: s.w, H: s.h, RLE: make([]byte, n)}
-	}
-	if _, err := s.f.ReadAt(m.RLE, x.offsets[i-1]); err != nil {
-		s.recycle(m)
-		return nil, fmt.Errorf("store: read mask %d: %w", id, err)
-	}
-	return m, nil
-}
-
-// ReleaseMask returns a mask obtained from LoadMask to the buffer
-// pool — or, when the mask is cache-resident, unpins it so the cache
-// may evict it later (the buffer reaches the pool on eviction). The
-// engine calls it once verification is done with a mask; callers that
-// hand masks to user code (or that are unsure of the mask's
-// provenance) simply never call it — an unreleased mask is garbage-
-// collected as before (a bounded cache detaches held entries under
-// budget pressure rather than keeping them resident, so hoarded masks
-// cost their own bytes but never the cache's). Masks of foreign
-// dimensions are ignored.
+// ReleaseMask gives back a mask obtained from LoadMask: a
+// cache-resident mask is unpinned so the cache may evict it later, and
+// any other mask's header returns to the header pool for the next load.
+// The caller must not use the mask afterwards. A mask that is never
+// released is simply garbage-collected (a bounded cache detaches held
+// entries under budget pressure, so hoarded masks never cost the
+// cache's budget). Masks of foreign dimensions are ignored.
 func (s *Store) ReleaseMask(m *core.Mask) {
 	if m == nil || m.W != s.w || m.H != s.h {
 		return
 	}
 	if !s.releaseCached(m) {
-		s.recycle(m)
+		recycle(m)
 	}
 }
 
-// sharePools points s at the buffer pools of o, a segment of the same
-// mask dimensions: buffers are interchangeable across the shards of a
-// ShardedStore, so a release on one shard can serve the next load on
-// another.
-func (s *Store) sharePools(o *Store) { s.maskPool, s.rlePool = o.maskPool, o.rlePool }
-
-// recycle hands a mask no cache owns to the pool matching its backing:
-// full-size byte buffers to maskPool, RLE-backed masks with the pooled
-// capacity to rlePool. Anything else (float masks, exact-size streams
-// the cache evicted, hand-built masks) is left to the GC.
-func (s *Store) recycle(m *core.Mask) {
-	switch {
-	case m.Bytes != nil:
-		if len(m.Bytes) == s.w*s.h {
-			m.Pix = nil
-			s.maskPool.Put(m)
-		}
-	case cap(m.RLE) >= s.rleCap:
-		m.RowDir = nil
-		s.rlePool.Put(m)
-	}
+// recycle returns a header no cache owns to the header pool, cleared so
+// an idle header keeps no WAL tail copy alive.
+func recycle(m *core.Mask) {
+	*m = core.Mask{}
+	headers.Put(m)
 }
 
 // releaseCached unpins m when this store's cache owns it, reporting
 // whether it did. A ShardedStore release probes each shard's cache
-// through it before falling back to the shared pool.
+// through it before falling back to the header pool.
 func (s *Store) releaseCached(m *core.Mask) bool {
 	cache := s.cache
 	if cache == nil {
 		return false
 	}
 	owned, evicted := cache.unpin(m)
-	if owned {
-		s.accountCache(0, 0, evicted)
-	}
+	s.life.cacheEvicted.Add(evicted)
 	return owned
 }
 
-// LoadRegion reads only the pixels of one mask inside r (clamped to
-// the mask bounds), as a standalone byte-backed mask of the region's
-// dimensions. This is the access path of the ArraySlice baseline:
-// only the region's logical bytes are charged to the read stats. A
-// region spanning the full mask width is contiguous on disk and is
-// fetched with a single ReadAt; narrower regions read row by row,
-// each row landing directly in the output buffer. On an RLE store the
-// variable-length rows are not addressable without the stream, so the
-// whole compressed mask is read (and charged) and decoded through a
-// pooled scratch buffer — region reads lose the partial-read
-// advantage under compression.
+// decodeScratch holds the full-mask pixel buffers LoadRegion decodes
+// RLE streams into before copying the requested rows out.
+var decodeScratch sync.Pool
+
+// LoadRegion returns only the pixels of one mask inside r (clamped to
+// the mask bounds), copied out of the mapping into a standalone
+// byte-backed mask the caller owns. This is the access path of the
+// ArraySlice baseline: only the region's logical bytes are charged to
+// the read stats. On an RLE store the variable-length rows are not
+// addressable without the stream, so the whole compressed mask is
+// charged and decoded through a scratch buffer (DecodeRLE validates
+// strictly as it goes) — region reads lose the partial-read advantage
+// under compression.
 func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
-	if err := s.checkID(id); err != nil {
+	pix, _, err := s.stored(id)
+	if err != nil {
 		return nil, err
 	}
 	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h})
 	if r.Empty() {
-		s.account(0, 1, 0)
+		s.account(&s.life.regionReads, 0)
 		return core.NewByteMask(0, 0), nil
 	}
+	charge := r.Area()
 	if s.codec == CodecRLE {
-		return s.loadRegionCompressed(id, r)
-	}
-	maskOff := (id - s.base - 1) * int64(s.w) * int64(s.h)
-	rw := r.W()
-	out := core.NewByteMask(rw, r.H())
-	if rw == s.w {
-		// Full-width region: one contiguous read replaces H row reads.
-		off := maskOff + int64(r.Y0)*int64(s.w)
-		if _, err := s.f.ReadAt(out.Bytes, off); err != nil {
-			return nil, fmt.Errorf("store: read mask %d region %v: %w", id, r, err)
+		tmp, _ := decodeScratch.Get().(*[]byte)
+		if tmp == nil || len(*tmp) != s.w*s.h {
+			b := make([]byte, s.w*s.h)
+			tmp = &b
 		}
-		s.account(0, 1, int64(r.Area()))
-		return out, nil
-	}
-	for y := r.Y0; y < r.Y1; y++ {
-		off := maskOff + int64(y)*int64(s.w) + int64(r.X0)
-		row := out.Bytes[(y-r.Y0)*rw : (y-r.Y0+1)*rw]
-		if _, err := s.f.ReadAt(row, off); err != nil {
-			return nil, fmt.Errorf("store: read mask %d region %v: %w", id, r, err)
+		defer decodeScratch.Put(tmp)
+		if err := core.DecodeRLE(pix, s.w, s.h, *tmp); err != nil {
+			return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
 		}
+		charge, pix = len(pix), *tmp
 	}
-	s.account(0, 1, int64(r.Area()))
+	s.account(&s.life.regionReads, int64(charge))
+	out := core.NewByteMask(r.W(), r.H())
+	copyRegion(out.Bytes, pix, s.w, r)
 	return out, nil
 }
 
-// loadRegionCompressed extracts a region from an RLE mask by decoding
-// the full stream (through pooled stream and pixel buffers) and copying
-// out the requested rows. DecodeRLE validates strictly as it goes, so
-// the stream needs no separate walk. r is non-empty and clamped by the
-// caller.
-func (s *Store) loadRegionCompressed(id int64, r core.Rect) (*core.Mask, error) {
-	src, err := s.readRLE(s.rle.Load(), id, true)
-	if err != nil {
-		return nil, err
+// copyRegion copies the rows of r out of pix, a full mask of width w,
+// into dst (r.W()*r.H() bytes). A full-width region is one copy.
+func copyRegion(dst, pix []byte, w int, r core.Rect) {
+	if r.W() == w {
+		copy(dst, pix[r.Y0*w:r.Y1*w])
+		return
 	}
-	defer s.recycle(src)
-	tmp, _ := s.maskPool.Get().(*core.Mask)
-	if tmp == nil {
-		tmp = core.NewByteMask(s.w, s.h)
+	for y, rw := r.Y0, r.W(); y < r.Y1; y++ {
+		copy(dst[(y-r.Y0)*rw:(y-r.Y0+1)*rw], pix[y*w+r.X0:])
 	}
-	defer s.recycle(tmp)
-	if err := core.DecodeRLE(src.RLE, s.w, s.h, tmp.Bytes); err != nil {
-		return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
-	}
-	s.account(0, 1, int64(len(src.RLE)))
-	rw := r.W()
-	out := core.NewByteMask(rw, r.H())
-	for y := r.Y0; y < r.Y1; y++ {
-		copy(out.Bytes[(y-r.Y0)*rw:], tmp.Bytes[y*s.w+r.X0:y*s.w+r.X1])
-	}
-	return out, nil
 }
 
 func readJSON(path string, v any) error {

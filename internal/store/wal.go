@@ -139,6 +139,7 @@ type WALStore struct {
 	nextID    int64
 	rollBytes int64
 	closed    bool
+	closeBase sync.Once
 
 	// baseMax is the highest mask id the base store serves; ids above
 	// it live in the WAL tail. Compaction bumps it after extending the
@@ -157,8 +158,8 @@ type WALStore struct {
 	tornTruncations atomic.Int64
 	compactions     atomic.Int64
 	compactedMasks  atomic.Int64
-	tailLoads       atomic.Int64
-	tailLoadsLife   atomic.Int64
+	tailLoads       atomic.Int64 // since Open
+	tailLoadsBase   atomic.Int64 // tailLoads at the last ResetStats
 }
 
 // OpenIngest opens a database directory for reading and online
@@ -800,14 +801,28 @@ func (ws *WALStore) Compact(ctx context.Context) (int, error) {
 // base on success.
 func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]byte) error {
 	var tail []int64 // RLE codec: end offset per appended stream
+	end := base.StoredBytes() + int64(len(pixes)*ws.w*ws.h)
 	if base.codec == CodecRLE {
 		var err error
 		if tail, err = ws.appendRLELocked(base, pixes); err != nil {
 			return err
 		}
+		end = tail[len(tail)-1]
 	} else if err := ws.appendRawLocked(base, pixes); err != nil {
 		return err
 	}
+	// The appended bytes are durable, so map them now: nothing after the
+	// commit point may fail. A failed commit's retry rewrites the range.
+	chunk, err := base.mapRange(base.StoredBytes(), end, int64(base.NumMasks()), len(entries))
+	if err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	committed := false
+	defer func() {
+		if !committed {
+			chunk.unmap()
+		}
+	}()
 	if err := writeJSONSync(ws.fsys, filepath.Join(ws.dir, catalogFile), ws.cat.Entries()); err != nil {
 		return fmt.Errorf("store: compact: write catalog: %w", err)
 	}
@@ -819,12 +834,9 @@ func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]
 	if err := ws.fsys.SyncDir(ws.dir); err != nil {
 		return fmt.Errorf("store: compact: fsync dir: %w", err)
 	}
+	committed = true
 	ws.man = man
-	if base.codec == CodecRLE {
-		base.extendRLE(tail)
-	} else {
-		base.extend(len(entries))
-	}
+	base.extend(len(entries), tail, chunk)
 	ws.baseMax.Add(int64(len(entries)))
 	return nil
 }
@@ -1021,59 +1033,62 @@ func (ws *WALStore) compactShardedLocked(base *ShardedStore, entries []Entry, pi
 }
 
 // LoadMask serves base ids from the base store and WAL-resident ids
-// from the in-memory tail (copying into a pooled-compatible buffer).
+// from the in-memory tail: a pooled header over the tail's own pixel
+// copy, private and immutable from Append on. A compaction that drops
+// the tail entry leaves a lent copy to the garbage collector.
 func (ws *WALStore) LoadMask(id int64) (*core.Mask, error) {
-	if id <= ws.baseMax.Load() {
+	tm, err := ws.tailMask(id)
+	if err != nil {
+		return nil, err
+	}
+	if tm.pix == nil {
 		return ws.base.LoadMask(id)
+	}
+	m := headers.Get().(*core.Mask)
+	m.W, m.H, m.Bytes = ws.w, ws.h, tm.pix
+	ws.tailLoads.Add(1)
+	return m, nil
+}
+
+// tailMask resolves id to its WAL tail entry; a zero tailMask means the
+// base store serves the id.
+func (ws *WALStore) tailMask(id int64) (tailMask, error) {
+	if id <= ws.baseMax.Load() {
+		return tailMask{}, nil
 	}
 	ws.tailMu.RLock()
 	tm, ok := ws.tail[id]
 	ws.tailMu.RUnlock()
-	if !ok {
-		// Compaction may have migrated the id between the baseMax check
-		// and the tail lookup; the base serves it now.
-		if id <= ws.baseMax.Load() {
-			return ws.base.LoadMask(id)
-		}
-		return nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ws.nextIDSnapshot()-1)
+	// On a miss, compaction may have migrated the id between the baseMax
+	// check and the tail lookup; the base serves it now.
+	if !ok && id > ws.baseMax.Load() {
+		return tailMask{}, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ws.nextIDSnapshot()-1)
 	}
-	m := core.NewByteMask(ws.w, ws.h)
-	copy(m.Bytes, tm.pix)
-	ws.tailLoads.Add(1)
-	ws.tailLoadsLife.Add(1)
-	return m, nil
+	return tm, nil
 }
 
 // LoadRegion serves sub-rectangle reads, from the base store or the
 // tail copy.
 func (ws *WALStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
-	if id <= ws.baseMax.Load() {
-		return ws.base.LoadRegion(id, r)
+	tm, err := ws.tailMask(id)
+	if err != nil {
+		return nil, err
 	}
-	ws.tailMu.RLock()
-	tm, ok := ws.tail[id]
-	ws.tailMu.RUnlock()
-	if !ok {
-		if id <= ws.baseMax.Load() {
-			return ws.base.LoadRegion(id, r)
-		}
-		return nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ws.nextIDSnapshot()-1)
+	if tm.pix == nil {
+		return ws.base.LoadRegion(id, r)
 	}
 	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: ws.w, Y1: ws.h})
 	if r.Empty() {
 		return core.NewByteMask(0, 0), nil
 	}
 	out := core.NewByteMask(r.W(), r.H())
-	for y := r.Y0; y < r.Y1; y++ {
-		copy(out.Bytes[(y-r.Y0)*r.W():(y-r.Y0+1)*r.W()], tm.pix[y*ws.w+r.X0:y*ws.w+r.X1])
-	}
+	copyRegion(out.Bytes, tm.pix, ws.w, r)
 	ws.tailLoads.Add(1)
-	ws.tailLoadsLife.Add(1)
 	return out, nil
 }
 
-// ReleaseMask hands the mask to the base store, whose pool accepts any
-// buffer of the right dimensions — including tail copies.
+// ReleaseMask hands the mask to the base store, which unpins it or
+// recycles its header — tail masks included.
 func (ws *WALStore) ReleaseMask(m *core.Mask) { ws.base.ReleaseMask(m) }
 
 // nextIDSnapshot reads nextID without the ingest lock (error paths
@@ -1131,18 +1146,27 @@ func (ws *WALStore) MaskLocation(id int64) string {
 	return ""
 }
 
-// Close seals the WAL and closes the base store. In-flight appends
+// Close seals the WAL and closes the base store, which unmaps its pixel
+// files and so ends the life of every loaded mask. In-flight appends
 // must have drained (the DB facade's close path guarantees it).
+// Repeated calls return nil.
 func (ws *WALStore) Close() error {
+	ws.CloseWAL()
+	var err error
+	ws.closeBase.Do(func() { err = ws.base.Close() })
+	return err
+}
+
+// CloseWAL is the ingestion half of Close: it seals the WAL, so Append
+// and Compact fail from then on, but loaded masks stay valid until
+// Close. The DB facade stops here while masks it lent are still held.
+func (ws *WALStore) CloseWAL() {
 	ws.mu.Lock()
-	if ws.closed {
-		ws.mu.Unlock()
-		return nil
+	defer ws.mu.Unlock()
+	if !ws.closed {
+		ws.closed = true
+		ws.sealActiveLocked()
 	}
-	ws.closed = true
-	ws.sealActiveLocked()
-	ws.mu.Unlock()
-	return ws.base.Close()
 }
 
 // SetCacheBytes, CacheBytes and SetThrottle delegate to the base
@@ -1156,21 +1180,21 @@ func (ws *WALStore) SetThrottle(t Throttle) {
 // ResetStats zeroes the resettable counters, tail loads included.
 func (ws *WALStore) ResetStats() {
 	ws.base.ResetStats()
-	ws.tailLoads.Store(0)
+	ws.tailLoadsBase.Store(ws.tailLoads.Load())
 }
 
 // Stats returns the read counters since the last reset, with tail
 // loads folded in.
 func (ws *WALStore) Stats() ReadStats {
 	s := ws.base.Stats()
-	s.TailLoads = ws.tailLoads.Load()
+	s.TailLoads = ws.tailLoads.Load() - ws.tailLoadsBase.Load()
 	return s
 }
 
 // LifetimeStats returns the never-reset counters.
 func (ws *WALStore) LifetimeStats() ReadStats {
 	s := ws.base.LifetimeStats()
-	s.TailLoads = ws.tailLoadsLife.Load()
+	s.TailLoads = ws.tailLoads.Load()
 	return s
 }
 
