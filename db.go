@@ -1038,9 +1038,5 @@ func (db *DB) filterLimited(ctx context.Context, env *core.Env, p *plan, targets
 // groupTargets groups the (possibly pre-filtered) target ids by the
 // plan's group key, against the query's pinned catalog snapshot.
 func groupTargets(v store.CatalogView, p *plan, targets []int64) []core.Group {
-	inTargets := make(map[int64]bool, len(targets))
-	for _, id := range targets {
-		inTargets[id] = true
-	}
-	return v.GroupBy(p.groupKey, func(e store.Entry) bool { return inTargets[e.MaskID] })
+	return v.GroupIDs(targets, p.groupKey)
 }

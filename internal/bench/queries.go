@@ -67,19 +67,19 @@ func (d *DatasetEnv) plan(q Q) (qplan, error) {
 			Range:  vr,
 		}
 	}
-	saliency := func(e store.Entry) bool { return e.MaskType == store.TypeSaliency }
+	saliency := func(e *store.Entry) bool { return e.MaskType == store.TypeSaliency }
 	switch q {
 	case Q1:
 		return qplan{
 			kind:    kindFilter,
-			targets: d.Cat.MaskIDs(func(e store.Entry) bool { return saliency(e) && e.ModelID == 1 }),
+			targets: d.Cat.MaskIDs(func(e *store.Entry) bool { return saliency(e) && e.ModelID == 1 }),
 			terms:   []core.CPTerm{objTerm(core.ValueRange{Lo: 0.8, Hi: 1.0})},
 			pred:    core.Cmp{T: 0, Op: core.OpGt, C: int64(w * h / 64)},
 		}, nil
 	case Q2:
 		return qplan{
 			kind:    kindTopK,
-			targets: d.Cat.MaskIDs(func(e store.Entry) bool { return saliency(e) && e.ModelID == 1 }),
+			targets: d.Cat.MaskIDs(func(e *store.Entry) bool { return saliency(e) && e.ModelID == 1 }),
 			terms:   []core.CPTerm{fullTerm(core.ValueRange{Lo: 0.6, Hi: 1.0})},
 			k:       25,
 			order:   core.Desc,
@@ -95,7 +95,7 @@ func (d *DatasetEnv) plan(q Q) (qplan, error) {
 	case Q4:
 		return qplan{
 			kind:    kindFilter,
-			targets: d.Cat.MaskIDs(func(e store.Entry) bool { return saliency(e) && e.Mispredicted() }),
+			targets: d.Cat.MaskIDs(func(e *store.Entry) bool { return saliency(e) && e.Mispredicted() }),
 			terms:   []core.CPTerm{objTerm(core.ValueRange{Lo: 0.7, Hi: 1.0})},
 			pred:    core.Cmp{T: 0, Op: core.OpLt, C: int64(w * h / 32)},
 		}, nil

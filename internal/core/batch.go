@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BatchKind selects the executor a BatchQuery runs through.
@@ -53,9 +53,12 @@ type BatchResult struct {
 
 // bqState carries one query through the batch pipeline.
 type bqState struct {
-	q    BatchQuery
-	pred Pred
-	st   Stats
+	q BatchQuery
+	// plans holds the filter terms' plans (BatchFilter) or the score
+	// term's alone (the ranking kinds verify nothing else).
+	plans []termPlan
+	pred  Pred
+	st    Stats
 	// BatchFilter: per-target outcome and which targets the bounds
 	// could not decide.
 	keep  []bool
@@ -105,8 +108,13 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 		if len(s.q.Terms) > maxTerms {
 			maxTerms = len(s.q.Terms)
 		}
+		if s.q.Kind != BatchFilter && (int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms)) {
+			return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
+				qi, int(s.q.Score), len(s.q.Terms))
+		}
 		switch s.q.Kind {
 		case BatchFilter:
+			s.plans = planTerms(s.q.Terms)
 			s.pred = s.q.Pred
 			if s.pred == nil {
 				s.pred = And{}
@@ -118,20 +126,14 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				units = append(units, unit{qi, i})
 			}
 		case BatchTopK:
-			if int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms) {
-				return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
-					qi, int(s.q.Score), len(s.q.Terms))
-			}
+			s.plans = planTerms(s.q.Terms[s.q.Score : s.q.Score+1])
 			s.st.Targets = len(s.q.Targets)
 			s.cands = make([]tkCand, len(s.q.Targets))
 			for i := range s.q.Targets {
 				units = append(units, unit{qi, i})
 			}
 		case BatchAgg:
-			if int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms) {
-				return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
-					qi, int(s.q.Score), len(s.q.Terms))
-			}
+			s.plans = planTerms(s.q.Terms[s.q.Score : s.q.Score+1])
 			s.gcands = gcandSkeletons(s.q.Groups, &s.st)
 			for gi := range s.gcands {
 				for i := range s.gcands[gi].ids {
@@ -144,19 +146,22 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 		}
 	}
 
+	// Per-worker stats (one per query) and bounds scratch. A cache line
+	// of spare capacity keeps what one worker writes per mask off the
+	// line its neighbour's allocation starts on.
 	workers := env.Exec.workers()
 	wstats := make([][]Stats, workers)
 	scratch := make([][]Bounds, workers)
 	for w := range workers {
-		wstats[w] = make([]Stats, len(queries))
-		scratch[w] = make([]Bounds, maxTerms)
+		wstats[w] = make([]Stats, len(queries), len(queries)+2)
+		scratch[w] = make([]Bounds, maxTerms, maxTerms+4)
 	}
 	mergeWorkerStats := func() {
 		for w := range wstats {
 			for qi := range wstats[w] {
 				states[qi].st.Merge(wstats[w][qi])
 			}
-			wstats[w] = make([]Stats, len(queries))
+			clear(wstats[w])
 		}
 	}
 
@@ -169,41 +174,20 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 		st := &wstats[w][u.qi]
 		switch s.q.Kind {
 		case BatchFilter:
-			id := s.q.Targets[u.i]
-			decision := Unknown
-			if len(s.q.Terms) == 0 {
-				decision = True // metadata-only predicate
-			} else {
-				chi, err := env.chiFor(id, st)
-				if err != nil {
-					return err
-				}
-				if chi != nil {
-					bs := scratch[w][:len(s.q.Terms)]
-					for t, term := range s.q.Terms {
-						bs[t] = term.BoundsFrom(chi, id)
-					}
-					decision = s.pred.FromBounds(bs)
-				}
+			decision, err := env.filterBounds(s.q.Targets[u.i], s.plans, s.pred, scratch[w], st)
+			if err != nil {
+				return err
 			}
-			switch decision {
-			case True:
-				st.AcceptedByBounds++
-				s.keep[u.i] = true
-			case False:
-				st.RejectedByBounds++
-			default:
-				s.undec[u.i] = true
-			}
+			s.keep[u.i], s.undec[u.i] = decision == True, decision == Unknown
 		case BatchTopK:
-			c, err := env.topkBound(s.q.Targets[u.i], s.q.Terms[s.q.Score], st)
+			c, err := env.topkBound(s.q.Targets[u.i], &s.plans[0], st)
 			if err != nil {
 				return err
 			}
 			s.cands[u.i] = c
 		case BatchAgg:
 			p := s.pairs[u.i]
-			if err := env.memberBound(&s.gcands[p[0]], p[1], s.q.Terms[s.q.Score], st); err != nil {
+			if err := env.memberBound(&s.gcands[p[0]], p[1], &s.plans[0], st); err != nil {
 				return err
 			}
 		}
@@ -267,10 +251,10 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	for id := range needs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	// Stage 3: shared verification. Each distinct mask is loaded once
-	// and evaluated for every consumer; a Top-K consumer whose bounds
+	// and refined for every consumer; a Top-K consumer whose bounds
 	// fall below its query's refined τ is skipped instead (and a mask
 	// nobody still wants is not loaded at all). On a sharded store the
 	// loads are handed out shard by shard, so each shard's file and
@@ -292,34 +276,27 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 			if len(active) == 0 {
 				return nil
 			}
-			m, err := env.Loader.LoadMask(id)
-			if err != nil {
-				return fmt.Errorf("verify mask %d: %w", id, err)
-			}
-			for _, c := range active {
-				s := &states[c.qi]
-				wstats[w][c.qi].Loaded++
-				vals := make([]int64, len(s.q.Terms))
-				for ti, t := range s.q.Terms {
-					vals[ti] = t.Eval(id, m)
+			return env.verify(id, nil, func(chi *CHI, m *Mask) {
+				for _, c := range active {
+					s := &states[c.qi]
+					wstats[w][c.qi].Loaded++
+					switch s.q.Kind {
+					case BatchFilter:
+						bs := scratch[w][:len(s.plans)]
+						boundsInto(bs, s.plans, chi, id)
+						s.keep[c.a] = decide(s.plans, s.pred, chi, m, id, bs)
+					case BatchTopK:
+						cand := &s.cands[c.a]
+						cand.b = s.plans[0].refine(chi, m, id, s.tt.Skip)
+						if cand.skip = cand.b.Lo != cand.b.Hi; !cand.skip {
+							cand.score = cand.b.Lo
+							s.tt.Add(cand.score)
+						}
+					case BatchAgg:
+						s.gcands[c.a].vals[c.b] = float64(s.plans[0].refine(chi, m, id, nil).Lo)
+					}
 				}
-				switch s.q.Kind {
-				case BatchFilter:
-					s.keep[c.a] = s.pred.Eval(vals)
-				case BatchTopK:
-					s.cands[c.a].score = vals[s.q.Score]
-					s.tt.Add(s.cands[c.a].score)
-				case BatchAgg:
-					s.gcands[c.a].vals[c.b] = float64(vals[s.q.Score])
-				}
-			}
-			if env.OnVerify != nil {
-				env.OnVerify(id, m)
-			}
-			if r, ok := env.Loader.(MaskRecycler); ok {
-				r.ReleaseMask(m)
-			}
-			return nil
+			})
 		})
 	mergeWorkerStats()
 	if err != nil {
@@ -340,35 +317,9 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				}
 			}
 		case BatchTopK:
-			ranked := make([]Scored, 0, len(s.cands))
-			for i := range s.cands {
-				if s.cands[i].skip {
-					continue
-				}
-				ranked = append(ranked, Scored{ID: s.cands[i].id, Score: float64(s.cands[i].score)})
-			}
-			SortScored(ranked, s.q.Order)
-			if s.k < len(ranked) {
-				ranked = ranked[:s.k]
-			}
-			res.Ranked = ranked
+			res.Ranked = rankCands(s.cands, s.k, s.q.Order)
 		case BatchAgg:
-			ranked := make([]Scored, 0, len(s.gcands))
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				for i := range gc.ids {
-					if gc.known[i] {
-						s.st.AcceptedByBounds++
-						gc.vals[i] = float64(gc.exact[i])
-					}
-				}
-				ranked = append(ranked, Scored{ID: gc.key, Score: AggExact(s.q.Agg, gc.vals)})
-			}
-			SortScored(ranked, s.q.Order)
-			if s.k < len(ranked) {
-				ranked = ranked[:s.k]
-			}
-			res.Ranked = ranked
+			res.Ranked = rankGroups(s.gcands, s.q.Agg, s.k, s.q.Order, &s.st)
 		}
 		res.Stats = s.st
 	}

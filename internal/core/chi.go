@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,14 +29,23 @@ func DefaultEdges(n int) []float64 {
 	return e
 }
 
-// Normalize returns a validated copy of the config: edges sorted,
-// deduplicated, clamped to [0, 1), with a leading 0 ensured.
+// Normalize returns the validated config: edges sorted, deduplicated,
+// clamped to [0, 1), with a leading 0 ensured. A config already in that
+// form is returned as is, sharing its Edges — so every CHI built under
+// one index config holds the same slice.
 func (c Config) Normalize() (Config, error) {
 	if c.CellW <= 0 || c.CellH <= 0 {
 		return Config{}, fmt.Errorf("chi: cell size %dx%d must be positive", c.CellW, c.CellH)
 	}
 	if len(c.Edges) == 0 {
 		return Config{}, errors.New("chi: config needs at least one histogram edge")
+	}
+	normalized := c.Edges[0] == 0 && c.Edges[len(c.Edges)-1] < 1
+	for i := 1; normalized && i < len(c.Edges); i++ {
+		normalized = c.Edges[i-1] < c.Edges[i]
+	}
+	if normalized {
+		return c, nil
 	}
 	edges := append([]float64(nil), c.Edges...)
 	sort.Float64s(edges)
@@ -169,81 +179,143 @@ func (c *CHI) Config() Config {
 	return Config{CellW: c.CellW, CellH: c.CellH, Edges: c.Edges}
 }
 
-// SizeBytes estimates the in-memory footprint of the index.
-func (c *CHI) SizeBytes() int64 {
-	return int64(len(c.Cum))*4 + int64(len(c.Edges))*8 + 48
-}
+// SizeBytes estimates the in-memory footprint of the index entry: its
+// counts and header. Edges is not included — the CHIs of one index
+// share a single slice, which MemoryIndex.SizeBytes counts once.
+func (c *CHI) SizeBytes() int64 { return int64(len(c.Cum))*4 + 48 }
 
 // CPBounds returns admissible bounds on ExactCP(mask, roi, vr) using
 // only the index: Lo <= CP <= Hi always holds. Bounds are exact when
 // the ROI is cell-aligned and both range endpoints are edges (or the
-// range is top-closed at 1.0).
+// range is top-closed at 1.0). It is the one-off form: executors derive
+// the chiPlan once per query and reuse it for every mask.
 func (c *CHI) CPBounds(roi Rect, vr ValueRange) Bounds {
-	roi = roi.Intersect(Rect{0, 0, c.W, c.H})
-	if roi.Empty() || vr.IsEmpty() {
-		return Bounds{}
-	}
-	lo := vr.Lo
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > 1 {
-		return Bounds{}
-	}
-	k := len(c.Edges)
-	loLE := binIndex(c.Edges, lo)
-	loGE := geIdx(c.Edges, lo)
-	closedTop := vr.Hi >= 1
-	var hiLE, hiGE int
-	if !closedTop {
-		hiLE = binIndex(c.Edges, vr.Hi)
-		hiGE = geIdx(c.Edges, vr.Hi)
-	}
+	g := newChiPlan(c, vr)
+	return g.sumRegion(c.Cum, roi)
+}
 
+// chiPlan is the part of CPBounds that is the same for every CHI of an
+// index and every mask of a query: the edge indexes bracketing the two
+// range endpoints and the cell cover of one region (the first the plan
+// was asked about; fixed-rect terms never ask about another).
+type chiPlan struct {
+	w, h, cellW, cellH, gw int
+	edges                  []float64
+	// empty: no pixel value can satisfy the range, every bound is 0.
+	empty bool
+	// count(v >= lo) is bracketed by Cum[loGE] <= . <= Cum[loLE], and
+	// count(v >= hi) likewise; a top-closed range subtracts exactly 0
+	// (no value exceeds 1.0). An index of len(edges) stands for 0.
+	loLE, loGE, hiLE, hiGE int
+	closedTop              bool
+	roi                    Rect
+	cells                  []coverCell
+}
+
+// coverCell is one grid cell a region touches.
+type coverCell struct {
+	r    Rect  // the cell's overlap with the region, in pixels
+	base int   // offset of the cell's counts in Cum
+	ovl  int64 // area of r
+	out  int64 // area of the cell outside the region
+}
+
+// coverBuf sizes the stack buffers of per-mask covers (larger ones spill).
+const coverBuf = 16
+
+func newChiPlan(c *CHI, vr ValueRange) chiPlan {
+	g := chiPlan{w: c.W, h: c.H, cellW: c.CellW, cellH: c.CellH, gw: c.GW, edges: c.Edges}
+	lo := max(vr.Lo, 0)
+	g.closedTop = vr.Hi >= 1
+	if g.empty = vr.IsEmpty() || (!g.closedTop && vr.Hi <= lo); g.empty {
+		return g
+	}
+	g.loLE, g.loGE = binIndex(c.Edges, lo), geIdx(c.Edges, lo)
+	if !g.closedTop {
+		g.hiLE, g.hiGE = binIndex(c.Edges, vr.Hi), geIdx(c.Edges, vr.Hi)
+	}
+	return g
+}
+
+// fits reports whether the plan was derived for c's geometry and edges.
+func (g *chiPlan) fits(c *CHI) bool {
+	return c.W == g.w && c.H == g.h && c.CellW == g.cellW && c.CellH == g.cellH && c.GW == g.gw &&
+		(sameSlice(c.Edges, g.edges) || slices.Equal(c.Edges, g.edges))
+}
+
+// sameSlice reports whether a and b are one and the same non-empty
+// slice — what interned edges are, making "equal edges?" one compare.
+func sameSlice(a, b []float64) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+
+// cellBounds brackets the qualifying pixels of one covered cell inside
+// the region, from the cell's counts col. A boundary cell is clamped by
+// its overlap: at most ovl qualifying pixels lie inside, and at most
+// out of the cell's qualifying pixels outside (an interior cell has
+// out = 0 and no count above ovl, so the clamps change nothing).
+func (g *chiPlan) cellBounds(col []int32, ovl, out int64) (lo, hi int64) {
+	hi = int64(col[g.loLE])
+	if g.loGE < len(col) {
+		lo = int64(col[g.loGE])
+	}
+	if !g.closedTop {
+		lo -= int64(col[g.hiLE])
+		if g.hiGE < len(col) {
+			hi -= int64(col[g.hiGE])
+		}
+	}
+	return max(lo-out, 0), min(hi, ovl)
+}
+
+// sum adds the bounds of a memoized cover.
+func (g *chiPlan) sum(cum []int32, cells []coverCell) Bounds {
 	var total Bounds
-	cx0, cx1 := roi.X0/c.CellW, (roi.X1-1)/c.CellW
-	cy0, cy1 := roi.Y0/c.CellH, (roi.Y1-1)/c.CellH
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			cell := Rect{
-				cx * c.CellW, cy * c.CellH,
-				min((cx+1)*c.CellW, c.W), min((cy+1)*c.CellH, c.H),
-			}
-			base := (cy*c.GW + cx) * k
-			// count(v >= lo): bracketed by the two nearest edges.
-			geLoU := int64(c.Cum[base+loLE])
-			var geLoL int64
-			if loGE < k {
-				geLoL = int64(c.Cum[base+loGE])
-			}
-			// count(v >= hi): exactly 0 for a top-closed range (no
-			// value exceeds 1.0), otherwise bracketed the same way.
-			var geHiU, geHiL int64
-			if !closedTop {
-				geHiU = int64(c.Cum[base+hiLE])
-				if hiGE < k {
-					geHiL = int64(c.Cum[base+hiGE])
-				}
-			}
-			hi := geLoU - geHiL
-			lo := geLoL - geHiU
-			if lo < 0 {
-				lo = 0
-			}
-			cellArea := int64(cell.Area())
-			ovl := int64(cell.Intersect(roi).Area())
-			if ovl < cellArea {
-				// Boundary cell: at most ovl qualifying pixels lie in
-				// the overlap, and at most cellArea-ovl of the cell's
-				// qualifying pixels can lie outside it.
-				if hi > ovl {
-					hi = ovl
-				}
-				lo -= cellArea - ovl
-				if lo < 0 {
-					lo = 0
-				}
-			}
+	for i := range cells {
+		c := &cells[i]
+		lo, hi := g.cellBounds(cum[c.base:c.base+len(g.edges)], c.ovl, c.out)
+		total.Lo += lo
+		total.Hi += hi
+	}
+	return total
+}
+
+// cover appends the cells roi touches, in row-major grid order.
+func (g *chiPlan) cover(dst []coverCell, roi Rect) []coverCell {
+	roi = roi.Intersect(Rect{0, 0, g.w, g.h})
+	if roi.Empty() || g.empty {
+		return dst
+	}
+	k := len(g.edges)
+	for cy := roi.Y0 / g.cellH; cy*g.cellH < roi.Y1; cy++ {
+		y0, y1 := max(cy*g.cellH, roi.Y0), min((cy+1)*g.cellH, roi.Y1)
+		ch := min((cy+1)*g.cellH, g.h) - cy*g.cellH
+		for cx := roi.X0 / g.cellW; cx*g.cellW < roi.X1; cx++ {
+			x0, x1 := max(cx*g.cellW, roi.X0), min((cx+1)*g.cellW, roi.X1)
+			cw := min((cx+1)*g.cellW, g.w) - cx*g.cellW
+			ovl := int64((x1 - x0) * (y1 - y0))
+			dst = append(dst, coverCell{Rect{x0, y0, x1, y1}, (cy*g.gw + cx) * k, ovl, int64(cw*ch) - ovl})
+		}
+	}
+	return dst
+}
+
+// sumRegion is sum(cover(roi)) without materializing the cover, for a
+// region asked about once (an object box, a one-off call): its bounds
+// need no cell rects, and the walk stays in registers.
+func (g *chiPlan) sumRegion(cum []int32, roi Rect) Bounds {
+	var total Bounds
+	roi = roi.Intersect(Rect{0, 0, g.w, g.h})
+	if roi.Empty() || g.empty {
+		return total
+	}
+	k := len(g.edges)
+	for cy := roi.Y0 / g.cellH; cy*g.cellH < roi.Y1; cy++ {
+		rh := int64(min((cy+1)*g.cellH, roi.Y1) - max(cy*g.cellH, roi.Y0))
+		ch := int64(min((cy+1)*g.cellH, g.h) - cy*g.cellH)
+		for cx := roi.X0 / g.cellW; cx*g.cellW < roi.X1; cx++ {
+			ovl := rh * int64(min((cx+1)*g.cellW, roi.X1)-max(cx*g.cellW, roi.X0))
+			area := ch * int64(min((cx+1)*g.cellW, g.w)-cx*g.cellW)
+			base := (cy*g.gw + cx) * k
+			lo, hi := g.cellBounds(cum[base:base+k], ovl, area-ovl)
 			total.Lo += lo
 			total.Hi += hi
 		}

@@ -50,7 +50,7 @@ type CandBound struct {
 // boundCand resolves one candidate's score bounds from the index; it
 // is the single bounds rule topkBound, memberBound and the
 // distributed bounds service share.
-func (e *Env) boundCand(id int64, term CPTerm, st *Stats) (CandBound, error) {
+func (e *Env) boundCand(id int64, term *termPlan, st *Stats) (CandBound, error) {
 	c := CandBound{ID: id, B: Bounds{Lo: 0, Hi: unknownHi}}
 	chi, err := e.chiFor(id, st)
 	if err != nil {
@@ -58,7 +58,7 @@ func (e *Env) boundCand(id int64, term CPTerm, st *Stats) (CandBound, error) {
 	}
 	if chi != nil {
 		c.Indexed = true
-		c.B = term.BoundsFrom(chi, id)
+		c.B = term.bounds(chi, id)
 		if c.B.Lo == c.B.Hi {
 			c.Known, c.Score = true, c.B.Lo
 		}
@@ -78,39 +78,22 @@ func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm
 	if pred == nil {
 		pred = And{}
 	}
-	st := Stats{Targets: len(targets)}
 	keep := make([]bool, len(targets))
-	if w := env.Exec.workers(); w > 1 && len(targets) >= minParallelTargets {
-		wstats := make([]Stats, w)
-		wbs := make([][]Bounds, w)
-		for i := range wbs {
-			wbs[i] = make([]Bounds, len(terms))
-		}
-		err := fanOutLoads(ctx, env.Loader, w, len(targets), func(i int) int64 { return targets[i] },
-			func(wk, i int) error {
-				ok, err := env.filterTarget(targets[i], terms, pred, wbs[wk], &wstats[wk])
-				if err != nil {
-					return err
-				}
-				keep[i] = ok
-				return nil
-			})
-		addCounters(&st, wstats)
-		if err != nil {
-			return nil, st, err
-		}
-		return keep, st, nil
+	plans := planTerms(terms)
+	wbs := make([][]Bounds, env.Exec.workers())
+	for w := range wbs {
+		// A cache line of spare capacity keeps one worker's scratch
+		// off the line its neighbour's starts on.
+		wbs[w] = make([]Bounds, len(terms), len(terms)+4)
 	}
-	bs := make([]Bounds, len(terms))
-	for i, id := range targets {
-		if err := CheckCtx(ctx, i); err != nil {
-			return nil, st, err
-		}
-		ok, err := env.filterTarget(id, terms, pred, bs, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		keep[i] = ok
+	st, err := env.forEach(ctx, len(targets), func(i int) int64 { return targets[i] },
+		func(w, i int, st *Stats) (err error) {
+			keep[i], err = env.filterTarget(targets[i], plans, pred, wbs[w], st)
+			return err
+		})
+	st.Targets = len(targets)
+	if err != nil {
+		return nil, st, err
 	}
 	return keep, st, nil
 }
@@ -118,33 +101,15 @@ func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm
 // BoundCands resolves every target's score bounds (the TopK bounds
 // stage, and the member-bounds stage of AggTopK) in target order.
 func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]CandBound, Stats, error) {
-	st := Stats{Targets: len(targets)}
 	out := make([]CandBound, len(targets))
-	if w := env.Exec.workers(); w > 1 && len(targets) >= minParallelTargets {
-		wstats := make([]Stats, w)
-		err := fanOut(ctx, w, len(targets), func(wk, i int) error {
-			c, err := env.boundCand(targets[i], term, &wstats[wk])
-			if err != nil {
-				return err
-			}
-			out[i] = c
-			return nil
-		})
-		addCounters(&st, wstats)
-		if err != nil {
-			return nil, st, err
-		}
-		return out, st, nil
-	}
-	for i, id := range targets {
-		if err := CheckCtx(ctx, i); err != nil {
-			return nil, st, err
-		}
-		c, err := env.boundCand(id, term, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		out[i] = c
+	plan := &planTerms([]CPTerm{term})[0]
+	st, err := env.forEach(ctx, len(targets), nil, func(_, i int, st *Stats) (err error) {
+		out[i], err = env.boundCand(targets[i], plan, st)
+		return err
+	})
+	st.Targets = len(targets)
+	if err != nil {
+		return nil, st, err
 	}
 	return out, st, nil
 }
@@ -249,42 +214,37 @@ type VerifyItem struct {
 // skip, calling emit(i, vals) with the item's index and its exact
 // per-term values. A nil gate verifies everything (the aggregation
 // stage, and the no-exchange baseline). Gate skips are counted as
-// RejectedByBounds, matching the worker-pool TopK engine. emit may be
-// called concurrently when env.Exec runs a pool; the returned skipped
-// flags are per-item and written before VerifyEach returns.
+// RejectedByBounds, matching the worker-pool TopK engine; with a single
+// term the gate also watches a loaded mask's refinement, and an item it
+// rejects mid-scan is reported skipped too (still counted as Loaded).
+// emit may be called concurrently when env.Exec runs a pool; the
+// skipped flags are per-item and written before VerifyEach returns.
 func VerifyEach(ctx context.Context, env *Env, items []VerifyItem, terms []CPTerm, gate *TauGate, emit func(i int, vals []int64)) ([]bool, Stats, error) {
-	var st Stats
 	skipped := make([]bool, len(items))
-	do := func(i int, st *Stats) error {
+	plans := planTerms(terms)
+	var stop func(Bounds) bool
+	if gate != nil && len(terms) == 1 {
+		stop = gate.Skip
+	}
+	st, err := env.forEach(ctx, len(items), func(i int) int64 { return items[i].ID }, func(_, i int, st *Stats) error {
+		id := items[i].ID
 		if gate != nil && gate.Skip(items[i].B) {
 			skipped[i] = true
 			st.RejectedByBounds++
 			return nil
 		}
-		vals, err := env.verify(items[i].ID, terms, st)
-		if err != nil {
-			return err
+		vals := make([]int64, len(plans))
+		err := env.verify(id, st, func(chi *CHI, m *Mask) {
+			for t := range plans {
+				b := plans[t].refine(chi, m, id, stop)
+				skipped[i] = skipped[i] || b.Lo != b.Hi
+				vals[t] = b.Lo
+			}
+		})
+		if err == nil && !skipped[i] {
+			emit(i, vals)
 		}
-		emit(i, vals)
-		return nil
-	}
-	if w := env.Exec.workers(); w > 1 && len(items) >= minParallelTargets {
-		wstats := make([]Stats, w)
-		err := fanOutLoads(ctx, env.Loader, w, len(items), func(i int) int64 { return items[i].ID },
-			func(wk, i int) error { return do(i, &wstats[wk]) })
-		addCounters(&st, wstats)
-		if err != nil {
-			return skipped, st, err
-		}
-		return skipped, st, nil
-	}
-	for i := range items {
-		if err := CheckCtx(ctx, i); err != nil {
-			return skipped, st, err
-		}
-		if err := do(i, &st); err != nil {
-			return skipped, st, err
-		}
-	}
-	return skipped, st, nil
+		return err
+	})
+	return skipped, st, err
 }

@@ -231,13 +231,48 @@ func fanOutSharded(ctx context.Context, workers, n int, queues [][]int, fn func(
 	return nil
 }
 
-// addCounters folds per-worker stats into dst. Workers never set
-// Targets (the caller sets it once for the whole query), so Merge is
-// safe to reuse as-is.
-func addCounters(dst *Stats, ws []Stats) {
-	for i := range ws {
-		dst.Merge(ws[i])
+// fanStats is fanOut — fanOutLoads over loader when idOf is non-nil —
+// with a private Stats per worker, merged into the returned total.
+// Workers never set Targets (the caller sets it once for the whole
+// query). Every worker bumps its slot once per mask, so the slots are
+// padded by a full cache line: two never share one, and no line
+// bounces between cores in the hot path.
+func fanStats(ctx context.Context, loader MaskLoader, workers, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
+	wstats := make([]struct {
+		Stats
+		_ [64]byte
+	}, workers)
+	run := func(w, i int) error { return fn(w, i, &wstats[w].Stats) }
+	var err error
+	if idOf != nil {
+		err = fanOutLoads(ctx, loader, workers, n, idOf, run)
+	} else {
+		err = fanOut(ctx, workers, n, run)
 	}
+	var st Stats
+	for w := range wstats {
+		st.Merge(wstats[w].Stats)
+	}
+	return st, err
+}
+
+// forEach runs fn(w, i, st) for every i in [0, n): through fanStats on
+// the env's worker pool when it has one and n is worth it, otherwise in
+// order as worker 0, polling ctx.
+func (e *Env) forEach(ctx context.Context, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
+	if w := e.Exec.workers(); w > 1 && n >= minParallelTargets {
+		return fanStats(ctx, e.Loader, w, n, idOf, fn)
+	}
+	var st Stats
+	for i := 0; i < n; i++ {
+		if err := CheckCtx(ctx, i); err != nil {
+			return st, err
+		}
+		if err := fn(0, i, &st); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
 }
 
 // TauTracker maintains the k-th best exact score seen so far as a
@@ -341,20 +376,16 @@ func (t *TauTracker) Threshold() (tau int64, ok bool) {
 
 // topkPar is the worker-pool TopK engine: parallel bounds, static
 // pruning identical to the sequential engine, then parallel
-// verification under a shared refining τ.
-func topkPar(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order, workers int) ([]Scored, Stats, error) {
-	st := Stats{Targets: len(targets)}
+// verification under a shared refining τ that also watches each loaded
+// mask's refinement — a candidate whose narrowed bounds fall below τ
+// mid-scan is dropped exactly like one skipped before its load.
+func topkPar(ctx context.Context, env *Env, targets []int64, plan *termPlan, k int, ord Order, workers int) ([]Scored, Stats, error) {
 	cands := make([]tkCand, len(targets))
-	wstats := make([]Stats, workers)
-	err := fanOut(ctx, workers, len(targets), func(w, i int) error {
-		c, err := env.topkBound(targets[i], terms[score], &wstats[w])
-		if err != nil {
-			return err
-		}
-		cands[i] = c
-		return nil
+	st, err := fanStats(ctx, nil, workers, len(targets), nil, func(_, i int, st *Stats) (err error) {
+		cands[i], err = env.topkBound(targets[i], plan, st)
+		return err
 	})
-	addCounters(&st, wstats)
+	st.Targets = len(targets)
 	if err != nil {
 		return nil, st, err
 	}
@@ -373,45 +404,48 @@ func topkPar(ctx context.Context, env *Env, targets []int64, terms []CPTerm, sco
 			unknown = append(unknown, i)
 		}
 	}
-	wstats = make([]Stats, workers)
-	err = fanOutLoads(ctx, env.Loader, workers, len(unknown), func(ui int) int64 { return cands[unknown[ui]].id },
-		func(w, ui int) error {
+	vst, err := fanStats(ctx, env.Loader, workers, len(unknown), func(ui int) int64 { return cands[unknown[ui]].id },
+		func(_, ui int, st *Stats) error {
 			c := &cands[unknown[ui]]
 			if tt.Skip(c.b) {
 				c.skip = true
-				wstats[w].RejectedByBounds++
+				st.RejectedByBounds++
 				return nil
 			}
-			vals, err := env.verify(c.id, terms, &wstats[w])
-			if err != nil {
-				return err
+			err := env.verify(c.id, st, func(chi *CHI, m *Mask) { c.b = plan.refine(chi, m, c.id, tt.Skip) })
+			if c.skip = c.b.Lo != c.b.Hi; err == nil && !c.skip {
+				c.score = c.b.Lo
+				tt.Add(c.score)
 			}
-			c.score = vals[score]
-			tt.Add(c.score)
-			return nil
+			return err
 		})
-	addCounters(&st, wstats)
+	st.Merge(vst)
 	if err != nil {
 		return nil, st, err
 	}
+	return rankCands(cands, k, ord), st, nil
+}
+
+// rankCands turns the verified candidates that were not skipped into
+// the final ranking.
+func rankCands(cands []tkCand, k int, ord Order) []Scored {
 	out := make([]Scored, 0, len(cands))
 	for i := range cands {
-		if cands[i].skip {
-			continue
+		if !cands[i].skip {
+			out = append(out, Scored{ID: cands[i].id, Score: float64(cands[i].score)})
 		}
-		out = append(out, Scored{ID: cands[i].id, Score: float64(cands[i].score)})
 	}
 	SortScored(out, ord)
 	if k < len(out) {
 		out = out[:k]
 	}
-	return out, st, nil
+	return out
 }
 
 // aggPar is the worker-pool AggTopK engine: member bounds and member
 // verification fan out over a flat (group, member) work list; pruning
 // and aggregation match the sequential engine exactly.
-func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score Term, agg Agg, k int, ord Order, workers int, st Stats) ([]Scored, Stats, error) {
+func aggPar(ctx context.Context, env *Env, cands []gcand, plan *termPlan, agg Agg, k int, ord Order, workers int, st Stats) ([]Scored, Stats, error) {
 	type pair struct{ g, i int }
 	pairs := make([]pair, 0, st.Targets)
 	for gi := range cands {
@@ -419,12 +453,10 @@ func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score 
 			pairs = append(pairs, pair{gi, i})
 		}
 	}
-	wstats := make([]Stats, workers)
-	err := fanOut(ctx, workers, len(pairs), func(w, pi int) error {
-		p := pairs[pi]
-		return env.memberBound(&cands[p.g], p.i, terms[score], &wstats[w])
+	bst, err := fanStats(ctx, nil, workers, len(pairs), nil, func(_, pi int, st *Stats) error {
+		return env.memberBound(&cands[pairs[pi].g], pairs[pi].i, plan, st)
 	})
-	addCounters(&st, wstats)
+	st.Merge(bst)
 	if err != nil {
 		return nil, st, err
 	}
@@ -444,22 +476,24 @@ func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score 
 			}
 		}
 	}
-	wstats = make([]Stats, workers)
-	err = fanOutLoads(ctx, env.Loader, workers, len(pairs), func(pi int) int64 { return cands[pairs[pi].g].ids[pairs[pi].i] },
-		func(w, pi int) error {
-			p := pairs[pi]
-			gc := &cands[p.g]
-			ev, err := env.verify(gc.ids[p.i], terms, &wstats[w])
-			if err != nil {
-				return err
-			}
-			gc.vals[p.i] = float64(ev[score])
-			return nil
+	vst, err := fanStats(ctx, env.Loader, workers, len(pairs), func(pi int) int64 { return cands[pairs[pi].g].ids[pairs[pi].i] },
+		func(_, pi int, st *Stats) error {
+			gc, i := &cands[pairs[pi].g], pairs[pi].i
+			return env.verify(gc.ids[i], st, func(chi *CHI, m *Mask) {
+				gc.vals[i] = float64(plan.refine(chi, m, gc.ids[i], nil).Lo)
+			})
 		})
-	addCounters(&st, wstats)
+	st.Merge(vst)
 	if err != nil {
 		return nil, st, err
 	}
+	return rankGroups(cands, agg, k, ord, &st), st, nil
+}
+
+// rankGroups aggregates the surviving groups' member values — exact
+// from the bounds for known members (counted accepted here), verified
+// for the rest — into the final ranking.
+func rankGroups(cands []gcand, agg Agg, k int, ord Order, st *Stats) []Scored {
 	out := make([]Scored, 0, len(cands))
 	for gi := range cands {
 		gc := &cands[gi]
@@ -475,7 +509,7 @@ func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score 
 	if k < len(out) {
 		out = out[:k]
 	}
-	return out, st, nil
+	return out
 }
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 )
 
 // MaskLoader materializes masks by id. *store.Store implements it; so
@@ -54,31 +56,130 @@ type Env struct {
 	Exec     Exec
 }
 
-// verify loads one mask and computes every term exactly. The mask is
-// recycled to the loader (when supported) before returning.
-func (e *Env) verify(id int64, terms []CPTerm, st *Stats) ([]int64, error) {
+// verify materializes one mask for the verification stage: it loads the
+// mask, counts it Loaded, hands it to eval together with its CHI (nil
+// when not indexed), shows it whole to OnVerify and recycles it to the
+// loader (when supported) — whether or not eval scanned it to the end.
+// st may be nil: the batch executor accounts loads per consumer.
+func (e *Env) verify(id int64, st *Stats, eval func(chi *CHI, m *Mask)) error {
 	if e.Loader == nil {
-		return nil, fmt.Errorf("core: no mask loader configured")
+		return fmt.Errorf("core: no mask loader configured")
 	}
 	m, err := e.Loader.LoadMask(id)
 	if err != nil {
-		return nil, fmt.Errorf("verify mask %d: %w", id, err)
+		return fmt.Errorf("verify mask %d: %w", id, err)
 	}
-	st.Loaded++
-	vals := make([]int64, len(terms))
-	for i, t := range terms {
-		vals[i] = t.Eval(id, m)
+	if st != nil {
+		st.Loaded++
 	}
+	chi, _ := e.chiFor(id, nil) // a failed lookup only costs the refinement
+	eval(chi, m)
 	if e.OnVerify != nil {
 		e.OnVerify(id, m)
 	}
 	if r, ok := e.Loader.(MaskRecycler); ok {
 		r.ReleaseMask(m)
 	}
-	return vals, nil
+	return nil
 }
 
-// chiFor looks up the CHI for id, tolerating a nil index.
+// span is a run of adjacent residual cells (index bounds not exact) of
+// one cell row, with their summed bounds.
+type span struct {
+	r      Rect
+	lo, hi int64
+}
+
+// refine verifies one term on one loaded mask as the continuation of
+// the bounds computation, not a second count: it recomputes the
+// per-cell bounds from the mask's CHI, takes every cell with lo == hi
+// from the index, merges the residual cells of each cell row into spans
+// (so rows stay long) and counts only those from pixels, replacing each
+// span's [lo, hi] by its exact count in the running total. With a nil
+// stop the result is exact. Otherwise spans are counted widest slack
+// first and refine returns as soon as stop accepts the running bounds,
+// which always contain the exact CP and only narrow. Without a CHI, or
+// with one of other dimensions than the mask, the region is one span.
+func (p *termPlan) refine(c *CHI, m *Mask, id int64, stop func(Bounds) bool) Bounds {
+	roi := p.region(id)
+	if c == nil || c.W != m.W || c.H != m.H {
+		n := p.rc.countMask(m, roi.Intersect(m.Bounds()))
+		return Bounds{n, n}
+	}
+	g := p.chiPlanFor(c, roi)
+	cells := g.cells
+	if roi != g.roi {
+		var buf [coverBuf]coverCell
+		cells = g.cover(buf[:0], roi)
+	}
+	var total Bounds
+	var sbuf [coverBuf]span
+	spans := sbuf[:0]
+	for i := range cells {
+		cell := &cells[i]
+		lo, hi := g.cellBounds(c.Cum[cell.base:cell.base+len(g.edges)], cell.ovl, cell.out)
+		total.Lo += lo
+		total.Hi += hi
+		if lo == hi {
+			continue
+		}
+		if n := len(spans); n > 0 && spans[n-1].r.Y0 == cell.r.Y0 && spans[n-1].r.X1 == cell.r.X0 {
+			spans[n-1].r.X1 = cell.r.X1
+			spans[n-1].lo += lo
+			spans[n-1].hi += hi
+		} else {
+			spans = append(spans, span{cell.r, lo, hi})
+		}
+	}
+	if stop != nil {
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(b.hi-b.lo, a.hi-a.lo) })
+	}
+	for i := range spans {
+		n := p.rc.countMask(m, spans[i].r)
+		total.Lo += n - spans[i].lo
+		total.Hi += n - spans[i].hi
+		if stop != nil && i+1 < len(spans) && stop(total) {
+			break
+		}
+	}
+	return total
+}
+
+// boundsInto fills bs with every term's index bounds for mask id;
+// without a CHI nothing is known.
+func boundsInto(bs []Bounds, plans []termPlan, chi *CHI, id int64) {
+	for t := range plans {
+		bs[t] = Bounds{0, unknownHi}
+		if chi != nil {
+			bs[t] = plans[t].bounds(chi, id)
+		}
+	}
+}
+
+// decide settles pred for one loaded mask whose terms' bounds so far
+// are in bs. Filter results carry ids only, so the decision is all that
+// is needed: terms are refined one by one, each against the others'
+// current bounds, until some span's count lets the bounds decide pred.
+func decide(plans []termPlan, pred Pred, chi *CHI, m *Mask, id int64, bs []Bounds) bool {
+	for t := range plans {
+		bs[t] = plans[t].refine(chi, m, id, func(b Bounds) bool {
+			bs[t] = b
+			return pred.FromBounds(bs) != Unknown
+		})
+		if d := pred.FromBounds(bs); d != Unknown {
+			return d == True
+		}
+	}
+	// Every term is exact and pred still abstains from the bounds.
+	vals := make([]int64, len(bs))
+	for t, b := range bs {
+		vals[t] = b.Lo
+	}
+	return pred.Eval(vals)
+}
+
+// chiFor looks up the CHI for id, tolerating a nil index; st, when
+// non-nil, counts the hit.
 func (e *Env) chiFor(id int64, st *Stats) (*CHI, error) {
 	if e.Index == nil {
 		return nil, nil
@@ -87,7 +188,7 @@ func (e *Env) chiFor(id int64, st *Stats) (*CHI, error) {
 	if err != nil {
 		return nil, err
 	}
-	if chi != nil {
+	if chi != nil && st != nil {
 		st.IndexHits++
 	}
 	return chi, nil
@@ -106,39 +207,42 @@ func CheckCtx(ctx context.Context, i int) error {
 	return nil
 }
 
-// filterTarget resolves one target: decide from CHI bounds when
-// possible, otherwise load and verify. bs is a caller-owned scratch
-// buffer of len(terms) bounds.
-func (e *Env) filterTarget(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (bool, error) {
+// filterBounds is the filter stage for one target: decide from CHI
+// bounds when possible, counting the decision, and leave the terms'
+// bounds in bs (caller-owned scratch of len(plans)).
+func (e *Env) filterBounds(id int64, plans []termPlan, pred Pred, bs []Bounds, st *Stats) (Tri, error) {
+	if len(plans) == 0 {
+		st.AcceptedByBounds++ // metadata-only predicate: nothing to bound or verify
+		return True, nil
+	}
+	chi, err := e.chiFor(id, st)
+	if err != nil {
+		return Unknown, err
+	}
+	boundsInto(bs, plans, chi, id)
 	decision := Unknown
-	if len(terms) == 0 {
-		decision = True // metadata-only predicate: nothing to bound or verify
-	} else {
-		chi, err := e.chiFor(id, st)
-		if err != nil {
-			return false, err
-		}
-		if chi != nil {
-			for t, term := range terms {
-				bs[t] = term.BoundsFrom(chi, id)
-			}
-			decision = pred.FromBounds(bs)
-		}
+	if chi != nil {
+		decision = pred.FromBounds(bs)
 	}
 	switch decision {
 	case True:
 		st.AcceptedByBounds++
-		return true, nil
 	case False:
 		st.RejectedByBounds++
-		return false, nil
-	default:
-		vals, err := e.verify(id, terms, st)
-		if err != nil {
-			return false, err
-		}
-		return pred.Eval(vals), nil
 	}
+	return decision, nil
+}
+
+// filterTarget resolves one target: from its bounds when they decide,
+// otherwise by loading the mask and refining the bounds on it.
+func (e *Env) filterTarget(id int64, plans []termPlan, pred Pred, bs []Bounds, st *Stats) (bool, error) {
+	decision, err := e.filterBounds(id, plans, pred, bs, st)
+	if err != nil || decision != Unknown {
+		return decision == True, err
+	}
+	var keep bool
+	err = e.verify(id, st, func(chi *CHI, m *Mask) { keep = decide(plans, pred, chi, m, id, bs) })
+	return keep, err
 }
 
 // Streaming chunk sizes: FilterEmit starts small so the first match

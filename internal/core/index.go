@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,6 +82,12 @@ func (ix *MemoryIndex) Add(id int64, chi *CHI) {
 	if id < 1 || id > maxIndexID || chi == nil {
 		return
 	}
+	// Intern the edges: a CHI decoded from chi.gob owns a private copy
+	// of the index's one normalized slice. Sharing it drops the copy and
+	// makes a query plan's "same edges?" check a pointer compare.
+	if e := ix.cfg.Edges; !sameSlice(chi.Edges, e) && slices.Equal(chi.Edges, e) {
+		chi.Edges = e
+	}
 	s := ix.slot(id)
 	if s == nil {
 		ix.grow.Lock()
@@ -136,10 +143,17 @@ func (ix *MemoryIndex) each(f func(id int64, chi *CHI)) {
 	}
 }
 
-// SizeBytes estimates the index footprint.
+// SizeBytes estimates the index footprint: every entry, the edges they
+// share once, and the edges of any entry built under another config.
 func (ix *MemoryIndex) SizeBytes() int64 {
-	var n int64
-	ix.each(func(_ int64, c *CHI) { n += c.SizeBytes() })
+	shared := ix.cfg.Edges
+	n := int64(len(shared)) * 8
+	ix.each(func(_ int64, c *CHI) {
+		n += c.SizeBytes()
+		if !sameSlice(c.Edges, shared) {
+			n += int64(len(c.Edges)) * 8
+		}
+	})
 	return n
 }
 

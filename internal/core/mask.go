@@ -266,22 +266,23 @@ func (m *Mask) Decoded() *Mask {
 func (m *Mask) Bounds() Rect { return Rect{0, 0, m.W, m.H} }
 
 // ExactCP computes CP(mask, roi, vr): the count of pixels inside roi
-// whose value falls in vr. This is the verification-stage kernel; the
-// filter stage approximates it with CHI.CPBounds. Byte-backed masks
-// take a quantized fast path that avoids any float work.
+// whose value falls in vr. It is the one-off form of the verification
+// kernel — executors quantize the range once per query (termPlan) and
+// count through the same rangeCounter. Byte- and RLE-backed masks never
+// touch a float.
 func ExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
 	roi = roi.Intersect(m.Bounds())
 	if roi.Empty() || vr.IsEmpty() {
 		return 0
 	}
-	if m.Bytes != nil {
-		return exactCPBytes(m, roi, vr)
-	}
-	if m.RLE != nil {
-		return exactCPRLE(m, roi, vr)
-	}
-	// Comparisons happen in float64 so the kernel agrees exactly with
-	// ValueRange.Contains and with CHI bin assignment.
+	rc := newRangeCounter(vr)
+	return rc.countMask(m, roi)
+}
+
+// exactCPFloat counts on a float-backed mask. Comparisons happen in
+// float64 so the kernel agrees exactly with ValueRange.Contains and
+// with CHI bin assignment.
+func exactCPFloat(m *Mask, roi Rect, vr ValueRange) int64 {
 	var n int64
 	closedTop := vr.Hi >= 1
 	for y := roi.Y0; y < roi.Y1; y++ {
@@ -316,56 +317,82 @@ const (
 // threshold" with no carry ever crossing a lane — and combines it
 // with the lane's own MSB: OR for n <= 128 (a set MSB alone implies
 // >= n), AND for n > 128 (the MSB is necessary, and the low bits must
-// clear n-128).
+// clear n-128); or is all ones in the first case, zero in the second.
 type geCounter struct {
-	add uint64
-	and bool
+	add, or uint64
 }
 
 func geCounterFor(n int) geCounter {
 	if n <= 128 {
-		return geCounter{add: uint64(128-n) * swarL}
+		return geCounter{add: uint64(128-n) * swarL, or: ^uint64(0)}
 	}
-	return geCounter{add: uint64(256-n) * swarL, and: true}
+	return geCounter{add: uint64(256-n) * swarL}
 }
 
-// mask returns a word whose lane MSBs flag the qualifying bytes of x.
+// geOr and geAnd are the two combinations for loops that know theirs.
+func geOr(x, add uint64) uint64  { return (((x &^ swarH) + add) | x) & swarH }
+func geAnd(x, add uint64) uint64 { return ((x &^ swarH) + add) & x & swarH }
+
+// mask flags the qualifying bytes of x in their lane MSBs, picking the
+// combination without a branch.
 func (g geCounter) mask(x uint64) uint64 {
-	t := ((x &^ swarH) + g.add) & swarH
-	if g.and {
-		return t & x & swarH
-	}
-	return t | (x & swarH)
+	t := (x &^ swarH) + g.add
+	return (t&x | (t|x)&g.or) & swarH
 }
 
-// exactCPBytes counts qualifying pixels entirely in the byte domain.
-// The range endpoints are quantized once, then each 8-pixel word
-// costs a handful of bit operations and one popcount — no float
-// conversion, no table, no data-dependent branch.
-func exactCPBytes(m *Mask, roi Rect, vr ValueRange) int64 {
+// rangeCounter is a value range quantized to the uint8 pixel domain
+// (ValueRange.ByteBounds) with its SWAR counters, built once per query.
+// Raw rows and RLE literal segments are counted with the exact same
+// arithmetic.
+type rangeCounter struct {
+	vr       ValueRange
+	bLo, bHi int // stored byte b qualifies iff bLo <= b < bHi (bHi up to 256)
+	cLo, cHi geCounter
+}
+
+func newRangeCounter(vr ValueRange) rangeCounter {
 	bLo, bHi := vr.ByteBounds()
-	if bLo >= bHi {
+	return rangeCounter{vr: vr, bLo: bLo, bHi: bHi, cLo: geCounterFor(bLo), cHi: geCounterFor(bHi)}
+}
+
+// matches reports whether one byte falls in the range.
+func (rc *rangeCounter) matches(b byte) bool { return int(b) >= rc.bLo && int(b) < rc.bHi }
+
+// countMask is the verification kernel: the qualifying pixels of m
+// inside r, which must lie within the mask.
+func (rc *rangeCounter) countMask(m *Mask, r Rect) int64 {
+	switch {
+	case m.Bytes == nil && m.RLE == nil:
+		return exactCPFloat(m, r, rc.vr)
+	case rc.bLo >= rc.bHi:
 		return 0
+	case rc.bLo == 0 && rc.bHi == 256:
+		return int64(r.Area())
+	case m.Bytes != nil:
+		return rc.countRect(m.Bytes, m.W, r)
 	}
-	if bLo == 0 && bHi == 256 {
-		return int64(roi.Area())
-	}
-	band := bHi < 256
-	cLo := geCounterFor(bLo)
-	cHi := geCounterFor(bHi)
-	rw := roi.W()
-	var n int64
+	return exactCPRLE(m, r, rc)
+}
+
+// countRect counts the qualifying bytes of rect r in row-major pixels
+// of the given stride: each 8-pixel word costs a handful of bit
+// operations and one popcount — no float conversion, no table, no
+// data-dependent branch. The loop is chosen once per call (band, or
+// open-topped with OR or AND combination) and consumes each row as a
+// shrinking slice, so a word pays no mode test and no bounds check.
+func (rc *rangeCounter) countRect(pix []uint8, stride int, r Rect) int64 {
+	rw := r.W()
+	n := 0
 	if rw < 8 {
 		// Rows too narrow for a word load: plain comparisons.
-		lo, hi := uint8(bLo), uint8(bHi-1) // inclusive top; bHi > bLo >= 0
-		for y := roi.Y0; y < roi.Y1; y++ {
-			for _, b := range m.Bytes[y*m.W+roi.X0 : y*m.W+roi.X1] {
-				if b >= lo && (!band || b <= hi) {
+		for y := r.Y0; y < r.Y1; y++ {
+			for _, b := range pix[y*stride+r.X0 : y*stride+r.X1] {
+				if rc.matches(b) {
 					n++
 				}
 			}
 		}
-		return n
+		return int64(n)
 	}
 	// tailMask keeps the high rem lanes of the word ending at the row
 	// boundary, so the remainder re-reads (and masks off) bytes the
@@ -373,27 +400,46 @@ func exactCPBytes(m *Mask, roi Rect, vr ValueRange) int64 {
 	// per-byte tail.
 	rem := rw % 8
 	tailMask := ^uint64(0) << (8 * (8 - rem))
-	for y := roi.Y0; y < roi.Y1; y++ {
-		row := m.Bytes[y*m.W+roi.X0 : y*m.W+roi.X1]
-		if band {
-			for i := 0; i+8 <= rw; i += 8 {
-				v := binary.LittleEndian.Uint64(row[i:])
-				n += int64(bits.OnesCount64(cLo.mask(v)) - bits.OnesCount64(cHi.mask(v)))
+	add := rc.cLo.add
+	switch {
+	case rc.bHi < 256:
+		for y := r.Y0; y < r.Y1; y++ {
+			row := pix[y*stride+r.X0 : y*stride+r.X1]
+			tail := row[rw-8:]
+			for len(row) >= 8 {
+				x := binary.LittleEndian.Uint64(row)
+				n += bits.OnesCount64(rc.cLo.mask(x) &^ rc.cHi.mask(x))
+				row = row[8:]
 			}
 			if rem > 0 {
-				v := binary.LittleEndian.Uint64(row[rw-8:])
-				n += int64(bits.OnesCount64(cLo.mask(v)&tailMask) - bits.OnesCount64(cHi.mask(v)&tailMask))
+				x := binary.LittleEndian.Uint64(tail)
+				n += bits.OnesCount64(rc.cLo.mask(x) &^ rc.cHi.mask(x) & tailMask)
 			}
-			continue
 		}
-		for i := 0; i+8 <= rw; i += 8 {
-			v := binary.LittleEndian.Uint64(row[i:])
-			n += int64(bits.OnesCount64(cLo.mask(v)))
+	case rc.cLo.or != 0:
+		for y := r.Y0; y < r.Y1; y++ {
+			row := pix[y*stride+r.X0 : y*stride+r.X1]
+			tail := row[rw-8:]
+			for len(row) >= 8 {
+				n += bits.OnesCount64(geOr(binary.LittleEndian.Uint64(row), add))
+				row = row[8:]
+			}
+			if rem > 0 {
+				n += bits.OnesCount64(geOr(binary.LittleEndian.Uint64(tail), add) & tailMask)
+			}
 		}
-		if rem > 0 {
-			v := binary.LittleEndian.Uint64(row[rw-8:])
-			n += int64(bits.OnesCount64(cLo.mask(v) & tailMask))
+	default:
+		for y := r.Y0; y < r.Y1; y++ {
+			row := pix[y*stride+r.X0 : y*stride+r.X1]
+			tail := row[rw-8:]
+			for len(row) >= 8 {
+				n += bits.OnesCount64(geAnd(binary.LittleEndian.Uint64(row), add))
+				row = row[8:]
+			}
+			if rem > 0 {
+				n += bits.OnesCount64(geAnd(binary.LittleEndian.Uint64(tail), add) & tailMask)
+			}
 		}
 	}
-	return n
+	return int64(n)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // RegionFn resolves the region of interest for a mask id. Regions may
@@ -34,8 +35,52 @@ type CPTerm struct {
 // Eval computes the exact CP of the term against a loaded mask.
 func (t CPTerm) Eval(id int64, m *Mask) int64 { return ExactCP(m, t.Region(id), t.Range) }
 
-// BoundsFrom computes the term's CP bounds from a CHI.
-func (t CPTerm) BoundsFrom(chi *CHI, id int64) Bounds { return chi.CPBounds(t.Region(id), t.Range) }
+// termPlan is everything about one CP term that is the same for every
+// mask of a query, computed once per executor entry: the byte-quantized
+// range and, derived from the first CHI the plan meets and published
+// once, the chiPlan under that index's geometry and edges. A CHI the
+// published chiPlan does not fit gets a private one — correct, slower.
+type termPlan struct {
+	region RegionFn
+	rc     rangeCounter
+	chi    atomic.Pointer[chiPlan]
+}
+
+func planTerms(terms []CPTerm) []termPlan {
+	plans := make([]termPlan, len(terms))
+	for i, t := range terms {
+		plans[i].region, plans[i].rc = t.Region, newRangeCounter(t.Range)
+	}
+	return plans
+}
+
+// chiPlanFor returns the chiPlan fitting c; roi seeds the memoized
+// cover when this call derives it.
+func (p *termPlan) chiPlanFor(c *CHI, roi Rect) *chiPlan {
+	g := p.chi.Load()
+	if g != nil && g.fits(c) {
+		return g
+	}
+	n := newChiPlan(c, p.rc.vr)
+	n.roi, n.cells = roi, n.cover(nil, roi)
+	if g == nil {
+		p.chi.CompareAndSwap(nil, &n)
+	}
+	return &n
+}
+
+// bounds is CHI.CPBounds for the term on mask id. With the region the
+// plan memoized (every mask of a fixed-rect term) it is a few loads and
+// two clamps per covered cell; an object-box term walks its own cover
+// and shares everything else.
+func (p *termPlan) bounds(c *CHI, id int64) Bounds {
+	roi := p.region(id)
+	g := p.chiPlanFor(c, roi)
+	if roi == g.roi {
+		return g.sum(c.Cum, g.cells)
+	}
+	return g.sumRegion(c.Cum, roi)
+}
 
 func (t CPTerm) String() string {
 	if t.Name != "" {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Run-length encoding over the uint8 pixel domain, the compressed mask
@@ -197,62 +195,6 @@ func IndexRLE(rle []byte, w, h int, dir []uint32) error {
 	return nil
 }
 
-// rangeCounter counts bytes falling in a quantized value range over
-// arbitrary byte slices: the SWAR word loop of exactCPBytes for 8+
-// byte slices, plain comparisons below. One is built per query from
-// ValueRange.ByteBounds, so RLE literal segments are counted with the
-// exact same arithmetic as uncompressed rows.
-type rangeCounter struct {
-	lo, hi   uint8 // inclusive byte bounds (hi meaningful when band)
-	band     bool  // false: the range is open-topped (>= lo only)
-	cLo, cHi geCounter
-}
-
-func newRangeCounter(bLo, bHi int) rangeCounter {
-	return rangeCounter{
-		lo: uint8(bLo), hi: uint8(bHi - 1), band: bHi < 256,
-		cLo: geCounterFor(bLo), cHi: geCounterFor(bHi),
-	}
-}
-
-// matches reports whether one byte falls in the range.
-func (rc rangeCounter) matches(b byte) bool {
-	return b >= rc.lo && (!rc.band || b <= rc.hi)
-}
-
-// count returns how many bytes of seg fall in the range.
-func (rc rangeCounter) count(seg []byte) int64 {
-	n := len(seg)
-	if n < 8 {
-		var out int64
-		for _, b := range seg {
-			if rc.matches(b) {
-				out++
-			}
-		}
-		return out
-	}
-	var out int64
-	for i := 0; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(seg[i:])
-		out += int64(bits.OnesCount64(rc.cLo.mask(v)))
-		if rc.band {
-			out -= int64(bits.OnesCount64(rc.cHi.mask(v)))
-		}
-	}
-	if rem := n % 8; rem > 0 {
-		// Re-read the word ending at the slice boundary and mask off the
-		// lanes the aligned loop already counted.
-		tailMask := ^uint64(0) << (8 * (8 - rem))
-		v := binary.LittleEndian.Uint64(seg[n-8:])
-		out += int64(bits.OnesCount64(rc.cLo.mask(v) & tailMask))
-		if rc.band {
-			out -= int64(bits.OnesCount64(rc.cHi.mask(v) & tailMask))
-		}
-	}
-	return out
-}
-
 // exactCPRLE counts qualifying pixels directly on the compressed
 // stream, with no materialization: repeat runs contribute overlap ×
 // predicate(value) in O(1), literal runs go through the SWAR range
@@ -262,16 +204,9 @@ func (rc rangeCounter) count(seg []byte) int64 {
 // one (hand-built masks) it walks the control bytes of the rows above
 // the ROI and runs every row to its end to find the next. The stream
 // must have passed ValidateRLE (the store validates each mask once per
-// open).
-func exactCPRLE(m *Mask, roi Rect, vr ValueRange) int64 {
-	bLo, bHi := vr.ByteBounds()
-	if bLo >= bHi {
-		return 0
-	}
-	if bLo == 0 && bHi == 256 {
-		return int64(roi.Area())
-	}
-	rc := newRangeCounter(bLo, bHi)
+// open); rc is the query's quantized range, neither empty nor full
+// (countMask answers those without the stream).
+func exactCPRLE(m *Mask, roi Rect, rc *rangeCounter) int64 {
 	rle, dir := m.RLE, m.RowDir
 	i, xEnd := m.rleRowStart(roi.Y0), m.W
 	if dir != nil {
@@ -289,7 +224,7 @@ func exactCPRLE(m *Mask, roi Rect, vr ValueRange) int64 {
 				runLen := c + 1
 				x0, x1 := max(x, roi.X0), min(x+runLen, roi.X1)
 				if x0 < x1 {
-					n += rc.count(rle[i+(x0-x) : i+(x1-x)])
+					n += rc.countRect(rle[i+(x0-x):i+(x1-x)], 0, Rect{0, 0, x1 - x0, 1})
 				}
 				i += runLen
 				x += runLen

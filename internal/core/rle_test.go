@@ -375,11 +375,11 @@ func TestExactCPRLERowDir(t *testing.T) {
 			}
 			for _, roi := range rois {
 				for _, vr := range ranges {
-					want := exactCPBytes(bm, roi, vr)
-					if got := exactCPRLE(plain, roi, vr); got != want {
+					want := ExactCP(bm, roi, vr)
+					if got := ExactCP(plain, roi, vr); got != want {
 						t.Fatalf("%dx%d roi=%v vr=%v: no directory: rle=%d bytes=%d", w, h, roi, vr, got, want)
 					}
-					if got := exactCPRLE(seek, roi, vr); got != want {
+					if got := ExactCP(seek, roi, vr); got != want {
 						t.Fatalf("%dx%d roi=%v vr=%v: with directory: rle=%d bytes=%d", w, h, roi, vr, got, want)
 					}
 				}
@@ -419,7 +419,7 @@ var benchSink int64
 // directory the two rects cost the same.
 func BenchmarkExactCPRLE(b *testing.B) {
 	m := benchRLEMask(b)
-	vr := ValueRange{0.6, 1}
+	rc := newRangeCounter(ValueRange{0.6, 1})
 	for _, bc := range []struct {
 		name string
 		roi  Rect
@@ -430,14 +430,14 @@ func BenchmarkExactCPRLE(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(bc.roi.Area()))
 			for b.Loop() {
-				benchSink += exactCPRLE(m, bc.roi, vr)
+				benchSink += exactCPRLE(m, bc.roi, &rc)
 			}
 		})
 		b.Run(bc.name+"/walk", func(b *testing.B) {
 			plain := &Mask{W: m.W, H: m.H, RLE: m.RLE}
 			b.SetBytes(int64(bc.roi.Area()))
 			for b.Loop() {
-				benchSink += exactCPRLE(plain, bc.roi, vr)
+				benchSink += exactCPRLE(plain, bc.roi, &rc)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // unknownHi stands in for the score upper bound of an unindexed mask:
@@ -26,7 +25,7 @@ type tkCand struct {
 }
 
 // topkBound fills one candidate from the index.
-func (e *Env) topkBound(id int64, term CPTerm, st *Stats) (tkCand, error) {
+func (e *Env) topkBound(id int64, term *termPlan, st *Stats) (tkCand, error) {
 	c, err := e.boundCand(id, term, st)
 	return tkCand{id: c.ID, b: c.B, known: c.Known, score: c.Score}, err
 }
@@ -42,37 +41,59 @@ func pruneByBounds[T any, V cmp.Ordered](cands []T, k int, ord Order, lo, hi fun
 	if k >= len(cands) {
 		return cands
 	}
+	// Desc: tau is the k-th largest lower bound and a candidate survives
+	// with hi >= tau. Asc mirrors it on the k-th smallest upper bound.
+	guaranteed, optimistic, nth := lo, hi, len(cands)-k
+	if ord == Asc {
+		guaranteed, optimistic, nth = hi, lo, k-1
+	}
 	sel := make([]V, len(cands))
-	if ord == Desc {
-		for i, c := range cands {
-			sel[i] = lo(c)
-		}
-		slices.SortFunc(sel, func(a, b V) int { return cmp.Compare(b, a) })
-		tau := sel[k-1]
-		kept := cands[:0]
-		for _, c := range cands {
-			if hi(c) >= tau {
-				kept = append(kept, c)
-			} else {
-				reject(c)
-			}
-		}
-		return kept
-	}
 	for i, c := range cands {
-		sel[i] = hi(c)
+		sel[i] = guaranteed(c)
 	}
-	slices.Sort(sel)
-	tau := sel[k-1]
+	tau := selectNth(sel, nth)
 	kept := cands[:0]
 	for _, c := range cands {
-		if lo(c) <= tau {
+		v := optimistic(c)
+		if (ord == Desc && v >= tau) || (ord == Asc && v <= tau) {
 			kept = append(kept, c)
 		} else {
 			reject(c)
 		}
 	}
 	return kept
+}
+
+// selectNth returns the element that would sit at index n if s were
+// sorted ascending, partially reordering s (quickselect): pruning needs
+// one order statistic of the bounds, not all n of them in order.
+func selectNth[V cmp.Ordered](s []V, n int) V {
+	for lo, hi := 0, len(s)-1; lo < hi; {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return s[n]
+		}
+	}
+	return s[n]
 }
 
 // topkPrune drops candidates whose bounds provably cannot reach the
@@ -99,8 +120,9 @@ func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score 
 	if int(score) < 0 || int(score) >= len(terms) {
 		return nil, Stats{}, fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
 	}
+	plan := &planTerms(terms[score : score+1])[0]
 	if w := env.Exec.workers(); w > 1 && len(targets) >= minParallelTargets {
-		return topkPar(ctx, env, targets, terms, score, k, ord, w)
+		return topkPar(ctx, env, targets, plan, k, ord, w)
 	}
 	st := Stats{Targets: len(targets)}
 	cands := make([]tkCand, 0, len(targets))
@@ -108,7 +130,7 @@ func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score 
 		if err := CheckCtx(ctx, i); err != nil {
 			return nil, st, err
 		}
-		c, err := env.topkBound(id, terms[score], &st)
+		c, err := env.topkBound(id, plan, &st)
 		if err != nil {
 			return nil, st, err
 		}
@@ -118,35 +140,28 @@ func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score 
 		k = len(cands)
 	}
 	cands = topkPrune(cands, k, ord, &st)
-	out := make([]Scored, 0, len(cands))
 	nv := 0
 	for i := range cands {
 		c := &cands[i]
-		if !c.known {
-			// Poll here too, on a dedicated verification counter (the
-			// candidate index would skip polls whenever bounds-exact
-			// candidates land on the 256-multiples): the verification
-			// loop is where a query spends its time, so cancellation
-			// mid-verification must not wait for the loop to drain.
-			if err := CheckCtx(ctx, nv); err != nil {
-				return nil, st, err
-			}
-			nv++
-			vals, err := env.verify(c.id, terms, &st)
-			if err != nil {
-				return nil, st, err
-			}
-			c.score = vals[score]
-		} else {
+		if c.known {
 			st.AcceptedByBounds++
+			continue
 		}
-		out = append(out, Scored{ID: c.id, Score: float64(c.score)})
+		// Poll here too, on a dedicated verification counter (the
+		// candidate index would skip polls whenever bounds-exact
+		// candidates land on the 256-multiples): the verification
+		// loop is where a query spends its time, so cancellation
+		// mid-verification must not wait for the loop to drain.
+		if err := CheckCtx(ctx, nv); err != nil {
+			return nil, st, err
+		}
+		nv++
+		err := env.verify(c.id, &st, func(chi *CHI, m *Mask) { c.score = plan.refine(chi, m, c.id, nil).Lo })
+		if err != nil {
+			return nil, st, err
+		}
 	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return rankCands(cands, k, ord), st, nil
 }
 
 // gcand is one aggregation-query candidate group.
@@ -161,22 +176,27 @@ type gcand struct {
 }
 
 // gcandSkeletons allocates the per-group state, skipping empty groups.
+// The per-member columns of all groups are carved out of three flat
+// arrays: three allocations per query instead of five per group.
 func gcandSkeletons(groups []Group, st *Stats) []gcand {
+	for _, g := range groups {
+		st.Targets += len(g.IDs)
+	}
+	n := st.Targets
+	f64 := make([]float64, 3*n)
+	los, his, vals := f64[:n:n], f64[n:2*n:2*n], f64[2*n:]
+	known, exact := make([]bool, n), make([]int64, n)
 	cands := make([]gcand, 0, len(groups))
 	for _, g := range groups {
-		if len(g.IDs) == 0 {
+		m := len(g.IDs)
+		if m == 0 {
 			continue
 		}
-		st.Targets += len(g.IDs)
 		cands = append(cands, gcand{
-			key:   g.Key,
-			ids:   g.IDs,
-			los:   make([]float64, len(g.IDs)),
-			his:   make([]float64, len(g.IDs)),
-			known: make([]bool, len(g.IDs)),
-			exact: make([]int64, len(g.IDs)),
-			vals:  make([]float64, len(g.IDs)),
+			key: g.Key, ids: g.IDs,
+			los: los[:m:m], his: his[:m:m], vals: vals[:m:m], known: known[:m:m], exact: exact[:m:m],
 		})
+		los, his, vals, known, exact = los[m:], his[m:], vals[m:], known[m:], exact[m:]
 	}
 	return cands
 }
@@ -184,7 +204,7 @@ func gcandSkeletons(groups []Group, st *Stats) []gcand {
 // memberBound resolves one group member's score bounds. An unindexed
 // member's upper bound is +Inf (not unknownHi) so the group's
 // aggregate bound stays admissible for every aggregate.
-func (e *Env) memberBound(gc *gcand, i int, term CPTerm, st *Stats) error {
+func (e *Env) memberBound(gc *gcand, i int, term *termPlan, st *Stats) error {
 	c, err := e.boundCand(gc.ids[i], term, st)
 	if err != nil {
 		return err
@@ -221,8 +241,9 @@ func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, scor
 	}
 	var st Stats
 	cands := gcandSkeletons(groups, &st)
+	plan := &planTerms(terms[score : score+1])[0]
 	if w := env.Exec.workers(); w > 1 && st.Targets >= minParallelTargets {
-		return aggPar(ctx, env, cands, terms, score, agg, k, ord, w, st)
+		return aggPar(ctx, env, cands, plan, agg, k, ord, w, st)
 	}
 	n := 0
 	for gi := range cands {
@@ -232,7 +253,7 @@ func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, scor
 				return nil, st, err
 			}
 			n++
-			if err := env.memberBound(gc, i, terms[score], &st); err != nil {
+			if err := env.memberBound(gc, i, plan, &st); err != nil {
 				return nil, st, err
 			}
 		}
@@ -242,14 +263,11 @@ func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, scor
 		k = len(cands)
 	}
 	cands = aggPrune(cands, k, ord, &st)
-	out := make([]Scored, 0, len(cands))
 	nv := 0
 	for gi := range cands {
 		gc := &cands[gi]
 		for i, id := range gc.ids {
 			if gc.known[i] {
-				st.AcceptedByBounds++
-				gc.vals[i] = float64(gc.exact[i])
 				continue
 			}
 			// Poll during verification as well, so cancellation does
@@ -258,19 +276,13 @@ func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, scor
 				return nil, st, err
 			}
 			nv++
-			ev, err := env.verify(id, terms, &st)
+			err := env.verify(id, &st, func(chi *CHI, m *Mask) { gc.vals[i] = float64(plan.refine(chi, m, id, nil).Lo) })
 			if err != nil {
 				return nil, st, err
 			}
-			gc.vals[i] = float64(ev[score])
 		}
-		out = append(out, Scored{ID: gc.key, Score: AggExact(agg, gc.vals)})
 	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return rankGroups(cands, agg, k, ord, &st), st, nil
 }
 
 // aggBounds folds member bounds into group bounds; every aggregate
@@ -311,13 +323,11 @@ func AggExact(agg Agg, vals []float64) float64 {
 // SortScored orders scored results by score in the given direction,
 // breaking ties toward smaller ids.
 func SortScored(s []Scored, ord Order) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			if ord == Desc {
-				return s[i].Score > s[j].Score
-			}
-			return s[i].Score < s[j].Score
+	slices.SortFunc(s, func(a, b Scored) int {
+		c := cmp.Compare(a.Score, b.Score)
+		if ord == Desc {
+			c = -c
 		}
-		return s[i].ID < s[j].ID
+		return cmp.Or(c, cmp.Compare(a.ID, b.ID))
 	})
 }

@@ -1,8 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"masksearch/internal/core"
@@ -83,27 +84,32 @@ func (c *Catalog) Entry(id int64) (Entry, error) {
 
 // MaskIDs returns the ids of current entries that keep accepts, in
 // catalog order (see View for the snapshot-isolated form).
-func (c *Catalog) MaskIDs(keep func(Entry) bool) []int64 {
+func (c *Catalog) MaskIDs(keep func(*Entry) bool) []int64 {
 	return c.View().MaskIDs(keep)
 }
 
 // GroupBy groups kept entries by an arbitrary integer key, returning
 // groups sorted by key.
-func (c *Catalog) GroupBy(key func(Entry) int64, keep func(Entry) bool) []core.Group {
+func (c *Catalog) GroupBy(key func(*Entry) int64, keep func(*Entry) bool) []core.Group {
 	return c.View().GroupBy(key, keep)
 }
 
 // GroupByImage groups kept entries by image id.
-func (c *Catalog) GroupByImage(keep func(Entry) bool) []core.Group {
-	return c.GroupBy(func(e Entry) int64 { return e.ImageID }, keep)
+func (c *Catalog) GroupByImage(keep func(*Entry) bool) []core.Group {
+	return c.GroupBy(func(e *Entry) int64 { return e.ImageID }, keep)
 }
 
 // ObjectROI returns a RegionFn resolving each mask's object bounding
-// box; unknown ids resolve to an empty rect. The closure reads the
-// live catalog under its lock, so it stays valid while ingestion
-// appends rows.
+// box; unknown ids resolve to an empty rect. It answers from a snapshot
+// pinned here — rows never change once appended and ids are dense, so
+// the per-mask path is an index and a compare, no lock, no hashing.
+// Only ids appended since fall back to the live catalog under its lock.
 func (c *Catalog) ObjectROI() core.RegionFn {
+	v := c.View()
 	return func(id int64) core.Rect {
+		if e := v.row(id); e != nil {
+			return e.Object
+		}
 		c.mu.RLock()
 		defer c.mu.RUnlock()
 		if i, ok := c.byID[id]; ok {
@@ -144,12 +150,22 @@ func (v CatalogView) MaxID() int64 {
 // Entries returns the snapshot's rows; callers must not mutate them.
 func (v CatalogView) Entries() []Entry { return v.entries }
 
+// row returns the snapshot's row of mask id when it sits where dense
+// ids put it (row id-1), else nil.
+func (v CatalogView) row(id int64) *Entry {
+	if i := uint64(id - 1); i < uint64(len(v.entries)) && v.entries[i].MaskID == id {
+		return &v.entries[i]
+	}
+	return nil
+}
+
 // MaskIDs returns the ids of snapshot entries that keep accepts (all
-// when keep is nil), in catalog order.
-func (v CatalogView) MaskIDs(keep func(Entry) bool) []int64 {
+// when keep is nil), in catalog order. keep sees each row in place and
+// must not modify or retain it.
+func (v CatalogView) MaskIDs(keep func(*Entry) bool) []int64 {
 	out := make([]int64, 0, len(v.entries))
-	for _, e := range v.entries {
-		if keep == nil || keep(e) {
+	for i := range v.entries {
+		if e := &v.entries[i]; keep == nil || keep(e) {
 			out = append(out, e.MaskID)
 		}
 	}
@@ -158,18 +174,51 @@ func (v CatalogView) MaskIDs(keep func(Entry) bool) []int64 {
 
 // GroupBy groups kept snapshot entries by an arbitrary integer key,
 // returning groups sorted by key.
-func (v CatalogView) GroupBy(key func(Entry) int64, keep func(Entry) bool) []core.Group {
-	m := map[int64][]int64{}
-	for _, e := range v.entries {
-		if keep == nil || keep(e) {
-			k := key(e)
-			m[k] = append(m[k], e.MaskID)
+func (v CatalogView) GroupBy(key func(*Entry) int64, keep func(*Entry) bool) []core.Group {
+	return v.GroupIDs(v.MaskIDs(keep), key)
+}
+
+// GroupIDs groups ids — a subsequence of the snapshot's ids in catalog
+// order, such as MaskIDs returns and a filter stage thins — by key,
+// returning groups sorted by key, each group's ids in catalog order.
+// Ids the snapshot does not hold are ignored. It is one merge pass over
+// ids and rows: while keys come out non-decreasing (rows of one image
+// are adjacent) the groups are runs of one shared array; only keys that
+// come back after others send the grouping through a map.
+func (v CatalogView) GroupIDs(ids []int64, key func(*Entry) int64) []core.Group {
+	held, keys := make([]int64, 0, len(ids)), make([]int64, 0, len(ids))
+	runs, next := true, 0
+	for _, id := range ids {
+		e := v.row(id)
+		for e == nil && next < len(v.entries) { // ids not dense: walk the merge cursor
+			if v.entries[next].MaskID == id {
+				e = &v.entries[next]
+			}
+			next++
 		}
+		if e == nil {
+			continue
+		}
+		k := key(e)
+		runs = runs && (len(keys) == 0 || keys[len(keys)-1] <= k)
+		held, keys = append(held, id), append(keys, k)
 	}
-	out := make([]core.Group, 0, len(m))
+	var groups []core.Group
+	if runs {
+		for i, j := 0, 0; i < len(held); i = j {
+			for j = i + 1; j < len(held) && keys[j] == keys[i]; j++ {
+			}
+			groups = append(groups, core.Group{Key: keys[i], IDs: held[i:j:j]})
+		}
+		return groups
+	}
+	m := map[int64][]int64{}
+	for i, k := range keys {
+		m[k] = append(m[k], held[i])
+	}
 	for k, ids := range m {
-		out = append(out, core.Group{Key: k, IDs: ids})
+		groups = append(groups, core.Group{Key: k, IDs: ids})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	slices.SortFunc(groups, func(a, b core.Group) int { return cmp.Compare(a.Key, b.Key) })
+	return groups
 }

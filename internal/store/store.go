@@ -249,21 +249,31 @@ func (g *segment) at(off int64, n int) ([]byte, *mapChunk) {
 }
 
 // readCounters is ReadStats (without the WAL layer's TailLoads) as
-// lock-free counters.
+// lock-free counters. The two every load bumps are striped over
+// cache-line-sized slots keyed by mask id, so workers loading different
+// masks rarely add to the same line; snapshot sums the stripes.
 type readCounters struct {
-	masksLoaded, regionReads, bytesRead  atomic.Int64
+	loads [8]struct {
+		masksLoaded, bytesRead atomic.Int64
+		_                      [48]byte
+	}
+	regionReads, regionBytes             atomic.Int64
 	cacheHits, cacheMisses, cacheEvicted atomic.Int64
 }
 
 func (c *readCounters) snapshot() ReadStats {
-	return ReadStats{
-		MasksLoaded:  c.masksLoaded.Load(),
+	st := ReadStats{
 		RegionReads:  c.regionReads.Load(),
-		BytesRead:    c.bytesRead.Load(),
+		BytesRead:    c.regionBytes.Load(),
 		CacheHits:    c.cacheHits.Load(),
 		CacheMisses:  c.cacheMisses.Load(),
 		CacheEvicted: c.cacheEvicted.Load(),
 	}
+	for i := range c.loads {
+		st.MasksLoaded += c.loads[i].masksLoaded.Load()
+		st.BytesRead += c.loads[i].bytesRead.Load()
+	}
+	return st
 }
 
 // headers recycles mask headers between LoadMask and ReleaseMask. A
@@ -520,14 +530,15 @@ func (s *Store) Stats() ReadStats {
 // ignoring every ResetStats.
 func (s *Store) LifetimeStats() ReadStats { return s.life.snapshot() }
 
-// account records one read of kind (masksLoaded or regionReads) of
-// bytes logical bytes and applies the throttle when one is installed.
-// Each throttled read reserves a slot on the shared disk timeline
-// under statsMu and sleeps out its own wait outside it, so W concurrent
-// readers still see BytesPerSec in aggregate rather than W times it.
-func (s *Store) account(kind *atomic.Int64, bytes int64) {
+// account records one read of bytes logical bytes in kind and total (a
+// load stripe's counters, or regionReads and regionBytes) and applies
+// the throttle when one is installed. Each throttled read reserves a
+// slot on the shared disk timeline under statsMu and sleeps out its own
+// wait outside it, so W concurrent readers still see BytesPerSec in
+// aggregate rather than W times it.
+func (s *Store) account(kind, total *atomic.Int64, bytes int64) {
 	kind.Add(1)
-	s.life.bytesRead.Add(bytes)
+	total.Add(bytes)
 	if bytes <= 0 || !s.throttled.Load() {
 		return
 	}
@@ -598,7 +609,8 @@ func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 	} else {
 		m.Bytes = b
 	}
-	s.account(&s.life.masksLoaded, int64(len(b)))
+	stripe := &s.life.loads[id&7]
+	s.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
 	if cache != nil {
 		var evicted int64
 		m, evicted = cache.insert(id, m)
@@ -708,7 +720,7 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 	}
 	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h})
 	if r.Empty() {
-		s.account(&s.life.regionReads, 0)
+		s.account(&s.life.regionReads, &s.life.regionBytes, 0)
 		return core.NewByteMask(0, 0), nil
 	}
 	charge := r.Area()
@@ -724,7 +736,7 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 		}
 		charge, pix = len(pix), *tmp
 	}
-	s.account(&s.life.regionReads, int64(charge))
+	s.account(&s.life.regionReads, &s.life.regionBytes, int64(charge))
 	out := core.NewByteMask(r.W(), r.H())
 	copyRegion(out.Bytes, pix, s.w, r)
 	return out, nil

@@ -48,7 +48,7 @@ func TestGenerateOpenRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	human := cat.MaskIDs(func(e Entry) bool { return e.MaskType == TypeHumanAttention })
+	human := cat.MaskIDs(func(e *Entry) bool { return e.MaskType == TypeHumanAttention })
 	if len(human) != 12 {
 		t.Fatalf("human attention masks: %d, want 12", len(human))
 	}

@@ -46,7 +46,7 @@ type plan struct {
 
 	// targetDesc and keep restrict the candidate masks by metadata.
 	targetDesc string
-	keep       func(store.Entry) bool
+	keep       func(*store.Entry) bool
 
 	// filterTerms and pred implement WHERE CP(...) predicates.
 	filterTerms []core.CPTerm
@@ -60,7 +60,7 @@ type plan struct {
 
 	// Aggregation state.
 	groupBy  string
-	groupKey func(store.Entry) int64
+	groupKey func(*store.Entry) int64
 	agg      core.Agg
 	aggAlias string
 
@@ -80,8 +80,8 @@ type binder func(p *plan, args []float64) error
 type metaCond struct {
 	col, op  string
 	eq       bool // op == "="
-	intFn    func(store.Entry) int64
-	boolFn   func(store.Entry) bool // non-nil for modified/mispredicted
+	intFn    func(*store.Entry) int64
+	boolFn   func(*store.Entry) bool // non-nil for modified/mispredicted
 	boolWant bool
 	num      numVal
 }
@@ -102,21 +102,21 @@ func (m *metaCond) desc(args []float64) string {
 func (m *metaCond) hasParam() bool { return m.boolFn == nil && m.num.isParam() }
 
 // test builds the condition's entry predicate against bound values.
-func (m *metaCond) test(args []float64) (func(store.Entry) bool, error) {
+func (m *metaCond) test(args []float64) (func(*store.Entry) bool, error) {
 	if m.boolFn != nil {
 		want := m.boolWant
 		if !m.eq {
 			want = !want
 		}
 		fn := m.boolFn
-		return func(e store.Entry) bool { return fn(e) == want }, nil
+		return func(e *store.Entry) bool { return fn(e) == want }, nil
 	}
 	v := m.num.value(args)
 	if m.num.isParam() && (v != math.Trunc(v) || math.IsInf(v, 0)) {
 		return nil, bindErrf(m.num, "%s compares against an integer, got %v", m.col, v)
 	}
 	want, eq, fn := int64(v), m.eq, m.intFn
-	return func(e store.Entry) bool { return (fn(e) == want) == eq }, nil
+	return func(e *store.Entry) bool { return (fn(e) == want) == eq }, nil
 }
 
 // planTemplate is a compiled statement with unresolved `?`
@@ -143,12 +143,12 @@ func bindErrf(n numVal, format string, args ...any) error {
 // buildKeep folds the metadata conditions into one entry predicate
 // and its description. args is nil for the unbound template rendering
 // (placeholders shown as ?N, keep left nil).
-func (t *planTemplate) buildKeep(args []float64) (func(store.Entry) bool, string, error) {
+func (t *planTemplate) buildKeep(args []float64) (func(*store.Entry) bool, string, error) {
 	if len(t.metas) == 0 {
 		return nil, "all", nil
 	}
 	descs := make([]string, len(t.metas))
-	conds := make([]func(store.Entry) bool, len(t.metas))
+	conds := make([]func(*store.Entry) bool, len(t.metas))
 	for i := range t.metas {
 		m := &t.metas[i]
 		descs[i] = m.desc(args)
@@ -165,7 +165,7 @@ func (t *planTemplate) buildKeep(args []float64) (func(store.Entry) bool, string
 	if args == nil && t.metaParams {
 		return nil, desc, nil
 	}
-	keep := func(e store.Entry) bool {
+	keep := func(e *store.Entry) bool {
 		for _, f := range conds {
 			if !f(e) {
 				return false
@@ -269,18 +269,18 @@ func (c *cpExpr) bindRange(args []float64) (core.ValueRange, string, error) {
 }
 
 // metaCols maps metadata column names to integer accessors.
-var metaCols = map[string]func(store.Entry) int64{
-	"mask_id":   func(e store.Entry) int64 { return e.MaskID },
-	"image_id":  func(e store.Entry) int64 { return e.ImageID },
-	"model_id":  func(e store.Entry) int64 { return int64(e.ModelID) },
-	"mask_type": func(e store.Entry) int64 { return int64(e.MaskType) },
-	"label":     func(e store.Entry) int64 { return int64(e.Label) },
-	"pred":      func(e store.Entry) int64 { return int64(e.Pred) },
+var metaCols = map[string]func(*store.Entry) int64{
+	"mask_id":   func(e *store.Entry) int64 { return e.MaskID },
+	"image_id":  func(e *store.Entry) int64 { return e.ImageID },
+	"model_id":  func(e *store.Entry) int64 { return int64(e.ModelID) },
+	"mask_type": func(e *store.Entry) int64 { return int64(e.MaskType) },
+	"label":     func(e *store.Entry) int64 { return int64(e.Label) },
+	"pred":      func(e *store.Entry) int64 { return int64(e.Pred) },
 }
 
-var metaBoolCols = map[string]func(store.Entry) bool{
-	"modified":     func(e store.Entry) bool { return e.Modified },
-	"mispredicted": store.Entry.Mispredicted,
+var metaBoolCols = map[string]func(*store.Entry) bool{
+	"modified":     func(e *store.Entry) bool { return e.Modified },
+	"mispredicted": func(e *store.Entry) bool { return e.Mispredicted() },
 }
 
 // cmpToPred translates "CP(...) op num" into an integer Cmp over term
