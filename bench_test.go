@@ -1,108 +1,181 @@
-// Benchmarks that regenerate the paper's tables and figures under `go
-// test -bench`. One benchmark (family) exists per evaluation artifact:
+// Benchmarks that regenerate the paper's figures under `go test
+// -bench`. One benchmark (family) exists per evaluation artifact:
 //
 //	BenchmarkFigure7_*   — Q1–Q5 across MaskSearch and the 3 baselines
 //	                       (Table 2's masks-loaded counts are reported
 //	                       as the masks/op metric)
 //	BenchmarkFigure8_*   — random queries of each §4.3 type
 //	BenchmarkFigure9_*   — Filter queries reporting FML (time~FML)
-//	BenchmarkFigure10_*  — CHI bound computation at both granularities
 //	BenchmarkFigure11_*  — a multi-query workload under MS / MS-II / NumPy
 //
-// The benchmarks use reduced dataset sizes (bench.Quick) so the whole
-// suite completes in minutes; cmd/msbench runs the full-size versions.
+// The benchmarks run on reduced stand-ins of the paper's datasets,
+// generated per benchmark, so the whole suite completes in seconds.
+// The per-layer benchmarks (CHI bounds and build, the verification
+// kernel, mask loads) live in internal/core and internal/store; the
+// end-to-end measurements are benchmark/ (BENCHMARK.json).
 package masksearch_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
-	"masksearch"
 	"masksearch/internal/baseline"
-	"masksearch/internal/bench"
 	"masksearch/internal/core"
+	"masksearch/internal/store"
 	"masksearch/internal/workload"
 )
 
+// benchSeed drives every random query generator.
+const benchSeed = 42
+
+// The reduced WILDS and ImageNet stand-ins.
 var (
-	benchOnce sync.Once
-	benchCfg  bench.Config
-	benchEnvs map[string]*bench.DatasetEnv
-	benchErr  error
+	wildsQuick    = store.Spec{Name: "wilds-quick", Images: 100, Models: 2, W: 64, H: 64, Seed: 11, HumanAttention: true}
+	imagenetQuick = store.Spec{Name: "imagenet-quick", Images: 200, Models: 1, W: 48, H: 48, Seed: 12}
 )
 
-// setupBench materializes the benchmark datasets once per process.
-func setupBench(b *testing.B) map[string]*bench.DatasetEnv {
+// benchDataset is one generated dataset, opened, with a full CHI index
+// at the paper's default (coarse) granularity: cells of W/4 pixels and
+// 10 value edges.
+type benchDataset struct {
+	spec store.Spec
+	st   *store.Store
+	cat  *store.Catalog
+	cfg  core.Config
+	idx  *core.MemoryIndex
+}
+
+// openBenchDataset generates spec into a temporary directory, opens it
+// and builds its index; both go away when b finishes.
+func openBenchDataset(b *testing.B, spec store.Spec) *benchDataset {
 	b.Helper()
-	benchOnce.Do(func() {
-		dir := filepath.Join(os.TempDir(), "masksearch-bench")
-		benchCfg = bench.Quick(dir)
-		benchEnvs = map[string]*bench.DatasetEnv{}
-		w, err := benchCfg.SetupWilds()
-		if err != nil {
-			benchErr = err
-			return
-		}
-		benchEnvs["wilds"] = w
-		im, err := benchCfg.SetupImagenet()
-		if err != nil {
-			benchErr = err
-			return
-		}
-		benchEnvs["imagenet"] = im
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
+	dir := b.TempDir()
+	if err := store.Generate(dir, spec); err != nil {
+		b.Fatal(err)
 	}
-	return benchEnvs
+	st, cat, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	d := &benchDataset{spec: spec, st: st, cat: cat, cfg: core.Config{
+		CellW: max(2, spec.W/4), CellH: max(2, spec.H/4), Edges: core.DefaultEdges(10),
+	}}
+	d.idx = core.NewMemoryIndex(d.cfg)
+	if _, err := core.IndexAll(context.Background(), st, d.idx, cat.MaskIDs(nil), core.Exec{}); err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+func (d *benchDataset) env(ex core.Exec) *core.Env {
+	return &core.Env{Loader: d.st, Index: d.idx, Exec: ex}
+}
+
+// engine is the query surface MaskSearch and the baselines share.
+type engine interface {
+	Name() string
+	Filter(ctx context.Context, targets []int64, terms []core.CPTerm, pred core.Pred) ([]int64, core.Stats, error)
+	TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order) ([]core.Scored, core.Stats, error)
+	AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order) ([]core.Scored, core.Stats, error)
+}
+
+// maskSearch runs the indexed engine behind the engine interface.
+type maskSearch struct{ env *core.Env }
+
+func (maskSearch) Name() string { return "MaskSearch" }
+
+func (m maskSearch) Filter(ctx context.Context, targets []int64, terms []core.CPTerm, pred core.Pred) ([]int64, core.Stats, error) {
+	return core.Filter(ctx, m.env, targets, terms, pred)
+}
+
+func (m maskSearch) TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order) ([]core.Scored, core.Stats, error) {
+	return core.TopK(ctx, m.env, targets, terms, score, k, ord)
+}
+
+func (m maskSearch) AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order) ([]core.Scored, core.Stats, error) {
+	return core.AggTopK(ctx, m.env, groups, terms, score, agg, k, ord)
+}
+
+// tableQuery is one of the paper's Table 1 queries resolved against a
+// dataset: an aggregation when groups is set, a filter when pred is,
+// a top-k otherwise.
+type tableQuery struct {
+	name    string
+	targets []int64
+	groups  []core.Group
+	terms   []core.CPTerm
+	pred    core.Pred
+	k       int
+}
+
+func (q tableQuery) run(ctx context.Context, e engine) error {
+	var err error
+	switch {
+	case q.groups != nil:
+		_, _, err = e.AggTopK(ctx, q.groups, q.terms, 0, core.Mean, q.k, core.Desc)
+	case q.pred != nil:
+		_, _, err = e.Filter(ctx, q.targets, q.terms, q.pred)
+	default:
+		_, _, err = e.TopK(ctx, q.targets, q.terms, 0, q.k, core.Desc)
+	}
+	return err
+}
+
+// tableQueries returns the five Table 1 stand-in queries on d:
+//
+//	Q1 — error analysis Filter: model-1 masks with high object saliency
+//	Q2 — Top-K masks by overall high-saliency area
+//	Q3 — per-image aggregation: mean object saliency, top images
+//	Q4 — mispredicted masks whose object box the model ignored
+//	Q5 — adversarial detection: saturated-patch filter over all masks
+func tableQueries(d *benchDataset) []tableQuery {
+	w, h := d.spec.W, d.spec.H
+	object := func(lo float64) []core.CPTerm {
+		return []core.CPTerm{{Region: d.cat.ObjectROI(), Range: core.ValueRange{Lo: lo, Hi: 1.0}}}
+	}
+	full := func(lo float64) []core.CPTerm {
+		return []core.CPTerm{{Region: core.FixedRegion(core.Rect{X1: w, Y1: h}), Range: core.ValueRange{Lo: lo, Hi: 1.0}}}
+	}
+	saliency := func(e *store.Entry) bool { return e.MaskType == store.TypeSaliency }
+	model1 := d.cat.MaskIDs(func(e *store.Entry) bool { return saliency(e) && e.ModelID == 1 })
+	patch := max(2, w/8)
+	return []tableQuery{
+		{name: "Q1", targets: model1, terms: object(0.8), pred: core.Cmp{T: 0, Op: core.OpGt, C: int64(w * h / 64)}},
+		{name: "Q2", targets: model1, terms: full(0.6), k: 25},
+		{name: "Q3", groups: d.cat.GroupByImage(saliency), terms: object(0.5), k: 25},
+		{name: "Q4", targets: d.cat.MaskIDs(func(e *store.Entry) bool { return saliency(e) && e.Mispredicted() }),
+			terms: object(0.7), pred: core.Cmp{T: 0, Op: core.OpLt, C: int64(w * h / 32)}},
+		{name: "Q5", targets: d.cat.MaskIDs(saliency), terms: full(0.94), pred: core.Cmp{T: 0, Op: core.OpGt, C: int64(patch * patch / 2)}},
+	}
 }
 
 // BenchmarkFigure7 measures each Table 1 query on each system. The
 // custom metric masks/op is the Table 2 count.
 func BenchmarkFigure7(b *testing.B) {
-	envs := setupBench(b)
 	ctx := context.Background()
-	for _, name := range []string{"wilds", "imagenet"} {
-		d := envs[name]
-		idx, err := d.Index(d.SmallConfig())
-		if err != nil {
-			b.Fatal(err)
+	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
+		d := openBenchDataset(b, spec)
+		engines := []engine{
+			maskSearch{d.env(core.Exec{})},
+			baseline.NewFullScan(d.st),
+			baseline.NewTupleScan(d.st),
+			baseline.NewArraySlice(d.st),
 		}
-		env := d.Env(idx)
-		for _, q := range []bench.Q{bench.Q1, bench.Q2, bench.Q3, bench.Q4, bench.Q5} {
-			b.Run(fmt.Sprintf("%s/%v/MaskSearch", name, q), func(b *testing.B) {
-				d.Store.ResetStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.RunMaskSearch(ctx, env, q); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := d.Store.Stats()
-				b.ReportMetric(float64(st.MasksLoaded+st.RegionReads)/float64(b.N), "masks/op")
-			})
-			for _, mk := range []func() *baseline.Engine{
-				func() *baseline.Engine { return baseline.NewFullScan(d.Store) },
-				func() *baseline.Engine { return baseline.NewTupleScan(d.Store) },
-				func() *baseline.Engine { return baseline.NewArraySlice(d.Store) },
-			} {
-				e := mk()
-				b.Run(fmt.Sprintf("%s/%v/%s", name, q, e.Name()), func(b *testing.B) {
-					d.Store.ResetStats()
+		for _, q := range tableQueries(d) {
+			for _, e := range engines {
+				b.Run(fmt.Sprintf("%s/%s/%s", spec.Name, q.name, e.Name()), func(b *testing.B) {
+					d.st.ResetStats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := d.RunBaseline(ctx, e, q); err != nil {
+						if err := q.run(ctx, e); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StopTimer()
-					st := d.Store.Stats()
+					st := d.st.Stats()
 					b.ReportMetric(float64(st.MasksLoaded+st.RegionReads)/float64(b.N), "masks/op")
 				})
 			}
@@ -113,67 +186,62 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 measures MaskSearch on the three §4.3 random query
 // types (a fresh random query per iteration).
 func BenchmarkFigure8(b *testing.B) {
-	envs := setupBench(b)
-	ctx := context.Background()
-	for _, name := range []string{"wilds", "imagenet"} {
-		d := envs[name]
-		idx, err := d.Index(d.SmallConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		env := d.Env(idx)
-		ids := d.Cat.MaskIDs(nil)
-		groups := d.Cat.GroupByImage(nil)
-
-		b.Run(name+"/Filter", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomFilter(rng, d.Cat, d.Params.W, d.Params.H, ids)
-				if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.Cat), q.Pred()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/TopK", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomTopK(rng, d.Params.W, d.Params.H, ids)
-				if _, _, err := core.TopK(ctx, env, q.Targets, q.Terms(), core.Term(0), q.K, q.Order); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/Aggregation", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomAgg(rng, d.Params.W, d.Params.H, groups)
-				if _, _, err := core.AggTopK(ctx, env, q.Groups, q.Terms(), core.Term(0), core.Mean, q.K, q.Order); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
+		d := openBenchDataset(b, spec)
+		benchRandomFamilies(b, d, spec.Name+"/", d.env(core.Exec{}))
 	}
+}
+
+// benchRandomFamilies runs one sub-benchmark per §4.3 query family on
+// env, each drawing a fresh random query per iteration.
+func benchRandomFamilies(b *testing.B, d *benchDataset, prefix string, env *core.Env) {
+	ctx := context.Background()
+	ids := d.cat.MaskIDs(nil)
+	groups := d.cat.GroupByImage(nil)
+	w, h := d.spec.W, d.spec.H
+	b.Run(prefix+"Filter", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(benchSeed))
+		for i := 0; i < b.N; i++ {
+			q := workload.RandomFilter(rng, d.cat, w, h, ids)
+			if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.cat), q.Pred()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(prefix+"TopK", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(benchSeed))
+		for i := 0; i < b.N; i++ {
+			q := workload.RandomTopK(rng, w, h, ids)
+			if _, _, err := core.TopK(ctx, env, q.Targets, q.Terms(), 0, q.K, q.Order); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(prefix+"Aggregation", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(benchSeed))
+		for i := 0; i < b.N; i++ {
+			q := workload.RandomAgg(rng, w, h, groups)
+			if _, _, err := core.AggTopK(ctx, env, q.Groups, q.Terms(), 0, core.Mean, q.K, q.Order); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFigure9 measures Filter queries and reports the mean FML as
 // a custom metric; time per op should track fml/op (Pearson r ≈ 1).
 func BenchmarkFigure9(b *testing.B) {
-	envs := setupBench(b)
 	ctx := context.Background()
-	for _, name := range []string{"wilds", "imagenet"} {
-		d := envs[name]
-		idx, err := d.Index(d.SmallConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		env := d.Env(idx)
-		ids := d.Cat.MaskIDs(nil)
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
+	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
+		d := openBenchDataset(b, spec)
+		env := d.env(core.Exec{})
+		ids := d.cat.MaskIDs(nil)
+		b.Run(spec.Name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(benchSeed))
 			var fmlSum float64
 			for i := 0; i < b.N; i++ {
-				q := workload.RandomFilter(rng, d.Cat, d.Params.W, d.Params.H, ids)
-				_, stats, err := core.Filter(ctx, env, q.Targets, q.Terms(d.Cat), q.Pred())
+				q := workload.RandomFilter(rng, d.cat, spec.W, spec.H, ids)
+				_, stats, err := core.Filter(ctx, env, q.Targets, q.Terms(d.cat), q.Pred())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -184,206 +252,69 @@ func BenchmarkFigure9(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure10 measures the cost of computing CHI bounds (the
-// filter stage's inner loop) at both index granularities.
-func BenchmarkFigure10(b *testing.B) {
-	envs := setupBench(b)
-	for _, name := range []string{"wilds", "imagenet"} {
-		d := envs[name]
-		for _, gran := range []struct {
-			desc string
-			cfg  core.Config
-		}{{"small", d.SmallConfig()}, {"large", d.LargeConfig()}} {
-			idx, err := d.Index(gran.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids := d.Cat.MaskIDs(nil)
-			roiOf := d.Cat.ObjectROI()
-			vr := masksearch.ValueRange{Lo: 0.6, Hi: 1.0}
-			b.Run(fmt.Sprintf("%s/%s", name, gran.desc), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					id := ids[i%len(ids)]
-					chi, err := idx.ChiFor(id)
-					if err != nil || chi == nil {
-						b.Fatal("missing CHI")
-					}
-					_ = chi.CPBounds(roiOf(id), vr)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFigure11 measures one full multi-query workload (Workload 2,
 // p_seen = 0.5) per iteration under each execution mode.
 func BenchmarkFigure11(b *testing.B) {
-	envs := setupBench(b)
 	ctx := context.Background()
 	const nQueries = 15
-	d := envs["wilds"]
-	queries := workload.MultiQuery(rand.New(rand.NewSource(benchCfg.Seed)), d.Cat,
-		d.Params.W, d.Params.H, nQueries, 0.5)
+	d := openBenchDataset(b, wildsQuick)
+	queries := workload.MultiQuery(rand.New(rand.NewSource(benchSeed)), d.cat,
+		d.spec.W, d.spec.H, nQueries, 0.5)
+	run := func(b *testing.B, e engine) {
+		for _, q := range queries {
+			if _, _, err := e.Filter(ctx, q.Targets, q.Terms(d.cat), q.Pred()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 
 	b.Run("MS-prebuilt", func(b *testing.B) {
-		idx, err := d.Index(d.SmallConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		env := d.Env(idx)
-		b.ResetTimer()
+		e := maskSearch{d.env(core.Exec{})}
 		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.Cat), q.Pred()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, e)
 		}
 	})
 	b.Run("MS-incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			idx := core.NewMemoryIndex(d.SmallConfig())
-			env := &core.Env{Loader: d.Store, Index: idx, OnVerify: idx.Observe}
-			for _, q := range queries {
-				if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.Cat), q.Pred()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			idx := core.NewMemoryIndex(d.cfg)
+			run(b, maskSearch{&core.Env{Loader: d.st, Index: idx, OnVerify: idx.Observe}})
 		}
 	})
 	b.Run("NumPy", func(b *testing.B) {
-		e := baseline.NewFullScan(d.Store)
+		e := baseline.NewFullScan(d.st)
 		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, _, err := e.Filter(ctx, q.Targets, q.Terms(d.Cat), q.Pred()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, e)
 		}
 	})
 }
 
-// BenchmarkCHIBuild measures index construction cost per mask, the
-// quantity amortized by incremental indexing (§3.6). The byte variant
-// is the LUT-based kernel used for store-loaded masks; float is the
-// per-pixel binary-search path.
-func BenchmarkCHIBuild(b *testing.B) {
-	envs := setupBench(b)
-	for _, name := range []string{"wilds", "imagenet"} {
-		d := envs[name]
-		m, err := d.Store.LoadMask(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range []struct {
-			kernel string
-			m      *core.Mask
-		}{{"byte", m}, {"float", m.ToFloat()}} {
-			b.Run(name+"/"+v.kernel, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Build(v.m, d.SmallConfig()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkExactCP measures the verification-stage kernel: the
-// byte-domain fast path against the float64 comparison loop.
-func BenchmarkExactCP(b *testing.B) {
-	envs := setupBench(b)
-	d := envs["wilds"]
-	m, err := d.Store.LoadMask(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	roi := masksearch.Rect{X0: 10, Y0: 10, X1: d.Params.W - 10, Y1: d.Params.H - 10}
-	for _, r := range []struct {
-		name string
-		vr   masksearch.ValueRange
-	}{{"top", masksearch.ValueRange{Lo: 0.6, Hi: 1.0}}, {"band", masksearch.ValueRange{Lo: 0.3, Hi: 0.6}}} {
-		for _, v := range []struct {
-			kernel string
-			m      *core.Mask
-		}{{"byte", m}, {"float", m.ToFloat()}} {
-			b.Run(r.name+"/"+v.kernel, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = masksearch.CP(v.m, roi, r.vr)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkEngine compares the sequential engine against the
-// worker-pool engine (1 vs 8 workers) on the three §4.3 query
-// families over the Quick datasets. The parallel/8 variants are the
-// ISSUE 2 acceptance numbers; on a single-core machine they
-// necessarily degenerate to ~1x.
+// worker-pool engine (8 workers) on the three §4.3 query families.
+// Parallel gains require actual cores; on one core par8 is ~1x.
 func BenchmarkEngine(b *testing.B) {
-	envs := setupBench(b)
-	ctx := context.Background()
-	d := envs["wilds"]
-	idx, err := d.Index(d.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := d.Cat.MaskIDs(nil)
-	groups := d.Cat.GroupByImage(nil)
-	w, h := d.Params.W, d.Params.H
+	d := openBenchDataset(b, wildsQuick)
 	for _, mode := range []struct {
 		name string
 		ex   core.Exec
 	}{{"seq", core.Exec{}}, {"par8", core.Exec{Workers: 8}}} {
-		env := &core.Env{Loader: d.Store, Index: idx, Exec: mode.ex}
-		b.Run("Filter/"+mode.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomFilter(rng, d.Cat, w, h, ids)
-				if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.Cat), q.Pred()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("TopK/"+mode.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomTopK(rng, w, h, ids)
-				if _, _, err := core.TopK(ctx, env, q.Targets, q.Terms(), 0, q.K, q.Order); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("AggTopK/"+mode.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(benchCfg.Seed))
-			for i := 0; i < b.N; i++ {
-				q := workload.RandomAgg(rng, w, h, groups)
-				if _, _, err := core.AggTopK(ctx, env, q.Groups, q.Terms(), 0, core.Mean, q.K, q.Order); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		benchRandomFamilies(b, d, mode.name+"/", d.env(mode.ex))
 	}
 }
 
 // BenchmarkEagerIndexBuild measures full-dataset CHI construction,
 // sequential vs 8 workers.
 func BenchmarkEagerIndexBuild(b *testing.B) {
-	envs := setupBench(b)
 	ctx := context.Background()
-	d := envs["imagenet"]
-	ids := d.Cat.MaskIDs(nil)
-	cfg := d.SmallConfig()
+	d := openBenchDataset(b, imagenetQuick)
+	ids := d.cat.MaskIDs(nil)
 	for _, mode := range []struct {
 		name string
 		ex   core.Exec
 	}{{"seq", core.Exec{}}, {"par8", core.Exec{Workers: 8}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix := core.NewMemoryIndex(cfg)
-				if _, err := core.IndexAll(ctx, d.Store, ix, ids, mode.ex); err != nil {
+				ix := core.NewMemoryIndex(d.cfg)
+				if _, err := core.IndexAll(ctx, d.st, ix, ids, mode.ex); err != nil {
 					b.Fatal(err)
 				}
 			}

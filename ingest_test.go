@@ -184,9 +184,14 @@ func TestCompactFacade(t *testing.T) {
 				if loc := db.MaskLocation(id); loc != "base" {
 					t.Fatalf("mask %d location %q after compact", id, loc)
 				}
+				tail := db.ReadStats().TailLoads
 				m, err := db.LoadMask(id)
 				if err != nil {
 					t.Fatal(err)
+				}
+				// A compacted mask is served by the base, never the tail.
+				if got := db.ReadStats().TailLoads; got != tail {
+					t.Fatalf("loading compacted mask %d counted %d tail loads", id, got-tail)
 				}
 				if !bytes.Equal(m.Bytes, masks[i].Pixels) {
 					t.Fatalf("mask %d pixels differ after compact", id)

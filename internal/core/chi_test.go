@@ -193,17 +193,40 @@ func buildEngineFixture(rng *rand.Rand, n, w, h int) (*mapLoader, *MemoryIndex, 
 }
 
 // TestFilterMatchesBruteForce cross-checks the filter–verification
-// pipeline against direct evaluation.
+// pipeline against direct evaluation, on random queries and on the
+// adversarial edge shapes.
 func TestFilterMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ctx := context.Background()
-	loader, idx, ids := buildEngineFixture(rng, 60, 16, 16)
+	const w, h = 16, 16
+	loader, idx, ids := buildEngineFixture(rng, 60, w, h)
+	type filterCase struct {
+		name   string
+		region RegionFn
+		vr     ValueRange
+		thresh int64
+	}
+	var cases []filterCase
 	for iter := 0; iter < 50; iter++ {
-		roi := randomROI(rng, 16, 16)
-		vr := randomVR(rng)
-		thresh := int64(rng.Intn(100))
-		terms := []CPTerm{{Region: FixedRegion(roi), Range: vr}}
-		pred := Cmp{T: 0, Op: OpGt, C: thresh}
+		roi := randomROI(rng, w, h)
+		cases = append(cases, filterCase{fmt.Sprintf("random %d", iter), FixedRegion(roi), randomVR(rng), int64(rng.Intn(100))})
+	}
+	full := FixedRegion(Rect{0, 0, w, h})
+	// A per-mask box, like each mask's object box from the catalog.
+	object := func(id int64) Rect {
+		x, y := int(id%9), int(id*7%11)
+		return Rect{x, y, x + 6, y + 5}
+	}
+	cases = append(cases,
+		filterCase{"top-closed saturation", full, ValueRange{Lo: 1.0, Hi: 1.0}, 0},
+		filterCase{"1-px roi", FixedRegion(Rect{w / 2, h / 2, w/2 + 1, h/2 + 1}), ValueRange{Lo: 0.5, Hi: 1.0}, 0},
+		filterCase{"full roi, threshold w*h-1", full, ValueRange{Lo: 0, Hi: 1.0}, w*h - 1},
+		filterCase{"empty range", full, ValueRange{Lo: 0.7, Hi: 0.7}, 0},
+		filterCase{"object box", object, ValueRange{Lo: 0.9, Hi: 0.95}, 1},
+	)
+	for _, c := range cases {
+		terms := []CPTerm{{Region: c.region, Range: c.vr}}
+		pred := Cmp{T: 0, Op: OpGt, C: c.thresh}
 
 		env := &Env{Loader: loader, Index: idx}
 		got, st, err := Filter(ctx, env, ids, terms, pred)
@@ -212,15 +235,15 @@ func TestFilterMatchesBruteForce(t *testing.T) {
 		}
 		var want []int64
 		for _, id := range ids {
-			if ExactCP(loader.masks[id], roi, vr) > thresh {
+			if ExactCP(loader.masks[id], c.region(id), c.vr) > c.thresh {
 				want = append(want, id)
 			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("iter %d: filter mismatch: got %v want %v (stats %v)", iter, got, want, st)
+			t.Fatalf("%s: filter mismatch: got %v want %v (stats %v)", c.name, got, want, st)
 		}
 		if st.Loaded+st.AcceptedByBounds+st.RejectedByBounds != st.Targets {
-			t.Fatalf("iter %d: stats don't partition targets: %v", iter, st)
+			t.Fatalf("%s: stats don't partition targets: %v", c.name, st)
 		}
 	}
 }

@@ -263,6 +263,79 @@ func TestTauTracker(t *testing.T) {
 	}
 }
 
+// TestTauGatePrunesVerifyLoads is the τ exchange's saving, held at a
+// shard node's verification loop: over the same items, VerifyEach
+// under a gate Set to the coordinator's τ before the call loads
+// strictly fewer masks than under a gate never Set, every value it
+// emits equals the ungated one, and every item it skips provably
+// cannot place — its bounds, and so its exact value, lie strictly
+// beyond τ in the gate's order.
+func TestTauGatePrunesVerifyLoads(t *testing.T) {
+	// Saliency-shaped masks: their CP spreads far wider than the
+	// bounds' slack, as on real data, so bounds can fall beyond τ.
+	rng := rand.New(rand.NewSource(41))
+	loader := &mapLoader{masks: map[int64]*Mask{}}
+	idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
+	env := &Env{Loader: loader, Index: idx}
+	roi, vr := Rect{2, 3, 13, 14}, ValueRange{Lo: 0.5, Hi: 1.0}
+	terms := []CPTerm{{Region: FixedRegion(roi), Range: vr}}
+	items := make([]VerifyItem, 60)
+	exact := make([]int64, len(items))
+	for i := range items {
+		id, m := int64(i+1), bimodalByteMask(rng, 16, 16)
+		chi, _ := Build(m, idx.Config())
+		loader.masks[id] = m
+		idx.Add(id, chi)
+		items[i] = VerifyItem{ID: id, B: chi.CPBounds(roi, vr)}
+		exact[i] = ExactCP(m, roi, vr)
+	}
+	run := func(gate *TauGate) ([]bool, []int64, Stats) {
+		t.Helper()
+		vals := make([]int64, len(items))
+		skipped, st, err := VerifyEach(context.Background(), env, items, terms, gate, func(i int, v []int64) { vals[i] = v[0] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return skipped, vals, st
+	}
+	const k = 5
+	for _, ord := range []Order{Desc, Asc} {
+		// τ is the coordinator's last push: the k-th best exact score.
+		tt := NewTauTracker(k, ord)
+		for _, v := range exact {
+			tt.Add(v)
+		}
+		tau := tt.tau.Load()
+		beyond := func(v int64) bool { return (ord == Desc && v < tau) || (ord == Asc && v > tau) }
+
+		_, want, open := run(NewTauGate(ord))
+		gate := NewTauGate(ord)
+		gate.Set(tau)
+		skipped, got, st := run(gate)
+		if st.Loaded >= open.Loaded {
+			t.Fatalf("%v τ=%d: gated VerifyEach loaded %d masks, ungated %d — the gate must prune loads", ord, tau, st.Loaded, open.Loaded)
+		}
+		preSkips := 0
+		for i := range items {
+			if gate.Skip(items[i].B) {
+				preSkips++
+				if !skipped[i] {
+					t.Fatalf("%v τ=%d: item %d with bounds %v beyond τ was not skipped", ord, tau, i, items[i].B)
+				}
+			}
+			if skipped[i] && !beyond(exact[i]) {
+				t.Fatalf("%v τ=%d: item %d skipped, but its exact value %d is not beyond τ", ord, tau, i, exact[i])
+			}
+			if !skipped[i] && got[i] != want[i] {
+				t.Fatalf("%v τ=%d: item %d emitted %d, ungated %d", ord, tau, i, got[i], want[i])
+			}
+		}
+		if st.RejectedByBounds != preSkips || st.Loaded+st.RejectedByBounds != len(items) {
+			t.Fatalf("%v τ=%d: stats %+v, want %d rejected before load and Loaded+RejectedByBounds = %d", ord, tau, st, preSkips, len(items))
+		}
+	}
+}
+
 // TestMemoryIndexConcurrency is the satellite stress test: parallel
 // Observe, ChiFor, Add and Encode on one index must be race-free and
 // leave a fully populated, decodable index behind — including while the

@@ -502,6 +502,28 @@ func BenchmarkCPBounds(b *testing.B) {
 	run("rect/oneoff", nil, func(_ *termPlan, i int) Bounds { return chis[i].CPBounds(rect, vr) })
 }
 
+// BenchmarkBuild is the index-build layer, one 128x128 saliency-shaped
+// mask per op at the facade's default granularity, on each mask form:
+// byte (the raw store's masks, a 256-entry LUT per pixel), rle (whole
+// runs folded through the same LUT) and float (a binary search per
+// pixel).
+func BenchmarkBuild(b *testing.B) {
+	rle := benchRLEMask(b)
+	cfg := Config{CellW: 32, CellH: 32, Edges: DefaultEdges(10)}
+	for _, v := range []struct {
+		name string
+		m    *Mask
+	}{{"byte", rle.Decoded()}, {"rle", rle}, {"float", rle.ToFloat()}} {
+		b.Run(v.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Build(v.m, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRefine is the verification layer per loaded mask on the two
 // stored codecs: exact (aggregation, sequential top-k), under a τ that
 // a third of the way in rules the candidate out (worker-pool top-k),

@@ -163,7 +163,7 @@ func TestErrWrapServe(t *testing.T) {
 // path: the same raw calls in a non-persistence package are clean.
 func TestFsyncRenameOutOfScope(t *testing.T) {
 	fset := token.NewFileSet()
-	pkg := fixturePkg(t, fset, "fsyncrename", "masksearch/internal/bench")
+	pkg := fixturePkg(t, fset, "fsyncrename", "masksearch/internal/workload")
 	diags := RunAnalyzers(fset, []*Package{pkg}, []*Analyzer{FsyncRename})
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic outside fsync scope at %s: %s", d.Pos, d.Message)

@@ -102,19 +102,6 @@ func (q TopKQuery) Terms() []core.CPTerm {
 	}}
 }
 
-// LiteralSQL renders the ranking query as an msquery statement with
-// every value inlined. Like FilterQuery.SQL it targets every mask, so
-// use it only for queries drawn over the full catalog.
-func (q TopKQuery) LiteralSQL() string {
-	hi := min(q.VR.Hi, 1.0)
-	ord := "DESC"
-	if q.Order == core.Asc {
-		ord = "ASC"
-	}
-	return fmt.Sprintf("SELECT mask_id FROM masks ORDER BY CP(mask, rect(%d,%d,%d,%d), %s, %s) %s LIMIT %d",
-		q.ROI.X0, q.ROI.Y0, q.ROI.X1, q.ROI.Y1, sqlNum(q.VR.Lo), sqlNum(hi), ord, q.K)
-}
-
 // AggQuery ranks groups by an aggregated CP term.
 type AggQuery struct {
 	Groups []core.Group

@@ -13,7 +13,7 @@
 //	res, err := db.Query(ctx, `SELECT mask_id FROM masks
 //	    WHERE CP(mask, object, 0.8, 1.0) > 200 AND model_id = 1`)
 //
-// The cmd/ tools (msgen, msquery, msinspect, msbench) are thin shells
+// The cmd/ tools msgen, msquery, msinspect and msserve are thin shells
 // over this package.
 package masksearch
 
