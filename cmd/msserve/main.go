@@ -66,9 +66,8 @@ func main() {
 		compactEv  = flag.Duration("compact-every", 0, "fold the WAL into the base layout on this interval (0 = only on POST /compact)")
 		indexEvery = flag.Int("index-every", 0, "checkpoint the CHI index to disk every N acknowledged ingest batches (0 = only at compact/shutdown)")
 		topology   = flag.String("topology", "", "topology file: execute queries through remote msshard nodes (distributed coordinator)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "distributed: hedge a shard request to its replica after this delay (0 = adaptive p95, negative = off)")
+		hedgeAfter = flag.Duration("hedge-after", 0, "distributed: hedge a shard request to its replica after this delay (0 = adaptive p95, verify at 25ms; negative = off)")
 		distRetry  = flag.Int("dist-retries", 0, "distributed: extra failover passes over a shard's route (0 = default 1, negative = off)")
-		noTau      = flag.Bool("no-tau-exchange", false, "distributed: disable pushing the global top-k threshold to shard nodes (baseline mode)")
 	)
 	flag.Parse()
 	if *dbDir == "" {
@@ -84,9 +83,8 @@ func main() {
 		PlanCacheEntries:    *planCache,
 		TopologyFile:        *topology,
 		Dist: masksearch.DistOptions{
-			HedgeAfter:    *hedgeAfter,
-			Retries:       *distRetry,
-			NoTauExchange: *noTau,
+			HedgeAfter: *hedgeAfter,
+			Retries:    *distRetry,
 		},
 	})
 	if err != nil {

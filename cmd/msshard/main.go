@@ -34,15 +34,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"masksearch/internal/core"
 	"masksearch/internal/dist"
+	"masksearch/internal/metrics"
 	"masksearch/internal/store"
 )
 
@@ -158,22 +157,11 @@ func loadIndex(dir string, cfg core.Config) *core.MemoryIndex {
 	return ix
 }
 
-// metric is one /metrics entry in msserve's counters-with-rates shape.
-type metric struct {
-	Type  string  `json:"type"` // "counter" | "gauge"
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Rate  float64 `json:"rate"`
-}
-
 // serveMetrics publishes the node's serving counters and its store's
 // read counters, with per-second rates against the previous scrape.
 func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 	started := time.Now()
-	var mu sync.Mutex
-	prevAt := started
-	prev := map[string]float64{}
-
+	var scrape metrics.Scraper
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -182,7 +170,7 @@ func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		ns := node.Stats()
 		rs := st.Stats()
-		cur := map[string]float64{
+		counters := map[string]float64{
 			"msshard.Conns":      float64(ns.Conns),
 			"msshard.Hellos":     float64(ns.Hellos),
 			"msshard.Filters":    float64(ns.Filters),
@@ -201,25 +189,9 @@ func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 			"msshard.store.CacheMisses": float64(rs.CacheMisses),
 		}
 		now := time.Now()
-		mu.Lock()
-		dt := now.Sub(prevAt).Seconds()
-		rates := make(map[string]float64, len(cur))
-		for k, v := range cur {
-			if p, ok := prev[k]; dt > 0 && (!ok || v >= p) {
-				rates[k] = (v - prev[k]) / dt
-			}
-		}
-		prevAt, prev = now, cur
-		mu.Unlock()
-
-		out := make([]metric, 0, len(cur)+1)
-		for k, v := range cur {
-			out = append(out, metric{Type: "counter", Name: k, Value: v, Rate: rates[k]})
-		}
-		out = append(out, metric{Type: "gauge", Name: "msshard.UptimeSeconds", Value: time.Since(started).Seconds()})
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+		gauges := map[string]float64{"msshard.UptimeSeconds": now.Sub(started).Seconds()}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		json.NewEncoder(w).Encode(scrape.Scrape(started, now, counters, gauges))
 	})
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		log.Printf("metrics listener: %v", err)

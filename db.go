@@ -78,8 +78,8 @@ type Options struct {
 	// see this process's WAL tail) and refuses to open over a dataset
 	// with uncompacted WAL masks.
 	TopologyFile string
-	// Dist tunes the distributed coordinator (hedging, retries,
-	// τ-exchange); ignored without TopologyFile.
+	// Dist tunes the distributed coordinator (hedging, retries, dial
+	// timeout); ignored without TopologyFile.
 	Dist DistOptions
 }
 
@@ -835,7 +835,12 @@ func (db *DB) QueryBatch(ctx context.Context, sqls []string, opts ...QueryOpt) (
 	return db.execBatch(ctx, env, plans, qo)
 }
 
-// run executes a bound plan under the resolved per-query options.
+// run executes a bound plan under the resolved per-query options. Its
+// mask-touching stages run in this process, or on the shard nodes when
+// the DB is distributed; metadata planning, target selection and the
+// ranking drivers run here either way. Distributed results are
+// byte-identical to local ones; only Stats load counts may differ
+// (they depend on τ-update timing, like Options.Workers locally).
 func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error) {
 	env, err := db.envFor(qo)
 	if err != nil {
@@ -855,23 +860,26 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		res.setEmpty()
 		return res, nil
 	}
-	if db.coord != nil {
-		if err := db.checkDistOpts(qo); err != nil {
-			return nil, err
-		}
-		if p.kind == planFilter && len(p.filterTerms) == 0 {
-			// Metadata-only predicate: the catalog already answered it
-			// locally; nothing to ship.
-			res.IDs = targets
-			res.Stats.Targets = len(targets)
-			if p.k > 0 && len(res.IDs) > p.k {
-				res.IDs = res.IDs[:p.k]
-			}
-			return res, nil
-		}
-		return db.runDist(ctx, p, qo, res, targets, view, nConsidered)
+	var stages core.Stages = env
+	filter := func(targets []int64) ([]int64, core.Stats, error) {
+		return core.Filter(ctx, env, targets, p.filterTerms, p.pred)
 	}
-	if qo.eagerBounds {
+	var part *dist.Partial
+	if db.coord != nil {
+		if qo.eagerBounds {
+			// Eager bounds build the coordinator's local index, which
+			// remote execution never consults: the nodes own the bounds
+			// stage.
+			return nil, fmt.Errorf("masksearch: WithEagerBounds is not available on a distributed DB (shard nodes own the bounds stage)")
+		}
+		if qo.degradedOK {
+			part = db.coord.NewPartial()
+		}
+		stages = db.coord.Stages(part)
+		filter = func(targets []int64) ([]int64, core.Stats, error) {
+			return db.coord.Filter(ctx, targets, p.filterTerms, p.pred, part)
+		}
+	} else if qo.eagerBounds {
 		if err := db.ensureBounds(ctx, env, targets); err != nil {
 			return nil, err
 		}
@@ -881,7 +889,7 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 	// runs as a filter stage first.
 	prefiltered := false
 	if p.kind != planFilter && len(p.filterTerms) > 0 {
-		ids, st, err := core.Filter(ctx, env, targets, p.filterTerms, p.pred)
+		ids, st, err := filter(targets)
 		if err != nil {
 			return nil, err
 		}
@@ -892,16 +900,20 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 
 	switch p.kind {
 	case planFilter:
-		if len(p.filterTerms) == 0 {
+		switch {
+		case len(p.filterTerms) == 0:
 			// Metadata-only predicate: the catalog already answered it.
 			res.IDs = targets
 			res.Stats.Targets = len(targets)
-		} else if p.k > 0 {
+		case p.k > 0 && db.coord == nil:
 			if err := db.filterLimited(ctx, env, p, targets, res); err != nil {
 				return nil, err
 			}
-		} else {
-			ids, st, err := core.Filter(ctx, env, targets, p.filterTerms, p.pred)
+		default:
+			// A distributed LIMIT'd filter computes the full answer and
+			// truncates: the early-exit streaming scan is a local
+			// I/O-ordering trick that does not cross the wire.
+			ids, st, err := filter(targets)
 			if err != nil {
 				return nil, err
 			}
@@ -912,7 +924,7 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 			res.IDs = res.IDs[:p.k]
 		}
 	case planTopK:
-		ranked, st, err := core.TopK(ctx, env, targets, p.scoreTerms, 0, p.k, p.order)
+		ranked, st, err := core.TopKOn(ctx, stages, targets, p.scoreTerms, 0, p.k, p.order)
 		if err != nil {
 			return nil, err
 		}
@@ -920,7 +932,7 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		res.Ranked = ranked
 	case planAgg:
 		groups := groupTargets(view, p, targets)
-		ranked, st, err := core.AggTopK(ctx, env, groups, p.scoreTerms, 0, p.agg, p.k, p.order)
+		ranked, st, err := core.AggTopKOn(ctx, stages, groups, p.scoreTerms, 0, p.agg, p.k, p.order)
 		if err != nil {
 			return nil, err
 		}
@@ -934,13 +946,17 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		// considered each candidate mask once.
 		res.Stats.Targets = nConsidered
 	}
+	if part != nil && part.Degraded() {
+		res.Degraded = true
+		res.MissingShards = part.Missing()
+	}
 	return res, nil
 }
 
 // stream executes a bound plan for Stmt.Rows, yielding rows as they
-// are decided. Filter plans emit through core.FilterEmit's chunked
-// scan (so a consumer that stops early skips the tail's loads);
-// ranking and aggregation plans yield their ranked rows once scored.
+// are decided. Local filter plans emit through core.FilterEmit's
+// chunked scan (so a consumer that stops early skips the tail's
+// loads); every other plan yields its materialized rows.
 func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(Row, error) bool) {
 	env, err := db.envFor(qo)
 	if err != nil {
@@ -950,24 +966,10 @@ func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(R
 	if p.k == 0 {
 		return
 	}
-	if db.coord != nil {
-		if err := db.checkDistOpts(qo); err != nil {
-			yield(Row{}, err)
-			return
-		}
-	}
-	// Same snapshot isolation as run: the streamed id space is pinned.
-	targets := db.cat.View().MaskIDs(p.keep)
-	if qo.eagerBounds {
-		if err := db.ensureBounds(ctx, env, targets); err != nil {
-			yield(Row{}, err)
-			return
-		}
-	}
-	if p.kind == planFilter && db.coord != nil && len(p.filterTerms) > 0 {
-		// Distributed filter: the chunked early-exit scan is a local
-		// I/O-ordering trick that does not cross the wire — compute the
-		// full scatter-gathered answer and stream it.
+	if p.kind != planFilter || db.coord != nil {
+		// Ranking plans know their rows only once verification
+		// completes, and the chunked early-exit scan is a local
+		// I/O-ordering trick that does not cross the wire.
 		res, err := db.run(ctx, p, qo)
 		if err != nil {
 			yield(Row{}, err)
@@ -978,47 +980,45 @@ func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(R
 				return
 			}
 		}
+		for _, r := range res.Ranked {
+			if !yield(Row{ID: r.ID, Score: r.Score}, nil) {
+				return
+			}
+		}
 		return
 	}
-	if p.kind == planFilter {
-		if len(p.filterTerms) == 0 {
-			// Metadata-only predicate: stream straight off the catalog.
-			for i, id := range targets {
-				if p.k > 0 && i >= p.k {
-					return
-				}
-				if !yield(Row{ID: id}, nil) {
-					return
-				}
-			}
-			return
-		}
-		emitted := 0
-		stopped := false
-		_, err := core.FilterEmit(ctx, env, targets, p.filterTerms, p.pred, func(id int64) bool {
-			if !yield(Row{ID: id}, nil) {
-				stopped = true
-				return false
-			}
-			emitted++
-			return p.k < 0 || emitted < p.k
-		})
-		if err != nil && !stopped {
+	// Same snapshot isolation as run: the streamed id space is pinned.
+	targets := db.cat.View().MaskIDs(p.keep)
+	if qo.eagerBounds {
+		if err := db.ensureBounds(ctx, env, targets); err != nil {
 			yield(Row{}, err)
-		}
-		return
-	}
-	// Ranking and aggregation plans only know their rows after the
-	// verification stage completes; stream the ranked result.
-	res, err := db.run(ctx, p, qo)
-	if err != nil {
-		yield(Row{}, err)
-		return
-	}
-	for _, r := range res.Ranked {
-		if !yield(Row{ID: r.ID, Score: r.Score}, nil) {
 			return
 		}
+	}
+	if len(p.filterTerms) == 0 {
+		// Metadata-only predicate: stream straight off the catalog.
+		for i, id := range targets {
+			if p.k > 0 && i >= p.k {
+				return
+			}
+			if !yield(Row{ID: id}, nil) {
+				return
+			}
+		}
+		return
+	}
+	emitted := 0
+	stopped := false
+	_, err = core.FilterEmit(ctx, env, targets, p.filterTerms, p.pred, func(id int64) bool {
+		if !yield(Row{ID: id}, nil) {
+			stopped = true
+			return false
+		}
+		emitted++
+		return p.k < 0 || emitted < p.k
+	})
+	if err != nil && !stopped {
+		yield(Row{}, err)
 	}
 }
 

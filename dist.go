@@ -1,7 +1,6 @@
 package masksearch
 
 import (
-	"context"
 	"fmt"
 
 	"masksearch/internal/dist"
@@ -17,9 +16,9 @@ import (
 // into degraded results (WithDegradedResults) AND a shard actually
 // went missing, in which case the Result is flagged.
 
-// DistOptions tunes the coordinator: hedging delay, retry passes,
-// τ-exchange, dial timeout. The zero value hedges adaptively at the
-// observed p95 and retries each shard's route once.
+// DistOptions tunes the coordinator: hedging delay, retry passes, dial
+// timeout. The zero value hedges (adaptively at the observed p95 for
+// filter and bounds requests) and retries each shard's route once.
 type DistOptions = dist.CoordOptions
 
 // DistStats snapshots the coordinator's counters: requests, hedges,
@@ -94,83 +93,4 @@ func addReadStats(a *ReadStats, b ReadStats) {
 	a.CacheMisses += b.CacheMisses
 	a.CacheEvicted += b.CacheEvicted
 	a.TailLoads += b.TailLoads
-}
-
-// runDist executes a bound plan through the coordinator. The plan's
-// metadata work already happened in run (snapshot, target selection,
-// LIMIT 0, metadata-only fast path); this covers every mask-touching
-// stage. Mirrors run's local dispatch stage by stage, so results are
-// byte-identical to local execution; only Stats load counts may differ
-// (they depend on τ-update timing, like Options.Workers locally).
-func (db *DB) runDist(ctx context.Context, p *plan, qo queryOptions, res *Result, targets []int64, view store.CatalogView, nConsidered int) (*Result, error) {
-	var part *dist.Partial
-	if qo.degradedOK {
-		part = db.coord.NewPartial()
-	}
-
-	// A WHERE clause with CP predicates in front of a ranking plan runs
-	// as a remote filter stage first.
-	prefiltered := false
-	if p.kind != planFilter && len(p.filterTerms) > 0 {
-		ids, st, err := db.coord.Filter(ctx, targets, p.filterTerms, p.pred, part)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Merge(st)
-		targets = ids
-		prefiltered = true
-	}
-
-	switch p.kind {
-	case planFilter:
-		// A LIMIT'd filter computes the full distributed answer and
-		// truncates: the scatter already parallelized the scan across
-		// nodes, and the early-exit streaming optimization is a local
-		// I/O-ordering trick that does not translate to remote shards.
-		ids, st, err := db.coord.Filter(ctx, targets, p.filterTerms, p.pred, part)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Merge(st)
-		res.IDs = ids
-		if p.k > 0 && len(res.IDs) > p.k {
-			res.IDs = res.IDs[:p.k]
-		}
-	case planTopK:
-		ranked, st, err := db.coord.TopK(ctx, targets, p.scoreTerms, 0, p.k, p.order, part)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Merge(st)
-		res.Ranked = ranked
-	case planAgg:
-		groups := groupTargets(view, p, targets)
-		ranked, st, err := db.coord.AggTopK(ctx, groups, p.scoreTerms, 0, p.agg, p.k, p.order, part)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Merge(st)
-		res.Ranked = ranked
-	default:
-		return nil, fmt.Errorf("masksearch: unknown plan kind %v", p.kind)
-	}
-	if prefiltered {
-		res.Stats.Targets = nConsidered
-	}
-	if part != nil && part.Degraded() {
-		res.Degraded = true
-		res.MissingShards = part.Missing()
-	}
-	return res, nil
-}
-
-// checkDistOpts rejects per-query options that contradict distributed
-// execution before any work is shipped.
-func (db *DB) checkDistOpts(qo queryOptions) error {
-	if qo.eagerBounds {
-		// Eager bounds build the coordinator's local index, which remote
-		// execution never consults — the nodes own the bounds stage.
-		return fmt.Errorf("masksearch: WithEagerBounds is not available on a distributed DB (shard nodes own the bounds stage)")
-	}
-	return nil
 }

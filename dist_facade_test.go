@@ -113,7 +113,6 @@ func TestDistributedQueryEquivalence(t *testing.T) {
 		{"one node", [][]string{{"a"}, {"a"}}, DistOptions{}},
 		{"one per shard", [][]string{{"a"}, {"b"}}, DistOptions{}},
 		{"replicated hedged", [][]string{{"a", "b"}, {"b", "a"}}, DistOptions{HedgeAfter: time.Millisecond}},
-		{"no tau exchange", [][]string{{"a"}, {"b"}}, DistOptions{NoTauExchange: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,21 +63,21 @@ type bqState struct {
 	// could not decide.
 	keep  []bool
 	undec []bool
-	// BatchTopK.
+	// The ranking kinds: the candidates of ids (BatchTopK's targets,
+	// or every member of BatchAgg's non-empty groups), and k.
+	ids   []int64
+	cands []CandBound
 	k     int
-	cands []tkCand
-	tt    *TauTracker
-	// BatchAgg: candidate groups plus the flat (group, member) list
-	// the bounds stage fans out over.
-	gcands []gcand
-	pairs  [][2]int
+	tt    *TauTracker // BatchTopK
+	// BatchAgg: the groups as runs of cands and their member columns.
+	groups []aggGroup
+	f64    []float64
 }
 
 // consumer is one query's interest in one mask load: qi names the
-// query; for BatchFilter a is the target index, for BatchTopK the
-// candidate index, and for BatchAgg (a, b) is (group, member).
+// query, a the target (BatchFilter) or candidate index.
 type consumer struct {
-	qi, a, b int
+	qi, a int
 }
 
 // ExecBatch executes a multi-query workload (§4.5) as one scheduled
@@ -108,9 +108,10 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 		if len(s.q.Terms) > maxTerms {
 			maxTerms = len(s.q.Terms)
 		}
-		if s.q.Kind != BatchFilter && (int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms)) {
-			return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
-				qi, int(s.q.Score), len(s.q.Terms))
+		if s.q.Kind != BatchFilter {
+			if err := checkScore(s.q.Terms, s.q.Score); err != nil {
+				return nil, fmt.Errorf("batch query %d: %w", qi, err)
+			}
 		}
 		switch s.q.Kind {
 		case BatchFilter:
@@ -125,21 +126,16 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 			for i := range s.q.Targets {
 				units = append(units, unit{qi, i})
 			}
-		case BatchTopK:
+		case BatchTopK, BatchAgg:
 			s.plans = planTerms(s.q.Terms[s.q.Score : s.q.Score+1])
-			s.st.Targets = len(s.q.Targets)
-			s.cands = make([]tkCand, len(s.q.Targets))
-			for i := range s.q.Targets {
-				units = append(units, unit{qi, i})
+			s.ids = s.q.Targets
+			if s.q.Kind == BatchAgg {
+				s.groups, s.ids = flattenGroups(s.q.Groups)
 			}
-		case BatchAgg:
-			s.plans = planTerms(s.q.Terms[s.q.Score : s.q.Score+1])
-			s.gcands = gcandSkeletons(s.q.Groups, &s.st)
-			for gi := range s.gcands {
-				for i := range s.gcands[gi].ids {
-					s.pairs = append(s.pairs, [2]int{gi, i})
-					units = append(units, unit{qi, len(s.pairs) - 1})
-				}
+			s.st.Targets = len(s.ids)
+			s.cands = make([]CandBound, len(s.ids))
+			for i := range s.ids {
+				units = append(units, unit{qi, i})
 			}
 		default:
 			return nil, fmt.Errorf("core: batch query %d: unknown kind %v", qi, s.q.Kind)
@@ -179,17 +175,10 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				return err
 			}
 			s.keep[u.i], s.undec[u.i] = decision == True, decision == Unknown
-		case BatchTopK:
-			c, err := env.topkBound(s.q.Targets[u.i], &s.plans[0], st)
-			if err != nil {
-				return err
-			}
-			s.cands[u.i] = c
-		case BatchAgg:
-			p := s.pairs[u.i]
-			if err := env.memberBound(&s.gcands[p[0]], p[1], &s.plans[0], st); err != nil {
-				return err
-			}
+		default:
+			var err error
+			s.cands[u.i], err = env.boundCand(s.ids[u.i], &s.plans[0], st)
+			return err
 		}
 		return nil
 	})
@@ -213,35 +202,28 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				}
 			}
 		case BatchTopK:
-			s.k = s.q.K
-			if s.k <= 0 || s.k > len(s.cands) {
-				s.k = len(s.cands)
-			}
-			s.cands = topkPrune(s.cands, s.k, s.q.Order, &s.st)
+			s.k = clampK(s.q.K, len(s.cands))
+			s.cands = pruneCands(s.cands, s.k, s.q.Order, &s.st)
 			s.tt = NewTauTracker(s.k, s.q.Order)
-			for i := range s.cands {
-				if s.cands[i].known {
+			for i, c := range s.cands {
+				if c.Known {
 					s.st.AcceptedByBounds++
-					s.tt.Add(s.cands[i].score)
+					s.tt.Add(c.Score)
 				} else {
-					addNeed(s.cands[i].id, consumer{qi: qi, a: i})
+					addNeed(c.ID, consumer{qi: qi, a: i})
 				}
 			}
 		case BatchAgg:
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				gc.lo, gc.hi = aggBounds(s.q.Agg, gc.los, gc.his)
-			}
-			s.k = s.q.K
-			if s.k <= 0 || s.k > len(s.gcands) {
-				s.k = len(s.gcands)
-			}
-			s.gcands = aggPrune(s.gcands, s.k, s.q.Order, &s.st)
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				for i := range gc.ids {
-					if !gc.known[i] {
-						addNeed(gc.ids[i], consumer{qi: qi, a: gi, b: i})
+			s.f64 = make([]float64, 2*len(s.cands))
+			s.groups = boundGroups(s.groups, s.cands, nil, s.q.Agg, s.f64)
+			s.k = clampK(s.q.K, len(s.groups))
+			s.groups = pruneGroups(s.groups, s.k, s.q.Order, &s.st)
+			for _, g := range s.groups {
+				for i := g.off; i < g.off+g.n; i++ {
+					if s.cands[i].Known {
+						s.st.AcceptedByBounds++
+					} else {
+						addNeed(s.cands[i].ID, consumer{qi: qi, a: i})
 					}
 				}
 			}
@@ -266,8 +248,7 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 			active := make([]consumer, 0, len(cons))
 			for _, c := range cons {
 				s := &states[c.qi]
-				if s.q.Kind == BatchTopK && s.tt.Skip(s.cands[c.a].b) {
-					s.cands[c.a].skip = true
+				if s.q.Kind == BatchTopK && s.tt.Skip(s.cands[c.a].B) {
 					wstats[w][c.qi].RejectedByBounds++
 					continue
 				}
@@ -286,14 +267,12 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 						boundsInto(bs, s.plans, chi, id)
 						s.keep[c.a] = decide(s.plans, s.pred, chi, m, id, bs)
 					case BatchTopK:
-						cand := &s.cands[c.a]
-						cand.b = s.plans[0].refine(chi, m, id, s.tt.Skip)
-						if cand.skip = cand.b.Lo != cand.b.Hi; !cand.skip {
-							cand.score = cand.b.Lo
-							s.tt.Add(cand.score)
+						if b := s.plans[0].refine(chi, m, id, s.tt.Skip); b.Lo == b.Hi {
+							s.cands[c.a].Known, s.cands[c.a].Score = true, b.Lo
+							s.tt.Add(b.Lo)
 						}
 					case BatchAgg:
-						s.gcands[c.a].vals[c.b] = float64(s.plans[0].refine(chi, m, id, nil).Lo)
+						s.cands[c.a].Known, s.cands[c.a].Score = true, s.plans[0].refine(chi, m, id, nil).Lo
 					}
 				}
 			})
@@ -317,9 +296,9 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				}
 			}
 		case BatchTopK:
-			res.Ranked = rankCands(s.cands, s.k, s.q.Order)
+			res.Ranked = rankTop(s.cands, s.k, s.q.Order)
 		case BatchAgg:
-			res.Ranked = rankGroups(s.gcands, s.q.Agg, s.k, s.q.Order, &s.st)
+			res.Ranked = rankAgg(s.groups, s.cands, s.q.Agg, s.k, s.q.Order, s.f64)
 		}
 		res.Stats = s.st
 	}

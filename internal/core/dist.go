@@ -2,17 +2,16 @@ package core
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"sync/atomic"
 )
 
-// This file holds the engine primitives the distributed subsystem
-// (internal/dist) builds on. A remote shard node runs exactly the
-// same per-target work the local executors run — filter decisions,
-// candidate bounds, τ-gated verification — so the scatter-gathered
-// result can be byte-identical to single-node execution. The
-// primitives are exported from core rather than reimplemented in dist
-// so the two execution paths cannot drift.
+// This file holds the local stages and the primitives the distributed
+// subsystem (internal/dist) builds on. A remote shard node runs exactly
+// the same per-target work the local executors run — filter decisions,
+// candidate bounds, τ-gated verification — and the coordinator runs the
+// same ranking drivers over a remote core.Stages, so the
+// scatter-gathered result is byte-identical to single-node execution.
 
 // RegionKind discriminates the serializable region descriptions.
 type RegionKind int
@@ -35,10 +34,11 @@ type RegionSpec struct {
 }
 
 // CandBound is one ranking candidate's CHI bounds, in the exported
-// shape the coordinator exchanges with shard nodes. Indexed
-// distinguishes "no CHI" from a CHI whose bounds happen to span the
-// whole range: the aggregation executor widens unindexed members to
-// +Inf, which Bounds alone cannot express.
+// shape the coordinator exchanges with shard nodes. Known marks Score
+// exact: from the bounds, and in the drivers also once verified.
+// Indexed distinguishes "no CHI" from a CHI whose bounds happen to
+// span the whole range: the aggregation executor widens unindexed
+// members to +Inf, which Bounds alone cannot express.
 type CandBound struct {
 	ID      int64  `json:"id"`
 	B       Bounds `json:"b"`
@@ -48,8 +48,8 @@ type CandBound struct {
 }
 
 // boundCand resolves one candidate's score bounds from the index; it
-// is the single bounds rule topkBound, memberBound and the
-// distributed bounds service share.
+// is the single bounds rule of every ranking executor, local, batched
+// and remote.
 func (e *Env) boundCand(id int64, term *termPlan, st *Stats) (CandBound, error) {
 	c := CandBound{ID: id, B: Bounds{Lo: 0, Hi: unknownHi}}
 	chi, err := e.chiFor(id, st)
@@ -98,81 +98,68 @@ func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm
 	return keep, st, nil
 }
 
-// BoundCands resolves every target's score bounds (the TopK bounds
-// stage, and the member-bounds stage of AggTopK) in target order.
-func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]CandBound, Stats, error) {
-	out := make([]CandBound, len(targets))
-	plan := &planTerms([]CPTerm{term})[0]
-	st, err := env.forEach(ctx, len(targets), nil, func(_, i int, st *Stats) (err error) {
-		out[i], err = env.boundCand(targets[i], plan, st)
+// Bounds is the local bounds stage: every id's score bounds from the
+// index, fanned out over the worker pool when there is one. Every id is
+// answered.
+func (e *Env) Bounds(ctx context.Context, ids []int64, term *ScoreTerm) ([]CandBound, []bool, Stats, error) {
+	cands := make([]CandBound, len(ids))
+	st, err := e.forEach(ctx, len(ids), nil, func(_, i int, st *Stats) (err error) {
+		cands[i], err = e.boundCand(ids[i], &term.plan, st)
 		return err
 	})
-	st.Targets = len(targets)
+	st.Targets = len(ids)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, st, err
 	}
-	return out, st, nil
+	return cands, nil, st, nil
 }
 
-// PruneCands applies TopK's static pruning rule to an exported
-// candidate slice: candidates whose upper bound is strictly worse than
-// the k-th best lower bound can never place, so the coordinator drops
-// them before shipping any verification work. Same rule, same
-// tie-keeping as the local engine (both call pruneByBounds). A k
-// outside (0, len) keeps every candidate.
-func PruneCands(cands []CandBound, k int, ord Order, st *Stats) []CandBound {
-	if k <= 0 || k >= len(cands) {
-		return cands
+// Verify is the local verification stage. On the worker pool it skips
+// by gate; the sequential engine verifies every item, so its counts
+// are the reference the pool's are compared against.
+func (e *Env) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error) {
+	if !e.pooled(len(items)) {
+		gate = nil
 	}
-	return pruneByBounds(cands, k, ord,
-		func(c CandBound) int64 { return c.B.Lo },
-		func(c CandBound) int64 { return c.B.Hi },
-		func(CandBound) { st.RejectedByBounds++ })
+	return e.verifyItems(ctx, items, &term.plan, gate, land)
 }
 
-// GroupBound is one aggregation group's aggregate bounds in exported
-// form; N is the member count (group pruning rejects all members).
-type GroupBound struct {
-	Key    int64
-	Lo, Hi float64
-	N      int
-}
-
-// PruneGroupBounds applies AggTopK's static group pruning rule. A k
-// outside (0, len) keeps every group.
-func PruneGroupBounds(gs []GroupBound, k int, ord Order, st *Stats) []GroupBound {
-	if k <= 0 || k >= len(gs) {
-		return gs
+// verifyItems loads and refines every item the gate does not skip,
+// landing each exact score. The gate is checked before each load and
+// watches the loaded mask's refinement: an item it rejects mid-scan is
+// not landed (and still counts as Loaded).
+func (e *Env) verifyItems(ctx context.Context, items []VerifyItem, plan *termPlan, gate *TauGate, land func(i int, score int64)) (Stats, error) {
+	var stop func(Bounds) bool
+	if gate != nil {
+		stop = gate.Skip
 	}
-	return pruneByBounds(gs, k, ord,
-		func(g GroupBound) float64 { return g.Lo },
-		func(g GroupBound) float64 { return g.Hi },
-		func(g GroupBound) { st.RejectedByBounds += g.N })
-}
-
-// AggMemberBounds folds exported member bounds into los/his/known/
-// exact in the exact shape AggTopK's member-bounds stage produces
-// (unindexed members widen to +Inf via the same memberBound rule the
-// local engine uses, because boundCand is shared).
-func AggMemberBounds(agg Agg, cands []CandBound) (lo, hi float64) {
-	los := make([]float64, len(cands))
-	his := make([]float64, len(cands))
-	for i, c := range cands {
-		los[i] = float64(c.B.Lo)
-		if c.Indexed {
-			his[i] = float64(c.B.Hi)
-		} else {
-			his[i] = math.Inf(1)
+	return e.forEach(ctx, len(items), func(i int) int64 { return items[i].ID }, func(_, i int, st *Stats) error {
+		id := items[i].ID
+		if stop != nil && stop(items[i].B) {
+			st.RejectedByBounds++
+			return nil
 		}
-	}
-	return aggBounds(agg, los, his)
+		var b Bounds
+		err := e.verify(id, st, func(chi *CHI, m *Mask) { b = plan.refine(chi, m, id, stop) })
+		if err == nil && b.Lo == b.Hi {
+			land(i, b.Lo)
+		}
+		return err
+	})
 }
 
-// TauGate is the remote half of TauTracker: a shard node's
-// verification loop consults it before each mask load, and the
-// coordinator (the sole τ authority) advances it as exact scores land
-// anywhere in the cluster. Set only ever receives a τ the tracker
-// derived from really-landed scores, so a stale gate is merely
+// BoundCands resolves every target's score bounds in target order: the
+// bounds stage a shard node serves.
+func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]CandBound, Stats, error) {
+	cands, _, st, err := env.Bounds(ctx, targets, newScoreTerm(term))
+	return cands, st, err
+}
+
+// TauGate is the threshold a verification loop skips by: a candidate
+// whose bounds are strictly worse than τ can never place. The top-k
+// driver's TauTracker is one, advanced as exact scores land; a shard
+// node's is advanced by the coordinator's pushes. Set only ever
+// receives a τ that k landed scores justify, so a stale gate is merely
 // conservative — exactly the property that keeps skips sound.
 type TauGate struct {
 	ord  Order
@@ -191,8 +178,9 @@ func (g *TauGate) Set(tau int64) {
 	g.full.Store(true)
 }
 
-// Skip mirrors TauTracker.Skip: strictly-worse-than-τ candidates can
-// never place.
+// Skip reports whether a candidate with bounds b provably cannot reach
+// the k-th rank. Reading a stale τ only makes the check more
+// conservative, so no lock is needed.
 func (g *TauGate) Skip(b Bounds) bool {
 	if !g.full.Load() {
 		return false
@@ -203,6 +191,18 @@ func (g *TauGate) Skip(b Bounds) bool {
 	return b.Lo > g.tau.Load()
 }
 
+// Threshold reports the current τ; ok is false until one is set
+// (before that no candidate may be skipped).
+func (g *TauGate) Threshold() (tau int64, ok bool) {
+	if !g.full.Load() {
+		return 0, false
+	}
+	return g.tau.Load(), true
+}
+
+// Order reports the ranking direction the gate skips for.
+func (g *TauGate) Order() Order { return g.ord }
+
 // VerifyItem is one verification work item: the candidate and the
 // bounds its gate check uses.
 type VerifyItem struct {
@@ -210,41 +210,24 @@ type VerifyItem struct {
 	B  Bounds `json:"b"`
 }
 
-// VerifyEach loads and exactly evaluates every item the gate does not
-// skip, calling emit(i, vals) with the item's index and its exact
-// per-term values. A nil gate verifies everything (the aggregation
-// stage, and the no-exchange baseline). Gate skips are counted as
-// RejectedByBounds, matching the worker-pool TopK engine; with a single
-// term the gate also watches a loaded mask's refinement, and an item it
-// rejects mid-scan is reported skipped too (still counted as Loaded).
-// emit may be called concurrently when env.Exec runs a pool; the
-// skipped flags are per-item and written before VerifyEach returns.
+// VerifyEach loads and exactly evaluates the score term — terms must
+// hold exactly one — on every item the gate does not skip, calling
+// emit(i, vals) with the item's index and its exact value as vals[0].
+// A nil gate verifies everything; a set gate skips at every worker
+// count, before a load (counted as RejectedByBounds) or mid-scan. emit
+// may be called concurrently when env.Exec runs a pool; the returned
+// flags mark the items not emitted.
 func VerifyEach(ctx context.Context, env *Env, items []VerifyItem, terms []CPTerm, gate *TauGate, emit func(i int, vals []int64)) ([]bool, Stats, error) {
-	skipped := make([]bool, len(items))
-	plans := planTerms(terms)
-	var stop func(Bounds) bool
-	if gate != nil && len(terms) == 1 {
-		stop = gate.Skip
+	if len(terms) != 1 {
+		return nil, Stats{}, fmt.Errorf("core: VerifyEach evaluates one score term, got %d", len(terms))
 	}
-	st, err := env.forEach(ctx, len(items), func(i int) int64 { return items[i].ID }, func(_, i int, st *Stats) error {
-		id := items[i].ID
-		if gate != nil && gate.Skip(items[i].B) {
-			skipped[i] = true
-			st.RejectedByBounds++
-			return nil
-		}
-		vals := make([]int64, len(plans))
-		err := env.verify(id, st, func(chi *CHI, m *Mask) {
-			for t := range plans {
-				b := plans[t].refine(chi, m, id, stop)
-				skipped[i] = skipped[i] || b.Lo != b.Hi
-				vals[t] = b.Lo
-			}
-		})
-		if err == nil && !skipped[i] {
-			emit(i, vals)
-		}
-		return err
+	skipped := make([]bool, len(items))
+	for i := range skipped {
+		skipped[i] = true
+	}
+	st, err := env.verifyItems(ctx, items, &newScoreTerm(terms[0]).plan, gate, func(i int, score int64) {
+		skipped[i] = false
+		emit(i, []int64{score})
 	})
 	return skipped, st, err
 }

@@ -140,14 +140,14 @@ func shardQueues(loader MaskLoader, n int, idOf func(i int) int64) [][]int {
 
 // fanOutLoads is fanOut for load-heavy stages: when the loader is
 // sharded it hands out work shard by shard (fanOutSharded) so the
-// shards' files and caches serve parallel worker slices; otherwise it
-// falls back to the flat atomic-cursor fanOut. The per-item work is
-// identical either way — only the visiting order changes — so any
-// stage whose outcome is independent per item (every bounds and
-// verification stage is: results land in caller-indexed slots) keeps
-// byte-identical results and stats.
+// shards' files and caches serve parallel worker slices; otherwise, or
+// with a nil idOf, it falls back to the flat atomic-cursor fanOut. The
+// per-item work is identical either way — only the visiting order
+// changes — so any stage whose outcome is independent per item (every
+// bounds and verification stage is: results land in caller-indexed
+// slots) keeps byte-identical results and stats.
 func fanOutLoads(ctx context.Context, loader MaskLoader, workers, n int, idOf func(i int) int64, fn func(worker, i int) error) error {
-	if workers > 1 {
+	if workers > 1 && idOf != nil {
 		if queues := shardQueues(loader, n, idOf); queues != nil {
 			return fanOutSharded(ctx, workers, n, queues, fn)
 		}
@@ -231,71 +231,58 @@ func fanOutSharded(ctx context.Context, workers, n int, queues [][]int, fn func(
 	return nil
 }
 
-// fanStats is fanOut — fanOutLoads over loader when idOf is non-nil —
-// with a private Stats per worker, merged into the returned total.
-// Workers never set Targets (the caller sets it once for the whole
-// query). Every worker bumps its slot once per mask, so the slots are
-// padded by a full cache line: two never share one, and no line
-// bounces between cores in the hot path.
-func fanStats(ctx context.Context, loader MaskLoader, workers, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
+// forEach runs fn(w, i, st) for every i in [0, n): on the env's worker
+// pool when it has one and n is worth it, otherwise in order as worker
+// 0, polling ctx. Load-heavy stages pass idOf so the pool hands work
+// out shard by shard (fanOutLoads). Each pool worker accumulates a
+// private Stats, merged into the returned total; it bumps its slot once
+// per mask, so the slots are padded by a full cache line and no line
+// bounces between cores in the hot path. fn never sets Targets (the
+// caller sets it once for the whole query).
+func (e *Env) forEach(ctx context.Context, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
+	var st Stats
+	if !e.pooled(n) {
+		for i := 0; i < n; i++ {
+			if err := CheckCtx(ctx, i); err != nil {
+				return st, err
+			}
+			if err := fn(0, i, &st); err != nil {
+				return st, err
+			}
+		}
+		return st, nil
+	}
 	wstats := make([]struct {
 		Stats
 		_ [64]byte
-	}, workers)
-	run := func(w, i int) error { return fn(w, i, &wstats[w].Stats) }
-	var err error
-	if idOf != nil {
-		err = fanOutLoads(ctx, loader, workers, n, idOf, run)
-	} else {
-		err = fanOut(ctx, workers, n, run)
-	}
-	var st Stats
+	}, e.Exec.workers())
+	err := fanOutLoads(ctx, e.Loader, len(wstats), n, idOf, func(w, i int) error { return fn(w, i, &wstats[w].Stats) })
 	for w := range wstats {
 		st.Merge(wstats[w].Stats)
 	}
 	return st, err
 }
 
-// forEach runs fn(w, i, st) for every i in [0, n): through fanStats on
-// the env's worker pool when it has one and n is worth it, otherwise in
-// order as worker 0, polling ctx.
-func (e *Env) forEach(ctx context.Context, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
-	if w := e.Exec.workers(); w > 1 && n >= minParallelTargets {
-		return fanStats(ctx, e.Loader, w, n, idOf, fn)
-	}
-	var st Stats
-	for i := 0; i < n; i++ {
-		if err := CheckCtx(ctx, i); err != nil {
-			return st, err
-		}
-		if err := fn(0, i, &st); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
-}
+// pooled reports whether forEach runs n items on the worker pool.
+func (e *Env) pooled(n int) bool { return e.Exec.workers() > 1 && n >= minParallelTargets }
 
-// TauTracker maintains the k-th best exact score seen so far as a
-// shared, atomically readable threshold. For Desc it keeps a min-heap
-// of the k largest scores (the root is τ); for Asc a max-heap of the
-// k smallest. A candidate whose upper bound is strictly worse than τ
-// cannot tie with — let alone beat — any of the k tracked candidates,
-// so skipping it can never change the top-k result. It is exported
-// (alongside TauGate) for the distributed coordinator, which is the
-// single τ authority of a scatter-gathered TopK: every exact score
-// from every shard lands here, and the refined threshold is pushed
-// back to the remote nodes' gates.
+// TauTracker maintains the k-th best exact score seen so far as the
+// threshold of its TauGate. For Desc it keeps a min-heap of the k
+// largest scores (the root is τ); for Asc a max-heap of the k smallest.
+// A candidate whose upper bound is strictly worse than τ cannot tie
+// with — let alone beat — any of the k tracked candidates, so skipping
+// it can never change the top-k result. The top-k driver keeps one per
+// query: every exact score, local or from any shard, lands here, and
+// the gate is what local workers and remote nodes skip by.
 type TauTracker struct {
-	mu   sync.Mutex
-	ord  Order
-	k    int
-	h    []int64
-	tau  atomic.Int64
-	full atomic.Bool
+	TauGate
+	mu sync.Mutex
+	k  int
+	h  []int64
 }
 
 func NewTauTracker(k int, ord Order) *TauTracker {
-	return &TauTracker{ord: ord, k: k, h: make([]int64, 0, k)}
+	return &TauTracker{TauGate: TauGate{ord: ord}, k: k, h: make([]int64, 0, k)}
 }
 
 // rootWorse reports whether a ranks strictly worse than b (the heap
@@ -324,8 +311,7 @@ func (t *TauTracker) Add(s int64) {
 			i = p
 		}
 		if len(t.h) == t.k {
-			t.tau.Store(t.h[0])
-			t.full.Store(true)
+			t.Set(t.h[0])
 		}
 		return
 	}
@@ -349,167 +335,7 @@ func (t *TauTracker) Add(s int64) {
 		t.h[i], t.h[worst] = t.h[worst], t.h[i]
 		i = worst
 	}
-	t.tau.Store(t.h[0])
-}
-
-// Skip reports whether a candidate with bounds b provably cannot
-// reach the k-th rank given the scores landed so far. Reading a stale
-// τ only makes the check more conservative, so no lock is needed.
-func (t *TauTracker) Skip(b Bounds) bool {
-	if !t.full.Load() {
-		return false
-	}
-	if t.ord == Desc {
-		return b.Hi < t.tau.Load()
-	}
-	return b.Lo > t.tau.Load()
-}
-
-// Threshold reports the current τ; ok is false until k scores have
-// landed (before that no candidate may be skipped).
-func (t *TauTracker) Threshold() (tau int64, ok bool) {
-	if !t.full.Load() {
-		return 0, false
-	}
-	return t.tau.Load(), true
-}
-
-// topkPar is the worker-pool TopK engine: parallel bounds, static
-// pruning identical to the sequential engine, then parallel
-// verification under a shared refining τ that also watches each loaded
-// mask's refinement — a candidate whose narrowed bounds fall below τ
-// mid-scan is dropped exactly like one skipped before its load.
-func topkPar(ctx context.Context, env *Env, targets []int64, plan *termPlan, k int, ord Order, workers int) ([]Scored, Stats, error) {
-	cands := make([]tkCand, len(targets))
-	st, err := fanStats(ctx, nil, workers, len(targets), nil, func(_, i int, st *Stats) (err error) {
-		cands[i], err = env.topkBound(targets[i], plan, st)
-		return err
-	})
-	st.Targets = len(targets)
-	if err != nil {
-		return nil, st, err
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = topkPrune(cands, k, ord, &st)
-
-	tt := NewTauTracker(k, ord)
-	unknown := make([]int, 0, len(cands))
-	for i := range cands {
-		if cands[i].known {
-			st.AcceptedByBounds++
-			tt.Add(cands[i].score)
-		} else {
-			unknown = append(unknown, i)
-		}
-	}
-	vst, err := fanStats(ctx, env.Loader, workers, len(unknown), func(ui int) int64 { return cands[unknown[ui]].id },
-		func(_, ui int, st *Stats) error {
-			c := &cands[unknown[ui]]
-			if tt.Skip(c.b) {
-				c.skip = true
-				st.RejectedByBounds++
-				return nil
-			}
-			err := env.verify(c.id, st, func(chi *CHI, m *Mask) { c.b = plan.refine(chi, m, c.id, tt.Skip) })
-			if c.skip = c.b.Lo != c.b.Hi; err == nil && !c.skip {
-				c.score = c.b.Lo
-				tt.Add(c.score)
-			}
-			return err
-		})
-	st.Merge(vst)
-	if err != nil {
-		return nil, st, err
-	}
-	return rankCands(cands, k, ord), st, nil
-}
-
-// rankCands turns the verified candidates that were not skipped into
-// the final ranking.
-func rankCands(cands []tkCand, k int, ord Order) []Scored {
-	out := make([]Scored, 0, len(cands))
-	for i := range cands {
-		if !cands[i].skip {
-			out = append(out, Scored{ID: cands[i].id, Score: float64(cands[i].score)})
-		}
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// aggPar is the worker-pool AggTopK engine: member bounds and member
-// verification fan out over a flat (group, member) work list; pruning
-// and aggregation match the sequential engine exactly.
-func aggPar(ctx context.Context, env *Env, cands []gcand, plan *termPlan, agg Agg, k int, ord Order, workers int, st Stats) ([]Scored, Stats, error) {
-	type pair struct{ g, i int }
-	pairs := make([]pair, 0, st.Targets)
-	for gi := range cands {
-		for i := range cands[gi].ids {
-			pairs = append(pairs, pair{gi, i})
-		}
-	}
-	bst, err := fanStats(ctx, nil, workers, len(pairs), nil, func(_, pi int, st *Stats) error {
-		return env.memberBound(&cands[pairs[pi].g], pairs[pi].i, plan, st)
-	})
-	st.Merge(bst)
-	if err != nil {
-		return nil, st, err
-	}
-	for gi := range cands {
-		cands[gi].lo, cands[gi].hi = aggBounds(agg, cands[gi].los, cands[gi].his)
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = aggPrune(cands, k, ord, &st)
-
-	pairs = pairs[:0]
-	for gi := range cands {
-		for i := range cands[gi].ids {
-			if !cands[gi].known[i] {
-				pairs = append(pairs, pair{gi, i})
-			}
-		}
-	}
-	vst, err := fanStats(ctx, env.Loader, workers, len(pairs), func(pi int) int64 { return cands[pairs[pi].g].ids[pairs[pi].i] },
-		func(_, pi int, st *Stats) error {
-			gc, i := &cands[pairs[pi].g], pairs[pi].i
-			return env.verify(gc.ids[i], st, func(chi *CHI, m *Mask) {
-				gc.vals[i] = float64(plan.refine(chi, m, gc.ids[i], nil).Lo)
-			})
-		})
-	st.Merge(vst)
-	if err != nil {
-		return nil, st, err
-	}
-	return rankGroups(cands, agg, k, ord, &st), st, nil
-}
-
-// rankGroups aggregates the surviving groups' member values — exact
-// from the bounds for known members (counted accepted here), verified
-// for the rest — into the final ranking.
-func rankGroups(cands []gcand, agg Agg, k int, ord Order, st *Stats) []Scored {
-	out := make([]Scored, 0, len(cands))
-	for gi := range cands {
-		gc := &cands[gi]
-		for i := range gc.ids {
-			if gc.known[i] {
-				st.AcceptedByBounds++
-				gc.vals[i] = float64(gc.exact[i])
-			}
-		}
-		out = append(out, Scored{ID: gc.key, Score: AggExact(agg, gc.vals)})
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+	t.Set(t.h[0])
 }
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,

@@ -12,22 +12,159 @@ import (
 // it forces the mask into the candidate set so it gets verified.
 const unknownHi = int64(math.MaxInt64 / 4)
 
-// tkCand is one Top-K candidate between the bounds and verification
-// stages.
-type tkCand struct {
-	id    int64
-	b     Bounds
-	known bool
-	score int64
-	// skip marks candidates the parallel engine proved out of the
-	// top k after static pruning (dynamic τ refinement).
-	skip bool
+// Stages is where a ranking query's per-mask work runs: *Env runs it in
+// this process, internal/dist on remote shard nodes. The drivers
+// (TopKOn, AggTopKOn) own everything between the two stages — static
+// pruning, τ, aggregation, the final sort — so every place that runs
+// the stages returns the same ranking.
+type Stages interface {
+	// Bounds resolves each id's score bounds, in id order. answered[i]
+	// is false when id i's shard did not answer (a degraded remote
+	// query); a nil answered means every id was answered.
+	Bounds(ctx context.Context, ids []int64, term *ScoreTerm) (cands []CandBound, answered []bool, st Stats, err error)
+	// Verify computes items' exact scores, calling land(i, score) at
+	// most once per item, possibly concurrently. It never lands an item
+	// whose shard did not answer, and with a non-nil gate it may skip
+	// any item the gate proves out of the top k, before or during its
+	// load (skips before a load count as RejectedByBounds).
+	Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error)
 }
 
-// topkBound fills one candidate from the index.
-func (e *Env) topkBound(id int64, term *termPlan, st *Stats) (tkCand, error) {
-	c, err := e.boundCand(id, term, st)
-	return tkCand{id: c.ID, b: c.B, known: c.Known, score: c.Score}, err
+// ScoreTerm is a ranking query's score term as the stages receive it:
+// the CPTerm, which remote stages ship, and its plan, built once per
+// query, which the local stages evaluate.
+type ScoreTerm struct {
+	CPTerm
+	plan termPlan
+}
+
+func newScoreTerm(t CPTerm) *ScoreTerm {
+	s := &ScoreTerm{CPTerm: t}
+	s.plan.region, s.plan.rc = t.Region, newRangeCounter(t.Range)
+	return s
+}
+
+func checkScore(terms []CPTerm, score Term) error {
+	if int(score) < 0 || int(score) >= len(terms) {
+		return fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
+	}
+	return nil
+}
+
+// clampK maps k <= 0 ("all") and k beyond the candidates to n.
+func clampK(k, n int) int {
+	if k <= 0 || k > n {
+		return n
+	}
+	return k
+}
+
+// TopK ranks targets by the exact value of terms[score] and returns
+// the best k in the requested order (ties break toward smaller ids).
+// CHI bounds prune targets that provably cannot reach the k-th rank;
+// only surviving candidates with inexact bounds are loaded. With a
+// worker pool configured the bounds and verification stages fan out;
+// the returned ranking is identical to the sequential engine's, but
+// the pool additionally refines τ as exact scores land, so the
+// verification stage may skip (and not load) candidates the
+// sequential engine would have loaded.
+func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
+	return TopKOn(ctx, env, targets, terms, score, k, ord)
+}
+
+// AggTopK groups masks, aggregates the exact value of terms[score]
+// within each group with agg, and returns the top-k groups. Group
+// bounds are derived from member CHI bounds; groups that provably
+// cannot rank are pruned before any mask is loaded. The worker-pool
+// engine fans both the member-bounds and member-verification stages
+// out across goroutines with results and stats identical to the
+// sequential engine.
+func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
+	return AggTopKOn(ctx, env, groups, terms, score, agg, k, ord)
+}
+
+// TopKOn is the one top-k driver: bounds, static pruning, the
+// candidates whose bounds are exact land first, the rest are verified
+// under the τ their scores refine, and the landed scores are ranked.
+// Targets whose shard did not answer are dropped.
+func TopKOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
+	if err := checkScore(terms, score); err != nil {
+		return nil, Stats{}, err
+	}
+	t := newScoreTerm(terms[score])
+	cands, answered, st, err := s.Bounds(ctx, targets, t)
+	if err != nil {
+		return nil, st, err
+	}
+	if answered != nil {
+		live := cands[:0]
+		for i, c := range cands {
+			if answered[i] {
+				live = append(live, c)
+			}
+		}
+		cands = live
+	}
+	k = clampK(k, len(cands))
+	cands = pruneCands(cands, k, ord, &st)
+	tt := NewTauTracker(k, ord)
+	items, at := make([]VerifyItem, 0, len(cands)), make([]int, 0, len(cands))
+	for i, c := range cands {
+		if c.Known {
+			st.AcceptedByBounds++
+			tt.Add(c.Score)
+		} else {
+			items, at = append(items, VerifyItem{ID: c.ID, B: c.B}), append(at, i)
+		}
+	}
+	vst, err := s.Verify(ctx, items, t, &tt.TauGate, func(j int, score int64) {
+		cands[at[j]].Known, cands[at[j]].Score = true, score
+		tt.Add(score)
+	})
+	st.Merge(vst)
+	if err != nil {
+		return nil, st, err
+	}
+	return rankTop(cands, k, ord), st, nil
+}
+
+// AggTopKOn is the one aggregation driver: member bounds, group bounds
+// and group pruning, then every unknown member of a surviving group is
+// verified and the groups' aggregates ranked. A group with a member
+// whose shard did not answer is dropped whole: a partial aggregate
+// would be wrong, not partial.
+func AggTopKOn(ctx context.Context, s Stages, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
+	if err := checkScore(terms, score); err != nil {
+		return nil, Stats{}, err
+	}
+	t := newScoreTerm(terms[score])
+	gs, ids := flattenGroups(groups)
+	cands, answered, st, err := s.Bounds(ctx, ids, t)
+	if err != nil {
+		return nil, st, err
+	}
+	f64 := make([]float64, 2*len(cands))
+	gs = boundGroups(gs, cands, answered, agg, f64)
+	k = clampK(k, len(gs))
+	gs = pruneGroups(gs, k, ord, &st)
+	items, at := make([]VerifyItem, 0, len(cands)), make([]int, 0, len(cands))
+	for _, g := range gs {
+		for i := g.off; i < g.off+g.n; i++ {
+			if cands[i].Known {
+				st.AcceptedByBounds++
+			} else {
+				items, at = append(items, VerifyItem{ID: cands[i].ID, B: cands[i].B}), append(at, i)
+			}
+		}
+	}
+	vst, err := s.Verify(ctx, items, t, nil, func(j int, score int64) {
+		cands[at[j]].Known, cands[at[j]].Score = true, score
+	})
+	st.Merge(vst)
+	if err != nil {
+		return nil, st, err
+	}
+	return rankAgg(gs, cands, agg, k, ord, f64), st, nil
 }
 
 // pruneByBounds is the one static-τ pruning rule every ranking
@@ -96,200 +233,116 @@ func selectNth[V cmp.Ordered](s []V, n int) V {
 	return s[n]
 }
 
-// topkPrune drops candidates whose bounds provably cannot reach the
-// k-th rank (static τ from the k-th best guaranteed score). Requires
-// 0 < k <= len(cands); it mutates cands in place and returns the
-// survivors.
-func topkPrune(cands []tkCand, k int, ord Order, st *Stats) []tkCand {
+// pruneCands drops candidates whose bounds provably cannot reach the
+// k-th rank. Requires 0 <= k <= len(cands); it mutates cands in place
+// and returns the survivors.
+func pruneCands(cands []CandBound, k int, ord Order, st *Stats) []CandBound {
 	return pruneByBounds(cands, k, ord,
-		func(c tkCand) int64 { return c.b.Lo },
-		func(c tkCand) int64 { return c.b.Hi },
-		func(tkCand) { st.RejectedByBounds++ })
+		func(c CandBound) int64 { return c.B.Lo },
+		func(c CandBound) int64 { return c.B.Hi },
+		func(CandBound) { st.RejectedByBounds++ })
 }
 
-// TopK ranks targets by the exact value of terms[score] and returns
-// the best k in the requested order (ties break toward smaller ids).
-// CHI bounds prune targets that provably cannot reach the k-th rank;
-// only surviving candidates with inexact bounds are loaded. With a
-// worker pool configured the bounds and verification stages fan out;
-// the returned ranking is identical to the sequential engine's, but
-// the pool additionally refines τ as exact scores land, so the
-// verification stage may skip (and not load) candidates the
-// sequential engine would have loaded.
-func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, Stats{}, fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	plan := &planTerms(terms[score : score+1])[0]
-	if w := env.Exec.workers(); w > 1 && len(targets) >= minParallelTargets {
-		return topkPar(ctx, env, targets, plan, k, ord, w)
-	}
-	st := Stats{Targets: len(targets)}
-	cands := make([]tkCand, 0, len(targets))
-	for i, id := range targets {
-		if err := CheckCtx(ctx, i); err != nil {
-			return nil, st, err
-		}
-		c, err := env.topkBound(id, plan, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		cands = append(cands, c)
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = topkPrune(cands, k, ord, &st)
-	nv := 0
-	for i := range cands {
-		c := &cands[i]
-		if c.known {
-			st.AcceptedByBounds++
-			continue
-		}
-		// Poll here too, on a dedicated verification counter (the
-		// candidate index would skip polls whenever bounds-exact
-		// candidates land on the 256-multiples): the verification
-		// loop is where a query spends its time, so cancellation
-		// mid-verification must not wait for the loop to drain.
-		if err := CheckCtx(ctx, nv); err != nil {
-			return nil, st, err
-		}
-		nv++
-		err := env.verify(c.id, &st, func(chi *CHI, m *Mask) { c.score = plan.refine(chi, m, c.id, nil).Lo })
-		if err != nil {
-			return nil, st, err
+// rankTop ranks the candidates whose exact score is known (bounds-exact
+// or verified); the rest were skipped by τ or lost with their shard.
+func rankTop(cands []CandBound, k int, ord Order) []Scored {
+	out := make([]Scored, 0, len(cands))
+	for _, c := range cands {
+		if c.Known {
+			out = append(out, Scored{ID: c.ID, Score: float64(c.Score)})
 		}
 	}
-	return rankCands(cands, k, ord), st, nil
+	return topOf(out, k, ord)
 }
 
-// gcand is one aggregation-query candidate group.
-type gcand struct {
-	key      int64
-	ids      []int64
-	lo, hi   float64
-	los, his []float64
-	known    []bool
-	exact    []int64
-	vals     []float64
+// aggGroup is one non-empty group of an aggregation query: its members
+// are [off, off+n) of the query's flat member list, and lo/hi its
+// aggregate bounds.
+type aggGroup struct {
+	key    int64
+	off, n int
+	lo, hi float64
 }
 
-// gcandSkeletons allocates the per-group state, skipping empty groups.
-// The per-member columns of all groups are carved out of three flat
-// arrays: three allocations per query instead of five per group.
-func gcandSkeletons(groups []Group, st *Stats) []gcand {
-	for _, g := range groups {
-		st.Targets += len(g.IDs)
-	}
-	n := st.Targets
-	f64 := make([]float64, 3*n)
-	los, his, vals := f64[:n:n], f64[n:2*n:2*n], f64[2*n:]
-	known, exact := make([]bool, n), make([]int64, n)
-	cands := make([]gcand, 0, len(groups))
-	for _, g := range groups {
-		m := len(g.IDs)
-		if m == 0 {
-			continue
-		}
-		cands = append(cands, gcand{
-			key: g.Key, ids: g.IDs,
-			los: los[:m:m], his: his[:m:m], vals: vals[:m:m], known: known[:m:m], exact: exact[:m:m],
-		})
-		los, his, vals, known, exact = los[m:], his[m:], vals[m:], known[m:], exact[m:]
-	}
-	return cands
-}
-
-// memberBound resolves one group member's score bounds. An unindexed
-// member's upper bound is +Inf (not unknownHi) so the group's
-// aggregate bound stays admissible for every aggregate.
-func (e *Env) memberBound(gc *gcand, i int, term *termPlan, st *Stats) error {
-	c, err := e.boundCand(gc.ids[i], term, st)
-	if err != nil {
-		return err
-	}
-	gc.known[i], gc.exact[i] = c.Known, c.Score
-	gc.los[i] = float64(c.B.Lo)
-	if c.Indexed {
-		gc.his[i] = float64(c.B.Hi)
-	} else {
-		gc.his[i] = math.Inf(1)
-	}
-	return nil
-}
-
-// aggPrune drops groups whose aggregate bounds provably cannot reach
-// the k-th rank. Requires 0 < k <= len(cands).
-func aggPrune(cands []gcand, k int, ord Order, st *Stats) []gcand {
-	return pruneByBounds(cands, k, ord,
-		func(c gcand) float64 { return c.lo },
-		func(c gcand) float64 { return c.hi },
-		func(c gcand) { st.RejectedByBounds += len(c.ids) })
-}
-
-// AggTopK groups masks, aggregates the exact value of terms[score]
-// within each group with agg, and returns the top-k groups. Group
-// bounds are derived from member CHI bounds; groups that provably
-// cannot rank are pruned before any mask is loaded. The worker-pool
-// engine fans both the member-bounds and member-verification stages
-// out across goroutines with results and stats identical to the
-// sequential engine.
-func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, Stats{}, fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	var st Stats
-	cands := gcandSkeletons(groups, &st)
-	plan := &planTerms(terms[score : score+1])[0]
-	if w := env.Exec.workers(); w > 1 && st.Targets >= minParallelTargets {
-		return aggPar(ctx, env, cands, plan, agg, k, ord, w, st)
-	}
+// flattenGroups lists the members of the non-empty groups as one flat
+// id list, in group order, and each group as a run of it.
+func flattenGroups(groups []Group) ([]aggGroup, []int64) {
 	n := 0
-	for gi := range cands {
-		gc := &cands[gi]
-		for i := range gc.ids {
-			if err := CheckCtx(ctx, n); err != nil {
-				return nil, st, err
-			}
-			n++
-			if err := env.memberBound(gc, i, plan, &st); err != nil {
-				return nil, st, err
-			}
-		}
-		gc.lo, gc.hi = aggBounds(agg, gc.los, gc.his)
+	for _, g := range groups {
+		n += len(g.IDs)
 	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = aggPrune(cands, k, ord, &st)
-	nv := 0
-	for gi := range cands {
-		gc := &cands[gi]
-		for i, id := range gc.ids {
-			if gc.known[i] {
-				continue
-			}
-			// Poll during verification as well, so cancellation does
-			// not wait for every remaining member load.
-			if err := CheckCtx(ctx, nv); err != nil {
-				return nil, st, err
-			}
-			nv++
-			err := env.verify(id, &st, func(chi *CHI, m *Mask) { gc.vals[i] = float64(plan.refine(chi, m, id, nil).Lo) })
-			if err != nil {
-				return nil, st, err
-			}
+	gs, ids := make([]aggGroup, 0, len(groups)), make([]int64, 0, n)
+	for _, g := range groups {
+		if len(g.IDs) > 0 {
+			gs = append(gs, aggGroup{key: g.Key, off: len(ids), n: len(g.IDs)})
+			ids = append(ids, g.IDs...)
 		}
 	}
-	return rankGroups(cands, agg, k, ord, &st), st, nil
+	return gs, ids
 }
 
-// aggBounds folds member bounds into group bounds; every aggregate
-// here is monotone in each member, so folding lows and highs
-// separately is admissible.
-func aggBounds(agg Agg, los, his []float64) (float64, float64) {
-	return AggExact(agg, los), AggExact(agg, his)
+// boundGroups folds member bounds into each group's aggregate bounds,
+// dropping the groups with a member whose shard did not answer.
+// Aggregates are monotone in each member, so folding lows and highs
+// separately is admissible; an unindexed member's high is +Inf (not
+// unknownHi) so the fold stays admissible for every aggregate. f64
+// (2·len(cands)) holds the member columns, carved per group.
+func boundGroups(gs []aggGroup, cands []CandBound, answered []bool, agg Agg, f64 []float64) []aggGroup {
+	los, his := f64[:len(cands)], f64[len(cands):]
+	live := gs[:0]
+	for _, g := range gs {
+		end := g.off + g.n
+		if answered != nil && slices.Contains(answered[g.off:end], false) {
+			continue
+		}
+		for i := g.off; i < end; i++ {
+			los[i], his[i] = float64(cands[i].B.Lo), math.Inf(1)
+			if cands[i].Indexed {
+				his[i] = float64(cands[i].B.Hi)
+			}
+		}
+		g.lo, g.hi = AggExact(agg, los[g.off:end]), AggExact(agg, his[g.off:end])
+		live = append(live, g)
+	}
+	return live
+}
+
+// pruneGroups drops groups whose aggregate bounds provably cannot reach
+// the k-th rank, rejecting all their members.
+func pruneGroups(gs []aggGroup, k int, ord Order, st *Stats) []aggGroup {
+	return pruneByBounds(gs, k, ord,
+		func(g aggGroup) float64 { return g.lo },
+		func(g aggGroup) float64 { return g.hi },
+		func(g aggGroup) { st.RejectedByBounds += g.n })
+}
+
+// rankAgg aggregates each surviving group's exact member scores into
+// the ranking, dropping a group with a member never landed (its shard
+// went missing mid-verification). vals (len(cands) or more) is the
+// member value column.
+func rankAgg(gs []aggGroup, cands []CandBound, agg Agg, k int, ord Order, vals []float64) []Scored {
+	out := make([]Scored, 0, len(gs))
+	for _, g := range gs {
+		ms, vs := cands[g.off:g.off+g.n], vals[g.off:g.off+g.n]
+		complete := true
+		for i, c := range ms {
+			complete = complete && c.Known
+			vs[i] = float64(c.Score)
+		}
+		if complete {
+			out = append(out, Scored{ID: g.key, Score: AggExact(agg, vs)})
+		}
+	}
+	return topOf(out, k, ord)
+}
+
+// topOf sorts a ranking and keeps its best k.
+func topOf(out []Scored, k int, ord Order) []Scored {
+	SortScored(out, ord)
+	if k < len(out) {
+		out = out[:k]
+	}
+	return out
 }
 
 // AggExact applies an aggregate to exact member values.

@@ -20,7 +20,7 @@ import (
 var ErrShardUnavailable = errors.New("dist: shard unavailable")
 
 // Request kinds, indexing the per-kind latency rings that drive
-// adaptive hedging.
+// adaptive hedging (verify's stays empty: see hedgeDelay).
 const (
 	kindHello = iota
 	kindFilter
@@ -39,24 +39,20 @@ const (
 	latWarmup          = 8
 )
 
-// CoordOptions tunes the coordinator. The zero value enables τ
-// exchange, adaptive hedging and one retry pass.
+// CoordOptions tunes the coordinator. The zero value hedges (see
+// HedgeAfter) and retries one pass.
 type CoordOptions struct {
 	// HedgeAfter is the delay before a request is hedged to the next
-	// replica: 0 adapts to the observed per-kind latency (the
-	// hedgeQuantile of recent requests, floored at defaultHedgeFloor),
-	// a positive duration is used as-is, and a negative duration
-	// disables hedging.
+	// replica: 0 adapts filter and bounds requests to their observed
+	// latency (the hedgeQuantile of recent requests, floored at
+	// defaultHedgeFloor) and hedges verify requests at
+	// defaultHedgeCold; a positive duration is used as-is for every
+	// kind, and a negative duration disables hedging.
 	HedgeAfter time.Duration
 	// Retries is how many extra full passes over a shard's route are
 	// attempted after every node failed once. 0 means one retry pass;
 	// negative disables retries.
 	Retries int
-	// NoTauExchange disables the τ exchange: verify requests carry no
-	// initial τ and receive no updates, so remote nodes load every
-	// unpruned candidate. Results are identical (τ skipping only
-	// avoids loads); the dist benchmark uses this as its baseline.
-	NoTauExchange bool
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout time.Duration
 }
@@ -342,13 +338,18 @@ func (r *latRing) quantile(q float64) (time.Duration, bool) {
 }
 
 // hedgeDelay resolves the hedging delay for one request kind; ok is
-// false when hedging is disabled.
+// false when hedging is disabled. Adaptive delays come from the round
+// trips roundTrip times. A verify request streams for as long as its
+// verification runs, so no round trip describes it: it hedges at
+// defaultHedgeCold, and no workload has shown a tighter delay to pay.
 func (c *Coordinator) hedgeDelay(kind int) (time.Duration, bool) {
-	if c.opts.HedgeAfter < 0 {
+	switch {
+	case c.opts.HedgeAfter < 0:
 		return 0, false
-	}
-	if c.opts.HedgeAfter > 0 {
+	case c.opts.HedgeAfter > 0:
 		return c.opts.HedgeAfter, true
+	case kind == kindVerify:
+		return defaultHedgeCold, true
 	}
 	if d, ok := c.lat[kind].quantile(hedgeQuantile); ok {
 		return max(d, defaultHedgeFloor), true

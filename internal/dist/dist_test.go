@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -160,39 +159,53 @@ func (c *testCluster) checkAll(coord *Coordinator, part *Partial) {
 		c.t.Fatalf("filter mismatch: got %d ids, want %d\ngot:  %v\nwant: %v", len(gotIDs), len(wantIDs), gotIDs, wantIDs)
 	}
 
+	c.checkRanking(coord, part, targets, c.cat.GroupByImage(nil))
+}
+
+// checkRanking compares both ranking kinds through the coordinator with
+// the local engine over the same targets and groups: top-k at k = all,
+// 1, 10 and beyond the candidates, aggregation under every aggregate,
+// both orders throughout, with an empty and a singleton group added.
+func (c *testCluster) checkRanking(coord *Coordinator, part *Partial, targets []int64, groups []core.Group) {
+	c.t.Helper()
+	ctx := context.Background()
 	for _, ord := range []core.Order{core.Desc, core.Asc} {
-		want, _, err := core.TopK(ctx, c.env, targets, c.terms, 0, 10, ord)
-		if err != nil {
-			c.t.Fatal(err)
-		}
-		got, _, err := coord.TopK(ctx, targets, c.terms, 0, 10, ord, part)
-		if err != nil {
-			c.t.Fatalf("dist topk %v: %v", ord, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			c.t.Fatalf("topk %v mismatch:\ngot:  %v\nwant: %v", ord, got, want)
+		for _, k := range []int{0, 1, 10, len(targets) + 5} {
+			want, _, err := core.TopK(ctx, c.env, targets, c.terms, 0, k, ord)
+			if err != nil {
+				c.t.Fatal(err)
+			}
+			got, _, err := coord.TopK(ctx, targets, c.terms, 0, k, ord, part)
+			if err != nil {
+				c.t.Fatalf("dist topk %v k=%d: %v", ord, k, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				c.t.Fatalf("topk %v k=%d mismatch:\ngot:  %v\nwant: %v", ord, k, got, want)
+			}
 		}
 	}
 
-	groups := c.cat.GroupByImage(nil)
-	for _, agg := range []core.Agg{core.Mean, core.Max} {
-		want, _, err := core.AggTopK(ctx, c.env, groups, c.terms, 0, agg, 10, core.Desc)
-		if err != nil {
-			c.t.Fatal(err)
-		}
-		got, _, err := coord.AggTopK(ctx, groups, c.terms, 0, agg, 10, core.Desc, part)
-		if err != nil {
-			c.t.Fatalf("dist agg %v: %v", agg, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			c.t.Fatalf("agg %v mismatch:\ngot:  %v\nwant: %v", agg, got, want)
+	groups = append(groups, core.Group{Key: -1}, core.Group{Key: -2, IDs: targets[:1]})
+	for _, ord := range []core.Order{core.Desc, core.Asc} {
+		for _, agg := range []core.Agg{core.Mean, core.Sum, core.Min, core.Max} {
+			want, _, err := core.AggTopK(ctx, c.env, groups, c.terms, 0, agg, 10, ord)
+			if err != nil {
+				c.t.Fatal(err)
+			}
+			got, _, err := coord.AggTopK(ctx, groups, c.terms, 0, agg, 10, ord, part)
+			if err != nil {
+				c.t.Fatalf("dist agg %v %v: %v", agg, ord, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				c.t.Fatalf("agg %v %v mismatch:\ngot:  %v\nwant: %v", agg, ord, got, want)
+			}
 		}
 	}
 }
 
 // TestDistMatchesLocal is the byte-identity property test: every plan
-// kind, across one and two remote nodes, with and without τ exchange,
-// must reproduce the local sharded engine's results exactly.
+// kind, across one and two remote nodes, must reproduce the local
+// sharded engine's results exactly.
 func TestDistMatchesLocal(t *testing.T) {
 	c := newCluster(t, 2)
 	_, addrA := c.startNode("a", nil)
@@ -206,7 +219,6 @@ func TestDistMatchesLocal(t *testing.T) {
 	}{
 		{"one node", map[string]string{"a": addrA}, [][]string{{"a"}, {"a"}}, CoordOptions{}},
 		{"two nodes", map[string]string{"a": addrA, "b": addrB}, [][]string{{"a"}, {"b"}}, CoordOptions{}},
-		{"two nodes no tau", map[string]string{"a": addrA, "b": addrB}, [][]string{{"a"}, {"b"}}, CoordOptions{NoTauExchange: true}},
 		{"replicated", map[string]string{"a": addrA, "b": addrB}, [][]string{{"a", "b"}, {"b", "a"}}, CoordOptions{HedgeAfter: time.Millisecond}},
 	}
 	for _, tc := range cases {
@@ -305,6 +317,106 @@ func TestDistDegraded(t *testing.T) {
 	cancel()
 	if _, _, err := coord.Filter(cctx, targets, c.terms, nil, coord.NewPartial()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDistDegradedRanking: with shard 0's only node down, degraded
+// top-k and aggregation answer exactly what the local engine answers
+// over the targets, and the groups, that lie wholly on the live shard.
+func TestDistDegradedRanking(t *testing.T) {
+	c := newCluster(t, 2)
+	dead, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	dead.Close()
+	coord := c.coordinator(
+		map[string]string{"a": addrA, "b": addrB},
+		[][]string{{"a"}, {"b"}},
+		CoordOptions{Retries: -1, DialTimeout: 200 * time.Millisecond},
+	)
+	onLive := func(id int64) bool { return c.shardOf()(id) == 1 }
+	var live []int64
+	for _, id := range c.targets() {
+		if onLive(id) {
+			live = append(live, id)
+		}
+	}
+	var liveGroups []core.Group
+	for _, g := range c.cat.GroupByImage(nil) {
+		whole := true
+		for _, id := range g.IDs {
+			whole = whole && onLive(id)
+		}
+		if whole {
+			liveGroups = append(liveGroups, g)
+		}
+	}
+	if len(live) == 0 || len(liveGroups) == 0 {
+		t.Fatalf("fixture has %d live targets and %d live groups", len(live), len(liveGroups))
+	}
+	ctx := context.Background()
+	for _, ord := range []core.Order{core.Desc, core.Asc} {
+		part := coord.NewPartial()
+		got, _, err := coord.TopK(ctx, c.targets(), c.terms, 0, 10, ord, part)
+		if err != nil {
+			t.Fatalf("degraded topk %v: %v", ord, err)
+		}
+		want, _, err := core.TopK(ctx, c.env, live, c.terms, 0, 10, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(part.Missing(), []int{0}) {
+			t.Fatalf("degraded topk %v (missing %v):\ngot:  %v\nwant: %v", ord, part.Missing(), got, want)
+		}
+	}
+	part := coord.NewPartial()
+	got, _, err := coord.AggTopK(ctx, c.cat.GroupByImage(nil), c.terms, 0, core.Mean, 10, core.Desc, part)
+	if err != nil {
+		t.Fatalf("degraded agg: %v", err)
+	}
+	want, _, err := core.AggTopK(ctx, c.env, liveGroups, c.terms, 0, core.Mean, 10, core.Desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(part.Missing(), []int{0}) {
+		t.Fatalf("degraded agg (missing %v):\ngot:  %v\nwant: %v", part.Missing(), got, want)
+	}
+}
+
+// TestHedgeDelay pins the hedging policy: a set HedgeAfter applies to
+// every kind, a negative one disables hedging, and the adaptive default
+// hedges filter and bounds requests at their recent p95 (floored) once
+// warm — and verify requests, which stream, always at the cold delay.
+func TestHedgeDelay(t *testing.T) {
+	for _, tc := range []struct {
+		after time.Duration
+		kind  int
+		want  time.Duration
+		ok    bool
+	}{
+		{-1, kindBounds, 0, false},
+		{7 * time.Millisecond, kindBounds, 7 * time.Millisecond, true},
+		{7 * time.Millisecond, kindVerify, 7 * time.Millisecond, true},
+		{0, kindBounds, defaultHedgeCold, true},
+	} {
+		c := &Coordinator{opts: CoordOptions{HedgeAfter: tc.after}}
+		if d, ok := c.hedgeDelay(tc.kind); d != tc.want || ok != tc.ok {
+			t.Errorf("HedgeAfter %v kind %d: delay %v %v, want %v %v", tc.after, tc.kind, d, ok, tc.want, tc.ok)
+		}
+	}
+	c := &Coordinator{}
+	for i := range latWarmup {
+		c.lat[kindFilter].observe(time.Duration(i+1) * 10 * time.Millisecond)
+		c.lat[kindBounds].observe(time.Microsecond)
+		c.lat[kindVerify].observe(time.Millisecond)
+	}
+	for kind, want := range map[int]time.Duration{
+		kindFilter: 70 * time.Millisecond, // the p95 of 10, 20, …, 80 ms
+		kindBounds: defaultHedgeFloor,
+		kindVerify: defaultHedgeCold,
+	} {
+		if d, ok := c.hedgeDelay(kind); d != want || !ok {
+			t.Errorf("warm kind %d: delay %v %v, want %v", kind, d, ok, want)
+		}
 	}
 }
 
@@ -428,5 +540,3 @@ type notAPred struct{}
 func (notAPred) Eval([]int64) bool                 { return true }
 func (notAPred) FromBounds([]core.Bounds) core.Tri { return core.Unknown }
 func (notAPred) String() string                    { return "not-a-pred" }
-
-var _ = fmt.Sprintf // keep fmt imported if assertions above change

@@ -159,7 +159,8 @@ type boundsRes struct {
 }
 
 // verifyReq asks a node to exactly verify items it owns, streaming
-// scores back as they land. Gated requests consult a τ gate before
+// scores back as they land; Terms holds the one score term, so each
+// streamed row has one value. Gated requests consult a τ gate before
 // each mask load: Tau seeds it (when the coordinator's tracker is
 // already full) and inbound ftTau frames advance it mid-request.
 type verifyReq struct {

@@ -1,57 +1,27 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"masksearch/internal/core"
 )
 
-// sortBestFirst orders verify items by guaranteed strength — largest
-// lower bound first for Desc, smallest upper bound first for Asc —
-// with ids breaking ties so the order (and thus the byte stream) is
-// deterministic. gidx rides along so gather indexes stay attached.
-func sortBestFirst(items []core.VerifyItem, gidx []int, ord core.Order) {
-	sort.Sort(&bestFirst{items: items, gidx: gidx, ord: ord})
-}
-
-type bestFirst struct {
-	items []core.VerifyItem
-	gidx  []int
-	ord   core.Order
-}
-
-func (b *bestFirst) Len() int { return len(b.items) }
-func (b *bestFirst) Swap(i, j int) {
-	b.items[i], b.items[j] = b.items[j], b.items[i]
-	b.gidx[i], b.gidx[j] = b.gidx[j], b.gidx[i]
-}
-func (b *bestFirst) Less(i, j int) bool {
-	x, y := &b.items[i], &b.items[j]
-	if b.ord == core.Desc {
-		if x.B.Lo != y.B.Lo {
-			return x.B.Lo > y.B.Lo
-		}
-	} else if x.B.Hi != y.B.Hi {
-		return x.B.Hi < y.B.Hi
-	}
-	return x.ID < y.ID
-}
-
-// This file holds the coordinator's query operations. Each mirrors its
-// local executor stage by stage — same bounds rule, same static
-// pruning, same strict-inequality τ skipping, same deterministic final
-// sort — which is the whole byte-identity argument: pruning and
-// skipping are sound (a dropped candidate provably cannot place), so
-// no matter which node verified which candidate, which τ updates
-// landed in time, or whether a hedged or failover attempt answered,
-// the surviving exact scores and the final sorted ranking are
-// identical to single-node execution. Stats are merged from node
-// responses; like the local worker pool, the verification stage's
-// load counts may differ run to run (τ races), never the results.
+// This file holds the coordinator's query operations. Filter scatters
+// the filter stage; TopK and AggTopK run core's ranking drivers over
+// stages, the core.Stages whose bounds and verification run on the
+// shard nodes. The drivers' pruning and skipping are sound (a dropped
+// candidate provably cannot place), so no matter which node verified
+// which candidate, which τ updates landed in time, or whether a hedged
+// or failover attempt answered, the surviving exact scores and the
+// final sorted ranking are identical to single-node execution. Stats
+// are merged from node responses; like the local worker pool, the
+// verification stage's load counts may differ run to run (τ races),
+// never the results.
 
 // gather accumulates streamed verification results across every node
 // and attempt of one verify scatter. It is the τ authority's ledger:
@@ -61,39 +31,30 @@ func (b *bestFirst) Less(i, j int) bool {
 // τ beyond what the landed scores justify (an unsound skip). The
 // first landing wins; duplicates are dropped under the lock.
 type gather struct {
-	score   core.Term
-	tracker *core.TauTracker // nil: ungated (aggregation members)
+	gate   *core.TauGate            // nil: ungated (aggregation members)
+	onLand func(i int, score int64) // nil once the scatter returned
 
 	mu     sync.Mutex
 	landed []bool
-	scores []int64
 	st     core.Stats
 	subs   map[chan struct{}]bool
 }
 
-func newGather(n int, score core.Term, tracker *core.TauTracker) *gather {
-	return &gather{
-		score:   score,
-		tracker: tracker,
-		landed:  make([]bool, n),
-		scores:  make([]int64, n),
-		subs:    make(map[chan struct{}]bool),
-	}
+func newGather(n int, gate *core.TauGate, onLand func(i int, score int64)) *gather {
+	return &gather{gate: gate, onLand: onLand, landed: make([]bool, n), subs: make(map[chan struct{}]bool)}
 }
 
-// land records one candidate's exact score, advances τ, and wakes the
-// per-connection τ pushers. Duplicate landings are dropped.
+// land hands one candidate's exact score to the driver (which advances
+// τ) and wakes the per-connection τ pushers. Duplicate landings are
+// dropped.
 func (g *gather) land(i int, score int64) {
 	g.mu.Lock()
-	if g.landed[i] {
+	if g.landed[i] || g.onLand == nil {
 		g.mu.Unlock()
 		return
 	}
 	g.landed[i] = true
-	g.scores[i] = score
-	if g.tracker != nil {
-		g.tracker.Add(score)
-	}
+	g.onLand(i, score)
 	for ch := range g.subs {
 		select {
 		case ch <- struct{}{}:
@@ -189,10 +150,22 @@ func (c *Coordinator) Filter(ctx context.Context, targets []int64, terms []core.
 	return out, st, nil
 }
 
-// boundsScatter runs the remote bounds stage over targets, returning
+// stages is the core.Stages of one query on the cluster.
+type stages struct {
+	c    *Coordinator
+	part *Partial
+}
+
+// Bounds runs the remote bounds stage over targets, returning
 // per-target candidate bounds and coverage flags (false = the target's
 // shard went missing under the degraded policy).
-func (c *Coordinator) boundsScatter(ctx context.Context, targets []int64, term wireTerm, st *core.Stats, part *Partial) ([]core.CandBound, []bool, error) {
+func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTerm) ([]core.CandBound, []bool, core.Stats, error) {
+	var st core.Stats
+	wterms, err := toWireTerms([]core.CPTerm{term.CPTerm})
+	if err != nil {
+		return nil, nil, st, err
+	}
+	c := s.c
 	byShard, srcIdx := c.partition(targets)
 	cands := make([]core.CandBound, len(targets))
 	covered := make([]bool, len(targets))
@@ -209,7 +182,7 @@ func (c *Coordinator) boundsScatter(ctx context.Context, targets []int64, term w
 			ids, src := byShard[s], srcIdx[s]
 			errs[s] = c.runAttempts(ctx, kindBounds, s, func(actx context.Context, node NodeSpec) (func(), error) {
 				var res boundsRes
-				req := boundsReq{IDs: ids, Term: term, DeadlineMS: deadlineMS(actx)}
+				req := boundsReq{IDs: ids, Term: wterms[0], DeadlineMS: deadlineMS(actx)}
 				if err := c.roundTrip(actx, kindBounds, node, ftBounds, req, ftBoundsRes, &res); err != nil {
 					return nil, err
 				}
@@ -230,22 +203,48 @@ func (c *Coordinator) boundsScatter(ctx context.Context, targets []int64, term w
 		}(s)
 	}
 	wg.Wait()
-	if err := resolve(errs, part); err != nil {
-		return nil, nil, err
+	if err := resolve(errs, s.part); err != nil {
+		return nil, nil, st, err
 	}
-	return cands, covered, nil
+	return cands, covered, st, nil
 }
 
-// verifyScatter ships verification items to their shards, streaming
-// exact scores into g (deduplicated per item) as they land. items[i]
-// lands at g index gidx[i]. Gated scatters carry the τ exchange: each
-// connection is seeded with the tracker's current τ and receives
-// pushes as later landings tighten it.
-func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem, gidx []int, wterms []wireTerm, ord core.Order, gated bool, g *gather, part *Partial) error {
-	ids := make([]int64, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
+// Verify ships verification items to their shards, streaming exact
+// scores through a gather (deduplicated per item) to land as they
+// arrive. Gated verification carries the τ exchange: each connection is
+// seeded with the gate's current τ and receives pushes as later
+// landings tighten it.
+func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.ScoreTerm, gate *core.TauGate, land func(i int, score int64)) (core.Stats, error) {
+	wterms, err := toWireTerms([]core.CPTerm{term.CPTerm})
+	if err != nil {
+		return core.Stats{}, err
 	}
+	// Gated items are shipped best-first: each shard verifies its
+	// strongest candidates (by guaranteed score) before its long tail,
+	// so the first landed chunks push τ near its final value while the
+	// tail is still unloaded — that is where the exchange's skips come
+	// from. Ids break ties so the byte stream is deterministic. Order
+	// never changes the answer: scores land by item index.
+	order := make([]int, len(items))
+	ids := make([]int64, len(items))
+	for i := range order {
+		order[i] = i
+	}
+	if gate != nil {
+		slices.SortFunc(order, func(a, b int) int {
+			x, y := &items[a], &items[b]
+			c := cmp.Compare(y.B.Lo, x.B.Lo)
+			if gate.Order() == core.Asc {
+				c = cmp.Compare(x.B.Hi, y.B.Hi)
+			}
+			return cmp.Or(c, cmp.Compare(x.ID, y.ID))
+		})
+	}
+	for j, i := range order {
+		ids[j] = items[i].ID
+	}
+	g := newGather(len(items), gate, land)
+	c := s.c
 	byShard, srcIdx := c.partition(ids)
 	errs := make([]error, c.nshards)
 	var wg sync.WaitGroup
@@ -259,17 +258,22 @@ func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem
 			src := srcIdx[s]
 			shardItems := make([]core.VerifyItem, len(src))
 			l2g := make([]int, len(src))
-			for j, i := range src {
-				shardItems[j] = items[i]
-				l2g[j] = gidx[i]
+			for j, o := range src {
+				l2g[j] = order[o]
+				shardItems[j] = items[l2g[j]]
 			}
 			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec) (func(), error) {
-				return c.verifyAttempt(actx, node, shardItems, l2g, wterms, ord, gated, g)
+				return c.verifyAttempt(actx, node, shardItems, l2g, wterms, g)
 			})
 		}(s)
 	}
 	wg.Wait()
-	return resolve(errs, part)
+	// A losing hedged attempt may still be streaming; the driver reads
+	// its candidates once Verify returns, so nothing lands after this.
+	g.mu.Lock()
+	g.onLand = nil
+	g.mu.Unlock()
+	return g.st, resolve(errs, s.part)
 }
 
 // verifyAttempt is one node's streaming verify exchange: write the
@@ -279,7 +283,7 @@ func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem
 // mid-flight; the gather's per-candidate dedup keeps concurrent hedged
 // attempts sound. The commit only folds the response stats, so a
 // losing attempt never double-counts them.
-func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []core.VerifyItem, l2g []int, wterms []wireTerm, ord core.Order, gated bool, g *gather) (func(), error) {
+func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []core.VerifyItem, l2g []int, wterms []wireTerm, g *gather) (func(), error) {
 	conn, err := c.dial(ctx, node)
 	if err != nil {
 		return nil, err
@@ -288,9 +292,11 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 	stop := watchCancel(ctx, conn)
 	defer stop()
 
-	req := verifyReq{Items: items, Terms: wterms, Ord: ord, Gated: gated, DeadlineMS: deadlineMS(ctx)}
+	gated := g.gate != nil
+	req := verifyReq{Items: items, Terms: wterms, Gated: gated, DeadlineMS: deadlineMS(ctx)}
 	if gated {
-		if tau, ok := g.tracker.Threshold(); ok {
+		req.Ord = g.gate.Order()
+		if tau, ok := g.gate.Threshold(); ok {
 			req.Tau = &tau
 		}
 	}
@@ -302,7 +308,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 
 	// τ pusher: the sole writer on this connection after the request.
 	// It wakes on every landing anywhere in the cluster and forwards
-	// the tracker's τ when it changed. A push failure stops pushing
+	// the gate's τ when it changed. A push failure stops pushing
 	// but not the attempt — the node just stops skipping.
 	if gated {
 		sub := g.subscribe()
@@ -321,7 +327,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 					return
 				case <-sub:
 				}
-				tau, ok := g.tracker.Threshold()
+				tau, ok := g.gate.Threshold()
 				if !ok || (haveSent && tau == lastSent) {
 					continue
 				}
@@ -352,10 +358,10 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 				return nil, fmt.Errorf("dist: node %s streamed %d score rows for %d indexes", node.Name, len(chunk.Vals), len(chunk.Idx))
 			}
 			for j, li := range chunk.Idx {
-				if li < 0 || li >= len(l2g) || int(g.score) >= len(chunk.Vals[j]) {
+				if li < 0 || li >= len(l2g) || len(chunk.Vals[j]) == 0 {
 					return nil, fmt.Errorf("dist: node %s streamed an out-of-range score entry", node.Name)
 				}
-				g.land(l2g[li], chunk.Vals[j][g.score])
+				g.land(l2g[li], chunk.Vals[j][0])
 			}
 		case ftVerifyRes:
 			var res verifyRes
@@ -378,204 +384,22 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 	}
 }
 
-// TopK runs the distributed ranking pipeline: remote bounds, static
+// TopK runs core's top-k driver on the cluster: remote bounds, static
 // pruning, τ-gated remote verification with exchange, deterministic
-// final sort. Mirrors core.TopK stage by stage.
+// final sort.
 func (c *Coordinator) TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	var st core.Stats
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, st, fmt.Errorf("dist: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	wterms, err := toWireTerms(terms)
-	if err != nil {
-		return nil, st, err
-	}
-	cands, covered, err := c.boundsScatter(ctx, targets, wterms[score], &st, part)
-	if err != nil {
-		return nil, st, err
-	}
-	live := cands[:0]
-	for i := range cands {
-		if covered[i] {
-			live = append(live, cands[i])
-		}
-	}
-	cands = live
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = core.PruneCands(cands, k, ord, &st)
-
-	g := newGather(len(cands), score, core.NewTauTracker(k, ord))
-	var items []core.VerifyItem
-	var gidx []int
-	for i, cb := range cands {
-		if cb.Known {
-			st.AcceptedByBounds++
-			g.land(i, cb.Score)
-			continue
-		}
-		items = append(items, core.VerifyItem{ID: cb.ID, B: cb.B})
-		gidx = append(gidx, i)
-	}
-	if len(items) > 0 {
-		// Best-first: each shard verifies its strongest candidates (by
-		// guaranteed score) before its long tail, so the first landed
-		// chunks push the tracker's τ near its final value while the
-		// tail is still unloaded — that is where the exchange's skips
-		// come from. Ordering never changes the answer: the gather
-		// reassembles by index and skips only provably-unplaceable
-		// candidates.
-		sortBestFirst(items, gidx, ord)
-		gated := !c.opts.NoTauExchange
-		if err := c.verifyScatter(ctx, items, gidx, wterms, ord, gated, g, part); err != nil {
-			return nil, st, err
-		}
-	}
-	st.Merge(g.st)
-	out := make([]core.Scored, 0, len(cands))
-	for i := range cands {
-		if g.landed[i] {
-			out = append(out, core.Scored{ID: cands[i].ID, Score: float64(g.scores[i])})
-		}
-	}
-	core.SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return core.TopKOn(ctx, c.Stages(part), targets, terms, score, k, ord)
 }
 
-// aggState is one surviving aggregation group mid-pipeline.
-type aggState struct {
-	key   int64
-	ids   []int64
-	cands []core.CandBound
-	vals  []float64
-	need  []int // member indexes awaiting exact verification
-	base  int   // first gather index of need's members
-}
-
-// AggTopK runs the distributed aggregation pipeline: remote member
-// bounds, group-bound pruning, ungated remote verification of every
-// surviving group's unknown members, exact aggregation, deterministic
-// final sort. Mirrors core.AggTopK stage by stage. Under the degraded
-// policy a group loses its whole result if any member's shard is
-// missing (a partial aggregate would be silently wrong, not partial).
+// AggTopK runs core's aggregation driver on the cluster. Under the
+// degraded policy a group loses its whole result if any member's shard
+// is missing (a partial aggregate would be silently wrong, not
+// partial).
 func (c *Coordinator) AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	var st core.Stats
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, st, fmt.Errorf("dist: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	wterms, err := toWireTerms(terms)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Flatten the members of non-empty groups for one bounds scatter.
-	var flat []int64
-	var flatGroup, flatMember []int
-	type groupRef struct {
-		key int64
-		ids []int64
-		off int // offset of the group's members in flat
-	}
-	var refs []groupRef
-	for _, grp := range groups {
-		if len(grp.IDs) == 0 {
-			continue
-		}
-		refs = append(refs, groupRef{key: grp.Key, ids: grp.IDs, off: len(flat)})
-		for mi, id := range grp.IDs {
-			flat = append(flat, id)
-			flatGroup = append(flatGroup, len(refs)-1)
-			flatMember = append(flatMember, mi)
-		}
-	}
-	mcands, covered, err := c.boundsScatter(ctx, flat, wterms[score], &st, part)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Assemble per-group candidate bounds, dropping groups touched by a
-	// missing shard, and prune on group bounds.
-	states := make([]aggState, 0, len(refs))
-	gbs := make([]core.GroupBound, 0, len(refs))
-	for ri, ref := range refs {
-		ok := true
-		for j := range ref.ids {
-			if !covered[ref.off+j] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		a := aggState{
-			key:   ref.key,
-			ids:   ref.ids,
-			cands: mcands[ref.off : ref.off+len(ref.ids)],
-			vals:  make([]float64, len(ref.ids)),
-		}
-		lo, hi := core.AggMemberBounds(agg, a.cands)
-		states = append(states, a)
-		gbs = append(gbs, core.GroupBound{Key: int64(ri), Lo: lo, Hi: hi, N: len(ref.ids)})
-	}
-	if k <= 0 || k > len(gbs) {
-		k = len(gbs)
-	}
-	gbs = core.PruneGroupBounds(gbs, k, ord, &st)
-
-	// Survivors: known members fill in directly (counted like the local
-	// engine's verification stage), unknown members become verify items.
-	survivors := make([]*aggState, 0, len(gbs))
-	var items []core.VerifyItem
-	var gidx []int
-	nflat := 0
-	for _, gb := range gbs {
-		a := &states[gb.Key]
-		a.base = nflat
-		for mi, cb := range a.cands {
-			if cb.Known {
-				st.AcceptedByBounds++
-				a.vals[mi] = float64(cb.Score)
-				continue
-			}
-			a.need = append(a.need, mi)
-			items = append(items, core.VerifyItem{ID: cb.ID, B: cb.B})
-			gidx = append(gidx, nflat)
-			nflat++
-		}
-		survivors = append(survivors, a)
-	}
-	g := newGather(nflat, score, nil)
-	if len(items) > 0 {
-		if err := c.verifyScatter(ctx, items, gidx, wterms, ord, false, g, part); err != nil {
-			return nil, st, err
-		}
-	}
-	st.Merge(g.st)
-
-	out := make([]core.Scored, 0, len(survivors))
-	for _, a := range survivors {
-		ok := true
-		for j, mi := range a.need {
-			fi := a.base + j
-			if !g.landed[fi] {
-				ok = false
-				break
-			}
-			a.vals[mi] = float64(g.scores[fi])
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, core.Scored{ID: a.key, Score: core.AggExact(agg, a.vals)})
-	}
-	core.SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return core.AggTopKOn(ctx, c.Stages(part), groups, terms, score, agg, k, ord)
 }
+
+// Stages returns the core.Stages that run one query's bounds and
+// verification on the cluster; part selects the partial-result policy
+// (nil fails closed).
+func (c *Coordinator) Stages(part *Partial) core.Stages { return stages{c, part} }

@@ -5,19 +5,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"masksearch/internal/metrics"
 )
 
-// Metric is one published measurement in the square/inspect `-server`
-// JSON shape: an array of these is the whole /metrics response.
-// Counters are monotonic and carry a per-second rate computed against
-// the previous scrape (the first scrape rates against server start);
-// gauges are point-in-time values with no rate.
-type Metric struct {
-	Type  string  `json:"type"` // "counter" | "gauge"
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Rate  float64 `json:"rate"`
-}
+// Metric is one published measurement; an array of these is the whole
+// /metrics response (see internal/metrics).
+type Metric = metrics.Metric
 
 // latencyTracker records request latencies: exact totals for the
 // average, plus a ring of the most recent observations for the p50 and
@@ -85,39 +79,4 @@ type counters struct {
 	// checkpoints (Config.IndexEvery).
 	idxCheckpoints atomic.Int64
 	latency        latencyTracker
-}
-
-// scrapeState remembers the previous /metrics scrape so counter rates
-// are per-second deltas between scrapes, like square/inspect's -step
-// collection loop.
-type scrapeState struct {
-	mu   sync.Mutex
-	at   time.Time
-	vals map[string]float64
-}
-
-// rates computes each counter's per-second rate against the previous
-// scrape (against base — server start — on the first scrape), then
-// records this scrape as the new baseline.
-func (s *scrapeState) rates(now, base time.Time, cur map[string]float64) map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prevAt, prevVals := s.at, s.vals
-	if prevAt.IsZero() {
-		prevAt = base
-	}
-	dt := now.Sub(prevAt).Seconds()
-	out := make(map[string]float64, len(cur))
-	for name, v := range cur {
-		var prev float64
-		if prevVals != nil {
-			prev = prevVals[name]
-		}
-		if dt > 0 && v >= prev {
-			out[name] = (v - prev) / dt
-		}
-	}
-	s.at = now
-	s.vals = cur
-	return out
 }

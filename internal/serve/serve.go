@@ -27,10 +27,10 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"time"
 
 	"masksearch"
+	"masksearch/internal/metrics"
 )
 
 // statusClientClosedRequest mirrors nginx's non-standard 499: the
@@ -100,7 +100,7 @@ type Server struct {
 	started  time.Time
 
 	c      counters
-	scrape scrapeState
+	scrape metrics.Scraper
 
 	// onAdmitted, when set (tests), runs inside every /query and
 	// /batch request right after admission — letting a test hold a
@@ -643,8 +643,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		cur["msserve.dist.BytesSent"] = float64(ds.Dist.BytesSent)
 		cur["msserve.dist.BytesRecv"] = float64(ds.Dist.BytesRecv)
 	}
-	rates := s.scrape.rates(now, s.started, cur)
-
 	p50, p99 := s.c.latency.quantiles()
 	gauges := map[string]float64{
 		"msserve.Inflight":           float64(s.adm.inflight.Load()),
@@ -663,13 +661,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"msserve.ingest.WALBytes":    float64(ds.Ingest.WALBytes),
 	}
 
-	out := make([]Metric, 0, len(cur)+len(gauges))
-	for name, v := range cur {
-		out = append(out, Metric{Type: "counter", Name: name, Value: v, Rate: rates[name]})
-	}
-	for name, v := range gauges {
-		out = append(out, Metric{Type: "gauge", Name: name, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.scrape.Scrape(s.started, now, cur, gauges))
 }
