@@ -126,8 +126,8 @@ func inspectTopology(path string, timeout time.Duration) int {
 		if codec == "" {
 			codec = "raw"
 		}
-		fmt.Printf("  %-12s %-21s up    %d masks %dx%d, %d shard(s), codec %s, boot %s\n",
-			h.Node.Name, h.Node.Addr, h.Res.NumMasks, h.Res.MaskW, h.Res.MaskH, h.Res.Shards, codec, h.Res.BootID)
+		fmt.Printf("  %-12s %-21s up    %d masks %dx%d, %d shard(s), codec %s, wire v%d, boot %s\n",
+			h.Node.Name, h.Node.Addr, h.Res.NumMasks, h.Res.MaskW, h.Res.MaskH, h.Res.Shards, codec, h.Res.Wire, h.Res.BootID)
 	}
 	fmt.Printf("\nshard routes (first = primary):\n")
 	for _, r := range topo.Shards {

@@ -29,8 +29,8 @@ const (
 
 // RegionSpec is the wire-friendly description of a CPTerm's region.
 type RegionSpec struct {
-	Kind RegionKind `json:"kind"`
-	Rect Rect       `json:"rect"`
+	Kind RegionKind
+	Rect Rect
 }
 
 // CandBound is one ranking candidate's CHI bounds, in the exported
@@ -40,11 +40,11 @@ type RegionSpec struct {
 // span the whole range: the aggregation executor widens unindexed
 // members to +Inf, which Bounds alone cannot express.
 type CandBound struct {
-	ID      int64  `json:"id"`
-	B       Bounds `json:"b"`
-	Known   bool   `json:"known,omitempty"`
-	Score   int64  `json:"score,omitempty"`
-	Indexed bool   `json:"indexed,omitempty"`
+	ID      int64
+	B       Bounds
+	Known   bool
+	Score   int64
+	Indexed bool
 }
 
 // boundCand resolves one candidate's score bounds from the index; it
@@ -206,8 +206,8 @@ func (g *TauGate) Order() Order { return g.ord }
 // VerifyItem is one verification work item: the candidate and the
 // bounds its gate check uses.
 type VerifyItem struct {
-	ID int64  `json:"id"`
-	B  Bounds `json:"b"`
+	ID int64
+	B  Bounds
 }
 
 // VerifyEach loads and exactly evaluates the score term — terms must

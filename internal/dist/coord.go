@@ -126,7 +126,7 @@ type Coordinator struct {
 	lat [numKinds]latRing
 
 	vmu       sync.Mutex
-	validated map[string]bool
+	validated map[string]string // node name → the boot its hello validated
 
 	smu      sync.Mutex
 	lastSeen map[string]*nodeSeen
@@ -160,7 +160,7 @@ func NewCoordinator(topo *Topology, expect Expect, shardOf func(int64) int, opts
 		shardOf:   shardOf,
 		expect:    expect,
 		opts:      opts,
-		validated: make(map[string]bool),
+		validated: make(map[string]string),
 		lastSeen:  make(map[string]*nodeSeen),
 		remote:    make([]store.ReadStats, expect.Shards),
 	}, nil
@@ -399,14 +399,15 @@ func watchCancel(ctx context.Context, conn net.Conn) func() {
 }
 
 // ensureNode validates a node's hello against the expected dataset
-// once per node name; a mismatched node is treated as failed so the
-// attempt runner moves on to a replica.
-func (c *Coordinator) ensureNode(ctx context.Context, node NodeSpec) error {
+// once per node boot, returning the validated boot id; a mismatched
+// node is treated as failed so the attempt runner moves on to a
+// replica.
+func (c *Coordinator) ensureNode(ctx context.Context, node NodeSpec) (string, error) {
 	c.vmu.Lock()
-	ok := c.validated[node.Name]
+	boot, ok := c.validated[node.Name]
 	c.vmu.Unlock()
 	if ok {
-		return nil
+		return boot, nil
 	}
 	// A hello is a tiny exchange; bound it independently of the query
 	// deadline so an unresponsive endpoint cannot hang a deadline-less
@@ -414,20 +415,39 @@ func (c *Coordinator) ensureNode(ctx context.Context, node NodeSpec) error {
 	hctx, cancel := context.WithTimeout(ctx, 2*c.opts.dialTimeout())
 	defer cancel()
 	var res HelloRes
-	if err := c.roundTrip(hctx, kindHello, node, ftHello, helloReq{}, ftHelloRes, &res); err != nil {
-		return err
+	if err := c.roundTrip(hctx, kindHello, node, ftHello, &helloReq{}, ftHelloRes, &res); err != nil {
+		return "", err
 	}
 	if err := c.checkExpect(node, res); err != nil {
-		return err
+		return "", err
 	}
 	c.vmu.Lock()
-	c.validated[node.Name] = true
+	c.validated[node.Name] = res.BootID
 	c.vmu.Unlock()
-	return nil
+	return res.BootID, nil
+}
+
+// forgetBoot drops a node's validation when a work attempt validated
+// against boot failed with an error from another boot: the node
+// restarted, maybe over another dataset, and its next attempt must
+// hello again.
+func (c *Coordinator) forgetBoot(node NodeSpec, boot string, err error) {
+	var re *errRemote
+	if !errors.As(err, &re) || re.bootID == boot {
+		return
+	}
+	c.vmu.Lock()
+	if c.validated[node.Name] == boot {
+		delete(c.validated, node.Name)
+	}
+	c.vmu.Unlock()
 }
 
 func (c *Coordinator) checkExpect(node NodeSpec, res HelloRes) error {
 	e := c.expect
+	if res.Wire != WireVersion {
+		return fmt.Errorf("dist: node %s speaks wire version %d, this coordinator wire version %d", node.Name, res.Wire, WireVersion)
+	}
 	if res.NumMasks != e.NumMasks || res.MaskW != e.MaskW || res.MaskH != e.MaskH ||
 		res.Shards != e.Shards || res.Codec != e.Codec || res.GenVersion != e.GenVersion {
 		return fmt.Errorf("dist: node %s opened a different dataset (node: %d masks %dx%d, %d shard(s), codec %q, gen %d; coordinator: %d masks %dx%d, %d shard(s), codec %q, gen %d)",
@@ -438,7 +458,7 @@ func (c *Coordinator) checkExpect(node NodeSpec, res HelloRes) error {
 }
 
 // roundTrip issues one request/response exchange with a node.
-func (c *Coordinator) roundTrip(ctx context.Context, kind int, node NodeSpec, reqType byte, req any, resType byte, res any) error {
+func (c *Coordinator) roundTrip(ctx context.Context, kind int, node NodeSpec, reqType byte, req wireMsg, resType byte, res wireMsg) error {
 	start := time.Now()
 	conn, err := c.dial(ctx, node)
 	if err != nil {
@@ -462,12 +482,13 @@ func (c *Coordinator) roundTrip(ctx context.Context, kind int, node NodeSpec, re
 }
 
 // attempt is one node-request closure for runAttempts: it performs the
-// exchange against the given node and returns a commit closure that
-// publishes the response into the gather state. runAttempts invokes
-// exactly one successful attempt's commit, so hedged duplicates never
-// double-apply a response. (Verify attempts additionally stream scores
-// as they arrive — that path deduplicates per candidate instead.)
-type attempt func(ctx context.Context, node NodeSpec) (commit func(), err error)
+// exchange against the given node, sending the node boot its hello
+// validated, and returns a commit closure that publishes the response
+// into the gather state. runAttempts invokes exactly one successful
+// attempt's commit, so hedged duplicates never double-apply a response.
+// (Verify attempts additionally stream scores as they arrive — that
+// path deduplicates per candidate instead.)
+type attempt func(ctx context.Context, node NodeSpec, boot string) (commit func(), err error)
 
 // attemptResult carries one finished attempt back to the runner.
 type attemptResult struct {
@@ -503,11 +524,13 @@ func (c *Coordinator) runAttempts(ctx context.Context, kind, shard int, run atte
 		launched[node.Name] = true
 		c.nRequests.Add(1)
 		go func() {
-			if err := c.ensureNode(actx, node); err != nil {
+			boot, err := c.ensureNode(actx, node)
+			if err != nil {
 				results <- attemptResult{idx: idx, hedged: hedged, err: err}
 				return
 			}
-			commit, err := run(actx, node)
+			commit, err := run(actx, node, boot)
+			c.forgetBoot(node, boot, err)
 			results <- attemptResult{idx: idx, hedged: hedged, commit: commit, err: err}
 		}()
 	}
@@ -613,7 +636,7 @@ func helloAddr(ctx context.Context, addr string, timeout time.Duration) (*HelloR
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := writeMsg(conn, ftHello, helloReq{}); err != nil {
+	if _, err := writeMsg(conn, ftHello, &helloReq{}); err != nil {
 		return nil, err
 	}
 	var res HelloRes

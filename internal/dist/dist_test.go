@@ -3,9 +3,13 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -457,6 +461,191 @@ func TestDistExpectMismatch(t *testing.T) {
 	}
 }
 
+// fakeNode serves a raw loopback listener: handle gets each
+// connection's first frame and answers it however the test needs.
+func fakeNode(t *testing.T, handle func(conn net.Conn, typ byte, payload []byte)) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if typ, payload, _, err := ReadFrame(conn, 0); err == nil {
+					handle(conn, typ, payload)
+				}
+			}()
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// TestDistWireVersionMismatch: a node speaking another wire version is
+// rejected at hello, with both versions named, before any work reaches
+// it.
+func TestDistWireVersionMismatch(t *testing.T) {
+	c := newCluster(t, 2)
+	e := c.expect()
+	hello := HelloRes{Wire: WireVersion + 1, Node: "a", BootID: "b", NumMasks: e.NumMasks, MaskW: e.MaskW, MaskH: e.MaskH,
+		Shards: e.Shards, Codec: e.Codec, GenVersion: e.GenVersion}
+	var work atomic.Int64
+	addr := fakeNode(t, func(conn net.Conn, typ byte, _ []byte) {
+		if typ != ftHello {
+			work.Add(1)
+			return
+		}
+		writeMsg(conn, ftHelloRes, &hello)
+	})
+	coord := c.coordinator(map[string]string{"a": addr}, [][]string{{"a"}, {"a"}}, CoordOptions{Retries: -1})
+	_, _, err := coord.Filter(context.Background(), c.targets(), c.terms, nil, nil)
+	want := fmt.Sprintf("wire version %d, this coordinator wire version %d", WireVersion+1, WireVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if work.Load() != 0 {
+		t.Fatalf("%d work requests reached a node of another wire version", work.Load())
+	}
+}
+
+// TestDistRejectsMisorderedBounds: bounds answers reach their masks by
+// position, so a node that answers in another order than asked — here a
+// proxy in front of node b that reverses every bounds answer — fails
+// its attempt and the query answers from the replica.
+func TestDistRejectsMisorderedBounds(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrB := c.startNode("b", nil)
+	var reversed atomic.Int64
+	addrX := fakeNode(t, func(conn net.Conn, typ byte, payload []byte) {
+		up, err := net.Dial("tcp", addrB)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		if _, err := WriteFrame(up, typ, payload); err != nil {
+			return
+		}
+		if typ != ftBounds {
+			go io.Copy(up, conn)
+			io.Copy(conn, up)
+			return
+		}
+		var res boundsRes
+		if _, err := readMsg(up, ftBoundsRes, 0, &res); err != nil {
+			return
+		}
+		slices.Reverse(res.Cands)
+		reversed.Add(1)
+		writeMsg(conn, ftBoundsRes, &res)
+	})
+	coord := c.coordinator(
+		map[string]string{"x": addrX, "b": addrB},
+		[][]string{{"x", "b"}, {"x", "b"}},
+		CoordOptions{HedgeAfter: -1},
+	)
+	c.checkRanking(coord, nil, c.targets(), c.cat.GroupByImage(nil))
+	if reversed.Load() == 0 {
+		t.Fatal("the proxy reversed no bounds answer")
+	}
+	if st := coord.Stats(); st.Failovers == 0 {
+		t.Fatalf("no failovers after misordered bounds answers: %+v", st)
+	}
+}
+
+// TestDistRevalidatesRestartedNode: a node restarted at the same address
+// over another dataset (more masks, other pixels) must be validated
+// again before it serves work; the queries after the restart answer
+// from the replica, byte-identically.
+func TestDistRevalidatesRestartedNode(t *testing.T) {
+	c := newCluster(t, 2)
+	a, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	coord := c.coordinator(
+		map[string]string{"a": addrA, "b": addrB},
+		[][]string{{"a", "b"}, {"a", "b"}},
+		CoordOptions{HedgeAfter: -1},
+	)
+	c.checkAll(coord, nil)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	spec := store.TinySpec()
+	spec.Images += 16
+	spec.Seed++
+	if err := store.GenerateSharded(dir, spec, 2); err != nil {
+		t.Fatal(err)
+	}
+	st, cat, err := store.OpenAny(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if st.NumMasks() == c.st.NumMasks() {
+		t.Fatalf("restart dataset has the same %d masks", st.NumMasks())
+	}
+	restarted := NewNode("a", st, cat, core.NewMemoryIndex(indexCfg(t)), 0, nil)
+	lis, err := net.Listen("tcp", addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go restarted.Serve(lis)
+	t.Cleanup(func() { restarted.Close() })
+
+	before := coord.Stats().Failovers
+	c.checkAll(coord, nil)
+	if coord.Stats().Failovers == before {
+		t.Fatal("no failover away from the restarted node")
+	}
+	if ns := restarted.Stats(); ns.Hellos == 0 {
+		t.Fatalf("the restarted node was never validated again: %+v", ns)
+	}
+}
+
+// TestNodeRejectsBadRequests: a request the node cannot decode, one
+// validated against another boot, and one whose predicate names a term
+// it was not sent are each answered with an error frame naming this
+// boot — never served, never a crash.
+func TestNodeRejectsBadRequests(t *testing.T) {
+	c := newCluster(t, 2)
+	node, addr := c.startNode("a", nil)
+	term, err := toWireTerm(c.terms[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := filterReq{BootID: node.BootID(), IDs: []int64{1}, Terms: []wireTerm{term}}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"trailing byte", append(encodeMsg(nil, &good), 0), "trailing"},
+		{"other boot", encodeMsg(nil, &filterReq{BootID: "feed", IDs: good.IDs, Terms: good.Terms}), "validated against boot"},
+		{"unsent term", encodeMsg(nil, &filterReq{BootID: good.BootID, IDs: good.IDs, Terms: good.Terms, Pred: []wireCmp{{T: 1}}}), "term T1 of 1"},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteFrame(conn, ftFilter, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		_, err = readMsg(conn, ftFilterRes, 0, &filterRes{})
+		conn.Close()
+		var re *errRemote
+		if !errors.As(err, &re) || !strings.Contains(re.msg, tc.want) || re.bootID != node.BootID() {
+			t.Fatalf("%s: err = %v, want a remote error containing %q from boot %s", tc.name, err, tc.want, node.BootID())
+		}
+	}
+}
+
 // TestRemoteShardStats: the coordinator's folded remote read stats
 // must equal the node's own cumulative per-shard counters exactly —
 // the facade sums them into DB.Stats() like local shard stats.
@@ -505,7 +694,7 @@ func TestProbeNodes(t *testing.T) {
 	if len(hs) != 2 {
 		t.Fatalf("probed %d nodes, want 2", len(hs))
 	}
-	if hs[0].Err != nil || hs[0].Res == nil || hs[0].Res.Shards != 2 {
+	if hs[0].Err != nil || hs[0].Res == nil || hs[0].Res.Shards != 2 || hs[0].Res.Wire != WireVersion {
 		t.Fatalf("live node: %+v err=%v", hs[0].Res, hs[0].Err)
 	}
 	if hs[1].Err == nil {

@@ -57,15 +57,20 @@ var (
 // WriteFrame writes one frame and returns the bytes written (for
 // bytes-moved accounting).
 func WriteFrame(w io.Writer, typ byte, payload []byte) (int, error) {
-	if len(payload) > MaxFramePayload {
-		return 0, fmt.Errorf("dist: %d byte payload: %w", len(payload), ErrFrameTooLarge)
+	buf := make([]byte, frameHeaderLen, frameHeaderLen+len(payload)+frameCRCLen)
+	return writeFrame(w, typ, append(buf, payload...))
+}
+
+// writeFrame writes buf as one frame: buf holds frameHeaderLen bytes of
+// room for the header, then the payload, which encoders append in place.
+func writeFrame(w io.Writer, typ byte, buf []byte) (int, error) {
+	plen := len(buf) - frameHeaderLen
+	if plen > MaxFramePayload {
+		return 0, fmt.Errorf("dist: %d byte payload: %w", plen, ErrFrameTooLarge)
 	}
-	buf := make([]byte, frameHeaderLen+len(payload)+frameCRCLen)
 	buf[0] = typ
-	binary.LittleEndian.PutUint32(buf[1:frameHeaderLen], uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
-	crc := crc32.Checksum(buf[:frameHeaderLen+len(payload)], castagnoli)
-	binary.LittleEndian.PutUint32(buf[frameHeaderLen+len(payload):], crc)
+	binary.LittleEndian.PutUint32(buf[1:frameHeaderLen], uint32(plen))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	n, err := w.Write(buf)
 	if err != nil {
 		return n, fmt.Errorf("dist: write frame: %w", err)

@@ -113,10 +113,10 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(seed(ftHello, nil))
-	f.Add(seed(ftFilter, []byte(`{"ids":[1,2,3]}`)))
+	f.Add(seed(ftFilter, encodeMsg(nil, &filterReq{BootID: "b", IDs: []int64{1, 2, 3}})))
 	f.Add(seed(ftScores, bytes.Repeat([]byte{7}, 300)))
-	f.Add(seed(ftTau, []byte(`{"tau":42}`))[:4])
-	corrupt := seed(ftVerifyRes, []byte(`{"stats":{}}`))
+	f.Add(seed(ftTau, encodeMsg(nil, &tauUpdate{Tau: 42}))[:4])
+	corrupt := seed(ftVerifyRes, encodeMsg(nil, &verifyRes{}))
 	corrupt[7] ^= 0xFF
 	f.Add(corrupt)
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -23,8 +22,8 @@ const connGraceSlack = 5 * time.Second
 // scoreChunkSize batches streamed exact scores: small enough that the
 // coordinator's τ tightens while the node is still loading masks
 // (a shard-sized chunk would delay all feedback to the end of the
-// shard's whole batch), large enough to amortize the frame and JSON
-// overhead.
+// shard's whole batch), large enough to amortize a frame's write and
+// CRC over several scores.
 const scoreChunkSize = 16
 
 // Node serves one shard-service endpoint: it answers filter, bounds
@@ -236,22 +235,31 @@ func (n *Node) checkOwned(ids []int64) error {
 	return nil
 }
 
-// fromWireTerms reconstructs engine terms against this node's catalog.
-func (n *Node) fromWireTerms(wts []wireTerm) ([]core.CPTerm, error) {
-	out := make([]core.CPTerm, len(wts))
-	for i, wt := range wts {
-		t := core.CPTerm{Name: wt.Name, Range: wt.Range, Spec: wt.Spec}
-		switch wt.Spec.Kind {
-		case core.RegionRect:
-			t.Region = core.FixedRegion(wt.Spec.Rect)
-		case core.RegionObject:
-			t.Region = n.cat.ObjectROI()
-		default:
-			return nil, fmt.Errorf("dist: term %d has region kind %d: %w", i, wt.Spec.Kind, errNotDistributable)
-		}
-		out[i] = t
+// fromWireTerm reconstructs an engine term against this node's catalog.
+func (n *Node) fromWireTerm(wt wireTerm) (core.CPTerm, error) {
+	t := core.CPTerm{Name: wt.Name, Range: wt.Range, Spec: wt.Spec}
+	switch wt.Spec.Kind {
+	case core.RegionRect:
+		t.Region = core.FixedRegion(wt.Spec.Rect)
+	case core.RegionObject:
+		t.Region = n.cat.ObjectROI()
+	default:
+		return t, fmt.Errorf("dist: term %q has region kind %d: %w", wt.Name, wt.Spec.Kind, errNotDistributable)
 	}
-	return out, nil
+	return t, nil
+}
+
+// decodeReq decodes a work request into req and refuses it when bootID,
+// the boot its coordinator validated, is not this process: the request
+// was meant for a predecessor, possibly over another dataset.
+func (n *Node) decodeReq(payload []byte, req wireMsg, bootID *string) error {
+	if err := decodeMsg(payload, req); err != nil {
+		return fmt.Errorf("dist: node %s: decode request: %w", n.name, err)
+	}
+	if *bootID != n.bootID {
+		return fmt.Errorf("dist: node %s: request validated against boot %q, this is boot %q", n.name, *bootID, n.bootID)
+	}
+	return nil
 }
 
 // reqCtx derives the request's compute context and arms the
@@ -283,7 +291,7 @@ func (n *Node) handleConn(conn net.Conn) {
 	switch typ {
 	case ftHello:
 		n.nHellos.Add(1)
-		err = n.handleHello(conn)
+		err = n.handleHello(conn, payload)
 	case ftFilter:
 		n.nFilters.Add(1)
 		err = n.handleFilter(conn, payload)
@@ -303,19 +311,22 @@ func (n *Node) handleConn(conn net.Conn) {
 }
 
 // writeMsg writes one frame, accounting its bytes.
-func (n *Node) writeMsg(conn net.Conn, typ byte, v any) error {
-	sz, err := writeMsg(conn, typ, v)
+func (n *Node) writeMsg(conn net.Conn, typ byte, m wireMsg) error {
+	sz, err := writeMsg(conn, typ, m)
 	n.bytesOut.Add(int64(sz))
 	return err
 }
 
 func (n *Node) writeErr(conn net.Conn, err error) {
-	n.writeMsg(conn, ftError, wireError{Msg: err.Error()})
+	n.writeMsg(conn, ftError, &wireError{Msg: err.Error(), BootID: n.bootID})
 }
 
-func (n *Node) handleHello(conn net.Conn) error {
-	return n.writeMsg(conn, ftHelloRes, HelloRes{
-		Node: n.name, BootID: n.bootID,
+func (n *Node) handleHello(conn net.Conn, payload []byte) error {
+	if err := decodeMsg(payload, &helloReq{}); err != nil {
+		return fmt.Errorf("dist: node %s: decode hello: %w", n.name, err)
+	}
+	return n.writeMsg(conn, ftHelloRes, &HelloRes{
+		Wire: WireVersion, Node: n.name, BootID: n.bootID,
 		NumMasks: n.st.NumMasks(), MaskW: n.st.MaskW(), MaskH: n.st.MaskH(),
 		Shards: n.shards(), Codec: n.st.Codec(), GenVersion: n.st.GenVersion(),
 	})
@@ -323,15 +334,23 @@ func (n *Node) handleHello(conn net.Conn) error {
 
 func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 	var req filterReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return fmt.Errorf("dist: decode filter request: %w", err)
+	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
+		return err
 	}
 	if err := n.checkOwned(req.IDs); err != nil {
 		return err
 	}
-	terms, err := n.fromWireTerms(req.Terms)
-	if err != nil {
-		return err
+	terms := make([]core.CPTerm, len(req.Terms))
+	for i, wt := range req.Terms {
+		var err error
+		if terms[i], err = n.fromWireTerm(wt); err != nil {
+			return err
+		}
+	}
+	for _, c := range req.Pred {
+		if c.T < 0 || int(c.T) >= len(terms) {
+			return fmt.Errorf("dist: node %s: predicate on term T%d of %d", n.name, c.T, len(terms))
+		}
 	}
 	ctx, cancel := reqCtx(conn, req.DeadlineMS)
 	defer cancel()
@@ -339,28 +358,28 @@ func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return n.writeMsg(conn, ftFilterRes, filterRes{Keep: keep, Stats: st, Node: n.info()})
+	return n.writeMsg(conn, ftFilterRes, &filterRes{Keep: keep, Stats: st, Node: n.info()})
 }
 
 func (n *Node) handleBounds(conn net.Conn, payload []byte) error {
 	var req boundsReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return fmt.Errorf("dist: decode bounds request: %w", err)
+	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
+		return err
 	}
 	if err := n.checkOwned(req.IDs); err != nil {
 		return err
 	}
-	terms, err := n.fromWireTerms([]wireTerm{req.Term})
+	term, err := n.fromWireTerm(req.Term)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := reqCtx(conn, req.DeadlineMS)
 	defer cancel()
-	cands, st, err := core.BoundCands(ctx, n.env(), req.IDs, terms[0])
+	cands, st, err := core.BoundCands(ctx, n.env(), req.IDs, term)
 	if err != nil {
 		return err
 	}
-	return n.writeMsg(conn, ftBoundsRes, boundsRes{Cands: cands, Stats: st, Node: n.info()})
+	return n.writeMsg(conn, ftBoundsRes, &boundsRes{Cands: cands, Stats: st, Node: n.info()})
 }
 
 // scoreStreamer batches verified scores into ftScores frames. emit is
@@ -383,20 +402,19 @@ func (s *scoreStreamer) emit(i int, vals []int64) {
 	if s.werr != nil {
 		return
 	}
-	s.chunk.Idx = append(s.chunk.Idx, i)
-	s.chunk.Vals = append(s.chunk.Vals, vals)
-	if len(s.chunk.Idx) >= scoreChunkSize {
+	s.chunk = append(s.chunk, idxScore{Idx: i, Score: vals[0]})
+	if len(s.chunk) >= scoreChunkSize {
 		s.flushLocked()
 	}
 }
 
 func (s *scoreStreamer) flushLocked() {
-	if len(s.chunk.Idx) == 0 {
+	if len(s.chunk) == 0 {
 		return
 	}
-	s.node.scoresOut.Add(int64(len(s.chunk.Idx)))
-	err := s.node.writeMsg(s.conn, ftScores, s.chunk)
-	s.chunk = scoreChunk{}
+	s.node.scoresOut.Add(int64(len(s.chunk)))
+	err := s.node.writeMsg(s.conn, ftScores, &s.chunk)
+	s.chunk = s.chunk[:0]
 	if err != nil {
 		s.werr = err
 		s.cancel()
@@ -413,8 +431,8 @@ func (s *scoreStreamer) finish() error {
 
 func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 	var req verifyReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return fmt.Errorf("dist: decode verify request: %w", err)
+	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
+		return err
 	}
 	ids := make([]int64, len(req.Items))
 	for i, it := range req.Items {
@@ -423,7 +441,7 @@ func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 	if err := n.checkOwned(ids); err != nil {
 		return err
 	}
-	terms, err := n.fromWireTerms(req.Terms)
+	term, err := n.fromWireTerm(req.Term)
 	if err != nil {
 		return err
 	}
@@ -441,7 +459,6 @@ func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 	// and doubles as disconnect detection — any read error (the
 	// coordinator hung up, or the deadline tripped) cancels the
 	// verification work.
-	var tauRecv atomic.Int64
 	go func() {
 		for {
 			typ, p, sz, rerr := ReadFrame(conn, 0)
@@ -454,27 +471,20 @@ func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 				continue
 			}
 			var tu tauUpdate
-			if json.Unmarshal(p, &tu) == nil {
+			if decodeMsg(p, &tu) == nil {
 				gate.Set(tu.Tau)
-				tauRecv.Add(1)
 				n.tauRecv.Add(1)
 			}
 		}
 	}()
 
 	stream := &scoreStreamer{node: n, conn: conn, cancel: cancel}
-	skipped, st, err := core.VerifyEach(ctx, n.env(), req.Items, terms, gate, stream.emit)
+	_, st, err := core.VerifyEach(ctx, n.env(), req.Items, []core.CPTerm{term}, gate, stream.emit)
 	if err != nil {
 		return err
 	}
 	if err := stream.finish(); err != nil {
 		return err
 	}
-	res := verifyRes{TauRecv: tauRecv.Load(), Stats: st, Node: n.info()}
-	for i, sk := range skipped {
-		if sk {
-			res.Skipped = append(res.Skipped, i)
-		}
-	}
-	return n.writeMsg(conn, ftVerifyRes, res)
+	return n.writeMsg(conn, ftVerifyRes, &verifyRes{Stats: st, Node: n.info()})
 }

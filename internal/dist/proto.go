@@ -1,21 +1,20 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"masksearch/internal/core"
 	"masksearch/internal/store"
 )
 
-// Frame types. A connection carries exactly one request: the client
-// dials, writes the request frame, and reads response frames until the
-// terminal one (ftError, or the request's *Res type). Verify requests
-// are the only streaming exchange: the node emits ftScores frames as
-// exact values land and accepts ftTau frames inbound at any time, then
-// terminates with ftVerifyRes.
+// Frame types. Each frame's payload is one message below, in the
+// fixed-width binary encoding of wire.go. A connection carries exactly
+// one request: the client dials, writes the request frame, and reads
+// response frames until the terminal one (ftError, or the request's
+// *Res type). Verify requests are the only streaming exchange: the node
+// emits ftScores frames as exact values land and accepts ftTau frames
+// inbound at any time, then terminates with ftVerifyRes.
 const (
 	ftError byte = iota + 1
 	ftHello
@@ -40,27 +39,35 @@ var errNotDistributable = errors.New("dist: plan element is not distributable")
 // cross the wire; the node reconstructs an equivalent RegionFn from
 // Spec against its own copy of the catalog.
 type wireTerm struct {
-	Name  string          `json:"name,omitempty"`
-	Spec  core.RegionSpec `json:"spec"`
-	Range core.ValueRange `json:"range"`
+	Name  string
+	Spec  core.RegionSpec
+	Range core.ValueRange
 }
 
 // wireCmp is one CP comparison of a conjunctive predicate.
 type wireCmp struct {
-	T  core.Term `json:"t"`
-	Op core.Op   `json:"op"`
-	C  int64     `json:"c"`
+	T  core.Term
+	Op core.Op
+	C  int64
 }
 
-// toWireTerms serializes facade-built terms, rejecting any without a
+// toWireTerm serializes a facade-built term, rejecting one without a
 // region spec.
+func toWireTerm(t core.CPTerm) (wireTerm, error) {
+	if t.Spec.Kind == core.RegionNone {
+		return wireTerm{}, fmt.Errorf("dist: term %q has no region spec: %w", t.String(), errNotDistributable)
+	}
+	return wireTerm{Name: t.Name, Spec: t.Spec, Range: t.Range}, nil
+}
+
+// toWireTerms serializes a filter's terms.
 func toWireTerms(terms []core.CPTerm) ([]wireTerm, error) {
 	out := make([]wireTerm, len(terms))
 	for i, t := range terms {
-		if t.Spec.Kind == core.RegionNone {
-			return nil, fmt.Errorf("dist: term %q has no region spec: %w", t.String(), errNotDistributable)
+		var err error
+		if out[i], err = toWireTerm(t); err != nil {
+			return nil, err
 		}
-		out[i] = wireTerm{Name: t.Name, Spec: t.Spec, Range: t.Range}
 	}
 	return out, nil
 }
@@ -104,136 +111,119 @@ func fromWirePred(cs []wireCmp) core.Pred {
 type helloReq struct{}
 
 // HelloRes describes one node and its opened dataset. msinspect
-// renders it as per-node health; the coordinator compares the dataset
-// fields against its own before the node serves its first request.
+// renders it as per-node health; the coordinator compares the wire
+// version and the dataset fields against its own before the node
+// serves its first request.
 type HelloRes struct {
-	Node string `json:"node"`
-	// BootID changes on every node process start; the coordinator uses
-	// it to reset its cumulative read-stats baseline for the node.
-	BootID     string `json:"boot_id"`
-	NumMasks   int    `json:"num_masks"`
-	MaskW      int    `json:"mask_w"`
-	MaskH      int    `json:"mask_h"`
-	Shards     int    `json:"shards"`
-	Codec      string `json:"codec,omitempty"`
-	GenVersion int    `json:"gen_version,omitempty"`
+	// Wire is the node's WireVersion.
+	Wire int
+	Node string
+	// BootID changes on every node process start. The coordinator sends
+	// the one it validated with every work request, and a node refuses
+	// work validated against another boot; it also resets the
+	// coordinator's cumulative read-stats baseline for the node.
+	BootID     string
+	NumMasks   int
+	MaskW      int
+	MaskH      int
+	Shards     int
+	Codec      string
+	GenVersion int
 }
 
 // nodeInfo trails every work response: the responding node's identity
 // plus its cumulative per-shard read counters, from which the
 // coordinator folds deltas into the facade's remote-read stats.
 type nodeInfo struct {
-	Node   string            `json:"node"`
-	BootID string            `json:"boot_id"`
-	Reads  []store.ReadStats `json:"reads"`
+	Node   string
+	BootID string
+	Reads  []store.ReadStats
 }
 
+// Every work request carries BootID, the node boot its coordinator
+// validated. DeadlineMS, when positive, bounds the node-side work
+// relative to request receipt (the coordinator derives it from its ctx
+// deadline).
+
 // filterReq asks a node to run the filter stage over ids it owns.
-// DeadlineMS, when positive, bounds the node-side work relative to
-// request receipt (the coordinator derives it from its ctx deadline).
 type filterReq struct {
-	IDs        []int64    `json:"ids"`
-	Terms      []wireTerm `json:"terms"`
-	Pred       []wireCmp  `json:"pred,omitempty"`
-	DeadlineMS int64      `json:"deadline_ms,omitempty"`
+	BootID     string
+	IDs        []int64
+	Terms      []wireTerm
+	Pred       []wireCmp
+	DeadlineMS int64
 }
 
 type filterRes struct {
-	Keep  []bool     `json:"keep"`
-	Stats core.Stats `json:"stats"`
-	Node  nodeInfo   `json:"node"`
+	Keep  []bool
+	Stats core.Stats
+	Node  nodeInfo
 }
 
-// boundsReq asks for the candidate bounds of the (single) score term
-// over ids the node owns.
+// boundsReq asks for the candidate bounds of the score term over ids
+// the node owns.
 type boundsReq struct {
-	IDs        []int64  `json:"ids"`
-	Term       wireTerm `json:"term"`
-	DeadlineMS int64    `json:"deadline_ms,omitempty"`
+	BootID     string
+	IDs        []int64
+	Term       wireTerm
+	DeadlineMS int64
 }
 
+// boundsRes answers a boundsReq with one candidate per requested id, in
+// request order.
 type boundsRes struct {
-	Cands []core.CandBound `json:"cands"`
-	Stats core.Stats       `json:"stats"`
-	Node  nodeInfo         `json:"node"`
+	Cands []core.CandBound
+	Stats core.Stats
+	Node  nodeInfo
 }
 
-// verifyReq asks a node to exactly verify items it owns, streaming
-// scores back as they land; Terms holds the one score term, so each
-// streamed row has one value. Gated requests consult a τ gate before
-// each mask load: Tau seeds it (when the coordinator's tracker is
-// already full) and inbound ftTau frames advance it mid-request.
+// verifyReq asks a node to exactly verify items it owns on the score
+// term, streaming scores back as they land. Gated requests consult a τ
+// gate before each mask load: Tau seeds it (when the coordinator's
+// tracker is already full) and inbound ftTau frames advance it
+// mid-request.
 type verifyReq struct {
-	Items      []core.VerifyItem `json:"items"`
-	Terms      []wireTerm        `json:"terms"`
-	Ord        core.Order        `json:"ord"`
-	Gated      bool              `json:"gated"`
-	Tau        *int64            `json:"tau,omitempty"`
-	DeadlineMS int64             `json:"deadline_ms,omitempty"`
+	BootID     string
+	Items      []core.VerifyItem
+	Term       wireTerm
+	Ord        core.Order
+	Gated      bool
+	Tau        *int64
+	DeadlineMS int64
 }
 
-// scoreChunk is one batch of exact results: Idx[i] is the item's index
-// in verifyReq.Items, Vals[i] its exact per-term values.
-type scoreChunk struct {
-	Idx  []int     `json:"idx"`
-	Vals [][]int64 `json:"vals"`
+// scoreChunk is one batch of exact results.
+type scoreChunk []idxScore
+
+// idxScore is one item's exact score; Idx is its index in
+// verifyReq.Items.
+type idxScore struct {
+	Idx   int
+	Score int64
 }
 
 // tauUpdate pushes a tightened global τ to an in-flight verify.
 type tauUpdate struct {
-	Tau int64 `json:"tau"`
+	Tau int64
 }
 
-// verifyRes terminates a verify stream. Skipped lists the item indexes
-// the node's τ gate pruned (their masks were never loaded).
+// verifyRes terminates a verify stream.
 type verifyRes struct {
-	Skipped []int      `json:"skipped,omitempty"`
-	TauRecv int64      `json:"tau_recv,omitempty"`
-	Stats   core.Stats `json:"stats"`
-	Node    nodeInfo   `json:"node"`
+	Stats core.Stats
+	Node  nodeInfo
 }
 
-// wireError is the payload of an ftError frame.
+// wireError is the payload of an ftError frame. BootID names the node
+// boot that failed the request.
 type wireError struct {
-	Msg string `json:"msg"`
+	Msg    string
+	BootID string
 }
 
 // errRemote wraps a node-reported failure on the coordinator side.
 type errRemote struct {
-	msg string
+	msg    string
+	bootID string
 }
 
 func (e *errRemote) Error() string { return "dist: remote error: " + e.msg }
-
-// writeMsg JSON-encodes v into one frame, returning the wire size.
-func writeMsg(w io.Writer, typ byte, v any) (int, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("dist: encode frame type 0x%02x: %w", typ, err)
-	}
-	return WriteFrame(w, typ, payload)
-}
-
-// readMsg reads one frame of the expected type into v, returning the
-// wire size. An ftError frame is surfaced as an *errRemote; any other
-// unexpected type is a protocol error.
-func readMsg(r io.Reader, want byte, max int, v any) (int, error) {
-	typ, payload, n, err := ReadFrame(r, max)
-	if err != nil {
-		return n, err
-	}
-	if typ == ftError {
-		var we wireError
-		if err := json.Unmarshal(payload, &we); err != nil {
-			return n, fmt.Errorf("dist: decode error frame: %w", err)
-		}
-		return n, &errRemote{msg: we.Msg}
-	}
-	if typ != want {
-		return n, fmt.Errorf("dist: expected frame type 0x%02x, got 0x%02x", want, typ)
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return n, fmt.Errorf("dist: decode frame type 0x%02x: %w", typ, err)
-	}
-	return n, nil
-}

@@ -3,7 +3,6 @@ package dist
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -115,10 +114,10 @@ func (c *Coordinator) Filter(ctx context.Context, targets []int64, terms []core.
 		go func(s int) {
 			defer wg.Done()
 			ids, src := byShard[s], srcIdx[s]
-			errs[s] = c.runAttempts(ctx, kindFilter, s, func(actx context.Context, node NodeSpec) (func(), error) {
+			errs[s] = c.runAttempts(ctx, kindFilter, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
 				var res filterRes
-				req := filterReq{IDs: ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
-				if err := c.roundTrip(actx, kindFilter, node, ftFilter, req, ftFilterRes, &res); err != nil {
+				req := filterReq{BootID: boot, IDs: ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
+				if err := c.roundTrip(actx, kindFilter, node, ftFilter, &req, ftFilterRes, &res); err != nil {
 					return nil, err
 				}
 				if len(res.Keep) != len(ids) {
@@ -161,7 +160,7 @@ type stages struct {
 // shard went missing under the degraded policy).
 func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTerm) ([]core.CandBound, []bool, core.Stats, error) {
 	var st core.Stats
-	wterms, err := toWireTerms([]core.CPTerm{term.CPTerm})
+	wterm, err := toWireTerm(term.CPTerm)
 	if err != nil {
 		return nil, nil, st, err
 	}
@@ -180,14 +179,19 @@ func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTer
 		go func(s int) {
 			defer wg.Done()
 			ids, src := byShard[s], srcIdx[s]
-			errs[s] = c.runAttempts(ctx, kindBounds, s, func(actx context.Context, node NodeSpec) (func(), error) {
+			errs[s] = c.runAttempts(ctx, kindBounds, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
 				var res boundsRes
-				req := boundsReq{IDs: ids, Term: wterms[0], DeadlineMS: deadlineMS(actx)}
-				if err := c.roundTrip(actx, kindBounds, node, ftBounds, req, ftBoundsRes, &res); err != nil {
+				req := boundsReq{BootID: boot, IDs: ids, Term: wterm, DeadlineMS: deadlineMS(actx)}
+				if err := c.roundTrip(actx, kindBounds, node, ftBounds, &req, ftBoundsRes, &res); err != nil {
 					return nil, err
 				}
 				if len(res.Cands) != len(ids) {
 					return nil, fmt.Errorf("dist: node %s answered %d bounds for %d ids", node.Name, len(res.Cands), len(ids))
+				}
+				for j, cb := range res.Cands {
+					if cb.ID != ids[j] {
+						return nil, fmt.Errorf("dist: node %s answered bounds for mask %d where mask %d was asked", node.Name, cb.ID, ids[j])
+					}
 				}
 				return func() {
 					mu.Lock()
@@ -215,7 +219,7 @@ func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTer
 // seeded with the gate's current τ and receives pushes as later
 // landings tighten it.
 func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.ScoreTerm, gate *core.TauGate, land func(i int, score int64)) (core.Stats, error) {
-	wterms, err := toWireTerms([]core.CPTerm{term.CPTerm})
+	wterm, err := toWireTerm(term.CPTerm)
 	if err != nil {
 		return core.Stats{}, err
 	}
@@ -262,8 +266,8 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 				l2g[j] = order[o]
 				shardItems[j] = items[l2g[j]]
 			}
-			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec) (func(), error) {
-				return c.verifyAttempt(actx, node, shardItems, l2g, wterms, g)
+			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
+				return c.verifyAttempt(actx, node, boot, shardItems, l2g, wterm, g)
 			})
 		}(s)
 	}
@@ -283,7 +287,7 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 // mid-flight; the gather's per-candidate dedup keeps concurrent hedged
 // attempts sound. The commit only folds the response stats, so a
 // losing attempt never double-counts them.
-func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []core.VerifyItem, l2g []int, wterms []wireTerm, g *gather) (func(), error) {
+func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot string, items []core.VerifyItem, l2g []int, wterm wireTerm, g *gather) (func(), error) {
 	conn, err := c.dial(ctx, node)
 	if err != nil {
 		return nil, err
@@ -293,14 +297,14 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 	defer stop()
 
 	gated := g.gate != nil
-	req := verifyReq{Items: items, Terms: wterms, Gated: gated, DeadlineMS: deadlineMS(ctx)}
+	req := verifyReq{BootID: boot, Items: items, Term: wterm, Gated: gated, DeadlineMS: deadlineMS(ctx)}
 	if gated {
 		req.Ord = g.gate.Order()
 		if tau, ok := g.gate.Threshold(); ok {
 			req.Tau = &tau
 		}
 	}
-	sz, err := writeMsg(conn, ftVerify, req)
+	sz, err := writeMsg(conn, ftVerify, &req)
 	c.bytesSent.Add(int64(sz))
 	if err != nil {
 		return nil, err
@@ -331,7 +335,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 				if !ok || (haveSent && tau == lastSent) {
 					continue
 				}
-				n, werr := writeMsg(conn, ftTau, tauUpdate{Tau: tau})
+				n, werr := writeMsg(conn, ftTau, &tauUpdate{Tau: tau})
 				c.bytesSent.Add(int64(n))
 				if werr != nil {
 					return
@@ -351,21 +355,18 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 		switch typ {
 		case ftScores:
 			var chunk scoreChunk
-			if err := json.Unmarshal(payload, &chunk); err != nil {
+			if err := decodeMsg(payload, &chunk); err != nil {
 				return nil, fmt.Errorf("dist: decode score chunk: %w", err)
 			}
-			if len(chunk.Vals) != len(chunk.Idx) {
-				return nil, fmt.Errorf("dist: node %s streamed %d score rows for %d indexes", node.Name, len(chunk.Vals), len(chunk.Idx))
-			}
-			for j, li := range chunk.Idx {
-				if li < 0 || li >= len(l2g) || len(chunk.Vals[j]) == 0 {
-					return nil, fmt.Errorf("dist: node %s streamed an out-of-range score entry", node.Name)
+			for _, sc := range chunk {
+				if sc.Idx < 0 || sc.Idx >= len(l2g) {
+					return nil, fmt.Errorf("dist: node %s streamed a score for item %d of %d", node.Name, sc.Idx, len(l2g))
 				}
-				g.land(l2g[li], chunk.Vals[j][0])
+				g.land(l2g[sc.Idx], sc.Score)
 			}
 		case ftVerifyRes:
 			var res verifyRes
-			if err := json.Unmarshal(payload, &res); err != nil {
+			if err := decodeMsg(payload, &res); err != nil {
 				return nil, fmt.Errorf("dist: decode verify result: %w", err)
 			}
 			return func() {
@@ -373,11 +374,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 				c.foldReads(res.Node)
 			}, nil
 		case ftError:
-			var we wireError
-			if err := json.Unmarshal(payload, &we); err != nil {
-				return nil, fmt.Errorf("dist: decode error frame: %w", err)
-			}
-			return nil, &errRemote{msg: we.Msg}
+			return nil, remoteErr(payload)
 		default:
 			return nil, fmt.Errorf("dist: unexpected frame type 0x%02x in verify stream", typ)
 		}
