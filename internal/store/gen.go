@@ -14,7 +14,8 @@ import (
 
 const (
 	manifestFile      = "manifest.json"
-	catalogFile       = "catalog.json"
+	catalogBinFile    = "catalog.bin"
+	legacyCatalogFile = "catalog.json"
 	masksFile         = "masks.bin"
 	masksRLEFile      = "masks.rle"
 	masksRLEIndexFile = "masks.rle.idx"
@@ -36,14 +37,18 @@ const (
 func validCodec(name string) bool { return name == CodecRaw || name == CodecRLE }
 
 // GenVersion identifies the synthetic generator's output. Bump it when
-// generated pixels change for the same Spec (it is recorded in the
-// manifest so benchmark harnesses regenerate stale datasets instead of
-// silently comparing against old pixels).
+// generated pixels or file layout change for the same Spec (it is
+// recorded in the manifest so benchmark harnesses regenerate stale
+// datasets instead of silently comparing against old pixels or opening
+// an old layout).
 //
 // Version 2: background noise became 4-px-block structured (see
 // renderBlob), making the synthetic masks representative of upsampled
 // CAM/attention saliency and hence of real-world RLE compressibility.
-const GenVersion = 2
+//
+// Version 3: the catalog is written as fixed-width catalog.bin rows
+// instead of catalog.json.
+const GenVersion = 3
 
 // IndexFileName is where the DB facade persists a CHI index inside a
 // database directory; Generate removes it so a regenerated dataset
@@ -189,7 +194,7 @@ func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error
 		}
 	}
 	if shards > 1 {
-		for _, f := range []string{masksFile, masksRLEFile, masksRLEIndexFile, catalogFile} {
+		for _, f := range []string{masksFile, masksRLEFile, masksRLEIndexFile, catalogBinFile, legacyCatalogFile} {
 			if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
 				return err
 			}
@@ -231,11 +236,11 @@ func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return err
 		}
-		// Remove the other codec's data files so a regenerated segment
-		// never carries both layouts.
-		stale := []string{masksRLEFile, masksRLEIndexFile}
+		// Remove the other codec's data files and a legacy catalog so a
+		// regenerated segment never carries two layouts.
+		stale := []string{masksRLEFile, masksRLEIndexFile, legacyCatalogFile}
 		if codec == CodecRLE {
-			stale = []string{masksFile}
+			stale = []string{masksFile, legacyCatalogFile}
 		}
 		for _, s := range stale {
 			if err := os.Remove(filepath.Join(d, s)); err != nil && !os.IsNotExist(err) {
@@ -267,7 +272,11 @@ func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error
 				return err
 			}
 		}
-		if err := writeJSON(filepath.Join(d, catalogFile), segEntries); err != nil {
+		rows, err := encodeCatalog(segEntries)
+		if err != nil {
+			return err
+		}
+		if err := writeBulk(filepath.Join(d, catalogBinFile), rows); err != nil {
 			return err
 		}
 		man := Manifest{Spec: spec, NumMasks: len(segEntries), Codec: codec, GenVersion: GenVersion}
@@ -324,8 +333,7 @@ func writeOffsets(path string, offs []int64) error {
 	for i, o := range offs {
 		binary.LittleEndian.PutUint64(buf[i*8:], uint64(o))
 	}
-	//msvet:ignore fsyncrename bulk generation is not crash-safe by contract; a partial dataset is regenerated
-	return os.WriteFile(path, buf, 0o644)
+	return writeBulk(path, buf)
 }
 
 // ShardDirName is the directory name of shard i inside a sharded

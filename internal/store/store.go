@@ -7,7 +7,9 @@
 // Layout of a database directory:
 //
 //	manifest.json  — the generation Spec plus derived counts and codec
-//	catalog.json   — []Entry, one row per mask
+//	catalog.bin    — one fixed-width, checksummed Entry row per mask in
+//	                 id order (catalogfile.go; a legacy catalog.json is
+//	                 still read, and migrated by OpenIngest)
 //	masks.bin      — raw uint8 pixels, mask id i at offset (i-1)*W*H
 //
 // With the RLE codec (Manifest.Codec == CodecRLE) the pixel file is
@@ -293,17 +295,13 @@ func Open(dir string) (*Store, *Catalog, error) {
 	if len(man.Shards) > 0 {
 		return nil, nil, fmt.Errorf("store: open %s: sharded database (%d shards); open it with OpenAny or OpenSharded", dir, len(man.Shards))
 	}
-	var entries []Entry
-	if err := readJSON(filepath.Join(dir, catalogFile), &entries); err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
 	// The catalog must agree with the manifest exactly: a longer
 	// catalog would advertise ids whose pixels don't exist, a shorter
-	// one would lose metadata for stored masks. Recovery repairs an
+	// one would lose metadata for stored masks. Recovery trims an
 	// over-long catalog left by a crashed compaction before reopening.
-	if len(entries) != man.NumMasks {
-		return nil, nil, fmt.Errorf("store: open %s: catalog has %d rows, manifest says %d masks — inconsistent dataset",
-			dir, len(entries), man.NumMasks)
+	entries, err := readCatalog(dir, man.NumMasks, max(1, man.FirstID))
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	if !validCodec(man.Codec) {
 		return nil, nil, fmt.Errorf("store: open %s: unknown codec %q", dir, man.Codec)
@@ -769,6 +767,12 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
+	return writeBulk(path, append(b, '\n'))
+}
+
+// writeBulk writes a file of the bulk generation path, without
+// durability guarantees (ingestion goes through writeFileSync).
+func writeBulk(path string, data []byte) error {
 	//msvet:ignore fsyncrename bulk generation is not crash-safe by contract; a partial dataset is regenerated
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
 }

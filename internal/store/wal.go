@@ -47,10 +47,9 @@ const (
 	recMask   = 'M'
 	recCommit = 'C'
 
-	// maskRecFixed is the mask payload size before the pixel bytes:
-	// maskID(8) imageID(8) modelID(4) maskType(4) label(4) pred(4)
-	// modified(1) object(16) pixLen(4).
-	maskRecFixed = 53
+	// maskRecFixed is the mask payload size before the pixel bytes: the
+	// catalog entry encoding (putEntry) and pixLen(4).
+	maskRecFixed = entrySize + 4
 
 	// defaultRollBytes seals a segment once its durable size passes
 	// this, bounding per-segment replay work and letting compaction
@@ -163,14 +162,18 @@ type WALStore struct {
 }
 
 // OpenIngest opens a database directory for reading and online
-// ingestion: it repairs any partial compaction left by a crash, opens
-// the base layout, then scans the WAL — truncating torn tails at the
-// first bad checksum or missing commit — and replays the durable
-// prefix into the catalog. Mutating filesystem operations go through
-// fsys (DirFS in production; a FaultFS under test).
+// ingestion: it migrates a legacy catalog.json to catalog.bin, repairs
+// any partial compaction left by a crash, opens the base layout, then
+// scans the WAL — truncating torn tails at the first bad checksum or
+// missing commit — and replays the durable prefix into the catalog.
+// Mutating filesystem operations go through fsys (DirFS in production;
+// a FaultFS under test).
 func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 	man, err := LoadManifest(dir)
 	if err != nil {
+		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	if err := migrateCatalogs(fsys, dir, man); err != nil {
 		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	walDir := filepath.Join(dir, walDirName)
@@ -214,11 +217,11 @@ func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 }
 
 // repairBase undoes the visible effects of a compaction that crashed
-// before its commit point (the manifest rename): a masks.bin longer
-// than the manifest implies is truncated back, an over-long catalog is
-// trimmed, and shard directories the manifest does not list are
-// removed. Everything it deletes is still covered by WAL segments, so
-// no durable mask is lost.
+// before its commit point (the manifest rename): a masks.bin and a
+// catalog.bin longer than the manifest implies are truncated back, and
+// shard directories the manifest does not list are removed. Everything
+// it deletes is still covered by WAL segments, so no durable mask is
+// lost.
 func repairBase(fsys FS, dir string, man Manifest) error {
 	if len(man.Shards) > 0 {
 		names, err := filepath.Glob(filepath.Join(dir, "shard-*"))
@@ -249,37 +252,29 @@ func repairBase(fsys FS, dir string, man Manifest) error {
 		// the manifest references (idx first — its committed length
 		// bounds the committed stream bytes).
 		idxPath := filepath.Join(dir, masksRLEIndexFile)
-		wantIdx := int64(8 * (man.NumMasks + 1))
-		if fi, err := os.Stat(idxPath); err == nil && fi.Size() > wantIdx {
-			if err := fsys.Truncate(idxPath, wantIdx); err != nil {
-				return err
-			}
+		if err := trimFile(fsys, idxPath, int64(8*(man.NumMasks+1))); err != nil {
+			return err
 		}
 		offs, err := readOffsets(idxPath, man.NumMasks)
 		if err != nil {
 			return err
 		}
-		want := offs[len(offs)-1]
-		if fi, err := os.Stat(filepath.Join(dir, masksRLEFile)); err == nil && fi.Size() > want {
-			if err := fsys.Truncate(filepath.Join(dir, masksRLEFile), want); err != nil {
-				return err
-			}
+		if err := trimFile(fsys, filepath.Join(dir, masksRLEFile), offs[len(offs)-1]); err != nil {
+			return err
 		}
 	} else {
 		spec := man.Spec.withDefaults()
-		want := int64(man.NumMasks) * int64(spec.W) * int64(spec.H)
-		if fi, err := os.Stat(filepath.Join(dir, masksFile)); err == nil && fi.Size() > want {
-			if err := fsys.Truncate(filepath.Join(dir, masksFile), want); err != nil {
-				return err
-			}
-		}
-	}
-	var entries []Entry
-	if err := readJSON(filepath.Join(dir, catalogFile), &entries); err == nil && len(entries) > man.NumMasks {
-		if err := writeJSONSync(fsys, filepath.Join(dir, catalogFile), entries[:man.NumMasks]); err != nil {
+		if err := trimFile(fsys, filepath.Join(dir, masksFile), int64(man.NumMasks)*int64(spec.W)*int64(spec.H)); err != nil {
 			return err
 		}
-		return fsys.SyncDir(dir)
+	}
+	return trimFile(fsys, filepath.Join(dir, catalogBinFile), int64(man.NumMasks)*CatalogRowSize)
+}
+
+// trimFile truncates path to size bytes when it is longer.
+func trimFile(fsys FS, path string, size int64) error {
+	if fi, err := os.Stat(path); err == nil && fi.Size() > size {
+		return fsys.Truncate(path, size)
 	}
 	return nil
 }
@@ -498,20 +493,8 @@ func appendRecord(buf []byte, typ byte, plen int, fill func(p []byte)) []byte {
 // encodeMaskPayload fills p (maskRecFixed+len(pix) bytes) with one
 // mask record payload.
 func encodeMaskPayload(p []byte, e Entry, pix []byte) {
-	binary.LittleEndian.PutUint64(p[0:], uint64(e.MaskID))
-	binary.LittleEndian.PutUint64(p[8:], uint64(e.ImageID))
-	binary.LittleEndian.PutUint32(p[16:], uint32(int32(e.ModelID)))
-	binary.LittleEndian.PutUint32(p[20:], uint32(int32(e.MaskType)))
-	binary.LittleEndian.PutUint32(p[24:], uint32(int32(e.Label)))
-	binary.LittleEndian.PutUint32(p[28:], uint32(int32(e.Pred)))
-	if e.Modified {
-		p[32] = 1
-	}
-	binary.LittleEndian.PutUint32(p[33:], uint32(int32(e.Object.X0)))
-	binary.LittleEndian.PutUint32(p[37:], uint32(int32(e.Object.Y0)))
-	binary.LittleEndian.PutUint32(p[41:], uint32(int32(e.Object.X1)))
-	binary.LittleEndian.PutUint32(p[45:], uint32(int32(e.Object.Y1)))
-	binary.LittleEndian.PutUint32(p[49:], uint32(len(pix)))
+	putEntry(p, e)
+	binary.LittleEndian.PutUint32(p[entrySize:], uint32(len(pix)))
 	copy(p[maskRecFixed:], pix)
 }
 
@@ -519,21 +502,11 @@ func decodeMaskPayload(p []byte, pixLen int) (Entry, []byte, error) {
 	if len(p) < maskRecFixed {
 		return Entry{}, nil, fmt.Errorf("short mask payload (%d bytes)", len(p))
 	}
-	var e Entry
-	e.MaskID = int64(binary.LittleEndian.Uint64(p[0:]))
-	e.ImageID = int64(binary.LittleEndian.Uint64(p[8:]))
-	e.ModelID = int(int32(binary.LittleEndian.Uint32(p[16:])))
-	e.MaskType = int(int32(binary.LittleEndian.Uint32(p[20:])))
-	e.Label = int(int32(binary.LittleEndian.Uint32(p[24:])))
-	e.Pred = int(int32(binary.LittleEndian.Uint32(p[28:])))
-	e.Modified = p[32] == 1
-	e.Object = core.Rect{
-		X0: int(int32(binary.LittleEndian.Uint32(p[33:]))),
-		Y0: int(int32(binary.LittleEndian.Uint32(p[37:]))),
-		X1: int(int32(binary.LittleEndian.Uint32(p[41:]))),
-		Y1: int(int32(binary.LittleEndian.Uint32(p[45:]))),
+	e, err := getEntry(p)
+	if err != nil {
+		return Entry{}, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(p[49:]))
+	n := int(binary.LittleEndian.Uint32(p[entrySize:]))
 	if n != pixLen || len(p) != maskRecFixed+n {
 		return Entry{}, nil, fmt.Errorf("mask payload is %d pixel bytes, want %d", n, pixLen)
 	}
@@ -566,6 +539,8 @@ func (ws *WALStore) SetRollBytes(n int64) {
 // returns: an acknowledged append survives any crash, and a crash
 // mid-batch rolls the entire batch back on recovery. On error nothing
 // is acknowledged and the assigned ids are reused by the next attempt.
+// A metadata field outside the catalog's 32-bit range is such an error:
+// stored, it would read back as a different value after reopen.
 func (ws *WALStore) Append(ctx context.Context, masks []IngestMask) ([]int64, error) {
 	if len(masks) == 0 {
 		return nil, nil
@@ -577,6 +552,9 @@ func (ws *WALStore) Append(ctx context.Context, masks []IngestMask) ([]int64, er
 	for i, m := range masks {
 		if len(m.Pix) != want {
 			return nil, fmt.Errorf("store: append: mask %d has %d pixel bytes, want %d (%dx%d)", i, len(m.Pix), want, ws.w, ws.h)
+		}
+		if err := checkEntry(m.Entry); err != nil {
+			return nil, fmt.Errorf("store: append: mask %d: %w", i, err)
 		}
 	}
 	ws.mu.Lock()
@@ -716,13 +694,14 @@ func (ws *WALStore) sealBrokenLocked() {
 
 // Compact folds every durable WAL mask into the base layout and
 // deletes the retired segments, returning the number of masks moved.
-// On a single-segment base the pixels are appended to masks.bin and
-// the catalog and manifest are atomically rewritten (the manifest
-// rename is the commit point); on a sharded base the batch becomes a
-// brand-new shard directory, committed by the top-level manifest
-// rename. Either way a crash before the commit point leaves the WAL
-// authoritative and recovery repairs the partial write; a crash after
-// it leaves only redundant segments, which recovery deletes.
+// On a single-segment base the pixels and catalog rows are appended to
+// the mask file and catalog.bin and the manifest is atomically
+// rewritten (the manifest rename is the commit point); on a sharded
+// base the batch becomes a brand-new shard directory, committed by the
+// top-level manifest rename. Either way a crash before the commit point
+// leaves the WAL authoritative and recovery repairs the partial write;
+// a crash after it leaves only redundant segments, which recovery
+// deletes.
 //
 // Compact holds the ingest lock for its duration, so appends stall
 // while it runs; reads are unaffected.
@@ -795,20 +774,26 @@ func (ws *WALStore) Compact(ctx context.Context) (int, error) {
 
 // compactSingleLocked folds the tail into a single-segment base:
 // append pixels to the mask file in the base's codec (fsync; under RLE
-// each mask is encoded and the offset column extended), rewrite
-// catalog.json, then commit by renaming the new manifest into place
-// and syncing the directory. Publishes the new id range into the live
-// base on success.
+// each mask is encoded and the offset column extended), append the
+// batch's rows to catalog.bin (fsync), then commit by renaming the new
+// manifest into place and syncing the directory. Publishes the new id
+// range into the live base on success.
 func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]byte) error {
+	rows, err := encodeCatalog(entries)
+	if err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 	var tail []int64 // RLE codec: end offset per appended stream
 	end := base.StoredBytes() + int64(len(pixes)*ws.w*ws.h)
 	if base.codec == CodecRLE {
-		var err error
 		if tail, err = ws.appendRLELocked(base, pixes); err != nil {
 			return err
 		}
 		end = tail[len(tail)-1]
-	} else if err := ws.appendRawLocked(base, pixes); err != nil {
+	} else if err := ws.appendSynced(filepath.Join(ws.dir, masksFile), base.DataBytes(), pixes...); err != nil {
+		return err
+	}
+	if err := ws.appendSynced(filepath.Join(ws.dir, catalogBinFile), int64(base.NumMasks())*CatalogRowSize, rows); err != nil {
 		return err
 	}
 	// The appended bytes are durable, so map them now: nothing after the
@@ -823,9 +808,6 @@ func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]
 			chunk.unmap()
 		}
 	}()
-	if err := writeJSONSync(ws.fsys, filepath.Join(ws.dir, catalogFile), ws.cat.Entries()); err != nil {
-		return fmt.Errorf("store: compact: write catalog: %w", err)
-	}
 	man := ws.man
 	man.NumMasks += len(entries)
 	if err := writeJSONSync(ws.fsys, filepath.Join(ws.dir, manifestFile), man); err != nil {
@@ -841,35 +823,35 @@ func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]
 	return nil
 }
 
-// appendRawLocked appends raw pixel blocks to masks.bin and fsyncs.
-func (ws *WALStore) appendRawLocked(base *Store, pixes [][]byte) error {
-	path := filepath.Join(ws.dir, masksFile)
-	want := int64(base.NumMasks()) * int64(ws.w) * int64(ws.h)
-	// Self-heal a previous compaction attempt that appended pixels but
-	// failed before its commit: those bytes are not referenced by the
-	// manifest and are about to be rewritten.
+// appendSynced appends chunks to the base file at path, which the
+// manifest says holds size bytes, and fsyncs it, so the commit that
+// follows never names bytes that are not durable. Bytes past size were
+// appended by an earlier attempt that failed before its commit: nothing
+// references them, so they are truncated away first.
+func (ws *WALStore) appendSynced(path string, size int64, chunks ...[]byte) error {
+	name := filepath.Base(path)
 	if fi, err := os.Stat(path); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
-	} else if fi.Size() > want {
-		if err := ws.fsys.Truncate(path, want); err != nil {
+	} else if fi.Size() < size {
+		return fmt.Errorf("store: compact: %s is %d bytes, want %d", name, fi.Size(), size)
+	} else if fi.Size() > size {
+		if err := ws.fsys.Truncate(path, size); err != nil {
 			return fmt.Errorf("store: compact: %w", err)
 		}
-	} else if fi.Size() < want {
-		return fmt.Errorf("store: compact: masks.bin is %d bytes, want %d", fi.Size(), want)
 	}
 	f, err := ws.fsys.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	for _, pix := range pixes {
-		if _, err := f.Write(pix); err != nil {
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
 			f.Close()
-			return fmt.Errorf("store: compact: append pixels: %w", err)
+			return fmt.Errorf("store: compact: append to %s: %w", name, err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: compact: fsync masks.bin: %w", err)
+		return fmt.Errorf("store: compact: fsync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
@@ -882,69 +864,21 @@ func (ws *WALStore) appendRawLocked(base *Store, pixes [][]byte) error {
 // (streams first: the idx column must never reference bytes that are
 // not durable). Returns the new end offsets for extendRLE.
 func (ws *WALStore) appendRLELocked(base *Store, pixes [][]byte) ([]int64, error) {
-	path := filepath.Join(ws.dir, masksRLEFile)
-	idxPath := filepath.Join(ws.dir, masksRLEIndexFile)
-	want := base.StoredBytes()
-	wantIdx := int64(8 * (base.NumMasks() + 1))
-	// Self-heal a crashed compaction, idx first (see repairBase).
-	if fi, err := os.Stat(idxPath); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	} else if fi.Size() > wantIdx {
-		if err := ws.fsys.Truncate(idxPath, wantIdx); err != nil {
-			return nil, fmt.Errorf("store: compact: %w", err)
-		}
-	} else if fi.Size() < wantIdx {
-		return nil, fmt.Errorf("store: compact: offset column is %d bytes, want %d", fi.Size(), wantIdx)
+	streams := make([][]byte, len(pixes))
+	tail := make([]int64, len(pixes))
+	buf := make([]byte, 8*len(pixes))
+	off := base.StoredBytes()
+	for i, pix := range pixes {
+		streams[i] = core.EncodeRLE(pix, ws.w, ws.h)
+		off += int64(len(streams[i]))
+		tail[i] = off
+		binary.LittleEndian.PutUint64(buf[i*8:], uint64(off))
 	}
-	if fi, err := os.Stat(path); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	} else if fi.Size() > want {
-		if err := ws.fsys.Truncate(path, want); err != nil {
-			return nil, fmt.Errorf("store: compact: %w", err)
-		}
-	} else if fi.Size() < want {
-		return nil, fmt.Errorf("store: compact: masks.rle is %d bytes, offset column says %d", fi.Size(), want)
+	if err := ws.appendSynced(filepath.Join(ws.dir, masksRLEFile), base.StoredBytes(), streams...); err != nil {
+		return nil, err
 	}
-	f, err := ws.fsys.OpenAppend(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	tail := make([]int64, 0, len(pixes))
-	off := want
-	for _, pix := range pixes {
-		rle := core.EncodeRLE(pix, ws.w, ws.h)
-		if _, err := f.Write(rle); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: compact: append rle streams: %w", err)
-		}
-		off += int64(len(rle))
-		tail = append(tail, off)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: compact: fsync masks.rle: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	fi, err := ws.fsys.OpenAppend(idxPath)
-	if err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
-	}
-	buf := make([]byte, 8*len(tail))
-	for i, o := range tail {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(o))
-	}
-	if _, err := fi.Write(buf); err != nil {
-		fi.Close()
-		return nil, fmt.Errorf("store: compact: append offset column: %w", err)
-	}
-	if err := fi.Sync(); err != nil {
-		fi.Close()
-		return nil, fmt.Errorf("store: compact: fsync offset column: %w", err)
-	}
-	if err := fi.Close(); err != nil {
-		return nil, fmt.Errorf("store: compact: %w", err)
+	if err := ws.appendSynced(filepath.Join(ws.dir, masksRLEIndexFile), int64(8*(base.NumMasks()+1)), buf); err != nil {
+		return nil, err
 	}
 	return tail, nil
 }
@@ -953,6 +887,10 @@ func (ws *WALStore) appendRLELocked(base *Store, pixes [][]byte) ([]int64, error
 // brand-new shard directory holding exactly this batch, committed by
 // the top-level manifest rename. Existing shards are never rewritten.
 func (ws *WALStore) compactShardedLocked(base *ShardedStore, entries []Entry, pixes [][]byte) error {
+	rows, err := encodeCatalog(entries)
+	if err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 	firstID := entries[0].MaskID
 	name := ShardDirName(len(ws.man.Shards))
 	shardDir := filepath.Join(ws.dir, name)
@@ -998,7 +936,7 @@ func (ws *WALStore) compactShardedLocked(base *ShardedStore, entries []Entry, pi
 			return fmt.Errorf("store: compact: write shard offset column: %w", err)
 		}
 	}
-	if err := writeJSONSync(ws.fsys, filepath.Join(shardDir, catalogFile), entries); err != nil {
+	if err := writeFileSync(ws.fsys, filepath.Join(shardDir, catalogBinFile), rows); err != nil {
 		return fmt.Errorf("store: compact: write shard catalog: %w", err)
 	}
 	segMan := Manifest{Spec: ws.man.Spec, NumMasks: len(entries), FirstID: firstID,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,6 +402,62 @@ func TestWALAppendFailureReassignsIDs(t *testing.T) {
 	defer ws2.Close()
 	if cat2.Len() != base+4 {
 		t.Fatalf("reopen after failed batch: %d rows, want %d", cat2.Len(), base+4)
+	}
+}
+
+// TestAppendRejectsOutOfRangeFields: a metadata field that does not fit
+// its 32-bit slot would be acked and then read back as another value
+// after reopen. Append must refuse the batch before writing a byte,
+// naming the field and the mask, so the next append reuses the ids;
+// values at the ends of the range are acked and survive reopen exactly.
+func TestAppendRejectsOutOfRangeFields(t *testing.T) {
+	dir, ws, cat := openIngestTiny(t, 1)
+	base := cat.Len()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		field string
+		set   func(*Entry)
+	}{
+		{"label", func(e *Entry) { e.Label = 1 << 31 }},
+		{"pred", func(e *Entry) { e.Pred = -1<<31 - 1 }},
+		{"model_id", func(e *Entry) { e.ModelID = 1 << 40 }},
+		{"mask_type", func(e *Entry) { e.MaskType = 1 << 32 }},
+		{"object.y1", func(e *Entry) { e.Object.Y1 = 1 << 31 }},
+	} {
+		batch := ingestBatch(3, 16, 16, 1)
+		tc.set(&batch[2].Entry)
+		_, err := ws.Append(ctx, batch)
+		if err == nil || !strings.Contains(err.Error(), "mask 2: "+tc.field) {
+			t.Fatalf("append with an out-of-range %s: err = %v, want one naming mask 2 and the field", tc.field, err)
+		}
+		if cat.Len() != base {
+			t.Fatalf("rejected batch reached the catalog: %d rows, want %d", cat.Len(), base)
+		}
+	}
+	batch := ingestBatch(2, 16, 16, 1)
+	batch[1].Entry.Label, batch[1].Entry.Pred = math.MaxInt32, math.MinInt32
+	batch[1].Entry.Object = core.Rect{X0: math.MinInt32, Y0: 0, X1: math.MaxInt32, Y1: 1}
+	ids, err := ws.Append(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] != int64(base+1) {
+		t.Fatalf("ids after rejected batches start at %d, want %d", ids[0], base+1)
+	}
+	ws.Close()
+	ws2, cat2, err := OpenIngest(DirFS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	e, err := cat2.Entry(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch[1].Entry
+	want.MaskID = ids[1]
+	if e != want {
+		t.Fatalf("replayed row %+v, want %+v", e, want)
 	}
 }
 
