@@ -53,10 +53,13 @@ type Options struct {
 	// setting; only throughput (and the load counts of the Top-K
 	// verification stage) vary.
 	Workers int
-	// CacheBytes budgets the store's shared LRU mask cache: masks
-	// loaded for verification stay resident (up to this many bytes)
-	// and later queries — in particular the overlapping queries of a
-	// QueryBatch — reread them without disk traffic. The legal values
+	// CacheBytes budgets the store's LRU mask cache: the ids of masks
+	// loaded for verification stay resident (up to this many bytes of
+	// stored mask data) and later loads of them — in particular by the
+	// overlapping queries of a QueryBatch — count as cache hits, charged
+	// no disk traffic and, under a Throttle, no simulated-disk wait.
+	// The cache keeps no mask of its own: every load still hands out
+	// its own view of the mapped file. The legal values
 	// are CacheDisabled (0, the default), CacheUnbounded (-1), or a
 	// positive byte budget; OpenWith rejects anything else. Results
 	// are identical under every setting; only the store's ReadStats
@@ -421,10 +424,10 @@ func (db *DB) Entries() []CatalogEntry { return db.cat.Entries() }
 // Entry returns one mask's catalog row.
 func (db *DB) Entry(id int64) (CatalogEntry, error) { return db.cat.Entry(id) }
 
-// LoadMask returns one mask (counted in the store's stats). The mask
-// is a read-only view of the database's mapped pixel file — writing to
-// it faults — and, with Options.CacheBytes configured, may be shared
-// with the cache. It stays readable until both DB.Close has run and
+// LoadMask returns one mask (counted in the store's stats, or as a
+// cache hit with Options.CacheBytes configured). The mask is the
+// caller's own read-only view of the database's mapped pixel file —
+// writing to it faults. It stays readable until both DB.Close has run and
 // the mask has been handed back through DB.ReleaseMask: the DB counts
 // the masks it has lent, and Close leaves the mapping in place while
 // any are outstanding. A lent mask that is never released therefore

@@ -15,9 +15,8 @@ type MaskLoader interface {
 }
 
 // MaskRecycler is optionally implemented by loaders that recycle masks
-// (the store reuses headers and unpins cached masks). The engine
-// releases a mask back to its loader once
-// verification (including the OnVerify callback) is done with it, so
+// (the store reuses mask headers). The engine releases a mask back to
+// its loader once verification (including the OnVerify callback) is done with it, so
 // OnVerify implementations must not retain the mask or its backing
 // slices past their return.
 type MaskRecycler interface {

@@ -1,162 +1,127 @@
 package store
 
-import (
-	"container/list"
-	"sync"
+import "sync"
 
-	"masksearch/internal/core"
-)
-
-// maskCache is a byte-budgeted LRU cache of whole masks, shared by
-// every reader of one Store. It exists for batched and concurrent
-// workloads where many queries touch overlapping mask sets: a resident
-// mask is served without charging MasksLoaded/BytesRead (and without
-// the simulated-disk wait), so an n-query batch pays each distinct mask
-// at most once.
+// maskCache is the byte-budgeted LRU behind a Store's mask cache. It
+// exists for batched and concurrent workloads where many queries touch
+// overlapping mask sets: a load of a resident mask is not charged to
+// MasksLoaded/BytesRead (nor, under a Throttle, made to wait on the
+// simulated disk), so an n-query batch pays each distinct mask at most
+// once.
 //
-// Ownership protocol — how the cache composes with the Store's views
-// and header recycling. A resident mask is a header viewing the mapped
-// pixel file, like any loaded mask; the cache owns headers, never
-// pixels, and a hit saves the load's charge to the read stats and,
-// under a Throttle, its wait on the simulated disk.
+// Every load already builds its own header over the mapped pixel file,
+// so residency is pure accounting: the cache holds mask ids, never a
+// mask, and touch answers the one question a load asks it — was this a
+// hit, and how many ids did making it resident evict? Nothing is pinned
+// or shared, so a release never calls the cache.
 //
-//   - A mask returned by LoadMask is *pinned* (refcount > 0) while the
-//     caller holds it; a pinned header is never recycled, so workers
-//     read through a shared header without racing its reuse.
-//   - ReleaseMask unpins instead of recycling when the mask is
-//     cache-owned. The header returns to the header pool only once the
-//     cache has dropped the entry and no pins remain.
-//   - Eviction walks the cold (LRU) end whenever the resident bytes
-//     exceed the budget, at insert and at unpin. Unpinned entries are
-//     evicted and their headers recycled. Entries with exactly one pin
-//     are *detached*: dropped from the cache but not recycled — the
-//     sole holder keeps reading safely, its eventual ReleaseMask
-//     recycles the header through the ordinary path, and a holder that
-//     never releases just hands the header to the garbage collector,
-//     exactly like an uncached load. Callers that hoard masks therefore
-//     cannot grow the cache past its budget. Only entries pinned more
-//     than once (several workers mid-read, necessarily transient) are
-//     skipped.
-//
-// All methods are safe for concurrent use.
+// The LRU is an intrusive doubly linked list over a dense slot table
+// indexed by the store's local mask id (id - base - 1). The table grows
+// on the first touch past its end, which also covers ids appended by
+// compaction. All methods are safe for concurrent use.
 type maskCache struct {
 	mu sync.Mutex
-	// budget is the resident-byte target; < 0 means unbounded.
+	// budget is the resident-byte target; < 0 means unbounded, 0 keeps
+	// nothing resident.
 	budget int64
 	size   int64
-	// lru is most-recent-first; elements hold *cacheEntry.
-	lru    *list.List
-	byID   map[int64]*cacheEntry
-	byMask map[*core.Mask]*cacheEntry
+	// head (most recent) and tail (least recent) are slot links.
+	head, tail int32
+	slots      []cacheSlot
 }
 
-type cacheEntry struct {
-	id   int64
-	m    *core.Mask
-	pins int
-	el   *list.Element
+// cacheSlot is one local id's place in the LRU. Links hold the
+// neighbouring slot's index + 1, so 0 means none and a fresh table
+// needs no initialisation.
+type cacheSlot struct {
+	prev, next int32 // toward the hot and the cold end
+	resident   bool
+	bytes      int64 // the span's footprint while resident
 }
 
-// newMaskCache returns a cache with the given byte budget (< 0:
-// unbounded).
-func newMaskCache(budget int64) *maskCache {
-	return &maskCache{
-		budget: budget,
-		lru:    list.New(),
-		byID:   make(map[int64]*cacheEntry),
-		byMask: make(map[*core.Mask]*cacheEntry),
-	}
-}
-
-// acquire returns the resident mask for id pinned once more, or nil on
-// a miss.
-func (c *maskCache) acquire(id int64) *core.Mask {
+// touch records a load of local id i whose stored span is bytes long.
+// A resident id moves to the hot end and the load is a hit; otherwise
+// the id becomes resident and the cold end is evicted until the budget
+// holds again — possibly i itself, when its span alone exceeds the
+// budget — and touch reports how many ids that dropped.
+func (c *maskCache) touch(i int64, bytes int) (hit bool, evicted int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byID[id]
-	if !ok {
-		return nil
+	if n := int64(len(c.slots)); i >= n {
+		c.slots = append(c.slots, make([]cacheSlot, max(i+1, 2*n)-n)...)
 	}
-	e.pins++
-	c.lru.MoveToFront(e.el)
-	return e.m
-}
-
-// insert makes a freshly loaded mask resident, pinned once for the
-// caller, and returns the canonical mask plus how many entries were
-// evicted. When another goroutine raced the same miss and inserted
-// first, the loser's header is recycled immediately and the resident
-// mask is returned instead, so all callers share one header.
-func (c *maskCache) insert(id int64, m *core.Mask) (*core.Mask, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byID[id]; ok {
-		e.pins++
-		c.lru.MoveToFront(e.el)
-		recycle(m)
-		return e.m, 0
-	}
-	e := &cacheEntry{id: id, m: m, pins: 1}
-	e.el = c.lru.PushFront(e)
-	c.byID[id] = e
-	c.byMask[m] = e
-	c.size += maskFootprint(m)
-	return m, c.evictLocked()
-}
-
-// unpin releases one pin on a cache-owned mask, reporting whether the
-// mask was cache-owned at all (false: the caller should recycle the
-// header itself) and how many entries the unpin let the cache evict.
-func (c *maskCache) unpin(m *core.Mask) (bool, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byMask[m]
-	if !ok {
-		return false, 0
-	}
-	if e.pins > 0 {
-		e.pins--
-	}
-	return true, c.evictLocked()
-}
-
-// evictLocked drops cold entries until the resident size is within
-// budget. Unpinned entries have their headers recycled; singly-pinned
-// entries are detached — removed from every cache structure without
-// recycling, so the one holder keeps exclusive, uncached-load semantics
-// (its ReleaseMask recycles the header, or the GC reclaims it). Entries
-// pinned more than once are shared between live readers and must stay
-// tracked, so they are skipped; they become evictable at unpin time.
-// Returns the number of entries dropped.
-func (c *maskCache) evictLocked() int64 {
-	if c.budget < 0 {
-		return 0
-	}
-	var evicted int64
-	for el := c.lru.Back(); el != nil && c.size > c.budget; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
-		if e.pins <= 1 {
-			c.lru.Remove(el)
-			delete(c.byID, e.id)
-			delete(c.byMask, e.m)
-			c.size -= maskFootprint(e.m)
-			if e.pins == 0 {
-				recycle(e.m)
-			}
-			evicted++
+	k := int32(i) + 1
+	s := &c.slots[i]
+	if s.resident {
+		if c.head != k {
+			c.unlink(k)
+			c.pushFront(k)
 		}
-		el = prev
+		return true, 0
+	}
+	s.resident, s.bytes = true, int64(bytes)
+	c.size += s.bytes
+	c.pushFront(k)
+	return false, c.evictLocked()
+}
+
+// setBudget changes the byte budget in place, evicting cold ids until
+// the resident bytes fit, and returns how many it evicted. The cache
+// itself stays installed, so loads may run throughout.
+func (c *maskCache) setBudget(n int64) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget = n
+	return c.evictLocked()
+}
+
+// limit returns the byte budget.
+func (c *maskCache) limit() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budget
+}
+
+// evictLocked drops ids from the cold end until the resident size is
+// within budget and returns how many it dropped.
+func (c *maskCache) evictLocked() int64 {
+	var evicted int64
+	for c.budget >= 0 && c.size > c.budget {
+		k := c.tail
+		c.unlink(k)
+		s := &c.slots[k-1]
+		s.resident = false
+		c.size -= s.bytes
+		evicted++
 	}
 	return evicted
 }
 
-// maskFootprint is the byte size a mask charges against the cache
-// budget: the bytes its view spans, so an RLE-backed mask is accounted
-// in compressed bytes and the same budget holds proportionally more
-// compressed masks.
-func maskFootprint(m *core.Mask) int64 {
-	return int64(len(m.Bytes) + len(m.RLE) + 4*len(m.Pix))
+// pushFront links slot k in at the hot end.
+func (c *maskCache) pushFront(k int32) {
+	s := &c.slots[k-1]
+	s.prev, s.next = 0, c.head
+	if c.head != 0 {
+		c.slots[c.head-1].prev = k
+	} else {
+		c.tail = k
+	}
+	c.head = k
+}
+
+// unlink takes slot k out of the list.
+func (c *maskCache) unlink(k int32) {
+	s := &c.slots[k-1]
+	if s.prev != 0 {
+		c.slots[s.prev-1].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next != 0 {
+		c.slots[s.next-1].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
 }
 
 // residentBytes reports the current cache footprint (tests and
@@ -165,11 +130,4 @@ func (c *maskCache) residentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
-}
-
-// residentMasks reports how many masks are cached.
-func (c *maskCache) residentMasks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byID)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -312,6 +314,122 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 				}
 				st.SetCacheBytes(0) // drop the warm cache before the next matrix cell
 			}
+		}
+	}
+}
+
+// lruModel is the oracle for the mask cache: resident ids with their
+// footprints, least recent first, evicting from the front until the
+// byte budget (< 0: unbounded) holds.
+type lruModel struct {
+	budget, size, evicted int64
+	bytes                 map[int64]int64
+	order                 []int64
+}
+
+// load records one load and reports whether it was a hit.
+func (m *lruModel) load(id, bytes int64) bool {
+	if _, ok := m.bytes[id]; ok {
+		m.order = append(slices.DeleteFunc(m.order, func(x int64) bool { return x == id }), id)
+		return true
+	}
+	m.bytes[id] = bytes
+	m.size += bytes
+	m.order = append(m.order, id)
+	for m.budget >= 0 && m.size > m.budget {
+		m.size -= m.bytes[m.order[0]]
+		delete(m.bytes, m.order[0])
+		m.order = m.order[1:]
+		m.evicted++
+	}
+	return false
+}
+
+// TestCacheMatchesLRUModel replays random load sequences with locality
+// through a store's cache and through lruModel: every load's hit or
+// miss and the cumulative eviction count must agree, and the resident
+// bytes must equal the model's and stay within budget. Compactions
+// between rounds append ids past the slot table's first size. Raw and
+// rle stores give equal and varying footprints; the budgets are below
+// the smallest mask, a few masks, and unbounded.
+func TestCacheMatchesLRUModel(t *testing.T) {
+	const w, h = 16, 16
+	for codec, name := range map[string]string{CodecRaw: "raw", CodecRLE: "rle"} {
+		dir := t.TempDir()
+		if err := GenerateCodec(dir, Spec{Name: "t", Images: 12, Models: 2, W: w, H: h, Seed: 31, HumanAttention: true}, codec); err != nil {
+			t.Fatal(err)
+		}
+		smallest := int64(w * h)
+		{
+			st, _, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= int64(st.NumMasks()); id++ {
+				b, _, err := st.stored(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				smallest = min(smallest, int64(len(b)))
+			}
+			st.Close()
+		}
+		for _, budget := range []int64{smallest - 1, 4 * w * h, -1} {
+			t.Run(fmt.Sprintf("%s/budget=%d", name, budget), func(t *testing.T) {
+				work := t.TempDir()
+				if err := os.CopyFS(work, os.DirFS(dir)); err != nil {
+					t.Fatal(err)
+				}
+				ws, _, err := OpenIngest(DirFS(), work)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ws.Close()
+				ws.SetCacheBytes(budget)
+				base := ws.Base().(*Store)
+				model := &lruModel{budget: budget, bytes: map[int64]int64{}}
+				rng := rand.New(rand.NewSource(budget))
+				n := int64(ws.NumMasks())
+				cur := int64(1)
+				for round := 0; round < 4; round++ {
+					for i := 0; i < 200; i++ {
+						if rng.Intn(4) == 0 {
+							cur = 1 + rng.Int63n(n)
+						} else {
+							cur = min(n, max(1, cur+rng.Int63n(7)-3))
+						}
+						before := ws.Stats()
+						m, err := ws.LoadMask(cur)
+						if err != nil {
+							t.Fatal(err)
+						}
+						after := ws.Stats()
+						wantHit := model.load(cur, int64(len(m.Bytes)+len(m.RLE)))
+						ws.ReleaseMask(m)
+						hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
+						if wantHit && (hits != 1 || misses != 0) || !wantHit && (hits != 0 || misses != 1) {
+							t.Fatalf("round %d load %d of mask %d: %d hits, %d misses; model hit=%v", round, i, cur, hits, misses, wantHit)
+						}
+						if after.CacheEvicted != model.evicted {
+							t.Fatalf("round %d load %d of mask %d: %d evicted, model %d", round, i, cur, after.CacheEvicted, model.evicted)
+						}
+						if got := base.cache.residentBytes(); got != model.size || budget >= 0 && got > budget {
+							t.Fatalf("round %d load %d: %d resident bytes, model %d, budget %d", round, i, got, model.size, budget)
+						}
+					}
+					if _, err := ws.Append(context.Background(), ingestBatch(9, w, h, byte(40*round))); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ws.Compact(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					n = int64(ws.NumMasks())
+					cur = n // start the next round on the new ids
+				}
+				if s := ws.Stats(); s.CacheHits == 0 && budget != smallest-1 || s.CacheEvicted == 0 && budget >= 0 {
+					t.Fatalf("the sequence never hit or never evicted: %+v", s)
+				}
+			})
 		}
 	}
 }

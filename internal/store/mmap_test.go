@@ -260,11 +260,11 @@ func TestMappedLoadsConcurrentWithCompaction(t *testing.T) {
 	}
 }
 
-// TestLoadSteadyStateAllocs checks that, with the cache off, a
-// load+release of a raw mask and of a WAL tail mask reuses a pooled
+// TestLoadSteadyStateAllocs checks that a load+release reuses a pooled
 // header and allocates nothing (one allocation of slack for a pool
-// refill after a GC cycle); TestRLELoadSteadyStateAllocs is the rle
-// case.
+// refill after a GC cycle): with the cache off, of a raw mask and of a
+// WAL tail mask; with a cache, of a miss that evicts and of a hit.
+// TestRLELoadSteadyStateAllocs is the rle case.
 func TestLoadSteadyStateAllocs(t *testing.T) {
 	_, ws, _ := openIngestTiny(t, 1)
 	ids, err := ws.Append(context.Background(), ingestBatch(4, 16, 16, 9))
@@ -287,6 +287,42 @@ func TestLoadSteadyStateAllocs(t *testing.T) {
 	if s := ws.Stats(); s.TailLoads != 202 {
 		t.Fatalf("TailLoads %d, want 202: every tail load still counts", s.TailLoads)
 	}
+	// A two-mask budget over a cycle of four ids misses and evicts on
+	// every load; an unbounded cache over one id hits on every load.
+	for _, tc := range []struct {
+		name  string
+		cache int64
+		ids   []int64
+	}{
+		{"evicting-cache", 2 * 16 * 16, []int64{1, 2, 3, 4}},
+		{"unbounded-hit", -1, []int64{5}},
+	} {
+		ws.SetCacheBytes(tc.cache)
+		k := 0
+		load := func() {
+			m, err := ws.LoadMask(tc.ids[k%len(tc.ids)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			k++
+			ws.ReleaseMask(m)
+		}
+		for range tc.ids {
+			load() // grow the slot table, fill the cache
+		}
+		before := ws.Stats()
+		if avg := testing.AllocsPerRun(200, load); avg > 1 {
+			t.Errorf("%s: steady-state LoadMask+ReleaseMask allocates %.1f times per call, want <= 1", tc.name, avg)
+		}
+		want := ReadStats{CacheHits: 201} // AllocsPerRun's warm-up call + 200
+		if tc.cache > 0 {
+			want = ReadStats{MasksLoaded: 201, BytesRead: 201 * 16 * 16, CacheMisses: 201, CacheEvicted: 201}
+		}
+		if s := ws.Stats().Sub(before); s != want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, s, want)
+		}
+	}
+	ws.SetCacheBytes(0)
 }
 
 // TestReadStatsUnchangedByMapping replays one fixed load sequence under

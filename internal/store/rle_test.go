@@ -146,8 +146,8 @@ func TestRLELayoutEquivalence(t *testing.T) {
 }
 
 // TestRLECacheAccounting checks that the cache charges compressed
-// bytes: the same budget holds more rle masks than raw masks, and
-// cached rle masks unpin correctly through ReleaseMask.
+// bytes: the same budget holds more rle masks than raw masks, and a
+// budget cut evicts down to it.
 func TestRLECacheAccounting(t *testing.T) {
 	spec := Spec{Name: "t", Images: 16, Models: 1, W: 32, H: 32, Seed: 6}
 	_, rleDir := genBothCodecs(t, spec, 1)
@@ -182,12 +182,8 @@ func TestRLECacheAccounting(t *testing.T) {
 		t.Fatal("expected a cache hit on reload")
 	}
 	st.ReleaseMask(m)
-	// Shrinking the budget to one compressed mask must evict the rest
-	// now that nothing is pinned.
-	st.cache.mu.Lock()
-	st.cache.budget = resident / 8
-	st.cache.mu.Unlock()
-	st.cache.unpin(m) // no-op pin bookkeeping; trigger eviction pass
+	// Shrinking the budget to one compressed mask must evict the rest.
+	st.cache.setBudget(resident / 8)
 	if got := st.cache.residentBytes(); got > resident/8 {
 		t.Fatalf("cache kept %d bytes after budget cut to %d", got, resident/8)
 	}
@@ -668,9 +664,11 @@ func TestRLELoadSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkLoadMask is the store's load layer benchmark on wilds-sim
-// shaped masks with the cache off: a raw load, an rle load that is the
+// shaped masks: with the cache off, a raw load, an rle load that is the
 // mask's first since Open (the validating walk that records the row
-// directory), and a repeat rle load — each also from GOMAXPROCS
+// directory), and a repeat rle load; and a raw load through a cache
+// holding a third of the dataset, which the shuffled cycle over every
+// id makes a miss that evicts each time. Each also runs from GOMAXPROCS
 // goroutines at once, which is how the engine's workers load.
 func BenchmarkLoadMask(b *testing.B) {
 	rawDir, rleDir := b.TempDir(), b.TempDir()
@@ -699,10 +697,11 @@ func BenchmarkLoadMask(b *testing.B) {
 		st.ReleaseMask(m)
 	}
 	// repeat times loads of masks already loaded once since Open.
-	repeat := func(dir string, parallel bool) func(b *testing.B) {
+	repeat := func(dir string, cache int64, parallel bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			st := open(dir)
 			defer st.Close()
+			st.SetCacheBytes(cache)
 			for k := range ids {
 				load(st, k)
 			}
@@ -753,12 +752,15 @@ func BenchmarkLoadMask(b *testing.B) {
 			}
 		}
 	}
-	b.Run("raw", repeat(rawDir, false))
-	b.Run("raw/parallel", repeat(rawDir, true))
+	third := int64(spec.NumMasks()*spec.W*spec.H) / 3
+	b.Run("raw", repeat(rawDir, 0, false))
+	b.Run("raw/parallel", repeat(rawDir, 0, true))
+	b.Run("raw-cached", repeat(rawDir, third, false))
+	b.Run("raw-cached/parallel", repeat(rawDir, third, true))
 	b.Run("rle-first", first(false))
 	b.Run("rle-first/parallel", first(true))
-	b.Run("rle-repeat", repeat(rleDir, false))
-	b.Run("rle-repeat/parallel", repeat(rleDir, true))
+	b.Run("rle-repeat", repeat(rleDir, 0, false))
+	b.Run("rle-repeat/parallel", repeat(rleDir, 0, true))
 }
 
 // BenchmarkLoadRegion is the ArraySlice access path on a raw store: a

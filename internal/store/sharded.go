@@ -37,8 +37,8 @@ type ShardedStore struct {
 	set atomic.Pointer[shardSet]
 
 	mu sync.Mutex
-	// cacheBytes remembers the configured total budget (the per-shard
-	// arenas each get an even slice of it).
+	// cacheBytes remembers the configured total budget, split across
+	// the per-shard arenas by cacheShare.
 	cacheBytes int64
 	thr        Throttle
 }
@@ -166,9 +166,10 @@ func (ss *ShardedStore) Close() error {
 // addShard publishes one additional shard segment opened from a
 // directory compaction just wrote and fsynced. The segment must
 // continue the id-space exactly (FirstID == NumMasks+1). The new
-// shard inherits the throttle and gets an even slice of the configured
-// cache budget without disturbing the arenas (and resident masks) of
-// existing shards.
+// shard inherits the throttle, and the configured cache budget is
+// re-split over all shards: existing arenas shrink in place (evicting
+// cold ids, counted as CacheEvicted) while loads keep running, and the
+// new shard gets an arena of its share before it is published.
 func (ss *ShardedStore) addShard(seg *Store) error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -181,11 +182,11 @@ func (ss *ShardedStore) addShard(seg *Store) error {
 	}
 	seg.SetThrottle(ss.thr)
 	if n := ss.cacheBytes; n != 0 {
-		per := n
-		if n > 0 {
-			per = n / int64(len(set.shards)+1)
+		total := len(set.shards) + 1
+		for i, s := range set.shards {
+			s.life.cacheEvicted.Add(s.cache.setBudget(cacheShare(n, i, total)))
 		}
-		seg.SetCacheBytes(per)
+		seg.cache = &maskCache{budget: cacheShare(n, total-1, total)}
 	}
 	ss.set.Store(set.with(seg))
 	return nil
@@ -213,10 +214,10 @@ func (ss *ShardedStore) shardFor(id int64) (*Store, error) {
 	return set.shards[set.shardOf(id)], nil
 }
 
-// LoadMask returns one full mask from its owning shard (or that
-// shard's cache arena). The Store contract — a read-only view of the
-// shard's mapping, valid until Close, ReleaseMask when done — applies
-// unchanged.
+// LoadMask returns one full mask from its owning shard, charged (or
+// counted as a cache hit) there. The Store contract — a read-only view
+// of the shard's mapping, valid until Close, ReleaseMask when done —
+// applies unchanged.
 func (ss *ShardedStore) LoadMask(id int64) (*core.Mask, error) {
 	s, err := ss.shardFor(id)
 	if err != nil {
@@ -234,46 +235,46 @@ func (ss *ShardedStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 	return s.LoadRegion(id, r)
 }
 
-// ReleaseMask returns a mask obtained from LoadMask. A cache-resident
-// mask is unpinned in its owning shard's arena; any other mask's header
-// goes back to the header pool. The probe loops over shard caches
-// because a mask does not carry its id; S is small, so this stays
-// cheap next to the load it retires.
+// ReleaseMask returns a mask obtained from LoadMask: its header goes
+// back to the header pool, whichever shard served it.
 func (ss *ShardedStore) ReleaseMask(m *core.Mask) {
-	if m == nil || m.W != ss.w || m.H != ss.h {
-		return
+	if m != nil && m.W == ss.w && m.H == ss.h {
+		recycle(m)
 	}
-	for _, s := range ss.set.Load().shards {
-		if s.releaseCached(m) {
-			return
-		}
-	}
-	recycle(m)
 }
 
-// SetCacheBytes budgets the per-shard LRU cache arenas. The total
-// budget n is split evenly across shards (each arena evicts
-// independently against its slice; the first n%S shards absorb the
-// remainder), n == 0 removes every arena, and n < 0 makes each arena
-// unbounded. Per-shard arenas mean one hot shard cannot evict another
-// shard's resident masks, at the cost of not reassigning idle shards'
-// budget. Reconfigure only while no loads are in flight.
+// SetCacheBytes budgets the per-shard LRU cache arenas. A total n != 0
+// gives every shard an arena — a positive n is split by cacheShare, so
+// a share of 0 is an arena that keeps nothing resident (every load
+// still counts as a miss), and n < 0 makes each arena unbounded; n == 0
+// removes every arena. Per-shard arenas mean one hot shard cannot evict
+// another shard's resident ids, at the cost of not reassigning idle
+// shards' budget. Reconfigure only while no loads are in flight.
 func (ss *ShardedStore) SetCacheBytes(n int64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.cacheBytes = n
 	shards := ss.set.Load().shards
-	s := int64(len(shards))
 	for i, seg := range shards {
-		per := n
-		if n > 0 {
-			per = n / s
-			if int64(i) < n%s {
-				per++
-			}
+		seg.cache = nil
+		if n != 0 {
+			seg.cache = &maskCache{budget: cacheShare(n, i, len(shards))}
 		}
-		seg.SetCacheBytes(per)
 	}
+}
+
+// cacheShare is shard i's arena budget out of a total n over s shards:
+// an even split whose remainder goes to the first n%s shards, or n
+// itself when n < 0 (unbounded).
+func cacheShare(n int64, i, s int) int64 {
+	if n < 0 {
+		return n
+	}
+	per := n / int64(s)
+	if int64(i) < n%int64(s) {
+		per++
+	}
+	return per
 }
 
 // CacheBytes reports the configured total cache budget across shards.

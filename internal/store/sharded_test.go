@@ -1,9 +1,13 @@
 package store
 
 import (
+	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"masksearch/internal/core"
@@ -225,6 +229,107 @@ func TestShardedCacheArenas(t *testing.T) {
 	}
 	if ss.Stats().CacheEvicted == 0 {
 		t.Fatal("bounded arenas never evicted while sweeping the whole dataset")
+	}
+}
+
+// TestShardedCacheBelowShardCount checks that a positive total budget
+// smaller than the shard count still configures a cache on every shard:
+// the shards whose share rounds to 0 keep nothing resident, but their
+// loads count as misses like every other shard's.
+func TestShardedCacheBelowShardCount(t *testing.T) {
+	_, shardDir := genShardPair(t, 4)
+	ss, _, err := OpenSharded(shardDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	ss.SetCacheBytes(3)
+	n := int64(ss.NumMasks())
+	for pass := 0; pass < 2; pass++ {
+		for id := int64(1); id <= n; id++ {
+			m, err := ss.LoadMask(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss.ReleaseMask(m)
+		}
+	}
+	if rs := ss.Stats(); rs.MasksLoaded != 2*n || rs.CacheMisses != 2*n || rs.CacheHits != 0 {
+		t.Fatalf("two passes over %d masks with a 3-byte cache: %+v, want every load a miss", n, rs)
+	}
+	for i, s := range ss.ShardStats() {
+		if s.CacheMisses != s.MasksLoaded {
+			t.Fatalf("shard %d: %d loads but %d misses — no cache arena", i, s.MasksLoaded, s.CacheMisses)
+		}
+	}
+}
+
+// TestShardedCompactionResplitsBudget compacts a sharded ingest store
+// three times, each adding a shard, while readers load concurrently:
+// after every compaction the per-shard budgets must sum to the
+// configured total and no shard may hold more resident bytes than its
+// own budget.
+func TestShardedCompactionResplitsBudget(t *testing.T) {
+	const total = 2048
+	_, ws, _ := openIngestTiny(t, 2)
+	ws.SetCacheBytes(total)
+	ss := ws.Base().(*ShardedStore)
+	var known atomic.Int64
+	known.Store(int64(ws.NumMasks()))
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				m, err := ws.LoadMask(1 + rng.Int63n(known.Load()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ws.ReleaseMask(m)
+			}
+		}(g)
+	}
+	check := func(round int) {
+		var sum int64
+		for i, seg := range ss.set.Load().shards {
+			budget := seg.CacheBytes()
+			sum += budget
+			if seg.cache == nil {
+				t.Errorf("round %d: shard %d has no cache arena", round, i)
+			} else if r := seg.cache.residentBytes(); r > budget {
+				t.Errorf("round %d: shard %d holds %d resident bytes, budget %d", round, i, r, budget)
+			}
+		}
+		if sum != total || ss.CacheBytes() != total {
+			t.Errorf("round %d: %d shards' budgets sum to %d, configured %d", round, ss.NumShards(), sum, ss.CacheBytes())
+		}
+	}
+	for round := 0; round < 3; round++ {
+		ids, err := ws.Append(context.Background(), ingestBatch(4, 16, 16, byte(round)))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if _, err := ws.Compact(context.Background()); err != nil {
+			t.Error(err)
+			break
+		}
+		known.Store(ids[len(ids)-1])
+		check(round)
+	}
+	close(done)
+	wg.Wait()
+	if n := ss.NumShards(); n != 5 {
+		t.Fatalf("%d shards after three compactions, want 5", n)
 	}
 }
 

@@ -188,7 +188,7 @@ type Store struct {
 	// seg is the snapshot loads work from; compaction (extend) swaps it.
 	seg atomic.Pointer[segment]
 
-	// cache, when non-nil, keeps recently loaded masks resident so
+	// cache, when non-nil, tracks which mask ids count as resident so
 	// overlapping queries stop being charged (and, under a Throttle,
 	// stop waiting) for shared masks. Set via SetCacheBytes.
 	cache *maskCache
@@ -475,19 +475,19 @@ func (s *Store) Close() error {
 }
 
 // SetCacheBytes installs a byte-budgeted LRU mask cache: LoadMask
-// serves resident masks without charging MasksLoaded/BytesRead — and,
+// serves a resident mask without charging MasksLoaded/BytesRead — and,
 // under a Throttle, without the simulated-disk wait — so an n-query
 // batch over overlapping targets pays each distinct mask at most once.
-// Resident masks are views like any other, shared between callers; the
-// budget counts the bytes they span. n == 0 removes the cache (the
-// default), n < 0 caches without bound. Reconfigure only while no
-// loads are in flight (normally once, right after Open).
+// The cache tracks mask ids, not masks: every load still hands out its
+// own header, and the budget counts the bytes the resident ids' stored
+// spans hold. n == 0 removes the cache (the default), n < 0 caches
+// without bound. Reconfigure only while no loads are in flight
+// (normally once, right after Open).
 func (s *Store) SetCacheBytes(n int64) {
-	if n == 0 {
-		s.cache = nil
-		return
+	s.cache = nil
+	if n != 0 {
+		s.cache = &maskCache{budget: n}
 	}
-	s.cache = newMaskCache(n)
 }
 
 // CacheBytes reports the configured cache budget (0: no cache, < 0:
@@ -496,7 +496,7 @@ func (s *Store) CacheBytes() int64 {
 	if s.cache == nil {
 		return 0
 	}
-	return s.cache.budget
+	return s.cache.limit()
 }
 
 // SetThrottle installs (or with the zero value removes) a simulated
@@ -575,26 +575,19 @@ func (s *Store) stored(id int64) ([]byte, *mapChunk, error) {
 
 // LoadMask returns one full mask as a view of the mapped pixel file: a
 // pooled header whose Bytes is a capacity-clipped sub-slice of the
-// mapping — no system call, no copy. With a cache configured
-// (SetCacheBytes) a resident mask is served, pinned, without being
-// charged to the read stats. On an RLE store the mask comes back
-// RLE-backed without decompression, carrying its row directory, and
-// only the compressed bytes are charged to the read stats and the cache
-// budget; the stream is validated on the mask's first load since Open
-// and trusted after that. Every mask is read-only and valid until
-// Close; pass it back through ReleaseMask when done so its header is
-// reused and the cache can evict.
+// mapping — no system call, no copy. On an RLE store the mask comes
+// back RLE-backed without decompression, carrying its row directory;
+// the stream is validated on the mask's first load since Open and
+// trusted after that. With a cache configured (SetCacheBytes) a load of
+// a resident id counts as a hit and is not charged to the read stats;
+// a miss is charged and makes the id resident. Only the stored bytes —
+// compressed, under RLE — are charged to the read stats and the cache
+// budget. Every mask is read-only and valid until Close; pass it back
+// through ReleaseMask when done so its header is reused.
 func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 	b, c, err := s.stored(id)
 	if err != nil {
 		return nil, err
-	}
-	cache := s.cache
-	if cache != nil {
-		if m := cache.acquire(id); m != nil {
-			s.life.cacheHits.Add(1)
-			return m, nil
-		}
 	}
 	m := headers.Get().(*core.Mask)
 	m.W, m.H = s.w, s.h
@@ -607,14 +600,17 @@ func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 	} else {
 		m.Bytes = b
 	}
-	stripe := &s.life.loads[id&7]
-	s.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
-	if cache != nil {
-		var evicted int64
-		m, evicted = cache.insert(id, m)
+	if cache := s.cache; cache != nil {
+		hit, evicted := cache.touch(id-s.base-1, len(b))
+		if hit {
+			s.life.cacheHits.Add(1)
+			return m, nil
+		}
 		s.life.cacheMisses.Add(1)
 		s.life.cacheEvicted.Add(evicted)
 	}
+	stripe := &s.life.loads[id&7]
+	s.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
 	return m, nil
 }
 
@@ -662,40 +658,21 @@ func (d *rleDirs) validate(i int64, m *core.Mask) error {
 	return nil
 }
 
-// ReleaseMask gives back a mask obtained from LoadMask: a
-// cache-resident mask is unpinned so the cache may evict it later, and
-// any other mask's header returns to the header pool for the next load.
-// The caller must not use the mask afterwards. A mask that is never
-// released is simply garbage-collected (a bounded cache detaches held
-// entries under budget pressure, so hoarded masks never cost the
-// cache's budget). Masks of foreign dimensions are ignored.
+// ReleaseMask gives back a mask obtained from LoadMask: its header
+// returns to the header pool for the next load. The caller must not use
+// the mask afterwards. A mask that is never released is simply
+// garbage-collected. Masks of foreign dimensions are ignored.
 func (s *Store) ReleaseMask(m *core.Mask) {
-	if m == nil || m.W != s.w || m.H != s.h {
-		return
-	}
-	if !s.releaseCached(m) {
+	if m != nil && m.W == s.w && m.H == s.h {
 		recycle(m)
 	}
 }
 
-// recycle returns a header no cache owns to the header pool, cleared so
-// an idle header keeps no WAL tail copy alive.
+// recycle returns a header to the header pool, cleared so an idle
+// header keeps no WAL tail copy alive.
 func recycle(m *core.Mask) {
 	*m = core.Mask{}
 	headers.Put(m)
-}
-
-// releaseCached unpins m when this store's cache owns it, reporting
-// whether it did. A ShardedStore release probes each shard's cache
-// through it before falling back to the header pool.
-func (s *Store) releaseCached(m *core.Mask) bool {
-	cache := s.cache
-	if cache == nil {
-		return false
-	}
-	owned, evicted := cache.unpin(m)
-	s.life.cacheEvicted.Add(evicted)
-	return owned
 }
 
 // decodeScratch holds the full-mask pixel buffers LoadRegion decodes

@@ -1025,8 +1025,8 @@ func (ws *WALStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 	return out, nil
 }
 
-// ReleaseMask hands the mask to the base store, which unpins it or
-// recycles its header — tail masks included.
+// ReleaseMask hands the mask to the base store, which recycles its
+// header — tail masks included.
 func (ws *WALStore) ReleaseMask(m *core.Mask) { ws.base.ReleaseMask(m) }
 
 // nextIDSnapshot reads nextID without the ingest lock (error paths
