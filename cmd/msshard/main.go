@@ -85,7 +85,7 @@ func main() {
 		st.Close()
 		log.Fatal(err)
 	}
-	idx := loadIndex(*dbDir, cfg)
+	idx := core.LoadIndex(filepath.Join(*dbDir, store.IndexFileName), cfg)
 
 	if *name == "" {
 		*name = *addr
@@ -139,22 +139,6 @@ func parseShards(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// loadIndex restores <db>/chi.gob when present and built with the
-// wanted granularity; otherwise it starts an empty index, which grows
-// as verifications observe masks.
-func loadIndex(dir string, cfg core.Config) *core.MemoryIndex {
-	f, err := os.Open(filepath.Join(dir, store.IndexFileName))
-	if err != nil {
-		return core.NewMemoryIndex(cfg)
-	}
-	defer f.Close()
-	ix, err := core.ReadMemoryIndex(f)
-	if err != nil || ix.Config().Key() != cfg.Key() {
-		return core.NewMemoryIndex(cfg)
-	}
-	return ix
 }
 
 // serveMetrics publishes the node's serving counters and its store's

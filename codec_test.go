@@ -1,14 +1,17 @@
 package masksearch
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"masksearch/internal/core"
 	"masksearch/internal/store"
 )
 
@@ -254,6 +257,80 @@ func TestCheckpointIndexExplicit(t *testing.T) {
 	}
 	if fi2, err := os.Stat(gob); err != nil || !fi2.ModTime().Equal(mt) {
 		t.Fatalf("clean CheckpointIndex rewrote chi.gob (err %v)", err)
+	}
+}
+
+// TestOpenOverMalformedIndex: a chi.gob that decodes but holds an entry
+// its config could not have built (one CHI's counts cut to half their
+// length) is dropped at open like one of another granularity: the DB
+// starts an empty index and answers exactly as before. It used to panic
+// the first query that bounded that mask.
+func TestOpenOverMalformedIndex(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateDataset(dir, TinyDataset()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	answers := func(db *DB) []Result {
+		var out []Result
+		for _, q := range []string{
+			`SELECT mask_id FROM masks WHERE CP(mask, object, 0.8, 1.0) > 20`,
+			`SELECT image_id, MEAN(CP(mask, object, 0.8, 1.0)) AS a FROM masks GROUP BY image_id ORDER BY a DESC LIMIT 25`,
+		} {
+			res, err := db.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, Result{Kind: res.Kind, IDs: res.IDs, Ranked: res.Ranked})
+		}
+		return out
+	}
+	db, err := OpenWith(dir, Options{EagerIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answers(db)
+	if err := db.CheckpointIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite chi.gob with mask 1's counts halved; the envelope mirrors
+	// the one core.MemoryIndex.Encode writes.
+	path := filepath.Join(dir, store.IndexFileName)
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Cfg  core.Config
+		Chis map[int64]*core.CHI
+	}
+	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(&file); err != nil {
+		t.Fatal(err)
+	}
+	c := file.Chis[1]
+	c.Cum = c.Cum[:len(c.Cum)/2]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenWith(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st, err := re.IndexStats(); err != nil || st.IndexedMasks != 0 {
+		t.Fatalf("malformed chi.gob restored %d masks (err %v), want an empty index", st.IndexedMasks, err)
+	}
+	if got := answers(re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("answers over a malformed chi.gob differ:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -226,7 +225,7 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 	if ss, ok := st.Base().(*store.ShardedStore); ok {
 		db.loader = shardedWALLoader{WALStore: st, ss: ss}
 	}
-	db.idx = db.loadPersistedIndex(cfg)
+	db.idx = core.LoadIndex(filepath.Join(dir, store.IndexFileName), cfg)
 	if opts.EagerIndex {
 		// Eager ("vanilla MaskSearch") construction fans mask loads
 		// and CHI builds across the worker pool.
@@ -272,21 +271,6 @@ type shardedWALLoader struct {
 
 func (l shardedWALLoader) NumShards() int       { return l.ss.NumShards() }
 func (l shardedWALLoader) ShardOf(id int64) int { return l.ss.ShardOf(id) }
-
-// loadPersistedIndex restores <db>/chi.gob when present and built with
-// the wanted granularity; otherwise it starts an empty index.
-func (db *DB) loadPersistedIndex(cfg core.Config) *core.MemoryIndex {
-	f, err := os.Open(filepath.Join(db.dir, store.IndexFileName))
-	if err != nil {
-		return core.NewMemoryIndex(cfg)
-	}
-	defer f.Close()
-	ix, err := core.ReadMemoryIndex(f)
-	if err != nil || ix.Config().Key() != cfg.Key() {
-		return core.NewMemoryIndex(cfg)
-	}
-	return ix
-}
 
 // Close persists the index if configured and releases the store. It
 // first drains: queries that are already executing run to completion,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -92,15 +94,87 @@ type CHI struct {
 	Cum []int32
 }
 
-// Build constructs the CHI of a mask under the given config.
+// Build constructs the CHI of a mask under the given config. It is the
+// one-off form: a MemoryIndex holds one builder for its config and
+// reuses it for every mask.
 func Build(m *Mask, cfg Config) (*CHI, error) {
-	cfg, err := cfg.Normalize()
+	bd := newBuilder(cfg)
+	return bd.build(m)
+}
+
+// builder builds CHIs under one config. It holds what is the same for
+// every mask of an index: the normalized config and the tables that map
+// a stored byte to its histogram bin.
+type builder struct {
+	cfg Config
+	// err is the config's Normalize error; build returns it.
+	err error
+	// bin maps a stored byte to the largest j with Edges[j] <= its
+	// decoded value (the RLE path's LUT).
+	bin [256]int32
+	// compact numbers the distinct bins the 256 bytes reach densely:
+	// byte b counts into compact bin compact[b], whose edge index is
+	// realIdx[compact[b]]. byteVal is strictly increasing, so bytes of
+	// one bin are contiguous and there are at most 256 compact bins
+	// whatever the number of edges. realIdx is an array, not a slice,
+	// so a one-off Build allocates nothing for its tables.
+	compact [256]uint8
+	realIdx [256]int32
+	bins    int
+}
+
+// newBuilder normalizes cfg and fills the byte tables in one merge of
+// the sorted edges against the byte values: bin j takes the bytes from
+// the first whose value reaches edge j up to the first that reaches
+// edge j+1.
+func newBuilder(cfg Config) builder {
+	n, err := cfg.Normalize()
 	if err != nil {
-		return nil, err
+		return builder{cfg: cfg, err: err}
+	}
+	bd := builder{cfg: n}
+	b := 0
+	for j := range n.Edges {
+		end := 256
+		if j+1 < len(n.Edges) {
+			end = firstByteAtLeast(n.Edges[j+1])
+		}
+		if end <= b {
+			continue // no byte value falls in [Edges[j], Edges[j+1])
+		}
+		for ; b < end; b++ {
+			bd.bin[b] = int32(j)
+			bd.compact[b] = uint8(bd.bins)
+		}
+		bd.realIdx[bd.bins] = int32(j)
+		bd.bins++
+	}
+	return bd
+}
+
+// firstByteAtLeast returns the smallest byte b with byteVal(b) >= e, or
+// 256. byteVal(b) lies within float32 rounding of b/255, so the guess
+// ceil(e*255) is at most a step off.
+func firstByteAtLeast(e float64) int {
+	b := min(max(int(math.Ceil(e*255)), 0), 256)
+	for b > 0 && byteVal(b-1) >= e {
+		b--
+	}
+	for b < 256 && byteVal(b) < e {
+		b++
+	}
+	return b
+}
+
+// build constructs the CHI of a mask under the builder's config.
+func (bd *builder) build(m *Mask) (*CHI, error) {
+	if bd.err != nil {
+		return nil, bd.err
 	}
 	if m == nil || m.W <= 0 || m.H <= 0 {
 		return nil, errors.New("chi: cannot index an empty mask")
 	}
+	cfg := bd.cfg
 	k := len(cfg.Edges)
 	gw := (m.W + cfg.CellW - 1) / cfg.CellW
 	gh := (m.H + cfg.CellH - 1) / cfg.CellH
@@ -113,35 +187,12 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 	}
 	// First accumulate per-bin counts, then suffix-sum each cell.
 	if m.Bytes == nil && m.RLE != nil {
-		// Compressed fast path: the same 256-entry LUT as the byte path
-		// below, but whole repeat runs fold through it in one update per
-		// cell they touch — no pixel materialization.
-		var lut [256]int32
-		for b := range lut {
-			lut[b] = int32(binIndex(cfg.Edges, byteVal(b)))
-		}
-		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &lut)
+		// Compressed fast path: whole repeat runs fold through the
+		// value→bin LUT in one update per cell they touch — no pixel
+		// materialization.
+		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &bd.bin)
 	} else if m.Bytes != nil {
-		// Byte-domain fast path: pixels are quantized to 256 levels, so
-		// one 256-entry value→bin LUT replaces the per-pixel binary
-		// search, and walking each row cell-run by cell-run hoists the
-		// per-pixel cell division out of the inner loop. byteVal
-		// reproduces the store's decoding exactly, so the resulting CHI
-		// is identical to the float path's.
-		var lut [256]int32
-		for b := range lut {
-			lut[b] = int32(binIndex(cfg.Edges, byteVal(b)))
-		}
-		for y := 0; y < m.H; y++ {
-			rowBase := (y / cfg.CellH) * gw
-			row := m.Bytes[y*m.W : (y+1)*m.W]
-			for cx := 0; cx < gw; cx++ {
-				cum := c.Cum[(rowBase+cx)*k:][:k]
-				for _, b := range row[cx*cfg.CellW : min((cx+1)*cfg.CellW, m.W)] {
-					cum[lut[b]]++
-				}
-			}
-		}
+		bd.accumBytes(c.Cum, m.Bytes, m.W, m.H, gw, gh)
 	} else {
 		for y := 0; y < m.H; y++ {
 			cy := y / cfg.CellH
@@ -160,6 +211,89 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 		}
 	}
 	return c, nil
+}
+
+// accumBytes is the byte-domain kernel: per-bin counts of every cell
+// into cum. Pixels are quantized to 256 levels, so the byte tables
+// replace a per-pixel binary search, and byteVal reproduces the store's
+// decoding exactly, so the counts equal the float path's.
+//
+// It walks the mask cell by cell, counting each cell's row slices into
+// four stack-resident lanes of fixed-size counters — eight pixels per
+// load, the pixel at offset j into lane j%4 — and flushes the lanes'
+// sums into the cell's counts once per cell. Fixed arrays indexed by a
+// uint8 carry no bounds checks, and the lanes keep runs of equal
+// pixels from chaining every increment through one counter's store and
+// reload.
+func (bd *builder) accumBytes(cum []int32, pix []byte, w, h, gw, gh int) {
+	var lanes [4][256]int32
+	cw, ch, k := bd.cfg.CellW, bd.cfg.CellH, len(bd.cfg.Edges)
+	realIdx := bd.realIdx[:bd.bins]
+	for cy := 0; cy < gh; cy++ {
+		for cx := 0; cx < gw; cx++ {
+			x0, x1 := cx*cw, min((cx+1)*cw, w)
+			for y := cy * ch; y < min((cy+1)*ch, h); y++ {
+				row := pix[y*w+x0 : y*w+x1]
+				i := 0
+				for ; i+8 <= len(row); i += 8 {
+					q := binary.LittleEndian.Uint64(row[i:])
+					lanes[0][bd.compact[uint8(q)]]++
+					lanes[1][bd.compact[uint8(q>>8)]]++
+					lanes[2][bd.compact[uint8(q>>16)]]++
+					lanes[3][bd.compact[uint8(q>>24)]]++
+					lanes[0][bd.compact[uint8(q>>32)]]++
+					lanes[1][bd.compact[uint8(q>>40)]]++
+					lanes[2][bd.compact[uint8(q>>48)]]++
+					lanes[3][bd.compact[uint8(q>>56)]]++
+				}
+				for _, b := range row[i:] {
+					lanes[0][bd.compact[b]]++
+				}
+			}
+			dst := cum[(cy*gw+cx)*k:][:k]
+			for c, j := range realIdx {
+				dst[j] = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c]
+				lanes[0][c], lanes[1][c], lanes[2][c], lanes[3][c] = 0, 0, 0, 0
+			}
+		}
+	}
+}
+
+// validate returns why c is not a CHI that cfg (normalized) could have
+// built, or nil: its cell size and edges are cfg's, its grid covers its
+// W×H, Cum holds len(Edges) counts per cell, and each cell's counts are
+// a suffix-cumulative histogram of exactly its pixels — non-increasing,
+// non-negative, the first equal to the cell's area.
+func (c *CHI) validate(cfg Config) error {
+	if c == nil {
+		return errors.New("missing entry")
+	}
+	if c.CellW != cfg.CellW || c.CellH != cfg.CellH || !slices.Equal(c.Edges, cfg.Edges) {
+		return fmt.Errorf("built under %s, not %s", c.Config().Key(), cfg.Key())
+	}
+	if c.W <= 0 || c.H <= 0 || c.GW != (c.W-1)/c.CellW+1 || c.GH != (c.H-1)/c.CellH+1 {
+		return fmt.Errorf("%dx%d grid for a %dx%d mask", c.GW, c.GH, c.W, c.H)
+	}
+	k := len(c.Edges)
+	if cells := len(c.Cum) / k; len(c.Cum)%k != 0 || c.GW > cells || c.GH > cells || c.GW*c.GH != cells {
+		return fmt.Errorf("%d counts for %dx%d cells of %d edges", len(c.Cum), c.GW, c.GH, k)
+	}
+	for cy := 0; cy < c.GH; cy++ {
+		ch := min(c.CellH, c.H-cy*c.CellH)
+		for cx := 0; cx < c.GW; cx++ {
+			cw := min(c.CellW, c.W-cx*c.CellW)
+			col := c.Cum[(cy*c.GW+cx)*k:][:k]
+			if cw > math.MaxInt32 || ch > math.MaxInt32 || int64(col[0]) != int64(cw)*int64(ch) {
+				return fmt.Errorf("cell (%d, %d) counts %d pixels in a %dx%d cell", cx, cy, col[0], cw, ch)
+			}
+			for j := 1; j < k; j++ {
+				if col[j] < 0 || col[j] > col[j-1] {
+					return fmt.Errorf("cell (%d, %d) counts are not a cumulative histogram", cx, cy)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // binIndex returns the largest j with edges[j] <= v (v >= 0).

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -378,6 +381,61 @@ func TestIndexRoundTrip(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReadMemoryIndexRejectsMalformed: a chi.gob whose config is not
+// in normal form, or with an entry its config could not have built, is
+// an error naming the mask — never an index a query trusts. A
+// half-length Cum used to decode cleanly and panic the first Filter.
+func TestReadMemoryIndexRejectsMalformed(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	loader, idx, ids := buildEngineFixture(rng, 3, 16, 15)
+	cfg := idx.Config()
+	k := len(cfg.Edges)
+	terms := []CPTerm{{Region: FixedRegion(Rect{0, 0, 16, 15}), Range: ValueRange{Lo: 0.35, Hi: 0.85}}}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		corrupt func(c *CHI)
+	}{
+		{"half-length counts", cfg, func(c *CHI) { c.Cum = c.Cum[:len(c.Cum)/2] }},
+		{"grid one cell too wide", cfg, func(c *CHI) { c.GW++; c.Cum = append(c.Cum, make([]int32, c.GH*k)...) }},
+		{"empty mask", cfg, func(c *CHI) { c.W = 0 }},
+		{"other edges", cfg, func(c *CHI) { c.Edges = append(slices.Clone(c.Edges[:k-1]), 0.95) }},
+		{"other cell size", cfg, func(c *CHI) { c.CellW *= 2 }},
+		{"count above cell area", cfg, func(c *CHI) { c.Cum[5*k]++ }},
+		{"count below cell area", cfg, func(c *CHI) { c.Cum[5*k]-- }},
+		{"counts increase", cfg, func(c *CHI) { c.Cum[k-1] = c.Cum[0] + 1 }},
+		{"negative count", cfg, func(c *CHI) { c.Cum[2*k-1] = -1 }},
+		{"config not normalized", Config{CellW: 4, CellH: 4, Edges: []float64{0.5, 0}}, func(*CHI) {}},
+	} {
+		chis := map[int64]*CHI{}
+		for _, id := range ids {
+			c, _ := idx.ChiFor(id)
+			cp := *c
+			cp.Cum = slices.Clone(c.Cum)
+			chis[id] = &cp
+		}
+		bad := ids[1]
+		tc.corrupt(chis[bad])
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(indexFile{Cfg: tc.cfg, Chis: chis}); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := ReadMemoryIndex(&buf)
+		if err == nil {
+			// What the first query over the accepted file would do.
+			_, _, qerr := Filter(context.Background(), &Env{Loader: loader, Index: ix}, ids, terms, Cmp{T: 0, Op: OpGt, C: 50})
+			t.Fatalf("%s: accepted (a query over it returned %v)", tc.name, qerr)
+		}
+		want := fmt.Sprintf("mask %d:", bad)
+		if tc.cfg.Key() != cfg.Key() {
+			want = "not normalized"
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
 		}
 	}
 }

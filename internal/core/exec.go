@@ -339,10 +339,10 @@ func (t *TauTracker) Add(s int64) {
 }
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,
-// fanning mask loads and LUT builds across the pool. It returns how
-// many masks were newly indexed. This is the eager ("vanilla
-// MaskSearch") construction path; the incremental mode instead grows
-// the index one Observe at a time.
+// fanning mask loads and builds (through ix's one builder) across the
+// pool. It returns how many masks were newly indexed. This is the eager
+// ("vanilla MaskSearch") construction path; the incremental mode
+// instead grows the index one Observe at a time.
 func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int64, ex Exec) (int, error) {
 	var built atomic.Int64
 	do := func(id int64) error {
@@ -355,7 +355,7 @@ func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int
 		if err != nil {
 			return err
 		}
-		chi, err := Build(m, ix.Config())
+		chi, err := ix.build(m)
 		if r, ok := loader.(MaskRecycler); ok {
 			r.ReleaseMask(m)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,9 @@ import (
 // engine worker — is two atomic loads, with no lock and no hashing;
 // only growing the directory takes the mutex.
 type MemoryIndex struct {
-	cfg Config
+	// builder holds the config and its byte tables, made once per
+	// index: Observe and IndexAll build every CHI through it.
+	builder
 	// dir is the page directory; page p holds ids
 	// [p*chiPageSize+1, (p+1)*chiPageSize]. A published directory is
 	// never modified: growth publishes a longer copy sharing the pages.
@@ -40,17 +43,10 @@ const (
 
 type chiPage [chiPageSize]atomic.Pointer[CHI]
 
-// NewMemoryIndex returns an empty index that builds CHIs with cfg.
+// NewMemoryIndex returns an empty index that builds CHIs with cfg,
+// normalized. An invalid cfg makes every build fail.
 func NewMemoryIndex(cfg Config) *MemoryIndex {
-	if n, err := cfg.Normalize(); err == nil {
-		cfg = n
-	}
-	return newIndex(cfg)
-}
-
-// newIndex returns an empty index holding cfg as given.
-func newIndex(cfg Config) *MemoryIndex {
-	ix := &MemoryIndex{cfg: cfg}
+	ix := &MemoryIndex{builder: newBuilder(cfg)}
 	ix.dir.Store(new([]*chiPage))
 	return ix
 }
@@ -116,13 +112,13 @@ func (ix *MemoryIndex) Add(id int64, chi *CHI) {
 // The check-then-build sequence is deliberately not atomic: two
 // goroutines observing the same unindexed mask may both build its
 // CHI and the last Add wins. That race is benign — both builds
-// produce the identical index entry (Build is deterministic in m and
-// cfg) — and a slow build never blocks concurrent ChiFor readers.
+// produce the identical index entry (a build is deterministic in m
+// and cfg) — and a slow build never blocks concurrent ChiFor readers.
 func (ix *MemoryIndex) Observe(id int64, m *Mask) {
 	if chi, _ := ix.ChiFor(id); chi != nil {
 		return
 	}
-	chi, err := Build(m, ix.cfg)
+	chi, err := ix.build(m)
 	if err != nil {
 		return
 	}
@@ -171,18 +167,45 @@ func (ix *MemoryIndex) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: chis})
 }
 
-// ReadMemoryIndex reloads an index serialized by Encode.
+// ReadMemoryIndex reloads an index serialized by Encode. It rejects a
+// file whose config is not in normal form or that holds an entry its
+// config could not have built (see CHI.validate): queries trust every
+// entry's shape and counts, so a malformed one would panic a query or
+// let wrong bounds decide its answer.
 func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
 	var f indexFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("core: decode index: %w", err)
 	}
-	ix := newIndex(f.Cfg)
+	ix := NewMemoryIndex(f.Cfg)
+	if ix.err != nil || !slices.Equal(ix.cfg.Edges, f.Cfg.Edges) {
+		return nil, fmt.Errorf("core: decode index: config %s is not normalized", f.Cfg.Key())
+	}
 	for id, chi := range f.Chis {
 		if id < 1 || id > maxIndexID {
 			return nil, fmt.Errorf("core: decode index: mask id %d out of range", id)
 		}
+		if err := chi.validate(ix.cfg); err != nil {
+			return nil, fmt.Errorf("core: decode index: mask %d: %w", id, err)
+		}
 		ix.Add(id, chi)
 	}
 	return ix, nil
+}
+
+// LoadIndex restores the index persisted at path when the file exists,
+// is valid and was built under cfg; otherwise it returns an empty index
+// for cfg, which grows as queries observe masks.
+func LoadIndex(path string, cfg Config) *MemoryIndex {
+	fresh := NewMemoryIndex(cfg)
+	f, err := os.Open(path)
+	if err != nil {
+		return fresh
+	}
+	defer f.Close()
+	ix, err := ReadMemoryIndex(f)
+	if err != nil || ix.cfg.Key() != fresh.cfg.Key() {
+		return fresh
+	}
+	return ix
 }

@@ -502,25 +502,62 @@ func BenchmarkCPBounds(b *testing.B) {
 	run("rect/oneoff", nil, func(_ *termPlan, i int) Bounds { return chis[i].CPBounds(rect, vr) })
 }
 
-// BenchmarkBuild is the index-build layer, one 128x128 saliency-shaped
-// mask per op at the facade's default granularity, on each mask form:
-// byte (the raw store's masks, a 256-entry LUT per pixel), rle (whole
-// runs folded through the same LUT) and float (a binary search per
-// pixel).
+// BenchmarkBuild is the index-build layer, one saliency-shaped mask per
+// op, on each mask form: byte (the raw store's masks, counted cell by
+// cell through the byte tables), rle (whole runs folded through the
+// value→bin LUT) and float (a binary search per pixel). Two shapes at
+// the facade's default granularity: 128x128 under 32² cells (the
+// wilds-sim masks) and 64x64 under 16² cells (imagenet-sim). "build" is
+// the one-off Build, which makes its tables per call; "index" is
+// MemoryIndex.Observe, which reuses its index's. ns/px compares
+// directly with the verification kernel's core.kernel_ns_per_px.
 func BenchmarkBuild(b *testing.B) {
-	rle := benchRLEMask(b)
-	cfg := Config{CellW: 32, CellH: 32, Edges: DefaultEdges(10)}
-	for _, v := range []struct {
-		name string
-		m    *Mask
-	}{{"byte", rle.Decoded()}, {"rle", rle}, {"float", rle.ToFloat()}} {
-		b.Run(v.name, func(b *testing.B) {
-			for b.Loop() {
-				if _, err := Build(v.m, cfg); err != nil {
-					b.Fatal(err)
-				}
+	big := benchRLEMask(b).Decoded()
+	half := make([]byte, 64*64)
+	for y := range 64 {
+		for x := range 64 {
+			half[y*64+x] = big.Bytes[2*y*128+2*x]
+		}
+	}
+	small := &Mask{W: 64, H: 64, Bytes: half}
+	for _, form := range []string{"byte", "rle", "float"} {
+		for _, sh := range []struct {
+			m    *Mask
+			cell int
+		}{{big, 32}, {small, 16}} {
+			m := sh.m
+			switch form {
+			case "rle":
+				m = withRowDir(b, EncodeRLE(m.Bytes, m.W, m.H), m.W, m.H)
+			case "float":
+				m = m.ToFloat()
 			}
-		})
+			cfg := Config{CellW: sh.cell, CellH: sh.cell, Edges: DefaultEdges(10)}
+			px := float64(m.W * m.H)
+			b.Run(fmt.Sprintf("%s/%dx%d/build", form, m.W, m.H), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := Build(m, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
+			})
+			b.Run(fmt.Sprintf("%s/%dx%d/index", form, m.W, m.H), func(b *testing.B) {
+				// A fresh index per page of ids keeps every Observe a
+				// build without growing the index for the whole run.
+				ix, id := NewMemoryIndex(cfg), int64(0)
+				for b.Loop() {
+					if id++; id > chiPageSize {
+						ix, id = NewMemoryIndex(cfg), 1
+					}
+					ix.Observe(id, m)
+				}
+				if ix.Len() == 0 {
+					b.Fatal("Observe indexed nothing")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
+			})
+		}
 	}
 }
 
