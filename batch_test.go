@@ -129,3 +129,50 @@ func TestQueryBatchErrors(t *testing.T) {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
+
+// TestQueryBatchSharesLoads restates core's shared-load property on
+// DB.QueryBatch: on a fresh database (no index, no cache) every target
+// is verified, and a batch of overlapping filter statements loads each
+// distinct mask exactly once while billing every statement for each of
+// its own targets.
+func TestQueryBatchSharesLoads(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateDataset(dir, TinyDataset()); err != nil {
+		t.Fatal(err)
+	}
+	// Overlapping target sets: every mask is wanted by the first
+	// statement and by one of the next two.
+	sqls := []string{
+		`SELECT mask_id FROM masks WHERE CP(mask, full, 0.3, 1.0) > 10`,
+		`SELECT mask_id FROM masks WHERE CP(mask, full, 0.3, 1.0) > 11 AND model_id = 1`,
+		`SELECT mask_id FROM masks WHERE CP(mask, full, 0.3, 1.0) > 12 AND model_id != 1`,
+		`SELECT mask_id FROM masks WHERE CP(mask, full, 0.3, 1.0) > 13 AND image_id = 2`,
+	}
+	for _, workers := range []int{1, 2, 8} {
+		db, err := OpenWith(dir, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.QueryBatch(t.Context(), sqls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		billed := 0
+		for i, r := range got {
+			if r.Stats.Loaded != r.Stats.Targets {
+				t.Fatalf("workers %d: statement %d billed %d loads for %d targets", workers, i+1, r.Stats.Loaded, r.Stats.Targets)
+			}
+			billed += r.Stats.Loaded
+		}
+		n := len(db.Entries())
+		if loaded := db.ReadStats().MasksLoaded; loaded != int64(n) {
+			t.Fatalf("workers %d: batch loaded %d masks, want each of the %d distinct masks exactly once", workers, loaded, n)
+		}
+		if billed <= n {
+			t.Fatalf("workers %d: statements billed %d loads over %d physical loads — no sharing happened", workers, billed, n)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -3,8 +3,9 @@
 // statements — separate arguments and/or one argument with
 // ';'-separated statements (split with the msquery lexer, so a ';'
 // inside a string literal is safe) — run as one batch through
-// DB.QueryBatch, sharing mask loads (and, with -cache-bytes, the
-// store's mask cache) across the batch.
+// DB.QueryBatch: each statement executes exactly as it would alone,
+// while the batch loads each mask several statements need once per
+// round (and, with -cache-bytes, shares the store's mask cache).
 //
 // A statement may hold `?` placeholders; -args binds them. Binding
 // applies to a single statement only (a multi-statement batch always

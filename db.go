@@ -133,10 +133,6 @@ type DB struct {
 	cat   *store.Catalog
 	idx   *core.MemoryIndex
 	plans *planCache
-	// loader is what query environments load through: the WAL store
-	// itself, or a wrapper that re-exposes the base's shard topology so
-	// the engine keeps its per-shard work affinity.
-	loader core.MaskLoader
 	// coord scatter-gathers query stages to remote shard nodes when
 	// Options.TopologyFile is set; nil for a local DB.
 	coord *dist.Coordinator
@@ -221,10 +217,6 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 		planEntries = DefaultPlanCacheEntries
 	}
 	db := &DB{dir: dir, opts: opts, st: st, ws: st, cat: cat, plans: newPlanCache(planEntries)}
-	db.loader = core.MaskLoader(st)
-	if ss, ok := st.Base().(*store.ShardedStore); ok {
-		db.loader = shardedWALLoader{WALStore: st, ss: ss}
-	}
 	db.idx = core.LoadIndex(filepath.Join(dir, store.IndexFileName), cfg)
 	if opts.EagerIndex {
 		// Eager ("vanilla MaskSearch") construction fans mask loads
@@ -258,19 +250,6 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 	}
 	return db, nil
 }
-
-// shardedWALLoader is the query-engine loader for a WAL store over a
-// sharded base: loads go through the WAL store (tail ids served from
-// RAM), while the shard topology stays visible so the engine keeps
-// grouping work per shard. Tail ids map to the last shard, which is
-// where compaction will land them.
-type shardedWALLoader struct {
-	*store.WALStore
-	ss *store.ShardedStore
-}
-
-func (l shardedWALLoader) NumShards() int       { return l.ss.NumShards() }
-func (l shardedWALLoader) ShardOf(id int64) int { return l.ss.ShardOf(id) }
 
 // Close persists the index if configured and releases the store. It
 // first drains: queries that are already executing run to completion,
@@ -355,7 +334,7 @@ func (db *DB) checkpointIndex() error {
 // the index from every verified mask.
 func (db *DB) env(ex core.Exec) *core.Env {
 	return &core.Env{
-		Loader: db.loader,
+		Loader: db.st,
 		Index:  db.idx,
 		Exec:   ex,
 		OnVerify: func(id int64, m *Mask) {
@@ -783,17 +762,18 @@ func (db *DB) Rows(ctx context.Context, sql string, args ...any) iter.Seq2[Row, 
 }
 
 // QueryBatch plans and executes a batch of msquery-dialect statements
-// as one scheduled workload (§4.5): the filter stages of every
-// statement run as one core.ExecBatch round and the ranking stages as
-// a second, so a mask needed by several statements is loaded from the
-// store once per round instead of once per statement (and, with
-// Options.CacheBytes set, at most once across rounds and batches).
-// Every Result is byte-identical to running its statement alone
-// through Query; per-statement stats follow the ExecBatch contract. A
-// parse or plan error anywhere fails the whole batch before any
-// statement executes. Statements must be placeholder-free (parameter
-// sweeps batch through Stmt.QueryBatch instead); opts tune the whole
-// batch.
+// as one scheduled workload (§4.5). Every statement runs through the
+// same execution path as Query, each on its own goroutine, and the
+// batch shares their mask loads: whenever every statement is waiting on
+// masks, each distinct mask any of them needs is loaded from the store
+// once and verified for all of them (and, with Options.CacheBytes set,
+// served from the cache across rounds and batches). Every Result is
+// byte-identical to running its statement alone through Query; its
+// stats bill the statement for every mask it verified, shared or not.
+// A parse or plan error anywhere fails the whole batch before any
+// statement executes, and the first execution error fails the rest.
+// Statements must be placeholder-free (parameter sweeps batch through
+// Stmt.QueryBatch instead); opts tune the whole batch.
 func (db *DB) QueryBatch(ctx context.Context, sqls []string, opts ...QueryOpt) ([]*Result, error) {
 	var qo queryOptions
 	for _, o := range opts {
@@ -822,21 +802,38 @@ func (db *DB) QueryBatch(ctx context.Context, sqls []string, opts ...QueryOpt) (
 	return db.execBatch(ctx, env, plans, qo)
 }
 
-// run executes a bound plan under the resolved per-query options. Its
-// mask-touching stages run in this process, or on the shard nodes when
-// the DB is distributed; metadata planning, target selection and the
-// ranking drivers run here either way. Distributed results are
-// byte-identical to local ones; only Stats load counts may differ
-// (they depend on τ-update timing, like Options.Workers locally).
-func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error) {
-	env, err := db.envFor(qo)
+// query executes one bound plan on its own: on env, or on the
+// cluster's stages under this query's partial-result policy when the
+// DB is distributed.
+func (db *DB) query(ctx context.Context, env *core.Env, view store.CatalogView, p *plan, qo queryOptions) (*Result, error) {
+	var s core.Stages = env
+	var part *dist.Partial
+	if db.coord != nil {
+		if qo.degradedOK {
+			part = db.coord.NewPartial()
+		}
+		s = db.coord.Stages(part)
+	}
+	res, err := db.run(ctx, env, view, s, p, qo)
 	if err != nil {
 		return nil, err
 	}
+	if part != nil && part.Degraded() {
+		res.Degraded = true
+		res.MissingShards = part.Missing()
+	}
+	return res, nil
+}
+
+// run executes a bound plan over the catalog snapshot view, with its
+// mask-touching stages on s: env, the cluster's stages, or a batch's
+// shared stages. It is the one body every statement runs through;
+// metadata planning, target selection and the drivers run here either
+// way. Distributed results are byte-identical to local ones; only
+// Stats load counts may differ (they depend on τ-update timing, like
+// Options.Workers locally).
+func (db *DB) run(ctx context.Context, env *core.Env, view store.CatalogView, s core.Stages, p *plan, qo queryOptions) (*Result, error) {
 	res := &Result{Kind: p.kind}
-	// One catalog snapshot per query: the id space this query considers
-	// is pinned here and never shifts while concurrent Appends land.
-	view := db.cat.View()
 	targets := view.MaskIDs(p.keep)
 	nConsidered := len(targets)
 
@@ -847,26 +844,13 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		res.setEmpty()
 		return res, nil
 	}
-	var stages core.Stages = env
-	filter := func(targets []int64) ([]int64, core.Stats, error) {
-		return core.Filter(ctx, env, targets, p.filterTerms, p.pred)
-	}
-	var part *dist.Partial
-	if db.coord != nil {
-		if qo.eagerBounds {
+	if qo.eagerBounds {
+		if db.coord != nil {
 			// Eager bounds build the coordinator's local index, which
 			// remote execution never consults: the nodes own the bounds
 			// stage.
 			return nil, fmt.Errorf("masksearch: WithEagerBounds is not available on a distributed DB (shard nodes own the bounds stage)")
 		}
-		if qo.degradedOK {
-			part = db.coord.NewPartial()
-		}
-		stages = db.coord.Stages(part)
-		filter = func(targets []int64) ([]int64, core.Stats, error) {
-			return db.coord.Filter(ctx, targets, p.filterTerms, p.pred, part)
-		}
-	} else if qo.eagerBounds {
 		if err := db.ensureBounds(ctx, env, targets); err != nil {
 			return nil, err
 		}
@@ -876,7 +860,7 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 	// runs as a filter stage first.
 	prefiltered := false
 	if p.kind != planFilter && len(p.filterTerms) > 0 {
-		ids, st, err := filter(targets)
+		ids, st, err := core.FilterOn(ctx, s, targets, p.filterTerms, p.pred)
 		if err != nil {
 			return nil, err
 		}
@@ -893,14 +877,21 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 			res.IDs = targets
 			res.Stats.Targets = len(targets)
 		case p.k > 0 && db.coord == nil:
-			if err := db.filterLimited(ctx, env, p, targets, res); err != nil {
+			// LIMIT'd filter: scan in growing chunks and stop as soon as
+			// enough masks matched, skipping the tail's loads.
+			st, err := core.FilterEmit(ctx, s, targets, p.filterTerms, p.pred, func(id int64) bool {
+				res.IDs = append(res.IDs, id)
+				return len(res.IDs) < p.k
+			})
+			res.Stats.Merge(st)
+			if err != nil {
 				return nil, err
 			}
 		default:
 			// A distributed LIMIT'd filter computes the full answer and
 			// truncates: the early-exit streaming scan is a local
 			// I/O-ordering trick that does not cross the wire.
-			ids, st, err := filter(targets)
+			ids, st, err := core.FilterOn(ctx, s, targets, p.filterTerms, p.pred)
 			if err != nil {
 				return nil, err
 			}
@@ -911,15 +902,15 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 			res.IDs = res.IDs[:p.k]
 		}
 	case planTopK:
-		ranked, st, err := core.TopKOn(ctx, stages, targets, p.scoreTerms, 0, p.k, p.order)
+		ranked, st, err := core.TopKOn(ctx, s, targets, p.scoreTerms, 0, p.k, p.order)
 		if err != nil {
 			return nil, err
 		}
 		res.Stats.Merge(st)
 		res.Ranked = ranked
 	case planAgg:
-		groups := groupTargets(view, p, targets)
-		ranked, st, err := core.AggTopKOn(ctx, stages, groups, p.scoreTerms, 0, p.agg, p.k, p.order)
+		groups := view.GroupIDs(targets, p.groupKey)
+		ranked, st, err := core.AggTopKOn(ctx, s, groups, p.scoreTerms, 0, p.agg, p.k, p.order)
 		if err != nil {
 			return nil, err
 		}
@@ -932,10 +923,6 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		// Both stages counted the prefilter survivors; the query
 		// considered each candidate mask once.
 		res.Stats.Targets = nConsidered
-	}
-	if part != nil && part.Degraded() {
-		res.Degraded = true
-		res.MissingShards = part.Missing()
 	}
 	return res, nil
 }
@@ -953,11 +940,13 @@ func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(R
 	if p.k == 0 {
 		return
 	}
+	// Same snapshot isolation as Query: the streamed id space is pinned.
+	view := db.cat.View()
 	if p.kind != planFilter || db.coord != nil {
 		// Ranking plans know their rows only once verification
 		// completes, and the chunked early-exit scan is a local
 		// I/O-ordering trick that does not cross the wire.
-		res, err := db.run(ctx, p, qo)
+		res, err := db.query(ctx, env, view, p, qo)
 		if err != nil {
 			yield(Row{}, err)
 			return
@@ -974,8 +963,7 @@ func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(R
 		}
 		return
 	}
-	// Same snapshot isolation as run: the streamed id space is pinned.
-	targets := db.cat.View().MaskIDs(p.keep)
+	targets := view.MaskIDs(p.keep)
 	if qo.eagerBounds {
 		if err := db.ensureBounds(ctx, env, targets); err != nil {
 			yield(Row{}, err)
@@ -1007,23 +995,4 @@ func (db *DB) stream(ctx context.Context, p *plan, qo queryOptions, yield func(R
 	if err != nil && !stopped {
 		yield(Row{}, err)
 	}
-}
-
-// filterLimited answers a LIMIT'd filter plan through the streaming
-// scan: targets are scanned in growing chunks and the scan stops as
-// soon as enough masks matched, skipping the tail's disk reads.
-// Shared by run and execBatch so both paths keep the early exit.
-func (db *DB) filterLimited(ctx context.Context, env *core.Env, p *plan, targets []int64, res *Result) error {
-	st, err := core.FilterEmit(ctx, env, targets, p.filterTerms, p.pred, func(id int64) bool {
-		res.IDs = append(res.IDs, id)
-		return len(res.IDs) < p.k
-	})
-	res.Stats.Merge(st)
-	return err
-}
-
-// groupTargets groups the (possibly pre-filtered) target ids by the
-// plan's group key, against the query's pinned catalog snapshot.
-func groupTargets(v store.CatalogView, p *plan, targets []int64) []core.Group {
-	return v.GroupIDs(targets, p.groupKey)
 }

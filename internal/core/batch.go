@@ -1,306 +1,273 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"slices"
+	"sync"
 )
 
-// BatchKind selects the executor a BatchQuery runs through.
-type BatchKind int
-
-const (
-	BatchFilter BatchKind = iota
-	BatchTopK
-	BatchAgg
-)
-
-func (k BatchKind) String() string {
-	switch k {
-	case BatchFilter:
-		return "filter"
-	case BatchTopK:
-		return "topk"
-	case BatchAgg:
-		return "aggregation"
-	}
-	return "?"
-}
-
-// BatchQuery is one query of an ExecBatch workload, the union of the
-// three executors' inputs. Targets feeds BatchFilter and BatchTopK;
-// Groups feeds BatchAgg. K <= 0 means "all" for the ranking kinds,
-// matching TopK and AggTopK.
-type BatchQuery struct {
-	Kind    BatchKind
-	Targets []int64
-	Groups  []Group
-	Terms   []CPTerm
-	Pred    Pred  // BatchFilter; nil means "always true"
-	Score   Term  // BatchTopK, BatchAgg
-	Agg     Agg   // BatchAgg
-	K       int   // BatchTopK, BatchAgg
-	Order   Order // BatchTopK, BatchAgg
-}
-
-// BatchResult is the answer to one BatchQuery: IDs for BatchFilter,
-// Ranked for the ranking kinds, plus the query's own pipeline stats.
-type BatchResult struct {
-	IDs    []int64
-	Ranked []Scored
-	Stats  Stats
-}
-
-// bqState carries one query through the batch pipeline.
-type bqState struct {
-	q BatchQuery
-	// plans holds the filter terms' plans (BatchFilter) or the score
-	// term's alone (the ranking kinds verify nothing else).
-	plans []termPlan
-	pred  Pred
-	st    Stats
-	// BatchFilter: per-target outcome and which targets the bounds
-	// could not decide.
-	keep  []bool
-	undec []bool
-	// The ranking kinds: the candidates of ids (BatchTopK's targets,
-	// or every member of BatchAgg's non-empty groups), and k.
-	ids   []int64
-	cands []CandBound
-	k     int
-	tt    *TauTracker // BatchTopK
-	// BatchAgg: the groups as runs of cands and their member columns.
-	groups []aggGroup
-	f64    []float64
-}
-
-// consumer is one query's interest in one mask load: qi names the
-// query, a the target (BatchFilter) or candidate index.
-type consumer struct {
-	qi, a int
-}
-
-// ExecBatch executes a multi-query workload (§4.5) as one scheduled
-// batch. It first resolves every query's bounds stage from the index,
-// then groups the surviving verification work by mask: each distinct
-// mask the batch needs is loaded from the store once and fanned out to
-// every interested query, instead of once per query. Loads and bounds
-// work run on env.Exec's worker pool.
+// Batch executes a multi-query workload (§4.5): it runs n drivers, each
+// in its own goroutine as run(ctx, i, s), over one Stages that shares
+// mask loads between them. Bounds pass straight through to env. Filter
+// and Verify queue the masks they need and park the driver; once every
+// live driver is parked or has returned, the last one to arrive runs
+// the round: each distinct queued mask is loaded once, in id order,
+// and refined for every driver that queued it. A driver whose τ gate
+// rejects a mask is skipped, and a mask no driver still wants is not
+// loaded at all.
 //
-// Results are byte-identical to running each query alone through
-// Filter, TopK and AggTopK — bounds decisions are per query and exact
-// evaluation of a shared mask returns the same values as a private
-// load. Per-query Stats match the standalone sequential engine for
-// BatchFilter and BatchAgg; BatchTopK additionally refines each
-// query's τ as exact scores land (like the parallel engine), so its
-// verification stage may skip masks the standalone engine loads, with
-// Loaded + RejectedByBounds conserved. Stats.Loaded counts the masks a
-// query evaluated exactly, whether or not the physical load was
-// shared; the store's ReadStats count the physical loads.
-func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResult, error) {
-	states := make([]bqState, len(queries))
-	maxTerms := 1
-	type unit struct{ qi, i int }
-	var units []unit
-	for qi := range queries {
-		s := &states[qi]
-		s.q = queries[qi]
-		if len(s.q.Terms) > maxTerms {
-			maxTerms = len(s.q.Terms)
-		}
-		if s.q.Kind != BatchFilter {
-			if err := checkScore(s.q.Terms, s.q.Score); err != nil {
-				return nil, fmt.Errorf("batch query %d: %w", qi, err)
-			}
-		}
-		switch s.q.Kind {
-		case BatchFilter:
-			s.plans = planTerms(s.q.Terms)
-			s.pred = s.q.Pred
-			if s.pred == nil {
-				s.pred = And{}
-			}
-			s.st.Targets = len(s.q.Targets)
-			s.keep = make([]bool, len(s.q.Targets))
-			s.undec = make([]bool, len(s.q.Targets))
-			for i := range s.q.Targets {
-				units = append(units, unit{qi, i})
-			}
-		case BatchTopK, BatchAgg:
-			s.plans = planTerms(s.q.Terms[s.q.Score : s.q.Score+1])
-			s.ids = s.q.Targets
-			if s.q.Kind == BatchAgg {
-				s.groups, s.ids = flattenGroups(s.q.Groups)
-			}
-			s.st.Targets = len(s.ids)
-			s.cands = make([]CandBound, len(s.ids))
-			for i := range s.ids {
-				units = append(units, unit{qi, i})
-			}
-		default:
-			return nil, fmt.Errorf("core: batch query %d: unknown kind %v", qi, s.q.Kind)
-		}
+// Each driver sees exactly what its stages would answer alone: decisions
+// are per driver, a shared load refines every consumer with its own
+// plan and stop, and τ stays per driver. Results are therefore
+// byte-identical to running each driver alone on env, and stats are
+// billed per driver: Loaded counts the masks a driver evaluated
+// exactly, whether or not the physical load was shared. A batch's
+// verification is always τ-gated, as on the worker pool, so a top-k
+// driver may skip loads the sequential engine performs.
+//
+// A driver calls its stages one at a time, as the drivers in this
+// package do: the round starts once each live driver has one call
+// parked. The first error cancels the batch's ctx and is what every
+// parked driver gets back; Batch returns it once every driver has
+// returned.
+func Batch(ctx context.Context, env *Env, n int, run func(ctx context.Context, i int, s Stages) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	b := &batch{env: env, ctx: ctx, cancel: cancel, live: n, next: newRound()}
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := run(ctx, i, b)
+			b.leave(err)
+		}()
 	}
+	wg.Wait()
+	return b.err
+}
 
-	// Per-worker stats (one per query) and bounds scratch. A cache line
-	// of spare capacity keeps what one worker writes per mask off the
-	// line its neighbour's allocation starts on.
-	workers := env.Exec.workers()
-	wstats := make([][]Stats, workers)
-	scratch := make([][]Bounds, workers)
-	for w := range workers {
-		wstats[w] = make([]Stats, len(queries), len(queries)+2)
-		scratch[w] = make([]Bounds, maxTerms, maxTerms+4)
-	}
-	mergeWorkerStats := func() {
-		for w := range wstats {
-			for qi := range wstats[w] {
-				states[qi].st.Merge(wstats[w][qi])
-			}
-			clear(wstats[w])
-		}
-	}
+// batch is the rendezvous of one Batch's drivers, and the Stages they
+// all run on.
+type batch struct {
+	env    *Env
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	// Stage 1: every query's bounds, fanned out over the flat
-	// (query, item) work list. Decisions are per query and independent
-	// per item, so this matches each standalone bounds stage exactly.
-	err := fanOut(ctx, workers, len(units), func(w, ui int) error {
-		u := units[ui]
-		s := &states[u.qi]
-		st := &wstats[w][u.qi]
-		switch s.q.Kind {
-		case BatchFilter:
-			decision, err := env.filterBounds(s.q.Targets[u.i], s.plans, s.pred, scratch[w], st)
-			if err != nil {
-				return err
-			}
-			s.keep[u.i], s.undec[u.i] = decision == True, decision == Unknown
-		default:
-			var err error
-			s.cands[u.i], err = env.boundCand(s.ids[u.i], &s.plans[0], st)
-			return err
+	mu     sync.Mutex
+	live   int         // drivers that have not returned
+	queued []*batchReq // the parked drivers' requests for the next round
+	next   *round
+	err    error // the first error, once any driver or round failed
+}
+
+// round is one barrier: parked drivers wait on done.
+type round struct {
+	done chan struct{}
+	err  error
+}
+
+func newRound() *round { return &round{done: make(chan struct{})} }
+
+// batchReq is one parked driver's share of a round: the masks it needs
+// loaded, and what to do with each.
+type batchReq struct {
+	ids []int64
+	// skip reports, before the load, that the driver no longer needs
+	// ids[j]; nil never skips.
+	skip func(j int) bool
+	// eval refines ids[j] on its loaded mask as pool worker w.
+	eval func(w, j int, chi *CHI, m *Mask)
+	st   Stats
+}
+
+// fail records the batch's first error and cancels its ctx.
+func (b *batch) fail(err error) {
+	if err != nil && b.err == nil {
+		b.err = err
+		b.cancel()
+	}
+}
+
+// park queues r for the next round and waits for it to run, running it
+// itself when it is the last live driver to arrive. It returns the
+// batch's first error, if any.
+func (b *batch) park(r *batchReq) error {
+	b.mu.Lock()
+	if b.err != nil {
+		err := b.err
+		b.mu.Unlock()
+		return err
+	}
+	b.queued = append(b.queued, r)
+	rd := b.next
+	if len(b.queued) == b.live {
+		b.runLocked()
+		b.mu.Unlock()
+	} else {
+		b.mu.Unlock()
+		<-rd.done
+	}
+	return rd.err
+}
+
+// leave retires a returning driver; if every other live driver is
+// parked, it runs their round on the way out.
+func (b *batch) leave(err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.fail(err)
+	b.live--
+	if b.live > 0 && len(b.queued) == b.live {
+		b.runLocked()
+	}
+}
+
+// runLocked runs the queued round with b.mu held on entry and exit,
+// releasing it while masks load, and wakes the round's drivers.
+func (b *batch) runLocked() {
+	reqs, rd := b.queued, b.next
+	b.queued, b.next = nil, newRound()
+	b.mu.Unlock()
+	err := b.load(reqs)
+	b.mu.Lock()
+	b.fail(err)
+	rd.err = b.err
+	close(rd.done)
+}
+
+// use is one request's interest in one mask.
+type use struct {
+	id   int64
+	r, j int
+}
+
+// load loads every distinct id the requests queued once, in id order
+// through env.forEach, and refines it for each request still wanting
+// it. Stats are billed to each request from per-worker slots.
+func (b *batch) load(reqs []*batchReq) error {
+	if err := b.ctx.Err(); err != nil {
+		return err
+	}
+	var uses []use
+	for r, req := range reqs {
+		for j, id := range req.ids {
+			uses = append(uses, use{id, r, j})
 		}
-		return nil
+	}
+	slices.SortFunc(uses, func(x, y use) int {
+		return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.r, y.r), cmp.Compare(x.j, y.j))
 	})
-	mergeWorkerStats()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2 (sequential, cheap): static pruning per query, then the
-	// batch load plan — every mask still needing verification, mapped
-	// to the consumers interested in it.
-	needs := make(map[int64][]consumer)
-	addNeed := func(id int64, c consumer) { needs[id] = append(needs[id], c) }
-	for qi := range states {
-		s := &states[qi]
-		switch s.q.Kind {
-		case BatchFilter:
-			for i, u := range s.undec {
-				if u {
-					addNeed(s.q.Targets[i], consumer{qi: qi, a: i})
-				}
-			}
-		case BatchTopK:
-			s.k = clampK(s.q.K, len(s.cands))
-			s.cands = pruneCands(s.cands, s.k, s.q.Order, &s.st)
-			s.tt = NewTauTracker(s.k, s.q.Order)
-			for i, c := range s.cands {
-				if c.Known {
-					s.st.AcceptedByBounds++
-					s.tt.Add(c.Score)
-				} else {
-					addNeed(c.ID, consumer{qi: qi, a: i})
-				}
-			}
-		case BatchAgg:
-			s.f64 = make([]float64, 2*len(s.cands))
-			s.groups = boundGroups(s.groups, s.cands, nil, s.q.Agg, s.f64)
-			s.k = clampK(s.q.K, len(s.groups))
-			s.groups = pruneGroups(s.groups, s.k, s.q.Order, &s.st)
-			for _, g := range s.groups {
-				for i := g.off; i < g.off+g.n; i++ {
-					if s.cands[i].Known {
-						s.st.AcceptedByBounds++
-					} else {
-						addNeed(s.cands[i].ID, consumer{qi: qi, a: i})
-					}
-				}
-			}
+	var runs []int // runs[k]: the first use of the k-th distinct id
+	for u := range uses {
+		if u == 0 || uses[u].id != uses[u-1].id {
+			runs = append(runs, u)
 		}
 	}
-	ids := make([]int64, 0, len(needs))
-	for id := range needs {
-		ids = append(ids, id)
+	runs = append(runs, len(uses))
+	// A cache line of spare capacity keeps one worker's slots off the
+	// line its neighbour's allocation starts on.
+	wst := make([][]Stats, b.env.Exec.workers())
+	for w := range wst {
+		wst[w] = make([]Stats, len(reqs), len(reqs)+2)
 	}
-	slices.Sort(ids)
-
-	// Stage 3: shared verification. Each distinct mask is loaded once
-	// and refined for every consumer; a Top-K consumer whose bounds
-	// fall below its query's refined τ is skipped instead (and a mask
-	// nobody still wants is not loaded at all). On a sharded store the
-	// loads are handed out shard by shard, so each shard's file and
-	// cache arena serve their own worker slice.
-	err = fanOutLoads(ctx, env.Loader, workers, len(ids), func(ii int) int64 { return ids[ii] },
-		func(w, ii int) error {
-			id := ids[ii]
-			cons := needs[id]
-			active := make([]consumer, 0, len(cons))
-			for _, c := range cons {
-				s := &states[c.qi]
-				if s.q.Kind == BatchTopK && s.tt.Skip(s.cands[c.a].B) {
-					wstats[w][c.qi].RejectedByBounds++
-					continue
-				}
-				active = append(active, c)
+	_, err := b.env.forEach(b.ctx, len(runs)-1, func(w, k int, _ *Stats) error {
+		run := uses[runs[k]:runs[k+1]]
+		// Each run belongs to this worker alone, so it is compacted in
+		// place to the consumers that still want the mask.
+		active := run[:0]
+		for _, u := range run {
+			if skip := reqs[u.r].skip; skip != nil && skip(u.j) {
+				wst[w][u.r].RejectedByBounds++
+				continue
 			}
-			if len(active) == 0 {
-				return nil
+			active = append(active, u)
+		}
+		if len(active) == 0 {
+			return nil
+		}
+		return b.env.verify(run[0].id, nil, func(chi *CHI, m *Mask) {
+			for _, u := range active {
+				wst[w][u.r].Loaded++
+				reqs[u.r].eval(w, u.j, chi, m)
 			}
-			return env.verify(id, nil, func(chi *CHI, m *Mask) {
-				for _, c := range active {
-					s := &states[c.qi]
-					wstats[w][c.qi].Loaded++
-					switch s.q.Kind {
-					case BatchFilter:
-						bs := scratch[w][:len(s.plans)]
-						boundsInto(bs, s.plans, chi, id)
-						s.keep[c.a] = decide(s.plans, s.pred, chi, m, id, bs)
-					case BatchTopK:
-						if b := s.plans[0].refine(chi, m, id, s.tt.Skip); b.Lo == b.Hi {
-							s.cands[c.a].Known, s.cands[c.a].Score = true, b.Lo
-							s.tt.Add(b.Lo)
-						}
-					case BatchAgg:
-						s.cands[c.a].Known, s.cands[c.a].Score = true, s.plans[0].refine(chi, m, id, nil).Lo
-					}
-				}
-			})
 		})
-	mergeWorkerStats()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 4 (sequential): assemble each query's result exactly as
-	// its standalone executor would.
-	out := make([]BatchResult, len(queries))
-	for qi := range states {
-		s := &states[qi]
-		res := &out[qi]
-		switch s.q.Kind {
-		case BatchFilter:
-			for i, id := range s.q.Targets {
-				if s.keep[i] {
-					res.IDs = append(res.IDs, id)
-				}
-			}
-		case BatchTopK:
-			res.Ranked = rankTop(s.cands, s.k, s.q.Order)
-		case BatchAgg:
-			res.Ranked = rankAgg(s.groups, s.cands, s.q.Agg, s.k, s.q.Order, s.f64)
+	})
+	for w := range wst {
+		for r := range reqs {
+			reqs[r].st.Merge(wst[w][r])
 		}
-		res.Stats = s.st
 	}
-	return out, nil
+	return err
+}
+
+// Bounds passes straight through to env: bounds load no mask.
+func (b *batch) Bounds(ctx context.Context, ids []int64, term *ScoreTerm) ([]CandBound, []bool, Stats, error) {
+	return b.env.Bounds(ctx, ids, term)
+}
+
+// Filter decides what the bounds can at once and parks the rest for the
+// round.
+func (b *batch) Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pred) ([]bool, []bool, Stats, error) {
+	env := b.env
+	if pred == nil {
+		pred = And{}
+	}
+	plans := planTerms(terms)
+	wbs := env.scratch(len(terms))
+	keep, undec := make([]bool, len(ids)), make([]bool, len(ids))
+	st, err := env.forEach(ctx, len(ids), func(w, i int, st *Stats) error {
+		d, err := env.filterBounds(ids[i], plans, pred, wbs[w], st)
+		keep[i], undec[i] = d == True, d == Unknown
+		return err
+	})
+	st.Targets = len(ids)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	r := &batchReq{}
+	var at []int
+	for i, u := range undec {
+		if u {
+			r.ids, at = append(r.ids, ids[i]), append(at, i)
+		}
+	}
+	if len(r.ids) == 0 {
+		return keep, nil, st, nil
+	}
+	r.eval = func(w, j int, chi *CHI, m *Mask) {
+		bs := wbs[w]
+		boundsInto(bs, plans, chi, r.ids[j])
+		keep[at[j]] = decide(plans, pred, chi, m, r.ids[j], bs)
+	}
+	err = b.park(r)
+	st.Merge(r.st)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return keep, nil, st, nil
+}
+
+// Verify parks every item for the round, gated by the driver's τ.
+func (b *batch) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error) {
+	if len(items) == 0 {
+		return Stats{}, nil
+	}
+	r := &batchReq{ids: make([]int64, len(items))}
+	for i, it := range items {
+		r.ids[i] = it.ID
+	}
+	var stop func(Bounds) bool
+	if gate != nil {
+		stop = gate.Skip
+		r.skip = func(j int) bool { return stop(items[j].B) }
+	}
+	r.eval = func(_, j int, chi *CHI, m *Mask) {
+		if bs := term.plan.refine(chi, m, items[j].ID, stop); bs.Lo == bs.Hi {
+			land(j, bs.Lo)
+		}
+	}
+	err := b.park(r)
+	return r.st, err
 }

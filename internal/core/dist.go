@@ -66,36 +66,38 @@ func (e *Env) boundCand(id int64, term *termPlan, st *Stats) (CandBound, error) 
 	return c, nil
 }
 
-// FilterDecide resolves every target's filter decision — from CHI
-// bounds when possible, by loading and verifying otherwise — and
-// returns the per-target keep flags in target order. It is Filter
-// without the id assembly, which is the shape a shard node needs (the
-// coordinator reassembles ids so the global result order is the
-// caller's target order). Decisions are independent per target, so
-// sequential and worker-pool execution produce identical flags and
-// stats.
-func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm, pred Pred) ([]bool, Stats, error) {
+// Filter is the local filter stage: every id's filter decision — from
+// CHI bounds when possible, by loading and verifying otherwise — as
+// keep flags in id order. Every id is answered. Decisions are
+// independent per id, so sequential and worker-pool execution produce
+// identical flags and stats.
+func (e *Env) Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pred) ([]bool, []bool, Stats, error) {
 	if pred == nil {
 		pred = And{}
 	}
-	keep := make([]bool, len(targets))
+	keep := make([]bool, len(ids))
 	plans := planTerms(terms)
-	wbs := make([][]Bounds, env.Exec.workers())
-	for w := range wbs {
-		// A cache line of spare capacity keeps one worker's scratch
-		// off the line its neighbour's starts on.
-		wbs[w] = make([]Bounds, len(terms), len(terms)+4)
-	}
-	st, err := env.forEach(ctx, len(targets), func(i int) int64 { return targets[i] },
-		func(w, i int, st *Stats) (err error) {
-			keep[i], err = env.filterTarget(targets[i], plans, pred, wbs[w], st)
-			return err
-		})
-	st.Targets = len(targets)
+	wbs := e.scratch(len(terms))
+	st, err := e.forEach(ctx, len(ids), func(w, i int, st *Stats) (err error) {
+		keep[i], err = e.filterTarget(ids[i], plans, pred, wbs[w], st)
+		return err
+	})
+	st.Targets = len(ids)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, st, err
 	}
-	return keep, st, nil
+	return keep, nil, st, nil
+}
+
+// scratch returns one bounds buffer of n terms per pool worker. A cache
+// line of spare capacity keeps one worker's scratch off the line its
+// neighbour's starts on.
+func (e *Env) scratch(n int) [][]Bounds {
+	wbs := make([][]Bounds, e.Exec.workers())
+	for w := range wbs {
+		wbs[w] = make([]Bounds, n, n+4)
+	}
+	return wbs
 }
 
 // Bounds is the local bounds stage: every id's score bounds from the
@@ -103,7 +105,7 @@ func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm
 // answered.
 func (e *Env) Bounds(ctx context.Context, ids []int64, term *ScoreTerm) ([]CandBound, []bool, Stats, error) {
 	cands := make([]CandBound, len(ids))
-	st, err := e.forEach(ctx, len(ids), nil, func(_, i int, st *Stats) (err error) {
+	st, err := e.forEach(ctx, len(ids), func(_, i int, st *Stats) (err error) {
 		cands[i], err = e.boundCand(ids[i], &term.plan, st)
 		return err
 	})
@@ -133,7 +135,7 @@ func (e *Env) verifyItems(ctx context.Context, items []VerifyItem, plan *termPla
 	if gate != nil {
 		stop = gate.Skip
 	}
-	return e.forEach(ctx, len(items), func(i int) int64 { return items[i].ID }, func(_, i int, st *Stats) error {
+	return e.forEach(ctx, len(items), func(_, i int, st *Stats) error {
 		id := items[i].ID
 		if stop != nil && stop(items[i].B) {
 			st.RejectedByBounds++

@@ -113,133 +113,14 @@ func fanOut(ctx context.Context, workers, n int, fn func(worker, i int) error) e
 	return nil
 }
 
-// shardQueues partitions the work items [0, n) into per-shard index
-// queues (original order preserved within each shard) when the loader
-// is sharded. It returns nil — meaning "use the flat fanOut" — for
-// unsharded or single-shard loaders and for inputs too small to
-// matter.
-func shardQueues(loader MaskLoader, n int, idOf func(i int) int64) [][]int {
-	sl, ok := loader.(ShardedLoader)
-	if !ok || n < minParallelTargets {
-		return nil
-	}
-	s := sl.NumShards()
-	if s <= 1 {
-		return nil
-	}
-	queues := make([][]int, s)
-	for i := 0; i < n; i++ {
-		sh := sl.ShardOf(idOf(i))
-		if sh < 0 || sh >= s {
-			sh = 0
-		}
-		queues[sh] = append(queues[sh], i)
-	}
-	return queues
-}
-
-// fanOutLoads is fanOut for load-heavy stages: when the loader is
-// sharded it hands out work shard by shard (fanOutSharded) so the
-// shards' files and caches serve parallel worker slices; otherwise, or
-// with a nil idOf, it falls back to the flat atomic-cursor fanOut. The
-// per-item work is identical either way — only the visiting order
-// changes — so any stage whose outcome is independent per item (every
-// bounds and verification stage is: results land in caller-indexed
-// slots) keeps byte-identical results and stats.
-func fanOutLoads(ctx context.Context, loader MaskLoader, workers, n int, idOf func(i int) int64, fn func(worker, i int) error) error {
-	if workers > 1 && idOf != nil {
-		if queues := shardQueues(loader, n, idOf); queues != nil {
-			return fanOutSharded(ctx, workers, n, queues, fn)
-		}
-	}
-	return fanOut(ctx, workers, n, fn)
-}
-
-// fanOutSharded runs fn(worker, i) for every index queued in queues,
-// giving each worker a home shard (worker w starts on shard w mod S)
-// and letting it steal chunks from the next shard once its own
-// drains. Up to min(workers, S) shards are read concurrently, and a
-// worker stays on one shard while it has work — the locality the
-// per-shard caches and file descriptors want. Error and cancellation
-// semantics match fanOut: the lowest-indexed failed worker's error is
-// returned and ctx is polled per chunk.
-func fanOutSharded(ctx context.Context, workers, n int, queues [][]int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	s := len(queues)
-	chunks := make([]int64, s)
-	for qi, q := range queues {
-		// Size chunks so each shard's queue still splits across the
-		// workers that may end up serving it.
-		chunks[qi] = int64(max(1, min(64, len(q)/(workers*2))))
-	}
-	cursors := make([]atomic.Int64, s)
-	var failed atomic.Bool
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			home := w % s
-			for {
-				if failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				worked := false
-				for k := range s {
-					qi := (home + k) % s
-					q := queues[qi]
-					if cursors[qi].Load() >= int64(len(q)) {
-						continue
-					}
-					start := cursors[qi].Add(chunks[qi]) - chunks[qi]
-					if start >= int64(len(q)) {
-						continue
-					}
-					for i := start; i < min(start+chunks[qi], int64(len(q))); i++ {
-						if err := fn(w, q[i]); err != nil {
-							errs[w] = err
-							failed.Store(true)
-							return
-						}
-					}
-					worked = true
-					break
-				}
-				if !worked {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // forEach runs fn(w, i, st) for every i in [0, n): on the env's worker
 // pool when it has one and n is worth it, otherwise in order as worker
-// 0, polling ctx. Load-heavy stages pass idOf so the pool hands work
-// out shard by shard (fanOutLoads). Each pool worker accumulates a
-// private Stats, merged into the returned total; it bumps its slot once
-// per mask, so the slots are padded by a full cache line and no line
-// bounces between cores in the hot path. fn never sets Targets (the
-// caller sets it once for the whole query).
-func (e *Env) forEach(ctx context.Context, n int, idOf func(i int) int64, fn func(w, i int, st *Stats) error) (Stats, error) {
+// 0, polling ctx. Each pool worker accumulates a private Stats, merged
+// into the returned total; it bumps its slot once per mask, so the
+// slots are padded by a full cache line and no line bounces between
+// cores in the hot path. fn never sets Targets (the caller sets it once
+// for the whole query).
+func (e *Env) forEach(ctx context.Context, n int, fn func(w, i int, st *Stats) error) (Stats, error) {
 	var st Stats
 	if !e.pooled(n) {
 		for i := 0; i < n; i++ {
@@ -256,7 +137,7 @@ func (e *Env) forEach(ctx context.Context, n int, idOf func(i int) int64, fn fun
 		Stats
 		_ [64]byte
 	}, e.Exec.workers())
-	err := fanOutLoads(ctx, e.Loader, len(wstats), n, idOf, func(w, i int) error { return fn(w, i, &wstats[w].Stats) })
+	err := fanOut(ctx, len(wstats), n, func(w, i int) error { return fn(w, i, &wstats[w].Stats) })
 	for w := range wstats {
 		st.Merge(wstats[w].Stats)
 	}
@@ -367,8 +248,7 @@ func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int
 		return nil
 	}
 	if w := ex.workers(); w > 1 && len(ids) >= minParallelTargets {
-		err := fanOutLoads(ctx, loader, w, len(ids), func(i int) int64 { return ids[i] },
-			func(_, i int) error { return do(ids[i]) })
+		err := fanOut(ctx, w, len(ids), func(_, i int) error { return do(ids[i]) })
 		return int(built.Load()), err
 	}
 	for i, id := range ids {

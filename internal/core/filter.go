@@ -23,18 +23,6 @@ type MaskRecycler interface {
 	ReleaseMask(m *Mask)
 }
 
-// ShardedLoader is optionally implemented by loaders that spread
-// masks across independent storage shards (*store.ShardedStore does).
-// The parallel engine uses it to group load-heavy work by shard, so
-// each shard's file and cache arena serve a dedicated worker slice
-// instead of every worker funneling through one shard at a time.
-type ShardedLoader interface {
-	// NumShards reports the shard count (1 disables grouping).
-	NumShards() int
-	// ShardOf maps a mask id to its owning shard in [0, NumShards).
-	ShardOf(id int64) int
-}
-
 // Index resolves the CHI of a mask, returning (nil, nil) when the mask
 // is not indexed (the engine then falls back to verification). Index
 // implementations must be safe for concurrent use.
@@ -254,20 +242,19 @@ const (
 )
 
 // FilterEmit is the streaming Filter: it scans targets in growing
-// chunks — each chunk through the same sequential or worker-pool
-// engine as Filter — and emits matching ids in target order as each
-// chunk is decided. emit returns false to stop the scan; the tail's
-// masks are then never loaded, which is what makes pagination-style
-// consumers strictly cheaper than materializing the full result. A
-// fully-consumed FilterEmit emits exactly Filter's ids in Filter's
-// order; its Stats then equal Filter's, except that Targets counts
-// only the scanned prefix when the consumer stops early.
-func FilterEmit(ctx context.Context, env *Env, targets []int64, terms []CPTerm, pred Pred, emit func(id int64) bool) (Stats, error) {
+// chunks — each chunk through FilterOn over s — and emits matching ids
+// in target order as each chunk is decided. emit returns false to stop
+// the scan; the tail's masks are then never loaded, which is what makes
+// pagination-style consumers strictly cheaper than materializing the
+// full result. A fully-consumed FilterEmit emits exactly Filter's ids
+// in Filter's order; its Stats then equal Filter's, except that Targets
+// counts only the scanned prefix when the consumer stops early.
+func FilterEmit(ctx context.Context, s Stages, targets []int64, terms []CPTerm, pred Pred, emit func(id int64) bool) (Stats, error) {
 	var st Stats
 	chunk := streamChunkMin
 	for off := 0; off < len(targets); {
 		n := min(chunk, len(targets)-off)
-		ids, cst, err := Filter(ctx, env, targets[off:off+n], terms, pred)
+		ids, cst, err := FilterOn(ctx, s, targets[off:off+n], terms, pred)
 		st.Merge(cst)
 		if err != nil {
 			return st, err
@@ -290,13 +277,20 @@ func FilterEmit(ctx context.Context, env *Env, targets []int64, terms []CPTerm, 
 // per-target work fans out across goroutines; results and stats are
 // identical to the sequential engine.
 func Filter(ctx context.Context, env *Env, targets []int64, terms []CPTerm, pred Pred) ([]int64, Stats, error) {
-	keep, st, err := FilterDecide(ctx, env, targets, terms, pred)
+	return FilterOn(ctx, env, targets, terms, pred)
+}
+
+// FilterOn is the one filter driver: it runs the filter stage on s and
+// lists the kept targets in target order. Targets whose shard did not
+// answer are dropped.
+func FilterOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, pred Pred) ([]int64, Stats, error) {
+	keep, answered, st, err := s.Filter(ctx, targets, terms, pred)
 	if err != nil {
 		return nil, st, err
 	}
 	var out []int64
 	for i, ok := range keep {
-		if ok {
+		if ok && (answered == nil || answered[i]) {
 			out = append(out, targets[i])
 		}
 	}

@@ -364,12 +364,12 @@ func TestFilterAndOfTwoTerms(t *testing.T) {
 			if st.Loaded+st.AcceptedByBounds+st.RejectedByBounds != st.Targets {
 				t.Fatalf("query %d: stats do not partition the targets: %v", q, st)
 			}
-			rs, err := ExecBatch(context.Background(), env, []BatchQuery{{Kind: BatchFilter, Targets: ids, Terms: terms, Pred: pred}})
+			rs, err := runBatch(context.Background(), env, []batchQuery{{kind: "filter", targets: ids, terms: terms, pred: pred}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(rs[0].IDs, want) || rs[0].Stats != st {
-				t.Fatalf("query %d workers %d: ExecBatch = %v %v, Filter = %v %v", q, workers, rs[0].IDs, rs[0].Stats, want, st)
+			if !slices.Equal(rs[0].ids, want) || rs[0].st != st {
+				t.Fatalf("query %d workers %d: Batch = %v %v, Filter = %v %v", q, workers, rs[0].ids, rs[0].st, want, st)
 			}
 		}
 	}

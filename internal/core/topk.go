@@ -12,12 +12,16 @@ import (
 // it forces the mask into the candidate set so it gets verified.
 const unknownHi = int64(math.MaxInt64 / 4)
 
-// Stages is where a ranking query's per-mask work runs: *Env runs it in
-// this process, internal/dist on remote shard nodes. The drivers
-// (TopKOn, AggTopKOn) own everything between the two stages — static
+// Stages is where a query's per-mask work runs: *Env runs it in this
+// process, Batch shares its loads across the statements of a batch,
+// internal/dist runs it on remote shard nodes. The drivers (FilterOn,
+// TopKOn, AggTopKOn) own everything between the stages — static
 // pruning, τ, aggregation, the final sort — so every place that runs
-// the stages returns the same ranking.
+// the stages returns the same answer.
 type Stages interface {
+	// Filter decides pred for each id, in id order: keep[i] reports
+	// whether id i satisfies it. answered has Bounds' meaning.
+	Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pred) (keep, answered []bool, st Stats, err error)
 	// Bounds resolves each id's score bounds, in id order. answered[i]
 	// is false when id i's shard did not answer (a degraded remote
 	// query); a nil answered means every id was answered.

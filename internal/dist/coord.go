@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"masksearch/internal/metrics"
 	"masksearch/internal/store"
 )
 
@@ -19,7 +20,7 @@ import (
 // degraded results. The serving layer maps it to 503.
 var ErrShardUnavailable = errors.New("dist: shard unavailable")
 
-// Request kinds, indexing the per-kind latency rings that drive
+// Request kinds, indexing the per-kind latency windows that drive
 // adaptive hedging (verify's stays empty: see hedgeDelay).
 const (
 	kindHello = iota
@@ -35,7 +36,7 @@ const (
 	defaultHedgeFloor  = 2 * time.Millisecond
 	defaultHedgeCold   = 25 * time.Millisecond
 	hedgeQuantile      = 0.95
-	latRingSize        = 128
+	latWindow          = 128
 	latWarmup          = 8
 )
 
@@ -115,7 +116,7 @@ type nodeSeen struct {
 // Coordinator scatter-gathers query stages across the topology's
 // nodes. It holds no connections between requests (one TCP connection
 // per shard request); its cross-request state is counters, latency
-// rings and the remote read-stats accumulator.
+// windows and the remote read-stats accumulator.
 type Coordinator struct {
 	routes  [][]NodeSpec
 	nshards int
@@ -123,7 +124,7 @@ type Coordinator struct {
 	expect  Expect
 	opts    CoordOptions
 
-	lat [numKinds]latRing
+	lat [numKinds]*metrics.Window
 
 	vmu       sync.Mutex
 	validated map[string]string // node name → the boot its hello validated
@@ -160,10 +161,19 @@ func NewCoordinator(topo *Topology, expect Expect, shardOf func(int64) int, opts
 		shardOf:   shardOf,
 		expect:    expect,
 		opts:      opts,
+		lat:       latWindows(),
 		validated: make(map[string]string),
 		lastSeen:  make(map[string]*nodeSeen),
 		remote:    make([]store.ReadStats, expect.Shards),
 	}, nil
+}
+
+// latWindows returns one latency window per request kind.
+func latWindows() (w [numKinds]*metrics.Window) {
+	for k := range w {
+		w[k] = metrics.NewWindow(latWindow, latWarmup)
+	}
+	return w
 }
 
 // Close releases the coordinator. Connections are per-request, so
@@ -307,36 +317,6 @@ func resolve(errs []error, part *Partial) error {
 	return nil
 }
 
-// latRing records recent request latencies for one request kind.
-type latRing struct {
-	mu  sync.Mutex
-	buf [latRingSize]time.Duration
-	n   int
-}
-
-func (r *latRing) observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.n%latRingSize] = d
-	r.n++
-	r.mu.Unlock()
-}
-
-// quantile reports the q-quantile of the recorded window, false until
-// enough samples have landed to trust it.
-func (r *latRing) quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < latWarmup {
-		return 0, false
-	}
-	n := min(r.n, latRingSize)
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.buf[:n])
-	slices.Sort(tmp)
-	i := int(q * float64(n-1))
-	return tmp[i], true
-}
-
 // hedgeDelay resolves the hedging delay for one request kind; ok is
 // false when hedging is disabled. Adaptive delays come from the round
 // trips roundTrip times. A verify request streams for as long as its
@@ -351,8 +331,8 @@ func (c *Coordinator) hedgeDelay(kind int) (time.Duration, bool) {
 	case kind == kindVerify:
 		return defaultHedgeCold, true
 	}
-	if d, ok := c.lat[kind].quantile(hedgeQuantile); ok {
-		return max(d, defaultHedgeFloor), true
+	if q, ok := c.lat[kind].Quantiles(hedgeQuantile); ok {
+		return max(q[0], defaultHedgeFloor), true
 	}
 	return defaultHedgeCold, true
 }
@@ -477,7 +457,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, kind int, node NodeSpec, re
 	if err != nil {
 		return err
 	}
-	c.lat[kind].observe(time.Since(start))
+	c.lat[kind].Observe(time.Since(start))
 	return nil
 }
 

@@ -155,7 +155,7 @@ func (c *testCluster) checkAll(coord *Coordinator, part *Partial) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	gotIDs, _, err := coord.Filter(ctx, targets, c.terms, pred, part)
+	gotIDs, _, err := core.FilterOn(ctx, coord.Stages(part), targets, c.terms, pred)
 	if err != nil {
 		c.t.Fatalf("dist filter: %v", err)
 	}
@@ -179,7 +179,7 @@ func (c *testCluster) checkRanking(coord *Coordinator, part *Partial, targets []
 			if err != nil {
 				c.t.Fatal(err)
 			}
-			got, _, err := coord.TopK(ctx, targets, c.terms, 0, k, ord, part)
+			got, _, err := core.TopKOn(ctx, coord.Stages(part), targets, c.terms, 0, k, ord)
 			if err != nil {
 				c.t.Fatalf("dist topk %v k=%d: %v", ord, k, err)
 			}
@@ -196,7 +196,7 @@ func (c *testCluster) checkRanking(coord *Coordinator, part *Partial, targets []
 			if err != nil {
 				c.t.Fatal(err)
 			}
-			got, _, err := coord.AggTopK(ctx, groups, c.terms, 0, agg, 10, ord, part)
+			got, _, err := core.AggTopKOn(ctx, coord.Stages(part), groups, c.terms, 0, agg, 10, ord)
 			if err != nil {
 				c.t.Fatalf("dist agg %v %v: %v", agg, ord, err)
 			}
@@ -268,7 +268,7 @@ func TestDistFailClosed(t *testing.T) {
 		[][]string{{"a"}, {"b"}},
 		CoordOptions{Retries: -1, DialTimeout: 200 * time.Millisecond},
 	)
-	_, _, err := coord.Filter(context.Background(), c.targets(), c.terms, nil, nil)
+	_, _, err := core.FilterOn(context.Background(), coord.Stages(nil), c.targets(), c.terms, nil)
 	if !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -290,7 +290,7 @@ func TestDistDegraded(t *testing.T) {
 	targets := c.targets()
 
 	part := coord.NewPartial()
-	got, _, err := coord.Filter(ctx, targets, c.terms, nil, part)
+	got, _, err := core.FilterOn(ctx, coord.Stages(part), targets, c.terms, nil)
 	if err != nil {
 		t.Fatalf("degraded filter: %v", err)
 	}
@@ -319,7 +319,7 @@ func TestDistDegraded(t *testing.T) {
 	// Cancellation must never be reported as a degraded success.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := coord.Filter(cctx, targets, c.terms, nil, coord.NewPartial()); !errors.Is(err, context.Canceled) {
+	if _, _, err := core.FilterOn(cctx, coord.Stages(coord.NewPartial()), targets, c.terms, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query err = %v, want context.Canceled", err)
 	}
 }
@@ -360,7 +360,7 @@ func TestDistDegradedRanking(t *testing.T) {
 	ctx := context.Background()
 	for _, ord := range []core.Order{core.Desc, core.Asc} {
 		part := coord.NewPartial()
-		got, _, err := coord.TopK(ctx, c.targets(), c.terms, 0, 10, ord, part)
+		got, _, err := core.TopKOn(ctx, coord.Stages(part), c.targets(), c.terms, 0, 10, ord)
 		if err != nil {
 			t.Fatalf("degraded topk %v: %v", ord, err)
 		}
@@ -373,7 +373,7 @@ func TestDistDegradedRanking(t *testing.T) {
 		}
 	}
 	part := coord.NewPartial()
-	got, _, err := coord.AggTopK(ctx, c.cat.GroupByImage(nil), c.terms, 0, core.Mean, 10, core.Desc, part)
+	got, _, err := core.AggTopKOn(ctx, coord.Stages(part), c.cat.GroupByImage(nil), c.terms, 0, core.Mean, 10, core.Desc)
 	if err != nil {
 		t.Fatalf("degraded agg: %v", err)
 	}
@@ -402,16 +402,16 @@ func TestHedgeDelay(t *testing.T) {
 		{7 * time.Millisecond, kindVerify, 7 * time.Millisecond, true},
 		{0, kindBounds, defaultHedgeCold, true},
 	} {
-		c := &Coordinator{opts: CoordOptions{HedgeAfter: tc.after}}
+		c := &Coordinator{opts: CoordOptions{HedgeAfter: tc.after}, lat: latWindows()}
 		if d, ok := c.hedgeDelay(tc.kind); d != tc.want || ok != tc.ok {
 			t.Errorf("HedgeAfter %v kind %d: delay %v %v, want %v %v", tc.after, tc.kind, d, ok, tc.want, tc.ok)
 		}
 	}
-	c := &Coordinator{}
+	c := &Coordinator{lat: latWindows()}
 	for i := range latWarmup {
-		c.lat[kindFilter].observe(time.Duration(i+1) * 10 * time.Millisecond)
-		c.lat[kindBounds].observe(time.Microsecond)
-		c.lat[kindVerify].observe(time.Millisecond)
+		c.lat[kindFilter].Observe(time.Duration(i+1) * 10 * time.Millisecond)
+		c.lat[kindBounds].Observe(time.Microsecond)
+		c.lat[kindVerify].Observe(time.Millisecond)
 	}
 	for kind, want := range map[int]time.Duration{
 		kindFilter: 70 * time.Millisecond, // the p95 of 10, 20, …, 80 ms
@@ -434,7 +434,7 @@ func TestDistOwnership(t *testing.T) {
 		[][]string{{"a"}, {"a"}},
 		CoordOptions{Retries: -1},
 	)
-	_, _, err := coord.Filter(context.Background(), c.targets(), c.terms, nil, nil)
+	_, _, err := core.FilterOn(context.Background(), coord.Stages(nil), c.targets(), c.terms, nil)
 	if err == nil || !strings.Contains(err.Error(), "does not serve shard") {
 		t.Fatalf("err = %v, want ownership rejection", err)
 	}
@@ -455,7 +455,7 @@ func TestDistExpectMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = coord.Filter(context.Background(), c.targets(), c.terms, nil, nil)
+	_, _, err = core.FilterOn(context.Background(), coord.Stages(nil), c.targets(), c.terms, nil)
 	if err == nil || !strings.Contains(err.Error(), "different dataset") {
 		t.Fatalf("err = %v, want dataset mismatch rejection", err)
 	}
@@ -504,7 +504,7 @@ func TestDistWireVersionMismatch(t *testing.T) {
 		writeMsg(conn, ftHelloRes, &hello)
 	})
 	coord := c.coordinator(map[string]string{"a": addr}, [][]string{{"a"}, {"a"}}, CoordOptions{Retries: -1})
-	_, _, err := coord.Filter(context.Background(), c.targets(), c.terms, nil, nil)
+	_, _, err := core.FilterOn(context.Background(), coord.Stages(nil), c.targets(), c.terms, nil)
 	want := fmt.Sprintf("wire version %d, this coordinator wire version %d", WireVersion+1, WireVersion)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -659,7 +659,7 @@ func TestRemoteShardStats(t *testing.T) {
 	)
 	ctx := context.Background()
 	for range 3 {
-		if _, _, err := coord.TopK(ctx, c.targets(), c.terms, 0, 5, core.Desc, nil); err != nil {
+		if _, _, err := core.TopKOn(ctx, coord.Stages(nil), c.targets(), c.terms, 0, 5, core.Desc); err != nil {
 			t.Fatal(err)
 		}
 	}

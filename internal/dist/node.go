@@ -223,12 +223,12 @@ func (n *Node) checkOwned(ids []int64) error {
 	if n.served == nil {
 		return nil
 	}
-	sl, ok := n.st.(core.ShardedLoader)
+	ss, ok := n.st.(*store.ShardedStore)
 	if !ok {
 		return nil
 	}
 	for _, id := range ids {
-		if s := sl.ShardOf(id); !n.served[s] {
+		if s := ss.ShardOf(id); !n.served[s] {
 			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, s, id)
 		}
 	}
@@ -354,7 +354,7 @@ func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 	}
 	ctx, cancel := reqCtx(conn, req.DeadlineMS)
 	defer cancel()
-	keep, st, err := core.FilterDecide(ctx, n.env(), req.IDs, terms, fromWirePred(req.Pred))
+	keep, _, st, err := n.env().Filter(ctx, req.IDs, terms, fromWirePred(req.Pred))
 	if err != nil {
 		return err
 	}

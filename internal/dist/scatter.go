@@ -10,17 +10,16 @@ import (
 	"masksearch/internal/core"
 )
 
-// This file holds the coordinator's query operations. Filter scatters
-// the filter stage; TopK and AggTopK run core's ranking drivers over
-// stages, the core.Stages whose bounds and verification run on the
-// shard nodes. The drivers' pruning and skipping are sound (a dropped
-// candidate provably cannot place), so no matter which node verified
-// which candidate, which τ updates landed in time, or whether a hedged
-// or failover attempt answered, the surviving exact scores and the
-// final sorted ranking are identical to single-node execution. Stats
-// are merged from node responses; like the local worker pool, the
-// verification stage's load counts may differ run to run (τ races),
-// never the results.
+// This file holds the coordinator's query operations: stages, the
+// core.Stages whose filter, bounds and verification run on the shard
+// nodes, over which core's drivers run unchanged. The drivers' pruning
+// and skipping are sound (a dropped candidate provably cannot place),
+// so no matter which node verified which candidate, which τ updates
+// landed in time, or whether a hedged or failover attempt answered, the
+// surviving exact scores and the final sorted ranking are identical to
+// single-node execution. Stats are merged from node responses; like the
+// local worker pool, the verification stage's load counts may differ
+// run to run (τ races), never the results.
 
 // gather accumulates streamed verification results across every node
 // and attempt of one verify scatter. It is the τ authority's ledger:
@@ -86,69 +85,6 @@ func (g *gather) unsubscribe(ch chan struct{}) {
 	g.mu.Unlock()
 }
 
-// Filter runs the distributed filter stage: targets are partitioned by
-// shard, every shard's keep-flags are computed remotely (FilterDecide)
-// and the matching ids reassemble in target order. part selects the
-// partial-result policy (nil fails closed).
-func (c *Coordinator) Filter(ctx context.Context, targets []int64, terms []core.CPTerm, pred core.Pred, part *Partial) ([]int64, core.Stats, error) {
-	var st core.Stats
-	wterms, err := toWireTerms(terms)
-	if err != nil {
-		return nil, st, err
-	}
-	wpred, err := toWirePred(pred)
-	if err != nil {
-		return nil, st, err
-	}
-	byShard, srcIdx := c.partition(targets)
-	keep := make([]bool, len(targets))
-	covered := make([]bool, len(targets))
-	var mu sync.Mutex
-	errs := make([]error, c.nshards)
-	var wg sync.WaitGroup
-	for s := range byShard {
-		if len(byShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ids, src := byShard[s], srcIdx[s]
-			errs[s] = c.runAttempts(ctx, kindFilter, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
-				var res filterRes
-				req := filterReq{BootID: boot, IDs: ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
-				if err := c.roundTrip(actx, kindFilter, node, ftFilter, &req, ftFilterRes, &res); err != nil {
-					return nil, err
-				}
-				if len(res.Keep) != len(ids) {
-					return nil, fmt.Errorf("dist: node %s answered %d filter decisions for %d ids", node.Name, len(res.Keep), len(ids))
-				}
-				return func() {
-					mu.Lock()
-					st.Merge(res.Stats)
-					for j, k := range res.Keep {
-						keep[src[j]] = k
-						covered[src[j]] = true
-					}
-					mu.Unlock()
-					c.foldReads(res.Node)
-				}, nil
-			})
-		}(s)
-	}
-	wg.Wait()
-	if err := resolve(errs, part); err != nil {
-		return nil, st, err
-	}
-	var out []int64
-	for i, id := range targets {
-		if covered[i] && keep[i] {
-			out = append(out, id)
-		}
-	}
-	return out, st, nil
-}
-
 // stages is the core.Stages of one query on the cluster.
 type stages struct {
 	c    *Coordinator
@@ -211,6 +147,63 @@ func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTer
 		return nil, nil, st, err
 	}
 	return cands, covered, st, nil
+}
+
+// Filter runs the remote filter stage, one request per shard: every
+// shard's keep-flags are computed on its node and reassemble in target
+// order, with coverage flags as in Bounds.
+func (s stages) Filter(ctx context.Context, targets []int64, terms []core.CPTerm, pred core.Pred) ([]bool, []bool, core.Stats, error) {
+	var st core.Stats
+	wterms, err := toWireTerms(terms)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	wpred, err := toWirePred(pred)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	c := s.c
+	byShard, srcIdx := c.partition(targets)
+	keep := make([]bool, len(targets))
+	covered := make([]bool, len(targets))
+	var mu sync.Mutex
+	errs := make([]error, c.nshards)
+	var wg sync.WaitGroup
+	for sh := range byShard {
+		if len(byShard[sh]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			ids, src := byShard[sh], srcIdx[sh]
+			errs[sh] = c.runAttempts(ctx, kindFilter, sh, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
+				var res filterRes
+				req := filterReq{BootID: boot, IDs: ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
+				if err := c.roundTrip(actx, kindFilter, node, ftFilter, &req, ftFilterRes, &res); err != nil {
+					return nil, err
+				}
+				if len(res.Keep) != len(ids) {
+					return nil, fmt.Errorf("dist: node %s answered %d filter decisions for %d ids", node.Name, len(res.Keep), len(ids))
+				}
+				return func() {
+					mu.Lock()
+					st.Merge(res.Stats)
+					for j, k := range res.Keep {
+						keep[src[j]] = k
+						covered[src[j]] = true
+					}
+					mu.Unlock()
+					c.foldReads(res.Node)
+				}, nil
+			})
+		}(sh)
+	}
+	wg.Wait()
+	if err := resolve(errs, s.part); err != nil {
+		return nil, nil, st, err
+	}
+	return keep, covered, st, nil
 }
 
 // Verify ships verification items to their shards, streaming exact
@@ -381,22 +374,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot str
 	}
 }
 
-// TopK runs core's top-k driver on the cluster: remote bounds, static
-// pruning, τ-gated remote verification with exchange, deterministic
-// final sort.
-func (c *Coordinator) TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	return core.TopKOn(ctx, c.Stages(part), targets, terms, score, k, ord)
-}
-
-// AggTopK runs core's aggregation driver on the cluster. Under the
-// degraded policy a group loses its whole result if any member's shard
-// is missing (a partial aggregate would be silently wrong, not
-// partial).
-func (c *Coordinator) AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	return core.AggTopKOn(ctx, c.Stages(part), groups, terms, score, agg, k, ord)
-}
-
-// Stages returns the core.Stages that run one query's bounds and
-// verification on the cluster; part selects the partial-result policy
-// (nil fails closed).
+// Stages returns the core.Stages that run one query's filter, bounds
+// and verification on the cluster; part selects the partial-result
+// policy (nil fails closed).
 func (c *Coordinator) Stages(part *Partial) core.Stages { return stages{c, part} }

@@ -84,7 +84,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	defer func() { s.c.latency.observe(time.Since(start)) }()
+	defer func() { s.c.latency.Observe(time.Since(start)) }()
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()

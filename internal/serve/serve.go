@@ -120,6 +120,7 @@ func New(db *masksearch.DB, cfg Config) *Server {
 		sessions: newSessionManager(cfg.SessionTTL, cfg.MaxSessions),
 		started:  time.Now(),
 	}
+	s.c.latency = metrics.NewWindow(latencyWindow, 1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /batch", s.handleBatch)
@@ -151,9 +152,10 @@ type queryRequest struct {
 }
 
 // batchRequest is the /batch body, in one of two forms: SQLs runs
-// placeholder-free statements as one DB.QueryBatch round (shared mask
-// loads across statements), SQL+ArgSets runs one parameterized
-// statement over every argument set as one Stmt.QueryBatch sweep.
+// placeholder-free statements as one DB.QueryBatch (each statement
+// executed as by /query, mask loads shared across them), SQL+ArgSets
+// runs one parameterized statement over every argument set as one
+// Stmt.QueryBatch sweep.
 type batchRequest struct {
 	SQLs      []string `json:"sqls,omitempty"`
 	SQL       string   `json:"sql,omitempty"`
@@ -390,7 +392,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	defer func() { s.c.latency.observe(time.Since(start)) }()
+	defer func() { s.c.latency.Observe(time.Since(start)) }()
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
@@ -490,7 +492,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	defer func() { s.c.latency.observe(time.Since(start)) }()
+	defer func() { s.c.latency.Observe(time.Since(start)) }()
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
@@ -579,6 +581,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.sessions.sweep(now)
 	ds := s.db.Stats()
+	completed, latencyTotal := s.c.latency.Totals()
 
 	cur := map[string]float64{
 		"msserve.Requests":        float64(s.c.requests.Load()),
@@ -596,8 +599,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"msserve.Rejected":        float64(s.adm.rejected.Load()),
 		"msserve.Queued":          float64(s.adm.queuedTotal.Load()),
 		"msserve.QueueTimeouts":   float64(s.adm.queueTimeouts.Load()),
-		"msserve.Completed":       float64(s.c.latency.count.Load()),
-		"msserve.LatencyNsTotal":  float64(s.c.latency.totalNs.Load()),
+		"msserve.Completed":       float64(completed),
+		"msserve.LatencyNsTotal":  float64(latencyTotal.Nanoseconds()),
 
 		"msserve.sessions.Created":  float64(s.sessions.created.Load()),
 		"msserve.sessions.Expired":  float64(s.sessions.expired.Load()),
@@ -643,7 +646,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		cur["msserve.dist.BytesSent"] = float64(ds.Dist.BytesSent)
 		cur["msserve.dist.BytesRecv"] = float64(ds.Dist.BytesRecv)
 	}
-	p50, p99 := s.c.latency.quantiles()
+	var p50, p99 time.Duration
+	if q, ok := s.c.latency.Quantiles(0.50, 0.99); ok {
+		p50, p99 = q[0], q[1]
+	}
 	gauges := map[string]float64{
 		"msserve.Inflight":           float64(s.adm.inflight.Load()),
 		"msserve.InflightWatermark":  float64(s.adm.watermark.Load()),

@@ -212,7 +212,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 }
 
 // TestExecBatchAgainstStoreMatrix is the cross-layer batch-correctness
-// property from the issue: ExecBatch over a real Store must be
+// property: drivers run under core.Batch over a real Store must be
 // byte-identical to per-query sequential execution across workers ∈
 // {1, 2, 8} × CacheBytes ∈ {0, tiny, unbounded} — and with a warm
 // unbounded cache the batch must load zero masks from disk.
@@ -227,39 +227,44 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each query answers as one string: its ids or its ranking.
 	rng := rand.New(rand.NewSource(51))
-	var qs []core.BatchQuery
+	var qs []func(ctx context.Context, s core.Stages) (string, error)
 	for i := 0; i < 6; i++ {
 		x0, y0 := rng.Intn(8), rng.Intn(8)
 		roi := core.Rect{X0: x0, Y0: y0, X1: x0 + 4 + rng.Intn(8), Y1: y0 + 4 + rng.Intn(8)}
 		terms := []core.CPTerm{{Region: core.FixedRegion(roi), Range: core.ValueRange{Lo: 0.3 + 0.1*float64(rng.Intn(4)), Hi: 1.0}}}
 		if i%2 == 0 {
-			qs = append(qs, core.BatchQuery{Kind: core.BatchFilter, Targets: ids, Terms: terms,
-				Pred: core.Cmp{T: 0, Op: core.OpGt, C: int64(rng.Intn(80))}})
+			pred := core.Cmp{T: 0, Op: core.OpGt, C: int64(rng.Intn(80))}
+			qs = append(qs, func(ctx context.Context, s core.Stages) (string, error) {
+				out, _, err := core.FilterOn(ctx, s, ids, terms, pred)
+				return fmt.Sprint(out), err
+			})
 		} else {
-			qs = append(qs, core.BatchQuery{Kind: core.BatchTopK, Targets: ids, Terms: terms,
-				K: 3 + rng.Intn(10), Order: core.Order(rng.Intn(2))})
+			k, ord := 3+rng.Intn(10), core.Order(rng.Intn(2))
+			qs = append(qs, func(ctx context.Context, s core.Stages) (string, error) {
+				ranked, _, err := core.TopKOn(ctx, s, ids, terms, 0, k, ord)
+				return fmt.Sprint(ranked), err
+			})
 		}
+	}
+	batch := func(env *core.Env) ([]string, error) {
+		got := make([]string, len(qs))
+		err := core.Batch(ctx, env, len(qs), func(ctx context.Context, i int, s core.Stages) (err error) {
+			got[i], err = qs[i](ctx, s)
+			return err
+		})
+		return got, err
 	}
 
 	// Reference: each query alone, sequential engine, no cache.
 	st.SetCacheBytes(0)
 	env := &core.Env{Loader: st, Index: idx}
-	want := make([]core.BatchResult, len(qs))
+	want := make([]string, len(qs))
 	for i, q := range qs {
-		switch q.Kind {
-		case core.BatchFilter:
-			out, _, err := core.Filter(ctx, env, q.Targets, q.Terms, q.Pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = core.BatchResult{IDs: out}
-		case core.BatchTopK:
-			ranked, _, err := core.TopK(ctx, env, q.Targets, q.Terms, q.Score, q.K, q.Order)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = core.BatchResult{Ranked: ranked}
+		var err error
+		if want[i], err = q(ctx, env); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -269,19 +274,18 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 			st.SetCacheBytes(cacheBytes)
 			benv := &core.Env{Loader: st, Index: idx, Exec: core.Exec{Workers: workers}}
 			st.ResetStats()
-			got, err := core.ExecBatch(ctx, benv, qs)
+			got, err := batch(benv)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for i := range got {
-				if fmt.Sprint(got[i].IDs) != fmt.Sprint(want[i].IDs) ||
-					fmt.Sprint(got[i].Ranked) != fmt.Sprint(want[i].Ranked) {
+				if got[i] != want[i] {
 					t.Fatalf("%s: query %d differs from sequential standalone run", name, i)
 				}
 			}
 			cold := st.Stats()
-			// ExecBatch loads each distinct mask at most once per batch
-			// regardless of caching.
+			// A batch loads each distinct mask at most once regardless
+			// of caching.
 			if cold.MasksLoaded > int64(len(ids)) {
 				t.Fatalf("%s: batch loaded %d masks, more than the %d distinct targets", name, cold.MasksLoaded, len(ids))
 			}
@@ -298,13 +302,12 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 					st.ReleaseMask(m)
 				}
 				st.ResetStats()
-				again, err := core.ExecBatch(ctx, benv, qs)
+				again, err := batch(benv)
 				if err != nil {
 					t.Fatalf("%s warm: %v", name, err)
 				}
 				for i := range again {
-					if fmt.Sprint(again[i].IDs) != fmt.Sprint(want[i].IDs) ||
-						fmt.Sprint(again[i].Ranked) != fmt.Sprint(want[i].Ranked) {
+					if again[i] != want[i] {
 						t.Fatalf("%s: warm query %d differs", name, i)
 					}
 				}

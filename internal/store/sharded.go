@@ -194,8 +194,6 @@ func (ss *ShardedStore) addShard(seg *Store) error {
 
 // ShardOf returns the index of the shard owning id. Out-of-range ids
 // map to the nearest shard; the segment's own id check rejects them.
-// It implements core.ShardedLoader, so the engine can group
-// verification work per shard.
 func (ss *ShardedStore) ShardOf(id int64) int { return ss.set.Load().shardOf(id) }
 
 func (set *shardSet) shardOf(id int64) int {

@@ -555,24 +555,19 @@ func (db *DB) planAgg(stmt *selectStmt, p *plan) (*cpExpr, error) {
 	return aggCol.cp, nil
 }
 
-// execBatch runs a slice of compiled plans as one batched workload,
-// mirroring exec's staging: filter stages (whole filter plans plus the
-// pre-filters of ranking plans) form the first core.ExecBatch round,
-// ranking stages the second. Filter plans with a LIMIT keep exec's
-// chunked early-exit scan (run after the shared round, so a
-// configured cache still serves their overlapping masks) — batching
-// must never do more I/O for them than running them alone would.
+// execBatch runs a batch of bound plans against one pinned catalog
+// snapshot, so concurrent Appends never make two statements of one
+// batch see different datasets. Locally every plan runs through run on
+// its own driver under core.Batch, which loads a mask several
+// statements need once per round. A distributed DB runs the statements
+// one after another, each scatter-gathering on its own: the node-side
+// work is already parallel, and loads are not shared across nodes.
 func (db *DB) execBatch(ctx context.Context, env *core.Env, plans []*plan, qo queryOptions) ([]*Result, error) {
+	view := db.cat.View()
+	results := make([]*Result, len(plans))
 	if db.coord != nil {
-		// Distributed batch: each statement scatter-gathers across the
-		// shard nodes on its own — the node-side work is already
-		// parallel, and per-statement execution keeps the batch
-		// byte-identical to running its statements one by one (the
-		// batch API's contract; local batching is an I/O-sharing trick,
-		// not a semantic one).
-		results := make([]*Result, len(plans))
 		for i, p := range plans {
-			r, err := db.run(ctx, p, qo)
+			r, err := db.query(ctx, env, view, p, qo)
 			if err != nil {
 				return nil, err
 			}
@@ -580,131 +575,12 @@ func (db *DB) execBatch(ctx context.Context, env *core.Env, plans []*plan, qo qu
 		}
 		return results, nil
 	}
-	results := make([]*Result, len(plans))
-	targets := make([][]int64, len(plans))
-	nConsidered := make([]int, len(plans))
-	done := make([]bool, len(plans))
-
-	// One catalog snapshot for the whole batch: every statement resolves
-	// its targets against the same pinned id space, so concurrent
-	// Appends never make two statements of one batch see different
-	// datasets.
-	view := db.cat.View()
-	var fq []core.BatchQuery
-	var fqPlan []int
-	var limited []int
-	for pi, p := range plans {
-		results[pi] = &Result{Kind: p.kind}
-		targets[pi] = view.MaskIDs(p.keep)
-		nConsidered[pi] = len(targets[pi])
-		if p.k == 0 {
-			// LIMIT 0 is a valid, empty query — don't touch any mask.
-			// As in exec, the empty result lands in the field matching
-			// the plan kind.
-			results[pi].setEmpty()
-			done[pi] = true
-			continue
-		}
-		if qo.eagerBounds {
-			if err := db.ensureBounds(ctx, env, targets[pi]); err != nil {
-				return nil, err
-			}
-		}
-		if p.kind == planFilter && len(p.filterTerms) == 0 {
-			// Metadata-only predicate: the catalog already answered it.
-			ids := targets[pi]
-			if p.k > 0 && len(ids) > p.k {
-				ids = ids[:p.k]
-			}
-			results[pi].IDs = ids
-			results[pi].Stats.Targets = len(targets[pi])
-			done[pi] = true
-			continue
-		}
-		if p.kind == planFilter && p.k > 0 {
-			// LIMIT'd filter: keep exec's chunked early-exit scan
-			// instead of verifying every undecided target just to
-			// throw the tail away. Runs after the shared round so a
-			// configured cache still serves its overlapping masks.
-			limited = append(limited, pi)
-			continue
-		}
-		if len(p.filterTerms) > 0 {
-			fq = append(fq, core.BatchQuery{
-				Kind: core.BatchFilter, Targets: targets[pi],
-				Terms: p.filterTerms, Pred: p.pred,
-			})
-			fqPlan = append(fqPlan, pi)
-		}
-	}
-	if len(fq) > 0 {
-		rs, err := core.ExecBatch(ctx, env, fq)
-		if err != nil {
-			return nil, err
-		}
-		for i := range rs {
-			pi := fqPlan[i]
-			p := plans[pi]
-			results[pi].Stats.Merge(rs[i].Stats)
-			if p.kind == planFilter {
-				ids := rs[i].IDs
-				if p.k > 0 && len(ids) > p.k {
-					ids = ids[:p.k]
-				}
-				results[pi].IDs = ids
-				done[pi] = true
-			} else {
-				// Pre-filter of a ranking plan: the ranking round runs
-				// on the survivors.
-				targets[pi] = rs[i].IDs
-			}
-		}
-	}
-
-	for _, pi := range limited {
-		if err := db.filterLimited(ctx, env, plans[pi], targets[pi], results[pi]); err != nil {
-			return nil, err
-		}
-		done[pi] = true
-	}
-
-	var rq []core.BatchQuery
-	var rqPlan []int
-	for pi, p := range plans {
-		if done[pi] {
-			continue
-		}
-		switch p.kind {
-		case planTopK:
-			rq = append(rq, core.BatchQuery{
-				Kind: core.BatchTopK, Targets: targets[pi],
-				Terms: p.scoreTerms, Score: 0, K: p.k, Order: p.order,
-			})
-		case planAgg:
-			rq = append(rq, core.BatchQuery{
-				Kind: core.BatchAgg, Groups: groupTargets(view, p, targets[pi]),
-				Terms: p.scoreTerms, Score: 0, Agg: p.agg, K: p.k, Order: p.order,
-			})
-		default:
-			return nil, fmt.Errorf("masksearch: unknown plan kind %v", p.kind)
-		}
-		rqPlan = append(rqPlan, pi)
-	}
-	if len(rq) > 0 {
-		rs, err := core.ExecBatch(ctx, env, rq)
-		if err != nil {
-			return nil, err
-		}
-		for i := range rs {
-			pi := rqPlan[i]
-			results[pi].Stats.Merge(rs[i].Stats)
-			results[pi].Ranked = rs[i].Ranked
-			if len(plans[pi].filterTerms) > 0 {
-				// Both stages counted the prefilter survivors; the
-				// query considered each candidate mask once.
-				results[pi].Stats.Targets = nConsidered[pi]
-			}
-		}
+	err := core.Batch(ctx, env, len(plans), func(ctx context.Context, i int, s core.Stages) (err error) {
+		results[i], err = db.run(ctx, env, view, s, plans[i], qo)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -178,19 +178,23 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	env, err := s.db.envFor(qo)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.db.beginOp(); err != nil {
 		return nil, err
 	}
 	defer s.db.endOp()
-	return s.db.run(ctx, p, qo)
+	return s.db.query(ctx, env, s.db.cat.View(), p, qo)
 }
 
 // QueryBatch executes the statement once per argument set, scheduling
 // all executions as one batched workload (the §4.3 parameter sweep as
-// a single ExecBatch: a mask needed by several bindings is loaded
-// once per stage round instead of once per binding). Results are
-// byte-identical to calling Query per set. QueryOpt values — in opts
-// or interleaved with any argument set — apply to the whole batch.
+// one DB.QueryBatch: a mask needed by several bindings is loaded once
+// per round instead of once per binding). Results are byte-identical
+// to calling Query per set. QueryOpt values — in opts or interleaved
+// with any argument set — apply to the whole batch.
 func (s *Stmt) QueryBatch(ctx context.Context, argSets [][]any, opts ...QueryOpt) ([]*Result, error) {
 	var qo queryOptions
 	for _, o := range opts {
