@@ -52,7 +52,7 @@ type benchDataset struct {
 func openBenchDataset(b *testing.B, spec store.Spec) *benchDataset {
 	b.Helper()
 	dir := b.TempDir()
-	if err := store.Generate(dir, spec); err != nil {
+	if err := store.Generate(dir, spec, 1, store.CodecRaw); err != nil {
 		b.Fatal(err)
 	}
 	st, cat, err := store.Open(dir)

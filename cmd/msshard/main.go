@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st, cat, err := store.OpenAny(*dbDir)
+	st, cat, err := store.Open(*dbDir)
 	if err != nil {
 		log.Fatal(err)
 	}

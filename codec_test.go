@@ -26,7 +26,7 @@ func TestCodecQueryEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	rawDir := t.TempDir()
-	if err := GenerateDatasetCodec(rawDir, spec, CodecRaw); err != nil {
+	if err := GenerateShardedDatasetCodec(rawDir, spec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := OpenWith(rawDir, Options{Workers: 1})
@@ -109,7 +109,7 @@ func TestExplainReportsStorage(t *testing.T) {
 	if err := GenerateDataset(rawDir, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateDatasetCodec(rleDir, spec, CodecRLE); err != nil {
+	if err := GenerateShardedDatasetCodec(rleDir, spec, 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,7 +341,7 @@ func TestOpenOverMalformedIndex(t *testing.T) {
 // open — never as a panic, while a query over other masks still answers.
 func TestQueryCorruptRLEMask(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateDatasetCodec(dir, TinyDataset(), CodecRLE); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	const bad = 7

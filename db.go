@@ -121,10 +121,10 @@ type IndexStats struct {
 	Fraction float64
 }
 
-// DB is an opened mask database. The backing store is either a
-// single segment or a sharded directory (see GenerateShardedDataset);
-// Open detects the layout from the manifest, so queries, batching and
-// caching work identically over both.
+// DB is an opened mask database. The backing store is an ordered list
+// of segments (see GenerateShardedDatasetCodec) read from the manifest,
+// so queries, batching and caching work identically over any segment
+// count.
 type DB struct {
 	dir   string
 	opts  Options
@@ -179,7 +179,7 @@ func Open(dir string) (*DB, error) {
 }
 
 // OpenWith opens a mask database directory created by GenerateDataset
-// or GenerateShardedDataset (the layout is detected from the
+// or GenerateShardedDatasetCodec (the segments are listed in the
 // manifest). Options are validated before anything is opened.
 //
 // The database opens write-capable: a WAL directory is created (or
@@ -434,10 +434,9 @@ func (db *DB) ReleaseMask(m *Mask) {
 func (db *DB) MaskDims() (w, h int) { return db.st.MaskW(), db.st.MaskH() }
 
 // ReadStats reports the store's read counters — disk traffic plus the
-// mask cache's hit/miss/evicted counts — accumulated since open. For
-// a sharded database these are the per-shard counters aggregated; on a
-// distributed DB the read work remote nodes did on this DB's behalf is
-// included.
+// mask cache's hit/miss/evicted counts — accumulated since open: the
+// per-segment counters aggregated, plus tail loads; on a distributed DB
+// the read work remote nodes did on this DB's behalf is included.
 func (db *DB) ReadStats() ReadStats {
 	s := db.st.Stats()
 	if db.coord != nil {
@@ -459,29 +458,18 @@ func (db *DB) Codec() string { return db.st.Codec() }
 // the ingestion stats, not here).
 func (db *DB) StoredBytes() int64 { return db.st.StoredBytes() }
 
-// Shards reports how many storage shards back this database (1 for a
-// single-segment layout). On a sharded database with WAL compaction,
-// the count grows as each compaction adds a shard.
-func (db *DB) Shards() int {
-	if ss, ok := db.ws.Base().(*store.ShardedStore); ok {
-		return ss.NumShards()
-	}
-	return 1
-}
+// Shards reports how many storage segments back this database (1 for
+// a freshly generated single-segment layout). Every WAL compaction adds
+// one segment, whatever the layout it started from.
+func (db *DB) Shards() int { return db.ws.Base().NumShards() }
 
-// ShardReadStats reports each shard's read counters since open. For a
-// single-segment database it returns one entry equal to ReadStats, so
-// callers can render the per-shard split unconditionally. On a
-// distributed DB each shard's entry sums the local counters with the
-// reads remote nodes performed for that shard on this DB's behalf —
+// ShardReadStats reports each segment's read counters since open; they
+// sum to ReadStats except for TailLoads, which no segment serves.
+// On a distributed DB each shard's entry sums the local counters with
+// the reads remote nodes performed for that shard on this DB's behalf —
 // remote work aggregates exactly like local per-shard work.
 func (db *DB) ShardReadStats() []ReadStats {
-	var out []ReadStats
-	if ss, ok := db.ws.Base().(*store.ShardedStore); ok {
-		out = ss.ShardStats()
-	} else {
-		out = []ReadStats{db.st.Stats()}
-	}
+	out := db.ws.Base().ShardStats()
 	if db.coord != nil {
 		for s, r := range db.coord.RemoteShardStats() {
 			if s < len(out) {
@@ -499,10 +487,10 @@ func (db *DB) ShardReadStats() []ReadStats {
 type DBStats struct {
 	// Reads is the store's read counters since open (ReadStats).
 	Reads ReadStats
-	// ShardReads is the per-shard split of Reads; a single-segment
-	// database reports one entry equal to Reads.
+	// ShardReads is the per-segment split of Reads (tail loads
+	// excepted).
 	ShardReads []ReadStats
-	// Shards is the storage shard count (1 for a single segment).
+	// Shards is the storage segment count (DB.Shards).
 	Shards int
 	// PlanCache is the plan-template cache's traffic since open.
 	PlanCache PlanCacheStats
@@ -609,9 +597,8 @@ func (db *DB) Append(ctx context.Context, masks []AppendMask) ([]int64, error) {
 	return ids, nil
 }
 
-// Compact folds the durable WAL tail into the base storage layout
-// (appending to masks.bin on a single-segment database, adding a new
-// shard on a sharded one) and deletes the retired WAL segments. It
+// Compact folds the durable WAL tail into the base storage layout as
+// one new segment and deletes the retired WAL segments. It
 // returns the number of masks moved. Queries run undisturbed;
 // concurrent Appends wait for the compaction to finish.
 func (db *DB) Compact(ctx context.Context) (int, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"masksearch/internal/dist"
-	"masksearch/internal/store"
 )
 
 // Distributed execution. A DB opened with Options.TopologyFile becomes
@@ -45,15 +44,12 @@ func (db *DB) openCoordinator(path string) error {
 	if err != nil {
 		return err
 	}
-	shards, shardOf := 1, func(int64) int { return 0 }
-	if ss, ok := db.ws.Base().(*store.ShardedStore); ok {
-		shards, shardOf = ss.NumShards(), ss.ShardOf
-	}
+	base := db.ws.Base()
 	expect := dist.Expect{
 		NumMasks: db.st.NumMasks(), MaskW: db.st.MaskW(), MaskH: db.st.MaskH(),
-		Shards: shards, Codec: db.st.Codec(), GenVersion: db.st.GenVersion(),
+		Shards: base.NumShards(), Codec: db.st.Codec(), GenVersion: db.st.GenVersion(),
 	}
-	coord, err := dist.NewCoordinator(topo, expect, shardOf, db.opts.Dist)
+	coord, err := dist.NewCoordinator(topo, expect, base.ShardOf, db.opts.Dist)
 	if err != nil {
 		return err
 	}

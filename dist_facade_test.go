@@ -84,7 +84,7 @@ func sameResult(a, b *Result) bool {
 // QueryBatch and Rows alike.
 func TestDistributedQueryEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 2); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -168,7 +168,7 @@ func TestDistributedQueryEquivalence(t *testing.T) {
 // coordinator records the failover.
 func TestDistributedFailover(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 2); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -222,7 +222,7 @@ func TestDistributedFailover(t *testing.T) {
 // into a flagged partial answer.
 func TestDistributedDegraded(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 2); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -269,7 +269,7 @@ func TestDistributedDegraded(t *testing.T) {
 // over a dataset with a pending WAL tail.
 func TestDistributedRejections(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 2); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -319,7 +319,7 @@ func TestDistributedRejections(t *testing.T) {
 // per-shard work does.
 func TestDistributedStatsAggregation(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 2); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -149,7 +149,7 @@ func TestFaultInjectionDurability(t *testing.T) {
 // over one storage layout (compaction commits differently on each).
 func faultInjectionSweep(t *testing.T, shards int) {
 	pristine := t.TempDir()
-	if err := GenerateShardedDataset(pristine, faultSpec(), shards); err != nil {
+	if err := GenerateShardedDatasetCodec(pristine, faultSpec(), shards, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	baseMasks := faultSpec().NumMasks()

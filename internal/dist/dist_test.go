@@ -25,7 +25,7 @@ type testCluster struct {
 	dir   string
 	spec  store.Spec
 	st    store.MaskStore
-	sst   *store.ShardedStore
+	sst   *store.Store
 	cat   *store.Catalog
 	env   *core.Env
 	terms []core.CPTerm
@@ -43,7 +43,7 @@ func newCluster(t *testing.T, shards int) *testCluster {
 	t.Helper()
 	dir := t.TempDir()
 	spec := store.TinySpec()
-	if err := store.GenerateSharded(dir, spec, shards); err != nil {
+	if err := store.Generate(dir, spec, shards, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, cat, err := store.OpenAny(dir)
@@ -74,7 +74,7 @@ func newCluster(t *testing.T, shards int) *testCluster {
 		},
 	}
 	c := &testCluster{t: t, dir: dir, spec: spec, st: st, cat: cat, env: env, terms: terms}
-	c.sst, _ = st.(*store.ShardedStore)
+	c.sst = st
 	return c
 }
 
@@ -580,7 +580,7 @@ func TestDistRevalidatesRestartedNode(t *testing.T) {
 	spec := store.TinySpec()
 	spec.Images += 16
 	spec.Seed++
-	if err := store.GenerateSharded(dir, spec, 2); err != nil {
+	if err := store.Generate(dir, spec, 2, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, cat, err := store.OpenAny(dir)
@@ -663,7 +663,7 @@ func TestRemoteShardStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodeStats := node.st.(*store.ShardedStore).ShardStats()
+	nodeStats := node.st.ShardStats()
 	remote := coord.RemoteShardStats()
 	if len(remote) != len(nodeStats) {
 		t.Fatalf("remote tracks %d shards, node has %d", len(remote), len(nodeStats))

@@ -35,7 +35,7 @@ const scoreChunkSize = 16
 type Node struct {
 	name    string
 	bootID  string
-	st      store.MaskStore
+	st      *store.Store
 	cat     *store.Catalog
 	idx     *core.MemoryIndex
 	workers int
@@ -72,7 +72,7 @@ type NodeStats struct {
 // requests for ids outside it are rejected, which keeps a misrouted
 // coordinator loud instead of silently wrong. workers sizes the
 // engine pool per request (0 = GOMAXPROCS).
-func NewNode(name string, st store.MaskStore, cat *store.Catalog, idx *core.MemoryIndex, workers int, served []int) *Node {
+func NewNode(name string, st *store.Store, cat *store.Catalog, idx *core.MemoryIndex, workers int, served []int) *Node {
 	n := &Node{
 		name:    name,
 		bootID:  newBootID(),
@@ -199,22 +199,7 @@ func (n *Node) env() *core.Env {
 // info identifies the node and snapshots its cumulative per-shard read
 // counters for the coordinator's stats folding.
 func (n *Node) info() nodeInfo {
-	return nodeInfo{Node: n.name, BootID: n.bootID, Reads: n.shardReads()}
-}
-
-func (n *Node) shardReads() []store.ReadStats {
-	if ss, ok := n.st.(*store.ShardedStore); ok {
-		return ss.ShardStats()
-	}
-	return []store.ReadStats{n.st.Stats()}
-}
-
-// shards reports the dataset's storage shard count.
-func (n *Node) shards() int {
-	if ss, ok := n.st.(*store.ShardedStore); ok {
-		return ss.NumShards()
-	}
-	return 1
+	return nodeInfo{Node: n.name, BootID: n.bootID, Reads: n.st.ShardStats()}
 }
 
 // checkOwned rejects ids routed to a node that does not serve their
@@ -223,12 +208,8 @@ func (n *Node) checkOwned(ids []int64) error {
 	if n.served == nil {
 		return nil
 	}
-	ss, ok := n.st.(*store.ShardedStore)
-	if !ok {
-		return nil
-	}
 	for _, id := range ids {
-		if s := ss.ShardOf(id); !n.served[s] {
+		if s := n.st.ShardOf(id); !n.served[s] {
 			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, s, id)
 		}
 	}
@@ -328,7 +309,7 @@ func (n *Node) handleHello(conn net.Conn, payload []byte) error {
 	return n.writeMsg(conn, ftHelloRes, &HelloRes{
 		Wire: WireVersion, Node: n.name, BootID: n.bootID,
 		NumMasks: n.st.NumMasks(), MaskW: n.st.MaskW(), MaskH: n.st.MaskH(),
-		Shards: n.shards(), Codec: n.st.Codec(), GenVersion: n.st.GenVersion(),
+		Shards: n.st.NumShards(), Codec: n.st.Codec(), GenVersion: n.st.GenVersion(),
 	})
 }
 

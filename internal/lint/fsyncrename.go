@@ -25,7 +25,7 @@ var rawWriteFuncs = map[string]string{
 	"Create":     "FS.Create",
 	"CreateTemp": "store.AtomicWriteFile",
 	"WriteFile":  "writeJSONSync or store.AtomicWriteFile",
-	"OpenFile":   "FS.OpenAppend",
+	"OpenFile":   "FS.Create",
 }
 
 // FsyncRename flags raw os-level file creation and renames in the

@@ -174,7 +174,7 @@ func TestIngestIndexEvery(t *testing.T) {
 	dir := t.TempDir()
 	spec := store.TinySpec()
 	spec.Images = 8
-	if err := store.Generate(dir, spec); err != nil {
+	if err := store.Generate(dir, spec, 1, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	db, err := masksearch.OpenWith(dir, masksearch.Options{})

@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *masksearch.DB, string) {
 	dir := t.TempDir()
 	spec := store.TinySpec()
 	spec.Images = 16
-	if err := store.Generate(dir, spec); err != nil {
+	if err := store.Generate(dir, spec, 1, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	db, err := masksearch.OpenWith(dir, masksearch.Options{PersistIndexOnClose: false})

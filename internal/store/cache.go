@@ -16,9 +16,9 @@ import "sync"
 // or shared, so a release never calls the cache.
 //
 // The LRU is an intrusive doubly linked list over a dense slot table
-// indexed by the store's local mask id (id - base - 1). The table grows
-// on the first touch past its end, which also covers ids appended by
-// compaction. All methods are safe for concurrent use.
+// indexed by the segment's local mask id (id - first). The table grows
+// on the first touch past its end. All methods are safe for concurrent
+// use.
 type maskCache struct {
 	mu sync.Mutex
 	// budget is the resident-byte target; < 0 means unbounded, 0 keeps

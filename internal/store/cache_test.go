@@ -101,7 +101,7 @@ func TestCachePinnedBytesSafe(t *testing.T) {
 	}
 	// Hoarded pins must not defeat the budget: over-budget held
 	// entries are detached from the cache, not kept resident.
-	if n := st.cache.residentBytes(); n > tinyMaskBytes {
+	if n := st.set.Load().segs[0].cache.residentBytes(); n > tinyMaskBytes {
 		t.Fatalf("cache holds %d bytes with hoarded pins, budget %d", n, tinyMaskBytes)
 	}
 	// Churn more loads through the cache while the masks are held.
@@ -124,7 +124,7 @@ func TestCachePinnedBytesSafe(t *testing.T) {
 	for _, m := range held {
 		st.ReleaseMask(m)
 	}
-	if n := st.cache.residentBytes(); n > tinyMaskBytes {
+	if n := st.set.Load().segs[0].cache.residentBytes(); n > tinyMaskBytes {
 		t.Fatalf("cache holds %d bytes after release, budget %d", n, tinyMaskBytes)
 	}
 }
@@ -339,27 +339,35 @@ func (m *lruModel) load(id, bytes int64) bool {
 	m.bytes[id] = bytes
 	m.size += bytes
 	m.order = append(m.order, id)
+	m.setBudget(m.budget)
+	return false
+}
+
+// setBudget installs a new byte budget and evicts from the front until
+// it holds.
+func (m *lruModel) setBudget(n int64) {
+	m.budget = n
 	for m.budget >= 0 && m.size > m.budget {
 		m.size -= m.bytes[m.order[0]]
 		delete(m.bytes, m.order[0])
 		m.order = m.order[1:]
 		m.evicted++
 	}
-	return false
 }
 
 // TestCacheMatchesLRUModel replays random load sequences with locality
-// through a store's cache and through lruModel: every load's hit or
-// miss and the cumulative eviction count must agree, and the resident
-// bytes must equal the model's and stay within budget. Compactions
-// between rounds append ids past the slot table's first size. Raw and
+// through a store's cache and through lruModel, one model per segment
+// arena: every load's hit or miss and the cumulative eviction count
+// must agree, and each arena's resident bytes must equal its model's
+// and stay within its budget. Compactions between rounds add a segment
+// each, re-splitting the budget over the arenas. Raw and
 // rle stores give equal and varying footprints; the budgets are below
 // the smallest mask, a few masks, and unbounded.
 func TestCacheMatchesLRUModel(t *testing.T) {
 	const w, h = 16, 16
 	for codec, name := range map[string]string{CodecRaw: "raw", CodecRLE: "rle"} {
 		dir := t.TempDir()
-		if err := GenerateCodec(dir, Spec{Name: "t", Images: 12, Models: 2, W: w, H: h, Seed: 31, HumanAttention: true}, codec); err != nil {
+		if err := Generate(dir, Spec{Name: "t", Images: 12, Models: 2, W: w, H: h, Seed: 31, HumanAttention: true}, 1, codec); err != nil {
 			t.Fatal(err)
 		}
 		smallest := int64(w * h)
@@ -389,8 +397,8 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 				}
 				defer ws.Close()
 				ws.SetCacheBytes(budget)
-				base := ws.Base().(*Store)
-				model := &lruModel{budget: budget, bytes: map[int64]int64{}}
+				base := ws.Base()
+				models := []*lruModel{{budget: budget, bytes: map[int64]int64{}}}
 				rng := rand.New(rand.NewSource(budget))
 				n := int64(ws.NumMasks())
 				cur := int64(1)
@@ -407,17 +415,22 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 							t.Fatal(err)
 						}
 						after := ws.Stats()
+						model := models[base.ShardOf(cur)]
 						wantHit := model.load(cur, int64(len(m.Bytes)+len(m.RLE)))
 						ws.ReleaseMask(m)
 						hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
 						if wantHit && (hits != 1 || misses != 0) || !wantHit && (hits != 0 || misses != 1) {
 							t.Fatalf("round %d load %d of mask %d: %d hits, %d misses; model hit=%v", round, i, cur, hits, misses, wantHit)
 						}
-						if after.CacheEvicted != model.evicted {
-							t.Fatalf("round %d load %d of mask %d: %d evicted, model %d", round, i, cur, after.CacheEvicted, model.evicted)
+						var evicted int64
+						for k, g := range base.set.Load().segs {
+							evicted += models[k].evicted
+							if got := g.cache.residentBytes(); got != models[k].size || models[k].budget >= 0 && got > models[k].budget {
+								t.Fatalf("round %d load %d: segment %d holds %d resident bytes, model %d, budget %d", round, i, k, got, models[k].size, models[k].budget)
+							}
 						}
-						if got := base.cache.residentBytes(); got != model.size || budget >= 0 && got > budget {
-							t.Fatalf("round %d load %d: %d resident bytes, model %d, budget %d", round, i, got, model.size, budget)
+						if after.CacheEvicted != evicted {
+							t.Fatalf("round %d load %d of mask %d: %d evicted, model %d", round, i, cur, after.CacheEvicted, evicted)
 						}
 					}
 					if _, err := ws.Append(context.Background(), ingestBatch(9, w, h, byte(40*round))); err != nil {
@@ -425,6 +438,10 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 					}
 					if _, err := ws.Compact(context.Background()); err != nil {
 						t.Fatal(err)
+					}
+					models = append(models, &lruModel{bytes: map[int64]int64{}})
+					for k, model := range models {
+						model.setBudget(cacheShare(budget, k, len(models)))
 					}
 					n = int64(ws.NumMasks())
 					cur = n // start the next round on the new ids

@@ -12,9 +12,8 @@ import (
 	"masksearch/internal/core"
 )
 
-// The catalog file. Every segment directory — the database directory
-// of a single-segment layout, each shard directory of a sharded one —
-// holds a catalog.bin of one fixed-width row per mask, in id order:
+// The catalog file. Every segment directory holds a catalog.bin of one
+// fixed-width row per mask, in id order:
 //
 //	[49B entry][3B zero][4B CRC32C over the preceding 52 bytes]
 //
@@ -22,9 +21,10 @@ import (
 // maskID(8) imageID(8) modelID(4) maskType(4) label(4) pred(4)
 // modified(1) object x0,y0,x1,y1(4 each), little-endian, the 32-bit
 // fields sign-extended on decode. Open reads the file with one ReadFile
-// and decodes it in one pass; compaction appends rows, and repairBase
-// trims rows a crashed compaction left past the manifest's count by
-// truncation alone.
+// and decodes it in one pass; compaction writes a new segment's file
+// whole, and repairBase trims rows a crashed compaction of an older
+// version appended past the top-level segment's count by truncation
+// alone.
 //
 // catalog.json is the format this replaced: read-only opens still read
 // it in memory, and OpenIngest migrates it to catalog.bin.
@@ -180,16 +180,17 @@ func readLegacyCatalog(dir string, n int, firstID int64) ([]Entry, error) {
 // segment with either the JSON alone or a complete catalog.bin, which
 // readCatalog prefers; the next migration removes the leftover JSON.
 func migrateCatalogs(fsys FS, dir string, man Manifest) error {
-	for _, seg := range catalogSegments(dir, man) {
-		legacy := filepath.Join(seg.Dir, legacyCatalogFile)
+	for _, seg := range man.segments() {
+		segDir := filepath.Join(dir, seg.Dir)
+		legacy := filepath.Join(segDir, legacyCatalogFile)
 		if _, err := os.Stat(legacy); errors.Is(err, fs.ErrNotExist) {
 			continue
 		} else if err != nil {
 			return err
 		}
-		bin := filepath.Join(seg.Dir, catalogBinFile)
+		bin := filepath.Join(segDir, catalogBinFile)
 		if _, err := os.Stat(bin); errors.Is(err, fs.ErrNotExist) {
-			entries, err := readLegacyCatalog(seg.Dir, seg.NumMasks, seg.FirstID)
+			entries, err := readLegacyCatalog(segDir, seg.NumMasks, seg.FirstID)
 			if err != nil {
 				return fmt.Errorf("migrate %s: %w", legacy, err)
 			}
@@ -200,7 +201,7 @@ func migrateCatalogs(fsys FS, dir string, man Manifest) error {
 			if err := writeFileSync(fsys, bin, rows); err != nil {
 				return fmt.Errorf("migrate %s: %w", legacy, err)
 			}
-			if err := fsys.SyncDir(seg.Dir); err != nil {
+			if err := fsys.SyncDir(segDir); err != nil {
 				return err
 			}
 		} else if err != nil {
@@ -209,39 +210,25 @@ func migrateCatalogs(fsys FS, dir string, man Manifest) error {
 		if err := fsys.Remove(legacy); err != nil {
 			return err
 		}
-		if err := fsys.SyncDir(seg.Dir); err != nil {
+		if err := fsys.SyncDir(segDir); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// catalogSegments lists the segment directories of the database at dir
-// (as paths), each with its row count and first mask id.
-func catalogSegments(dir string, man Manifest) []ShardInfo {
-	if len(man.Shards) == 0 {
-		return []ShardInfo{{Dir: dir, FirstID: max(1, man.FirstID), NumMasks: man.NumMasks}}
-	}
-	segs := make([]ShardInfo, len(man.Shards))
-	for i, s := range man.Shards {
-		s.Dir = filepath.Join(dir, s.Dir)
-		segs[i] = s
-	}
-	return segs
-}
-
 // CatalogFormat reports, without opening the database at dir, how its
 // catalog is stored: "bin" when every segment holds a catalog.bin,
 // "json" while some segment still holds only a legacy catalog.json
-// (OpenAny reads it in memory, OpenIngest migrates it). rows is the
+// (Open reads it in memory, OpenIngest migrates it). rows is the
 // manifest's mask count, the number of rows the stored catalog holds.
 func CatalogFormat(dir string) (format string, rows int, err error) {
 	man, err := LoadManifest(dir)
 	if err != nil {
 		return "", 0, err
 	}
-	for _, seg := range catalogSegments(dir, man) {
-		if _, err := os.Stat(filepath.Join(seg.Dir, catalogBinFile)); errors.Is(err, fs.ErrNotExist) {
+	for _, seg := range man.segments() {
+		if _, err := os.Stat(filepath.Join(dir, seg.Dir, catalogBinFile)); errors.Is(err, fs.ErrNotExist) {
 			return "json", man.NumMasks, nil
 		} else if err != nil {
 			return "", 0, err

@@ -206,32 +206,6 @@ func (ff *FaultFS) Create(path string) (FileW, error) {
 	return fl, nil
 }
 
-func (ff *FaultFS) OpenAppend(path string) (FileW, error) {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	if err := ff.step(); err != nil {
-		return nil, err
-	}
-	//msvet:ignore fsyncrename FaultFS wraps the raw OS layer to simulate it failing
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	fl := ff.files[path]
-	if fl == nil {
-		// Pre-existing file: everything already in it is durable.
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		fl = &faultFile{ff: ff, path: path, size: fi.Size(), synced: fi.Size()}
-		ff.files[path] = fl
-	}
-	fl.f = f
-	return fl, nil
-}
-
 func (ff *FaultFS) Rename(oldpath, newpath string) error {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()

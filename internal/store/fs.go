@@ -19,9 +19,6 @@ type FS interface {
 	MkdirAll(path string) error
 	// Create opens path for writing, truncating any previous content.
 	Create(path string) (FileW, error)
-	// OpenAppend opens an existing path for writing, positioned at its
-	// current end.
-	OpenAppend(path string) (FileW, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes one file.
@@ -53,11 +50,6 @@ func (osFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
 
 //msvet:ignore fsyncrename osFS is the FS implementation the discipline is built on
 func (osFS) Create(path string) (FileW, error) { return os.Create(path) }
-
-func (osFS) OpenAppend(path string) (FileW, error) {
-	//msvet:ignore fsyncrename osFS is the FS implementation the discipline is built on
-	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-}
 
 //msvet:ignore fsyncrename osFS is the FS implementation the discipline is built on
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

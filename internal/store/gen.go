@@ -126,34 +126,17 @@ func TinySpec() Spec {
 	return Spec{Name: "tiny", Images: 64, Models: 2, W: 32, H: 32, Seed: 3, HumanAttention: true}
 }
 
-// Generate writes a complete single-segment database directory for
-// spec, replacing any previous contents of the three database files.
-func Generate(dir string, spec Spec) error {
-	return GenerateSharded(dir, spec, 1)
-}
-
-// GenerateCodec is Generate with an explicit mask codec.
-func GenerateCodec(dir string, spec Spec, codec string) error {
-	return GenerateShardedCodec(dir, spec, 1, codec)
-}
-
-// GenerateSharded writes a database directory for spec split into the
-// given number of shards. With shards <= 1 it produces the classic
-// single-segment layout (manifest + catalog + masks.bin at the top
-// level). With shards > 1 it splits the mask id space into contiguous,
-// near-even ranges: shard-000/ … shard-(S-1)/ each hold their own
-// masks.bin, catalog slice and segment manifest, and the top-level
-// manifest maps id ranges to shards. The logical dataset — catalog
-// rows, mask ids and every pixel — is byte-identical under every shard
-// count, so sharding is purely a storage-layout choice.
-func GenerateSharded(dir string, spec Spec, shards int) error {
-	return GenerateShardedCodec(dir, spec, shards, CodecRaw)
-}
-
-// GenerateShardedCodec is GenerateSharded with an explicit mask codec.
-// The logical dataset is identical under every codec — only the byte
-// layout of the mask files differs.
-func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error {
+// Generate writes a database directory for spec in the given codec
+// (CodecRaw or CodecRLE), split into the given number of segments,
+// replacing any previous dataset there. With shards <= 1 it writes one
+// segment at the top level (manifest + catalog + pixel file). With
+// more it splits the mask id space into contiguous, near-even ranges:
+// shard-000/ … shard-(S-1)/ each hold their own pixel file, catalog
+// slice and segment manifest, and the top-level manifest lists them.
+// The logical dataset — catalog rows, mask ids and every pixel — is
+// identical under every shard count and codec, so both are purely
+// storage-layout choices.
+func Generate(dir string, spec Spec, shards int, codec string) error {
 	spec = spec.withDefaults()
 	if !validCodec(codec) {
 		return fmt.Errorf("store: unknown codec %q (want %q or %q)", codec, CodecRaw, CodecRLE)
@@ -268,7 +251,7 @@ func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error
 		}
 		d := segDir(si)
 		if codec == CodecRLE {
-			if err := writeOffsets(filepath.Join(d, masksRLEIndexFile), segOffsets); err != nil {
+			if err := writeBulk(filepath.Join(d, masksRLEIndexFile), encodeOffsets(segOffsets)); err != nil {
 				return err
 			}
 		}
@@ -326,17 +309,17 @@ func GenerateShardedCodec(dir string, spec Spec, shards int, codec string) error
 		Manifest{Spec: spec, NumMasks: totalEntries, Codec: codec, GenVersion: GenVersion, Shards: infos})
 }
 
-// writeOffsets writes the RLE offset column: len(offs) little-endian
-// uint64 values.
-func writeOffsets(path string, offs []int64) error {
+// encodeOffsets returns the RLE offset column of offs: len(offs)
+// little-endian uint64 values.
+func encodeOffsets(offs []int64) []byte {
 	buf := make([]byte, 8*len(offs))
 	for i, o := range offs {
 		binary.LittleEndian.PutUint64(buf[i*8:], uint64(o))
 	}
-	return writeBulk(path, buf)
+	return buf
 }
 
-// ShardDirName is the directory name of shard i inside a sharded
+// ShardDirName is the directory name of the i-th listed segment of a
 // database (shard-000, shard-001, …).
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 

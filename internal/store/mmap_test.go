@@ -24,10 +24,10 @@ func storedBytes(t *testing.T, dir string, id int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segDir, first := dir, int64(1)
+	segDir, first, n := dir, int64(1), man.NumMasks
 	for _, sh := range man.Shards {
 		if id >= sh.FirstID && id < sh.FirstID+int64(sh.NumMasks) {
-			segDir, first = filepath.Join(dir, sh.Dir), sh.FirstID
+			segDir, first, n = filepath.Join(dir, sh.Dir), sh.FirstID, sh.NumMasks
 		}
 	}
 	spec := man.Spec.withDefaults()
@@ -39,11 +39,7 @@ func storedBytes(t *testing.T, dir string, id int64) []byte {
 		n := int64(spec.W * spec.H)
 		return all[(id-first)*n : (id-first+1)*n]
 	}
-	segMan, err := LoadManifest(segDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offs, err := readOffsets(filepath.Join(segDir, masksRLEIndexFile), segMan.NumMasks)
+	offs, err := readOffsets(filepath.Join(segDir, masksRLEIndexFile), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +115,13 @@ var layouts = []struct {
 // TestMappedLoadsMatchFiles is the view path's oracle test: whatever
 // LoadMask and LoadRegion hand out equals the same byte range read with
 // os.ReadFile, in all four layouts, before and after compactions that
-// map additional chunks — 20 masks of 24x20 make the first appended
-// range start at byte 9600 (raw), off any page boundary.
+// each map one more segment.
 func TestMappedLoadsMatchFiles(t *testing.T) {
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
 			dir := t.TempDir()
 			spec := Spec{Name: "t", Images: 10, Models: 2, W: 24, H: 20, Seed: 21, HumanAttention: true}
-			if err := GenerateShardedCodec(dir, spec, lay.shards, lay.codec); err != nil {
+			if err := Generate(dir, spec, lay.shards, lay.codec); err != nil {
 				t.Fatal(err)
 			}
 			ws, cat, err := OpenIngest(DirFS(), dir)
@@ -144,10 +139,8 @@ func TestMappedLoadsMatchFiles(t *testing.T) {
 				}
 				checkAgainstFiles(t, dir, ws, cat.MaskIDs(nil))
 			}
-			if base, ok := ws.Base().(*Store); ok {
-				if n := len(base.seg.Load().chunks); n != 4 {
-					t.Fatalf("%d mapped chunks after 3 compactions, want 4", n)
-				}
+			if n := ws.Base().NumShards(); n != lay.shards+3 {
+				t.Fatalf("%d segments after 3 compactions, want %d", n, lay.shards+3)
 			}
 		})
 	}
@@ -167,7 +160,7 @@ func TestMappedLoadsConcurrentWithCompaction(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/cache=%d", lay.name, cache), func(t *testing.T) {
 				dir := t.TempDir()
 				spec := Spec{Name: "t", Images: 12, Models: 1, W: w, H: h, Seed: 22}
-				if err := GenerateShardedCodec(dir, spec, lay.shards, lay.codec); err != nil {
+				if err := Generate(dir, spec, lay.shards, lay.codec); err != nil {
 					t.Fatal(err)
 				}
 				ws, cat, err := OpenIngest(DirFS(), dir)
@@ -348,7 +341,7 @@ func TestReadStatsUnchangedByMapping(t *testing.T) {
 	}
 	for _, lay := range layouts {
 		dir := t.TempDir()
-		if err := GenerateShardedCodec(dir, spec, lay.shards, lay.codec); err != nil {
+		if err := Generate(dir, spec, lay.shards, lay.codec); err != nil {
 			t.Fatal(err)
 		}
 		for _, cache := range []int64{0, 2000, -1} {
@@ -397,8 +390,8 @@ func mappingCount(t *testing.T) int {
 }
 
 // TestCloseUnmaps opens and closes stores of every layout 200 times,
-// once with a compaction chunk added, and checks the process's mapping
-// count does not grow with it: Close must unmap every chunk.
+// once with a compaction segment added, and checks the process's
+// mapping count does not grow with it: Close must unmap every segment.
 func TestCloseUnmaps(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/self/maps")
@@ -406,7 +399,7 @@ func TestCloseUnmaps(t *testing.T) {
 	for _, lay := range layouts {
 		dir := t.TempDir()
 		spec := Spec{Name: "t", Images: 6, Models: 1, W: 24, H: 20, Seed: 24}
-		if err := GenerateShardedCodec(dir, spec, lay.shards, lay.codec); err != nil {
+		if err := Generate(dir, spec, lay.shards, lay.codec); err != nil {
 			t.Fatal(err)
 		}
 		cycle := func(compact bool) {

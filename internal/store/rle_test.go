@@ -61,10 +61,10 @@ func containsStr(s, sub string) bool { return strings.Contains(s, sub) }
 func genBothCodecs(t *testing.T, spec Spec, shards int) (rawDir, rleDir string) {
 	t.Helper()
 	rawDir, rleDir = t.TempDir(), t.TempDir()
-	if err := GenerateShardedCodec(rawDir, spec, shards, CodecRaw); err != nil {
+	if err := Generate(rawDir, spec, shards, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateShardedCodec(rleDir, spec, shards, CodecRLE); err != nil {
+	if err := Generate(rleDir, spec, shards, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	return rawDir, rleDir
@@ -72,7 +72,7 @@ func genBothCodecs(t *testing.T, spec Spec, shards int) (rawDir, rleDir string) 
 
 // TestRLELayoutEquivalence checks that the rle codec stores the exact
 // same logical dataset as raw — every pixel of every mask, every
-// region read — while OpenAny detects it transparently.
+// region read — while Open detects it transparently.
 func TestRLELayoutEquivalence(t *testing.T) {
 	spec := Spec{Name: "t", Images: 10, Models: 2, W: 24, H: 20, Seed: 5, HumanAttention: true}
 	for _, shards := range []int{1, 3} {
@@ -165,7 +165,7 @@ func TestRLECacheAccounting(t *testing.T) {
 		}
 		masks = append(masks, m)
 	}
-	resident := st.cache.residentBytes()
+	resident := st.set.Load().segs[0].cache.residentBytes()
 	if resident <= 0 || resident >= 8*int64(spec.W*spec.H) {
 		t.Fatalf("resident %d bytes; want compressed accounting below %d", resident, 8*spec.W*spec.H)
 	}
@@ -183,8 +183,8 @@ func TestRLECacheAccounting(t *testing.T) {
 	}
 	st.ReleaseMask(m)
 	// Shrinking the budget to one compressed mask must evict the rest.
-	st.cache.setBudget(resident / 8)
-	if got := st.cache.residentBytes(); got > resident/8 {
+	st.set.Load().segs[0].cache.setBudget(resident / 8)
+	if got := st.set.Load().segs[0].cache.residentBytes(); got > resident/8 {
 		t.Fatalf("cache kept %d bytes after budget cut to %d", got, resident/8)
 	}
 }
@@ -195,7 +195,7 @@ func TestRLECacheAccounting(t *testing.T) {
 func TestRLECompactAndRepair(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Name: "t", Images: 6, Models: 1, W: 16, H: 16, Seed: 7}
-	if err := GenerateCodec(dir, spec, CodecRLE); err != nil {
+	if err := Generate(dir, spec, 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	ws, cat, err := OpenIngest(DirFS(), dir)
@@ -275,7 +275,7 @@ func TestRLEOpenRejectsCorruptLayout(t *testing.T) {
 	spec := Spec{Name: "t", Images: 4, Models: 1, W: 8, H: 8, Seed: 8}
 	newDir := func() string {
 		d := t.TempDir()
-		if err := GenerateCodec(d, spec, CodecRLE); err != nil {
+		if err := Generate(d, spec, 1, CodecRLE); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -335,10 +335,10 @@ func TestReadOnlyAppendErrors(t *testing.T) {
 	}
 
 	shDir := t.TempDir()
-	if err := GenerateSharded(shDir, spec, 2); err != nil {
+	if err := Generate(shDir, spec, 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
-	ss, _, err := OpenSharded(shDir)
+	ss, _, err := Open(shDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRLECorruptMaskIsolated(t *testing.T) {
 	}
 	for name, apply := range damage {
 		dir := t.TempDir()
-		if err := GenerateCodec(dir, spec, CodecRLE); err != nil {
+		if err := Generate(dir, spec, 1, CodecRLE); err != nil {
 			t.Fatal(err)
 		}
 		apply(t, dir)
@@ -504,7 +504,7 @@ func TestRLEValidateOnce(t *testing.T) {
 
 	// Masks compacted into the base after Open extend the table.
 	dir := t.TempDir()
-	if err := GenerateCodec(dir, spec, CodecRLE); err != nil {
+	if err := Generate(dir, spec, 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	ws, _, err := OpenIngest(DirFS(), dir)
@@ -557,7 +557,7 @@ func wildsLikeSpec(images int) Spec {
 // at most 5 % of the stored bytes on wilds-sim masks.
 func TestRLERowDirFootprint(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateCodec(dir, wildsLikeSpec(40), CodecRLE); err != nil {
+	if err := Generate(dir, wildsLikeSpec(40), 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	st, _, err := Open(dir)
@@ -566,8 +566,8 @@ func TestRLERowDirFootprint(t *testing.T) {
 	}
 	defer st.Close()
 	var resident int64
-	for _, c := range st.seg.Load().chunks {
-		d := c.dirs
+	for _, g := range st.set.Load().segs {
+		d := g.dirs
 		resident += int64(4*len(d.state) + 4*len(d.rows))
 	}
 	if want := int64(st.NumMasks()) * int64(4*(st.h+1)); resident != want {
@@ -638,7 +638,7 @@ func TestRLELoadConcurrentFirstLoads(t *testing.T) {
 // after a GC cycle).
 func TestRLELoadSteadyStateAllocs(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateCodec(dir, Spec{Name: "t", Images: 8, Models: 1, W: 32, H: 32, Seed: 14}, CodecRLE); err != nil {
+	if err := Generate(dir, Spec{Name: "t", Images: 8, Models: 1, W: 32, H: 32, Seed: 14}, 1, CodecRLE); err != nil {
 		t.Fatal(err)
 	}
 	st, _, err := Open(dir)
@@ -673,10 +673,10 @@ func TestRLELoadSteadyStateAllocs(t *testing.T) {
 func BenchmarkLoadMask(b *testing.B) {
 	rawDir, rleDir := b.TempDir(), b.TempDir()
 	spec := wildsLikeSpec(100)
-	if err := GenerateCodec(rawDir, spec, CodecRaw); err != nil {
+	if err := Generate(rawDir, spec, 1, CodecRaw); err != nil {
 		b.Fatal(err)
 	}
-	if err := GenerateCodec(rleDir, spec, CodecRLE); err != nil {
+	if err := Generate(rleDir, spec, 1, CodecRLE); err != nil {
 		b.Fatal(err)
 	}
 	open := func(dir string) *Store {
@@ -769,7 +769,7 @@ func BenchmarkLoadMask(b *testing.B) {
 func BenchmarkLoadRegion(b *testing.B) {
 	dir := b.TempDir()
 	spec := wildsLikeSpec(100)
-	if err := GenerateCodec(dir, spec, CodecRaw); err != nil {
+	if err := Generate(dir, spec, 1, CodecRaw); err != nil {
 		b.Fatal(err)
 	}
 	st, _, err := Open(dir)

@@ -19,10 +19,10 @@ var shardSpec = Spec{Name: "sh", Images: 12, Models: 2, W: 16, H: 16, Seed: 9, H
 func genShardPair(t *testing.T, s int) (flatDir, shardDir string) {
 	t.Helper()
 	flatDir, shardDir = t.TempDir(), t.TempDir()
-	if err := Generate(flatDir, shardSpec); err != nil {
+	if err := Generate(flatDir, shardSpec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateSharded(shardDir, shardSpec, s); err != nil {
+	if err := Generate(shardDir, shardSpec, s, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	return flatDir, shardDir
@@ -45,10 +45,7 @@ func TestShardedGenerateIsStorageOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		ss, ok := st.(*ShardedStore)
-		if !ok {
-			t.Fatalf("OpenAny(%d shards) returned %T, want *ShardedStore", s, st)
-		}
+		ss := st
 		if ss.NumShards() != s {
 			t.Fatalf("NumShards = %d, want %d", ss.NumShards(), s)
 		}
@@ -102,7 +99,7 @@ func TestShardedGenerateIsStorageOnly(t *testing.T) {
 // and out-of-range ids fail like the flat store.
 func TestShardedIDRouting(t *testing.T) {
 	_, shardDir := genShardPair(t, 3)
-	ss, _, err := OpenSharded(shardDir)
+	ss, _, err := Open(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestShardedIDRouting(t *testing.T) {
 // per-shard counters, and ResetStats to clearing every arena.
 func TestShardedStatsAggregate(t *testing.T) {
 	_, shardDir := genShardPair(t, 3)
-	ss, _, err := OpenSharded(shardDir)
+	ss, _, err := Open(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 // cache-resident masks unpin in the owning arena.
 func TestShardedCacheArenas(t *testing.T) {
 	_, shardDir := genShardPair(t, 3)
-	ss, _, err := OpenSharded(shardDir)
+	ss, _, err := Open(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +216,7 @@ func TestShardedCacheArenas(t *testing.T) {
 		ss.ReleaseMask(m)
 	}
 	var resident int64
-	for _, seg := range ss.set.Load().shards {
+	for _, seg := range ss.set.Load().segs {
 		if seg.cache != nil {
 			resident += seg.cache.residentBytes()
 		}
@@ -238,7 +235,7 @@ func TestShardedCacheArenas(t *testing.T) {
 // loads count as misses like every other shard's.
 func TestShardedCacheBelowShardCount(t *testing.T) {
 	_, shardDir := genShardPair(t, 4)
-	ss, _, err := OpenSharded(shardDir)
+	ss, _, err := Open(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +270,7 @@ func TestShardedCompactionResplitsBudget(t *testing.T) {
 	const total = 2048
 	_, ws, _ := openIngestTiny(t, 2)
 	ws.SetCacheBytes(total)
-	ss := ws.Base().(*ShardedStore)
+	ss := ws.Base()
 	var known atomic.Int64
 	known.Store(int64(ws.NumMasks()))
 	var wg sync.WaitGroup
@@ -300,12 +297,14 @@ func TestShardedCompactionResplitsBudget(t *testing.T) {
 	}
 	check := func(round int) {
 		var sum int64
-		for i, seg := range ss.set.Load().shards {
-			budget := seg.CacheBytes()
-			sum += budget
+		for i, seg := range ss.set.Load().segs {
 			if seg.cache == nil {
 				t.Errorf("round %d: shard %d has no cache arena", round, i)
-			} else if r := seg.cache.residentBytes(); r > budget {
+				continue
+			}
+			budget := seg.cache.limit()
+			sum += budget
+			if r := seg.cache.residentBytes(); r > budget {
 				t.Errorf("round %d: shard %d holds %d resident bytes, budget %d", round, i, r, budget)
 			}
 		}
@@ -338,7 +337,7 @@ func TestShardedCompactionResplitsBudget(t *testing.T) {
 // with a message naming the size mismatch, not mid-query.
 func TestOpenTruncatedFailsFast(t *testing.T) {
 	dir := t.TempDir()
-	if err := Generate(dir, shardSpec); err != nil {
+	if err := Generate(dir, shardSpec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, masksFile)
@@ -367,7 +366,7 @@ func TestOpenTruncatedFailsFast(t *testing.T) {
 
 	// The same check guards every shard segment.
 	shardDir := t.TempDir()
-	if err := GenerateSharded(shardDir, shardSpec, 2); err != nil {
+	if err := Generate(shardDir, shardSpec, 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	segPath := filepath.Join(shardDir, ShardDirName(1), masksFile)
@@ -378,42 +377,29 @@ func TestOpenTruncatedFailsFast(t *testing.T) {
 	if err := os.WriteFile(segPath, seg[:len(seg)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenSharded(shardDir); err == nil || !strings.Contains(err.Error(), "masks.bin is") {
-		t.Fatalf("truncated shard segment: OpenSharded returned %v, want a size-mismatch error", err)
+	if _, _, err := Open(shardDir); err == nil || !strings.Contains(err.Error(), "masks.bin is") {
+		t.Fatalf("truncated shard segment: Open returned %v, want a size-mismatch error", err)
 	}
 }
 
-// TestOpenRejectsShardedDir pins the layered Open contract: the
-// single-segment Open refuses a sharded top-level directory with a
-// pointer at OpenAny, and regenerating a directory under the other
-// layout leaves no stale files behind.
-func TestOpenRejectsShardedDir(t *testing.T) {
+// TestRegenerateLeavesNoStaleLayout checks that regenerating a
+// directory under the other layout leaves no stale files behind.
+func TestRegenerateLeavesNoStaleLayout(t *testing.T) {
 	dir := t.TempDir()
-	if err := Generate(dir, shardSpec); err != nil {
+	if err := Generate(dir, shardSpec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateSharded(dir, shardSpec, 2); err != nil {
+	if err := Generate(dir, shardSpec, 2, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, masksFile)); !os.IsNotExist(err) {
 		t.Fatal("regenerating sharded left a stale top-level masks.bin")
 	}
-	if _, _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "OpenAny") {
-		t.Fatalf("Open on a sharded dir returned %v, want a sharded-layout error", err)
-	}
 	// And back: regenerating unsharded removes the shard dirs.
-	if err := Generate(dir, shardSpec); err != nil {
+	if err := Generate(dir, shardSpec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ShardDirName(0))); !os.IsNotExist(err) {
 		t.Fatal("regenerating unsharded left stale shard directories")
 	}
-	st, _, err := OpenAny(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.(*Store); !ok {
-		t.Fatalf("OpenAny on a flat dir returned %T, want *Store", st)
-	}
-	st.Close()
 }

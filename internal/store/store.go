@@ -4,20 +4,28 @@
 // masks-loaded metrics) and optionally simulating a bandwidth-limited
 // disk.
 //
-// Layout of a database directory:
+// A database is an ordered list of immutable segments. Each segment is
+// a directory holding a contiguous run of mask ids:
 //
-//	manifest.json  — the generation Spec plus derived counts and codec
 //	catalog.bin    — one fixed-width, checksummed Entry row per mask in
 //	                 id order (catalogfile.go; a legacy catalog.json is
 //	                 still read, and migrated by OpenIngest)
-//	masks.bin      — raw uint8 pixels, mask id i at offset (i-1)*W*H
+//	masks.bin      — raw uint8 pixels, the segment's k-th mask at
+//	                 offset k*W*H
 //
 // With the RLE codec (Manifest.Codec == CodecRLE) the pixel file is
 // replaced by:
 //
 //	masks.rle      — per-mask core.EncodeRLE streams, concatenated
 //	masks.rle.idx  — offset column: N+1 little-endian uint64 values,
-//	                 mask i's stream at [off[i], off[i+1])
+//	                 the k-th stream at [off[k], off[k+1])
+//
+// manifest.json at the top of the database directory is the commit
+// point: the generation Spec, the mask count, the codec and the
+// segment list (Manifest.Shards). A manifest without a segment list
+// describes one segment, the top-level directory itself. Generate
+// writes that single-segment layout for one shard and shard-000/ …
+// for more; every compaction adds one segment directory.
 package store
 
 import (
@@ -28,16 +36,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"masksearch/internal/core"
 )
 
-// ErrReadOnly is returned by Append on stores without an ingestion
-// path (a plain Store or ShardedStore opened directly rather than
-// through OpenIngest's WAL wrapper).
+// ErrReadOnly is returned by Append on a Store opened directly rather
+// than through OpenIngest's WAL wrapper.
 var ErrReadOnly = errors.New("store: read-only store (no WAL; open with OpenIngest to append)")
 
 // ReadStats counts storage traffic since the last ResetStats.
@@ -81,39 +88,51 @@ func (s ReadStats) Sub(prev ReadStats) ReadStats {
 	}
 }
 
+// add accumulates o into s, field by field.
+func (s *ReadStats) add(o ReadStats) {
+	s.MasksLoaded += o.MasksLoaded
+	s.RegionReads += o.RegionReads
+	s.BytesRead += o.BytesRead
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheEvicted += o.CacheEvicted
+	s.TailLoads += o.TailLoads
+}
+
 // Throttle simulates a disk limited to BytesPerSec of read bandwidth;
 // the zero value disables throttling.
 type Throttle struct {
 	BytesPerSec float64
 }
 
-// ShardInfo locates one shard of a sharded database inside the
-// top-level manifest.
+// ShardInfo locates one segment of a database inside the top-level
+// manifest.
 type ShardInfo struct {
-	// Dir is the shard directory name, relative to the database dir.
+	// Dir is the segment directory name, relative to the database dir
+	// ("." for the top-level directory itself).
 	Dir string `json:"dir"`
-	// FirstID is the first (global) mask id stored in the shard; the
-	// shard holds the contiguous range [FirstID, FirstID+NumMasks).
+	// FirstID is the first (global) mask id stored in the segment; it
+	// holds the contiguous range [FirstID, FirstID+NumMasks).
 	FirstID int64 `json:"first_id"`
-	// NumMasks is the shard's mask count.
+	// NumMasks is the segment's mask count.
 	NumMasks int `json:"num_masks"`
 }
 
-// Manifest describes a generated database (or one segment of a
-// sharded database).
+// Manifest describes a database (or, in a segment directory the
+// generator wrote, that one segment).
 type Manifest struct {
 	Spec     Spec `json:"spec"`
 	NumMasks int  `json:"num_masks"`
-	// FirstID is the first mask id of a sharded segment (its masks.bin
-	// holds ids [FirstID, FirstID+NumMasks) at local offsets). 0 or 1
-	// means an ordinary unsharded segment starting at id 1.
+	// FirstID is the first mask id of a segment directory's own
+	// manifest. Open reads extents from the top-level segment list
+	// alone.
 	FirstID int64 `json:"first_id,omitempty"`
-	// Shards, when non-empty, marks a sharded database: this directory
-	// holds no masks.bin of its own, only the listed shard segments.
-	// Ranges are contiguous and ascending, covering [1, NumMasks].
+	// Shards is the ordered segment list: contiguous, ascending id
+	// ranges covering [1, NumMasks]. Empty means one segment, the
+	// top-level directory (see segments).
 	Shards []ShardInfo `json:"shards,omitempty"`
 	// Codec names the pixel encoding of the mask files (CodecRaw or
-	// CodecRLE). OpenAny detects it transparently.
+	// CodecRLE), shared by every segment.
 	Codec string `json:"codec,omitempty"`
 	// GenVersion records the generator version that produced a
 	// synthetic dataset, so harnesses regenerate when the generator's
@@ -121,10 +140,18 @@ type Manifest struct {
 	GenVersion int `json:"gen_version,omitempty"`
 }
 
-// MaskStore is the read surface shared by the single-segment Store
-// and the ShardedStore: everything the DB facade and the engine need
-// to load masks, account traffic and manage the cache. Use OpenAny to
-// get the right implementation for a database directory.
+// segments returns the manifest's segment list; a manifest without one
+// describes a single segment at the top level.
+func (man Manifest) segments() []ShardInfo {
+	if len(man.Shards) > 0 {
+		return man.Shards
+	}
+	return []ShardInfo{{Dir: ".", FirstID: 1, NumMasks: man.NumMasks}}
+}
+
+// MaskStore is the read surface shared by the Store and the WALStore
+// that wraps it: everything the DB facade and the engine need to load
+// masks, account traffic and manage the cache.
 type MaskStore interface {
 	LoadMask(id int64) (*core.Mask, error)
 	LoadRegion(id int64, r core.Rect) (*core.Mask, error)
@@ -165,212 +192,124 @@ type IngestMask struct {
 	Pix   []byte
 }
 
-// Store reads masks from a database directory. The pixel file is
-// mapped read-only once at Open and LoadMask hands out views of that
-// mapping: a core.Mask whose Bytes (or RLE) is a sub-slice of the file
-// itself, so a load makes no system call and copies no pixel; only the
-// small mask headers are recycled (ReleaseMask). A view stays valid
-// until Close, and a write through one faults (PROT_READ) instead of
-// corrupting a shared mask. All methods are safe for concurrent use;
-// the parallel engine loads from many goroutines.
+// Store reads masks from a database directory: an ordered list of
+// immutable segments, each mapped read-only once at open. LoadMask
+// routes an id to its segment and hands out a view of that mapping — a
+// core.Mask whose Bytes (or RLE) is a sub-slice of the file itself, so
+// a load makes no system call and copies no pixel; only the small mask
+// headers are recycled (ReleaseMask). A view stays valid until Close,
+// and a write through one faults (PROT_READ) instead of corrupting a
+// shared mask.
+//
+// Each segment keeps its own LRU cache arena, read counters and
+// simulated disk timeline, so loads of different segments never share
+// a lock; Stats and LifetimeStats sum them (ShardStats exposes the
+// split). The segment list is an immutable snapshot behind an atomic
+// pointer, so routing a load takes no lock; WAL compaction publishes
+// each compacted batch as one more segment (addSegment), and mu
+// serializes the writers that replace the list or reconfigure every
+// segment. All methods are safe for concurrent use.
 type Store struct {
-	dir  string
-	f    *os.File
-	w, h int
-	// codec is the pixel encoding of f (CodecRaw or CodecRLE).
+	dir   string
+	w, h  int
 	codec string
 	// genVersion is Manifest.GenVersion, 0 for ingested/legacy data.
 	genVersion int
-	// base offsets mask ids for sharded segments: the store serves ids
-	// (base, base+numMasks], and id i lives at offset (i-base-1)*W*H.
-	// 0 for ordinary unsharded stores.
-	base int64
-	// seg is the snapshot loads work from; compaction (extend) swaps it.
-	seg atomic.Pointer[segment]
 
-	// cache, when non-nil, tracks which mask ids count as resident so
-	// overlapping queries stop being charged (and, under a Throttle,
-	// stop waiting) for shared masks. Set via SetCacheBytes.
-	cache *maskCache
+	set atomic.Pointer[segSet]
 
-	// life counts read traffic since Open with atomic adds, no lock.
-	// Stats reports life minus statsBase, ResetStats' snapshot of it.
-	life      readCounters
-	statsBase ReadStats
-
-	// statsMu guards statsBase and the simulated disk below; loads take
-	// it only while a Throttle is installed.
-	statsMu   sync.Mutex
-	throttled atomic.Bool
-	thr       Throttle
-	// thrFree is the simulated disk's next-available time: concurrent
-	// readers reserve back-to-back slots on one timeline so the
-	// aggregate bandwidth stays at BytesPerSec no matter how many
-	// engine workers read at once.
-	thrFree time.Time
+	mu sync.Mutex
+	// cacheBytes remembers the configured total budget, split across
+	// the segment arenas by cacheShare.
+	cacheBytes int64
+	thr        Throttle
 }
 
-// segment is one immutable snapshot of the pixel file as loads see it.
-// A load works from one snapshot alone, so it never sees an id whose
-// bytes or offsets are not covered; growth publishes a longer copy
-// sharing the chunks, which stay mapped — a view taken before a
-// compaction is still valid after it.
-type segment struct {
-	numMasks int64
-	// chunks are the mapped ranges of the file, ascending and contiguous:
-	// one from Open plus one per compaction, split at mask boundaries.
-	chunks []mapChunk
-	// offsets is the RLE offset column: numMasks+1 entries, local mask
-	// i's stream at [offsets[i-1], offsets[i]).
-	offsets []int64
+// segSet is one immutable snapshot of the segment list.
+type segSet struct {
+	segs     []*segment
+	firstIDs []int64 // ascending; segs[i] serves [firstIDs[i], firstIDs[i]+segs[i].n)
+	numMasks int
 }
 
-// mapChunk is one mapped range of the pixel file, data[0] at file
-// offset off; dirs (RLE) is the validate-once state of its masks.
-type mapChunk struct {
-	off   int64
-	data  []byte
-	unmap func()
-	dirs  *rleDirs
-}
-
-// at returns the n file bytes at offset off as a capacity-clipped slice
-// of the chunk holding them, and that chunk.
-func (g *segment) at(off int64, n int) ([]byte, *mapChunk) {
-	lo, hi := 0, len(g.chunks)
-	for hi-lo > 1 {
-		if mid := (lo + hi) / 2; g.chunks[mid].off <= off {
-			lo = mid
-		} else {
-			hi = mid
-		}
+// with returns a copy of set extended by g.
+func (set *segSet) with(g *segment) *segSet {
+	return &segSet{
+		segs:     append(set.segs[:len(set.segs):len(set.segs)], g),
+		firstIDs: append(set.firstIDs[:len(set.firstIDs):len(set.firstIDs)], g.first),
+		numMasks: set.numMasks + g.n,
 	}
-	c := &g.chunks[lo]
-	i := int(off - c.off)
-	return c.data[i : i+n : i+n], c
 }
 
-// readCounters is ReadStats (without the WAL layer's TailLoads) as
-// lock-free counters. The two every load bumps are striped over
-// cache-line-sized slots keyed by mask id, so workers loading different
-// masks rarely add to the same line; snapshot sums the stripes.
-type readCounters struct {
-	loads [8]struct {
-		masksLoaded, bytesRead atomic.Int64
-		_                      [48]byte
-	}
-	regionReads, regionBytes             atomic.Int64
-	cacheHits, cacheMisses, cacheEvicted atomic.Int64
+// shardOf returns the index of the segment owning id: the last one
+// starting at or below it.
+func (set *segSet) shardOf(id int64) int {
+	i := sort.Search(len(set.firstIDs), func(i int) bool { return set.firstIDs[i] > id }) - 1
+	return max(0, i)
 }
 
-func (c *readCounters) snapshot() ReadStats {
-	st := ReadStats{
-		RegionReads:  c.regionReads.Load(),
-		BytesRead:    c.regionBytes.Load(),
-		CacheHits:    c.cacheHits.Load(),
-		CacheMisses:  c.cacheMisses.Load(),
-		CacheEvicted: c.cacheEvicted.Load(),
-	}
-	for i := range c.loads {
-		st.MasksLoaded += c.loads[i].masksLoaded.Load()
-		st.BytesRead += c.loads[i].bytesRead.Load()
-	}
-	return st
-}
+// maxMaskSide bounds the mask dimensions Open accepts, so a damaged
+// manifest cannot size a mask past what the WAL header (int32) or an
+// int64 byte count can carry.
+const maxMaskSide = 1 << 16
 
-// headers recycles mask headers between LoadMask and ReleaseMask. A
-// header owns no pixels — it views a mapping or a WAL tail copy — so
-// one pool serves every store.
-var headers = sync.Pool{New: func() any { return new(core.Mask) }}
-
-// Open opens a single-segment database directory created by Generate
-// (or one shard segment of a sharded database) and returns the store
-// together with its catalog. It fails on a sharded database's
-// top-level directory; use OpenAny to handle either layout.
+// Open opens the database directory dir — every segment its manifest
+// lists, or the top-level directory as the one segment of a manifest
+// without a list — and returns the store together with the full
+// catalog. Each segment's catalog must agree with its listed extent
+// exactly and its pixel file must hold exactly the bytes those masks
+// need; recovery (OpenIngest) trims files a crashed compaction left
+// longer before it opens.
 func Open(dir string) (*Store, *Catalog, error) {
-	var man Manifest
-	if err := readJSON(filepath.Join(dir, manifestFile), &man); err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	if len(man.Shards) > 0 {
-		return nil, nil, fmt.Errorf("store: open %s: sharded database (%d shards); open it with OpenAny or OpenSharded", dir, len(man.Shards))
-	}
-	// The catalog must agree with the manifest exactly: a longer
-	// catalog would advertise ids whose pixels don't exist, a shorter
-	// one would lose metadata for stored masks. Recovery trims an
-	// over-long catalog left by a crashed compaction before reopening.
-	entries, err := readCatalog(dir, man.NumMasks, max(1, man.FirstID))
+	man, err := LoadManifest(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	if !validCodec(man.Codec) {
 		return nil, nil, fmt.Errorf("store: open %s: unknown codec %q", dir, man.Codec)
 	}
-	name := masksFile
-	if man.Codec == CodecRLE {
-		name = masksRLEFile
-	}
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
 	spec := man.Spec.withDefaults()
-	s := &Store{
-		dir: dir, f: f, w: spec.W, h: spec.H,
-		codec:      man.Codec,
-		genVersion: man.GenVersion,
-		base:       max(0, man.FirstID-1),
+	if spec.W < 1 || spec.H < 1 || spec.W > maxMaskSide || spec.H > maxMaskSide {
+		return nil, nil, fmt.Errorf("store: open %s: mask size %dx%d out of range", dir, spec.W, spec.H)
 	}
-	// Fail fast on a truncated or corrupted mask file: a mapping longer
-	// than the file would fault mid-query on whatever mask falls past
-	// its end.
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	g := &segment{numMasks: int64(man.NumMasks)}
-	if man.Codec == CodecRLE {
-		g.offsets, err = readOffsets(filepath.Join(dir, masksRLEIndexFile), man.NumMasks)
+	s := &Store{dir: dir, w: spec.W, h: spec.H, codec: man.Codec, genVersion: man.GenVersion}
+	set := &segSet{}
+	var entries []Entry
+	for _, info := range man.segments() {
+		if want := int64(set.numMasks) + 1; info.FirstID != want || info.NumMasks < 0 {
+			closeSegments(set)
+			return nil, nil, fmt.Errorf("store: open %s: segment %s maps %d masks from id %d, want a count >= 0 from id %d — regenerate the dataset",
+				dir, info.Dir, info.NumMasks, info.FirstID, want)
+		}
+		segDir := filepath.Join(dir, info.Dir)
+		rows, err := readCatalog(segDir, info.NumMasks, info.FirstID)
 		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
+			closeSegments(set)
+			return nil, nil, fmt.Errorf("store: open %s: segment %s: %w", dir, info.Dir, err)
 		}
-		if want := g.offsets[man.NumMasks]; fi.Size() != want {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: open %s: masks.rle is %d bytes, offset column says %d — truncated or corrupted dataset",
-				dir, fi.Size(), want)
-		}
-	} else if want := int64(man.NumMasks) * int64(spec.W) * int64(spec.H); fi.Size() != want {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: open %s: masks.bin is %d bytes, want exactly %d (%d masks of %dx%d) — truncated or corrupted dataset",
-			dir, fi.Size(), want, man.NumMasks, spec.W, spec.H)
-	}
-	if fi.Size() > 0 {
-		c, err := s.mapRange(0, fi.Size(), 0, man.NumMasks)
+		g, err := s.openSegment(segDir, info)
 		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
+			closeSegments(set)
+			return nil, nil, fmt.Errorf("store: open %s: segment %s: %w", dir, info.Dir, err)
 		}
-		g.chunks = []mapChunk{c}
+		set = set.with(g)
+		if entries == nil {
+			entries = rows // the common single segment: no copy
+		} else {
+			entries = append(entries, rows...)
+		}
 	}
-	s.seg.Store(g)
+	if set.numMasks != man.NumMasks {
+		closeSegments(set)
+		return nil, nil, fmt.Errorf("store: open %s: segments hold %d masks, manifest says %d", dir, set.numMasks, man.NumMasks)
+	}
+	s.set.Store(set)
 	return s, NewCatalog(entries), nil
 }
 
-// mapRange maps bytes [from, to) of the pixel file, which hold the n
-// masks from local index first on, as one chunk.
-func (s *Store) mapRange(from, to, first int64, n int) (mapChunk, error) {
-	data, unmap, err := mapFile(s.f, from, to-from)
-	if err != nil {
-		return mapChunk{}, fmt.Errorf("store: map %s [%d, %d): %w", s.f.Name(), from, to, err)
-	}
-	c := mapChunk{off: from, data: data, unmap: unmap}
-	if s.codec == CodecRLE {
-		c.dirs = &rleDirs{first: first, state: make([]atomic.Uint32, n), rows: make([]uint32, n*s.h)}
-	}
-	return c, nil
-}
+// OpenAny is Open. It stays because benchmark/distscatter.go:63 calls
+// it.
+func OpenAny(dir string) (*Store, *Catalog, error) { return Open(dir) }
 
 // readOffsets reads and validates an RLE offset column of n masks.
 func readOffsets(path string, n int) ([]int64, error) {
@@ -395,30 +334,21 @@ func readOffsets(path string, n int) ([]int64, error) {
 	return offs, nil
 }
 
-// OpenAny opens a database directory of either layout: it returns a
-// plain *Store for a single-segment database and a *ShardedStore for
-// a sharded one (manifest with a shard list). The DB facade opens
-// through it so sharding stays transparent to callers.
-func OpenAny(dir string) (MaskStore, *Catalog, error) {
-	var man Manifest
-	if err := readJSON(filepath.Join(dir, manifestFile), &man); err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
+// closeSegments unmaps every segment of set.
+func closeSegments(set *segSet) {
+	for _, g := range set.segs {
+		g.close()
 	}
-	if len(man.Shards) > 0 {
-		return OpenSharded(dir)
-	}
-	st, cat, err := Open(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, cat, nil
 }
 
 // Dir returns the database directory.
 func (s *Store) Dir() string { return s.dir }
 
+// NumShards returns the number of segments.
+func (s *Store) NumShards() int { return len(s.set.Load().segs) }
+
 // NumMasks returns the number of stored masks.
-func (s *Store) NumMasks() int { return int(s.seg.Load().numMasks) }
+func (s *Store) NumMasks() int { return s.set.Load().numMasks }
 
 // MaskW and MaskH return the common mask dimensions.
 func (s *Store) MaskW() int { return s.w }
@@ -426,9 +356,9 @@ func (s *Store) MaskH() int { return s.h }
 
 // DataBytes returns the total logical pixel bytes (NumMasks * W * H),
 // independent of the codec.
-func (s *Store) DataBytes() int64 { return s.seg.Load().numMasks * int64(s.w) * int64(s.h) }
+func (s *Store) DataBytes() int64 { return int64(s.NumMasks()) * int64(s.w) * int64(s.h) }
 
-// Codec returns the on-disk pixel encoding.
+// Codec returns the on-disk pixel encoding shared by every segment.
 func (s *Store) Codec() string { return s.codec }
 
 // GenVersion reports the generator version from the manifest (0 for
@@ -437,143 +367,74 @@ func (s *Store) GenVersion() int { return s.genVersion }
 
 // StoredBytes returns the on-disk size of the mask data.
 func (s *Store) StoredBytes() int64 {
-	if g := s.seg.Load(); s.codec == CodecRLE {
-		return g.offsets[g.numMasks]
+	if s.codec != CodecRLE {
+		return s.DataBytes()
 	}
-	return s.DataBytes()
+	var n int64
+	for _, g := range s.set.Load().segs {
+		n += g.offsets[g.n]
+	}
+	return n
 }
 
-// Append returns ErrReadOnly: a bare segment has no WAL to make an
-// append durable. Open the database through OpenIngest instead.
+// Append returns ErrReadOnly: a Store has no WAL to make an append
+// durable. Open the database through OpenIngest instead; its Compact
+// folds acknowledged appends into a fresh segment.
 func (s *Store) Append(ctx context.Context, masks []IngestMask) ([]int64, error) {
-	return nil, fmt.Errorf("store: append to read-only single-segment layout at %s: %w", s.dir, ErrReadOnly)
+	return nil, fmt.Errorf("store: append to read-only store at %s (%d segments): %w; a sharded layout and a single-file one alike append through OpenIngest",
+		s.dir, s.NumShards(), ErrReadOnly)
 }
 
-// extend publishes n masks that compaction appended (and fsynced) to
-// the pixel file and mapped as c (mapRange): ids up to base+numMasks+n
-// become loadable. Under RLE, tail holds the end offset of each new
-// stream, continuing from the current last offset.
-func (s *Store) extend(n int, tail []int64, c mapChunk) {
-	old := s.seg.Load()
-	g := &segment{
-		numMasks: old.numMasks + int64(n),
-		chunks:   append(old.chunks[:len(old.chunks):len(old.chunks)], c),
-	}
-	if s.codec == CodecRLE {
-		g.offsets = append(append(make([]int64, 0, len(old.offsets)+n), old.offsets...), tail...)
-	}
-	s.seg.Store(g)
-}
-
-// Close closes the pixel file and unmaps it, which ends the life of
-// every view LoadMask handed out; call it once.
+// Close unmaps every segment, which ends the life of every view
+// LoadMask handed out; call it once.
 func (s *Store) Close() error {
-	for _, c := range s.seg.Load().chunks {
-		c.unmap()
-	}
-	return s.f.Close()
+	closeSegments(s.set.Load())
+	return nil
 }
 
-// SetCacheBytes installs a byte-budgeted LRU mask cache: LoadMask
-// serves a resident mask without charging MasksLoaded/BytesRead — and,
-// under a Throttle, without the simulated-disk wait — so an n-query
-// batch over overlapping targets pays each distinct mask at most once.
-// The cache tracks mask ids, not masks: every load still hands out its
-// own header, and the budget counts the bytes the resident ids' stored
-// spans hold. n == 0 removes the cache (the default), n < 0 caches
-// without bound. Reconfigure only while no loads are in flight
-// (normally once, right after Open).
-func (s *Store) SetCacheBytes(n int64) {
-	s.cache = nil
-	if n != 0 {
-		s.cache = &maskCache{budget: n}
-	}
-}
-
-// CacheBytes reports the configured cache budget (0: no cache, < 0:
-// unbounded).
-func (s *Store) CacheBytes() int64 {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.limit()
-}
-
-// SetThrottle installs (or with the zero value removes) a simulated
-// read-bandwidth limit.
-func (s *Store) SetThrottle(t Throttle) {
-	s.statsMu.Lock()
-	s.thr = t
-	s.thrFree = time.Time{}
-	s.throttled.Store(t.BytesPerSec > 0)
-	s.statsMu.Unlock()
-}
-
-// ResetStats zeroes the resettable read counters (LifetimeStats is
-// unaffected).
-func (s *Store) ResetStats() {
-	s.statsMu.Lock()
-	s.statsBase = s.life.snapshot()
-	s.statsMu.Unlock()
-}
-
-// Stats returns the read counters accumulated since the last reset.
-func (s *Store) Stats() ReadStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.life.snapshot().Sub(s.statsBase)
-}
-
-// LifetimeStats returns the read counters accumulated since Open,
-// ignoring every ResetStats.
-func (s *Store) LifetimeStats() ReadStats { return s.life.snapshot() }
-
-// account records one read of bytes logical bytes in kind and total (a
-// load stripe's counters, or regionReads and regionBytes) and applies
-// the throttle when one is installed. Each throttled read reserves a
-// slot on the shared disk timeline under statsMu and sleeps out its own
-// wait outside it, so W concurrent readers still see BytesPerSec in
-// aggregate rather than W times it.
-func (s *Store) account(kind, total *atomic.Int64, bytes int64) {
-	kind.Add(1)
-	total.Add(bytes)
-	if bytes <= 0 || !s.throttled.Load() {
-		return
-	}
-	s.statsMu.Lock()
-	var wait time.Duration
-	if s.thr.BytesPerSec > 0 {
-		d := time.Duration(float64(bytes) / s.thr.BytesPerSec * float64(time.Second))
-		now := time.Now()
-		if s.thrFree.Before(now) {
-			s.thrFree = now
+// addSegment publishes a segment compaction just committed; it must
+// continue the id space exactly. The new segment inherits the throttle,
+// and the configured cache budget is re-split over all segments:
+// existing arenas shrink in place (evicting cold ids, counted as
+// CacheEvicted) while loads keep running, and the new segment gets an
+// arena of its share before it is published.
+func (s *Store) addSegment(g *segment) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	set := s.set.Load()
+	g.setThrottle(s.thr)
+	if n := s.cacheBytes; n != 0 {
+		total := len(set.segs) + 1
+		for i, old := range set.segs {
+			old.life.cacheEvicted.Add(old.cache.setBudget(cacheShare(n, i, total)))
 		}
-		s.thrFree = s.thrFree.Add(d)
-		wait = s.thrFree.Sub(now)
+		g.cache = &maskCache{budget: cacheShare(n, total-1, total)}
 	}
-	s.statsMu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
-	}
+	s.set.Store(set.with(g))
 }
 
-// stored returns what the file holds for mask id — its raw pixels or,
-// on an RLE store, its unvalidated stream — as a view of the mapping,
-// together with the chunk the view lies in.
-func (s *Store) stored(id int64) ([]byte, *mapChunk, error) {
-	g, i := s.seg.Load(), id-s.base
-	if i < 1 || i > g.numMasks {
-		return nil, nil, fmt.Errorf("store: mask id %d out of range [%d, %d]", id, s.base+1, s.base+g.numMasks)
+// ShardOf returns the index of the segment owning id. Out-of-range ids
+// map to the nearest segment.
+func (s *Store) ShardOf(id int64) int { return s.set.Load().shardOf(id) }
+
+// stored returns what the files hold for mask id — its raw pixels or,
+// on an RLE store, its unvalidated stream — as a capacity-clipped view
+// of its segment's mapping, together with that segment.
+func (s *Store) stored(id int64) ([]byte, *segment, error) {
+	set := s.set.Load()
+	if id < 1 || id > int64(set.numMasks) {
+		return nil, nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, set.numMasks)
 	}
-	off, n := (i-1)*int64(s.w*s.h), s.w*s.h
+	g := set.segs[set.shardOf(id)]
+	k := id - g.first
+	off, end := k*int64(s.w*s.h), (k+1)*int64(s.w*s.h)
 	if s.codec == CodecRLE {
-		off, n = g.offsets[i-1], int(g.offsets[i]-g.offsets[i-1])
+		off, end = g.offsets[k], g.offsets[k+1]
 	}
-	b, c := g.at(off, n)
-	return b, c, nil
+	return g.data[off:end:end], g, nil
 }
 
-// LoadMask returns one full mask as a view of the mapped pixel file: a
+// LoadMask returns one full mask as a view of its segment's mapping: a
 // pooled header whose Bytes is a capacity-clipped sub-slice of the
 // mapping — no system call, no copy. On an RLE store the mask comes
 // back RLE-backed without decompression, carrying its row directory;
@@ -585,77 +446,34 @@ func (s *Store) stored(id int64) ([]byte, *mapChunk, error) {
 // budget. Every mask is read-only and valid until Close; pass it back
 // through ReleaseMask when done so its header is reused.
 func (s *Store) LoadMask(id int64) (*core.Mask, error) {
-	b, c, err := s.stored(id)
+	b, g, err := s.stored(id)
 	if err != nil {
 		return nil, err
 	}
+	k := id - g.first
 	m := headers.Get().(*core.Mask)
 	m.W, m.H = s.w, s.h
 	if s.codec == CodecRLE {
 		m.RLE = b
-		if err := c.dirs.validate(id-s.base-1, m); err != nil {
+		if err := g.dirs.validate(k, m); err != nil {
 			recycle(m)
 			return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
 		}
 	} else {
 		m.Bytes = b
 	}
-	if cache := s.cache; cache != nil {
-		hit, evicted := cache.touch(id-s.base-1, len(b))
+	if cache := g.cache; cache != nil {
+		hit, evicted := cache.touch(k, len(b))
 		if hit {
-			s.life.cacheHits.Add(1)
+			g.life.cacheHits.Add(1)
 			return m, nil
 		}
-		s.life.cacheMisses.Add(1)
-		s.life.cacheEvicted.Add(evicted)
+		g.life.cacheMisses.Add(1)
+		g.life.cacheEvicted.Add(evicted)
 	}
-	stripe := &s.life.loads[id&7]
-	s.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
+	stripe := &g.life.loads[id&7]
+	g.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
 	return m, nil
-}
-
-// rleDirs is the validate-once state of the masks in one chunk of an
-// RLE store: per mask a state word and the h row offsets core.IndexRLE
-// records (4*(h+1) resident bytes per mask). The base files are
-// immutable while the store is open — the trust the raw layout already
-// places in masks.bin — so a stream that validated once is not walked
-// again; its slot moves dirNone → dirBuilding → dirReady exactly once,
-// and rows are read only after dirReady is observed.
-type rleDirs struct {
-	first int64 // local 0-based index of the first mask covered
-	state []atomic.Uint32
-	rows  []uint32
-}
-
-const (
-	dirNone uint32 = iota
-	dirBuilding
-	dirReady
-)
-
-// validate makes the stream view of mask i (local 0-based index) safe
-// for the unchecked kernels and attaches its row directory. The first
-// load of i walks the stream once — validation and directory in the
-// same pass — and publishes the directory; later loads only attach it.
-// A load that finds another goroutine mid-publication validates the
-// stream itself and goes without a directory, which changes no result,
-// only where the kernel starts walking.
-func (d *rleDirs) validate(i int64, m *core.Mask) error {
-	k := int(i - d.first)
-	rows := d.rows[k*m.H : (k+1)*m.H : (k+1)*m.H]
-	st := &d.state[k]
-	if st.Load() != dirReady {
-		if !st.CompareAndSwap(dirNone, dirBuilding) {
-			return core.ValidateRLE(m.RLE, m.W, m.H)
-		}
-		if err := core.IndexRLE(m.RLE, m.W, m.H, rows); err != nil {
-			st.Store(dirNone)
-			return err
-		}
-		st.Store(dirReady)
-	}
-	m.RowDir = rows
-	return nil
 }
 
 // ReleaseMask gives back a mask obtained from LoadMask: its header
@@ -666,13 +484,6 @@ func (s *Store) ReleaseMask(m *core.Mask) {
 	if m != nil && m.W == s.w && m.H == s.h {
 		recycle(m)
 	}
-}
-
-// recycle returns a header to the header pool, cleared so an idle
-// header keeps no WAL tail copy alive.
-func recycle(m *core.Mask) {
-	*m = core.Mask{}
-	headers.Put(m)
 }
 
 // decodeScratch holds the full-mask pixel buffers LoadRegion decodes
@@ -689,13 +500,13 @@ var decodeScratch sync.Pool
 // strictly as it goes) — region reads lose the partial-read advantage
 // under compression.
 func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
-	pix, _, err := s.stored(id)
+	pix, g, err := s.stored(id)
 	if err != nil {
 		return nil, err
 	}
 	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h})
 	if r.Empty() {
-		s.account(&s.life.regionReads, &s.life.regionBytes, 0)
+		g.account(&g.life.regionReads, &g.life.regionBytes, 0)
 		return core.NewByteMask(0, 0), nil
 	}
 	charge := r.Area()
@@ -711,7 +522,7 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 		}
 		charge, pix = len(pix), *tmp
 	}
-	s.account(&s.life.regionReads, &s.life.regionBytes, int64(charge))
+	g.account(&g.life.regionReads, &g.life.regionBytes, int64(charge))
 	out := core.NewByteMask(r.W(), r.H())
 	copyRegion(out.Bytes, pix, s.w, r)
 	return out, nil
@@ -727,6 +538,107 @@ func copyRegion(dst, pix []byte, w int, r core.Rect) {
 	for y, rw := r.Y0, r.W(); y < r.Y1; y++ {
 		copy(dst[(y-r.Y0)*rw:(y-r.Y0+1)*rw], pix[y*w+r.X0:])
 	}
+}
+
+// SetCacheBytes installs byte-budgeted LRU mask cache arenas, one per
+// segment: LoadMask serves a resident mask without charging
+// MasksLoaded/BytesRead — and, under a Throttle, without the
+// simulated-disk wait — so an n-query batch over overlapping targets
+// pays each distinct mask at most once. The cache tracks mask ids, not
+// masks: every load still hands out its own header, and the budget
+// counts the bytes the resident ids' stored spans hold. A total n != 0
+// gives every segment an arena — a positive n is split by cacheShare,
+// so a share of 0 is an arena that keeps nothing resident (every load
+// still counts as a miss), and n < 0 makes each arena unbounded; n == 0
+// removes every arena (the default). Reconfigure only while no loads
+// are in flight (normally once, right after Open).
+func (s *Store) SetCacheBytes(n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cacheBytes = n
+	segs := s.set.Load().segs
+	for i, g := range segs {
+		g.cache = nil
+		if n != 0 {
+			g.cache = &maskCache{budget: cacheShare(n, i, len(segs))}
+		}
+	}
+}
+
+// cacheShare is segment i's arena budget out of a total n over s
+// segments: an even split whose remainder goes to the first n%s
+// segments, or n itself when n < 0 (unbounded).
+func cacheShare(n int64, i, s int) int64 {
+	if n < 0 {
+		return n
+	}
+	per := n / int64(s)
+	if int64(i) < n%int64(s) {
+		per++
+	}
+	return per
+}
+
+// CacheBytes reports the configured total cache budget (0: no cache,
+// < 0: unbounded).
+func (s *Store) CacheBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cacheBytes
+}
+
+// SetThrottle installs (or with the zero value removes) a simulated
+// read-bandwidth limit on every segment. Each segment models its own
+// disk timeline, so the aggregate simulated bandwidth is the segment
+// count times t.BytesPerSec.
+func (s *Store) SetThrottle(t Throttle) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.thr = t
+	for _, g := range s.set.Load().segs {
+		g.setThrottle(t)
+	}
+}
+
+// ResetStats zeroes every segment's resettable counters (LifetimeStats
+// is unaffected).
+func (s *Store) ResetStats() {
+	for _, g := range s.set.Load().segs {
+		g.statsMu.Lock()
+		g.statsBase = g.life.snapshot()
+		g.statsMu.Unlock()
+	}
+}
+
+// Stats returns the read counters accumulated since the last reset,
+// summed over segments (the exact sum of ShardStats).
+func (s *Store) Stats() ReadStats {
+	var out ReadStats
+	for _, g := range s.set.Load().segs {
+		out.add(g.stats())
+	}
+	return out
+}
+
+// LifetimeStats returns the read counters accumulated since Open,
+// ignoring every ResetStats.
+func (s *Store) LifetimeStats() ReadStats {
+	var out ReadStats
+	for _, g := range s.set.Load().segs {
+		out.add(g.life.snapshot())
+	}
+	return out
+}
+
+// ShardStats returns each segment's resettable read counters, indexed
+// like ShardOf. Summing them reproduces Stats exactly.
+func (s *Store) ShardStats() []ReadStats {
+	segs := s.set.Load().segs
+	out := make([]ReadStats, len(segs))
+	for i, g := range segs {
+		out[i] = g.stats()
+	}
+	return out
 }
 
 func readJSON(path string, v any) error {

@@ -12,7 +12,7 @@ func genTiny(t *testing.T) (string, *Store, *Catalog) {
 	t.Helper()
 	dir := t.TempDir()
 	spec := Spec{Name: "t", Images: 12, Models: 2, W: 16, H: 16, Seed: 5, HumanAttention: true}
-	if err := Generate(dir, spec); err != nil {
+	if err := Generate(dir, spec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, cat, err := Open(dir)
@@ -147,7 +147,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	dir1, st1, _ := genTiny(t)
 	_ = dir1
 	dir2 := t.TempDir()
-	if err := Generate(dir2, Spec{Name: "t", Images: 12, Models: 2, W: 16, H: 16, Seed: 5, HumanAttention: true}); err != nil {
+	if err := Generate(dir2, Spec{Name: "t", Images: 12, Models: 2, W: 16, H: 16, Seed: 5, HumanAttention: true}, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st2, _, err := Open(dir2)

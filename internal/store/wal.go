@@ -110,12 +110,11 @@ type segWriter struct {
 	broken       bool  // a write or fsync failed; roll before next use
 }
 
-// WALStore wraps a read-only base MaskStore (single segment or
-// sharded) with an online ingestion path: Append writes masks to a
-// checksummed WAL and acknowledges after fsync, loads of WAL-resident
-// ids are served from an in-memory tail, and Compact folds the durable
-// tail into the base layout. Open a database through OpenIngest to get
-// one.
+// WALStore wraps a read-only base Store with an online ingestion path:
+// Append writes masks to a checksummed WAL and acknowledges after
+// fsync, loads of WAL-resident ids are served from an in-memory tail,
+// and Compact folds the durable tail into the base as one new segment.
+// Open a database through OpenIngest to get one.
 //
 // Reads and appends run concurrently: queries resolve their id space
 // against a catalog snapshot (Catalog.View), and the id ranges they
@@ -123,7 +122,7 @@ type segWriter struct {
 // never move underneath them. Append, Compact and Close serialize
 // against each other on mu.
 type WALStore struct {
-	base   MaskStore
+	base   *Store
 	cat    *Catalog
 	fsys   FS
 	dir    string
@@ -141,8 +140,8 @@ type WALStore struct {
 	closeBase sync.Once
 
 	// baseMax is the highest mask id the base store serves; ids above
-	// it live in the WAL tail. Compaction bumps it after extending the
-	// base, so a tail miss re-checks it before failing.
+	// it live in the WAL tail. Compaction bumps it after publishing a
+	// segment, so a tail miss re-checks it before failing.
 	baseMax atomic.Int64
 
 	tailMu sync.RWMutex
@@ -184,7 +183,7 @@ func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 			return nil, nil, fmt.Errorf("store: open %s: repair: %w", dir, err)
 		}
 	}
-	base, cat, err := OpenAny(dir)
+	base, cat, err := Open(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,58 +216,65 @@ func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 }
 
 // repairBase undoes the visible effects of a compaction that crashed
-// before its commit point (the manifest rename): a masks.bin and a
-// catalog.bin longer than the manifest implies are truncated back, and
-// shard directories the manifest does not list are removed. Everything
-// it deletes is still covered by WAL segments, so no durable mask is
-// lost.
+// before its commit point (the manifest rename): segment directories
+// the manifest does not list are removed, and a top-level segment's
+// files are trimmed back to its listed extent, because older versions
+// compacted a single-segment dataset by appending to them. Everything
+// either step deletes is still covered by WAL segments, so no durable
+// mask is lost.
 func repairBase(fsys FS, dir string, man Manifest) error {
-	if len(man.Shards) > 0 {
-		names, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-		if err != nil {
+	segs := man.segments()
+	if top := segs[0]; filepath.Clean(top.Dir) == "." {
+		if err := trimSegment(fsys, dir, man, top.NumMasks); err != nil {
 			return err
 		}
-		listed := map[string]bool{}
-		for _, info := range man.Shards {
-			listed[info.Dir] = true
-		}
-		removed := false
-		for _, p := range names {
-			if !listed[filepath.Base(p)] {
-				if err := fsys.RemoveAll(p); err != nil {
-					return err
-				}
-				removed = true
-			}
-		}
-		if removed {
-			return fsys.SyncDir(dir)
-		}
-		return nil
 	}
+	names, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil {
+		return err
+	}
+	listed := map[string]bool{}
+	for _, info := range segs {
+		listed[filepath.Clean(info.Dir)] = true
+	}
+	removed := false
+	for _, p := range names {
+		if !listed[filepath.Base(p)] {
+			if err := fsys.RemoveAll(p); err != nil {
+				return err
+			}
+			removed = true
+		}
+	}
+	if removed {
+		return fsys.SyncDir(dir)
+	}
+	return nil
+}
+
+// trimSegment truncates the files of the segment at dir back to n
+// masks: its pixel file (under RLE the offset column first — its
+// trimmed length bounds the stream bytes) and catalog.bin.
+func trimSegment(fsys FS, dir string, man Manifest, n int) error {
 	if man.Codec == CodecRLE {
-		// Compaction appends streams to masks.rle and offsets to the
-		// idx column before its manifest commit; trim both back to what
-		// the manifest references (idx first — its committed length
-		// bounds the committed stream bytes).
 		idxPath := filepath.Join(dir, masksRLEIndexFile)
-		if err := trimFile(fsys, idxPath, int64(8*(man.NumMasks+1))); err != nil {
+		if err := trimFile(fsys, idxPath, int64(8*(n+1))); err != nil {
 			return err
 		}
-		offs, err := readOffsets(idxPath, man.NumMasks)
+		offs, err := readOffsets(idxPath, n)
 		if err != nil {
 			return err
 		}
-		if err := trimFile(fsys, filepath.Join(dir, masksRLEFile), offs[len(offs)-1]); err != nil {
+		if err := trimFile(fsys, filepath.Join(dir, masksRLEFile), offs[n]); err != nil {
 			return err
 		}
 	} else {
 		spec := man.Spec.withDefaults()
-		if err := trimFile(fsys, filepath.Join(dir, masksFile), int64(man.NumMasks)*int64(spec.W)*int64(spec.H)); err != nil {
+		if err := trimFile(fsys, filepath.Join(dir, masksFile), int64(n)*int64(spec.W)*int64(spec.H)); err != nil {
 			return err
 		}
 	}
-	return trimFile(fsys, filepath.Join(dir, catalogBinFile), int64(man.NumMasks)*CatalogRowSize)
+	return trimFile(fsys, filepath.Join(dir, catalogBinFile), int64(n)*CatalogRowSize)
 }
 
 // trimFile truncates path to size bytes when it is longer.
@@ -515,8 +521,8 @@ func decodeMaskPayload(p []byte, pixLen int) (Entry, []byte, error) {
 	return e, pix, nil
 }
 
-// Base returns the wrapped base store (for shard introspection).
-func (ws *WALStore) Base() MaskStore { return ws.base }
+// Base returns the wrapped base store (for segment introspection).
+func (ws *WALStore) Base() *Store { return ws.base }
 
 // ReplayedIDs returns the mask ids recovery replayed from the WAL, in
 // id order; the DB facade feeds them to MemoryIndex.Observe so
@@ -692,16 +698,13 @@ func (ws *WALStore) sealBrokenLocked() {
 	ws.sealActiveLocked()
 }
 
-// Compact folds every durable WAL mask into the base layout and
-// deletes the retired segments, returning the number of masks moved.
-// On a single-segment base the pixels and catalog rows are appended to
-// the mask file and catalog.bin and the manifest is atomically
-// rewritten (the manifest rename is the commit point); on a sharded
-// base the batch becomes a brand-new shard directory, committed by the
-// top-level manifest rename. Either way a crash before the commit point
-// leaves the WAL authoritative and recovery repairs the partial write;
-// a crash after it leaves only redundant segments, which recovery
-// deletes.
+// Compact folds every durable WAL mask into the base layout as one new
+// segment directory, committed by the top-level manifest rename, and
+// deletes the retired WAL segments, returning the number of masks
+// moved. Existing segments are never rewritten. A crash before the
+// commit point leaves the WAL authoritative and recovery removes the
+// unlisted directory; a crash after it leaves only redundant WAL
+// segments, which recovery deletes.
 //
 // Compact holds the ingest lock for its duration, so appends stall
 // while it runs; reads are unaffected.
@@ -743,16 +746,7 @@ func (ws *WALStore) Compact(ctx context.Context) (int, error) {
 		entries = append(entries, e)
 	}
 
-	var err error
-	switch base := ws.base.(type) {
-	case *Store:
-		err = ws.compactSingleLocked(base, entries, pixes)
-	case *ShardedStore:
-		err = ws.compactShardedLocked(base, entries, pixes)
-	default:
-		return 0, fmt.Errorf("store: compact: unsupported base store %T", ws.base)
-	}
-	if err != nil {
+	if err := ws.compactLocked(entries, pixes); err != nil {
 		return 0, err
 	}
 
@@ -772,139 +766,31 @@ func (ws *WALStore) Compact(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// compactSingleLocked folds the tail into a single-segment base:
-// append pixels to the mask file in the base's codec (fsync; under RLE
-// each mask is encoded and the offset column extended), append the
-// batch's rows to catalog.bin (fsync), then commit by renaming the new
-// manifest into place and syncing the directory. Publishes the new id
-// range into the live base on success.
-func (ws *WALStore) compactSingleLocked(base *Store, entries []Entry, pixes [][]byte) error {
-	rows, err := encodeCatalog(entries)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	var tail []int64 // RLE codec: end offset per appended stream
-	end := base.StoredBytes() + int64(len(pixes)*ws.w*ws.h)
-	if base.codec == CodecRLE {
-		if tail, err = ws.appendRLELocked(base, pixes); err != nil {
-			return err
-		}
-		end = tail[len(tail)-1]
-	} else if err := ws.appendSynced(filepath.Join(ws.dir, masksFile), base.DataBytes(), pixes...); err != nil {
-		return err
-	}
-	if err := ws.appendSynced(filepath.Join(ws.dir, catalogBinFile), int64(base.NumMasks())*CatalogRowSize, rows); err != nil {
-		return err
-	}
-	// The appended bytes are durable, so map them now: nothing after the
-	// commit point may fail. A failed commit's retry rewrites the range.
-	chunk, err := base.mapRange(base.StoredBytes(), end, int64(base.NumMasks()), len(entries))
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	committed := false
-	defer func() {
-		if !committed {
-			chunk.unmap()
-		}
-	}()
-	man := ws.man
-	man.NumMasks += len(entries)
-	if err := writeJSONSync(ws.fsys, filepath.Join(ws.dir, manifestFile), man); err != nil {
-		return fmt.Errorf("store: compact: write manifest: %w", err)
-	}
-	if err := ws.fsys.SyncDir(ws.dir); err != nil {
-		return fmt.Errorf("store: compact: fsync dir: %w", err)
-	}
-	committed = true
-	ws.man = man
-	base.extend(len(entries), tail, chunk)
-	ws.baseMax.Add(int64(len(entries)))
-	return nil
-}
-
-// appendSynced appends chunks to the base file at path, which the
-// manifest says holds size bytes, and fsyncs it, so the commit that
-// follows never names bytes that are not durable. Bytes past size were
-// appended by an earlier attempt that failed before its commit: nothing
-// references them, so they are truncated away first.
-func (ws *WALStore) appendSynced(path string, size int64, chunks ...[]byte) error {
-	name := filepath.Base(path)
-	if fi, err := os.Stat(path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	} else if fi.Size() < size {
-		return fmt.Errorf("store: compact: %s is %d bytes, want %d", name, fi.Size(), size)
-	} else if fi.Size() > size {
-		if err := ws.fsys.Truncate(path, size); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-	}
-	f, err := ws.fsys.OpenAppend(path)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	for _, c := range chunks {
-		if _, err := f.Write(c); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact: append to %s: %w", name, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: fsync %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	return nil
-}
-
-// appendRLELocked encodes the tail pixels and appends the streams to
-// masks.rle and their end offsets to the offset column, fsyncing both
-// (streams first: the idx column must never reference bytes that are
-// not durable). Returns the new end offsets for extendRLE.
-func (ws *WALStore) appendRLELocked(base *Store, pixes [][]byte) ([]int64, error) {
-	streams := make([][]byte, len(pixes))
-	tail := make([]int64, len(pixes))
-	buf := make([]byte, 8*len(pixes))
-	off := base.StoredBytes()
-	for i, pix := range pixes {
-		streams[i] = core.EncodeRLE(pix, ws.w, ws.h)
-		off += int64(len(streams[i]))
-		tail[i] = off
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(off))
-	}
-	if err := ws.appendSynced(filepath.Join(ws.dir, masksRLEFile), base.StoredBytes(), streams...); err != nil {
-		return nil, err
-	}
-	if err := ws.appendSynced(filepath.Join(ws.dir, masksRLEIndexFile), int64(8*(base.NumMasks()+1)), buf); err != nil {
-		return nil, err
-	}
-	return tail, nil
-}
-
-// compactShardedLocked folds the tail into a sharded base as one
-// brand-new shard directory holding exactly this batch, committed by
-// the top-level manifest rename. Existing shards are never rewritten.
-func (ws *WALStore) compactShardedLocked(base *ShardedStore, entries []Entry, pixes [][]byte) error {
+// compactLocked writes the tail as one brand-new segment directory
+// holding exactly this batch — pixels in the base's codec, catalog.bin
+// and a segment manifest, each fsynced — maps it, then commits it by
+// renaming the new top-level manifest into place and syncing the
+// directory, and publishes it into the live base.
+func (ws *WALStore) compactLocked(entries []Entry, pixes [][]byte) error {
 	rows, err := encodeCatalog(entries)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	firstID := entries[0].MaskID
-	name := ShardDirName(len(ws.man.Shards))
-	shardDir := filepath.Join(ws.dir, name)
-	if err := ws.fsys.RemoveAll(shardDir); err != nil {
-		return fmt.Errorf("store: compact: clear stale shard dir: %w", err)
+	segs := ws.man.segments()
+	name := ShardDirName(len(segs))
+	segDir := filepath.Join(ws.dir, name)
+	if err := ws.fsys.RemoveAll(segDir); err != nil {
+		return fmt.Errorf("store: compact: clear stale segment dir: %w", err)
 	}
-	if err := ws.fsys.MkdirAll(shardDir); err != nil {
+	if err := ws.fsys.MkdirAll(segDir); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	maskName := masksFile
 	if ws.man.Codec == CodecRLE {
 		maskName = masksRLEFile
 	}
-	f, err := ws.fsys.Create(filepath.Join(shardDir, maskName))
+	f, err := ws.fsys.Create(filepath.Join(segDir, maskName))
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
@@ -917,55 +803,52 @@ func (ws *WALStore) compactShardedLocked(base *ShardedStore, entries []Entry, pi
 		}
 		if _, err := f.Write(data); err != nil {
 			f.Close()
-			return fmt.Errorf("store: compact: write shard pixels: %w", err)
+			return fmt.Errorf("store: compact: write segment pixels: %w", err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: compact: fsync shard pixels: %w", err)
+		return fmt.Errorf("store: compact: fsync segment pixels: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	if ws.man.Codec == CodecRLE {
-		buf := make([]byte, 8*len(offs))
-		for i, o := range offs {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(o))
-		}
-		if err := writeFileSync(ws.fsys, filepath.Join(shardDir, masksRLEIndexFile), buf); err != nil {
-			return fmt.Errorf("store: compact: write shard offset column: %w", err)
+		if err := writeFileSync(ws.fsys, filepath.Join(segDir, masksRLEIndexFile), encodeOffsets(offs)); err != nil {
+			return fmt.Errorf("store: compact: write segment offset column: %w", err)
 		}
 	}
-	if err := writeFileSync(ws.fsys, filepath.Join(shardDir, catalogBinFile), rows); err != nil {
-		return fmt.Errorf("store: compact: write shard catalog: %w", err)
+	if err := writeFileSync(ws.fsys, filepath.Join(segDir, catalogBinFile), rows); err != nil {
+		return fmt.Errorf("store: compact: write segment catalog: %w", err)
 	}
 	segMan := Manifest{Spec: ws.man.Spec, NumMasks: len(entries), FirstID: firstID,
 		Codec: ws.man.Codec, GenVersion: ws.man.GenVersion}
-	if err := writeJSONSync(ws.fsys, filepath.Join(shardDir, manifestFile), segMan); err != nil {
-		return fmt.Errorf("store: compact: write shard manifest: %w", err)
+	if err := writeJSONSync(ws.fsys, filepath.Join(segDir, manifestFile), segMan); err != nil {
+		return fmt.Errorf("store: compact: write segment manifest: %w", err)
 	}
-	if err := ws.fsys.SyncDir(shardDir); err != nil {
-		return fmt.Errorf("store: compact: fsync shard dir: %w", err)
+	if err := ws.fsys.SyncDir(segDir); err != nil {
+		return fmt.Errorf("store: compact: fsync segment dir: %w", err)
+	}
+	// The segment is durable, so map it now: nothing after the commit
+	// point may fail. A failed commit's retry rewrites the directory.
+	info := ShardInfo{Dir: name, FirstID: firstID, NumMasks: len(entries)}
+	g, err := ws.base.openSegment(segDir, info)
+	if err != nil {
+		return fmt.Errorf("store: compact: map new segment: %w", err)
 	}
 	man := ws.man
-	man.Shards = append(append([]ShardInfo{}, man.Shards...),
-		ShardInfo{Dir: name, FirstID: firstID, NumMasks: len(entries)})
+	man.Shards = append(append([]ShardInfo{}, segs...), info)
 	man.NumMasks += len(entries)
 	if err := writeJSONSync(ws.fsys, filepath.Join(ws.dir, manifestFile), man); err != nil {
+		g.close()
 		return fmt.Errorf("store: compact: write manifest: %w", err)
 	}
 	if err := ws.fsys.SyncDir(ws.dir); err != nil {
+		g.close()
 		return fmt.Errorf("store: compact: fsync dir: %w", err)
 	}
 	ws.man = man
-	seg, _, err := Open(shardDir)
-	if err != nil {
-		return fmt.Errorf("store: compact: reopen new shard: %w", err)
-	}
-	if err := base.addShard(seg); err != nil {
-		seg.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
+	ws.base.addSegment(g)
 	ws.baseMax.Add(int64(len(entries)))
 	return nil
 }

@@ -20,7 +20,7 @@ func openIngestTiny(t *testing.T, shards int) (string, *WALStore, *Catalog) {
 	t.Helper()
 	dir := t.TempDir()
 	spec := Spec{Name: "t", Images: 8, Models: 1, W: 16, H: 16, Seed: 3}
-	if err := GenerateSharded(dir, spec, shards); err != nil {
+	if err := Generate(dir, spec, shards, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ws, cat, err := OpenIngest(DirFS(), dir)
@@ -310,10 +310,7 @@ func TestWALCompactSingle(t *testing.T) {
 func TestWALCompactSharded(t *testing.T) {
 	dir, ws, cat := openIngestTiny(t, 2)
 	base := cat.Len()
-	ss, ok := ws.Base().(*ShardedStore)
-	if !ok {
-		t.Fatalf("base store is %T, want *ShardedStore", ws.Base())
-	}
+	ss := ws.Base()
 	shards := ss.NumShards()
 	want := ingestBatch(5, 16, 16, 9)
 	ids, err := ws.Append(context.Background(), want)
@@ -362,7 +359,7 @@ func TestWALCompactSharded(t *testing.T) {
 func TestWALAppendFailureReassignsIDs(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Name: "t", Images: 4, Models: 1, W: 16, H: 16, Seed: 3}
-	if err := Generate(dir, spec); err != nil {
+	if err := Generate(dir, spec, 1, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ff := NewFaultFS(KeepAll)

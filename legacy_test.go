@@ -41,7 +41,7 @@ func segmentDirs(t *testing.T, dir string) []store.ShardInfo {
 // catalog.json, and no catalog.bin.
 func writeLegacyDataset(t *testing.T, dir string, spec DatasetSpec, shards int) {
 	t.Helper()
-	if err := GenerateShardedDataset(dir, spec, shards); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, spec, shards, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	entries := storeRows(t, dir)
@@ -102,7 +102,7 @@ func TestLegacyCatalogEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			fresh, legacy := t.TempDir(), t.TempDir()
-			if err := GenerateShardedDataset(fresh, TinyDataset(), shards); err != nil {
+			if err := GenerateShardedDatasetCodec(fresh, TinyDataset(), shards, CodecRaw); err != nil {
 				t.Fatal(err)
 			}
 			writeLegacyDataset(t, legacy, TinyDataset(), shards)

@@ -55,22 +55,13 @@ func CP(m *Mask, roi Rect, vr ValueRange) int64 {
 // DatasetSpec describes a synthetic mask dataset for GenerateDataset.
 type DatasetSpec = store.Spec
 
-// GenerateDataset writes a complete mask database directory for spec.
+// GenerateDataset writes a complete mask database directory for spec:
+// one segment, raw pixels.
 func GenerateDataset(dir string, spec DatasetSpec) error {
-	return store.Generate(dir, spec)
+	return store.Generate(dir, spec, 1, CodecRaw)
 }
 
-// GenerateShardedDataset writes the same logical dataset split across
-// the given number of storage shards (shard-000/ … each with its own
-// masks.bin, catalog slice and manifest). Catalog rows, mask ids and
-// pixels are byte-identical to GenerateDataset; only the storage
-// layout changes. Open detects the layout transparently, giving each
-// shard its own cache arena, read stats and parallel I/O path.
-func GenerateShardedDataset(dir string, spec DatasetSpec, shards int) error {
-	return store.GenerateSharded(dir, spec, shards)
-}
-
-// Storage codecs for GenerateDatasetCodec / GenerateShardedDatasetCodec.
+// Storage codecs for GenerateShardedDatasetCodec.
 // Open detects the codec from the manifest; query results are
 // byte-identical across codecs.
 const (
@@ -88,16 +79,15 @@ const (
 // client error, not a 500.
 var ErrReadOnly = store.ErrReadOnly
 
-// GenerateDatasetCodec is GenerateDataset with an explicit storage
-// codec (CodecRaw or CodecRLE).
-func GenerateDatasetCodec(dir string, spec DatasetSpec, codec string) error {
-	return store.GenerateCodec(dir, spec, codec)
-}
-
-// GenerateShardedDatasetCodec is GenerateShardedDataset with an
-// explicit storage codec (CodecRaw or CodecRLE).
+// GenerateShardedDatasetCodec writes the same logical dataset as
+// GenerateDataset split across the given number of storage segments
+// (shard-000/ … each with its own pixel file, catalog slice and
+// manifest) in the given codec (CodecRaw or CodecRLE). Catalog rows,
+// mask ids and pixels are identical under every shard count and codec;
+// only the storage layout changes. Open reads either layout, giving
+// each segment its own cache arena and read stats.
 func GenerateShardedDatasetCodec(dir string, spec DatasetSpec, shards int, codec string) error {
-	return store.GenerateShardedCodec(dir, spec, shards, codec)
+	return store.Generate(dir, spec, shards, codec)
 }
 
 // WILDSSim is the scaled stand-in for the paper's WILDS dataset:

@@ -22,7 +22,7 @@ func TestPreparedSweepEquivalence(t *testing.T) {
 	if err := GenerateDataset(flatDir, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateShardedDataset(shardDir, spec, 3); err != nil {
+	if err := GenerateShardedDatasetCodec(shardDir, spec, 3, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

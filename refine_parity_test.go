@@ -47,7 +47,7 @@ func TestRefinementKeepsParentCounts(t *testing.T) {
 	dbs := make([]*DB, 2)
 	for i, codec := range []string{"", CodecRLE} {
 		dir := t.TempDir()
-		if err := GenerateDatasetCodec(dir, TinyDataset(), codec); err != nil {
+		if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 1, codec); err != nil {
 			t.Fatal(err)
 		}
 		db, err := OpenWith(dir, Options{Workers: 1, EagerIndex: true, PlanCacheEntries: -1})

@@ -47,7 +47,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 
 	for _, shards := range []int{2, 4} {
 		dir := t.TempDir()
-		if err := GenerateShardedDataset(dir, spec, shards); err != nil {
+		if err := GenerateShardedDatasetCodec(dir, spec, shards, CodecRaw); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 8} {
@@ -111,7 +111,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 // through a sharded directory exactly as through a flat one.
 func TestShardedIndexPersistence(t *testing.T) {
 	dir := t.TempDir()
-	if err := GenerateShardedDataset(dir, TinyDataset(), 3); err != nil {
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 3, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	db, err := OpenWith(dir, Options{PersistIndexOnClose: true})
