@@ -249,8 +249,8 @@ func (b *batch) Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pr
 	return keep, nil, st, nil
 }
 
-// Verify parks every item for the round, gated by the driver's τ.
-func (b *batch) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error) {
+// Verify parks every item for the round, gated by the driver's gate.
+func (b *batch) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error) {
 	if len(items) == 0 {
 		return Stats{}, nil
 	}
@@ -258,12 +258,14 @@ func (b *batch) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm,
 	for i, it := range items {
 		r.ids[i] = it.ID
 	}
-	var stop func(Bounds) bool
 	if gate != nil {
-		stop = gate.Skip
-		r.skip = func(j int) bool { return stop(items[j].B) }
+		r.skip = func(j int) bool { return gate.Skip(j, items[j].B) }
 	}
 	r.eval = func(_, j int, chi *CHI, m *Mask) {
+		var stop func(Bounds) bool
+		if gate != nil {
+			stop = func(bs Bounds) bool { return gate.Skip(j, bs) }
+		}
 		if bs := term.plan.refine(chi, m, items[j].ID, stop); bs.Lo == bs.Hi {
 			land(j, bs.Lo)
 		}

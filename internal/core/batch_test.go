@@ -85,8 +85,8 @@ func randomBatch(rng *rand.Rand, ids []int64, groups []Group, w, h, n int) []bat
 // TestExecBatchMatchesStandalone is the batch-correctness property:
 // for random mixed batches, every driver's output under Batch is
 // byte-identical to running it alone through the sequential engine,
-// at every worker count. Filter and aggregation stats must match the
-// standalone run exactly; TopK follows the parallel-engine contract
+// at every worker count. Filter stats must match the standalone run
+// exactly; TopK and aggregation follow the parallel-engine contract
 // (identical results, Loaded + RejectedByBounds conserved, never more
 // loads than standalone).
 func TestExecBatchMatchesStandalone(t *testing.T) {
@@ -120,15 +120,15 @@ func TestExecBatchMatchesStandalone(t *testing.T) {
 						iter, w, i, qs[i].kind, got[i].ids, got[i].ranked, want[i].ids, want[i].ranked)
 				}
 				gs, ws := got[i].st, want[i].st
-				if qs[i].kind == "topk" {
+				if qs[i].kind != "filter" {
 					if gs.Targets != ws.Targets || gs.IndexHits != ws.IndexHits ||
 						gs.AcceptedByBounds != ws.AcceptedByBounds {
-						t.Fatalf("iter %d workers %d query %d: deterministic topk stats differ: %v vs %v",
-							iter, w, i, gs, ws)
+						t.Fatalf("iter %d workers %d query %d: deterministic %v stats differ: %v vs %v",
+							iter, w, i, qs[i].kind, gs, ws)
 					}
 					if gs.Loaded+gs.RejectedByBounds != ws.Loaded+ws.RejectedByBounds || gs.Loaded > ws.Loaded {
-						t.Fatalf("iter %d workers %d query %d: topk verification not conserved: %v vs %v",
-							iter, w, i, gs, ws)
+						t.Fatalf("iter %d workers %d query %d: %v verification not conserved: %v vs %v",
+							iter, w, i, qs[i].kind, gs, ws)
 					}
 				} else if gs != ws {
 					t.Fatalf("iter %d workers %d query %d (%v): stats differ: %v vs %v",

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 )
 
 // This file holds the local stages and the primitives the distributed
@@ -35,7 +34,7 @@ type RegionSpec struct {
 
 // CandBound is one ranking candidate's CHI bounds, in the exported
 // shape the coordinator exchanges with shard nodes. Known marks Score
-// exact: from the bounds, and in the drivers also once verified.
+// exact from the bounds alone.
 // Indexed distinguishes "no CHI" from a CHI whose bounds happen to
 // span the whole range: the aggregation executor widens unindexed
 // members to +Inf, which Bounds alone cannot express.
@@ -119,7 +118,7 @@ func (e *Env) Bounds(ctx context.Context, ids []int64, term *ScoreTerm) ([]CandB
 // Verify is the local verification stage. On the worker pool it skips
 // by gate; the sequential engine verifies every item, so its counts
 // are the reference the pool's are compared against.
-func (e *Env) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error) {
+func (e *Env) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error) {
 	if !e.pooled(len(items)) {
 		gate = nil
 	}
@@ -130,17 +129,17 @@ func (e *Env) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, g
 // landing each exact score. The gate is checked before each load and
 // watches the loaded mask's refinement: an item it rejects mid-scan is
 // not landed (and still counts as Loaded).
-func (e *Env) verifyItems(ctx context.Context, items []VerifyItem, plan *termPlan, gate *TauGate, land func(i int, score int64)) (Stats, error) {
-	var stop func(Bounds) bool
-	if gate != nil {
-		stop = gate.Skip
-	}
+func (e *Env) verifyItems(ctx context.Context, items []VerifyItem, plan *termPlan, gate Gate, land func(i int, score int64)) (Stats, error) {
 	return e.forEach(ctx, len(items), func(_, i int, st *Stats) error {
-		id := items[i].ID
-		if stop != nil && stop(items[i].B) {
-			st.RejectedByBounds++
-			return nil
+		var stop func(Bounds) bool
+		if gate != nil {
+			if gate.Skip(i, items[i].B) {
+				st.RejectedByBounds++
+				return nil
+			}
+			stop = func(b Bounds) bool { return gate.Skip(i, b) }
 		}
+		id := items[i].ID
 		var b Bounds
 		err := e.verify(id, st, func(chi *CHI, m *Mask) { b = plan.refine(chi, m, id, stop) })
 		if err == nil && b.Lo == b.Hi {
@@ -156,54 +155,6 @@ func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]
 	cands, _, st, err := env.Bounds(ctx, targets, newScoreTerm(term))
 	return cands, st, err
 }
-
-// TauGate is the threshold a verification loop skips by: a candidate
-// whose bounds are strictly worse than τ can never place. The top-k
-// driver's TauTracker is one, advanced as exact scores land; a shard
-// node's is advanced by the coordinator's pushes. Set only ever
-// receives a τ that k landed scores justify, so a stale gate is merely
-// conservative — exactly the property that keeps skips sound.
-type TauGate struct {
-	ord  Order
-	tau  atomic.Int64
-	full atomic.Bool
-}
-
-// NewTauGate returns an open gate (nothing may be skipped yet).
-func NewTauGate(ord Order) *TauGate {
-	return &TauGate{ord: ord}
-}
-
-// Set advances the gate to a τ that k landed exact scores justify.
-func (g *TauGate) Set(tau int64) {
-	g.tau.Store(tau)
-	g.full.Store(true)
-}
-
-// Skip reports whether a candidate with bounds b provably cannot reach
-// the k-th rank. Reading a stale τ only makes the check more
-// conservative, so no lock is needed.
-func (g *TauGate) Skip(b Bounds) bool {
-	if !g.full.Load() {
-		return false
-	}
-	if g.ord == Desc {
-		return b.Hi < g.tau.Load()
-	}
-	return b.Lo > g.tau.Load()
-}
-
-// Threshold reports the current τ; ok is false until one is set
-// (before that no candidate may be skipped).
-func (g *TauGate) Threshold() (tau int64, ok bool) {
-	if !g.full.Load() {
-		return 0, false
-	}
-	return g.tau.Load(), true
-}
-
-// Order reports the ranking direction the gate skips for.
-func (g *TauGate) Order() Order { return g.ord }
 
 // VerifyItem is one verification work item: the candidate and the
 // bounds its gate check uses.
@@ -227,7 +178,11 @@ func VerifyEach(ctx context.Context, env *Env, items []VerifyItem, terms []CPTer
 	for i := range skipped {
 		skipped[i] = true
 	}
-	st, err := env.verifyItems(ctx, items, &newScoreTerm(terms[0]).plan, gate, func(i int, score int64) {
+	var g Gate
+	if gate != nil {
+		g = tauItems{gate, items}
+	}
+	st, err := env.verifyItems(ctx, items, &newScoreTerm(terms[0]).plan, g, func(i int, score int64) {
 		skipped[i] = false
 		emit(i, []int64{score})
 	})

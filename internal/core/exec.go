@@ -12,11 +12,12 @@ import (
 // The zero value runs the classic sequential engine. A positive
 // Workers count fans the per-mask bounds and verification work out
 // across that many goroutines; a negative count sizes the pool to
-// runtime.GOMAXPROCS(0). Filter and AggTopK produce results and stats
-// identical to the sequential engine under any worker count; TopK
-// produces identical results, but its verification stage additionally
-// refines τ as exact scores land, so it may skip loads the sequential
-// engine performs (the skips are counted as RejectedByBounds).
+// runtime.GOMAXPROCS(0). Filter produces results and stats identical
+// to the sequential engine under any worker count; TopK and AggTopK
+// produce identical results, but their verification stages
+// additionally refine τ (a group τ for aggregation) as exact scores
+// land, so they may skip loads the sequential engine performs (the
+// skips are counted as RejectedByBounds).
 type Exec struct {
 	Workers int
 }
@@ -146,78 +147,6 @@ func (e *Env) forEach(ctx context.Context, n int, fn func(w, i int, st *Stats) e
 
 // pooled reports whether forEach runs n items on the worker pool.
 func (e *Env) pooled(n int) bool { return e.Exec.workers() > 1 && n >= minParallelTargets }
-
-// TauTracker maintains the k-th best exact score seen so far as the
-// threshold of its TauGate. For Desc it keeps a min-heap of the k
-// largest scores (the root is τ); for Asc a max-heap of the k smallest.
-// A candidate whose upper bound is strictly worse than τ cannot tie
-// with — let alone beat — any of the k tracked candidates, so skipping
-// it can never change the top-k result. The top-k driver keeps one per
-// query: every exact score, local or from any shard, lands here, and
-// the gate is what local workers and remote nodes skip by.
-type TauTracker struct {
-	TauGate
-	mu sync.Mutex
-	k  int
-	h  []int64
-}
-
-func NewTauTracker(k int, ord Order) *TauTracker {
-	return &TauTracker{TauGate: TauGate{ord: ord}, k: k, h: make([]int64, 0, k)}
-}
-
-// rootWorse reports whether a ranks strictly worse than b (the heap
-// root is the worst retained score).
-func (t *TauTracker) rootWorse(a, b int64) bool {
-	if t.ord == Desc {
-		return a < b
-	}
-	return a > b
-}
-
-// Add lands one exact score. Each candidate's score must be added at
-// most once: a duplicate add would make the heap count one candidate
-// twice and tighten τ beyond what the landed scores justify.
-func (t *TauTracker) Add(s int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.h) < t.k {
-		t.h = append(t.h, s)
-		for i := len(t.h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !t.rootWorse(t.h[i], t.h[p]) {
-				break
-			}
-			t.h[i], t.h[p] = t.h[p], t.h[i]
-			i = p
-		}
-		if len(t.h) == t.k {
-			t.Set(t.h[0])
-		}
-		return
-	}
-	if !t.rootWorse(t.h[0], s) {
-		return
-	}
-	t.h[0] = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(t.h) && t.rootWorse(t.h[l], t.h[worst]) {
-			worst = l
-		}
-		if r < len(t.h) && t.rootWorse(t.h[r], t.h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		t.h[i], t.h[worst] = t.h[worst], t.h[i]
-		i = worst
-	}
-	t.Set(t.h[0])
-}
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,
 // fanning mask loads and builds (through ix's one builder) across the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -132,9 +133,11 @@ func TestParallelTopKMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelAggTopKMatchesSequential checks AggTopK equivalence:
-// results and stats are fully deterministic for the aggregation
-// engine.
+// TestParallelAggTopKMatchesSequential checks AggTopK result
+// equivalence. As for TopK, load counts may differ (the pool keeps a
+// group τ and skips the members of groups it proves out), but the
+// verification stage must stay admissible: Loaded + RejectedByBounds
+// is conserved.
 func TestParallelAggTopKMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ctx := context.Background()
@@ -166,8 +169,16 @@ func TestParallelAggTopKMatchesSequential(t *testing.T) {
 				t.Fatalf("iter %d workers %d (%v k=%d %v): aggtopk results differ:\ngot  %v\nwant %v",
 					iter, w, agg, k, ord, got, want)
 			}
-			if st != wantSt {
-				t.Fatalf("iter %d workers %d: aggtopk stats differ: %v vs %v", iter, w, st, wantSt)
+			if st.Targets != wantSt.Targets || st.IndexHits != wantSt.IndexHits ||
+				st.AcceptedByBounds != wantSt.AcceptedByBounds {
+				t.Fatalf("iter %d workers %d: deterministic aggtopk stats differ: %v vs %v", iter, w, st, wantSt)
+			}
+			if st.Loaded+st.RejectedByBounds != wantSt.Loaded+wantSt.RejectedByBounds {
+				t.Fatalf("iter %d workers %d: aggtopk verification not conserved: %v vs %v", iter, w, st, wantSt)
+			}
+			if st.Loaded > wantSt.Loaded {
+				t.Fatalf("iter %d workers %d: parallel aggtopk loaded more (%d) than sequential (%d)",
+					iter, w, st.Loaded, wantSt.Loaded)
 			}
 		}
 	}
@@ -238,28 +249,65 @@ func TestTauTracker(t *testing.T) {
 		t.Fatal("tracker should not skip before k scores land")
 	}
 	for _, s := range []int64{10, 2, 7} {
-		tt.Add(s)
+		tt.Add(s, s)
 	}
 	// Top-3 = {10, 7, 2}, τ = 2.
 	if !tt.Skip(Bounds{0, 1}) || tt.Skip(Bounds{0, 2}) {
 		t.Fatalf("Desc τ after seed = %d, want 2 with strict skip", tt.tau.Load())
 	}
-	tt.Add(8) // top-3 = {10, 8, 7}, τ = 7
+	tt.Add(8, 8) // top-3 = {10, 8, 7}, τ = 7
 	if !tt.Skip(Bounds{0, 6}) || tt.Skip(Bounds{0, 7}) {
 		t.Fatalf("Desc τ after refine = %d, want 7", tt.tau.Load())
 	}
 
 	ta := NewTauTracker(2, Asc)
 	for _, s := range []int64{10, 2, 7} {
-		ta.Add(s)
+		ta.Add(s, s)
 	}
 	// Bottom-2 = {2, 7}, τ = 7: skip iff Lo > 7.
 	if !ta.Skip(Bounds{8, 100}) || ta.Skip(Bounds{7, 100}) {
 		t.Fatalf("Asc τ = %d, want 7", ta.tau.Load())
 	}
-	ta.Add(3) // bottom-2 = {2, 3}
+	ta.Add(3, 3) // bottom-2 = {2, 3}
 	if !ta.Skip(Bounds{4, 100}) {
 		t.Fatalf("Asc τ after refine = %d, want 3", ta.tau.Load())
+	}
+
+	// Ties rank by id, as the answer does: an equal score with a
+	// smaller id takes τ's holder over, and a candidate whose best
+	// score only ties τ is skipped iff its id is larger than the
+	// holder's. Skip, which knows no id, and a node gate Set without a
+	// holder keep the strict rule.
+	for _, ord := range []Order{Desc, Asc} {
+		tie := Bounds{0, 10} // a best score of 10
+		if ord == Asc {
+			tie = Bounds{10, 30}
+		}
+		g := NewTauTracker(2, ord)
+		g.Add(5, 10)
+		g.Add(7, 10) // best-2 = {(10, 5), (10, 7)}: τ 10 held by 7
+		if m := g.tau.p.Load(); m == nil || *m != (ranked[int64]{10, 7}) {
+			t.Fatalf("%v: gate %+v, want τ 10 held by 7", ord, m)
+		}
+		if !g.SkipID(8, tie) || g.SkipID(6, tie) {
+			t.Fatalf("%v: a tie must skip id 8 and keep id 6 while 7 holds τ", ord)
+		}
+		g.Add(3, 10) // best-2 = {(10, 3), (10, 5)}: 3 takes 7's place
+		if m := g.tau.p.Load(); m == nil || *m != (ranked[int64]{10, 5}) {
+			t.Fatalf("%v: gate %+v, want τ 10 held by 5", ord, m)
+		}
+		if !g.SkipID(6, tie) || g.SkipID(4, tie) || g.Skip(tie) {
+			t.Fatalf("%v: after the takeover a tie must skip id 6, keep id 4, and Skip must stay strict", ord)
+		}
+		g.Add(9, 10) // a tie with a larger id changes nothing
+		if m := g.tau.p.Load(); *m != (ranked[int64]{10, 5}) {
+			t.Fatalf("%v: gate %+v after a larger-id tie, want τ 10 held by 5", ord, m)
+		}
+		node := NewTauGate(ord)
+		node.Set(10)
+		if node.SkipID(math.MaxInt64, tie) {
+			t.Fatalf("%v: a node gate must never skip a tie", ord)
+		}
 	}
 }
 
@@ -302,8 +350,8 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 	for _, ord := range []Order{Desc, Asc} {
 		// τ is the coordinator's last push: the k-th best exact score.
 		tt := NewTauTracker(k, ord)
-		for _, v := range exact {
-			tt.Add(v)
+		for i, v := range exact {
+			tt.Add(items[i].ID, v)
 		}
 		tau := tt.tau.Load()
 		beyond := func(v int64) bool { return (ord == Desc && v < tau) || (ord == Asc && v > tau) }

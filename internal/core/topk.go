@@ -29,9 +29,12 @@ type Stages interface {
 	// Verify computes items' exact scores, calling land(i, score) at
 	// most once per item, possibly concurrently. It never lands an item
 	// whose shard did not answer, and with a non-nil gate it may skip
-	// any item the gate proves out of the top k, before or during its
-	// load (skips before a load count as RejectedByBounds).
-	Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate *TauGate, land func(i int, score int64)) (Stats, error)
+	// any item i for which gate.Skip(i, b) holds, before its load (b is
+	// the item's bounds; the skip counts as RejectedByBounds) or during
+	// it (b narrows as the mask is counted). The drivers pass items
+	// best-first, and a pool or a shard takes them up in that order (a
+	// batch round loads in id order).
+	Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error)
 }
 
 // ScoreTerm is a ranking query's score term as the stages receive it:
@@ -66,31 +69,33 @@ func clampK(k, n int) int {
 // TopK ranks targets by the exact value of terms[score] and returns
 // the best k in the requested order (ties break toward smaller ids).
 // CHI bounds prune targets that provably cannot reach the k-th rank;
-// only surviving candidates with inexact bounds are loaded. With a
-// worker pool configured the bounds and verification stages fan out;
-// the returned ranking is identical to the sequential engine's, but
-// the pool additionally refines τ as exact scores land, so the
-// verification stage may skip (and not load) candidates the
-// sequential engine would have loaded.
+// only surviving candidates with inexact bounds are loaded, best
+// optimistic bound first. With a worker pool configured the bounds and
+// verification stages fan out; the returned ranking is identical to
+// the sequential engine's, but the pool additionally refines τ as
+// exact scores land, so the verification stage may skip (and not
+// load) candidates the sequential engine would have loaded.
 func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
 	return TopKOn(ctx, env, targets, terms, score, k, ord)
 }
 
 // AggTopK groups masks, aggregates the exact value of terms[score]
-// within each group with agg, and returns the top-k groups. Group
-// bounds are derived from member CHI bounds; groups that provably
-// cannot rank are pruned before any mask is loaded. The worker-pool
-// engine fans both the member-bounds and member-verification stages
-// out across goroutines with results and stats identical to the
-// sequential engine.
+// within each group with agg, and returns the top-k groups (ties break
+// toward smaller keys). Group bounds are derived from member CHI
+// bounds; groups that provably cannot rank are pruned before any mask
+// is loaded, and the survivors are verified best-first. With a worker
+// pool configured the stages fan out; the returned ranking is
+// identical to the sequential engine's, but the pool additionally
+// keeps a group τ — the k-th best complete group — and skips the
+// members of groups it proves out, as TopK skips candidates.
 func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
 	return AggTopKOn(ctx, env, groups, terms, score, agg, k, ord)
 }
 
 // TopKOn is the one top-k driver: bounds, static pruning, the
 // candidates whose bounds are exact land first, the rest are verified
-// under the τ their scores refine, and the landed scores are ranked.
-// Targets whose shard did not answer are dropped.
+// best-first under the τ their scores refine, and the answer is the
+// k best landed. Targets whose shard did not answer are dropped.
 func TopKOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
 	if err := checkScore(terms, score); err != nil {
 		return nil, Stats{}, err
@@ -112,31 +117,36 @@ func TopKOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, scor
 	k = clampK(k, len(cands))
 	cands = pruneCands(cands, k, ord, &st)
 	tt := NewTauTracker(k, ord)
-	items, at := make([]VerifyItem, 0, len(cands)), make([]int, 0, len(cands))
+	at := make([]int, 0, len(cands))
 	for i, c := range cands {
 		if c.Known {
 			st.AcceptedByBounds++
-			tt.Add(c.Score)
+			tt.Add(c.ID, c.Score)
 		} else {
-			items, at = append(items, VerifyItem{ID: c.ID, B: c.B}), append(at, i)
+			at = append(at, i)
 		}
 	}
-	vst, err := s.Verify(ctx, items, t, &tt.TauGate, func(j int, score int64) {
-		cands[at[j]].Known, cands[at[j]].Score = true, score
-		tt.Add(score)
+	bestFirst(at, ord, func(i int) float64 { return float64(cands[i].B.best(ord)) })
+	items := make([]VerifyItem, len(at))
+	for j, i := range at {
+		items[j] = VerifyItem{ID: cands[i].ID, B: cands[i].B}
+	}
+	vst, err := s.Verify(ctx, items, t, tauItems{&tt.TauGate, items}, func(j int, score int64) {
+		tt.Add(items[j].ID, score)
 	})
 	st.Merge(vst)
 	if err != nil {
 		return nil, st, err
 	}
-	return rankTop(cands, k, ord), st, nil
+	return tt.ranking(), st, nil
 }
 
 // AggTopKOn is the one aggregation driver: member bounds, group bounds
-// and group pruning, then every unknown member of a surviving group is
-// verified and the groups' aggregates ranked. A group with a member
-// whose shard did not answer is dropped whole: a partial aggregate
-// would be wrong, not partial.
+// and group pruning, then the unknown members of the surviving groups
+// are verified, group by group best-first, under the group gate their
+// scores refine, and the answer is the k best complete groups (every
+// member landed). A group with a member whose shard did not answer is
+// dropped whole: a partial aggregate would be wrong, not partial.
 func AggTopKOn(ctx context.Context, s Stages, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
 	if err := checkScore(terms, score); err != nil {
 		return nil, Stats{}, err
@@ -151,24 +161,18 @@ func AggTopKOn(ctx context.Context, s Stages, groups []Group, terms []CPTerm, sc
 	gs = boundGroups(gs, cands, answered, agg, f64)
 	k = clampK(k, len(gs))
 	gs = pruneGroups(gs, k, ord, &st)
-	items, at := make([]VerifyItem, 0, len(cands)), make([]int, 0, len(cands))
+	gate, items := newGroupGate(gs, cands, f64, agg, k, ord)
+	// The members not to verify are known from their bounds.
 	for _, g := range gs {
-		for i := g.off; i < g.off+g.n; i++ {
-			if cands[i].Known {
-				st.AcceptedByBounds++
-			} else {
-				items, at = append(items, VerifyItem{ID: cands[i].ID, B: cands[i].B}), append(at, i)
-			}
-		}
+		st.AcceptedByBounds += g.n
 	}
-	vst, err := s.Verify(ctx, items, t, nil, func(j int, score int64) {
-		cands[at[j]].Known, cands[at[j]].Score = true, score
-	})
+	st.AcceptedByBounds -= len(items)
+	vst, err := s.Verify(ctx, items, t, gate, gate.land)
 	st.Merge(vst)
 	if err != nil {
 		return nil, st, err
 	}
-	return rankAgg(gs, cands, agg, k, ord, f64), st, nil
+	return gate.ranking(), st, nil
 }
 
 // pruneByBounds is the one static-τ pruning rule every ranking
@@ -247,18 +251,6 @@ func pruneCands(cands []CandBound, k int, ord Order, st *Stats) []CandBound {
 		func(CandBound) { st.RejectedByBounds++ })
 }
 
-// rankTop ranks the candidates whose exact score is known (bounds-exact
-// or verified); the rest were skipped by τ or lost with their shard.
-func rankTop(cands []CandBound, k int, ord Order) []Scored {
-	out := make([]Scored, 0, len(cands))
-	for _, c := range cands {
-		if c.Known {
-			out = append(out, Scored{ID: c.ID, Score: float64(c.Score)})
-		}
-	}
-	return topOf(out, k, ord)
-}
-
 // aggGroup is one non-empty group of an aggregation query: its members
 // are [off, off+n) of the query's flat member list, and lo/hi its
 // aggregate bounds.
@@ -266,6 +258,14 @@ type aggGroup struct {
 	key    int64
 	off, n int
 	lo, hi float64
+}
+
+// best is the group's optimistic bound in direction ord.
+func (g aggGroup) best(ord Order) float64 {
+	if ord == Asc {
+		return g.lo
+	}
+	return g.hi
 }
 
 // flattenGroups lists the members of the non-empty groups as one flat
@@ -320,57 +320,35 @@ func pruneGroups(gs []aggGroup, k int, ord Order, st *Stats) []aggGroup {
 		func(g aggGroup) { st.RejectedByBounds += g.n })
 }
 
-// rankAgg aggregates each surviving group's exact member scores into
-// the ranking, dropping a group with a member never landed (its shard
-// went missing mid-verification). vals (len(cands) or more) is the
-// member value column.
-func rankAgg(gs []aggGroup, cands []CandBound, agg Agg, k int, ord Order, vals []float64) []Scored {
-	out := make([]Scored, 0, len(gs))
-	for _, g := range gs {
-		ms, vs := cands[g.off:g.off+g.n], vals[g.off:g.off+g.n]
-		complete := true
-		for i, c := range ms {
-			complete = complete && c.Known
-			vs[i] = float64(c.Score)
-		}
-		if complete {
-			out = append(out, Scored{ID: g.key, Score: AggExact(agg, vs)})
-		}
-	}
-	return topOf(out, k, ord)
-}
-
-// topOf sorts a ranking and keeps its best k.
-func topOf(out []Scored, k int, ord Order) []Scored {
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
 // AggExact applies an aggregate to exact member values.
 func AggExact(agg Agg, vals []float64) float64 {
+	return aggFold(agg, len(vals), func(i int) float64 { return vals[i] })
+}
+
+// aggFold is AggExact over the n values val reads, in order: the group
+// gate bounds and scores groups with this one arithmetic, which is
+// monotone in each value, rounding included.
+func aggFold(agg Agg, n int, val func(i int) float64) float64 {
 	switch agg {
 	case Sum, Mean:
 		var s float64
-		for _, v := range vals {
-			s += v
+		for i := range n {
+			s += val(i)
 		}
 		if agg == Mean {
-			s /= float64(len(vals))
+			s /= float64(n)
 		}
 		return s
 	case Min:
-		out := vals[0]
-		for _, v := range vals[1:] {
-			out = math.Min(out, v)
+		out := val(0)
+		for i := 1; i < n; i++ {
+			out = math.Min(out, val(i))
 		}
 		return out
 	case Max:
-		out := vals[0]
-		for _, v := range vals[1:] {
-			out = math.Max(out, v)
+		out := val(0)
+		for i := 1; i < n; i++ {
+			out = math.Max(out, val(i))
 		}
 		return out
 	}

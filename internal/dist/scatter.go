@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"masksearch/internal/core"
@@ -208,39 +206,31 @@ func (s stages) Filter(ctx context.Context, targets []int64, terms []core.CPTerm
 
 // Verify ships verification items to their shards, streaming exact
 // scores through a gather (deduplicated per item) to land as they
-// arrive. Gated verification carries the τ exchange: each connection is
-// seeded with the gate's current τ and receives pushes as later
-// landings tighten it.
-func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.ScoreTerm, gate *core.TauGate, land func(i int, score int64)) (core.Stats, error) {
+// arrive. A gate with a τ (top-k) carries the τ exchange: each
+// connection is seeded with the gate's current τ and receives pushes as
+// later landings tighten it; any other gate (aggregation's) verifies
+// remotely ungated.
+func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.ScoreTerm, gate core.Gate, land func(i int, score int64)) (core.Stats, error) {
 	wterm, err := toWireTerm(term.CPTerm)
 	if err != nil {
 		return core.Stats{}, err
 	}
-	// Gated items are shipped best-first: each shard verifies its
-	// strongest candidates (by guaranteed score) before its long tail,
-	// so the first landed chunks push τ near its final value while the
-	// tail is still unloaded — that is where the exchange's skips come
-	// from. Ids break ties so the byte stream is deterministic. Order
-	// never changes the answer: scores land by item index.
-	order := make([]int, len(items))
-	ids := make([]int64, len(items))
-	for i := range order {
-		order[i] = i
-	}
+	var tau *core.TauGate
 	if gate != nil {
-		slices.SortFunc(order, func(a, b int) int {
-			x, y := &items[a], &items[b]
-			c := cmp.Compare(y.B.Lo, x.B.Lo)
-			if gate.Order() == core.Asc {
-				c = cmp.Compare(x.B.Hi, y.B.Hi)
-			}
-			return cmp.Or(c, cmp.Compare(x.ID, y.ID))
-		})
+		tau = gate.Tau()
 	}
-	for j, i := range order {
-		ids[j] = items[i].ID
+	// Each shard takes its items in the driver's order, best-first: it
+	// verifies its strongest candidates before its long tail, so the
+	// first landed chunks push τ near its final value while the tail
+	// is still unloaded — that is where the exchange's skips come from.
+	// The order is the driver's sort, so the byte stream is
+	// deterministic, and it never changes the answer: scores land by
+	// item index.
+	ids := make([]int64, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
 	}
-	g := newGather(len(items), gate, land)
+	g := newGather(len(items), tau, land)
 	c := s.c
 	byShard, srcIdx := c.partition(ids)
 	errs := make([]error, c.nshards)
@@ -254,13 +244,11 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 			defer wg.Done()
 			src := srcIdx[s]
 			shardItems := make([]core.VerifyItem, len(src))
-			l2g := make([]int, len(src))
-			for j, o := range src {
-				l2g[j] = order[o]
-				shardItems[j] = items[l2g[j]]
+			for j, i := range src {
+				shardItems[j] = items[i]
 			}
 			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
-				return c.verifyAttempt(actx, node, boot, shardItems, l2g, wterm, g)
+				return c.verifyAttempt(actx, node, boot, shardItems, src, wterm, g)
 			})
 		}(s)
 	}
