@@ -167,7 +167,7 @@ func BenchmarkFigure7(b *testing.B) {
 		for _, q := range tableQueries(d) {
 			for _, e := range engines {
 				b.Run(fmt.Sprintf("%s/%s/%s", spec.Name, q.name, e.Name()), func(b *testing.B) {
-					d.st.ResetStats()
+					before := d.st.Stats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if err := q.run(ctx, e); err != nil {
@@ -175,7 +175,7 @@ func BenchmarkFigure7(b *testing.B) {
 						}
 					}
 					b.StopTimer()
-					st := d.st.Stats()
+					st := d.st.Stats().Sub(before)
 					b.ReportMetric(float64(st.MasksLoaded+st.RegionReads)/float64(b.N), "masks/op")
 				})
 			}

@@ -56,9 +56,8 @@ type Options struct {
 	// loaded for verification stay resident (up to this many bytes of
 	// stored mask data) and later loads of them — in particular by the
 	// overlapping queries of a QueryBatch — count as cache hits, charged
-	// no disk traffic and, under a Throttle, no simulated-disk wait.
-	// The cache keeps no mask of its own: every load still hands out
-	// its own view of the mapped file. The legal values
+	// no read traffic. The cache keeps no mask of its own: every load
+	// still hands out its own view of the mapped file. The legal values
 	// are CacheDisabled (0, the default), CacheUnbounded (-1), or a
 	// positive byte budget; OpenWith rejects anything else. Results
 	// are identical under every setting; only the store's ReadStats
@@ -128,8 +127,7 @@ type IndexStats struct {
 type DB struct {
 	dir   string
 	opts  Options
-	st    store.MaskStore
-	ws    *store.WALStore // the ingestion wrapper; st == ws
+	st    *store.WALStore
 	cat   *store.Catalog
 	idx   *core.MemoryIndex
 	plans *planCache
@@ -216,7 +214,7 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 	if planEntries == 0 {
 		planEntries = DefaultPlanCacheEntries
 	}
-	db := &DB{dir: dir, opts: opts, st: st, ws: st, cat: cat, plans: newPlanCache(planEntries)}
+	db := &DB{dir: dir, opts: opts, st: st, cat: cat, plans: newPlanCache(planEntries)}
 	db.idx = core.LoadIndex(filepath.Join(dir, store.IndexFileName), cfg)
 	if opts.EagerIndex {
 		// Eager ("vanilla MaskSearch") construction fans mask loads
@@ -275,7 +273,7 @@ func (db *DB) Close() error {
 		// Masks lent by LoadMask are still out: seal the WAL but leave
 		// the pixel files they view open; the last ReleaseMask closes
 		// the store.
-		db.ws.CloseWAL()
+		db.st.CloseWAL()
 	} else if err := db.st.Close(); err != nil && ferr == nil {
 		ferr = err
 	}
@@ -433,15 +431,16 @@ func (db *DB) ReleaseMask(m *Mask) {
 // is w*h.
 func (db *DB) MaskDims() (w, h int) { return db.st.MaskW(), db.st.MaskH() }
 
-// ReadStats reports the store's read counters — disk traffic plus the
-// mask cache's hit/miss/evicted counts — accumulated since open: the
-// per-segment counters aggregated, plus tail loads; on a distributed DB
-// the read work remote nodes did on this DB's behalf is included.
+// ReadStats reports the store's read counters — charged loads and
+// bytes plus the mask cache's hit/miss/evicted counts — accumulated
+// since open: the per-segment counters aggregated, plus tail loads; on
+// a distributed DB the read work remote nodes did on this DB's behalf
+// is included.
 func (db *DB) ReadStats() ReadStats {
 	s := db.st.Stats()
 	if db.coord != nil {
 		for _, r := range db.coord.RemoteShardStats() {
-			addReadStats(&s, r)
+			s.Add(r)
 		}
 	}
 	return s
@@ -461,7 +460,7 @@ func (db *DB) StoredBytes() int64 { return db.st.StoredBytes() }
 // Shards reports how many storage segments back this database (1 for
 // a freshly generated single-segment layout). Every WAL compaction adds
 // one segment, whatever the layout it started from.
-func (db *DB) Shards() int { return db.ws.Base().NumShards() }
+func (db *DB) Shards() int { return db.st.Base().NumShards() }
 
 // ShardReadStats reports each segment's read counters since open; they
 // sum to ReadStats except for TailLoads, which no segment serves.
@@ -469,11 +468,11 @@ func (db *DB) Shards() int { return db.ws.Base().NumShards() }
 // the reads remote nodes performed for that shard on this DB's behalf —
 // remote work aggregates exactly like local per-shard work.
 func (db *DB) ShardReadStats() []ReadStats {
-	out := db.ws.Base().ShardStats()
+	out := db.st.Base().ShardStats()
 	if db.coord != nil {
 		for s, r := range db.coord.RemoteShardStats() {
 			if s < len(out) {
-				addReadStats(&out[s], r)
+				out[s].Add(r)
 			}
 		}
 	}
@@ -525,7 +524,7 @@ func (db *DB) Stats() DBStats {
 		ShardReads:  db.ShardReadStats(),
 		Shards:      db.Shards(),
 		PlanCache:   db.plans.stats(),
-		Ingest:      db.ws.IngestStats(),
+		Ingest:      db.st.IngestStats(),
 		Codec:       db.st.Codec(),
 		StoredBytes: db.st.StoredBytes(),
 		GenVersion:  db.st.GenVersion(),
@@ -606,7 +605,7 @@ func (db *DB) Compact(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	defer db.endOp()
-	n, err := db.ws.Compact(ctx)
+	n, err := db.st.Compact(ctx)
 	if err != nil {
 		return n, err
 	}
@@ -625,7 +624,7 @@ func (db *DB) Compact(ctx context.Context) (int, error) {
 // MaskLocation reports where a mask currently lives: "base" for the
 // compacted layout, "wal:<segment file>" for WAL-resident masks, ""
 // for unknown ids.
-func (db *DB) MaskLocation(id int64) string { return db.ws.MaskLocation(id) }
+func (db *DB) MaskLocation(id int64) string { return db.st.MaskLocation(id) }
 
 // IndexStats reports the current index footprint.
 func (db *DB) IndexStats() (IndexStats, error) {

@@ -37,14 +37,14 @@ var ErrShardUnavailable = dist.ErrShardUnavailable
 // copy of the dataset) cannot see them, so serving would silently drop
 // them from every answer. Compact the dataset first.
 func (db *DB) openCoordinator(path string) error {
-	if tail := db.ws.IngestStats().TailMasks; tail > 0 {
+	if tail := db.st.IngestStats().TailMasks; tail > 0 {
 		return fmt.Errorf("masksearch: cannot open %s distributed: %d WAL-tail mask(s) are not visible to remote nodes; run Compact (or msinspect -compact) first", db.dir, tail)
 	}
 	topo, err := dist.LoadTopology(path)
 	if err != nil {
 		return err
 	}
-	base := db.ws.Base()
+	base := db.st.Base()
 	expect := dist.Expect{
 		NumMasks: db.st.NumMasks(), MaskW: db.st.MaskW(), MaskH: db.st.MaskH(),
 		Shards: base.NumShards(), Codec: db.st.Codec(), GenVersion: db.st.GenVersion(),
@@ -78,15 +78,4 @@ func (db *DB) RemoteShardStats() []ReadStats {
 		return nil
 	}
 	return db.coord.RemoteShardStats()
-}
-
-// addReadStats sums b into a field by field.
-func addReadStats(a *ReadStats, b ReadStats) {
-	a.MasksLoaded += b.MasksLoaded
-	a.RegionReads += b.RegionReads
-	a.BytesRead += b.BytesRead
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheEvicted += b.CacheEvicted
-	a.TailLoads += b.TailLoads
 }

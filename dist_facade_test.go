@@ -351,7 +351,7 @@ func TestDistributedStatsAggregation(t *testing.T) {
 	per := db.ShardReadStats()
 	var sum ReadStats
 	for _, s := range per {
-		addReadStats(&sum, s)
+		sum.Add(s)
 	}
 	if got := db.ReadStats(); got != sum {
 		t.Fatalf("aggregate ReadStats %+v != per-shard sum %+v", got, sum)

@@ -223,17 +223,19 @@ func (c *Coordinator) foldReads(info nodeInfo) {
 			break // node reports more shards than the coordinator's dataset; drop the excess
 		}
 		d := clampReads(info.Reads[s].Sub(prev.reads[s]))
-		addReads(&c.remote[s], d)
+		c.remote[s].Add(d)
 		// Advance the baseline by the clamped delta (a per-field max)
 		// rather than overwriting it: responses from one node can land
 		// out of order, and a stale snapshot must not drag the baseline
 		// backwards and re-count work the next fresh snapshot repeats.
-		addReads(&prev.reads[s], d)
+		prev.reads[s].Add(d)
 	}
 }
 
-// clampReads floors every delta field at zero (a node-side ResetStats
-// between responses would otherwise subtract from the accumulator).
+// clampReads floors every delta field at zero. A node's counters only
+// grow, but its responses can land out of order: a stale snapshot
+// differenced against a fresher baseline would otherwise subtract from
+// the accumulator.
 func clampReads(d store.ReadStats) store.ReadStats {
 	for _, f := range []*int64{&d.MasksLoaded, &d.RegionReads, &d.BytesRead, &d.CacheHits, &d.CacheMisses, &d.CacheEvicted, &d.TailLoads} {
 		if *f < 0 {
@@ -241,16 +243,6 @@ func clampReads(d store.ReadStats) store.ReadStats {
 		}
 	}
 	return d
-}
-
-func addReads(dst *store.ReadStats, d store.ReadStats) {
-	dst.MasksLoaded += d.MasksLoaded
-	dst.RegionReads += d.RegionReads
-	dst.BytesRead += d.BytesRead
-	dst.CacheHits += d.CacheHits
-	dst.CacheMisses += d.CacheMisses
-	dst.CacheEvicted += d.CacheEvicted
-	dst.TailLoads += d.TailLoads
 }
 
 // Partial is the degraded-results collector a query passes to opt into

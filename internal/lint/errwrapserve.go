@@ -13,8 +13,8 @@ import (
 // internal/serve's statusFor mapping. Inside them every fmt.Errorf
 // that carries an error value must wrap it with %w: a %v or %s breaks
 // the errors.Is/As chain and silently turns a mapped condition (429,
-// 400, 503, 504) into a generic 500 — the bug class PR 8 fixed when
-// ErrReadOnly appends started answering 500 instead of 400.
+// 400, 503, 504) into a generic 500 — a shard outage wrapped with %v
+// answers 500 instead of 503.
 var wrapScope = map[string]bool{
 	"masksearch":                true,
 	"masksearch/internal/store": true,
@@ -25,7 +25,8 @@ var wrapScope = map[string]bool{
 
 const servePkgPath = "masksearch/internal/serve"
 
-// errIdent matches exported sentinel names (ErrClosed, ErrReadOnly).
+// errIdent matches exported sentinel names (ErrClosed,
+// ErrShardUnavailable).
 var errIdent = regexp.MustCompile(`^Err[A-Z]`)
 
 // ErrWrapServe enforces the serving layer's error contract twice

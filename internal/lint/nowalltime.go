@@ -22,8 +22,8 @@ var hotKernelFiles = map[string]bool{
 // internal/core. Timing measurements wrap kernel calls from the
 // executor (exec.go, the bench harness, the serve layer) where one
 // clock read brackets thousands of masks; inside a kernel the same
-// read costs a vDSO call per pixel row and skews the simulated-disk
-// accounting that assumes kernels are pure compute.
+// read costs a vDSO call per pixel row, and the per-layer timings that
+// bracket kernels assume they are pure compute.
 var NoWallTime = &Analyzer{
 	Name: "nowalltime",
 	Doc:  "no wall-clock reads (time.Now/time.Since) inside the hot kernel files of internal/core",

@@ -274,11 +274,6 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.As(err, &pe), errors.As(err, &be):
 		return http.StatusBadRequest
-	case errors.Is(err, masksearch.ErrReadOnly):
-		// Appending to a read-only layout is the client targeting the
-		// wrong database, not a server fault — 400, and the wrapped
-		// message already carries the layout and the remedy.
-		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

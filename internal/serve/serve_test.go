@@ -605,9 +605,8 @@ func TestConcurrentServing(t *testing.T) {
 	}
 }
 
-// TestStatusForMapping pins the error→HTTP-status table, in particular
-// that a wrapped store ErrReadOnly is a client error (the caller aimed
-// an append at a read-only layout), not a 500.
+// TestStatusForMapping pins the error→HTTP-status table: wrapped
+// sentinels map like bare ones, and only unknown errors are a 500.
 func TestStatusForMapping(t *testing.T) {
 	cases := []struct {
 		name string
@@ -618,8 +617,6 @@ func TestStatusForMapping(t *testing.T) {
 		{"rejected wrapped", fmt.Errorf("admit: %w", errRejected), http.StatusTooManyRequests},
 		{"parse error", &masksearch.ParseError{}, http.StatusBadRequest},
 		{"bind error", &masksearch.BindError{}, http.StatusBadRequest},
-		{"read-only bare", masksearch.ErrReadOnly, http.StatusBadRequest},
-		{"read-only wrapped", fmt.Errorf("store: append to read-only sharded layout at /x (3 shards): %w; compact through OpenIngest or open a single-file layout", masksearch.ErrReadOnly), http.StatusBadRequest},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"deadline wrapped", fmt.Errorf("query: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{"canceled", context.Canceled, statusClientClosedRequest},

@@ -5,9 +5,8 @@ import "sync"
 // maskCache is the byte-budgeted LRU behind a Store's mask cache. It
 // exists for batched and concurrent workloads where many queries touch
 // overlapping mask sets: a load of a resident mask is not charged to
-// MasksLoaded/BytesRead (nor, under a Throttle, made to wait on the
-// simulated disk), so an n-query batch pays each distinct mask at most
-// once.
+// MasksLoaded/BytesRead, so an n-query batch pays each distinct mask
+// at most once.
 //
 // Every load already builds its own header over the mapped pixel file,
 // so residency is pure accounting: the cache holds mask ids, never a

@@ -34,13 +34,13 @@ func loadAll(t *testing.T, st *Store, ids ...int64) []*core.Mask {
 func TestCacheHitMissEvict(t *testing.T) {
 	_, st, _ := genTiny(t)
 	st.SetCacheBytes(2 * tinyMaskBytes)
-	st.ResetStats()
+	base := st.Stats()
 
 	ms := loadAll(t, st, 1, 2)
 	for _, m := range ms {
 		st.ReleaseMask(m)
 	}
-	s := st.Stats()
+	s := st.Stats().Sub(base)
 	if s.MasksLoaded != 2 || s.CacheMisses != 2 || s.CacheHits != 0 || s.CacheEvicted != 0 {
 		t.Fatalf("cold loads: %+v", s)
 	}
@@ -51,7 +51,7 @@ func TestCacheHitMissEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.ReleaseMask(m1)
-	s = st.Stats()
+	s = st.Stats().Sub(base)
 	if s.MasksLoaded != 2 || s.BytesRead != 2*tinyMaskBytes || s.CacheHits != 1 {
 		t.Fatalf("warm reload should not read disk: %+v", s)
 	}
@@ -63,7 +63,7 @@ func TestCacheHitMissEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.ReleaseMask(m3)
-	s = st.Stats()
+	s = st.Stats().Sub(base)
 	if s.CacheEvicted != 1 {
 		t.Fatalf("over-budget load should evict exactly one: %+v", s)
 	}
@@ -72,13 +72,13 @@ func TestCacheHitMissEvict(t *testing.T) {
 	} else {
 		st.ReleaseMask(m)
 	}
-	if hits := st.Stats().CacheHits; hits != 2 {
-		t.Fatalf("mask 1 should have been the retained entry: %+v", st.Stats())
+	if hits := st.Stats().Sub(base).CacheHits; hits != 2 {
+		t.Fatalf("mask 1 should have been the retained entry: %+v", st.Stats().Sub(base))
 	}
 	if _, err := st.LoadMask(2); err != nil {
 		t.Fatal(err)
 	}
-	s = st.Stats()
+	s = st.Stats().Sub(base)
 	if s.CacheMisses != 4 { // 1, 2, 3, and 2 again
 		t.Fatalf("evicted mask should re-read from disk: %+v", s)
 	}
@@ -92,7 +92,6 @@ func TestCacheHitMissEvict(t *testing.T) {
 func TestCachePinnedBytesSafe(t *testing.T) {
 	_, st, _ := genTiny(t)
 	st.SetCacheBytes(tinyMaskBytes) // room for one mask
-	st.ResetStats()
 
 	held := loadAll(t, st, 1, 2, 3)
 	want := make([][]uint8, len(held))
@@ -134,7 +133,7 @@ func TestCachePinnedBytesSafe(t *testing.T) {
 func TestCacheUnbounded(t *testing.T) {
 	_, st, _ := genTiny(t)
 	st.SetCacheBytes(-1)
-	st.ResetStats()
+	base := st.Stats()
 	n := int64(st.NumMasks())
 	for id := int64(1); id <= n; id++ {
 		m, err := st.LoadMask(id)
@@ -143,7 +142,7 @@ func TestCacheUnbounded(t *testing.T) {
 		}
 		st.ReleaseMask(m)
 	}
-	cold := st.Stats()
+	cold := st.Stats().Sub(base)
 	if cold.MasksLoaded != n || cold.CacheMisses != n {
 		t.Fatalf("cold pass: %+v", cold)
 	}
@@ -154,7 +153,7 @@ func TestCacheUnbounded(t *testing.T) {
 		}
 		st.ReleaseMask(m)
 	}
-	warm := st.Stats()
+	warm := st.Stats().Sub(base)
 	if warm.MasksLoaded != n || warm.CacheHits != n || warm.CacheEvicted != 0 {
 		t.Fatalf("warm pass should be all hits: %+v", warm)
 	}
@@ -273,7 +272,7 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 			name := fmt.Sprintf("workers=%d cache=%d", workers, cacheBytes)
 			st.SetCacheBytes(cacheBytes)
 			benv := &core.Env{Loader: st, Index: idx, Exec: core.Exec{Workers: workers}}
-			st.ResetStats()
+			base := st.Stats()
 			got, err := batch(benv)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -283,7 +282,7 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 					t.Fatalf("%s: query %d differs from sequential standalone run", name, i)
 				}
 			}
-			cold := st.Stats()
+			cold := st.Stats().Sub(base)
 			// A batch loads each distinct mask at most once regardless
 			// of caching.
 			if cold.MasksLoaded > int64(len(ids)) {
@@ -301,7 +300,7 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 					}
 					st.ReleaseMask(m)
 				}
-				st.ResetStats()
+				base = st.Stats()
 				again, err := batch(benv)
 				if err != nil {
 					t.Fatalf("%s warm: %v", name, err)
@@ -311,7 +310,7 @@ func TestExecBatchAgainstStoreMatrix(t *testing.T) {
 						t.Fatalf("%s: warm query %d differs", name, i)
 					}
 				}
-				warm := st.Stats()
+				warm := st.Stats().Sub(base)
 				if warm.MasksLoaded != 0 {
 					t.Fatalf("%s: warm batch read %d masks from disk, want 0 (stats %+v)", name, warm.MasksLoaded, warm)
 				}

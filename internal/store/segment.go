@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"masksearch/internal/core"
 )
@@ -28,25 +27,12 @@ type segment struct {
 	dirs *rleDirs
 
 	// cache, when non-nil, tracks which of the segment's ids count as
-	// resident so overlapping queries stop being charged (and, under a
-	// Throttle, stop waiting) for shared masks. Set via SetCacheBytes.
+	// resident so overlapping queries stop being charged for shared
+	// masks. Set via SetCacheBytes.
 	cache *maskCache
 
 	// life counts read traffic since open with atomic adds, no lock.
-	// Stats reports life minus statsBase, ResetStats' snapshot of it.
-	life      readCounters
-	statsBase ReadStats
-
-	// statsMu guards statsBase and the simulated disk below; loads take
-	// it only while a Throttle is installed.
-	statsMu   sync.Mutex
-	throttled atomic.Bool
-	thr       Throttle
-	// thrFree is the simulated disk's next-available time: concurrent
-	// readers reserve back-to-back slots on one timeline so the
-	// aggregate bandwidth stays at BytesPerSec no matter how many
-	// engine workers read at once.
-	thrFree time.Time
+	life readCounters
 }
 
 // openSegment maps the pixel file of the segment in dir that info
@@ -121,52 +107,6 @@ func (c *readCounters) snapshot() ReadStats {
 		st.BytesRead += c.loads[i].bytesRead.Load()
 	}
 	return st
-}
-
-// stats returns the segment's read counters since the last reset.
-func (g *segment) stats() ReadStats {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.life.snapshot().Sub(g.statsBase)
-}
-
-// setThrottle installs (or with the zero value removes) the segment's
-// simulated read-bandwidth limit.
-func (g *segment) setThrottle(t Throttle) {
-	g.statsMu.Lock()
-	g.thr = t
-	g.thrFree = time.Time{}
-	g.throttled.Store(t.BytesPerSec > 0)
-	g.statsMu.Unlock()
-}
-
-// account records one read of bytes logical bytes in kind and total (a
-// load stripe's counters, or regionReads and regionBytes) and applies
-// the throttle when one is installed. Each throttled read reserves a
-// slot on the segment's disk timeline under statsMu and sleeps out its
-// own wait outside it, so W concurrent readers still see BytesPerSec in
-// aggregate rather than W times it.
-func (g *segment) account(kind, total *atomic.Int64, bytes int64) {
-	kind.Add(1)
-	total.Add(bytes)
-	if bytes <= 0 || !g.throttled.Load() {
-		return
-	}
-	g.statsMu.Lock()
-	var wait time.Duration
-	if g.thr.BytesPerSec > 0 {
-		d := time.Duration(float64(bytes) / g.thr.BytesPerSec * float64(time.Second))
-		now := time.Now()
-		if g.thrFree.Before(now) {
-			g.thrFree = now
-		}
-		g.thrFree = g.thrFree.Add(d)
-		wait = g.thrFree.Sub(now)
-	}
-	g.statsMu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
-	}
 }
 
 // headers recycles mask headers between LoadMask and ReleaseMask. A

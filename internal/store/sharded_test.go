@@ -124,7 +124,8 @@ func TestShardedIDRouting(t *testing.T) {
 }
 
 // TestShardedStatsAggregate pins Stats to the exact sum of the
-// per-shard counters, and ResetStats to clearing every arena.
+// per-shard counters, and a second round of loads to showing up
+// exactly in the difference of two snapshots.
 func TestShardedStatsAggregate(t *testing.T) {
 	_, shardDir := genShardPair(t, 3)
 	ss, _, err := Open(shardDir)
@@ -146,7 +147,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 	var sum ReadStats
 	for _, s := range per {
-		sum.add(s)
+		sum.Add(s)
 	}
 	if got := ss.Stats(); got != sum {
 		t.Fatalf("aggregate stats %+v != per-shard sum %+v", got, sum)
@@ -157,12 +158,14 @@ func TestShardedStatsAggregate(t *testing.T) {
 	if per[1].RegionReads != 1 {
 		t.Fatalf("region read charged to shard %v, want shard 1", per)
 	}
-	ss.ResetStats()
-	if got := ss.Stats(); got != (ReadStats{}) {
-		t.Fatalf("stats after reset: %+v", got)
+	first := ss.Stats()
+	for _, id := range []int64{3, 14, 27} {
+		if _, err := ss.LoadMask(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if lt := ss.LifetimeStats(); lt != sum {
-		t.Fatalf("lifetime stats %+v, want %+v", lt, sum)
+	if got, want := ss.Stats().Sub(first), (ReadStats{MasksLoaded: 3, BytesRead: 3 * 16 * 16}); got != want {
+		t.Fatalf("second round: stats delta %+v, want %+v", got, want)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package store provides the on-disk mask database: a generator for
 // synthetic datasets, the catalog of mask metadata, and a Store that
-// reads masks while accounting every byte (for the paper's
-// masks-loaded metrics) and optionally simulating a bandwidth-limited
-// disk.
+// reads masks while counting every load and byte (the paper's
+// masks-loaded metrics).
 //
 // A database is an ordered list of immutable segments. Each segment is
 // a directory holding a contiguous run of mask ids:
@@ -29,10 +28,8 @@
 package store
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,24 +40,23 @@ import (
 	"masksearch/internal/core"
 )
 
-// ErrReadOnly is returned by Append on a Store opened directly rather
-// than through OpenIngest's WAL wrapper.
-var ErrReadOnly = errors.New("store: read-only store (no WAL; open with OpenIngest to append)")
-
-// ReadStats counts storage traffic since the last ResetStats.
+// ReadStats counts storage traffic since the store was opened. The
+// counters only grow; callers bracket work with two snapshots and Sub.
 type ReadStats struct {
-	// MasksLoaded counts whole-mask reads that actually hit the disk
-	// (a cache hit serves the mask without touching this counter).
+	// MasksLoaded counts whole-mask loads charged to the store, each a
+	// view of the mapped pixel file (a cache hit serves the mask
+	// without touching this counter).
 	MasksLoaded int64
 	// RegionReads counts sub-rectangle reads (the ArraySlice baseline).
 	RegionReads int64
-	// BytesRead counts logical pixel bytes served from disk.
+	// BytesRead counts the stored pixel bytes the charged loads and
+	// region reads covered.
 	BytesRead int64
 	// CacheHits counts LoadMask calls served from the mask cache
-	// without disk traffic. Zero when no cache is configured.
+	// without a charge. Zero when no cache is configured.
 	CacheHits int64
-	// CacheMisses counts LoadMask calls that went to disk while a
-	// cache was configured (every miss is also a MasksLoaded).
+	// CacheMisses counts LoadMask calls charged while a cache was
+	// configured (every miss is also a MasksLoaded).
 	CacheMisses int64
 	// CacheEvicted counts masks the cache dropped to stay within its
 	// byte budget.
@@ -73,9 +69,7 @@ type ReadStats struct {
 
 // Sub returns the counter deltas of s relative to an earlier snapshot
 // prev. Benchmarks and the serving metrics endpoint bracket work with
-// two snapshots and report the difference, which stays correct even
-// when code in between resets the resettable counters (use
-// LifetimeStats snapshots for that case).
+// two snapshots and report the difference.
 func (s ReadStats) Sub(prev ReadStats) ReadStats {
 	return ReadStats{
 		MasksLoaded:  s.MasksLoaded - prev.MasksLoaded,
@@ -88,8 +82,8 @@ func (s ReadStats) Sub(prev ReadStats) ReadStats {
 	}
 }
 
-// add accumulates o into s, field by field.
-func (s *ReadStats) add(o ReadStats) {
+// Add accumulates o into s, field by field.
+func (s *ReadStats) Add(o ReadStats) {
 	s.MasksLoaded += o.MasksLoaded
 	s.RegionReads += o.RegionReads
 	s.BytesRead += o.BytesRead
@@ -97,12 +91,6 @@ func (s *ReadStats) add(o ReadStats) {
 	s.CacheMisses += o.CacheMisses
 	s.CacheEvicted += o.CacheEvicted
 	s.TailLoads += o.TailLoads
-}
-
-// Throttle simulates a disk limited to BytesPerSec of read bandwidth;
-// the zero value disables throttling.
-type Throttle struct {
-	BytesPerSec float64
 }
 
 // ShardInfo locates one segment of a database inside the top-level
@@ -150,17 +138,12 @@ func (man Manifest) segments() []ShardInfo {
 }
 
 // MaskStore is the read surface shared by the Store and the WALStore
-// that wraps it: everything the DB facade and the engine need to load
-// masks, account traffic and manage the cache.
+// that wraps it: loading masks, counting that traffic and sizing the
+// cache. Appends go through the WALStore itself.
 type MaskStore interface {
 	LoadMask(id int64) (*core.Mask, error)
 	LoadRegion(id int64, r core.Rect) (*core.Mask, error)
 	ReleaseMask(m *core.Mask)
-	// Append durably stores new masks and returns their assigned ids,
-	// acknowledging only after the data is fsynced. Mask ids in the
-	// input entries are ignored; the store assigns the next contiguous
-	// ids. Stores without an ingestion path return ErrReadOnly.
-	Append(ctx context.Context, masks []IngestMask) ([]int64, error)
 	NumMasks() int
 	MaskW() int
 	MaskH() int
@@ -178,15 +161,12 @@ type MaskStore interface {
 	Close() error
 	SetCacheBytes(n int64)
 	CacheBytes() int64
-	SetThrottle(t Throttle)
-	ResetStats()
 	Stats() ReadStats
-	LifetimeStats() ReadStats
 }
 
-// IngestMask is one mask submitted to MaskStore.Append: its catalog
-// metadata (the MaskID field is assigned by the store) plus its raw
-// uint8 pixels, length MaskW*MaskH.
+// IngestMask is one mask submitted to the WALStore's Append: its
+// catalog metadata (the MaskID field is assigned by the store) plus its
+// raw uint8 pixels, length MaskW*MaskH.
 type IngestMask struct {
 	Entry Entry
 	Pix   []byte
@@ -201,14 +181,13 @@ type IngestMask struct {
 // and a write through one faults (PROT_READ) instead of corrupting a
 // shared mask.
 //
-// Each segment keeps its own LRU cache arena, read counters and
-// simulated disk timeline, so loads of different segments never share
-// a lock; Stats and LifetimeStats sum them (ShardStats exposes the
-// split). The segment list is an immutable snapshot behind an atomic
-// pointer, so routing a load takes no lock; WAL compaction publishes
-// each compacted batch as one more segment (addSegment), and mu
-// serializes the writers that replace the list or reconfigure every
-// segment. All methods are safe for concurrent use.
+// Each segment keeps its own LRU cache arena and lock-free read
+// counters, so loads of different segments never share a lock; Stats
+// sums them (ShardStats exposes the split). The segment list is an
+// immutable snapshot behind an atomic pointer, so routing a load takes
+// no lock; WAL compaction publishes each compacted batch as one more
+// segment (addSegment), and mu serializes the writers that replace the
+// list or reconfigure every segment. All methods are safe for concurrent use.
 type Store struct {
 	dir   string
 	w, h  int
@@ -222,7 +201,6 @@ type Store struct {
 	// cacheBytes remembers the configured total budget, split across
 	// the segment arenas by cacheShare.
 	cacheBytes int64
-	thr        Throttle
 }
 
 // segSet is one immutable snapshot of the segment list.
@@ -377,14 +355,6 @@ func (s *Store) StoredBytes() int64 {
 	return n
 }
 
-// Append returns ErrReadOnly: a Store has no WAL to make an append
-// durable. Open the database through OpenIngest instead; its Compact
-// folds acknowledged appends into a fresh segment.
-func (s *Store) Append(ctx context.Context, masks []IngestMask) ([]int64, error) {
-	return nil, fmt.Errorf("store: append to read-only store at %s (%d segments): %w; a sharded layout and a single-file one alike append through OpenIngest",
-		s.dir, s.NumShards(), ErrReadOnly)
-}
-
 // Close unmaps every segment, which ends the life of every view
 // LoadMask handed out; call it once.
 func (s *Store) Close() error {
@@ -393,16 +363,14 @@ func (s *Store) Close() error {
 }
 
 // addSegment publishes a segment compaction just committed; it must
-// continue the id space exactly. The new segment inherits the throttle,
-// and the configured cache budget is re-split over all segments:
-// existing arenas shrink in place (evicting cold ids, counted as
-// CacheEvicted) while loads keep running, and the new segment gets an
-// arena of its share before it is published.
+// continue the id space exactly. The configured cache budget is
+// re-split over all segments: existing arenas shrink in place (evicting
+// cold ids, counted as CacheEvicted) while loads keep running, and the
+// new segment gets an arena of its share before it is published.
 func (s *Store) addSegment(g *segment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	set := s.set.Load()
-	g.setThrottle(s.thr)
 	if n := s.cacheBytes; n != 0 {
 		total := len(set.segs) + 1
 		for i, old := range set.segs {
@@ -472,7 +440,8 @@ func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 		g.life.cacheEvicted.Add(evicted)
 	}
 	stripe := &g.life.loads[id&7]
-	g.account(&stripe.masksLoaded, &stripe.bytesRead, int64(len(b)))
+	stripe.masksLoaded.Add(1)
+	stripe.bytesRead.Add(int64(len(b)))
 	return m, nil
 }
 
@@ -506,7 +475,7 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 	}
 	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h})
 	if r.Empty() {
-		g.account(&g.life.regionReads, &g.life.regionBytes, 0)
+		g.life.regionReads.Add(1)
 		return core.NewByteMask(0, 0), nil
 	}
 	charge := r.Area()
@@ -522,7 +491,8 @@ func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
 		}
 		charge, pix = len(pix), *tmp
 	}
-	g.account(&g.life.regionReads, &g.life.regionBytes, int64(charge))
+	g.life.regionReads.Add(1)
+	g.life.regionBytes.Add(int64(charge))
 	out := core.NewByteMask(r.W(), r.H())
 	copyRegion(out.Bytes, pix, s.w, r)
 	return out, nil
@@ -542,8 +512,7 @@ func copyRegion(dst, pix []byte, w int, r core.Rect) {
 
 // SetCacheBytes installs byte-budgeted LRU mask cache arenas, one per
 // segment: LoadMask serves a resident mask without charging
-// MasksLoaded/BytesRead — and, under a Throttle, without the
-// simulated-disk wait — so an n-query batch over overlapping targets
+// MasksLoaded/BytesRead — so an n-query batch over overlapping targets
 // pays each distinct mask at most once. The cache tracks mask ids, not
 // masks: every load still hands out its own header, and the budget
 // counts the bytes the resident ids' stored spans hold. A total n != 0
@@ -587,56 +556,23 @@ func (s *Store) CacheBytes() int64 {
 	return s.cacheBytes
 }
 
-// SetThrottle installs (or with the zero value removes) a simulated
-// read-bandwidth limit on every segment. Each segment models its own
-// disk timeline, so the aggregate simulated bandwidth is the segment
-// count times t.BytesPerSec.
-func (s *Store) SetThrottle(t Throttle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.thr = t
-	for _, g := range s.set.Load().segs {
-		g.setThrottle(t)
-	}
-}
-
-// ResetStats zeroes every segment's resettable counters (LifetimeStats
-// is unaffected).
-func (s *Store) ResetStats() {
-	for _, g := range s.set.Load().segs {
-		g.statsMu.Lock()
-		g.statsBase = g.life.snapshot()
-		g.statsMu.Unlock()
-	}
-}
-
-// Stats returns the read counters accumulated since the last reset,
-// summed over segments (the exact sum of ShardStats).
+// Stats returns the read counters accumulated since Open, summed over
+// segments (the exact sum of ShardStats).
 func (s *Store) Stats() ReadStats {
 	var out ReadStats
 	for _, g := range s.set.Load().segs {
-		out.add(g.stats())
+		out.Add(g.life.snapshot())
 	}
 	return out
 }
 
-// LifetimeStats returns the read counters accumulated since Open,
-// ignoring every ResetStats.
-func (s *Store) LifetimeStats() ReadStats {
-	var out ReadStats
-	for _, g := range s.set.Load().segs {
-		out.add(g.life.snapshot())
-	}
-	return out
-}
-
-// ShardStats returns each segment's resettable read counters, indexed
+// ShardStats returns each segment's read counters since Open, indexed
 // like ShardOf. Summing them reproduces Stats exactly.
 func (s *Store) ShardStats() []ReadStats {
 	segs := s.set.Load().segs
 	out := make([]ReadStats, len(segs))
 	for i, g := range segs {
-		out[i] = g.stats()
+		out[i] = g.life.snapshot()
 	}
 	return out
 }

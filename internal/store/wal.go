@@ -157,7 +157,6 @@ type WALStore struct {
 	compactions     atomic.Int64
 	compactedMasks  atomic.Int64
 	tailLoads       atomic.Int64 // since Open
-	tailLoadsBase   atomic.Int64 // tailLoads at the last ResetStats
 }
 
 // OpenIngest opens a database directory for reading and online
@@ -990,31 +989,15 @@ func (ws *WALStore) CloseWAL() {
 	}
 }
 
-// SetCacheBytes, CacheBytes and SetThrottle delegate to the base
-// store; the tail is always RAM-resident and needs no cache.
+// SetCacheBytes and CacheBytes delegate to the base store; the tail is
+// always RAM-resident and needs no cache.
 func (ws *WALStore) SetCacheBytes(n int64) { ws.base.SetCacheBytes(n) }
 func (ws *WALStore) CacheBytes() int64     { return ws.base.CacheBytes() }
-func (ws *WALStore) SetThrottle(t Throttle) {
-	ws.base.SetThrottle(t)
-}
 
-// ResetStats zeroes the resettable counters, tail loads included.
-func (ws *WALStore) ResetStats() {
-	ws.base.ResetStats()
-	ws.tailLoadsBase.Store(ws.tailLoads.Load())
-}
-
-// Stats returns the read counters since the last reset, with tail
-// loads folded in.
+// Stats returns the read counters since Open, with tail loads folded
+// in.
 func (ws *WALStore) Stats() ReadStats {
 	s := ws.base.Stats()
-	s.TailLoads = ws.tailLoads.Load() - ws.tailLoadsBase.Load()
-	return s
-}
-
-// LifetimeStats returns the never-reset counters.
-func (ws *WALStore) LifetimeStats() ReadStats {
-	s := ws.base.LifetimeStats()
 	s.TailLoads = ws.tailLoads.Load()
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"masksearch/internal/core"
@@ -554,5 +555,86 @@ func TestWALConcurrentAppendReadCompact(t *testing.T) {
 	}
 	if st := ws.IngestStats(); st.TailMasks != 0 || st.WALSegments != 0 {
 		t.Fatalf("final stats %+v, want empty tail and WAL", st)
+	}
+}
+
+// TestStatsMonotoneUnderLoad reads Stats and ShardStats while
+// goroutines load across three segments and a WAL tail through an
+// evicting cache: no counter of consecutive snapshots may go backwards
+// (the coordinator's foldReads differences them), and once the loads
+// settle the counters equal the exact load counts.
+func TestStatsMonotoneUnderLoad(t *testing.T) {
+	_, ws, _ := openIngestTiny(t, 3)
+	if n := ws.Base().NumShards(); n != 3 {
+		t.Fatalf("%d segments, want 3", n)
+	}
+	baseN := int64(ws.NumMasks())
+	tail, err := ws.Append(context.Background(), ingestBatch(4, 16, 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.SetCacheBytes(3 * 16 * 16) // one mask per segment arena
+	const (
+		loaders = 4
+		rounds  = 200
+	)
+	backwards := func(prev, cur ReadStats) bool {
+		d := cur.Sub(prev)
+		return min(d.MasksLoaded, d.RegionReads, d.BytesRead, d.CacheHits, d.CacheMisses, d.CacheEvicted, d.TailLoads) < 0
+	}
+	before := ws.Stats()
+	done := make(chan struct{})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for l := 0; l < loaders; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			for r := 0; r < rounds && !stop.Load(); r++ {
+				for id := int64(1); id <= tail[len(tail)-1]; id++ {
+					m, err := ws.LoadMask(id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ws.ReleaseMask(m)
+				}
+				if _, err := ws.LoadRegion(int64(1+(l+r)%int(baseN)), core.Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(l)
+	}
+	go func() { wg.Wait(); close(done) }()
+	// A failing check returns early; the loaders must be gone before
+	// the cleanup closes the store and unmaps what they read.
+	defer func() { stop.Store(true); <-done }()
+	prev, prevPer := ws.Stats(), ws.Base().ShardStats()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			t.Logf("%d snapshot pairs", snaps)
+			s := ws.Stats().Sub(before)
+			loads := int64(loaders * rounds)
+			if s.RegionReads != loads || s.TailLoads != loads*int64(len(tail)) ||
+				s.MasksLoaded+s.CacheHits != loads*baseN || s.CacheMisses != s.MasksLoaded ||
+				s.BytesRead != s.MasksLoaded*16*16+loads*16 {
+				t.Fatalf("final stats %+v: want %d region reads, %d tail loads, %d base loads (hits + misses), 256 bytes per miss + 16 per region",
+					s, loads, loads*int64(len(tail)), loads*baseN)
+			}
+			return
+		default:
+		}
+		cur, curPer := ws.Stats(), ws.Base().ShardStats()
+		if backwards(prev, cur) {
+			t.Fatalf("Stats went backwards: %+v then %+v", prev, cur)
+		}
+		for i := range curPer {
+			if backwards(prevPer[i], curPer[i]) {
+				t.Fatalf("segment %d stats went backwards: %+v then %+v", i, prevPer[i], curPer[i])
+			}
+		}
+		prev, prevPer = cur, curPer
 	}
 }

@@ -35,8 +35,9 @@ type ValueRange = core.ValueRange
 // CatalogEntry is the metadata row of one stored mask.
 type CatalogEntry = store.Entry
 
-// ReadStats is the store's traffic accounting: disk reads plus the
-// mask cache's hit/miss/evicted counters (see Options.CacheBytes).
+// ReadStats is the store's traffic accounting since open: charged
+// loads and bytes plus the mask cache's hit/miss/evicted counters (see
+// Options.CacheBytes).
 type ReadStats = store.ReadStats
 
 // IngestStats is the online ingestion path's accounting: acknowledged
@@ -71,13 +72,6 @@ const (
 	// catalog); the hot kernels compute directly on the runs.
 	CodecRLE = store.CodecRLE
 )
-
-// ErrReadOnly is returned (wrapped, with the layout and a remedy hint)
-// by Append on a store opened without an ingestion path. The DB facade
-// always opens write-capable, so callers of DB.Append see it only when
-// embedding the lower-level store directly; servers should map it to a
-// client error, not a 500.
-var ErrReadOnly = store.ErrReadOnly
 
 // GenerateShardedDatasetCodec writes the same logical dataset as
 // GenerateDataset split across the given number of storage segments
