@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // This file holds the local stages and the primitives the distributed
 // subsystem (internal/dist) builds on. A remote shard node runs exactly
@@ -161,30 +158,4 @@ func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]
 type VerifyItem struct {
 	ID int64
 	B  Bounds
-}
-
-// VerifyEach loads and exactly evaluates the score term — terms must
-// hold exactly one — on every item the gate does not skip, calling
-// emit(i, vals) with the item's index and its exact value as vals[0].
-// A nil gate verifies everything; a set gate skips at every worker
-// count, before a load (counted as RejectedByBounds) or mid-scan. emit
-// may be called concurrently when env.Exec runs a pool; the returned
-// flags mark the items not emitted.
-func VerifyEach(ctx context.Context, env *Env, items []VerifyItem, terms []CPTerm, gate *TauGate, emit func(i int, vals []int64)) ([]bool, Stats, error) {
-	if len(terms) != 1 {
-		return nil, Stats{}, fmt.Errorf("core: VerifyEach evaluates one score term, got %d", len(terms))
-	}
-	skipped := make([]bool, len(items))
-	for i := range skipped {
-		skipped[i] = true
-	}
-	var g Gate
-	if gate != nil {
-		g = tauItems{gate, items}
-	}
-	st, err := env.verifyItems(ctx, items, &newScoreTerm(terms[0]).plan, g, func(i int, score int64) {
-		skipped[i] = false
-		emit(i, []int64{score})
-	})
-	return skipped, st, err
 }

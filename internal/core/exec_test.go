@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,22 +243,26 @@ func TestIndexAll(t *testing.T) {
 	}
 }
 
+// strictSkip is a τ check that knows no id: it skips a candidate only
+// when its best score is strictly worse than τ, never on a tie.
+func strictSkip(t *TauTracker, b Bounds) bool { return t.SkipID(math.MinInt64, b) }
+
 // TestTauTracker unit-tests the shared threshold refinement.
 func TestTauTracker(t *testing.T) {
 	tt := NewTauTracker(3, Desc)
-	if tt.Skip(Bounds{0, 5}) {
+	if strictSkip(tt, Bounds{0, 5}) {
 		t.Fatal("tracker should not skip before k scores land")
 	}
 	for _, s := range []int64{10, 2, 7} {
 		tt.Add(s, s)
 	}
 	// Top-3 = {10, 7, 2}, τ = 2.
-	if !tt.Skip(Bounds{0, 1}) || tt.Skip(Bounds{0, 2}) {
-		t.Fatalf("Desc τ after seed = %d, want 2 with strict skip", tt.tau.Load())
+	if !strictSkip(tt, Bounds{0, 1}) || strictSkip(tt, Bounds{0, 2}) {
+		t.Fatalf("Desc τ after seed = %+v, want 2 with strict skip", tt.Held())
 	}
 	tt.Add(8, 8) // top-3 = {10, 8, 7}, τ = 7
-	if !tt.Skip(Bounds{0, 6}) || tt.Skip(Bounds{0, 7}) {
-		t.Fatalf("Desc τ after refine = %d, want 7", tt.tau.Load())
+	if !strictSkip(tt, Bounds{0, 6}) || strictSkip(tt, Bounds{0, 7}) {
+		t.Fatalf("Desc τ after refine = %+v, want 7", tt.Held())
 	}
 
 	ta := NewTauTracker(2, Asc)
@@ -265,19 +270,18 @@ func TestTauTracker(t *testing.T) {
 		ta.Add(s, s)
 	}
 	// Bottom-2 = {2, 7}, τ = 7: skip iff Lo > 7.
-	if !ta.Skip(Bounds{8, 100}) || ta.Skip(Bounds{7, 100}) {
-		t.Fatalf("Asc τ = %d, want 7", ta.tau.Load())
+	if !strictSkip(ta, Bounds{8, 100}) || strictSkip(ta, Bounds{7, 100}) {
+		t.Fatalf("Asc τ = %+v, want 7", ta.Held())
 	}
 	ta.Add(3, 3) // bottom-2 = {2, 3}
-	if !ta.Skip(Bounds{4, 100}) {
-		t.Fatalf("Asc τ after refine = %d, want 3", ta.tau.Load())
+	if !strictSkip(ta, Bounds{4, 100}) {
+		t.Fatalf("Asc τ after refine = %+v, want 3", ta.Held())
 	}
 
 	// Ties rank by id, as the answer does: an equal score with a
 	// smaller id takes τ's holder over, and a candidate whose best
 	// score only ties τ is skipped iff its id is larger than the
-	// holder's. Skip, which knows no id, and a node gate Set without a
-	// holder keep the strict rule.
+	// holder's. A check that knows no id keeps the strict rule.
 	for _, ord := range []Order{Desc, Asc} {
 		tie := Bounds{0, 10} // a best score of 10
 		if ord == Asc {
@@ -286,38 +290,66 @@ func TestTauTracker(t *testing.T) {
 		g := NewTauTracker(2, ord)
 		g.Add(5, 10)
 		g.Add(7, 10) // best-2 = {(10, 5), (10, 7)}: τ 10 held by 7
-		if m := g.tau.p.Load(); m == nil || *m != (ranked[int64]{10, 7}) {
+		if m := g.tau.Load(); m == nil || *m != (ranked[int64]{10, 7}) {
 			t.Fatalf("%v: gate %+v, want τ 10 held by 7", ord, m)
 		}
 		if !g.SkipID(8, tie) || g.SkipID(6, tie) {
 			t.Fatalf("%v: a tie must skip id 8 and keep id 6 while 7 holds τ", ord)
 		}
 		g.Add(3, 10) // best-2 = {(10, 3), (10, 5)}: 3 takes 7's place
-		if m := g.tau.p.Load(); m == nil || *m != (ranked[int64]{10, 5}) {
+		if m := g.tau.Load(); m == nil || *m != (ranked[int64]{10, 5}) {
 			t.Fatalf("%v: gate %+v, want τ 10 held by 5", ord, m)
 		}
-		if !g.SkipID(6, tie) || g.SkipID(4, tie) || g.Skip(tie) {
-			t.Fatalf("%v: after the takeover a tie must skip id 6, keep id 4, and Skip must stay strict", ord)
+		if !g.SkipID(6, tie) || g.SkipID(4, tie) || strictSkip(g, tie) {
+			t.Fatalf("%v: after the takeover a tie must skip id 6, keep id 4, and an id-less check must stay strict", ord)
 		}
 		g.Add(9, 10) // a tie with a larger id changes nothing
-		if m := g.tau.p.Load(); *m != (ranked[int64]{10, 5}) {
+		if m := g.tau.Load(); *m != (ranked[int64]{10, 5}) {
 			t.Fatalf("%v: gate %+v after a larger-id tie, want τ 10 held by 5", ord, m)
 		}
-		node := NewTauGate(ord)
-		node.Set(10)
-		if node.SkipID(math.MaxInt64, tie) {
-			t.Fatalf("%v: a node gate must never skip a tie", ord)
+	}
+
+	// Pushes and landings publish through one tighten: the gate keeps
+	// the tighter entry, whoever offered it. A push that ranks after
+	// the held entry, or equals it, changes nothing; one before it
+	// takes over, and a later landing that ranks after it does not
+	// loosen it back.
+	for _, ord := range []Order{Desc, Asc} {
+		better := func(s int64) int64 { // a score s steps better than 10
+			if ord == Asc {
+				return 10 - s
+			}
+			return 10 + s
+		}
+		g := topGate{NewTauTracker(1, ord), []VerifyItem{{ID: 9}}}
+		g.tighten(Scored{ID: 4, Score: float64(better(0))})
+		held := func() ranked[int64] { t.Helper(); m := g.tau.Load(); return *m }
+		for _, push := range []Scored{{1, float64(better(-1))}, {6, float64(better(0))}, {4, float64(better(0))}} {
+			if g.tighten(push); held() != (ranked[int64]{10, 4}) {
+				t.Fatalf("%v: push %+v loosened τ to %+v", ord, push, held())
+			}
+		}
+		if g.tighten(Scored{2, float64(better(0))}); held() != (ranked[int64]{10, 2}) {
+			t.Fatalf("%v: a tie with a smaller holder must take over, τ %+v", ord, held())
+		}
+		g.land(0, better(-3)) // the k-th best landing ranks after the push
+		if held() != (ranked[int64]{10, 2}) {
+			t.Fatalf("%v: a looser landing replaced τ: %+v", ord, held())
+		}
+		g.Add(7, better(2))
+		if held() != (ranked[int64]{better(2), 7}) {
+			t.Fatalf("%v: a tighter landing did not take over: %+v", ord, held())
 		}
 	}
 }
 
-// TestTauGatePrunesVerifyLoads is the τ exchange's saving, held at a
-// shard node's verification loop: over the same items, VerifyEach
-// under a gate Set to the coordinator's τ before the call loads
-// strictly fewer masks than under a gate never Set, every value it
-// emits equals the ungated one, and every item it skips provably
-// cannot place — its bounds, and so its exact value, lie strictly
-// beyond τ in the gate's order.
+// TestTauGatePrunesVerifyLoads is the saving a shard node makes with no
+// push at all, on a sequential env: over the same best-first items, a
+// gate rebuilt from a top-k request (k) and one rebuilt from an
+// aggregation request each load strictly fewer masks than an open
+// gate, every score they land equals the exact one, and every item
+// they skip provably cannot place — its exact entry, or its group's,
+// ranks after the k-th best of the whole query.
 func TestTauGatePrunesVerifyLoads(t *testing.T) {
 	// Saliency-shaped masks: their CP spreads far wider than the
 	// bounds' slack, as on real data, so bounds can fall beyond τ.
@@ -326,61 +358,172 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 	idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
 	env := &Env{Loader: loader, Index: idx}
 	roi, vr := Rect{2, 3, 13, 14}, ValueRange{Lo: 0.5, Hi: 1.0}
-	terms := []CPTerm{{Region: FixedRegion(roi), Range: vr}}
-	items := make([]VerifyItem, 60)
-	exact := make([]int64, len(items))
-	for i := range items {
+	term := CPTerm{Region: FixedRegion(roi), Range: vr}
+	const n, k = 60, 5
+	cands := make([]CandBound, n)
+	exact := map[int64]int64{}
+	for i := range cands {
 		id, m := int64(i+1), bimodalByteMask(rng, 16, 16)
 		chi, _ := Build(m, idx.Config())
 		loader.masks[id] = m
 		idx.Add(id, chi)
-		items[i] = VerifyItem{ID: id, B: chi.CPBounds(roi, vr)}
-		exact[i] = ExactCP(m, roi, vr)
+		cands[i] = CandBound{ID: id, B: chi.CPBounds(roi, vr), Indexed: true}
+		exact[id] = ExactCP(m, roi, vr)
 	}
-	run := func(gate *TauGate) ([]bool, []int64, Stats) {
+	// run verifies items under gate (open when nil), checking each
+	// landed score; it returns which items landed.
+	run := func(items []VerifyItem, gate *NodeGate) ([]bool, Stats) {
 		t.Helper()
-		vals := make([]int64, len(items))
-		skipped, st, err := VerifyEach(context.Background(), env, items, terms, gate, func(i int, v []int64) { vals[i] = v[0] })
+		landed := make([]bool, len(items))
+		check := func(i int, score int64) {
+			if landed[i] = true; score != exact[items[i].ID] {
+				t.Fatalf("item %d landed %d, exact %d", i, score, exact[items[i].ID])
+			}
+		}
+		var st Stats
+		var err error
+		if gate == nil {
+			st, err = env.verifyItems(context.Background(), items, &newScoreTerm(term).plan, nil, check)
+		} else {
+			st, err = gate.Verify(context.Background(), env, items, term, check)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return skipped, vals, st
+		if st.Loaded+st.RejectedByBounds != len(items) {
+			t.Fatalf("stats %+v do not partition %d items", st, len(items))
+		}
+		return landed, st
 	}
-	const k = 5
 	for _, ord := range []Order{Desc, Asc} {
-		// τ is the coordinator's last push: the k-th best exact score.
-		tt := NewTauTracker(k, ord)
-		for i, v := range exact {
-			tt.Add(items[i].ID, v)
+		// Top-k: items best-first, as the driver ships them.
+		at := make([]int, n)
+		for i := range at {
+			at[i] = i
 		}
-		tau := tt.tau.Load()
-		beyond := func(v int64) bool { return (ord == Desc && v < tau) || (ord == Asc && v > tau) }
-
-		_, want, open := run(NewTauGate(ord))
-		gate := NewTauGate(ord)
-		gate.Set(tau)
-		skipped, got, st := run(gate)
+		bestFirst(at, ord, func(i int) float64 { return float64(cands[i].B.best(ord)) })
+		items := make([]VerifyItem, n)
+		all := make([]Scored, n)
+		for j, i := range at {
+			items[j] = VerifyItem{ID: cands[i].ID, B: cands[i].B}
+			all[i] = Scored{ID: cands[i].ID, Score: float64(exact[cands[i].ID])}
+		}
+		SortScored(all, ord)
+		kth := ranked[int64]{int64(all[k-1].Score), all[k-1].ID}
+		gate, err := RebuildGate(GateSpec{Ord: ord, K: k}, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, open := run(items, nil)
+		landed, st := run(items, gate)
 		if st.Loaded >= open.Loaded {
-			t.Fatalf("%v τ=%d: gated VerifyEach loaded %d masks, ungated %d — the gate must prune loads", ord, tau, st.Loaded, open.Loaded)
+			t.Fatalf("%v top-k: the rebuilt gate loaded %d masks, an open one %d", ord, st.Loaded, open.Loaded)
 		}
-		preSkips := 0
-		for i := range items {
-			if gate.Skip(items[i].B) {
-				preSkips++
-				if !skipped[i] {
-					t.Fatalf("%v τ=%d: item %d with bounds %v beyond τ was not skipped", ord, tau, i, items[i].B)
-				}
-			}
-			if skipped[i] && !beyond(exact[i]) {
-				t.Fatalf("%v τ=%d: item %d skipped, but its exact value %d is not beyond τ", ord, tau, i, exact[i])
-			}
-			if !skipped[i] && got[i] != want[i] {
-				t.Fatalf("%v τ=%d: item %d emitted %d, ungated %d", ord, tau, i, got[i], want[i])
+		for j, it := range items {
+			if !landed[j] && !(ranked[int64]{exact[it.ID], it.ID}).after(kth, ord) {
+				t.Fatalf("%v top-k: item %d (mask %d, exact %d) skipped, but it ranks no later than the k-th best %+v", ord, j, it.ID, exact[it.ID], kth)
 			}
 		}
-		if st.RejectedByBounds != preSkips || st.Loaded+st.RejectedByBounds != len(items) {
-			t.Fatalf("%v τ=%d: stats %+v, want %d rejected before load and Loaded+RejectedByBounds = %d", ord, tau, st, preSkips, len(items))
+
+		// Aggregation: MEAN over groups of three, shipped whole.
+		groups := make([]Group, n/3)
+		for g := range groups {
+			groups[g] = Group{Key: int64(g + 1), IDs: []int64{int64(3*g + 1), int64(3*g + 2), int64(3*g + 3)}}
 		}
+		gs, _ := flattenGroups(groups)
+		f64 := make([]float64, 2*n)
+		gs = boundGroups(gs, cands, nil, Mean, f64)
+		driver, gitems := newGroupGate(gs, cands, f64, Mean, k, ord)
+		sub := make([]int, len(gitems))
+		for i := range sub {
+			sub[i] = i
+		}
+		ggate, err := RebuildGate(driver.Ship(sub), gitems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs := make([]Scored, len(groups))
+		for g, gr := range groups {
+			var s float64
+			for _, id := range gr.IDs {
+				s += float64(exact[id])
+			}
+			aggs[g] = Scored{ID: gr.Key, Score: s / 3}
+		}
+		byKey := map[int64]float64{}
+		for _, a := range aggs {
+			byKey[a.ID] = a.Score
+		}
+		SortScored(aggs, ord)
+		gkth := ranked[float64]{aggs[k-1].Score, aggs[k-1].ID}
+		_, open = run(gitems, nil)
+		landed, st = run(gitems, ggate)
+		if st.Loaded >= open.Loaded {
+			t.Fatalf("%v agg: the rebuilt gate loaded %d masks, an open one %d", ord, st.Loaded, open.Loaded)
+		}
+		for j, it := range driver.items {
+			key := driver.gs[it.G].key
+			if !landed[j] && !(ranked[float64]{byKey[key], key}).after(gkth, ord) {
+				t.Fatalf("%v agg: item %d of group %d (mean %v) skipped, but the group ranks no later than the k-th best %+v", ord, j, key, byKey[key], gkth)
+			}
+		}
+	}
+}
+
+// TestGroupGateCountdown is the soundness trap of a shipped group gate:
+// a node counts a group down from the members the request carries plus
+// those elsewhere not yet landed, never from the driver's live count.
+// Here one member of a three-member group landed at the driver before
+// a (hedged or failover) attempt shipped all three; the node re-lands
+// it, and the group must not complete until the other two land too.
+func TestGroupGateCountdown(t *testing.T) {
+	cands := []CandBound{
+		{ID: 1, B: Bounds{0, 50}, Indexed: true},
+		{ID: 2, B: Bounds{0, 50}, Indexed: true},
+		{ID: 3, B: Bounds{0, 50}, Indexed: true},
+		{ID: 4, B: Bounds{0, 50}, Indexed: true},
+	}
+	gs, _ := flattenGroups([]Group{{Key: 7, IDs: []int64{1, 2, 3}}, {Key: 8, IDs: []int64{4}}})
+	f64 := make([]float64, 2*len(cands))
+	gs = boundGroups(gs, cands, nil, Sum, f64)
+	driver, items := newGroupGate(gs, cands, f64, Sum, 1, Desc)
+	member := func(id int64) int { return slices.IndexFunc(items, func(it VerifyItem) bool { return it.ID == id }) }
+	driver.land(member(1), 40)
+
+	// Shard A carries masks 1 and 2, mask 3 lies on shard B.
+	spec := driver.Ship([]int{member(1), member(2)})
+	if len(spec.Groups) != 1 || spec.Groups[0].Pending != 1 {
+		t.Fatalf("shipped groups %+v, want group 7 with mask 3 pending", spec.Groups)
+	}
+	node, err := RebuildGate(spec, []VerifyItem{items[member(1)], items[member(2)]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.land(0, 40)
+	node.land(1, 30)
+	if got := node.g.(*groupGate).ranking(); len(got) != 0 {
+		t.Fatalf("group completed with mask 3 still at its optimistic value: %v", got)
+	}
+
+	// One attempt carries all three: it completes once all three land.
+	sub := []int{member(1), member(2), member(3)}
+	spec = driver.Ship(sub)
+	if spec.Groups[0].Pending != 0 {
+		t.Fatalf("shipped %+v, want nothing pending", spec.Groups)
+	}
+	nitems := []VerifyItem{items[sub[0]], items[sub[1]], items[sub[2]]}
+	if node, err = RebuildGate(spec, nitems); err != nil {
+		t.Fatal(err)
+	}
+	ng := node.g.(*groupGate)
+	ng.land(0, 40)
+	ng.land(1, 30)
+	if got := ng.ranking(); len(got) != 0 {
+		t.Fatalf("group completed after re-landing mask 1 and landing mask 2: %v", got)
+	}
+	ng.land(2, 20)
+	if got := ng.ranking(); !slices.Equal(got, []Scored{{ID: 7, Score: 90}}) {
+		t.Fatalf("ranking %v after every member landed, want group 7 at 90", got)
 	}
 }
 

@@ -301,7 +301,7 @@ func TestTauTrackerConcurrent(t *testing.T) {
 						return
 					default:
 					}
-					if m := tt.tau.p.Load(); m != nil && score[m.id] != m.score {
+					if m := tt.tau.Load(); m != nil && score[m.id] != m.score {
 						select {
 						case bad <- fmt.Sprintf("%v: read τ %d with holder %d, which landed %d", ord, m.score, m.id, score[m.id]):
 						default:
@@ -330,7 +330,7 @@ func TestTauTrackerConcurrent(t *testing.T) {
 		}
 		SortScored(all, ord)
 		kth := all[k-1]
-		if m := tt.tau.p.Load(); m == nil || m.id != kth.ID || float64(m.score) != kth.Score {
+		if m := tt.tau.Load(); m == nil || m.id != kth.ID || float64(m.score) != kth.Score {
 			t.Fatalf("%v: final gate %+v, want the k-th best %+v", ord, m, kth)
 		}
 	}

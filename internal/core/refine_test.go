@@ -573,15 +573,15 @@ func BenchmarkRefine(b *testing.B) {
 	}
 	p := &planTerms([]CPTerm{{Region: FixedRegion(Rect{30, 20, 106, 96}), Range: ValueRange{0.55, 1}}})[0]
 	bounds, exact := p.bounds(chi, 0), p.refine(chi, raw, 0, nil).Lo
-	tau := NewTauGate(Desc)
-	tau.Set(bounds.Hi - (bounds.Hi-exact)/3)
+	tau := NewTauTracker(1, Desc)
+	tau.Add(0, bounds.Hi-(bounds.Hi-exact)/3)
 	pred := Cmp{T: 0, Op: OpGt, C: bounds.Lo + (exact-bounds.Lo)/3}
 	for _, bc := range []struct {
 		name string
 		stop func(Bounds) bool
 	}{
 		{"filter-decide", func(bs Bounds) bool { return pred.FromBounds([]Bounds{bs}) != Unknown }},
-		{"topk-tau", tau.Skip},
+		{"topk-tau", func(bs Bounds) bool { return tau.SkipID(1, bs) }},
 		{"exact", nil},
 	} {
 		for _, m := range []struct {

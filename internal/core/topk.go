@@ -131,9 +131,8 @@ func TopKOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, scor
 	for j, i := range at {
 		items[j] = VerifyItem{ID: cands[i].ID, B: cands[i].B}
 	}
-	vst, err := s.Verify(ctx, items, t, tauItems{&tt.TauGate, items}, func(j int, score int64) {
-		tt.Add(items[j].ID, score)
-	})
+	gate := topGate{tt, items}
+	vst, err := s.Verify(ctx, items, t, gate, gate.land)
 	st.Merge(vst)
 	if err != nil {
 		return nil, st, err

@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -610,9 +613,10 @@ func TestDistRevalidatesRestartedNode(t *testing.T) {
 }
 
 // TestNodeRejectsBadRequests: a request the node cannot decode, one
-// validated against another boot, and one whose predicate names a term
-// it was not sent are each answered with an error frame naming this
-// boot — never served, never a crash.
+// validated against another boot, one whose predicate names a term it
+// was not sent, and a verify request whose shipped gate could skip
+// unsoundly are each answered with an error frame naming this boot —
+// never served, never a crash.
 func TestNodeRejectsBadRequests(t *testing.T) {
 	c := newCluster(t, 2)
 	node, addr := c.startNode("a", nil)
@@ -621,27 +625,193 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := filterReq{BootID: node.BootID(), IDs: []int64{1}, Terms: []wireTerm{term}}
+	verify := func(g core.GateSpec) []byte {
+		return encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: []core.VerifyItem{{ID: 1, B: core.Bounds{Hi: 9}}}, Term: term, Gate: g})
+	}
+	agg := func(groups []core.GateGroup, opt []float64, places ...core.GateItem) []byte {
+		return verify(core.GateSpec{K: 1, Groups: groups, Opt: opt, Items: places})
+	}
+	one := []core.GateGroup{{Key: 5, N: 1}}
 	for _, tc := range []struct {
 		name    string
+		typ     byte
 		payload []byte
 		want    string
 	}{
-		{"trailing byte", append(encodeMsg(nil, &good), 0), "trailing"},
-		{"other boot", encodeMsg(nil, &filterReq{BootID: "feed", IDs: good.IDs, Terms: good.Terms}), "validated against boot"},
-		{"unsent term", encodeMsg(nil, &filterReq{BootID: good.BootID, IDs: good.IDs, Terms: good.Terms, Pred: []wireCmp{{T: 1}}}), "term T1 of 1"},
+		{"trailing byte", ftFilter, append(encodeMsg(nil, &good), 0), "trailing"},
+		{"other boot", ftFilter, encodeMsg(nil, &filterReq{BootID: "feed", IDs: good.IDs, Terms: good.Terms}), "validated against boot"},
+		{"unsent term", ftFilter, encodeMsg(nil, &filterReq{BootID: good.BootID, IDs: good.IDs, Terms: good.Terms, Pred: []wireCmp{{T: 1}}}), "term T1 of 1"},
+		{"gate k 0", ftVerify, verify(core.GateSpec{}), "gate k 0"},
+		{"gate NaN entry", ftVerify, verify(core.GateSpec{K: 1, Best: []core.Scored{{ID: 3, Score: math.NaN()}}}), "NaN value"},
+		{"gate group out of range", ftVerify, agg(one, []float64{3}, core.GateItem{G: 1}), "group 1 of 1"},
+		{"gate member out of range", ftVerify, agg(one, []float64{3, 4}, core.GateItem{M: 1}), "member 1 outside"},
+		{"gate group past members", ftVerify, agg([]core.GateGroup{{N: 3}}, []float64{3, 4}, core.GateItem{}), "members [0, +3) of 2"},
+		{"gate item count", ftVerify, agg(one, []float64{3}, core.GateItem{}, core.GateItem{}), "places 2 items of 1"},
+		{"gate NaN value", ftVerify, agg(one, []float64{math.NaN()}, core.GateItem{}), "NaN"},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WriteFrame(conn, ftFilter, tc.payload); err != nil {
+		if _, err := WriteFrame(conn, tc.typ, tc.payload); err != nil {
 			t.Fatal(err)
 		}
-		_, err = readMsg(conn, ftFilterRes, 0, &filterRes{})
+		typ, payload, _, err := ReadFrame(conn, 0)
 		conn.Close()
+		if err == nil && typ != ftError {
+			err = fmt.Errorf("frame type 0x%02x served", typ)
+		} else if err == nil {
+			err = remoteErr(payload)
+		}
 		var re *errRemote
 		if !errors.As(err, &re) || !strings.Contains(re.msg, tc.want) || re.bootID != node.BootID() {
 			t.Fatalf("%s: err = %v, want a remote error containing %q from boot %s", tc.name, err, tc.want, node.BootID())
+		}
+	}
+}
+
+// TestVerifyStreamSurvivesPushFlood: a client that floods τ pushes
+// while it reads a verify stream always reads the terminal frame. A
+// node that closed with pushes unread in its receive buffer would make
+// the kernel reset the connection, dropping what the node had written
+// but not yet sent: the client's small receive buffer keeps the tail of
+// the stream, terminal frame included, in the node's send queue.
+func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
+	c := newCluster(t, 2)
+	node, addr := c.startNode("a", nil)
+	term, err := toWireTerm(c.terms[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 256 items over 64 masks stream more score frames than the
+	// client's receive buffer holds; k = all skips none of them.
+	var items []core.VerifyItem
+	for i := range 256 {
+		items = append(items, core.VerifyItem{ID: c.targets()[i%64], B: core.Bounds{Hi: 1 << 20}})
+	}
+	req := encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: items, Term: term, Gate: core.GateSpec{K: len(items)}})
+	var pushes bytes.Buffer // 64 pushes per write, written until the end
+	for range 64 {
+		if _, err := WriteFrame(&pushes, ftTau, encodeMsg(nil, &tauPush{ID: math.MaxInt64})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 200 {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).SetReadBuffer(2048)
+		if _, err := WriteFrame(conn, ftVerify, req); err != nil {
+			t.Fatal(err)
+		}
+		stop, flooded := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(flooded)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := conn.Write(pushes.Bytes()); err != nil {
+					return
+				}
+			}
+		}()
+		var typ byte
+		for err == nil && typ != ftVerifyRes {
+			if typ, _, _, err = ReadFrame(conn, 0); err == nil && typ != ftScores && typ != ftVerifyRes {
+				err = fmt.Errorf("frame type 0x%02x in the stream", typ)
+			}
+		}
+		close(stop)
+		conn.(*net.TCPConn).SetLinger(0) // reset: the node need not drain the flood
+		conn.Close()
+		<-flooded
+		if err != nil {
+			t.Fatalf("exchange %d: %v before the terminal frame", i, err)
+		}
+	}
+}
+
+// TestDistRankingTies is the distributed axis of the ranking-ties
+// oracle: terms whose scores mostly tie, groups striped across both
+// shards plus one holding every mask, both orders, all four
+// aggregates and k in {1, 3, all}, on plain and on replicated routes
+// that hedge after a millisecond (so hedged attempts re-verify members
+// that already landed). Every answer equals the local engine's.
+func TestDistRankingTies(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	full := core.Rect{X1: c.spec.W, Y1: c.spec.H}
+	small := core.Rect{X0: 5, Y0: 5, X1: 7, Y1: 7}
+	terms := []core.CPTerm{
+		{Name: "small", Region: core.FixedRegion(small), Range: core.ValueRange{Lo: 0.3, Hi: 1},
+			Spec: core.RegionSpec{Kind: core.RegionRect, Rect: small}},
+		{Name: "peak", Region: core.FixedRegion(full), Range: core.ValueRange{Lo: 0.99, Hi: 1},
+			Spec: core.RegionSpec{Kind: core.RegionRect, Rect: full}},
+	}
+	targets := c.targets()
+	const stripes = 48
+	groups := make([]core.Group, stripes, stripes+1)
+	for i, id := range targets {
+		groups[i%stripes].Key = int64(stripes - i%stripes) // keys against id order
+		groups[i%stripes].IDs = append(groups[i%stripes].IDs, id)
+	}
+	groups = append(groups, core.Group{Key: 0, IDs: targets})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		routes [][]string
+		opts   CoordOptions
+	}{
+		{"two nodes", [][]string{{"a"}, {"b"}}, CoordOptions{}},
+		{"replicated", [][]string{{"a", "b"}, {"b", "a"}}, CoordOptions{HedgeAfter: time.Millisecond}},
+	} {
+		coord := c.coordinator(map[string]string{"a": addrA, "b": addrB}, tc.routes, tc.opts)
+		loaded := 0
+		for score := range terms {
+			hist := map[float64]int{}
+			all, _, err := core.TopK(ctx, c.env, targets, terms, core.Term(score), 0, core.Desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range all {
+				hist[s.Score]++
+			}
+			if slices.Max(slices.Collect(maps.Values(hist))) < len(targets)/3 {
+				t.Fatalf("term %s is not tie-heavy: %v", terms[score].Name, hist)
+			}
+			for _, ord := range []core.Order{core.Desc, core.Asc} {
+				for _, k := range []int{1, 3, 0} {
+					what := fmt.Sprintf("%s %s %v k=%d", tc.name, terms[score].Name, ord, k)
+					want, _, err := core.TopK(ctx, c.env, targets, terms, core.Term(score), k, ord)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err := core.TopKOn(ctx, coord.Stages(nil), targets, terms, core.Term(score), k, ord)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s topk (err %v):\ngot:  %v\nwant: %v", what, err, got, want)
+					}
+					loaded += st.Loaded
+					for _, agg := range []core.Agg{core.Mean, core.Sum, core.Min, core.Max} {
+						want, _, err := core.AggTopK(ctx, c.env, groups, terms, core.Term(score), agg, k, ord)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, st, err := core.AggTopKOn(ctx, coord.Stages(nil), groups, terms, core.Term(score), agg, k, ord)
+						if err != nil || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s agg %v (err %v):\ngot:  %v\nwant: %v", what, agg, err, got, want)
+						}
+						loaded += st.Loaded
+					}
+				}
+			}
+		}
+		if loaded == 0 {
+			t.Fatalf("%s: the nodes verified nothing", tc.name)
 		}
 	}
 }

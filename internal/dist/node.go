@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -243,19 +244,21 @@ func (n *Node) decodeReq(payload []byte, req wireMsg, bootID *string) error {
 	return nil
 }
 
-// reqCtx derives the request's compute context and arms the
-// connection's I/O deadline (with slack for writing the response).
-func reqCtx(conn net.Conn, deadlineMS int64) (context.Context, context.CancelFunc) {
+// reqCtx derives the request's compute context from the connection's
+// and arms the connection's I/O deadline (with slack for writing the
+// response).
+func reqCtx(ctx context.Context, conn net.Conn, deadlineMS int64) (context.Context, context.CancelFunc) {
 	if deadlineMS <= 0 {
-		return context.WithCancel(context.Background())
+		return context.WithCancel(ctx)
 	}
 	d := time.Duration(deadlineMS) * time.Millisecond
 	conn.SetDeadline(time.Now().Add(d + connGraceSlack))
-	return context.WithTimeout(context.Background(), d)
+	return context.WithTimeout(ctx, d)
 }
 
 // handleConn serves one request: read the request frame, dispatch,
-// write the response, close.
+// write the response, then half-close and drain to the client's EOF
+// (see the frame types) before closing.
 func (n *Node) handleConn(conn net.Conn) {
 	defer conn.Close()
 	n.nConns.Add(1)
@@ -269,19 +272,23 @@ func (n *Node) handleConn(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var gate atomic.Pointer[core.NodeGate]
+	reading := n.readRest(conn, cancel, &gate)
 	switch typ {
 	case ftHello:
 		n.nHellos.Add(1)
 		err = n.handleHello(conn, payload)
 	case ftFilter:
 		n.nFilters.Add(1)
-		err = n.handleFilter(conn, payload)
+		err = n.handleFilter(ctx, conn, payload)
 	case ftBounds:
 		n.nBounds.Add(1)
-		err = n.handleBounds(conn, payload)
+		err = n.handleBounds(ctx, conn, payload)
 	case ftVerify:
 		n.nVerifies.Add(1)
-		err = n.handleVerify(conn, payload)
+		err = n.handleVerify(ctx, cancel, conn, payload, &gate)
 	default:
 		err = fmt.Errorf("dist: node %s: unknown request frame 0x%02x", n.name, typ)
 	}
@@ -289,6 +296,35 @@ func (n *Node) handleConn(conn net.Conn) {
 		n.nErrors.Add(1)
 		n.writeErr(conn, err)
 	}
+	if tc, ok := conn.(interface{ CloseWrite() error }); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(connGraceSlack))
+	<-reading
+}
+
+// readRest reads what the client sends after its request, pushes to
+// the verify gate once there is one, until a read fails (its EOF, or
+// the deadline), then cancels the request's work.
+func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, gate *atomic.Pointer[core.NodeGate]) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer cancel()
+		for {
+			typ, p, sz, err := ReadFrame(conn, 0)
+			n.bytesIn.Add(int64(sz))
+			if err != nil {
+				return
+			}
+			var push tauPush
+			if g := gate.Load(); typ == ftTau && g != nil && decodeMsg(p, &push) == nil && !math.IsNaN(push.Score) {
+				g.Tighten(core.Scored(push))
+				n.tauRecv.Add(1)
+			}
+		}
+	}()
+	return done
 }
 
 // writeMsg writes one frame, accounting its bytes.
@@ -313,7 +349,7 @@ func (n *Node) handleHello(conn net.Conn, payload []byte) error {
 	})
 }
 
-func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
+func (n *Node) handleFilter(ctx context.Context, conn net.Conn, payload []byte) error {
 	var req filterReq
 	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
 		return err
@@ -333,7 +369,7 @@ func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 			return fmt.Errorf("dist: node %s: predicate on term T%d of %d", n.name, c.T, len(terms))
 		}
 	}
-	ctx, cancel := reqCtx(conn, req.DeadlineMS)
+	ctx, cancel := reqCtx(ctx, conn, req.DeadlineMS)
 	defer cancel()
 	keep, _, st, err := n.env().Filter(ctx, req.IDs, terms, fromWirePred(req.Pred))
 	if err != nil {
@@ -342,7 +378,7 @@ func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 	return n.writeMsg(conn, ftFilterRes, &filterRes{Keep: keep, Stats: st, Node: n.info()})
 }
 
-func (n *Node) handleBounds(conn net.Conn, payload []byte) error {
+func (n *Node) handleBounds(ctx context.Context, conn net.Conn, payload []byte) error {
 	var req boundsReq
 	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
 		return err
@@ -354,7 +390,7 @@ func (n *Node) handleBounds(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := reqCtx(conn, req.DeadlineMS)
+	ctx, cancel := reqCtx(ctx, conn, req.DeadlineMS)
 	defer cancel()
 	cands, st, err := core.BoundCands(ctx, n.env(), req.IDs, term)
 	if err != nil {
@@ -377,13 +413,13 @@ type scoreStreamer struct {
 	werr  error
 }
 
-func (s *scoreStreamer) emit(i int, vals []int64) {
+func (s *scoreStreamer) emit(i int, score int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.werr != nil {
 		return
 	}
-	s.chunk = append(s.chunk, idxScore{Idx: i, Score: vals[0]})
+	s.chunk = append(s.chunk, idxScore{Idx: i, Score: score})
 	if len(s.chunk) >= scoreChunkSize {
 		s.flushLocked()
 	}
@@ -410,7 +446,9 @@ func (s *scoreStreamer) finish() error {
 	return s.werr
 }
 
-func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
+// handleVerify verifies the request's items under the gate it ships,
+// rebuilt and published to readRest for the coordinator's pushes.
+func (n *Node) handleVerify(ctx context.Context, cancel context.CancelFunc, conn net.Conn, payload []byte, pushTo *atomic.Pointer[core.NodeGate]) error {
 	var req verifyReq
 	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
 		return err
@@ -426,41 +464,15 @@ func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := reqCtx(conn, req.DeadlineMS)
-	defer cancel()
-
-	var gate *core.TauGate
-	if req.Gated {
-		gate = core.NewTauGate(req.Ord)
-		if req.Tau != nil {
-			gate.Set(*req.Tau)
-		}
+	gate, err := core.RebuildGate(req.Gate, req.Items)
+	if err != nil {
+		return fmt.Errorf("dist: node %s: %w", n.name, err)
 	}
-	// Background reader: advances the τ gate from coordinator pushes
-	// and doubles as disconnect detection — any read error (the
-	// coordinator hung up, or the deadline tripped) cancels the
-	// verification work.
-	go func() {
-		for {
-			typ, p, sz, rerr := ReadFrame(conn, 0)
-			n.bytesIn.Add(int64(sz))
-			if rerr != nil {
-				cancel()
-				return
-			}
-			if typ != ftTau || gate == nil {
-				continue
-			}
-			var tu tauUpdate
-			if decodeMsg(p, &tu) == nil {
-				gate.Set(tu.Tau)
-				n.tauRecv.Add(1)
-			}
-		}
-	}()
-
+	pushTo.Store(gate)
+	ctx, cancelReq := reqCtx(ctx, conn, req.DeadlineMS)
+	defer cancelReq()
 	stream := &scoreStreamer{node: n, conn: conn, cancel: cancel}
-	_, st, err := core.VerifyEach(ctx, n.env(), req.Items, []core.CPTerm{term}, gate, stream.emit)
+	st, err := gate.Verify(ctx, n.env(), req.Items, term, stream.emit)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,10 @@ import (
 // response frames until the terminal one (ftError, or the request's
 // *Res type). Verify requests are the only streaming exchange: the node
 // emits ftScores frames as exact values land and accepts ftTau frames
-// inbound at any time, then terminates with ftVerifyRes.
+// inbound at any time, then terminates with ftVerifyRes. A node then
+// half-closes and reads to the client's EOF before it closes: unread
+// input (a late push) would make the kernel reset the connection and
+// drop the unsent tail of the response.
 const (
 	ftError byte = iota + 1
 	ftHello
@@ -178,17 +181,14 @@ type boundsRes struct {
 }
 
 // verifyReq asks a node to exactly verify items it owns on the score
-// term, streaming scores back as they land. Gated requests consult a τ
-// gate before each mask load: Tau seeds it (when the coordinator's
-// tracker is already full) and inbound ftTau frames advance it
-// mid-request.
+// term, streaming scores back as they land. Gate ships the driver's
+// gate over these items: the node rebuilds it, advances it by its own
+// landings and tightens it by inbound ftTau frames.
 type verifyReq struct {
 	BootID     string
 	Items      []core.VerifyItem
 	Term       wireTerm
-	Ord        core.Order
-	Gated      bool
-	Tau        *int64
+	Gate       core.GateSpec
 	DeadlineMS int64
 }
 
@@ -202,10 +202,9 @@ type idxScore struct {
 	Score int64
 }
 
-// tauUpdate pushes a tightened global τ to an in-flight verify.
-type tauUpdate struct {
-	Tau int64
-}
+// tauPush pushes the driver's tightened τ, with its holder, to an
+// in-flight verify.
+type tauPush core.Scored
 
 // verifyRes terminates a verify stream.
 type verifyRes struct {

@@ -20,14 +20,14 @@ import (
 // run to run (τ races), never the results.
 
 // gather accumulates streamed verification results across every node
-// and attempt of one verify scatter. It is the τ authority's ledger:
+// and attempt of one verify scatter. It is the driver gate's ledger:
 // each candidate's exact score is recorded AT MOST ONCE — hedged and
 // failover attempts can both stream the same candidate, and a
-// duplicate TauTracker.Add would count one candidate twice and tighten
-// τ beyond what the landed scores justify (an unsound skip). The
-// first landing wins; duplicates are dropped under the lock.
+// duplicate landing would count one candidate (or group member) twice
+// and tighten τ beyond what the landed scores justify (an unsound
+// skip). The first landing wins; duplicates are dropped under the lock.
 type gather struct {
-	gate   *core.TauGate            // nil: ungated (aggregation members)
+	gate   core.Gate
 	onLand func(i int, score int64) // nil once the scatter returned
 
 	mu     sync.Mutex
@@ -36,7 +36,7 @@ type gather struct {
 	subs   map[chan struct{}]bool
 }
 
-func newGather(n int, gate *core.TauGate, onLand func(i int, score int64)) *gather {
+func newGather(n int, gate core.Gate, onLand func(i int, score int64)) *gather {
 	return &gather{gate: gate, onLand: onLand, landed: make([]bool, n), subs: make(map[chan struct{}]bool)}
 }
 
@@ -206,18 +206,13 @@ func (s stages) Filter(ctx context.Context, targets []int64, terms []core.CPTerm
 
 // Verify ships verification items to their shards, streaming exact
 // scores through a gather (deduplicated per item) to land as they
-// arrive. A gate with a τ (top-k) carries the τ exchange: each
-// connection is seeded with the gate's current τ and receives pushes as
-// later landings tighten it; any other gate (aggregation's) verifies
-// remotely ungated.
+// arrive. Each request ships the driver's gate over the shard's items,
+// which the node verifies under, and each connection receives the
+// gate's τ, with its holder, as later landings tighten it.
 func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.ScoreTerm, gate core.Gate, land func(i int, score int64)) (core.Stats, error) {
 	wterm, err := toWireTerm(term.CPTerm)
 	if err != nil {
 		return core.Stats{}, err
-	}
-	var tau *core.TauGate
-	if gate != nil {
-		tau = gate.Tau()
 	}
 	// Each shard takes its items in the driver's order, best-first: it
 	// verifies its strongest candidates before its long tail, so the
@@ -230,7 +225,7 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 	for i, it := range items {
 		ids[i] = it.ID
 	}
-	g := newGather(len(items), tau, land)
+	g := newGather(len(items), gate, land)
 	c := s.c
 	byShard, srcIdx := c.partition(ids)
 	errs := make([]error, c.nshards)
@@ -262,9 +257,9 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 }
 
 // verifyAttempt is one node's streaming verify exchange: write the
-// request, push τ updates as the global tracker tightens, land score
-// chunks as they arrive, finish on the terminal frame. Scores land
-// immediately (not in the commit) because τ exchange requires them
+// request (the gate as it stands now), push τ as it tightens, land
+// score chunks as they arrive, finish on the terminal frame. Scores
+// land immediately (not in the commit) because the gate needs them
 // mid-flight; the gather's per-candidate dedup keeps concurrent hedged
 // attempts sound. The commit only folds the response stats, so a
 // losing attempt never double-counts them.
@@ -277,55 +272,42 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot str
 	stop := watchCancel(ctx, conn)
 	defer stop()
 
-	gated := g.gate != nil
-	req := verifyReq{BootID: boot, Items: items, Term: wterm, Gated: gated, DeadlineMS: deadlineMS(ctx)}
-	if gated {
-		req.Ord = g.gate.Order()
-		if tau, ok := g.gate.Threshold(); ok {
-			req.Tau = &tau
-		}
-	}
+	// Subscribed before the gate ships, no tightening goes unpushed.
+	sub := g.subscribe()
+	defer g.unsubscribe(sub)
+	req := verifyReq{BootID: boot, Items: items, Term: wterm, Gate: g.gate.Ship(l2g), DeadlineMS: deadlineMS(ctx)}
 	sz, err := writeMsg(conn, ftVerify, &req)
 	c.bytesSent.Add(int64(sz))
 	if err != nil {
 		return nil, err
 	}
 
-	// τ pusher: the sole writer on this connection after the request.
-	// It wakes on every landing anywhere in the cluster and forwards
-	// the gate's τ when it changed. A push failure stops pushing
-	// but not the attempt — the node just stops skipping.
-	if gated {
-		sub := g.subscribe()
-		defer g.unsubscribe(sub)
-		pusherDone := make(chan struct{})
-		defer close(pusherDone)
-		go func() {
-			var lastSent int64
-			haveSent := false
-			if req.Tau != nil {
-				lastSent, haveSent = *req.Tau, true
+	// τ pusher: the sole writer on this connection after the request,
+	// woken by every landing in the cluster. A push failure stops
+	// pushing but not the attempt: the node then skips by its own τ.
+	pusherDone := make(chan struct{})
+	defer close(pusherDone)
+	go func() {
+		var sent *core.Scored
+		for {
+			select {
+			case <-pusherDone:
+				return
+			case <-sub:
 			}
-			for {
-				select {
-				case <-pusherDone:
-					return
-				case <-sub:
-				}
-				tau, ok := g.gate.Threshold()
-				if !ok || (haveSent && tau == lastSent) {
-					continue
-				}
-				n, werr := writeMsg(conn, ftTau, &tauUpdate{Tau: tau})
-				c.bytesSent.Add(int64(n))
-				if werr != nil {
-					return
-				}
-				c.nTauSent.Add(1)
-				lastSent, haveSent = tau, true
+			tau := g.gate.Held()
+			if tau == nil || sent != nil && *tau == *sent {
+				continue
 			}
-		}()
-	}
+			n, werr := writeMsg(conn, ftTau, (*tauPush)(tau))
+			c.bytesSent.Add(int64(n))
+			if werr != nil {
+				return
+			}
+			c.nTauSent.Add(1)
+			sent = tau
+		}
+	}()
 
 	for {
 		typ, payload, n, err := ReadFrame(conn, 0)

@@ -16,7 +16,7 @@ import (
 // read each other's version and the coordinator rejects a mismatch by
 // name at hello instead of misparsing a work frame mid-query. (Version
 // 1 was the JSON payload encoding, which carried no version.)
-const WireVersion = 2
+const WireVersion = 3
 
 // Payload encoding. A frame payload is its message's fields in order,
 // little-endian, with no tags, padding or self-description:
@@ -60,6 +60,10 @@ const (
 	termSize  = 4 + 7*8
 	cmpSize   = 3 * 8
 	readsSize = 7 * 8
+	pushSize  = 2 * 8
+	groupSize = 4 * 8
+	optSize   = 8
+	placeSize = 2*8 + boolSize
 )
 
 var errTruncated = errors.New("payload truncated")
@@ -278,16 +282,23 @@ func (m *verifyReq) wire(w *wire) {
 		w.i64(&it.B.Hi)
 	})
 	codeTerm(w, &m.Term)
-	num(w, &m.Ord)
-	w.bool(&m.Gated)
-	hasTau := m.Tau != nil
-	w.bool(&hasTau)
-	if hasTau {
-		if m.Tau == nil {
-			m.Tau = new(int64)
-		}
-		w.i64(m.Tau)
-	}
+	g := &m.Gate
+	num(w, &g.Ord)
+	num(w, &g.K)
+	slice(w, &g.Best, pushSize, func(w *wire, t *core.Scored) { (*tauPush)(t).wire(w) })
+	num(w, &g.Agg)
+	slice(w, &g.Groups, groupSize, func(w *wire, sg *core.GateGroup) {
+		w.i64(&sg.Key)
+		num(w, &sg.Off)
+		num(w, &sg.N)
+		num(w, &sg.Pending)
+	})
+	slice(w, &g.Opt, optSize, (*wire).f64)
+	slice(w, &g.Items, placeSize, func(w *wire, it *core.GateItem) {
+		num(w, &it.G)
+		num(w, &it.M)
+		w.bool(&it.Indexed)
+	})
 	w.i64(&m.DeadlineMS)
 }
 
@@ -298,7 +309,10 @@ func (m *scoreChunk) wire(w *wire) {
 	})
 }
 
-func (m *tauUpdate) wire(w *wire) { w.i64(&m.Tau) }
+func (m *tauPush) wire(w *wire) {
+	w.i64(&m.ID)
+	w.f64(&m.Score)
+}
 
 func (m *verifyRes) wire(w *wire) {
 	codeStats(w, &m.Stats)

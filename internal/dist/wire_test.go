@@ -13,10 +13,9 @@ import (
 )
 
 // wireSamples holds one value of every payload type (verifyReq twice:
-// gated with a τ and ungated without), with every field set so a field
-// the codec forgot cannot round-trip.
+// shipping a top-k gate and an aggregation gate), with every field set
+// so a field the codec forgot cannot round-trip.
 func wireSamples() []wireMsg {
-	tau := int64(-7)
 	term := wireTerm{Name: "obj", Spec: core.RegionSpec{Kind: core.RegionRect, Rect: core.Rect{X0: 1, Y0: 2, X1: 30, Y1: 31}},
 		Range: core.ValueRange{Lo: math.Inf(-1), Hi: 0.8}}
 	st := core.Stats{Targets: 9, IndexHits: 8, AcceptedByBounds: 3, RejectedByBounds: 2, Loaded: 4}
@@ -36,10 +35,13 @@ func wireSamples() []wireMsg {
 			{ID: 5, B: core.Bounds{Lo: 7, Hi: 7}, Known: true, Score: 7, Indexed: true},
 			{ID: 6, B: core.Bounds{Lo: 0, Hi: math.MaxInt64 / 4}},
 		}, Stats: st, Node: info},
-		&verifyReq{BootID: "b", Items: items, Term: term, Ord: core.Asc, Gated: true, Tau: &tau, DeadlineMS: 3},
-		&verifyReq{BootID: "b", Items: items, Term: term, Ord: core.Desc},
+		&verifyReq{BootID: "b", Items: items, Term: term, Gate: core.GateSpec{Ord: core.Asc, K: 3, Best: []core.Scored{{ID: -5, Score: 7}, {ID: 1 << 40, Score: 2}}}, DeadlineMS: 3},
+		&verifyReq{BootID: "b", Items: items, Term: term, Gate: core.GateSpec{Ord: core.Asc, K: 2, Best: []core.Scored{{ID: 3, Score: 0.5}}, Agg: core.Max,
+			Groups: []core.GateGroup{{Key: -9, Off: 0, N: 1, Pending: 0}, {Key: 1 << 41, Off: 1, N: 3, Pending: 2}},
+			Opt:    []float64{12.5, math.Inf(1), -0.25, 0},
+			Items:  []core.GateItem{{G: 1, M: 3, Indexed: true}, {G: 0, M: 0}}}, DeadlineMS: 4},
 		&scoreChunk{{Idx: 0, Score: 17}, {Idx: 15, Score: -1}},
-		&tauUpdate{Tau: -42},
+		&tauPush{ID: -42, Score: 21.5},
 		&verifyRes{Stats: st, Node: info},
 		&wireError{Msg: "dist: boom", BootID: "b"},
 	}
@@ -98,6 +100,10 @@ func TestWireElementSizes(t *testing.T) {
 		{"bool", boolSize, &filterRes{Keep: []bool{false}}, &filterRes{}},
 		{"cand", candSize, &boundsRes{Cands: make([]core.CandBound, 1)}, &boundsRes{}},
 		{"item", itemSize, &verifyReq{Items: make([]core.VerifyItem, 1)}, &verifyReq{}},
+		{"entry", pushSize, &verifyReq{Gate: core.GateSpec{Best: make([]core.Scored, 1)}}, &verifyReq{}},
+		{"group", groupSize, &verifyReq{Gate: core.GateSpec{Groups: make([]core.GateGroup, 1)}}, &verifyReq{}},
+		{"opt", optSize, &verifyReq{Gate: core.GateSpec{Opt: make([]float64, 1)}}, &verifyReq{}},
+		{"place", placeSize, &verifyReq{Gate: core.GateSpec{Items: make([]core.GateItem, 1)}}, &verifyReq{}},
 		{"score", scoreSize, &scoreChunk{{}}, &scoreChunk{}},
 		{"term", termSize, &filterReq{Terms: make([]wireTerm, 1)}, &filterReq{}},
 		{"cmp", cmpSize, &filterReq{Pred: make([]wireCmp, 1)}, &filterReq{}},
