@@ -255,6 +255,16 @@ func summarize(db *masksearch.DB, catalogLine string) {
 	if s, err := db.IndexStats(); err == nil {
 		fmt.Printf("index: %d masks indexed, %.1f MB (%.1f%% of %.1f MB data)\n",
 			s.IndexedMasks, float64(s.IndexBytes)/1e6, 100*s.Fraction, float64(s.DataBytes)/1e6)
+		switch {
+		case s.FileError != "":
+			fmt.Printf("index file: %s discarded: %s\n", s.File, s.FileError)
+		case s.File == store.LegacyIndexFileName:
+			fmt.Printf("index file: %s (legacy gob, %d entries)\n", s.File, s.FileEntries)
+		case s.File != "":
+			fmt.Printf("index file: %s (arena, %d entries)\n", s.File, s.FileEntries)
+		default:
+			fmt.Println("index file: none")
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -73,10 +72,11 @@ func main() {
 	}
 
 	// Same index granularity the DB facade defaults to, and the same
-	// persisted-index reuse: a chi.gob left by a local session (or an
-	// eager build) seeds this node's bounds. The index only changes
-	// load counts, never results, so nodes with different index states
-	// still answer identically.
+	// persisted-index reuse: a chi.idx (or a legacy chi.gob) left by a
+	// local session or an eager build seeds this node's bounds, read
+	// straight into the index's pages. The index only changes load
+	// counts, never results, so nodes with different index states still
+	// answer identically; a discarded file is logged with its reason.
 	cfg, err := core.Config{
 		CellW: max(2, st.MaskW()/4), CellH: max(2, st.MaskH()/4),
 		Edges: core.DefaultEdges(10),
@@ -85,7 +85,13 @@ func main() {
 		st.Close()
 		log.Fatal(err)
 	}
-	idx := core.LoadIndex(filepath.Join(*dbDir, store.IndexFileName), cfg)
+	idx, from, err := store.LoadIndex(*dbDir, cfg)
+	switch {
+	case err != nil:
+		log.Printf("discarded the persisted index, starting empty: %v", err)
+	case from != "":
+		log.Printf("restored %d index entries from %s", idx.Len(), from)
+	}
 
 	if *name == "" {
 		*name = *addr

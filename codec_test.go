@@ -140,7 +140,7 @@ func TestExplainReportsStorage(t *testing.T) {
 	}
 }
 
-// TestCompactCheckpointsIndex is the chi.gob-on-crash regression: the
+// TestCompactCheckpointsIndex is the chi.idx-on-crash regression: the
 // index used to persist only on a clean Close, so a crash after hours
 // of ingestion rebuilt every CHI from scratch. Now Compact checkpoints
 // the index through the atomic rename path; after a fault-injected
@@ -204,10 +204,10 @@ func TestCompactCheckpointsIndex(t *testing.T) {
 	}
 	defer re.Close()
 	// Immediately after a lazy open, the only indexed masks are those
-	// loaded from the checkpointed chi.gob (the 3 compacted appends)
+	// loaded from the checkpointed chi.idx (the 3 compacted appends)
 	// plus the WAL-replayed tail (2 masks) — the generated masks were
 	// never queried, so nothing else can be in the index. Without the
-	// Compact checkpoint there is no chi.gob at all and only the 2
+	// Compact checkpoint there is no chi.idx at all and only the 2
 	// replayed masks would be indexed.
 	st, err := re.IndexStats()
 	if err != nil {
@@ -239,32 +239,34 @@ func TestCheckpointIndexExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	gob := filepath.Join(dir, store.IndexFileName)
-	if _, err := os.Stat(gob); err == nil {
-		t.Fatal("chi.gob exists before any checkpoint")
+	idx := filepath.Join(dir, store.IndexFileName)
+	if _, err := os.Stat(idx); err == nil {
+		t.Fatal("chi.idx exists before any checkpoint")
 	}
 	if err := db.CheckpointIndex(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(gob)
+	fi, err := os.Stat(idx)
 	if err != nil {
-		t.Fatalf("no chi.gob after CheckpointIndex: %v", err)
+		t.Fatalf("no chi.idx after CheckpointIndex: %v", err)
 	}
 	// A second checkpoint with nothing new must not rewrite the file.
 	mt := fi.ModTime()
 	if err := db.CheckpointIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if fi2, err := os.Stat(gob); err != nil || !fi2.ModTime().Equal(mt) {
-		t.Fatalf("clean CheckpointIndex rewrote chi.gob (err %v)", err)
+	if fi2, err := os.Stat(idx); err != nil || !fi2.ModTime().Equal(mt) {
+		t.Fatalf("clean CheckpointIndex rewrote chi.idx (err %v)", err)
 	}
 }
 
-// TestOpenOverMalformedIndex: a chi.gob that decodes but holds an entry
-// its config could not have built (one CHI's counts cut to half their
-// length) is dropped at open like one of another granularity: the DB
-// starts an empty index and answers exactly as before. It used to panic
-// the first query that bounded that mask.
+// TestOpenOverMalformedIndex: an index file that holds an entry its
+// config could not have built is dropped at open like one of another
+// granularity: the DB starts an empty index, reports why it discarded
+// the file, and answers exactly as before. Both formats are covered:
+// a chi.idx whose slot for mask 1 counts one pixel too many, and a
+// legacy chi.gob with mask 1's counts cut to half their length (which
+// used to panic the first query that bounded that mask).
 func TestOpenOverMalformedIndex(t *testing.T) {
 	dir := t.TempDir()
 	if err := GenerateDataset(dir, TinyDataset()); err != nil {
@@ -296,20 +298,57 @@ func TestOpenOverMalformedIndex(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Rewrite chi.gob with mask 1's counts halved; the envelope mirrors
-	// the one core.MemoryIndex.Encode writes.
 	path := filepath.Join(dir, store.IndexFileName)
 	enc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file struct {
+	good, err := core.ReadMemoryIndex(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(name, file string) {
+		t.Helper()
+		re, err := OpenWith(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		st, err := re.IndexStats()
+		if err != nil || st.IndexedMasks != 0 {
+			t.Fatalf("%s: malformed index restored %d masks (err %v), want an empty index", name, st.IndexedMasks, err)
+		}
+		if st.File != file || !strings.Contains(st.FileError, "mask 1:") {
+			t.Fatalf("%s: index file %q discarded for %q, want %s discarded naming mask 1", name, st.File, st.FileError, file)
+		}
+		if got := answers(re); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: answers over a malformed index differ:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	// chi.idx: header (magic, version, cell size, k, k edges, W, H,
+	// stride, pages), the presence bitmap, then page 0's slab, whose
+	// first count is mask 1's first cell's area.
+	k := int(binary.LittleEndian.Uint32(enc[20:]))
+	pages := int(binary.LittleEndian.Uint32(enc[24+8*k+12:]))
+	first := 24 + 8*k + 16 + pages*128
+	bad := bytes.Clone(enc)
+	binary.LittleEndian.PutUint32(bad[first:], binary.LittleEndian.Uint32(bad[first:])+1)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen("chi.idx", store.IndexFileName)
+
+	// A legacy chi.gob in the envelope earlier versions wrote, read only
+	// when chi.idx is absent.
+	file := struct {
 		Cfg  core.Config
 		Chis map[int64]*core.CHI
-	}
-	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(&file); err != nil {
-		t.Fatal(err)
+	}{Cfg: good.Config(), Chis: map[int64]*core.CHI{}}
+	for id := int64(1); id <= int64(good.Len()); id++ {
+		c, _ := good.ChiFor(id)
+		cp := *c
+		file.Chis[id] = &cp
 	}
 	c := file.Chis[1]
 	c.Cum = c.Cum[:len(c.Cum)/2]
@@ -317,21 +356,13 @@ func TestOpenOverMalformedIndex(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-
-	re, err := OpenWith(dir, Options{})
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, store.LegacyIndexFileName), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if st, err := re.IndexStats(); err != nil || st.IndexedMasks != 0 {
-		t.Fatalf("malformed chi.gob restored %d masks (err %v), want an empty index", st.IndexedMasks, err)
-	}
-	if got := answers(re); !reflect.DeepEqual(got, want) {
-		t.Fatalf("answers over a malformed chi.gob differ:\n got %+v\nwant %+v", got, want)
-	}
+	reopen("chi.gob", store.LegacyIndexFileName)
 }
 
 // TestQueryCorruptRLEMask damages one mask's stream in an rle dataset

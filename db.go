@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"iter"
 	"path/filepath"
 	"sync"
@@ -37,7 +38,7 @@ type Options struct {
 	// persisted (if anything) and grows incrementally as queries
 	// verify masks (§3.6).
 	EagerIndex bool
-	// PersistIndexOnClose saves the index to <db>/chi.gob on Close so
+	// PersistIndexOnClose saves the index to <db>/chi.idx on Close so
 	// later sessions reuse it.
 	PersistIndexOnClose bool
 	// IndexConfig overrides the CHI granularity. The zero value picks
@@ -118,6 +119,14 @@ type IndexStats struct {
 	DataBytes int64
 	// Fraction is IndexBytes/DataBytes.
 	Fraction float64
+	// File is the persisted index file Open read (chi.idx, or a legacy
+	// chi.gob), empty when there was none.
+	File string
+	// FileError says why Open discarded File and started an empty
+	// index instead, empty when it restored it.
+	FileError string
+	// FileEntries is how many entries Open restored from File.
+	FileEntries int
 }
 
 // DB is an opened mask database. The backing store is an ordered list
@@ -136,6 +145,12 @@ type DB struct {
 	coord *dist.Coordinator
 
 	dirty atomic.Bool // index changed since open
+	// idxFile is what Open found on disk for the index.
+	idxFile struct {
+		name    string
+		err     error
+		entries int
+	}
 
 	// ckptmu serializes index checkpoints so two concurrent
 	// CheckpointIndex calls never interleave temp-file publishes.
@@ -215,7 +230,13 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 		planEntries = DefaultPlanCacheEntries
 	}
 	db := &DB{dir: dir, opts: opts, st: st, cat: cat, plans: newPlanCache(planEntries)}
-	db.idx = core.LoadIndex(filepath.Join(dir, store.IndexFileName), cfg)
+	db.idx, db.idxFile.name, db.idxFile.err = store.LoadIndex(dir, cfg)
+	if db.idxFile.err == nil {
+		db.idxFile.entries = db.idx.Len()
+	}
+	// A legacy index is rewritten in the current format at the next
+	// persist, which then removes the legacy file.
+	db.dirty.Store(db.idxFile.err == nil && db.idxFile.name == store.LegacyIndexFileName)
 	if opts.EagerIndex {
 		// Eager ("vanilla MaskSearch") construction fans mask loads
 		// and CHI builds across the worker pool.
@@ -280,17 +301,26 @@ func (db *DB) Close() error {
 	return ferr
 }
 
-// persistIndex publishes <db>/chi.gob via the store's atomic
+// persistIndex publishes <db>/chi.idx via the store's atomic
 // write-fsync-rename-dirsync path, so a crash at any point leaves
 // either the old index or the new one — never a torn file the next
-// Open would silently discard. Callers (Close, checkpointIndex) are
-// mutually exclusive, which the fixed temp name relies on.
+// Open would discard — then removes a legacy chi.gob, which the new
+// file supersedes. Encode writes the arena's pages as they are, with
+// no per-entry work beyond their byte order. Callers (Close,
+// checkpointIndex) are mutually exclusive, which the fixed temp name
+// relies on.
 func (db *DB) persistIndex() error {
-	return store.AtomicWriteFile(store.DirFS(),
-		filepath.Join(db.dir, store.IndexFileName), db.idx.Encode)
+	fsys := store.DirFS()
+	if err := store.AtomicWriteFile(fsys, filepath.Join(db.dir, store.IndexFileName), db.idx.Encode); err != nil {
+		return err
+	}
+	if err := fsys.Remove(filepath.Join(db.dir, store.LegacyIndexFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
-// CheckpointIndex durably persists the CHI index to <db>/chi.gob now,
+// CheckpointIndex durably persists the CHI index to <db>/chi.idx now,
 // without waiting for Close — the same atomic temp-file + rename +
 // directory-fsync path Close uses. It is a no-op when the index has
 // not changed since the last persist. Before this existed the index
@@ -337,7 +367,7 @@ func (db *DB) env(ex core.Exec) *core.Env {
 		Exec:   ex,
 		OnVerify: func(id int64, m *Mask) {
 			// Only dirty the index when this mask is actually new to
-			// it, so Close never rewrites an unchanged chi.gob.
+			// it, so Close never rewrites an unchanged chi.idx.
 			if chi, _ := db.idx.ChiFor(id); chi == nil {
 				db.idx.Observe(id, m)
 				db.dirty.Store(true)
@@ -632,6 +662,11 @@ func (db *DB) IndexStats() (IndexStats, error) {
 		IndexedMasks: db.idx.Len(),
 		IndexBytes:   db.idx.SizeBytes(),
 		DataBytes:    db.st.DataBytes(),
+		File:         db.idxFile.name,
+		FileEntries:  db.idxFile.entries,
+	}
+	if err := db.idxFile.err; err != nil {
+		s.FileError = err.Error()
 	}
 	if s.DataBytes > 0 {
 		s.Fraction = float64(s.IndexBytes) / float64(s.DataBytes)

@@ -140,18 +140,18 @@ func FuzzBuild(f *testing.F) {
 	})
 }
 
-// TestObserveAllocs: building a CHI allocates the CHI and its counts
-// and nothing else — the four counter lanes stay on the stack, and the
-// index's builder (or the one-off Build's) makes its tables without
-// allocating.
+// TestObserveAllocs: observing a mask builds straight into its slot of
+// the index arena and allocates nothing — the four counter lanes stay
+// on the stack and the index's builder made its tables once — while a
+// one-off Build allocates the CHI and its counts and nothing else.
 func TestObserveAllocs(t *testing.T) {
 	m := &Mask{W: 64, H: 64, Bytes: testPixels(rand.New(rand.NewSource(5)), 64, 64)}
 	cfg := Config{CellW: 16, CellH: 16, Edges: DefaultEdges(10)}
 	ix := NewMemoryIndex(cfg)
-	ix.Observe(1, m) // allocates the index's first page
+	ix.Observe(1, m) // fixes the geometry and allocates the index's first page
 	id := int64(1)
-	if n := testing.AllocsPerRun(100, func() { id++; ix.Observe(id, m) }); n != 2 {
-		t.Errorf("Observe allocates %v per new mask, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { id++; ix.Observe(id, m) }); n != 0 {
+		t.Errorf("Observe allocates %v per new mask, want 0", n)
 	}
 	if ix.Len() != int(id) {
 		t.Errorf("indexed %d masks, want %d", ix.Len(), id)

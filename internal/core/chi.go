@@ -92,6 +92,10 @@ type CHI struct {
 	// Cum[(cy*GW+cx)*len(Edges)+j] = #pixels in cell (cx, cy) with
 	// value >= Edges[j].
 	Cum []int32
+	// geom is the geometry of the MemoryIndex whose slot this is, nil
+	// for a CHI built on its own: every slot of an index shares it, so
+	// a query plan knows a slot fits by one pointer compare.
+	geom *chiGeom
 }
 
 // Build constructs the CHI of a mask under the given config. It is the
@@ -174,17 +178,24 @@ func (bd *builder) build(m *Mask) (*CHI, error) {
 	if m == nil || m.W <= 0 || m.H <= 0 {
 		return nil, errors.New("chi: cannot index an empty mask")
 	}
+	c := bd.header(m.W, m.H)
+	c.Cum = make([]int32, c.GW*c.GH*len(c.Edges))
+	bd.fill(&c, m)
+	return &c, nil
+}
+
+// header returns the CHI of a w×h mask under the builder's config,
+// without its counts.
+func (bd *builder) header(w, h int) CHI {
 	cfg := bd.cfg
-	k := len(cfg.Edges)
-	gw := (m.W + cfg.CellW - 1) / cfg.CellW
-	gh := (m.H + cfg.CellH - 1) / cfg.CellH
-	c := &CHI{
-		W: m.W, H: m.H,
-		CellW: cfg.CellW, CellH: cfg.CellH,
-		GW: gw, GH: gh,
-		Edges: cfg.Edges,
-		Cum:   make([]int32, gw*gh*k),
-	}
+	return CHI{W: w, H: h, CellW: cfg.CellW, CellH: cfg.CellH, GW: (w-1)/cfg.CellW + 1, GH: (h-1)/cfg.CellH + 1, Edges: cfg.Edges}
+}
+
+// fill counts m into c, whose header is m's under the builder's config
+// and whose Cum is zeroed: a fresh CHI, or a claimed index slot.
+func (bd *builder) fill(c *CHI, m *Mask) {
+	cfg := bd.cfg
+	k, gw, gh := len(cfg.Edges), c.GW, c.GH
 	// First accumulate per-bin counts, then suffix-sum each cell.
 	if m.Bytes == nil && m.RLE != nil {
 		// Compressed fast path: whole repeat runs fold through the
@@ -210,7 +221,6 @@ func (bd *builder) build(m *Mask) (*CHI, error) {
 			c.Cum[base+j] += c.Cum[base+j+1]
 		}
 	}
-	return c, nil
 }
 
 // accumBytes is the byte-domain kernel: per-bin counts of every cell
@@ -313,11 +323,6 @@ func (c *CHI) Config() Config {
 	return Config{CellW: c.CellW, CellH: c.CellH, Edges: c.Edges}
 }
 
-// SizeBytes estimates the in-memory footprint of the index entry: its
-// counts and header. Edges is not included — the CHIs of one index
-// share a single slice, which MemoryIndex.SizeBytes counts once.
-func (c *CHI) SizeBytes() int64 { return int64(len(c.Cum))*4 + 48 }
-
 // CPBounds returns admissible bounds on ExactCP(mask, roi, vr) using
 // only the index: Lo <= CP <= Hi always holds. Bounds are exact when
 // the ROI is cell-aligned and both range endpoints are edges (or the
@@ -335,6 +340,7 @@ func (c *CHI) CPBounds(roi Rect, vr ValueRange) Bounds {
 type chiPlan struct {
 	w, h, cellW, cellH, gw int
 	edges                  []float64
+	geom                   *chiGeom
 	// empty: no pixel value can satisfy the range, every bound is 0.
 	empty bool
 	// count(v >= lo) is bracketed by Cum[loGE] <= . <= Cum[loLE], and
@@ -358,7 +364,7 @@ type coverCell struct {
 const coverBuf = 16
 
 func newChiPlan(c *CHI, vr ValueRange) chiPlan {
-	g := chiPlan{w: c.W, h: c.H, cellW: c.CellW, cellH: c.CellH, gw: c.GW, edges: c.Edges}
+	g := chiPlan{w: c.W, h: c.H, cellW: c.CellW, cellH: c.CellH, gw: c.GW, edges: c.Edges, geom: c.geom}
 	lo := max(vr.Lo, 0)
 	g.closedTop = vr.Hi >= 1
 	if g.empty = vr.IsEmpty() || (!g.closedTop && vr.Hi <= lo); g.empty {
@@ -372,13 +378,19 @@ func newChiPlan(c *CHI, vr ValueRange) chiPlan {
 }
 
 // fits reports whether the plan was derived for c's geometry and edges.
+// A plan derived from an index slot fits every slot of that index by
+// the shared geometry pointer; only a CHI from elsewhere (a one-off
+// Build) is compared field by field.
 func (g *chiPlan) fits(c *CHI) bool {
+	if c.geom != nil && c.geom == g.geom {
+		return true
+	}
 	return c.W == g.w && c.H == g.h && c.CellW == g.cellW && c.CellH == g.cellH && c.GW == g.gw &&
 		(sameSlice(c.Edges, g.edges) || slices.Equal(c.Edges, g.edges))
 }
 
 // sameSlice reports whether a and b are one and the same non-empty
-// slice — what interned edges are, making "equal edges?" one compare.
+// slice, as the edges of CHIs built under one config are.
 func sameSlice(a, b []float64) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
 
 // cellBounds brackets the qualifying pixels of one covered cell inside

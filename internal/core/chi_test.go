@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -385,10 +387,15 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadMemoryIndexRejectsMalformed: a chi.gob whose config is not
-// in normal form, or with an entry its config could not have built, is
-// an error naming the mask — never an index a query trusts. A
-// half-length Cum used to decode cleanly and panic the first Filter.
+// TestReadMemoryIndexRejectsMalformed: an index file whose config is
+// not in normal form, or with an entry its config could not have
+// built, is an error naming the mask — never an index a query trusts.
+// A half-length Cum used to decode cleanly and panic the first Filter.
+// The legacy gob file holds a CHI per entry, so every corruption is an
+// entry's; the arena file holds one header for all of them, so a
+// geometry corruption is the header's and a count corruption a slot's.
+// The arena file is also cut at every offset, given a trailing byte, a
+// presence bit on an empty slot and counts in an absent one.
 func TestReadMemoryIndexRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	loader, idx, ids := buildEngineFixture(rng, 3, 16, 15)
@@ -421,7 +428,11 @@ func TestReadMemoryIndexRejectsMalformed(t *testing.T) {
 		bad := ids[1]
 		tc.corrupt(chis[bad])
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(indexFile{Cfg: tc.cfg, Chis: chis}); err != nil {
+		file := struct {
+			Cfg  Config
+			Chis map[int64]*CHI
+		}{tc.cfg, chis}
+		if err := gob.NewEncoder(&buf).Encode(file); err != nil {
 			t.Fatal(err)
 		}
 		ix, err := ReadMemoryIndex(&buf)
@@ -438,4 +449,83 @@ func TestReadMemoryIndexRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
 		}
 	}
+
+	var buf bytes.Buffer
+	if err := idx.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	u32 := func(b []byte, off int, f func(uint32) uint32) {
+		binary.LittleEndian.PutUint32(b[off:], f(binary.LittleEndian.Uint32(b[off:])))
+	}
+	geo := 24 + 8*k        // W, H, stride, pages
+	slab := geo + 16 + 128 // page 0's counts; slot s at slab + 4*s*stride
+	stride := len(mustChi(t, idx, 1).Cum)
+	slot := func(id int64, j int) int { return slab + 4*(int(id-1)*stride+j) }
+	set := func(off int, v uint32) func([]byte) {
+		return func(b []byte) { u32(b, off, func(uint32) uint32 { return v }) }
+	}
+	add := func(off int, d uint32) func([]byte) {
+		return func(b []byte) { u32(b, off, func(v uint32) uint32 { return v + d }) }
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(b []byte)
+	}{
+		{"half-length counts", "stride", set(geo+8, uint32(stride/2))},
+		{"grid one cell too wide", "stride", add(geo, uint32(cfg.CellW))},
+		{"empty mask", "stride", set(geo, 0)},
+		{"other cell size", "stride", add(12, uint32(cfg.CellW))},
+		{"config not normalized", "not normalized", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[24:], math.Float64bits(0.5))
+		}},
+		{"count above cell area", "mask 2:", add(slot(2, 5*k), 1)},
+		{"count below cell area", "mask 2:", add(slot(2, 5*k), ^uint32(0))},
+		{"counts increase", "mask 2:", func(b []byte) {
+			u32(b, slot(2, k-1), func(uint32) uint32 { return binary.LittleEndian.Uint32(b[slot(2, 0):]) + 1 })
+		}},
+		{"negative count", "mask 2:", set(slot(2, 2*k-1), ^uint32(0))},
+		{"presence bit on an empty slot", "mask 5:", func(b []byte) { b[geo+16] |= 1 << 4 }},
+		{"counts in an absent slot", "mask 4:", set(slot(4, 0), 1)},
+		{"other format version", "format version", add(8, 1)},
+		{"pages beyond the file", "declared", add(geo+12, 1)},
+	} {
+		b := bytes.Clone(enc)
+		tc.corrupt(b)
+		ix, err := ReadMemoryIndex(bytes.NewReader(b))
+		if err == nil {
+			_, _, qerr := Filter(context.Background(), &Env{Loader: loader, Index: ix}, ids, terms, Cmp{T: 0, Op: OpGt, C: 50})
+			t.Fatalf("arena %s: accepted (a query over it returned %v)", tc.name, qerr)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("arena %s: error %q does not name %q", tc.name, err, tc.want)
+		}
+	}
+	// Cut at every offset, on an index of 2 counts per slot so the cuts
+	// stay few: whatever the offset, it is an error.
+	small := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: []float64{0, 0.5}})
+	small.Observe(3, randomByteMask(rng, 4, 4))
+	buf.Reset()
+	if err := small.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc = buf.Bytes()
+	for n := range len(enc) {
+		if _, err := ReadMemoryIndex(bytes.NewReader(enc[:n])); err == nil {
+			t.Fatalf("the arena file cut to %d of %d bytes was accepted", n, len(enc))
+		}
+	}
+	if _, err := ReadMemoryIndex(bytes.NewReader(append(bytes.Clone(enc), 0))); err == nil {
+		t.Fatal("the arena file with a trailing byte was accepted")
+	}
+}
+
+// mustChi returns id's entry in ix.
+func mustChi(tb testing.TB, ix *MemoryIndex, id int64) *CHI {
+	tb.Helper()
+	c, err := ix.ChiFor(id)
+	if err != nil || c == nil {
+		tb.Fatalf("mask %d not indexed (err %v)", id, err)
+	}
+	return c
 }

@@ -150,10 +150,14 @@ func (e *Env) pooled(n int) bool { return e.Exec.workers() > 1 && n >= minParall
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,
 // fanning mask loads and builds (through ix's one builder) across the
-// pool. It returns how many masks were newly indexed. This is the eager
-// ("vanilla MaskSearch") construction path; the incremental mode
-// instead grows the index one Observe at a time.
+// pool, each straight into its slot. It returns how many masks were
+// newly indexed. This is the eager ("vanilla MaskSearch") construction
+// path; the incremental mode instead grows the index one Observe at a
+// time.
 func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int64, ex Exec) (int, error) {
+	if ix.err != nil {
+		return 0, ix.err
+	}
 	var built atomic.Int64
 	do := func(id int64) error {
 		if chi, err := ix.ChiFor(id); err != nil {
@@ -165,28 +169,14 @@ func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int
 		if err != nil {
 			return err
 		}
-		chi, err := ix.build(m)
+		if ix.observe(id, m) {
+			built.Add(1)
+		}
 		if r, ok := loader.(MaskRecycler); ok {
 			r.ReleaseMask(m)
 		}
-		if err != nil {
-			return err
-		}
-		ix.Add(id, chi)
-		built.Add(1)
 		return nil
 	}
-	if w := ex.workers(); w > 1 && len(ids) >= minParallelTargets {
-		err := fanOut(ctx, w, len(ids), func(_, i int) error { return do(ids[i]) })
-		return int(built.Load()), err
-	}
-	for i, id := range ids {
-		if err := CheckCtx(ctx, i); err != nil {
-			return int(built.Load()), err
-		}
-		if err := do(id); err != nil {
-			return int(built.Load()), err
-		}
-	}
-	return int(built.Load()), nil
+	err := fanOut(ctx, ex.workers(), len(ids), func(_, i int) error { return do(ids[i]) })
+	return int(built.Load()), err
 }

@@ -589,24 +589,38 @@ func TestMemoryIndexConcurrency(t *testing.T) {
 	}
 
 	// The storm: ids around the first page boundary and, further out,
-	// around one that needs a longer directory. Readers poll ChiFor on
-	// exactly the ids the writers are observing; whatever they see must
-	// be nil or the finished CHI of that id's mask.
+	// around one that needs a longer directory. Four writers observe
+	// the same ids in different orders, so every slot is contended.
+	// Readers poll ChiFor on exactly those ids and take bounds; whatever
+	// they see must be nil or the counts Build gives that id's mask. An
+	// encoder snapshots the index mid-run, and each snapshot must decode
+	// to entries that are each Build's too.
 	var storm []int64
 	for d := int64(-20); d < 20; d++ {
 		storm = append(storm, chiPageSize+d, 3*chiPageSize+d)
 	}
-	maskOf := func(id int64) *Mask { return masks[id%n+1] }
+	maskOf := func(id int64) *Mask {
+		if id <= n {
+			return masks[id]
+		}
+		return masks[id%n+1]
+	}
 	roi, vr := Rect{2, 1, 11, 10}, ValueRange{Lo: 0.3, Hi: 0.9}
-	wantBounds := make(map[int64]Bounds, len(storm))
-	wantSize := idx.SizeBytes()
+	want := make(map[int64]*CHI, n+len(storm))
+	for id := int64(1); id <= n; id++ {
+		want[id], _ = Build(maskOf(id), idx.Config())
+	}
 	for _, id := range storm {
 		chi, err := Build(maskOf(id), idx.Config())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBounds[id] = chi.CPBounds(roi, vr)
-		wantSize += chi.SizeBytes()
+		want[id] = chi
+	}
+	same := func(chi *CHI, id int64) bool {
+		w := want[id]
+		return chi.W == w.W && chi.H == w.H && chi.GW == w.GW && chi.GH == w.GH &&
+			slices.Equal(chi.Cum, w.Cum) && chi.CPBounds(roi, vr) == w.CPBounds(roi, vr)
 	}
 	var writers sync.WaitGroup
 	stop := make(chan struct{})
@@ -622,6 +636,7 @@ func TestMemoryIndexConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			p := &planTerms([]CPTerm{{Region: FixedRegion(roi), Range: vr}})[0]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -634,24 +649,51 @@ func TestMemoryIndexConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if chi != nil && chi.CPBounds(roi, vr) != wantBounds[id] {
-					t.Errorf("mask %d: reader saw a CHI with foreign bounds", id)
+				if chi != nil && (!same(chi, id) || p.bounds(chi, id) != want[id].CPBounds(roi, vr)) {
+					t.Errorf("mask %d: reader saw an entry that is not Build's", id)
 					return
 				}
 			}
 		}(g)
 	}
+	snapshots := make(chan []byte, 8)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(snapshots)
+		for range cap(snapshots) {
+			var buf bytes.Buffer
+			if err := idx.Encode(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			snapshots <- buf.Bytes()
+		}
+	}()
 	writers.Wait()
 	close(stop)
 	wg.Wait()
+	for snap := range snapshots {
+		back, err := ReadMemoryIndex(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("a mid-run snapshot does not decode: %v", err)
+		}
+		back.each(func(id int64, chi *CHI) {
+			if want[id] == nil || !same(chi, id) {
+				t.Errorf("mask %d: a mid-run snapshot holds an entry that is not Build's", id)
+			}
+		})
+	}
 	if got := idx.Len(); got != n+len(storm) {
 		t.Fatalf("Len %d after the storm, want %d", got, n+len(storm))
 	}
-	if got := idx.SizeBytes(); got != wantSize {
+	// The storm's ids span pages 0 to 3, each one slab.
+	stride := len(want[1].Cum)
+	if got, wantSize := idx.SizeBytes(), int64(4*chiPageSize*stride*4); got != wantSize {
 		t.Fatalf("SizeBytes %d after the storm, want %d", got, wantSize)
 	}
 	for _, id := range storm {
-		if chi, _ := idx.ChiFor(id); chi == nil || chi.CPBounds(roi, vr) != wantBounds[id] {
+		if chi, _ := idx.ChiFor(id); chi == nil || !same(chi, id) {
 			t.Fatalf("mask %d missing or wrong after the storm", id)
 		}
 	}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
+	"maps"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,33 +19,52 @@ import (
 // indexed up front, and the incremental mode (§3.6), where Observe
 // grows the index as queries verify masks.
 //
-// Mask ids are dense from 1, so the collection is a paged table rather
-// than a map: a copy-on-write directory of fixed-size pages whose slots
-// are atomic pointers. ChiFor — called once per mask per query by every
-// engine worker — is two atomic loads, with no lock and no hashing;
-// only growing the directory takes the mutex.
+// The index is an arena of one geometry — its config over one W×H,
+// fixed by the first entry — so every entry has the same number of
+// counts, its stride. Mask ids are dense from 1: a page holds 1 024
+// ids' counts in one slab at that stride, beside CHI headers viewing
+// their slots, and no entry has a heap object of its own. A slot is
+// write-once: a writer claims it, builds into it and publishes it with
+// an atomic bit. ChiFor — called once per mask per query by every
+// engine worker — is two atomic loads, with no lock and no hashing.
 type MemoryIndex struct {
 	// builder holds the config and its byte tables, made once per
-	// index: Observe and IndexAll build every CHI through it.
+	// index: Observe and IndexAll build every entry through it.
 	builder
+	geom atomic.Pointer[chiGeom] // nil until the first entry
 	// dir is the page directory; page p holds ids
-	// [p*chiPageSize+1, (p+1)*chiPageSize]. A published directory is
-	// never modified: growth publishes a longer copy sharing the pages.
-	dir atomic.Pointer[[]*chiPage]
-	// grow serializes directory growth.
-	grow sync.Mutex
+	// [p*chiPageSize+1, (p+1)*chiPageSize], nil until one is claimed. A
+	// published directory is never modified: adding a page publishes a
+	// copy sharing the others.
+	dir  atomic.Pointer[[]*chiPage]
+	grow sync.Mutex // serializes setting geom and adding pages
 	n    atomic.Int64
 }
 
 const (
 	chiPageBits = 10
 	chiPageSize = 1 << chiPageBits
+	chiWords    = chiPageSize / 64
 	// maxIndexID bounds the directory (to 32 MiB of page pointers) so a
-	// corrupt chi.gob cannot ask for an absurd allocation.
+	// corrupt index file cannot ask for an absurd allocation.
 	maxIndexID = 1 << 32
 )
 
-type chiPage [chiPageSize]atomic.Pointer[CHI]
+// chiGeom is the geometry every entry of one index shares: the header
+// of each slot, and its number of counts, GW*GH*len(Edges).
+type chiGeom struct {
+	proto  CHI
+	stride int
+}
+
+// chiPage holds the entries of 1 024 consecutive ids. taken marks
+// claimed slots, ready published ones (a subset), bit i%64 of word i/64
+// for slot i; chis[i].Cum views slab[i*stride:][:stride].
+type chiPage struct {
+	taken, ready [chiWords]atomic.Uint64
+	chis         [chiPageSize]CHI
+	slab         []int32
+}
 
 // NewMemoryIndex returns an empty index that builds CHIs with cfg,
 // normalized. An invalid cfg makes every build fail.
@@ -54,158 +77,333 @@ func NewMemoryIndex(cfg Config) *MemoryIndex {
 // Config returns the build configuration of the index.
 func (ix *MemoryIndex) Config() Config { return ix.cfg }
 
-// slot returns id's table slot, or nil when id lies outside the pages
-// allocated so far (ids < 1 included).
-func (ix *MemoryIndex) slot(id int64) *atomic.Pointer[CHI] {
-	dir := *ix.dir.Load()
-	if p := uint64(id-1) >> chiPageBits; p < uint64(len(dir)) {
-		return &dir[p][(id-1)&(chiPageSize-1)]
-	}
-	return nil
-}
-
-// ChiFor returns the CHI for id, or (nil, nil) when not indexed.
+// ChiFor returns the CHI for id, or (nil, nil) when not indexed. The
+// CHI views the index's slot and must not be modified.
 func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
-	if s := ix.slot(id); s != nil {
-		return s.Load(), nil
+	dir := *ix.dir.Load()
+	if p := uint64(id-1) >> chiPageBits; p < uint64(len(dir)) && dir[p] != nil {
+		i := (id - 1) & (chiPageSize - 1)
+		if dir[p].ready[i>>6].Load()&(1<<(i&63)) != 0 {
+			return &dir[p].chis[i], nil
+		}
 	}
 	return nil, nil
 }
 
-// Add stores a prebuilt CHI for id, replacing any existing entry. Ids
-// outside [1, 2^32] cannot name a mask and are ignored.
-func (ix *MemoryIndex) Add(id int64, chi *CHI) {
-	if id < 1 || id > maxIndexID || chi == nil {
-		return
-	}
-	// Intern the edges: a CHI decoded from chi.gob owns a private copy
-	// of the index's one normalized slice. Sharing it drops the copy and
-	// makes a query plan's "same edges?" check a pointer compare.
-	if e := ix.cfg.Edges; !sameSlice(chi.Edges, e) && slices.Equal(chi.Edges, e) {
-		chi.Edges = e
-	}
-	s := ix.slot(id)
-	if s == nil {
+// geometryFor returns the index geometry when a w×h entry fits it,
+// fixing it on the first entry, or nil when such an entry cannot be
+// indexed (another geometry, or an invalid config).
+func (ix *MemoryIndex) geometryFor(w, h int) *chiGeom {
+	g := ix.geom.Load()
+	if g == nil {
+		if ix.err != nil || w <= 0 || h <= 0 {
+			return nil
+		}
 		ix.grow.Lock()
-		dir := *ix.dir.Load()
-		if pages := int((id-1)>>chiPageBits) + 1; pages > len(dir) {
-			grown := make([]*chiPage, pages)
-			for p := copy(grown, dir); p < pages; p++ {
-				grown[p] = new(chiPage)
-			}
-			ix.dir.Store(&grown)
+		if g = ix.geom.Load(); g == nil {
+			g = &chiGeom{proto: ix.header(w, h)}
+			g.stride, g.proto.geom = g.proto.GW*g.proto.GH*len(ix.cfg.Edges), g
+			ix.geom.Store(g)
 		}
 		ix.grow.Unlock()
-		s = ix.slot(id)
 	}
-	if s.Swap(chi) == nil {
-		ix.n.Add(1)
+	if g.proto.W != w || g.proto.H != h {
+		return nil
+	}
+	return g
+}
+
+// newPage allocates a page of empty slots under geometry g.
+func (ix *MemoryIndex) newPage(g *chiGeom) *chiPage {
+	pg := &chiPage{slab: make([]int32, chiPageSize*g.stride)}
+	for i := range pg.chis {
+		pg.chis[i] = g.proto
+		pg.chis[i].Cum = pg.slab[i*g.stride : (i+1)*g.stride : (i+1)*g.stride]
+	}
+	return pg
+}
+
+// claim reserves id's slot for a w×h entry, adding its page when
+// needed, or returns nil when id cannot name a mask, the entry does not
+// fit the geometry, or the slot is taken: the first writer wins (a build
+// is deterministic, so a later one would write the same counts). Every
+// check runs before the claim, so a claimed slot is always published.
+func (ix *MemoryIndex) claim(id int64, w, h int) (*chiPage, int) {
+	if id < 1 || id > maxIndexID {
+		return nil, 0
+	}
+	g := ix.geometryFor(w, h)
+	if g == nil {
+		return nil, 0
+	}
+	p, i := int((id-1)>>chiPageBits), int((id-1)&(chiPageSize-1))
+	dir := *ix.dir.Load()
+	if p >= len(dir) || dir[p] == nil {
+		ix.grow.Lock()
+		if dir = *ix.dir.Load(); p >= len(dir) || dir[p] == nil {
+			grown := make([]*chiPage, max(len(dir), p+1))
+			copy(grown, dir)
+			grown[p] = ix.newPage(g)
+			ix.dir.Store(&grown)
+			dir = grown
+		}
+		ix.grow.Unlock()
+	}
+	pg, bit := dir[p], uint64(1)<<(i&63)
+	if pg.taken[i>>6].Load()&bit != 0 || pg.taken[i>>6].Or(bit)&bit != 0 {
+		return nil, 0
+	}
+	return pg, i
+}
+
+// publish makes a built slot visible to ChiFor.
+func (ix *MemoryIndex) publish(pg *chiPage, i int) {
+	pg.ready[i>>6].Or(1 << (i & 63))
+	ix.n.Add(1)
+}
+
+// Add stores a copy of a prebuilt CHI for id unless id is already
+// indexed. A CHI the index's config could not have built, one of
+// another geometry, and an id outside [1, 2^32] are ignored.
+func (ix *MemoryIndex) Add(id int64, chi *CHI) {
+	if chi == nil || chi.validate(ix.cfg) != nil {
+		return
+	}
+	if pg, i := ix.claim(id, chi.W, chi.H); pg != nil {
+		copy(pg.chis[i].Cum, chi.Cum)
+		ix.publish(pg, i)
 	}
 }
 
 // Observe indexes a mask that a query just loaded, if it is not
 // indexed yet. Its signature matches Env.OnVerify so the incremental
-// mode is wired as OnVerify: idx.Observe. It never retains m: the CHI
-// is fully built before it returns, so the engine may release the
-// mask immediately afterwards.
-//
-// The check-then-build sequence is deliberately not atomic: two
-// goroutines observing the same unindexed mask may both build its
-// CHI and the last Add wins. That race is benign — both builds
-// produce the identical index entry (a build is deterministic in m
-// and cfg) — and a slow build never blocks concurrent ChiFor readers.
-func (ix *MemoryIndex) Observe(id int64, m *Mask) {
-	if chi, _ := ix.ChiFor(id); chi != nil {
-		return
+// mode is wired as OnVerify: idx.Observe. It never retains m: the
+// entry is built into its slot before it returns, so the engine may
+// release the mask immediately afterwards. Of two goroutines observing
+// one mask the loser returns at once; no build blocks a ChiFor.
+func (ix *MemoryIndex) Observe(id int64, m *Mask) { ix.observe(id, m) }
+
+// observe is Observe reporting whether it indexed m.
+func (ix *MemoryIndex) observe(id int64, m *Mask) bool {
+	if m == nil {
+		return false
 	}
-	chi, err := ix.build(m)
-	if err != nil {
-		return
+	pg, i := ix.claim(id, m.W, m.H)
+	if pg != nil {
+		ix.fill(&pg.chis[i], m)
+		ix.publish(pg, i)
 	}
-	ix.Add(id, chi)
+	return pg != nil
 }
 
 // Len returns the number of indexed masks.
 func (ix *MemoryIndex) Len() int { return int(ix.n.Load()) }
 
-// each calls f for every indexed mask in id order.
-func (ix *MemoryIndex) each(f func(id int64, chi *CHI)) {
-	for p, page := range *ix.dir.Load() {
-		for i := range page {
-			if chi := page[i].Load(); chi != nil {
-				f(int64(p)<<chiPageBits+int64(i)+1, chi)
-			}
+// SizeBytes reports the bytes of the index's allocated slabs.
+func (ix *MemoryIndex) SizeBytes() int64 {
+	var n int64
+	for _, pg := range *ix.dir.Load() {
+		if pg != nil {
+			n += int64(len(pg.slab)) * 4
 		}
 	}
-}
-
-// SizeBytes estimates the index footprint: every entry, the edges they
-// share once, and the edges of any entry built under another config.
-func (ix *MemoryIndex) SizeBytes() int64 {
-	shared := ix.cfg.Edges
-	n := int64(len(shared)) * 8
-	ix.each(func(_ int64, c *CHI) {
-		n += c.SizeBytes()
-		if !sameSlice(c.Edges, shared) {
-			n += int64(len(c.Edges)) * 8
-		}
-	})
 	return n
 }
 
-// indexFile is the gob persistence envelope.
-type indexFile struct {
-	Cfg  Config
-	Chis map[int64]*CHI
+// The index file is the arena on disk, little-endian throughout:
+//
+//	magic "MSCHIIDX", format version (u32)
+//	config: cell width, cell height, edge count k (u32 each), k edges (f64 bits)
+//	geometry: W, H, stride, page count (u32 each); all 0 for an empty index
+//	presence bitmap: 16 u64 words per page, bit i%64 of word i/64 = slot i
+//	slabs: for each page with a present slot, chiPageSize*stride counts (i32),
+//	       an absent slot's all 0
+const (
+	indexMagic   = "MSCHIIDX"
+	indexVersion = 1
+)
+
+var le = binary.LittleEndian
+
+// Encode writes the index in the index file format; ReadMemoryIndex
+// reads it back (the DB facade persists it to <db>/chi.idx). It is safe
+// beside concurrent writers: it writes the slots published when it
+// reads each page's bitmap, and a published slot never changes.
+func (ix *MemoryIndex) Encode(out io.Writer) error {
+	dir := *ix.dir.Load()
+	var w, h, stride int
+	if g := ix.geom.Load(); g != nil {
+		w, h, stride = g.proto.W, g.proto.H, g.stride
+	}
+	b := le.AppendUint32([]byte(indexMagic), indexVersion)
+	for _, v := range []int{ix.cfg.CellW, ix.cfg.CellH, len(ix.cfg.Edges)} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	for _, e := range ix.cfg.Edges {
+		b = le.AppendUint64(b, math.Float64bits(e))
+	}
+	for _, v := range []int{w, h, stride, len(dir)} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	ready := make([]uint64, len(dir)*chiWords)
+	for p, pg := range dir {
+		for j := 0; pg != nil && j < chiWords; j++ {
+			ready[p*chiWords+j] = pg.ready[j].Load()
+		}
+	}
+	for _, word := range ready {
+		b = le.AppendUint64(b, word)
+	}
+	if _, err := out.Write(b); err != nil {
+		return err
+	}
+	for p, pg := range dir {
+		bitmap := [chiWords]uint64(ready[p*chiWords:])
+		if bitmap == [chiWords]uint64{} {
+			continue
+		}
+		b = slices.Grow(b[:0], chiPageSize*stride*4)
+		for i := range pg.chis {
+			if bitmap[i>>6]&(1<<(i&63)) == 0 {
+				b = append(b, make([]byte, stride*4)...) // unpublished: not read
+				continue
+			}
+			for _, v := range pg.chis[i].Cum {
+				b = le.AppendUint32(b, uint32(v))
+			}
+		}
+		if _, err := out.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Encode serializes the index so it can be reloaded with
-// ReadMemoryIndex (the DB facade persists to <db>/chi.gob).
-func (ix *MemoryIndex) Encode(w io.Writer) error {
-	chis := make(map[int64]*CHI, ix.Len())
-	ix.each(func(id int64, c *CHI) { chis[id] = c })
-	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: chis})
-}
-
-// ReadMemoryIndex reloads an index serialized by Encode. It rejects a
-// file whose config is not in normal form or that holds an entry its
-// config could not have built (see CHI.validate): queries trust every
-// entry's shape and counts, so a malformed one would panic a query or
-// let wrong bounds decide its answer.
+// ReadMemoryIndex reads an index written by Encode, or by the gob
+// encoder of earlier versions. It rejects, naming the mask, a file whose
+// config is not in normal form or with an entry its config could not
+// have built (see CHI.validate): queries trust every entry's shape and
+// counts, so a malformed one would panic a query or decide it wrongly.
 func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
-	var f indexFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("core: decode index: %w", err)
+	b, err := io.ReadAll(r)
+	var ix *MemoryIndex
+	if err == nil && bytes.HasPrefix(b, []byte(indexMagic)) {
+		ix, err = decodeIndex(b)
+	} else if err == nil {
+		ix, err = readLegacyIndex(b)
 	}
-	ix := NewMemoryIndex(f.Cfg)
-	if ix.err != nil || !slices.Equal(ix.cfg.Edges, f.Cfg.Edges) {
-		return nil, fmt.Errorf("core: decode index: config %s is not normalized", f.Cfg.Key())
-	}
-	for id, chi := range f.Chis {
-		if id < 1 || id > maxIndexID {
-			return nil, fmt.Errorf("core: decode index: mask id %d out of range", id)
-		}
-		if err := chi.validate(ix.cfg); err != nil {
-			return nil, fmt.Errorf("core: decode index: mask %d: %w", id, err)
-		}
-		ix.Add(id, chi)
+	if err != nil {
+		return nil, fmt.Errorf("core: read index: %w", err)
 	}
 	return ix, nil
 }
 
-// LoadIndex restores the index persisted at path when the file exists,
-// is valid and was built under cfg; otherwise it returns an empty index
-// for cfg, which grows as queries observe masks.
-func LoadIndex(path string, cfg Config) *MemoryIndex {
-	fresh := NewMemoryIndex(cfg)
-	f, err := os.Open(path)
-	if err != nil {
-		return fresh
+// decodeIndex reads an index file. Every count the file declares is
+// checked against the bytes that remain before anything is allocated
+// for it; each page's counts are copied into its slab in one pass,
+// then validated.
+func decodeIndex(b []byte) (*MemoryIndex, error) {
+	if len(b) < 24 {
+		return nil, fmt.Errorf("%d-byte header", len(b))
 	}
-	defer f.Close()
-	ix, err := ReadMemoryIndex(f)
-	if err != nil || ix.cfg.Key() != fresh.cfg.Key() {
-		return fresh
+	if v := le.Uint32(b[8:]); v != indexVersion {
+		return nil, fmt.Errorf("format version %d, want %d", v, indexVersion)
 	}
-	return ix
+	cellW, cellH, k := int(le.Uint32(b[12:])), int(le.Uint32(b[16:])), int64(le.Uint32(b[20:]))
+	if b = b[24:]; 8*k+16 > int64(len(b)) {
+		return nil, fmt.Errorf("%d edges declared, %d bytes remain", k, len(b))
+	}
+	cfg := Config{CellW: cellW, CellH: cellH, Edges: make([]float64, k)}
+	for i := range cfg.Edges {
+		cfg.Edges[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+	}
+	if n, err := cfg.Normalize(); err != nil || !slices.Equal(n.Edges, cfg.Edges) {
+		return nil, fmt.Errorf("config %s is not normalized", cfg.Key())
+	}
+	b = b[8*k:]
+	w, h, stride, pages := int(le.Uint32(b)), int(le.Uint32(b[4:])), int64(le.Uint32(b[8:])), int64(le.Uint32(b[12:]))
+	if b = b[16:]; w != 0 || h != 0 || stride != 0 || pages != 0 {
+		gw, gh := int64(w-1)/int64(cellW)+1, int64(h-1)/int64(cellH)+1
+		if cells := stride / k; w == 0 || h == 0 || stride%k != 0 || cells%gw != 0 || cells/gw != gh {
+			return nil, fmt.Errorf("stride %d for %dx%d masks under %s", stride, w, h, cfg.Key())
+		}
+	}
+	if pages > maxIndexID>>chiPageBits || pages*chiWords*8 > int64(len(b)) {
+		return nil, fmt.Errorf("%d pages declared, %d bytes remain", pages, len(b))
+	}
+	bitmap, b := b[:pages*chiWords*8], b[pages*chiWords*8:]
+	present := int64(0)
+	for p := range pages {
+		if slices.ContainsFunc(bitmap[p*chiWords*8:(p+1)*chiWords*8], func(c byte) bool { return c != 0 }) {
+			present++
+		}
+	}
+	if size := chiPageSize * stride * 4; present == 0 && len(b) != 0 || present != 0 && (int64(len(b))%present != 0 || int64(len(b))/present != size) {
+		return nil, fmt.Errorf("%d pages of %d counts declared, %d bytes remain", present, chiPageSize*stride, len(b))
+	}
+	ix := NewMemoryIndex(cfg)
+	var g *chiGeom
+	if w != 0 {
+		g = ix.geometryFor(w, h)
+	}
+	dir := make([]*chiPage, pages)
+	for p := range dir {
+		var words [chiWords]uint64
+		for j := range words {
+			words[j] = le.Uint64(bitmap[(p*chiWords+j)*8:])
+		}
+		if words == ([chiWords]uint64{}) {
+			continue
+		}
+		pg := ix.newPage(g)
+		for j := range pg.slab {
+			pg.slab[j] = int32(le.Uint32(b[4*j:]))
+		}
+		b = b[4*len(pg.slab):]
+		for i := range pg.chis {
+			id := int64(p)<<chiPageBits + int64(i) + 1
+			if words[i>>6]&(1<<(i&63)) != 0 {
+				if err := pg.chis[i].validate(ix.cfg); err != nil {
+					return nil, fmt.Errorf("mask %d: %w", id, err)
+				}
+			} else if slices.ContainsFunc(pg.chis[i].Cum, func(v int32) bool { return v != 0 }) {
+				return nil, fmt.Errorf("mask %d: counts in an absent slot", id)
+			}
+		}
+		for j, word := range words {
+			pg.taken[j].Store(word)
+			pg.ready[j].Store(word)
+			ix.n.Add(int64(bits.OnesCount64(word)))
+		}
+		dir[p] = pg
+	}
+	ix.dir.Store(&dir)
+	return ix, nil
+}
+
+// readLegacyIndex reads the gob index file of earlier versions, a map
+// of CHIs, copying each valid entry into the arena; entries of another
+// geometry than the first (in id order) are left unindexed.
+func readLegacyIndex(b []byte) (*MemoryIndex, error) {
+	var f struct {
+		Cfg  Config
+		Chis map[int64]*CHI
+	}
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
+		return nil, err
+	}
+	ix := NewMemoryIndex(f.Cfg)
+	if ix.err != nil || !slices.Equal(ix.cfg.Edges, f.Cfg.Edges) {
+		return nil, fmt.Errorf("config %s is not normalized", f.Cfg.Key())
+	}
+	for _, id := range slices.Sorted(maps.Keys(f.Chis)) {
+		if id < 1 || id > maxIndexID {
+			return nil, fmt.Errorf("mask id %d out of range", id)
+		}
+		if err := f.Chis[id].validate(ix.cfg); err != nil {
+			return nil, fmt.Errorf("mask %d: %w", id, err)
+		}
+		ix.Add(id, f.Chis[id])
+	}
+	return ix, nil
 }

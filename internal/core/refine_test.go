@@ -375,10 +375,11 @@ func TestFilterAndOfTwoTerms(t *testing.T) {
 	}
 }
 
-// TestEdgesInterned: every CHI of an index — built by Observe, added
-// with a private value-equal copy, or decoded from gob — holds the
-// index's one Edges slice, SizeBytes counts that slice once, and a CHI
-// under other edges keeps (and is charged for) its own.
+// TestEdgesInterned: every entry of an index — built by Observe, added
+// from a private value-equal copy, or read back from the index file —
+// views the index's one Edges slice, SizeBytes counts the one page's
+// slab and nothing per entry, and a CHI under other edges is not
+// indexed.
 func TestEdgesInterned(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)}
@@ -401,15 +402,13 @@ func TestEdgesInterned(t *testing.T) {
 	}
 	for _, ix := range []*MemoryIndex{idx, back} {
 		shared := ix.Config().Edges
-		want := int64(len(shared)) * 8
 		ix.each(func(id int64, c *CHI) {
 			if &c.Edges[0] != &shared[0] {
 				t.Errorf("mask %d holds a private copy of the index's edges", id)
 			}
-			want += c.SizeBytes()
 		})
-		if got := ix.SizeBytes(); got != want {
-			t.Errorf("SizeBytes = %d, want %d (entries plus the shared edges once)", got, want)
+		if got, want := ix.SizeBytes(), int64(chiPageSize*len(private.Cum)*4); ix.Len() != 6 || got != want {
+			t.Errorf("%d entries in %d bytes, want 6 in one page's slab of %d", ix.Len(), got, want)
 		}
 	}
 	other, err := Build(randomByteMask(rng, 8, 8), Config{CellW: 4, CellH: 4, Edges: DefaultEdges(7)})
@@ -418,8 +417,8 @@ func TestEdgesInterned(t *testing.T) {
 	}
 	before := idx.SizeBytes()
 	idx.Add(7, other)
-	if len(other.Edges) != 7 || idx.SizeBytes() != before+other.SizeBytes()+7*8 {
-		t.Errorf("a CHI under other edges must keep and be charged for its own: %d -> %d", before, idx.SizeBytes())
+	if chi, _ := idx.ChiFor(7); chi != nil || idx.Len() != 6 || idx.SizeBytes() != before {
+		t.Errorf("a CHI under other edges was indexed: %d entries, %d -> %d bytes", idx.Len(), before, idx.SizeBytes())
 	}
 }
 
@@ -480,11 +479,26 @@ func benchIndex(tb testing.TB) ([]*CHI, []Rect) {
 // BenchmarkCPBounds is the bounds layer, reported per mask: one pass in
 // id order over 4 500 CHIs under one query's plan, for a fixed rect
 // (memoized cover) and per-mask object boxes; oneoff is CHI.CPBounds,
-// which derives a plan per call.
+// which derives a plan per call. The index cases take each CHI from a
+// MemoryIndex through ChiFor, as the engine does: index-built holds
+// the same CHIs added in shuffled id order, index-read that index
+// written out and read back, so both see the index's layout.
 func BenchmarkCPBounds(b *testing.B) {
 	chis, boxes := benchIndex(b)
 	vr := ValueRange{0.6, 1}
 	rect := Rect{30, 20, 74, 64}
+	built := NewMemoryIndex(chis[0].Config())
+	for _, i := range rand.New(rand.NewSource(24)).Perm(len(chis)) {
+		built.Add(int64(i+1), chis[i])
+	}
+	var file bytes.Buffer
+	if err := built.Encode(&file); err != nil {
+		b.Fatal(err)
+	}
+	read, err := ReadMemoryIndex(&file)
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := func(name string, region RegionFn, bounds func(p *termPlan, i int) Bounds) {
 		b.Run(name, func(b *testing.B) {
 			p := &planTerms([]CPTerm{{Region: region, Range: vr}})[0]
@@ -500,6 +514,12 @@ func BenchmarkCPBounds(b *testing.B) {
 	run("rect", FixedRegion(rect), planned)
 	run("object", func(id int64) Rect { return boxes[id] }, planned)
 	run("rect/oneoff", nil, func(_ *termPlan, i int) Bounds { return chis[i].CPBounds(rect, vr) })
+	for name, ix := range map[string]*MemoryIndex{"index-built": built, "index-read": read} {
+		run(name+"/rect", FixedRegion(rect), func(p *termPlan, i int) Bounds {
+			c, _ := ix.ChiFor(int64(i + 1))
+			return p.bounds(c, int64(i+1))
+		})
+	}
 }
 
 // BenchmarkBuild is the index-build layer, one saliency-shaped mask per

@@ -5,7 +5,7 @@ import (
 )
 
 // fsyncScope lists the packages that own persistent artifacts
-// (manifest.json, catalog.bin, chi.gob, WAL segments, masks.*). In
+// (manifest.json, catalog.bin, chi.idx, WAL segments, masks.*). In
 // these packages every file publish must go through the store.FS
 // abstraction — writeFileSync / writeJSONSync / AtomicWriteFile — so
 // the write-fsync-rename-dirsync discipline is applied in exactly one

@@ -167,7 +167,7 @@ func TestIngestDrainsOnClose(t *testing.T) {
 }
 
 // TestIngestIndexEvery pins the every-N-batches index checkpoint: with
-// IndexEvery=2, the first acknowledged batch leaves no chi.gob, the
+// IndexEvery=2, the first acknowledged batch leaves no chi.idx, the
 // second writes one — so a crash between compactions loses at most
 // IndexEvery batches of index work, instead of all of it.
 func TestIngestIndexEvery(t *testing.T) {
@@ -197,14 +197,14 @@ func TestIngestIndexEvery(t *testing.T) {
 
 	ingest(9001)
 	if _, err := os.Stat(gob); err == nil {
-		t.Fatal("chi.gob exists after 1 batch with IndexEvery=2")
+		t.Fatal("chi.idx exists after 1 batch with IndexEvery=2")
 	}
 	if n := srv.c.idxCheckpoints.Load(); n != 0 {
 		t.Fatalf("checkpoint counter %d after 1 batch, want 0", n)
 	}
 	ingest(9002)
 	if _, err := os.Stat(gob); err != nil {
-		t.Fatalf("no chi.gob after 2 batches with IndexEvery=2: %v", err)
+		t.Fatalf("no chi.idx after 2 batches with IndexEvery=2: %v", err)
 	}
 	if n := srv.c.idxCheckpoints.Load(); n != 1 {
 		t.Fatalf("checkpoint counter %d after 2 batches, want 1", n)

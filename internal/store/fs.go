@@ -66,7 +66,7 @@ func (osFS) SyncDir(path string) error { return SyncDir(path) }
 // created in it, renames into it, removals from it — durable. The
 // fsync-then-rename discipline is incomplete without it: a rename is
 // only crash-safe once the directory holding the new entry is synced.
-// Shared by the WAL, compaction and chi.gob persistence paths.
+// Shared by the WAL, compaction and chi.idx persistence paths.
 func SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {

@@ -3,7 +3,9 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -48,12 +50,50 @@ func validCodec(name string) bool { return name == CodecRaw || name == CodecRLE 
 //
 // Version 3: the catalog is written as fixed-width catalog.bin rows
 // instead of catalog.json.
-const GenVersion = 3
+//
+// Version 4: the persisted CHI index is chi.idx, the index arena on
+// disk, instead of a gob chi.gob.
+const GenVersion = 4
 
 // IndexFileName is where the DB facade persists a CHI index inside a
-// database directory; Generate removes it so a regenerated dataset
-// can never be queried through a stale index.
-const IndexFileName = "chi.gob"
+// database directory; Generate removes it, and LegacyIndexFileName, so
+// a regenerated dataset can never be queried through a stale index.
+const IndexFileName = "chi.idx"
+
+// LegacyIndexFileName is the gob index file of earlier versions. The
+// DB facade reads it when IndexFileName is absent, and removes it once
+// IndexFileName is written.
+const LegacyIndexFileName = "chi.gob"
+
+// LoadIndex restores the CHI index persisted in dir — IndexFileName,
+// or LegacyIndexFileName when that is absent — and returns it with the
+// name of the file it read, "" when there is none; an absent file
+// leaves an empty index for cfg, which grows as queries observe masks.
+// When the file cannot be read, is malformed or was built under
+// another config, LoadIndex returns the empty index, the file's name
+// and why it discarded the file.
+func LoadIndex(dir string, cfg core.Config) (*core.MemoryIndex, string, error) {
+	fresh := core.NewMemoryIndex(cfg)
+	for _, name := range []string{IndexFileName, LegacyIndexFileName} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		ix := fresh
+		if err == nil {
+			ix, err = core.ReadMemoryIndex(f)
+			f.Close()
+		}
+		if want := fresh.Config().Key(); err == nil && ix.Config().Key() != want {
+			err = fmt.Errorf("index built under %s, not %s", ix.Config().Key(), want)
+		}
+		if err != nil {
+			return fresh, name, fmt.Errorf("%s: %w", name, err)
+		}
+		return ix, name, nil
+	}
+	return fresh, "", nil
+}
 
 // Spec describes a synthetic mask dataset. The generated saliency maps
 // are Gaussian blobs over background noise: correctly-predicted masks
@@ -159,8 +199,10 @@ func Generate(dir string, spec Spec, shards int, codec string) error {
 	}
 	// A persisted index describes the previous dataset's pixels;
 	// keeping it would silently corrupt query answers.
-	if err := os.Remove(filepath.Join(dir, IndexFileName)); err != nil && !os.IsNotExist(err) {
-		return err
+	for _, f := range []string{IndexFileName, LegacyIndexFileName} {
+		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 	}
 	// Likewise a leftover WAL: its segments continue the previous
 	// dataset's id space and would replay foreign masks on open.

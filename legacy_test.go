@@ -1,7 +1,9 @@
 package masksearch
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"masksearch/internal/core"
 	"masksearch/internal/store"
 )
 
@@ -220,5 +223,81 @@ func TestLegacyMigrationCrash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLegacyIndexMigrates: a dataset whose index an older version
+// persisted as a gob chi.gob opens with that index restored (msinspect
+// names it), answers as with no index at all, and its next persist
+// writes chi.idx and removes chi.gob, after which opens read chi.idx.
+func TestLegacyIndexMigrates(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateDataset(dir, TinyDataset()); err != nil {
+		t.Fatal(err)
+	}
+	q := `SELECT mask_id FROM masks WHERE CP(mask, object, 0.8, 1.0) > 20`
+	bare, err := OpenWith(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bare.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.Close()
+
+	// The gob envelope older versions wrote, over every mask at the
+	// facade's default granularity.
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{CellW: st.MaskW() / 4, CellH: st.MaskH() / 4, Edges: core.DefaultEdges(10)}
+	file := struct {
+		Cfg  core.Config
+		Chis map[int64]*core.CHI
+	}{Cfg: cfg, Chis: map[int64]*core.CHI{}}
+	for id := int64(1); id <= int64(st.NumMasks()); id++ {
+		m, err := st.LoadMask(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Chis[id], err = core.Build(m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st.ReleaseMask(m)
+	}
+	st.Close()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, store.LegacyIndexFileName)
+	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ file string }{{store.LegacyIndexFileName}, {store.IndexFileName}} {
+		db, err := OpenWith(dir, Options{PersistIndexOnClose: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, _ := db.IndexStats()
+		if is.File != tc.file || is.FileError != "" || is.FileEntries != len(file.Chis) {
+			t.Fatalf("opened with index file %q (%d entries, error %q), want %s with %d", is.File, is.FileEntries, is.FileError, tc.file, len(file.Chis))
+		}
+		got, err := db.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats.Loaded >= want.Stats.Loaded {
+			t.Fatalf("over %s: ids %v loading %d, want %v loading fewer than %d", tc.file, got.IDs, got.Stats.Loaded, want.IDs, want.Stats.Loaded)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+			t.Fatalf("%s still present after a persist (err %v)", store.LegacyIndexFileName, err)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func WithEagerBounds() QueryOpt {
 
 // WithoutIndexUpdates serves this query read-only: masks verified for
 // it are not observed into the incremental CHI index, so the shared
-// index (and the persisted chi.gob) is untouched. Useful for one-off
+// index (and the persisted chi.idx) is untouched. Useful for one-off
 // probes that should not spend memory growing the index. Combining it
 // with WithEagerBounds — whose whole point is growing the index — is
 // rejected at execution time.
