@@ -160,6 +160,8 @@ func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		ns := node.Stats()
 		rs := st.Stats()
+		// Conns counts connections, each kept for many requests; the
+		// per-kind counters (Hellos … Verifies) count requests.
 		counters := map[string]float64{
 			"msshard.Conns":      float64(ns.Conns),
 			"msshard.Hellos":     float64(ns.Hellos),

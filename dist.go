@@ -21,7 +21,8 @@ import (
 type DistOptions = dist.CoordOptions
 
 // DistStats snapshots the coordinator's counters: requests, hedges,
-// retries, failovers, τ pushes, degraded queries and protocol bytes.
+// retries, failovers, τ pushes, degraded queries, protocol bytes and
+// connections dialed.
 type DistStats = dist.CoordStats
 
 // ErrShardUnavailable is returned (wrapped) by queries on a

@@ -40,6 +40,14 @@ const (
 	latWarmup          = 8
 )
 
+// poolCap bounds the idle connections the coordinator keeps per node.
+// A query runs its stages in turn (3.5 requests per op on two shards),
+// each stage one request per shard, so one client keeps at most two
+// requests in flight at a node: its own shard's and a hedge of the
+// other's. Four keep two such clients from dialing; past the cap a
+// connection is closed, so more clients cost dials, not answers.
+const poolCap = 4
+
 // CoordOptions tunes the coordinator. The zero value hedges (see
 // HedgeAfter) and retries one pass.
 type CoordOptions struct {
@@ -105,6 +113,9 @@ type CoordStats struct {
 	Degraded int64
 	// BytesSent and BytesRecv count protocol bytes moved.
 	BytesSent, BytesRecv int64
+	// Dials counts connections opened; kept connections carry the
+	// other requests.
+	Dials int64
 }
 
 // nodeSeen is the per-node cumulative read-stats baseline.
@@ -114,9 +125,10 @@ type nodeSeen struct {
 }
 
 // Coordinator scatter-gathers query stages across the topology's
-// nodes. It holds no connections between requests (one TCP connection
-// per shard request); its cross-request state is counters, latency
-// windows and the remote read-stats accumulator.
+// nodes. It keeps up to poolCap idle connections per node, each
+// carrying one exchange at a time, and reuses the most recently used
+// first; its other cross-request state is counters, latency windows and
+// the remote read-stats accumulator.
 type Coordinator struct {
 	routes  [][]NodeSpec
 	nshards int
@@ -133,6 +145,10 @@ type Coordinator struct {
 	lastSeen map[string]*nodeSeen
 	remote   []store.ReadStats
 
+	pmu    sync.Mutex
+	idle   map[string][]net.Conn // node name → idle connections, most recent last
+	closed bool
+
 	nRequests  atomic.Int64
 	nHedges    atomic.Int64
 	nHedgeWins atomic.Int64
@@ -142,6 +158,7 @@ type Coordinator struct {
 	nDegraded  atomic.Int64
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
+	nDials     atomic.Int64
 }
 
 // NewCoordinator resolves the topology against the dataset's shard
@@ -165,6 +182,7 @@ func NewCoordinator(topo *Topology, expect Expect, shardOf func(int64) int, opts
 		validated: make(map[string]string),
 		lastSeen:  make(map[string]*nodeSeen),
 		remote:    make([]store.ReadStats, expect.Shards),
+		idle:      make(map[string][]net.Conn),
 	}, nil
 }
 
@@ -176,10 +194,20 @@ func latWindows() (w [numKinds]*metrics.Window) {
 	return w
 }
 
-// Close releases the coordinator. Connections are per-request, so
-// there is nothing to tear down; Close exists so the facade's teardown
-// is uniform.
-func (c *Coordinator) Close() error { return nil }
+// Close closes the idle connections. A connection whose exchange ends
+// after Close is closed, not kept.
+func (c *Coordinator) Close() error {
+	c.pmu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.pmu.Unlock()
+	for _, conns := range idle {
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}
+	return nil
+}
 
 // Stats snapshots the coordinator's counters.
 func (c *Coordinator) Stats() CoordStats {
@@ -190,6 +218,7 @@ func (c *Coordinator) Stats() CoordStats {
 		TauSent:   c.nTauSent.Load(),
 		Degraded:  c.nDegraded.Load(),
 		BytesSent: c.bytesSent.Load(), BytesRecv: c.bytesRecv.Load(),
+		Dials: c.nDials.Load(),
 	}
 }
 
@@ -339,35 +368,77 @@ func deadlineMS(ctx context.Context) int64 {
 	return max(time.Until(dl).Milliseconds(), 1)
 }
 
-// dial opens the per-request connection.
-func (c *Coordinator) dial(ctx context.Context, node NodeSpec) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.opts.dialTimeout()}
-	conn, err := d.DialContext(ctx, "tcp", node.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: dial node %s (%s): %w", node.Name, node.Addr, err)
+// take pops node's most recently kept connection, or dials one when
+// none is idle or fresh is set; pooled reports which. It arms the
+// connection's deadline from ctx, clearing a kept connection's last one.
+func (c *Coordinator) take(ctx context.Context, node NodeSpec, fresh bool) (conn net.Conn, pooled bool, err error) {
+	if !fresh {
+		c.pmu.Lock()
+		if s := c.idle[node.Name]; len(s) > 0 {
+			conn, c.idle[node.Name] = s[len(s)-1], s[:len(s)-1]
+		}
+		c.pmu.Unlock()
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl.Add(connGraceSlack))
+	if pooled = conn != nil; !pooled {
+		d := net.Dialer{Timeout: c.opts.dialTimeout()}
+		if conn, err = d.DialContext(ctx, "tcp", node.Addr); err != nil {
+			return nil, false, fmt.Errorf("dist: dial node %s (%s): %w", node.Name, node.Addr, err)
+		}
+		c.nDials.Add(1)
 	}
-	return conn, nil
+	var dl time.Time
+	if d, ok := ctx.Deadline(); ok {
+		dl = d.Add(connGraceSlack)
+	}
+	conn.SetDeadline(dl)
+	return conn, pooled, nil
 }
 
-// watchCancel closes conn when ctx is canceled, so blocking frame
-// reads abort promptly (hedged losers and failed attempts don't linger
-// until a network timeout). The returned stop func must be called
-// before the caller's own Close.
-func watchCancel(ctx context.Context, conn net.Conn) func() {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
+// put keeps a connection whose exchange ended cleanly, or closes it
+// past poolCap or after Close.
+func (c *Coordinator) put(node NodeSpec, conn net.Conn) {
+	c.pmu.Lock()
+	if !c.closed && len(c.idle[node.Name]) < poolCap {
+		c.idle[node.Name] = append(c.idle[node.Name], conn)
+		conn = nil
+	}
+	c.pmu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
+// exchange runs one request to node over a kept connection, or a new
+// one. do writes the request and reads to the terminal frame, reporting
+// whether any response frame arrived. A clean exchange with ctx not
+// done is ended with ftEnd and its connection kept. Otherwise the
+// connection is closed: ctx ending closes it at once, so a hedged
+// loser's or a canceled attempt's blocking read aborts. A kept
+// connection that fails before its first response frame went stale
+// while idle (the node restarted, or closed it at its idle deadline).
+// Every request is an idempotent read, so that failure redials once, at
+// once, and the attempt runner never sees it.
+func (c *Coordinator) exchange(ctx context.Context, node NodeSpec, do func(conn net.Conn) (answered bool, err error)) error {
+	for fresh := false; ; fresh = true {
+		conn, pooled, err := c.take(ctx, node, fresh)
+		if err != nil {
+			return err
 		}
-	}()
-	return func() { close(stop); <-done }
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
+		answered, err := do(conn)
+		if stop() && err == nil {
+			n, werr := WriteFrame(conn, ftEnd, nil)
+			c.bytesSent.Add(int64(n))
+			if werr == nil {
+				c.put(node, conn)
+				return nil
+			}
+		}
+		conn.Close()
+		if err == nil || !pooled || answered || ctx.Err() != nil {
+			return err
+		}
+	}
 }
 
 // ensureNode validates a node's hello against the expected dataset
@@ -432,20 +503,16 @@ func (c *Coordinator) checkExpect(node NodeSpec, res HelloRes) error {
 // roundTrip issues one request/response exchange with a node.
 func (c *Coordinator) roundTrip(ctx context.Context, kind int, node NodeSpec, reqType byte, req wireMsg, resType byte, res wireMsg) error {
 	start := time.Now()
-	conn, err := c.dial(ctx, node)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	stop := watchCancel(ctx, conn)
-	defer stop()
-	sz, err := writeMsg(conn, reqType, req)
-	c.bytesSent.Add(int64(sz))
-	if err != nil {
-		return err
-	}
-	sz, err = readMsg(conn, resType, 0, res)
-	c.bytesRecv.Add(int64(sz))
+	err := c.exchange(ctx, node, func(conn net.Conn) (bool, error) {
+		sz, err := writeMsg(conn, reqType, req)
+		c.bytesSent.Add(int64(sz))
+		if err != nil {
+			return false, err
+		}
+		sz, err = readMsg(conn, resType, 0, res)
+		c.bytesRecv.Add(int64(sz))
+		return sz > 0, err
+	})
 	if err != nil {
 		return err
 	}
@@ -599,7 +666,8 @@ func (c *Coordinator) partition(ids []int64) (byShard [][]int64, srcIdx [][]int)
 }
 
 // helloAddr probes a single address outside any coordinator (msinspect
-// -topology uses it for per-node health).
+// -topology uses it for per-node health). It hangs up after the answer
+// without ftEnd, which ends the node's side of the connection too.
 func helloAddr(ctx context.Context, addr string, timeout time.Duration) (*HelloRes, error) {
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)

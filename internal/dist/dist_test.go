@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -464,9 +465,9 @@ func TestDistExpectMismatch(t *testing.T) {
 	}
 }
 
-// fakeNode serves a raw loopback listener: handle gets each
-// connection's first frame and answers it however the test needs.
-func fakeNode(t *testing.T, handle func(conn net.Conn, typ byte, payload []byte)) string {
+// listen serves each connection accepted on a loopback listener with
+// serve, and closes it after.
+func listen(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -481,13 +482,57 @@ func fakeNode(t *testing.T, handle func(conn net.Conn, typ byte, payload []byte)
 			}
 			go func() {
 				defer conn.Close()
-				if typ, payload, _, err := ReadFrame(conn, 0); err == nil {
-					handle(conn, typ, payload)
-				}
+				serve(conn)
 			}()
 		}
 	}()
 	return lis.Addr().String()
+}
+
+// fakeNode serves a raw loopback listener: handle gets each
+// connection's first frame and answers it however the test needs.
+func fakeNode(t *testing.T, handle func(conn net.Conn, typ byte, payload []byte)) string {
+	return listen(t, func(conn net.Conn) {
+		if typ, payload, _, err := ReadFrame(conn, 0); err == nil {
+			handle(conn, typ, payload)
+		}
+	})
+}
+
+// frameProxy relays each client connection to its own connection to
+// upstream, frame by frame. down rewrites the payload of every frame
+// the node sends back; with hangUp the proxy closes both connections
+// after it relays the client's ftEnd, so every kept connection the
+// client pools is stale by its next request.
+func frameProxy(t *testing.T, upstream string, down func(typ byte, payload []byte) []byte, hangUp bool) string {
+	return listen(t, func(conn net.Conn) {
+		up, err := net.Dial("tcp", upstream)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go func() {
+			defer conn.Close()
+			for {
+				typ, p, _, err := ReadFrame(up, 0)
+				if err != nil {
+					return
+				}
+				if _, err := WriteFrame(conn, typ, down(typ, p)); err != nil {
+					return
+				}
+			}
+		}()
+		for {
+			typ, p, _, err := ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			if _, err := WriteFrame(up, typ, p); err != nil || hangUp && typ == ftEnd {
+				return
+			}
+		}
+	})
 }
 
 // TestDistWireVersionMismatch: a node speaking another wire version is
@@ -519,34 +564,22 @@ func TestDistWireVersionMismatch(t *testing.T) {
 
 // TestDistRejectsMisorderedBounds: bounds answers reach their masks by
 // position, so a node that answers in another order than asked — here a
-// proxy in front of node b that reverses every bounds answer — fails
-// its attempt and the query answers from the replica.
+// proxy in front of node b that reverses every bounds answer on every
+// exchange of a kept connection — fails its attempt and the query
+// answers from the replica.
 func TestDistRejectsMisorderedBounds(t *testing.T) {
 	c := newCluster(t, 2)
 	_, addrB := c.startNode("b", nil)
 	var reversed atomic.Int64
-	addrX := fakeNode(t, func(conn net.Conn, typ byte, payload []byte) {
-		up, err := net.Dial("tcp", addrB)
-		if err != nil {
-			return
-		}
-		defer up.Close()
-		if _, err := WriteFrame(up, typ, payload); err != nil {
-			return
-		}
-		if typ != ftBounds {
-			go io.Copy(up, conn)
-			io.Copy(conn, up)
-			return
-		}
+	addrX := frameProxy(t, addrB, func(typ byte, payload []byte) []byte {
 		var res boundsRes
-		if _, err := readMsg(up, ftBoundsRes, 0, &res); err != nil {
-			return
+		if typ != ftBoundsRes || decodeMsg(payload, &res) != nil {
+			return payload
 		}
 		slices.Reverse(res.Cands)
 		reversed.Add(1)
-		writeMsg(conn, ftBoundsRes, &res)
-	})
+		return encodeMsg(nil, &res)
+	}, false)
 	coord := c.coordinator(
 		map[string]string{"x": addrX, "b": addrB},
 		[][]string{{"x", "b"}, {"x", "b"}},
@@ -558,6 +591,26 @@ func TestDistRejectsMisorderedBounds(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Failovers == 0 {
 		t.Fatalf("no failovers after misordered bounds answers: %+v", st)
+	}
+}
+
+// TestDistRedialsStaleConn: a peer that closes each connection after
+// its exchange leaves every kept connection stale. Each request's
+// failure on one redials at once, unseen by the attempt runner: every
+// answer equals the local engine's, with no retry and no failover.
+func TestDistRedialsStaleConn(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrA := c.startNode("a", nil)
+	addrX := frameProxy(t, addrA, func(_ byte, p []byte) []byte { return p }, true)
+	coord := c.coordinator(map[string]string{"x": addrX}, [][]string{{"x"}, {"x"}}, CoordOptions{HedgeAfter: -1})
+	c.checkAll(coord, nil)
+	st := coord.Stats()
+	if st.Retries != 0 || st.Failovers != 0 {
+		t.Fatalf("stale connections surfaced as failed attempts: %+v", st)
+	}
+	// Every exchange dials, and all but the first found a stale one first.
+	if st.Dials <= st.Requests {
+		t.Fatalf("%d dials for %d requests: no stale connection was redialed", st.Dials, st.Requests)
 	}
 }
 
@@ -614,9 +667,11 @@ func TestDistRevalidatesRestartedNode(t *testing.T) {
 
 // TestNodeRejectsBadRequests: a request the node cannot decode, one
 // validated against another boot, one whose predicate names a term it
-// was not sent, and a verify request whose shipped gate could skip
-// unsoundly are each answered with an error frame naming this boot —
-// never served, never a crash.
+// was not sent, a verify request whose shipped gate could skip
+// unsoundly, and a stray ftEnd or ftTau in a request's place are each
+// answered with an error frame naming this boot — never served, never
+// a crash. All of them, then a good request, share one connection,
+// each exchange ended with ftEnd: the good one is answered correctly.
 func TestNodeRejectsBadRequests(t *testing.T) {
 	c := newCluster(t, 2)
 	node, addr := c.startNode("a", nil)
@@ -624,7 +679,8 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := filterReq{BootID: node.BootID(), IDs: []int64{1}, Terms: []wireTerm{term}}
+	pred := []wireCmp{{T: 0, Op: core.OpGt, C: 100}}
+	good := filterReq{BootID: node.BootID(), IDs: c.targets()[:32], Terms: []wireTerm{term}, Pred: pred}
 	verify := func(g core.GateSpec) []byte {
 		return encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: []core.VerifyItem{{ID: 1, B: core.Bounds{Hi: 9}}}, Term: term, Gate: g})
 	}
@@ -632,6 +688,21 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 		return verify(core.GateSpec{K: 1, Groups: groups, Opt: opt, Items: places})
 	}
 	one := []core.GateGroup{{Key: 5, N: 1}}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(typ byte, payload []byte) (byte, []byte, error) {
+		if _, err := WriteFrame(conn, typ, payload); err != nil {
+			return 0, nil, err
+		}
+		typ, payload, _, err := ReadFrame(conn, 0)
+		if err == nil {
+			_, err = WriteFrame(conn, ftEnd, nil)
+		}
+		return typ, payload, err
+	}
 	for _, tc := range []struct {
 		name    string
 		typ     byte
@@ -648,16 +719,10 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 		{"gate group past members", ftVerify, agg([]core.GateGroup{{N: 3}}, []float64{3, 4}, core.GateItem{}), "members [0, +3) of 2"},
 		{"gate item count", ftVerify, agg(one, []float64{3}, core.GateItem{}, core.GateItem{}), "places 2 items of 1"},
 		{"gate NaN value", ftVerify, agg(one, []float64{math.NaN()}, core.GateItem{}), "NaN"},
+		{"stray end", ftEnd, nil, "unknown request frame"},
+		{"stray push", ftTau, encodeMsg(nil, &tauPush{ID: 1, Score: 2}), "unknown request frame"},
 	} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := WriteFrame(conn, tc.typ, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, _, err := ReadFrame(conn, 0)
-		conn.Close()
+		typ, payload, err := exchange(tc.typ, tc.payload)
 		if err == nil && typ != ftError {
 			err = fmt.Errorf("frame type 0x%02x served", typ)
 		} else if err == nil {
@@ -668,14 +733,41 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 			t.Fatalf("%s: err = %v, want a remote error containing %q from boot %s", tc.name, err, tc.want, node.BootID())
 		}
 	}
+
+	typ, payload, err := exchange(ftFilter, encodeMsg(nil, &good))
+	var res filterRes
+	if err == nil && typ != ftFilterRes {
+		err = fmt.Errorf("frame type 0x%02x answered the good request", typ)
+	} else if err == nil {
+		err = decodeMsg(payload, &res)
+	}
+	if err != nil {
+		t.Fatalf("good request after the bad ones: %v", err)
+	}
+	kept, _, err := core.Filter(context.Background(), c.env, good.IDs, c.terms[1:], fromWirePred(pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for i, k := range res.Keep {
+		if k {
+			got = append(got, good.IDs[i])
+		}
+	}
+	if len(res.Keep) != len(good.IDs) || !reflect.DeepEqual(got, kept) {
+		t.Fatalf("good request kept %v of %d decisions, the local engine keeps %v", got, len(res.Keep), kept)
+	}
 }
 
 // TestVerifyStreamSurvivesPushFlood: a client that floods τ pushes
-// while it reads a verify stream always reads the terminal frame. A
-// node that closed with pushes unread in its receive buffer would make
-// the kernel reset the connection, dropping what the node had written
-// but not yet sent: the client's small receive buffer keeps the tail of
-// the stream, terminal frame included, in the node's send queue.
+// while it reads a verify stream always reads the terminal frame, and
+// its connection then serves a bounds request correctly: the node reads
+// late pushes up to the client's ftEnd. A node that
+// closed with pushes unread in its receive buffer would make the kernel
+// reset the connection, dropping what the node had written but not yet
+// sent: the client's small receive buffer keeps the tail of the stream,
+// terminal frame included, in the node's send queue. A node that read
+// on past ftEnd would take a late push for the next request.
 func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	c := newCluster(t, 2)
 	node, addr := c.startNode("a", nil)
@@ -685,12 +777,20 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	}
 	// 256 items over 64 masks stream more score frames than the
 	// client's receive buffer holds; k = all skips none of them.
+	ids := c.targets()[:64]
 	var items []core.VerifyItem
 	for i := range 256 {
-		items = append(items, core.VerifyItem{ID: c.targets()[i%64], B: core.Bounds{Hi: 1 << 20}})
+		items = append(items, core.VerifyItem{ID: ids[i%64], B: core.Bounds{Hi: 1 << 20}})
 	}
 	req := encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: items, Term: term, Gate: core.GateSpec{K: len(items)}})
-	var pushes bytes.Buffer // 64 pushes per write, written until the end
+	// The bounds answer must fit the small receive buffer, or it waits
+	// out the sender's zero-window probe.
+	asked := ids[:16]
+	bounds := encodeMsg(nil, &boundsReq{BootID: node.BootID(), IDs: asked, Term: term})
+	// 64 pushes per write, written until the end or 64 writes: the node
+	// reads every one before the bounds request, so an unbounded flood
+	// would time the drain of the socket buffers.
+	var pushes bytes.Buffer
 	for range 64 {
 		if _, err := WriteFrame(&pushes, ftTau, encodeMsg(nil, &tauPush{ID: math.MaxInt64})); err != nil {
 			t.Fatal(err)
@@ -708,7 +808,7 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 		stop, flooded := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(flooded)
-			for {
+			for range 64 {
 				select {
 				case <-stop:
 					return
@@ -719,18 +819,115 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 				}
 			}
 		}()
+		scores := make(map[int64]int64)
 		var typ byte
 		for err == nil && typ != ftVerifyRes {
-			if typ, _, _, err = ReadFrame(conn, 0); err == nil && typ != ftScores && typ != ftVerifyRes {
+			var p []byte
+			if typ, p, _, err = ReadFrame(conn, 0); err == nil && typ == ftScores {
+				var chunk scoreChunk
+				err = decodeMsg(p, &chunk)
+				for _, sc := range chunk {
+					scores[items[sc.Idx].ID] = sc.Score
+				}
+			} else if err == nil && typ != ftVerifyRes {
 				err = fmt.Errorf("frame type 0x%02x in the stream", typ)
 			}
 		}
 		close(stop)
-		conn.(*net.TCPConn).SetLinger(0) // reset: the node need not drain the flood
-		conn.Close()
 		<-flooded
 		if err != nil {
 			t.Fatalf("exchange %d: %v before the terminal frame", i, err)
+		}
+		var res boundsRes
+		if _, err = WriteFrame(conn, ftEnd, nil); err == nil {
+			_, err = WriteFrame(conn, ftBounds, bounds)
+		}
+		if err == nil {
+			_, err = readMsg(conn, ftBoundsRes, 0, &res)
+		}
+		if err == nil {
+			_, err = WriteFrame(conn, ftEnd, nil)
+		}
+		conn.Close()
+		if err != nil || len(res.Cands) != len(asked) {
+			t.Fatalf("exchange %d: bounds after the flood: %d answers, err %v", i, len(res.Cands), err)
+		}
+		for j, cb := range res.Cands {
+			if s, ok := scores[asked[j]]; cb.ID != asked[j] || !ok || s < cb.B.Lo || s > cb.B.Hi {
+				t.Fatalf("exchange %d: bounds %+v for mask %d, streamed score %d (%v)", i, cb, asked[j], s, ok)
+			}
+		}
+	}
+	if ns := node.Stats(); ns.Errors != 0 {
+		t.Fatalf("the node counted %d errors: %+v", ns.Errors, ns)
+	}
+}
+
+// TestPoolBounds: after 200 queries over replicated routes that hedge
+// after a millisecond, each node holds at most poolCap connections once
+// the hedged losers' closes land; Coordinator.Close closes the kept
+// ones and keeps none returned after it, and once the nodes close the
+// goroutine count is back at its baseline.
+func TestPoolBounds(t *testing.T) {
+	c := newCluster(t, 2)
+	base := runtime.NumGoroutine()
+	a, addrA := c.startNode("a", nil)
+	b, addrB := c.startNode("b", nil)
+	nodes := []*Node{a, b}
+	coord := c.coordinator(map[string]string{"a": addrA, "b": addrB}, [][]string{{"a", "b"}, {"b", "a"}}, CoordOptions{HedgeAfter: time.Millisecond})
+	ctx := context.Background()
+	targets, groups := c.targets(), c.cat.GroupByImage(nil)
+	pred := core.Cmp{T: 0, Op: core.OpGt, C: 20}
+	for i := range 200 {
+		var err error
+		switch i % 3 {
+		case 0:
+			_, _, err = core.FilterOn(ctx, coord.Stages(nil), targets, c.terms, pred)
+		case 1:
+			_, _, err = core.TopKOn(ctx, coord.Stages(nil), targets, c.terms, 0, 10, core.Order(i%2))
+		default:
+			_, _, err = core.AggTopKOn(ctx, coord.Stages(nil), groups, c.terms, 0, core.Mean, 10, core.Desc)
+		}
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	conns := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.conns)
+	}
+	for _, n := range nodes {
+		waitFor(t, fmt.Sprintf("node %s at most %d connections", n.name, poolCap), func() bool { return conns(n) <= poolCap })
+	}
+	// A connection is closed only as a hedged loser or a failed attempt;
+	// any other dial past filling both pools lost a connection that should
+	// have been kept.
+	if st := coord.Stats(); st.Dials > st.Hedges+st.Retries+int64(len(nodes)*poolCap) {
+		t.Fatalf("%d dials for %d requests (%d hedges, %d retries): kept connections were lost", st.Dials, st.Requests, st.Hedges, st.Retries)
+	}
+
+	coord.Close()
+	for _, n := range nodes {
+		waitFor(t, fmt.Sprintf("node %s with no connection", n.name), func() bool { return conns(n) == 0 })
+	}
+	kept, peer := net.Pipe()
+	coord.put(NodeSpec{Name: "a"}, kept)
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("a connection returned after Close was kept: read err %v", err)
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+	waitFor(t, fmt.Sprintf("goroutines back at %d", base), func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }

@@ -116,6 +116,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(seed(ftFilter, encodeMsg(nil, &filterReq{BootID: "b", IDs: []int64{1, 2, 3}})))
 	f.Add(seed(ftScores, bytes.Repeat([]byte{7}, 300)))
 	f.Add(seed(ftTau, encodeMsg(nil, &tauPush{ID: 3, Score: 42}))[:4])
+	f.Add(seed(ftEnd, nil))
 	corrupt := seed(ftVerifyRes, encodeMsg(nil, &verifyRes{}))
 	corrupt[7] ^= 0xFF
 	f.Add(corrupt)

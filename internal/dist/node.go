@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +21,10 @@ import (
 // connGraceSlack pads a request's I/O deadline past its compute
 // deadline so a response computed just in time still gets written.
 const connGraceSlack = 5 * time.Second
+
+// idleTimeout bounds the wait for a connection's next request: a kept
+// connection idle for longer is closed, and its coordinator redials.
+const idleTimeout = 30 * time.Second
 
 // scoreChunkSize batches streamed exact scores: small enough that the
 // coordinator's τ tightens while the node is still loading masks
@@ -61,7 +67,9 @@ type Node struct {
 	bytesOut  atomic.Int64
 }
 
-// NodeStats is a snapshot of a node's serving counters.
+// NodeStats is a snapshot of a node's serving counters. Conns counts
+// connections accepted, each of which carries requests one at a time;
+// Hellos, Filters, Bounds and Verifies count requests.
 type NodeStats struct {
 	Conns, Hellos, Filters, Bounds, Verifies, Errors int64
 	TauRecv, ScoresSent                              int64
@@ -118,8 +126,8 @@ func (n *Node) Stats() NodeStats {
 // BootID reports the node's per-process identity.
 func (n *Node) BootID() string { return n.bootID }
 
-// Serve accepts connections until Close. Each connection carries one
-// request.
+// Serve accepts connections until Close. Each connection carries
+// requests one at a time until its client hangs up.
 func (n *Node) Serve(lis net.Listener) error {
 	n.mu.Lock()
 	if n.closed {
@@ -256,26 +264,38 @@ func reqCtx(ctx context.Context, conn net.Conn, deadlineMS int64) (context.Conte
 	return context.WithTimeout(ctx, d)
 }
 
-// handleConn serves one request: read the request frame, dispatch,
-// write the response, then half-close and drain to the client's EOF
-// (see the frame types) before closing.
+// handleConn serves requests on conn until the client hangs up.
 func (n *Node) handleConn(conn net.Conn) {
 	defer conn.Close()
 	n.nConns.Add(1)
-	// A request frame must arrive promptly; verify requests re-arm the
-	// deadline from their DeadlineMS.
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	for n.serveOne(conn) {
+	}
+}
+
+// serveOne serves one request on conn: read the request frame,
+// dispatch, write the response, then read to the client's ftEnd,
+// applying late τ pushes, so that none is read as the next request. It
+// reports whether ftEnd came, which keeps the connection for the next
+// request; a hang-up (helloAddr ends that way) or a failed read ends it.
+func (n *Node) serveOne(conn net.Conn) bool {
+	// A request frame must arrive promptly; requests with a DeadlineMS
+	// re-arm the deadline from it.
+	conn.SetDeadline(time.Now().Add(idleTimeout))
 	typ, payload, sz, err := ReadFrame(conn, 0)
 	n.bytesIn.Add(int64(sz))
 	if err != nil {
-		n.nErrors.Add(1)
-		return
+		// A client closing its kept connection, or leaving it idle, is
+		// not a failed request.
+		if !errors.Is(err, io.EOF) && !errors.Is(err, os.ErrDeadlineExceeded) {
+			n.nErrors.Add(1)
+		}
+		return false
 	}
 	conn.SetDeadline(time.Time{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var gate atomic.Pointer[core.NodeGate]
-	reading := n.readRest(conn, cancel, &gate)
+	ended := n.readRest(conn, cancel, &gate)
 	switch typ {
 	case ftHello:
 		n.nHellos.Add(1)
@@ -296,35 +316,33 @@ func (n *Node) handleConn(conn net.Conn) {
 		n.nErrors.Add(1)
 		n.writeErr(conn, err)
 	}
-	if tc, ok := conn.(interface{ CloseWrite() error }); ok {
-		tc.CloseWrite()
-	}
 	conn.SetReadDeadline(time.Now().Add(connGraceSlack))
-	<-reading
+	return <-ended
 }
 
 // readRest reads what the client sends after its request, pushes to
-// the verify gate once there is one, until a read fails (its EOF, or
-// the deadline), then cancels the request's work.
-func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, gate *atomic.Pointer[core.NodeGate]) <-chan struct{} {
-	done := make(chan struct{})
+// the verify gate once there is one, up to the client's ftEnd. It
+// reports true on ftEnd, false on a failed read (a hang-up, the
+// deadline) or any other frame, and then cancels the request's work.
+func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, gate *atomic.Pointer[core.NodeGate]) <-chan bool {
+	ended := make(chan bool, 1)
 	go func() {
-		defer close(done)
 		defer cancel()
 		for {
 			typ, p, sz, err := ReadFrame(conn, 0)
 			n.bytesIn.Add(int64(sz))
-			if err != nil {
+			if err != nil || typ != ftTau {
+				ended <- err == nil && typ == ftEnd
 				return
 			}
 			var push tauPush
-			if g := gate.Load(); typ == ftTau && g != nil && decodeMsg(p, &push) == nil && !math.IsNaN(push.Score) {
+			if g := gate.Load(); g != nil && decodeMsg(p, &push) == nil && !math.IsNaN(push.Score) {
 				g.Tighten(core.Scored(push))
 				n.tauRecv.Add(1)
 			}
 		}
 	}()
-	return done
+	return ended
 }
 
 // writeMsg writes one frame, accounting its bytes.

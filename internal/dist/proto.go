@@ -9,15 +9,16 @@ import (
 )
 
 // Frame types. Each frame's payload is one message below, in the
-// fixed-width binary encoding of wire.go. A connection carries exactly
-// one request: the client dials, writes the request frame, and reads
-// response frames until the terminal one (ftError, or the request's
-// *Res type). Verify requests are the only streaming exchange: the node
+// fixed-width binary encoding of wire.go; ftEnd's is empty. A
+// connection carries one exchange at a time and is kept for the next:
+// the client writes a request frame and reads response frames until
+// the terminal one (ftError, or the request's *Res type), then writes
+// ftEnd. Verify requests are the only streaming exchange: the node
 // emits ftScores frames as exact values land and accepts ftTau frames
-// inbound at any time, then terminates with ftVerifyRes. A node then
-// half-closes and reads to the client's EOF before it closes: unread
-// input (a late push) would make the kernel reset the connection and
-// drop the unsent tail of the response.
+// inbound at any time, then terminates with ftVerifyRes. A node reads
+// up to ftEnd before it reads the next request, so a late push is
+// consumed, never read as a request, and a client that stops pushing
+// before ftEnd leaves nothing in flight on a kept connection.
 const (
 	ftError byte = iota + 1
 	ftHello
@@ -30,6 +31,7 @@ const (
 	ftScores
 	ftTau
 	ftVerifyRes
+	ftEnd
 )
 
 // errNotDistributable marks a plan element that cannot cross a process

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 
 	"masksearch/internal/core"
@@ -264,34 +265,77 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 // attempts sound. The commit only folds the response stats, so a
 // losing attempt never double-counts them.
 func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot string, items []core.VerifyItem, l2g []int, wterm wireTerm, g *gather) (func(), error) {
-	conn, err := c.dial(ctx, node)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	stop := watchCancel(ctx, conn)
-	defer stop()
-
 	// Subscribed before the gate ships, no tightening goes unpushed.
 	sub := g.subscribe()
 	defer g.unsubscribe(sub)
-	req := verifyReq{BootID: boot, Items: items, Term: wterm, Gate: g.gate.Ship(l2g), DeadlineMS: deadlineMS(ctx)}
-	sz, err := writeMsg(conn, ftVerify, &req)
-	c.bytesSent.Add(int64(sz))
+	var res verifyRes
+	err := c.exchange(ctx, node, func(conn net.Conn) (answered bool, err error) {
+		req := verifyReq{BootID: boot, Items: items, Term: wterm, Gate: g.gate.Ship(l2g), DeadlineMS: deadlineMS(ctx)}
+		sz, err := writeMsg(conn, ftVerify, &req)
+		c.bytesSent.Add(int64(sz))
+		if err != nil {
+			return false, err
+		}
+		stopPush := c.pushTau(conn, sub, g)
+		defer func() {
+			if err != nil {
+				conn.Close() // fails a push blocked in its write
+			}
+			stopPush()
+		}()
+		for {
+			typ, payload, n, err := ReadFrame(conn, 0)
+			c.bytesRecv.Add(int64(n))
+			if err != nil {
+				return answered, err
+			}
+			answered = true
+			switch typ {
+			case ftScores:
+				var chunk scoreChunk
+				if err := decodeMsg(payload, &chunk); err != nil {
+					return true, fmt.Errorf("dist: decode score chunk: %w", err)
+				}
+				for _, sc := range chunk {
+					if sc.Idx < 0 || sc.Idx >= len(l2g) {
+						return true, fmt.Errorf("dist: node %s streamed a score for item %d of %d", node.Name, sc.Idx, len(l2g))
+					}
+					g.land(l2g[sc.Idx], sc.Score)
+				}
+			case ftVerifyRes:
+				if err := decodeMsg(payload, &res); err != nil {
+					return true, fmt.Errorf("dist: decode verify result: %w", err)
+				}
+				return true, nil
+			case ftError:
+				return true, remoteErr(payload)
+			default:
+				return true, fmt.Errorf("dist: unexpected frame type 0x%02x in verify stream", typ)
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
+	return func() {
+		g.merge(res.Stats)
+		c.foldReads(res.Node)
+	}, nil
+}
 
-	// τ pusher: the sole writer on this connection after the request,
-	// woken by every landing in the cluster. A push failure stops
-	// pushing but not the attempt: the node then skips by its own τ.
-	pusherDone := make(chan struct{})
-	defer close(pusherDone)
+// pushTau starts the τ pusher: the sole writer on conn after the verify
+// request, woken by every landing in the cluster. A push failure stops
+// pushing but not the attempt: the node then skips by its own τ. The
+// returned stop waits for the pusher to exit, so no write is
+// outstanding once it returns.
+func (c *Coordinator) pushTau(conn net.Conn, sub <-chan struct{}, g *gather) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		var sent *core.Scored
 		for {
 			select {
-			case <-pusherDone:
+			case <-quit:
 				return
 			case <-sub:
 			}
@@ -308,40 +352,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot str
 			sent = tau
 		}
 	}()
-
-	for {
-		typ, payload, n, err := ReadFrame(conn, 0)
-		c.bytesRecv.Add(int64(n))
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case ftScores:
-			var chunk scoreChunk
-			if err := decodeMsg(payload, &chunk); err != nil {
-				return nil, fmt.Errorf("dist: decode score chunk: %w", err)
-			}
-			for _, sc := range chunk {
-				if sc.Idx < 0 || sc.Idx >= len(l2g) {
-					return nil, fmt.Errorf("dist: node %s streamed a score for item %d of %d", node.Name, sc.Idx, len(l2g))
-				}
-				g.land(l2g[sc.Idx], sc.Score)
-			}
-		case ftVerifyRes:
-			var res verifyRes
-			if err := decodeMsg(payload, &res); err != nil {
-				return nil, fmt.Errorf("dist: decode verify result: %w", err)
-			}
-			return func() {
-				g.merge(res.Stats)
-				c.foldReads(res.Node)
-			}, nil
-		case ftError:
-			return nil, remoteErr(payload)
-		default:
-			return nil, fmt.Errorf("dist: unexpected frame type 0x%02x in verify stream", typ)
-		}
-	}
+	return func() { close(quit); <-exited }
 }
 
 // Stages returns the core.Stages that run one query's filter, bounds

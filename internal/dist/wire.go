@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"masksearch/internal/core"
 	"masksearch/internal/store"
@@ -15,8 +17,9 @@ import (
 // whose layout is the same in every version, so two peers can always
 // read each other's version and the coordinator rejects a mismatch by
 // name at hello instead of misparsing a work frame mid-query. (Version
-// 1 was the JSON payload encoding, which carried no version.)
-const WireVersion = 3
+// 1 was the JSON payload encoding, which carried no version; version 4
+// ends every exchange with ftEnd and keeps the connection.)
+const WireVersion = 4
 
 // Payload encoding. A frame payload is its message's fields in order,
 // little-endian, with no tags, padding or self-description:
@@ -192,9 +195,28 @@ func decodeMsg(payload []byte, m wireMsg) error {
 	return w.err
 }
 
-// writeMsg encodes m into one frame, returning the wire size.
+// frameBufs holds writeMsg's encode buffers: a bounds answer of 1 500
+// candidates (51 KB) encodes in less than half the time into a reused
+// buffer as into one grown from empty. A buffer grown past
+// maxPooledFrame is left to the collector.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
+// writeMsg encodes m into one frame in a pooled buffer, which it takes
+// back after the write, and returns the wire size.
 func writeMsg(w io.Writer, typ byte, m wireMsg) (int, error) {
-	return writeFrame(w, typ, encodeMsg(make([]byte, frameHeaderLen, 512), m))
+	bp := frameBufs.Get().(*[]byte)
+	var hdr [frameHeaderLen]byte
+	// Room for the CRC writeFrame appends, so the buffer kept is the
+	// one written.
+	buf := slices.Grow(encodeMsg(append((*bp)[:0], hdr[:]...), m), frameCRCLen)
+	n, err := writeFrame(w, typ, buf)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
+		frameBufs.Put(bp)
+	}
+	return n, err
 }
 
 // readMsg reads one frame of the expected type into m, returning the

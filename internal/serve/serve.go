@@ -640,6 +640,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		cur["msserve.dist.Degraded"] = float64(ds.Dist.Degraded)
 		cur["msserve.dist.BytesSent"] = float64(ds.Dist.BytesSent)
 		cur["msserve.dist.BytesRecv"] = float64(ds.Dist.BytesRecv)
+		cur["msserve.dist.Dials"] = float64(ds.Dist.Dials)
 	}
 	var p50, p99 time.Duration
 	if q, ok := s.c.latency.Quantiles(0.50, 0.99); ok {
