@@ -40,14 +40,6 @@ const (
 	latWarmup          = 8
 )
 
-// poolCap bounds the idle connections the coordinator keeps per node.
-// A query runs its stages in turn (3.5 requests per op on two shards),
-// each stage one request per shard, so one client keeps at most two
-// requests in flight at a node: its own shard's and a hedge of the
-// other's. Four keep two such clients from dialing; past the cap a
-// connection is closed, so more clients cost dials, not answers.
-const poolCap = 4
-
 // CoordOptions tunes the coordinator. The zero value hedges (see
 // HedgeAfter) and retries one pass.
 type CoordOptions struct {
@@ -125,10 +117,13 @@ type nodeSeen struct {
 }
 
 // Coordinator scatter-gathers query stages across the topology's
-// nodes. It keeps up to poolCap idle connections per node, each
+// nodes. It keeps every connection whose exchange ended cleanly, each
 // carrying one exchange at a time, and reuses the most recently used
-// first; its other cross-request state is counters, latency windows and
-// the remote read-stats accumulator.
+// first: a node's idle connections number at most the peak of its
+// concurrent exchanges, which the caller's admission bounds (msserve's
+// MaxInflight), and a node closes a connection left idle past its
+// request deadline. Its other cross-request state is counters, latency
+// windows and the remote read-stats accumulator.
 type Coordinator struct {
 	routes  [][]NodeSpec
 	nshards int
@@ -395,10 +390,10 @@ func (c *Coordinator) take(ctx context.Context, node NodeSpec, fresh bool) (conn
 }
 
 // put keeps a connection whose exchange ended cleanly, or closes it
-// past poolCap or after Close.
+// after Close.
 func (c *Coordinator) put(node NodeSpec, conn net.Conn) {
 	c.pmu.Lock()
-	if !c.closed && len(c.idle[node.Name]) < poolCap {
+	if !c.closed {
 		c.idle[node.Name] = append(c.idle[node.Name], conn)
 		conn = nil
 	}
@@ -410,12 +405,13 @@ func (c *Coordinator) put(node NodeSpec, conn net.Conn) {
 
 // exchange runs one request to node over a kept connection, or a new
 // one. do writes the request and reads to the terminal frame, reporting
-// whether any response frame arrived. A clean exchange with ctx not
+// whether any response byte arrived. A clean exchange with ctx not
 // done is ended with ftEnd and its connection kept. Otherwise the
 // connection is closed: ctx ending closes it at once, so a hedged
 // loser's or a canceled attempt's blocking read aborts. A kept
-// connection that fails before its first response frame went stale
-// while idle (the node restarted, or closed it at its idle deadline).
+// connection that fails before any response byte arrived went stale
+// while idle (the node restarted, or closed it at its idle deadline); a
+// corrupt or torn response is an answer, and goes to the attempt runner.
 // Every request is an idempotent read, so that failure redials once, at
 // once, and the attempt runner never sees it.
 func (c *Coordinator) exchange(ctx context.Context, node NodeSpec, do func(conn net.Conn) (answered bool, err error)) error {

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -500,11 +501,11 @@ func fakeNode(t *testing.T, handle func(conn net.Conn, typ byte, payload []byte)
 }
 
 // frameProxy relays each client connection to its own connection to
-// upstream, frame by frame. down rewrites the payload of every frame
-// the node sends back; with hangUp the proxy closes both connections
-// after it relays the client's ftEnd, so every kept connection the
-// client pools is stale by its next request.
-func frameProxy(t *testing.T, upstream string, down func(typ byte, payload []byte) []byte, hangUp bool) string {
+// upstream, frame by frame. down writes to the client each frame the
+// node sends back, rewritten as the test needs; with hangUp the proxy
+// closes both connections after it relays the client's ftEnd, so every
+// kept connection the client pools is stale by its next request.
+func frameProxy(t *testing.T, upstream string, down func(conn net.Conn, typ byte, payload []byte) error, hangUp bool) string {
 	return listen(t, func(conn net.Conn) {
 		up, err := net.Dial("tcp", upstream)
 		if err != nil {
@@ -518,7 +519,7 @@ func frameProxy(t *testing.T, upstream string, down func(typ byte, payload []byt
 				if err != nil {
 					return
 				}
-				if _, err := WriteFrame(conn, typ, down(typ, p)); err != nil {
+				if err := down(conn, typ, p); err != nil {
 					return
 				}
 			}
@@ -533,6 +534,12 @@ func frameProxy(t *testing.T, upstream string, down func(typ byte, payload []byt
 			}
 		}
 	})
+}
+
+// relay writes a frame on unchanged.
+func relay(conn net.Conn, typ byte, payload []byte) error {
+	_, err := WriteFrame(conn, typ, payload)
+	return err
 }
 
 // TestDistWireVersionMismatch: a node speaking another wire version is
@@ -571,14 +578,15 @@ func TestDistRejectsMisorderedBounds(t *testing.T) {
 	c := newCluster(t, 2)
 	_, addrB := c.startNode("b", nil)
 	var reversed atomic.Int64
-	addrX := frameProxy(t, addrB, func(typ byte, payload []byte) []byte {
+	addrX := frameProxy(t, addrB, func(conn net.Conn, typ byte, payload []byte) error {
 		var res boundsRes
-		if typ != ftBoundsRes || decodeMsg(payload, &res) != nil {
-			return payload
+		if typ == ftBoundsRes && decodeMsg(payload, &res) == nil {
+			slices.Reverse(res.Cands)
+			reversed.Add(1)
+			payload = encodeMsg(nil, &res)
 		}
-		slices.Reverse(res.Cands)
-		reversed.Add(1)
-		return encodeMsg(nil, &res)
+		_, err := WriteFrame(conn, typ, payload)
+		return err
 	}, false)
 	coord := c.coordinator(
 		map[string]string{"x": addrX, "b": addrB},
@@ -601,7 +609,7 @@ func TestDistRejectsMisorderedBounds(t *testing.T) {
 func TestDistRedialsStaleConn(t *testing.T) {
 	c := newCluster(t, 2)
 	_, addrA := c.startNode("a", nil)
-	addrX := frameProxy(t, addrA, func(_ byte, p []byte) []byte { return p }, true)
+	addrX := frameProxy(t, addrA, relay, true)
 	coord := c.coordinator(map[string]string{"x": addrX}, [][]string{{"x"}, {"x"}}, CoordOptions{HedgeAfter: -1})
 	c.checkAll(coord, nil)
 	st := coord.Stats()
@@ -611,6 +619,38 @@ func TestDistRedialsStaleConn(t *testing.T) {
 	// Every exchange dials, and all but the first found a stale one first.
 	if st.Dials <= st.Requests {
 		t.Fatalf("%d dials for %d requests: no stale connection was redialed", st.Dials, st.Requests)
+	}
+}
+
+// TestDistCorruptAnswerFailsOver: a corrupt answer on a kept
+// connection is an answer, not a stale connection: the attempt fails
+// at once and the query answers from the replica, byte-identically,
+// with every corrupt answer one retry and one failover — never the
+// same request sent again to the node that answered it.
+func TestDistCorruptAnswerFailsOver(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	var corrupted atomic.Int64
+	addrX := frameProxy(t, addrA, func(conn net.Conn, typ byte, payload []byte) error {
+		if typ != ftBoundsRes {
+			return relay(conn, typ, payload)
+		}
+		var f bytes.Buffer
+		WriteFrame(&f, typ, payload)
+		f.Bytes()[f.Len()-1] ^= 1
+		corrupted.Add(1)
+		_, err := conn.Write(f.Bytes())
+		return err
+	}, false)
+	coord := c.coordinator(map[string]string{"x": addrX, "b": addrB}, [][]string{{"x", "b"}, {"x", "b"}}, CoordOptions{HedgeAfter: -1})
+	c.checkRanking(coord, nil, c.targets(), c.cat.GroupByImage(nil))
+	st := coord.Stats()
+	if n := corrupted.Load(); n == 0 || st.Retries != n || st.Failovers != n {
+		t.Fatalf("%d corrupt answers: %+v", n, st)
+	}
+	if st.Dials <= 2 {
+		t.Fatalf("%d dials: the corrupt answers' connections were kept", st.Dials)
 	}
 }
 
@@ -759,15 +799,14 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestVerifyStreamSurvivesPushFlood: a client that floods τ pushes
-// while it reads a verify stream always reads the terminal frame, and
-// its connection then serves a bounds request correctly: the node reads
-// late pushes up to the client's ftEnd. A node that
-// closed with pushes unread in its receive buffer would make the kernel
-// reset the connection, dropping what the node had written but not yet
-// sent: the client's small receive buffer keeps the tail of the stream,
-// terminal frame included, in the node's send queue. A node that read
-// on past ftEnd would take a late push for the next request.
+// TestVerifyStreamSurvivesPushFlood: a client that pushes τ while it
+// reads a verify stream, and again after the terminal frame, always
+// reads the terminal frame, and its connection then serves a bounds
+// request correctly: the node reads late pushes up to the client's
+// ftEnd. A node that closed with pushes unread would make the kernel
+// reset the connection, and one that stopped at the terminal frame or
+// read on past ftEnd would take a late push for the next request;
+// either fails the bounds request.
 func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	c := newCluster(t, 2)
 	node, addr := c.startNode("a", nil)
@@ -775,21 +814,16 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 256 items over 64 masks stream more score frames than the
-	// client's receive buffer holds; k = all skips none of them.
+	// 256 items over 64 masks stream many score frames; k = all skips
+	// none of them.
 	ids := c.targets()[:64]
 	var items []core.VerifyItem
 	for i := range 256 {
 		items = append(items, core.VerifyItem{ID: ids[i%64], B: core.Bounds{Hi: 1 << 20}})
 	}
 	req := encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: items, Term: term, Gate: core.GateSpec{K: len(items)}})
-	// The bounds answer must fit the small receive buffer, or it waits
-	// out the sender's zero-window probe.
 	asked := ids[:16]
 	bounds := encodeMsg(nil, &boundsReq{BootID: node.BootID(), IDs: asked, Term: term})
-	// 64 pushes per write, written until the end or 64 writes: the node
-	// reads every one before the bounds request, so an unbounded flood
-	// would time the drain of the socket buffers.
 	var pushes bytes.Buffer
 	for range 64 {
 		if _, err := WriteFrame(&pushes, ftTau, encodeMsg(nil, &tauPush{ID: math.MaxInt64})); err != nil {
@@ -801,24 +835,12 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.(*net.TCPConn).SetReadBuffer(2048)
-		if _, err := WriteFrame(conn, ftVerify, req); err != nil {
+		if _, err := WriteFrame(conn, ftVerify, req); err == nil {
+			_, err = conn.Write(pushes.Bytes())
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		stop, flooded := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(flooded)
-			for range 64 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := conn.Write(pushes.Bytes()); err != nil {
-					return
-				}
-			}
-		}()
 		scores := make(map[int64]int64)
 		var typ byte
 		for err == nil && typ != ftVerifyRes {
@@ -833,13 +855,14 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 				err = fmt.Errorf("frame type 0x%02x in the stream", typ)
 			}
 		}
-		close(stop)
-		<-flooded
 		if err != nil {
 			t.Fatalf("exchange %d: %v before the terminal frame", i, err)
 		}
 		var res boundsRes
-		if _, err = WriteFrame(conn, ftEnd, nil); err == nil {
+		if _, err = conn.Write(pushes.Bytes()); err == nil {
+			_, err = WriteFrame(conn, ftEnd, nil)
+		}
+		if err == nil {
 			_, err = WriteFrame(conn, ftBounds, bounds)
 		}
 		if err == nil {
@@ -863,33 +886,52 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	}
 }
 
-// TestPoolBounds: after 200 queries over replicated routes that hedge
-// after a millisecond, each node holds at most poolCap connections once
-// the hedged losers' closes land; Coordinator.Close closes the kept
-// ones and keeps none returned after it, and once the nodes close the
-// goroutine count is back at its baseline.
+// TestPoolBounds: concurrent clients run 200 queries over replicated
+// routes, first without hedging, then hedging after a millisecond. The
+// coordinator keeps every cleanly ended connection, so each node's
+// connections are bounded by the clients' peak of concurrent exchanges
+// at it, not by the queries, and so are the dials, past the hedged
+// losers' and the retries' replacements. Coordinator.Close closes the
+// kept connections and keeps none returned after it, and once the
+// nodes close the goroutine count is back at its baseline.
 func TestPoolBounds(t *testing.T) {
 	c := newCluster(t, 2)
 	base := runtime.NumGoroutine()
 	a, addrA := c.startNode("a", nil)
 	b, addrB := c.startNode("b", nil)
 	nodes := []*Node{a, b}
-	coord := c.coordinator(map[string]string{"a": addrA, "b": addrB}, [][]string{{"a", "b"}, {"b", "a"}}, CoordOptions{HedgeAfter: time.Millisecond})
+	addrs, routes := map[string]string{"a": addrA, "b": addrB}, [][]string{{"a", "b"}, {"b", "a"}}
 	ctx := context.Background()
 	targets, groups := c.targets(), c.cat.GroupByImage(nil)
 	pred := core.Cmp{T: 0, Op: core.OpGt, C: 20}
-	for i := range 200 {
-		var err error
-		switch i % 3 {
-		case 0:
-			_, _, err = core.FilterOn(ctx, coord.Stages(nil), targets, c.terms, pred)
-		case 1:
-			_, _, err = core.TopKOn(ctx, coord.Stages(nil), targets, c.terms, 0, 10, core.Order(i%2))
-		default:
-			_, _, err = core.AggTopKOn(ctx, coord.Stages(nil), groups, c.terms, 0, core.Mean, 10, core.Desc)
+	queries := func(coord *Coordinator, clients int) {
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for cl := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := cl; i < 200; i += clients {
+					var err error
+					switch i % 3 {
+					case 0:
+						_, _, err = core.FilterOn(ctx, coord.Stages(nil), targets, c.terms, pred)
+					case 1:
+						_, _, err = core.TopKOn(ctx, coord.Stages(nil), targets, c.terms, 0, 10, core.Order(i%2))
+					default:
+						_, _, err = core.AggTopKOn(ctx, coord.Stages(nil), groups, c.terms, 0, core.Mean, 10, core.Desc)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("query %d: %w", i, err)
+						return
+					}
+				}
+			}()
 		}
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
 		}
 	}
 	conns := func(n *Node) int {
@@ -897,22 +939,43 @@ func TestPoolBounds(t *testing.T) {
 		defer n.mu.Unlock()
 		return len(n.conns)
 	}
-	for _, n := range nodes {
-		waitFor(t, fmt.Sprintf("node %s at most %d connections", n.name, poolCap), func() bool { return conns(n) <= poolCap })
-	}
-	// A connection is closed only as a hedged loser or a failed attempt;
-	// any other dial past filling both pools lost a connection that should
-	// have been kept.
-	if st := coord.Stats(); st.Dials > st.Hedges+st.Retries+int64(len(nodes)*poolCap) {
-		t.Fatalf("%d dials for %d requests (%d hedges, %d retries): kept connections were lost", st.Dials, st.Requests, st.Hedges, st.Retries)
+	closed := func(coord *Coordinator) {
+		coord.Close()
+		for _, n := range nodes {
+			waitFor(t, fmt.Sprintf("node %s with no connection", n.name), func() bool { return conns(n) == 0 })
+		}
 	}
 
-	coord.Close()
-	for _, n := range nodes {
-		waitFor(t, fmt.Sprintf("node %s with no connection", n.name), func() bool { return conns(n) == 0 })
+	// Without hedging a client keeps one exchange in flight at a node,
+	// its own shard's, and no connection is closed.
+	const clients = 8
+	plain := c.coordinator(addrs, routes, CoordOptions{HedgeAfter: -1})
+	queries(plain, clients)
+	if st := plain.Stats(); st.Dials > int64(len(nodes)*clients) {
+		t.Fatalf("%d dials for %d requests from %d clients: kept connections were lost", st.Dials, st.Requests, clients)
 	}
+	for _, n := range nodes {
+		if k := conns(n); k > clients {
+			t.Fatalf("node %s holds %d connections from %d clients", n.name, k, clients)
+		}
+	}
+	closed(plain)
+
+	// Hedging, a client keeps at most two, its own shard's and a hedge
+	// of the other's, and a hedged loser closes its connection.
+	const hedgers, peak = 4, 2 * 4
+	hedged := c.coordinator(addrs, routes, CoordOptions{HedgeAfter: time.Millisecond})
+	queries(hedged, hedgers)
+	for _, n := range nodes {
+		waitFor(t, fmt.Sprintf("node %s at most %d connections", n.name, peak), func() bool { return conns(n) <= peak })
+	}
+	if st := hedged.Stats(); st.Dials > st.Hedges+st.Retries+int64(len(nodes)*peak) {
+		t.Fatalf("%d dials for %d requests (%d hedges, %d retries): kept connections were lost", st.Dials, st.Requests, st.Hedges, st.Retries)
+	}
+	closed(hedged)
+
 	kept, peer := net.Pipe()
-	coord.put(NodeSpec{Name: "a"}, kept)
+	hedged.put(NodeSpec{Name: "a"}, kept)
 	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("a connection returned after Close was kept: read err %v", err)
 	}

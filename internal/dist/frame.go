@@ -78,10 +78,12 @@ func writeFrame(w io.Writer, typ byte, buf []byte) (int, error) {
 	return n, nil
 }
 
-// ReadFrame reads one frame, returning its type, payload and total
-// wire size. The declared payload length is validated against max (0
-// uses MaxFramePayload) before any payload allocation. A clean EOF on
-// the first header byte is returned as io.EOF so stream consumers can
+// ReadFrame reads one frame, returning its type, payload and the bytes
+// it consumed: the total wire size of a whole frame, and what it read
+// before failing otherwise, so 0 means no byte of a frame arrived. The
+// declared payload length is validated against max (0 uses
+// MaxFramePayload) before any payload allocation. A clean EOF on the
+// first header byte is returned as io.EOF so stream consumers can
 // distinguish an orderly close from a torn frame (io.ErrUnexpectedEOF)
 // or a corrupt one (ErrFrameCorrupt).
 func ReadFrame(r io.Reader, max int) (byte, []byte, int, error) {
@@ -89,27 +91,27 @@ func ReadFrame(r io.Reader, max int) (byte, []byte, int, error) {
 		max = MaxFramePayload
 	}
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, 0, io.EOF
 		}
-		return 0, nil, 0, fmt.Errorf("dist: read frame header: %w", err)
+		return 0, nil, n, fmt.Errorf("dist: read frame header: %w", err)
 	}
 	plen := binary.LittleEndian.Uint32(hdr[1:])
 	if int64(plen) > int64(max) {
-		return 0, nil, 0, fmt.Errorf("dist: %d byte payload declared (max %d): %w", plen, max, ErrFrameTooLarge)
+		return 0, nil, frameHeaderLen, fmt.Errorf("dist: %d byte payload declared (max %d): %w", plen, max, ErrFrameTooLarge)
 	}
 	body := make([]byte, int(plen)+frameCRCLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if n, err := io.ReadFull(r, body); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, 0, fmt.Errorf("dist: torn frame: %w", err)
+		return 0, nil, frameHeaderLen + n, fmt.Errorf("dist: torn frame: %w", err)
 	}
 	crc := crc32.Checksum(hdr[:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, body[:plen])
 	if binary.LittleEndian.Uint32(body[plen:]) != crc {
-		return 0, nil, 0, fmt.Errorf("dist: frame type 0x%02x: %w", hdr[0], ErrFrameCorrupt)
+		return 0, nil, frameHeaderLen + len(body), fmt.Errorf("dist: frame type 0x%02x: %w", hdr[0], ErrFrameCorrupt)
 	}
 	return hdr[0], body[:plen:plen], frameHeaderLen + len(body), nil
 }

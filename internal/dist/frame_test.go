@@ -46,24 +46,24 @@ func TestFrameErrors(t *testing.T) {
 	}
 
 	t.Run("torn header", func(t *testing.T) {
-		_, _, _, err := ReadFrame(bytes.NewReader(frame([]byte("abc"))[:3]), 0)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+		_, _, n, err := ReadFrame(bytes.NewReader(frame([]byte("abc"))[:3]), 0)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || n != 3 {
+			t.Fatalf("err = %v after %d bytes, want ErrUnexpectedEOF after 3", err, n)
 		}
 	})
 	t.Run("torn body", func(t *testing.T) {
 		f := frame([]byte("hello world"))
-		_, _, _, err := ReadFrame(bytes.NewReader(f[:len(f)-6]), 0)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+		_, _, n, err := ReadFrame(bytes.NewReader(f[:len(f)-6]), 0)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || n != len(f)-6 {
+			t.Fatalf("err = %v after %d bytes, want ErrUnexpectedEOF after %d", err, n, len(f)-6)
 		}
 	})
 	t.Run("corrupt payload", func(t *testing.T) {
 		f := frame([]byte("hello world"))
 		f[frameHeaderLen+2] ^= 0x40
-		_, _, _, err := ReadFrame(bytes.NewReader(f), 0)
-		if !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("err = %v, want ErrFrameCorrupt", err)
+		_, _, n, err := ReadFrame(bytes.NewReader(f), 0)
+		if !errors.Is(err, ErrFrameCorrupt) || n != len(f) {
+			t.Fatalf("err = %v after %d bytes, want ErrFrameCorrupt after %d", err, n, len(f))
 		}
 	})
 	t.Run("corrupt crc", func(t *testing.T) {

@@ -286,10 +286,10 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot str
 		for {
 			typ, payload, n, err := ReadFrame(conn, 0)
 			c.bytesRecv.Add(int64(n))
+			answered = answered || n > 0
 			if err != nil {
 				return answered, err
 			}
-			answered = true
 			switch typ {
 			case ftScores:
 				var chunk scoreChunk
