@@ -1,9 +1,9 @@
 // Command msshard is a shard-service node: it opens a mask dataset and
-// answers the coordinator's filter, bounds and verify requests for the
-// shards it serves, over the compact length-prefixed TCP protocol in
-// internal/dist. A topology-backed msserve (or any DB opened with
-// Options.TopologyFile) scatter-gathers query stages across a set of
-// these.
+// answers the coordinator's filter, bounds, verify and rank requests
+// for the shards it serves, over the compact length-prefixed TCP
+// protocol in internal/dist. A topology-backed msserve (or any DB
+// opened with Options.TopologyFile) scatter-gathers query stages across
+// a set of these.
 //
 // Usage:
 //
@@ -161,13 +161,15 @@ func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 		ns := node.Stats()
 		rs := st.Stats()
 		// Conns counts connections, each kept for many requests; the
-		// per-kind counters (Hellos … Verifies) count requests.
+		// per-kind counters (Hellos … Ranks) count requests: a top-k
+		// is one rank request per shard, never a verify.
 		counters := map[string]float64{
 			"msshard.Conns":      float64(ns.Conns),
 			"msshard.Hellos":     float64(ns.Hellos),
 			"msshard.Filters":    float64(ns.Filters),
 			"msshard.Bounds":     float64(ns.Bounds),
 			"msshard.Verifies":   float64(ns.Verifies),
+			"msshard.Ranks":      float64(ns.Ranks),
 			"msshard.Errors":     float64(ns.Errors),
 			"msshard.TauRecv":    float64(ns.TauRecv),
 			"msshard.ScoresSent": float64(ns.ScoresSent),

@@ -7,10 +7,11 @@ import (
 )
 
 // Distributed execution. A DB opened with Options.TopologyFile becomes
-// a coordinator: metadata planning, target selection and static
-// pruning stay local (the catalog and CHI index are cheap), while the
-// mask-touching stages — filter decisions, candidate bounds, exact
-// verification — ship to the shard nodes named in the topology.
+// a coordinator: metadata planning, target selection and an
+// aggregation's static pruning stay local (the catalog is cheap), while
+// the mask-touching stages — filter decisions, candidate bounds, exact
+// verification, and a top-k's whole per-shard routine — ship to the
+// shard nodes named in the topology.
 // Results are byte-identical to local execution unless the query opts
 // into degraded results (WithDegradedResults) AND a shard actually
 // went missing, in which case the Result is flagged.

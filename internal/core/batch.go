@@ -249,6 +249,12 @@ func (b *batch) Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pr
 	return keep, nil, st, nil
 }
 
+// Rank runs rankOn on the batch: its bounds pass through, its
+// verification parks for the round.
+func (b *batch) Rank(ctx context.Context, targets []int64, term *ScoreTerm, tt *TauTracker) (Stats, error) {
+	return rankOn(ctx, b, targets, term, tt, nil)
+}
+
 // Verify parks every item for the round, gated by the driver's gate.
 func (b *batch) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error) {
 	if len(items) == 0 {

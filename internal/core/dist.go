@@ -122,6 +122,11 @@ func (e *Env) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, g
 	return e.verifyItems(ctx, items, &term.plan, gate, land)
 }
 
+// Rank is the local top-k: rankOn over every target, in this process.
+func (e *Env) Rank(ctx context.Context, targets []int64, term *ScoreTerm, tt *TauTracker) (Stats, error) {
+	return rankOn(ctx, e, targets, term, tt, nil)
+}
+
 // verifyItems loads and refines every item the gate does not skip,
 // landing each exact score. The gate is checked before each load and
 // watches the loaded mask's refinement: an item it rejects mid-scan is

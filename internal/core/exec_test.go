@@ -344,12 +344,13 @@ func TestTauTracker(t *testing.T) {
 }
 
 // TestTauGatePrunesVerifyLoads is the saving a shard node makes with no
-// push at all, on a sequential env: over the same best-first items, a
-// gate rebuilt from a top-k request (k) and one rebuilt from an
-// aggregation request each load strictly fewer masks than an open
-// gate, every score they land equals the exact one, and every item
-// they skip provably cannot place — its exact entry, or its group's,
-// ranks after the k-th best of the whole query.
+// push at all, on a sequential env: the rank routine of a top-k request
+// (k, under the node's own tracker) and a gate rebuilt from an
+// aggregation request each load strictly fewer masks than an open gate
+// over the same best-first items, every score they land equals the
+// exact one, and every candidate they skip (or, ranking, do not emit)
+// provably cannot place — its exact entry, or its group's, ranks after
+// the k-th best of the whole query.
 func TestTauGatePrunesVerifyLoads(t *testing.T) {
 	// Saliency-shaped masks: their CP spreads far wider than the
 	// bounds' slack, as on real data, so bounds can fall beyond τ.
@@ -410,18 +411,26 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 		}
 		SortScored(all, ord)
 		kth := ranked[int64]{int64(all[k-1].Score), all[k-1].ID}
-		gate, err := RebuildGate(GateSpec{Ord: ord, K: k}, items)
+		_, open := run(items, nil)
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = cands[i].ID
+		}
+		emitted := make([]bool, n)
+		st, err := RankShard(context.Background(), env, ids, term, NewTauTracker(k, ord), func(i int, score int64) {
+			if emitted[i] = true; score != exact[ids[i]] {
+				t.Fatalf("mask %d emitted %d, exact %d", ids[i], score, exact[ids[i]])
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, open := run(items, nil)
-		landed, st := run(items, gate)
-		if st.Loaded >= open.Loaded {
-			t.Fatalf("%v top-k: the rebuilt gate loaded %d masks, an open one %d", ord, st.Loaded, open.Loaded)
+		if st.Loaded >= open.Loaded || st.Loaded+st.AcceptedByBounds+st.RejectedByBounds != n {
+			t.Fatalf("%v top-k: the rank routine's stats %+v (an open gate loaded %d of %d)", ord, st, open.Loaded, n)
 		}
-		for j, it := range items {
-			if !landed[j] && !(ranked[int64]{exact[it.ID], it.ID}).after(kth, ord) {
-				t.Fatalf("%v top-k: item %d (mask %d, exact %d) skipped, but it ranks no later than the k-th best %+v", ord, j, it.ID, exact[it.ID], kth)
+		for i, id := range ids {
+			if !emitted[i] && !(ranked[int64]{exact[id], id}).after(kth, ord) {
+				t.Fatalf("%v top-k: mask %d (exact %d) not emitted, but it ranks no later than the k-th best %+v", ord, id, exact[id], kth)
 			}
 		}
 
@@ -457,7 +466,7 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 		SortScored(aggs, ord)
 		gkth := ranked[float64]{aggs[k-1].Score, aggs[k-1].ID}
 		_, open = run(gitems, nil)
-		landed, st = run(gitems, ggate)
+		landed, st := run(gitems, ggate)
 		if st.Loaded >= open.Loaded {
 			t.Fatalf("%v agg: the rebuilt gate loaded %d masks, an open one %d", ord, st.Loaded, open.Loaded)
 		}

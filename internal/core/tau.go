@@ -164,6 +164,13 @@ func NewTauTracker(k int, ord Order) *TauTracker {
 	return &TauTracker{tracker[int64]{ord: ord, k: k}}
 }
 
+// Tighten merges a pushed τ: the tracker keeps the tighter of it and
+// its own. It may be called while verification runs.
+func (t *TauTracker) Tighten(x Scored) { t.tighten(x) }
+
+// Query reports the k and the direction the tracker ranks for.
+func (t *TauTracker) Query() (k int, ord Order) { return t.k, t.ord }
+
 // Add lands candidate id's exact score. Each candidate must be added at
 // most once: a duplicate would make the heap count one candidate twice
 // and tighten τ beyond what the landed scores justify.
@@ -183,14 +190,9 @@ func (t *TauTracker) SkipID(id int64, b Bounds) bool {
 // Gate is what a verification stage may skip items by. Skip reports
 // whether item i, whose exact score lies in b, provably cannot place:
 // before its load b is the item's bounds, during it the refinement's
-// narrowing bounds. Skip may be called concurrently. A remote stage
-// runs the same gate on its nodes: Ship describes it for the items
-// sub of the call, which a node rebuilds (RebuildGate) and verifies
-// under, and Held is the τ the stage pushes to them as it tightens.
+// narrowing bounds. Skip may be called concurrently.
 type Gate interface {
 	Skip(i int, b Bounds) bool
-	Ship(sub []int) GateSpec
-	Held() *Scored
 }
 
 // topGate gates one top-k verification call's items by the query's
@@ -202,15 +204,6 @@ type topGate struct {
 
 func (t topGate) Skip(i int, b Bounds) bool { return t.SkipID(t.items[i].ID, b) }
 func (t topGate) land(i int, score int64)   { t.Add(t.items[i].ID, score) }
-
-// Ship is k, the direction and the entries landed so far: a node's k
-// best entries, shipped or landed there, are k distinct candidates of
-// the query, so its own τ is admissible for the whole query.
-func (t topGate) Ship([]int) GateSpec {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return GateSpec{Ord: t.ord, K: t.k, Best: t.entries()}
-}
 
 // groupGate is aggregation's gate: a k-best tracker of complete groups,
 // keyed by group key. Every member carries an optimistic value — its
@@ -233,11 +226,11 @@ type groupGate struct {
 	landed []bool // per item
 }
 
-// GateSpec is a ranking gate as a verify request ships it, for a node
-// to rebuild over the request's items (RebuildGate): Ord, K, the
-// entries Best its tracker holds and, for aggregation, Agg, the groups
-// with an item in the request, their members' optimistic values (exact
-// once landed) and each item's place.
+// GateSpec is the aggregation gate as a verify request ships it, for a
+// node to rebuild over the request's items (RebuildGate): Ord, K, the
+// entries Best its tracker holds, Agg, the groups with an item in the
+// request, their members' optimistic values (exact once landed) and
+// each item's place.
 type GateSpec struct {
 	Ord    Order
 	K      int
@@ -313,20 +306,14 @@ func newGroupGate(gs []aggGroup, cands []CandBound, f64 []float64, agg Agg, k in
 }
 
 // RebuildGate rebuilds on a shard node the driver's gate that spec
-// ships for items (top-k when it places no item), rejecting a spec
-// whose places or values could make it skip unsoundly.
+// ships for items, rejecting a spec whose places or values could make
+// it skip unsoundly.
 func RebuildGate(spec GateSpec, items []VerifyItem) (*NodeGate, error) {
 	if spec.K < 1 || spec.Ord != Desc && spec.Ord != Asc || spec.Agg < Mean || spec.Agg > Max {
 		return nil, fmt.Errorf("core: gate k %d, order %d, aggregate %d", spec.K, spec.Ord, spec.Agg)
 	}
 	if slices.ContainsFunc(spec.Best, func(e Scored) bool { return math.IsNaN(e.Score) }) || slices.ContainsFunc(spec.Opt, math.IsNaN) {
 		return nil, fmt.Errorf("core: gate holds a NaN value")
-	}
-	if len(spec.Groups)+len(spec.Items) == 0 {
-		t := NewTauTracker(spec.K, spec.Ord)
-		t.seed(spec.Best, len(items), func(i int) int64 { return items[i].ID })
-		g := topGate{t, items}
-		return &NodeGate{g, g.land, g.tighten}, nil
 	}
 	if len(spec.Items) != len(items) {
 		return nil, fmt.Errorf("core: gate places %d items of %d", len(spec.Items), len(items))
@@ -428,8 +415,8 @@ func (g *groupGate) Skip(j int, b Bounds) bool {
 }
 
 // NodeGate is the gate a shard node verifies a request's items under:
-// the driver's own gate, rebuilt from the request, advanced by the
-// node's landings and tightened by the coordinator's pushes.
+// the driver's aggregation gate, rebuilt from the request, advanced by
+// the node's landings and tightened by the coordinator's pushes.
 type NodeGate struct {
 	g       Gate
 	land    func(i int, score int64)
@@ -444,10 +431,24 @@ func (n *NodeGate) Tighten(t Scored) { n.tighten(t) }
 // worker count, landing each exact score in the gate and through emit
 // (possibly concurrently): the verification loop of Env.Verify.
 func (n *NodeGate) Verify(ctx context.Context, env *Env, items []VerifyItem, term CPTerm, emit func(i int, score int64)) (Stats, error) {
-	return env.verifyItems(ctx, items, &newScoreTerm(term).plan, n.g, func(i int, score int64) {
+	return nodeEnv{env}.Verify(ctx, items, newScoreTerm(term), n.g, func(i int, score int64) {
 		n.land(i, score)
 		emit(i, score)
 	})
+}
+
+// RankShard is a shard node's side of a top-k: rankOn over the shard's
+// targets under tt, the node's own tracker, which pushes tighten. emit
+// gets every exact score that may place, possibly concurrently.
+func RankShard(ctx context.Context, env *Env, targets []int64, term CPTerm, tt *TauTracker, emit func(i int, score int64)) (Stats, error) {
+	return rankOn(ctx, nodeEnv{env}, targets, newScoreTerm(term), tt, emit)
+}
+
+// nodeEnv is a shard node's Env: it verifies gated at every worker count.
+type nodeEnv struct{ *Env }
+
+func (e nodeEnv) Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error) {
+	return e.verifyItems(ctx, items, &term.plan, gate, land)
 }
 
 // bestFirst sorts ascending positions into verification order: best

@@ -35,6 +35,11 @@ type Stages interface {
 	// best-first, and a pool or a shard takes them up in that order (a
 	// batch round loads in id order).
 	Verify(ctx context.Context, items []VerifyItem, term *ScoreTerm, gate Gate, land func(i int, score int64)) (Stats, error)
+	// Rank runs rankOn over targets, landing in tt every exact score
+	// that may place, at most once per target: in this process over all
+	// of them, on a cluster over each shard's on its node. A shard that
+	// did not answer (a degraded remote query) lands nothing more.
+	Rank(ctx context.Context, targets []int64, term *ScoreTerm, tt *TauTracker) (Stats, error)
 }
 
 // ScoreTerm is a ranking query's score term as the stages receive it:
@@ -92,52 +97,71 @@ func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, scor
 	return AggTopKOn(ctx, env, groups, terms, score, agg, k, ord)
 }
 
-// TopKOn is the one top-k driver: bounds, static pruning, the
-// candidates whose bounds are exact land first, the rest are verified
-// best-first under the τ their scores refine, and the answer is the
-// k best landed. Targets whose shard did not answer are dropped.
+// TopKOn is the one top-k driver: s ranks the targets into the query's
+// one TauTracker (Stages.Rank), whose k best landed are the answer.
+// Targets whose shard did not answer are dropped.
 func TopKOn(ctx context.Context, s Stages, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
 	if err := checkScore(terms, score); err != nil {
 		return nil, Stats{}, err
 	}
-	t := newScoreTerm(terms[score])
-	cands, answered, st, err := s.Bounds(ctx, targets, t)
-	if err != nil {
-		return nil, st, err
-	}
-	if answered != nil {
-		live := cands[:0]
-		for i, c := range cands {
-			if answered[i] {
-				live = append(live, c)
-			}
-		}
-		cands = live
-	}
-	k = clampK(k, len(cands))
-	cands = pruneCands(cands, k, ord, &st)
-	tt := NewTauTracker(k, ord)
-	at := make([]int, 0, len(cands))
-	for i, c := range cands {
-		if c.Known {
-			st.AcceptedByBounds++
-			tt.Add(c.ID, c.Score)
-		} else {
-			at = append(at, i)
-		}
-	}
-	bestFirst(at, ord, func(i int) float64 { return float64(cands[i].B.best(ord)) })
-	items := make([]VerifyItem, len(at))
-	for j, i := range at {
-		items[j] = VerifyItem{ID: cands[i].ID, B: cands[i].B}
-	}
-	gate := topGate{tt, items}
-	vst, err := s.Verify(ctx, items, t, gate, gate.land)
-	st.Merge(vst)
+	tt := NewTauTracker(clampK(k, len(targets)), ord)
+	st, err := s.Rank(ctx, targets, newScoreTerm(terms[score]), tt)
 	if err != nil {
 		return nil, st, err
 	}
 	return tt.ranking(), st, nil
+}
+
+// rankOn is the top-k routine of one shard, or of every target at once:
+// bounds, the static prune by its own k-th guaranteed bound, the
+// exact-bound candidates land at once, and the rest are verified
+// best-first under tt's τ. Every score lands in tt; emit, when set,
+// gets each that may still place, by its index in targets. A shard's
+// k-th best is admissible for the whole query (its k best are k
+// distinct candidates of it), so a score it does not emit never places.
+func rankOn(ctx context.Context, s Stages, targets []int64, t *ScoreTerm, tt *TauTracker, emit func(i int, score int64)) (Stats, error) {
+	cands, _, st, err := s.Bounds(ctx, targets, t)
+	if err != nil {
+		return st, err
+	}
+	pos := make([]int, len(cands))
+	for i := range pos {
+		pos[i] = i
+	}
+	pos = pruneByBounds(pos, clampK(tt.k, len(pos)), tt.ord,
+		func(p int) int64 { return cands[p].B.Lo },
+		func(p int) int64 { return cands[p].B.Hi },
+		func(int) { st.RejectedByBounds++ })
+	for _, p := range pos {
+		if c := cands[p]; c.Known {
+			st.AcceptedByBounds++
+			tt.Add(c.ID, c.Score)
+		}
+	}
+	// Every exact candidate landed, so only its k best may place; the
+	// others are verified, in place of pos.
+	at := pos[:0]
+	for _, p := range pos {
+		if c := cands[p]; !c.Known {
+			at = append(at, p)
+		} else if emit != nil && !tt.SkipID(c.ID, c.B) {
+			emit(p, c.Score)
+		}
+	}
+	bestFirst(at, tt.ord, func(p int) float64 { return float64(cands[p].B.best(tt.ord)) })
+	items := make([]VerifyItem, len(at))
+	for j, p := range at {
+		items[j] = VerifyItem{ID: cands[p].ID, B: cands[p].B}
+	}
+	gate := topGate{tt, items}
+	vst, err := s.Verify(ctx, items, t, gate, func(j int, score int64) {
+		gate.land(j, score)
+		if emit != nil && !tt.SkipID(items[j].ID, Bounds{score, score}) {
+			emit(at[j], score)
+		}
+	})
+	st.Merge(vst)
+	return st, err
 }
 
 // AggTopKOn is the one aggregation driver: member bounds, group bounds
@@ -238,16 +262,6 @@ func selectNth[V cmp.Ordered](s []V, n int) V {
 		}
 	}
 	return s[n]
-}
-
-// pruneCands drops candidates whose bounds provably cannot reach the
-// k-th rank. Requires 0 <= k <= len(cands); it mutates cands in place
-// and returns the survivors.
-func pruneCands(cands []CandBound, k int, ord Order, st *Stats) []CandBound {
-	return pruneByBounds(cands, k, ord,
-		func(c CandBound) int64 { return c.B.Lo },
-		func(c CandBound) int64 { return c.B.Hi },
-		func(CandBound) { st.RejectedByBounds++ })
 }
 
 // aggGroup is one non-empty group of an aggregation query: its members

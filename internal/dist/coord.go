@@ -21,7 +21,8 @@ import (
 var ErrShardUnavailable = errors.New("dist: shard unavailable")
 
 // Request kinds, indexing the per-kind latency windows that drive
-// adaptive hedging (verify's stays empty: see hedgeDelay).
+// adaptive hedging. kindVerify is both streaming exchanges, verify and
+// rank, and its window stays empty: see hedgeDelay.
 const (
 	kindHello = iota
 	kindFilter
@@ -335,8 +336,8 @@ func resolve(errs []error, part *Partial) error {
 
 // hedgeDelay resolves the hedging delay for one request kind; ok is
 // false when hedging is disabled. Adaptive delays come from the round
-// trips roundTrip times. A verify request streams for as long as its
-// verification runs, so no round trip describes it: it hedges at
+// trips roundTrip times. A verify or rank request streams for as long
+// as its verification runs, so no round trip describes it: it hedges at
 // defaultHedgeCold, and no workload has shown a tighter delay to pay.
 func (c *Coordinator) hedgeDelay(kind int) (time.Duration, bool) {
 	switch {
@@ -643,11 +644,34 @@ func (c *Coordinator) runAttempts(ctx context.Context, kind, shard int, run atte
 	}
 }
 
-// partition splits target ids into per-shard lists, remembering each
-// id's position so gathered results reassemble in caller order.
-func (c *Coordinator) partition(ids []int64) (byShard [][]int64, srcIdx [][]int) {
-	byShard = make([][]int64, c.nshards)
-	srcIdx = make([][]int, c.nshards)
+// shardPart is one shard's share of an id list: its ids, each of which
+// sits in the list at off+j, or at src[j] when src is set.
+type shardPart struct {
+	ids []int64
+	off int
+	src []int
+}
+
+// at is the list position of the part's j-th id.
+func (p shardPart) at(j int) int {
+	if p.src != nil {
+		return p.src[j]
+	}
+	return p.off + j
+}
+
+// partition splits ids into per-shard parts, remembering each id's
+// position so gathered results reassemble in caller order: ascending
+// ids (catalog targets) as one sub-slice per shard, unsorted ones (such
+// as best-first verify items) one by one.
+func (c *Coordinator) partition(ids []int64) []shardPart {
+	parts := make([]shardPart, c.nshards)
+	if runs, ok := shardRuns(ids, c.shardOf); ok && (len(runs) == 0 || runs[0].s >= 0 && runs[len(runs)-1].s < c.nshards) {
+		for _, r := range runs {
+			parts[r.s] = shardPart{ids: ids[r.lo:r.hi:r.hi], off: r.lo}
+		}
+		return parts
+	}
 	for i, id := range ids {
 		s := c.shardOf(id)
 		if s < 0 || s >= c.nshards {
@@ -655,10 +679,33 @@ func (c *Coordinator) partition(ids []int64) (byShard [][]int64, srcIdx [][]int)
 			// panic; the node's ownership check will reject them loudly.
 			s = c.nshards - 1
 		}
-		byShard[s] = append(byShard[s], id)
-		srcIdx[s] = append(srcIdx[s], i)
+		parts[s].ids = append(parts[s].ids, id)
+		parts[s].src = append(parts[s].src, i)
 	}
-	return byShard, srcIdx
+	return parts
+}
+
+// shardRun is ids[lo:hi], the run of an id list on shard s.
+type shardRun struct{ s, lo, hi int }
+
+// shardRuns cuts ascending ids into one run per shard, in shard order,
+// with one binary search per run: a shard holds a contiguous id range
+// (shardOf is monotone, as the store's is). ok is false when ids do not
+// ascend, or a shard recurs after another.
+func shardRuns(ids []int64, shardOf func(int64) int) (runs []shardRun, ok bool) {
+	if !slices.IsSorted(ids) {
+		return nil, false
+	}
+	for lo := 0; lo < len(ids); {
+		s := shardOf(ids[lo])
+		if len(runs) > 0 && s <= runs[len(runs)-1].s {
+			return nil, false
+		}
+		hi := lo + sort.Search(len(ids)-lo, func(j int) bool { return shardOf(ids[lo+j]) != s })
+		runs = append(runs, shardRun{s, lo, hi})
+		lo = hi
+	}
+	return runs, true
 }
 
 // helloAddr probes a single address outside any coordinator (msinspect

@@ -708,13 +708,16 @@ func TestDistRevalidatesRestartedNode(t *testing.T) {
 // TestNodeRejectsBadRequests: a request the node cannot decode, one
 // validated against another boot, one whose predicate names a term it
 // was not sent, a verify request whose shipped gate could skip
-// unsoundly, and a stray ftEnd or ftTau in a request's place are each
-// answered with an error frame naming this boot — never served, never
-// a crash. All of them, then a good request, share one connection,
-// each exchange ended with ftEnd: the good one is answered correctly.
+// unsoundly, a rank request with k < 1, an unknown order or an id of a
+// shard the node does not serve (wherever it sits among ascending or
+// unsorted ids), and a stray ftEnd, ftTau or ftScores in a request's
+// place are each answered with an error frame naming this boot — never
+// served, never a crash. All of them, then a good request, share one
+// connection, each exchange ended with ftEnd: the good one is answered
+// correctly.
 func TestNodeRejectsBadRequests(t *testing.T) {
 	c := newCluster(t, 2)
-	node, addr := c.startNode("a", nil)
+	node, addr := c.startNode("a", []int{0})
 	term, err := toWireTerm(c.terms[1])
 	if err != nil {
 		t.Fatal(err)
@@ -728,6 +731,14 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 		return verify(core.GateSpec{K: 1, Groups: groups, Opt: opt, Items: places})
 	}
 	one := []core.GateGroup{{Key: 5, N: 1}}
+	rank := func(k int, ord core.Order, ids ...int64) []byte {
+		return encodeMsg(nil, &rankReq{BootID: node.BootID(), IDs: ids, Term: term, K: k, Ord: ord})
+	}
+	on1 := c.targets()[slices.IndexFunc(c.targets(), func(id int64) bool { return c.shardOf()(id) == 1 })]
+	if slices.ContainsFunc(good.IDs, func(id int64) bool { return c.shardOf()(id) != 0 }) {
+		t.Fatal("the good request's ids are not all on shard 0")
+	}
+	unowned := fmt.Sprintf("does not serve shard 1 (mask %d)", on1)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -759,8 +770,14 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 		{"gate group past members", ftVerify, agg([]core.GateGroup{{N: 3}}, []float64{3, 4}, core.GateItem{}), "members [0, +3) of 2"},
 		{"gate item count", ftVerify, agg(one, []float64{3}, core.GateItem{}, core.GateItem{}), "places 2 items of 1"},
 		{"gate NaN value", ftVerify, agg(one, []float64{math.NaN()}, core.GateItem{}), "NaN"},
+		{"rank k 0", ftRank, rank(0, core.Desc, 1), "rank k 0"},
+		{"rank order", ftRank, rank(1, 7, 1), "order 7"},
+		{"rank unowned last", ftRank, rank(1, core.Desc, 1, 2, on1, on1+1), unowned},
+		{"rank unowned first", ftRank, rank(1, core.Asc, on1, 2, 1), unowned},
+		{"rank unowned between", ftRank, rank(1, core.Asc, 2, on1, 1), unowned},
 		{"stray end", ftEnd, nil, "unknown request frame"},
 		{"stray push", ftTau, encodeMsg(nil, &tauPush{ID: 1, Score: 2}), "unknown request frame"},
+		{"stray scores", ftScores, encodeMsg(nil, &scoreChunk{{Idx: 0, Score: 1}}), "unknown request frame"},
 	} {
 		typ, payload, err := exchange(tc.typ, tc.payload)
 		if err == nil && typ != ftError {
@@ -800,13 +817,13 @@ func TestNodeRejectsBadRequests(t *testing.T) {
 }
 
 // TestVerifyStreamSurvivesPushFlood: a client that pushes τ while it
-// reads a verify stream, and again after the terminal frame, always
-// reads the terminal frame, and its connection then serves a bounds
-// request correctly: the node reads late pushes up to the client's
-// ftEnd. A node that closed with pushes unread would make the kernel
-// reset the connection, and one that stopped at the terminal frame or
-// read on past ftEnd would take a late push for the next request;
-// either fails the bounds request.
+// reads a verify or a rank stream, and again after the terminal frame,
+// always reads the terminal frame, and its connection then serves a
+// bounds request correctly: the node reads late pushes up to the
+// client's ftEnd. A node that closed with pushes unread would make the
+// kernel reset the connection, and one that stopped at the terminal
+// frame or read on past ftEnd would take a late push for the next
+// request; either fails the bounds request.
 func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	c := newCluster(t, 2)
 	node, addr := c.startNode("a", nil)
@@ -814,14 +831,26 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 256 items over 64 masks stream many score frames; k = all skips
-	// none of them.
+	// 256 items over 64 masks stream many score frames, each item its
+	// own group; k = all groups skips none of them. The rank requests,
+	// every other exchange, rank the 64 masks at k = all.
 	ids := c.targets()[:64]
 	var items []core.VerifyItem
+	gate := core.GateSpec{K: 256, Agg: core.Sum}
 	for i := range 256 {
 		items = append(items, core.VerifyItem{ID: ids[i%64], B: core.Bounds{Hi: 1 << 20}})
+		gate.Groups = append(gate.Groups, core.GateGroup{Key: int64(i), Off: i, N: 1})
+		gate.Opt = append(gate.Opt, 1<<20)
+		gate.Items = append(gate.Items, core.GateItem{G: i, M: i, Indexed: true})
 	}
-	req := encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: items, Term: term, Gate: core.GateSpec{K: len(items)}})
+	streams := []struct {
+		typ, res byte
+		req      []byte
+		id       func(idx int) int64
+	}{
+		{ftVerify, ftVerifyRes, encodeMsg(nil, &verifyReq{BootID: node.BootID(), Items: items, Term: term, Gate: gate}), func(i int) int64 { return items[i].ID }},
+		{ftRank, ftRankRes, encodeMsg(nil, &rankReq{BootID: node.BootID(), IDs: ids, Term: term, K: len(ids)}), func(i int) int64 { return ids[i] }},
+	}
 	asked := ids[:16]
 	bounds := encodeMsg(nil, &boundsReq{BootID: node.BootID(), IDs: asked, Term: term})
 	var pushes bytes.Buffer
@@ -831,11 +860,12 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 		}
 	}
 	for i := range 200 {
+		sx := streams[i%2]
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WriteFrame(conn, ftVerify, req); err == nil {
+		if _, err := WriteFrame(conn, sx.typ, sx.req); err == nil {
 			_, err = conn.Write(pushes.Bytes())
 		}
 		if err != nil {
@@ -843,15 +873,15 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 		}
 		scores := make(map[int64]int64)
 		var typ byte
-		for err == nil && typ != ftVerifyRes {
+		for err == nil && typ != sx.res {
 			var p []byte
 			if typ, p, _, err = ReadFrame(conn, 0); err == nil && typ == ftScores {
 				var chunk scoreChunk
 				err = decodeMsg(p, &chunk)
 				for _, sc := range chunk {
-					scores[items[sc.Idx].ID] = sc.Score
+					scores[sx.id(sc.Idx)] = sc.Score
 				}
-			} else if err == nil && typ != ftVerifyRes {
+			} else if err == nil && typ != sx.res {
 				err = fmt.Errorf("frame type 0x%02x in the stream", typ)
 			}
 		}
@@ -883,6 +913,189 @@ func TestVerifyStreamSurvivesPushFlood(t *testing.T) {
 	}
 	if ns := node.Stats(); ns.Errors != 0 {
 		t.Fatalf("the node counted %d errors: %+v", ns.Errors, ns)
+	}
+}
+
+// TestDistRankOneExchangePerShard: a top-k is one rank exchange per
+// shard, with no bounds or verify request, and an aggregation still
+// takes a bounds and a verify exchange per shard; both answer as the
+// local engine does.
+func TestDistRankOneExchangePerShard(t *testing.T) {
+	c := newCluster(t, 2)
+	a, addrA := c.startNode("a", nil)
+	b, addrB := c.startNode("b", nil)
+	coord := c.coordinator(map[string]string{"a": addrA, "b": addrB}, [][]string{{"a"}, {"b"}}, CoordOptions{HedgeAfter: -1})
+	ctx := context.Background()
+	targets, groups := c.targets(), c.cat.GroupByImage(nil)
+	requests := func(query func() error) (int64, [2]NodeStats) {
+		t.Helper()
+		before, na, nb := coord.Stats().Requests, a.Stats(), b.Stats()
+		if err := query(); err != nil {
+			t.Fatal(err)
+		}
+		da, db := a.Stats(), b.Stats()
+		return coord.Stats().Requests - before, [2]NodeStats{
+			{Bounds: da.Bounds - na.Bounds, Verifies: da.Verifies - na.Verifies, Ranks: da.Ranks - na.Ranks},
+			{Bounds: db.Bounds - nb.Bounds, Verifies: db.Verifies - nb.Verifies, Ranks: db.Ranks - nb.Ranks},
+		}
+	}
+	for _, ord := range []core.Order{core.Desc, core.Asc} {
+		for _, k := range []int{1, 10, 0} {
+			want, _, err := core.TopK(ctx, c.env, targets, c.terms, 0, k, ord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []core.Scored
+			n, per := requests(func() (err error) {
+				got, _, err = core.TopKOn(ctx, coord.Stages(nil), targets, c.terms, 0, k, ord)
+				return err
+			})
+			one := NodeStats{Ranks: 1}
+			if n != 2 || per != [2]NodeStats{one, one} || !reflect.DeepEqual(got, want) {
+				t.Fatalf("topk %v k=%d: %d requests, per node %+v; want 2 rank requests\ngot:  %v\nwant: %v", ord, k, n, per, got, want)
+			}
+		}
+	}
+	want, _, err := core.AggTopK(ctx, c.env, groups, c.terms, 0, core.Mean, 0, core.Desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []core.Scored
+	n, per := requests(func() (err error) {
+		got, _, err = core.AggTopKOn(ctx, coord.Stages(nil), groups, c.terms, 0, core.Mean, 0, core.Desc)
+		return err
+	})
+	two := NodeStats{Bounds: 1, Verifies: 1}
+	if n != 4 || per != [2]NodeStats{two, two} || !reflect.DeepEqual(got, want) {
+		t.Fatalf("agg: %d requests, per node %+v; want a bounds and a verify request per shard\ngot:  %v\nwant: %v", n, per, got, want)
+	}
+}
+
+// TestDistRankCorruptTerminalFailsOver: a rank stream whose terminal
+// frame arrives corrupt, after its scores landed, costs its attempt:
+// one retry and one failover per corrupt frame, and the replica's
+// stream of the same scores lands each once, so every answer equals the
+// local engine's.
+func TestDistRankCorruptTerminalFailsOver(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	var corrupted atomic.Int64
+	addrX := frameProxy(t, addrA, func(conn net.Conn, typ byte, payload []byte) error {
+		if typ != ftRankRes {
+			return relay(conn, typ, payload)
+		}
+		var f bytes.Buffer
+		WriteFrame(&f, typ, payload)
+		f.Bytes()[f.Len()-1] ^= 1
+		corrupted.Add(1)
+		_, err := conn.Write(f.Bytes())
+		return err
+	}, false)
+	coord := c.coordinator(map[string]string{"x": addrX, "b": addrB}, [][]string{{"x", "b"}, {"x", "b"}}, CoordOptions{HedgeAfter: -1})
+	c.checkRanking(coord, nil, c.targets(), c.cat.GroupByImage(nil))
+	st := coord.Stats()
+	if n := corrupted.Load(); n == 0 || st.Retries != n || st.Failovers != n {
+		t.Fatalf("%d corrupt rank answers: %+v", n, st)
+	}
+}
+
+// TestDistRankHedgedDuplicateLands: a proxy holds each of node a's rank
+// terminal frames back, so a hedge to node b ranks the same shard and
+// both nodes stream every score that may place. Each target lands once:
+// a duplicate would fill the tracker with one candidate twice, and the
+// answers, at k = 1, 10 and all, would differ from the local engine's.
+func TestDistRankHedgedDuplicateLands(t *testing.T) {
+	c := newCluster(t, 2)
+	a, addrA := c.startNode("a", nil)
+	b, addrB := c.startNode("b", nil)
+	addrX := frameProxy(t, addrA, func(conn net.Conn, typ byte, payload []byte) error {
+		if typ == ftRankRes {
+			time.Sleep(30 * time.Millisecond)
+		}
+		return relay(conn, typ, payload)
+	}, false)
+	coord := c.coordinator(map[string]string{"x": addrX, "b": addrB}, [][]string{{"x", "b"}, {"x", "b"}}, CoordOptions{HedgeAfter: time.Millisecond})
+	ctx := context.Background()
+	targets := c.targets()
+	for _, ord := range []core.Order{core.Desc, core.Asc} {
+		for _, k := range []int{1, 10, 0} {
+			want, _, err := core.TopK(ctx, c.env, targets, c.terms, 0, k, ord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := core.TopKOn(ctx, coord.Stages(nil), targets, c.terms, 0, k, ord)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("topk %v k=%d (err %v):\ngot:  %v\nwant: %v", ord, k, err, got, want)
+			}
+		}
+	}
+	if st := coord.Stats(); st.Hedges == 0 || st.HedgeWins == 0 {
+		t.Fatalf("no hedged rank won: %+v", st)
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa.Ranks == 0 || sb.Ranks == 0 || sa.ScoresSent == 0 || sb.ScoresSent == 0 {
+		t.Fatalf("both nodes must rank and stream scores: a %+v, b %+v", sa, sb)
+	}
+}
+
+// TestRankGateHoldsEarlyPush: a τ push the node reads before the
+// request's gate is built, while it still decodes or bounds, is held
+// and seeds that gate when it is armed; a later push tightens it too.
+func TestRankGateHoldsEarlyPush(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	var p pushes
+	n := &Node{}
+	ended := n.readRest(server, func() {}, &p)
+	if _, err := writeMsg(client, ftTau, &tauPush{ID: 7, Score: 30}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the push read", func() bool { return n.tauRecv.Load() == 1 })
+	tt := core.NewTauTracker(3, core.Desc)
+	p.arm(tt)
+	if h := tt.Held(); h == nil || *h != (core.Scored{ID: 7, Score: 30}) {
+		t.Fatalf("gate armed after a push holds τ %+v, want 30 held by mask 7", h)
+	}
+	if _, err := writeMsg(client, ftTau, &tauPush{ID: 2, Score: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteFrame(client, ftEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !<-ended {
+		t.Fatal("readRest did not end on ftEnd")
+	}
+	if h := tt.Held(); h == nil || *h != (core.Scored{ID: 2, Score: 40}) {
+		t.Fatalf("a push after the gate was armed left τ %+v, want 40 held by mask 2", h)
+	}
+}
+
+// TestDistPartitionRuns: ascending ids split into one sub-slice per
+// shard, with no per-id positions; unsorted ids into per-shard lists
+// with each id's position. Both cover every id once, on its shard.
+func TestDistPartitionRuns(t *testing.T) {
+	c := newCluster(t, 2)
+	coord := c.coordinator(map[string]string{"a": "127.0.0.1:1"}, [][]string{{"a"}, {"a"}}, CoordOptions{})
+	sorted := c.targets()[3:]
+	unsorted := slices.Clone(sorted)
+	slices.Reverse(unsorted)
+	for _, ids := range [][]int64{sorted, unsorted, nil} {
+		parts := coord.partition(ids)
+		seen := 0
+		for s, p := range parts {
+			if asc := slices.IsSorted(ids); asc != (p.src == nil) {
+				t.Fatalf("shard %d of ascending=%v ids has positions %v", s, asc, p.src)
+			}
+			for j, id := range p.ids {
+				if c.shardOf()(id) != s || ids[p.at(j)] != id {
+					t.Fatalf("shard %d part holds mask %d at position %d", s, id, p.at(j))
+				}
+			}
+			seen += len(p.ids)
+		}
+		if seen != len(ids) {
+			t.Fatalf("parts hold %d of %d ids", seen, len(ids))
+		}
 	}
 }
 

@@ -8,10 +8,11 @@
 // core-engine primitives — filter decisions, candidate bounds, τ-gated
 // verification — over the ids the coordinator routes to it, and the
 // coordinator runs core's ranking drivers over them (a core.Stages).
-// Each node verifies under the driver's own ranking gate, rebuilt from
-// its request and advanced by its own landings; exact scores stream
-// back to the driver's gate, whose tightened τ is pushed to every
-// in-flight node, which keeps the tighter of the two. Because all
+// A top-k's node runs the driver's own per-shard routine under its own
+// τ, and an aggregation's node verifies under the driver's group gate,
+// rebuilt from its request; either advances by its own landings, exact
+// scores stream back to the driver, and its tightened τ is pushed to
+// every in-flight node, which keeps the tighter of the two. Because all
 // pruning is strict-inequality sound and the final ranking is
 // re-sorted with deterministic tie-breaks, the gathered result is
 // byte-identical to single-node execution regardless of which node

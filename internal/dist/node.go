@@ -33,8 +33,8 @@ const idleTimeout = 30 * time.Second
 // CRC over several scores.
 const scoreChunkSize = 16
 
-// Node serves one shard-service endpoint: it answers filter, bounds
-// and verify requests over the dataset it opened, running exactly the
+// Node serves one shard-service endpoint: it answers filter, bounds,
+// verify and rank requests over the dataset it opened, running exactly the
 // core-engine primitives the local executors run. A node is
 // stateless across requests (its only cross-request state is the
 // incrementally growing CHI index, which never changes results — only
@@ -60,6 +60,7 @@ type Node struct {
 	nFilters  atomic.Int64
 	nBounds   atomic.Int64
 	nVerifies atomic.Int64
+	nRanks    atomic.Int64
 	nErrors   atomic.Int64
 	tauRecv   atomic.Int64
 	scoresOut atomic.Int64
@@ -69,11 +70,11 @@ type Node struct {
 
 // NodeStats is a snapshot of a node's serving counters. Conns counts
 // connections accepted, each of which carries requests one at a time;
-// Hellos, Filters, Bounds and Verifies count requests.
+// Hellos, Filters, Bounds, Verifies and Ranks count requests.
 type NodeStats struct {
-	Conns, Hellos, Filters, Bounds, Verifies, Errors int64
-	TauRecv, ScoresSent                              int64
-	BytesIn, BytesOut                                int64
+	Conns, Hellos, Filters, Bounds, Verifies, Ranks, Errors int64
+	TauRecv, ScoresSent                                     int64
+	BytesIn, BytesOut                                       int64
 }
 
 // NewNode wraps an opened dataset as a shard-service node. served
@@ -117,7 +118,7 @@ func (n *Node) Stats() NodeStats {
 	return NodeStats{
 		Conns: n.nConns.Load(), Hellos: n.nHellos.Load(),
 		Filters: n.nFilters.Load(), Bounds: n.nBounds.Load(),
-		Verifies: n.nVerifies.Load(), Errors: n.nErrors.Load(),
+		Verifies: n.nVerifies.Load(), Ranks: n.nRanks.Load(), Errors: n.nErrors.Load(),
 		TauRecv: n.tauRecv.Load(), ScoresSent: n.scoresOut.Load(),
 		BytesIn: n.bytesIn.Load(), BytesOut: n.bytesOut.Load(),
 	}
@@ -212,14 +213,19 @@ func (n *Node) info() nodeInfo {
 }
 
 // checkOwned rejects ids routed to a node that does not serve their
-// shard.
+// shard: once per shard run when ids ascend (shardRuns), id by id
+// otherwise.
 func (n *Node) checkOwned(ids []int64) error {
 	if n.served == nil {
 		return nil
 	}
-	for _, id := range ids {
-		if s := n.st.ShardOf(id); !n.served[s] {
-			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, s, id)
+	runs, ok := shardRuns(ids, n.st.ShardOf)
+	for i := 0; !ok && i < len(ids); i++ {
+		runs = append(runs, shardRun{n.st.ShardOf(ids[i]), i, i + 1})
+	}
+	for _, r := range runs {
+		if !n.served[r.s] {
+			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, r.s, ids[r.lo])
 		}
 	}
 	return nil
@@ -294,8 +300,8 @@ func (n *Node) serveOne(conn net.Conn) bool {
 	conn.SetDeadline(time.Time{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var gate atomic.Pointer[core.NodeGate]
-	ended := n.readRest(conn, cancel, &gate)
+	var p pushes
+	ended := n.readRest(conn, cancel, &p)
 	switch typ {
 	case ftHello:
 		n.nHellos.Add(1)
@@ -308,7 +314,10 @@ func (n *Node) serveOne(conn net.Conn) bool {
 		err = n.handleBounds(ctx, conn, payload)
 	case ftVerify:
 		n.nVerifies.Add(1)
-		err = n.handleVerify(ctx, cancel, conn, payload, &gate)
+		err = n.handleVerify(ctx, cancel, conn, payload, &p)
+	case ftRank:
+		n.nRanks.Add(1)
+		err = n.handleRank(ctx, cancel, conn, payload, &p)
 	default:
 		err = fmt.Errorf("dist: node %s: unknown request frame 0x%02x", n.name, typ)
 	}
@@ -320,24 +329,53 @@ func (n *Node) serveOne(conn net.Conn) bool {
 	return <-ended
 }
 
-// readRest reads what the client sends after its request, pushes to
-// the verify gate once there is one, up to the client's ftEnd. It
-// reports true on ftEnd, false on a failed read (a hang-up, the
-// deadline) or any other frame, and then cancels the request's work.
-func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, gate *atomic.Pointer[core.NodeGate]) <-chan bool {
+// pushes is one request's τ pushes: the latest, and the request's gate
+// once built, which each push tightens; a gate built after a push is
+// seeded from it (arm).
+type pushes struct {
+	mu   sync.Mutex
+	tau  *core.Scored
+	gate interface{ Tighten(core.Scored) }
+}
+
+// push tightens the gate, if there is one yet, and keeps t.
+func (p *pushes) push(t core.Scored) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tau = &t
+	if p.gate != nil {
+		p.gate.Tighten(t)
+	}
+}
+
+// arm makes g the request's gate, tightened by the latest push.
+func (p *pushes) arm(g interface{ Tighten(core.Scored) }) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.gate = g
+	if p.tau != nil {
+		g.Tighten(*p.tau)
+	}
+}
+
+// readRest reads what the client sends after its request, τ pushes, up
+// to the client's ftEnd. It reports true on ftEnd, false on a failed
+// read (a hang-up, the deadline) or any other frame, and then cancels
+// the request's work.
+func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, p *pushes) <-chan bool {
 	ended := make(chan bool, 1)
 	go func() {
 		defer cancel()
 		for {
-			typ, p, sz, err := ReadFrame(conn, 0)
+			typ, payload, sz, err := ReadFrame(conn, 0)
 			n.bytesIn.Add(int64(sz))
 			if err != nil || typ != ftTau {
 				ended <- err == nil && typ == ftEnd
 				return
 			}
 			var push tauPush
-			if g := gate.Load(); g != nil && decodeMsg(p, &push) == nil && !math.IsNaN(push.Score) {
-				g.Tighten(core.Scored(push))
+			if decodeMsg(payload, &push) == nil && !math.IsNaN(push.Score) {
+				p.push(core.Scored(push))
 				n.tauRecv.Add(1)
 			}
 		}
@@ -465,8 +503,8 @@ func (s *scoreStreamer) finish() error {
 }
 
 // handleVerify verifies the request's items under the gate it ships,
-// rebuilt and published to readRest for the coordinator's pushes.
-func (n *Node) handleVerify(ctx context.Context, cancel context.CancelFunc, conn net.Conn, payload []byte, pushTo *atomic.Pointer[core.NodeGate]) error {
+// rebuilt and armed for the coordinator's pushes.
+func (n *Node) handleVerify(ctx context.Context, cancel context.CancelFunc, conn net.Conn, payload []byte, p *pushes) error {
 	var req verifyReq
 	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
 		return err
@@ -486,16 +524,48 @@ func (n *Node) handleVerify(ctx context.Context, cancel context.CancelFunc, conn
 	if err != nil {
 		return fmt.Errorf("dist: node %s: %w", n.name, err)
 	}
-	pushTo.Store(gate)
-	ctx, cancelReq := reqCtx(ctx, conn, req.DeadlineMS)
+	p.arm(gate)
+	return n.stream(ctx, cancel, conn, req.DeadlineMS, ftVerifyRes, func(ctx context.Context, emit func(int, int64)) (core.Stats, error) {
+		return gate.Verify(ctx, n.env(), req.Items, term, emit)
+	})
+}
+
+// handleRank runs the top-k's per-shard routine over the request's ids
+// under the node's own τ tracker, armed for the coordinator's pushes.
+func (n *Node) handleRank(ctx context.Context, cancel context.CancelFunc, conn net.Conn, payload []byte, p *pushes) error {
+	var req rankReq
+	if err := n.decodeReq(payload, &req, &req.BootID); err != nil {
+		return err
+	}
+	if req.K < 1 || req.Ord != core.Desc && req.Ord != core.Asc {
+		return fmt.Errorf("dist: node %s: rank k %d, order %d", n.name, req.K, req.Ord)
+	}
+	if err := n.checkOwned(req.IDs); err != nil {
+		return err
+	}
+	term, err := n.fromWireTerm(req.Term)
+	if err != nil {
+		return err
+	}
+	tt := core.NewTauTracker(req.K, req.Ord)
+	p.arm(tt)
+	return n.stream(ctx, cancel, conn, req.DeadlineMS, ftRankRes, func(ctx context.Context, emit func(int, int64)) (core.Stats, error) {
+		return core.RankShard(ctx, n.env(), req.IDs, term, tt, emit)
+	})
+}
+
+// stream runs a streaming request's work, whose every exact score emit
+// batches into ftScores frames, and terminates the stream with resType.
+func (n *Node) stream(ctx context.Context, cancel context.CancelFunc, conn net.Conn, deadlineMS int64, resType byte, work func(context.Context, func(int, int64)) (core.Stats, error)) error {
+	ctx, cancelReq := reqCtx(ctx, conn, deadlineMS)
 	defer cancelReq()
 	stream := &scoreStreamer{node: n, conn: conn, cancel: cancel}
-	st, err := gate.Verify(ctx, n.env(), req.Items, term, stream.emit)
+	st, err := work(ctx, stream.emit)
 	if err != nil {
 		return err
 	}
 	if err := stream.finish(); err != nil {
 		return err
 	}
-	return n.writeMsg(conn, ftVerifyRes, &verifyRes{Stats: st, Node: n.info()})
+	return n.writeMsg(conn, resType, &verifyRes{Stats: st, Node: n.info()})
 }

@@ -13,12 +13,14 @@ import (
 // connection carries one exchange at a time and is kept for the next:
 // the client writes a request frame and reads response frames until
 // the terminal one (ftError, or the request's *Res type), then writes
-// ftEnd. Verify requests are the only streaming exchange: the node
-// emits ftScores frames as exact values land and accepts ftTau frames
-// inbound at any time, then terminates with ftVerifyRes. A node reads
-// up to ftEnd before it reads the next request, so a late push is
-// consumed, never read as a request, and a client that stops pushing
-// before ftEnd leaves nothing in flight on a kept connection.
+// ftEnd. Verify and rank requests are the streaming exchanges: the
+// node emits ftScores frames as exact values land and accepts ftTau
+// frames inbound at any time, then terminates with ftVerifyRes or
+// ftRankRes. A top-k takes one rank exchange per shard; an aggregation
+// takes a bounds exchange, then a verify exchange, per shard. A node
+// reads up to ftEnd before it reads the next request, so a late push
+// is consumed, never read as a request, and a client that stops
+// pushing before ftEnd leaves nothing in flight on a kept connection.
 const (
 	ftError byte = iota + 1
 	ftHello
@@ -32,6 +34,8 @@ const (
 	ftTau
 	ftVerifyRes
 	ftEnd
+	ftRank
+	ftRankRes
 )
 
 // errNotDistributable marks a plan element that cannot cross a process
@@ -184,8 +188,8 @@ type boundsRes struct {
 
 // verifyReq asks a node to exactly verify items it owns on the score
 // term, streaming scores back as they land. Gate ships the driver's
-// gate over these items: the node rebuilds it, advances it by its own
-// landings and tightens it by inbound ftTau frames.
+// aggregation gate over these items: the node rebuilds it, advances it
+// by its own landings and tightens it by inbound ftTau frames.
 type verifyReq struct {
 	BootID     string
 	Items      []core.VerifyItem
@@ -194,21 +198,34 @@ type verifyReq struct {
 	DeadlineMS int64
 }
 
+// rankReq asks a node to rank ids it owns for a top-k of K in direction
+// Ord (core.RankShard), streaming back every exact score that may
+// place. Inbound ftTau frames tighten its τ.
+type rankReq struct {
+	BootID     string
+	IDs        []int64
+	Term       wireTerm
+	K          int
+	Ord        core.Order
+	DeadlineMS int64
+}
+
 // scoreChunk is one batch of exact results.
 type scoreChunk []idxScore
 
 // idxScore is one item's exact score; Idx is its index in
-// verifyReq.Items.
+// verifyReq.Items, or rankReq.IDs.
 type idxScore struct {
 	Idx   int
 	Score int64
 }
 
 // tauPush pushes the driver's tightened τ, with its holder, to an
-// in-flight verify.
+// in-flight verify or rank.
 type tauPush core.Scored
 
-// verifyRes terminates a verify stream.
+// verifyRes terminates a verify stream (ftVerifyRes) or a rank stream
+// (ftRankRes).
 type verifyRes struct {
 	Stats core.Stats
 	Node  nodeInfo

@@ -10,26 +10,27 @@ import (
 )
 
 // This file holds the coordinator's query operations: stages, the
-// core.Stages whose filter, bounds and verification run on the shard
-// nodes, over which core's drivers run unchanged. The drivers' pruning
-// and skipping are sound (a dropped candidate provably cannot place),
-// so no matter which node verified which candidate, which τ updates
-// landed in time, or whether a hedged or failover attempt answered, the
-// surviving exact scores and the final sorted ranking are identical to
-// single-node execution. Stats are merged from node responses; like the
-// local worker pool, the verification stage's load counts may differ
-// run to run (τ races), never the results.
+// core.Stages whose filter, bounds, verification and top-k ranking run
+// on the shard nodes, over which core's drivers run unchanged. The
+// drivers' pruning and skipping are sound (a dropped candidate provably
+// cannot place), so no matter which node verified which candidate,
+// which τ updates landed in time, or whether a hedged or failover
+// attempt answered, the surviving exact scores and the final sorted
+// ranking are identical to single-node execution. Stats are merged
+// from node responses; like the local worker pool, the verification
+// stage's load counts may differ run to run (τ races), never the
+// results.
 
-// gather accumulates streamed verification results across every node
-// and attempt of one verify scatter. It is the driver gate's ledger:
-// each candidate's exact score is recorded AT MOST ONCE — hedged and
-// failover attempts can both stream the same candidate, and a
-// duplicate landing would count one candidate (or group member) twice
-// and tighten τ beyond what the landed scores justify (an unsound
-// skip). The first landing wins; duplicates are dropped under the lock.
+// gather accumulates the exact scores streamed back across every node
+// and attempt of one verify or rank scatter. It is the driver's ledger:
+// each item's (or target's) score is recorded AT MOST ONCE — hedged and
+// failover attempts can both stream the same one, and a duplicate
+// landing would count one candidate (or group member) twice and tighten
+// τ beyond what the landed scores justify (an unsound skip). The first
+// landing wins; duplicates are dropped under the lock.
 type gather struct {
-	gate   core.Gate
-	onLand func(i int, score int64) // nil once the scatter returned
+	tau    interface{ Held() *core.Scored } // the τ pushed to the nodes
+	onLand func(i int, score int64)         // nil once the scatter returned
 
 	mu     sync.Mutex
 	landed []bool
@@ -37,8 +38,8 @@ type gather struct {
 	subs   map[chan struct{}]bool
 }
 
-func newGather(n int, gate core.Gate, onLand func(i int, score int64)) *gather {
-	return &gather{gate: gate, onLand: onLand, landed: make([]bool, n), subs: make(map[chan struct{}]bool)}
+func newGather(n int, tau interface{ Held() *core.Scored }, onLand func(i int, score int64)) *gather {
+	return &gather{tau: tau, onLand: onLand, landed: make([]bool, n), subs: make(map[chan struct{}]bool)}
 }
 
 // land hands one candidate's exact score to the driver (which advances
@@ -61,6 +62,13 @@ func (g *gather) land(i int, score int64) {
 	g.mu.Unlock()
 }
 
+// close ends the landings: a hedged loser may stream on after a scatter.
+func (g *gather) close() {
+	g.mu.Lock()
+	g.onLand = nil
+	g.mu.Unlock()
+}
+
 // merge folds a winning attempt's response stats in.
 func (g *gather) merge(st core.Stats) {
 	g.mu.Lock()
@@ -68,7 +76,7 @@ func (g *gather) merge(st core.Stats) {
 	g.mu.Unlock()
 }
 
-// subscribe registers a τ-change wakeup channel for one verify
+// subscribe registers a τ-change wakeup channel for one streaming
 // connection's pusher.
 func (g *gather) subscribe() chan struct{} {
 	ch := make(chan struct{}, 1)
@@ -90,6 +98,25 @@ type stages struct {
 	part *Partial
 }
 
+// scatter runs one request per shard with ids, concurrently, through
+// runAttempts, and applies the partial-result policy to the outcomes.
+func (s stages) scatter(ctx context.Context, parts []shardPart, kind int, run func(p shardPart) attempt) error {
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for sh, p := range parts {
+		if len(p.ids) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[sh] = s.c.runAttempts(ctx, kind, sh, run(p))
+		}()
+	}
+	wg.Wait()
+	return resolve(errs, s.part)
+}
+
 // Bounds runs the remote bounds stage over targets, returning
 // per-target candidate bounds and coverage flags (false = the target's
 // shard went missing under the degraded policy).
@@ -100,49 +127,37 @@ func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTer
 		return nil, nil, st, err
 	}
 	c := s.c
-	byShard, srcIdx := c.partition(targets)
 	cands := make([]core.CandBound, len(targets))
 	covered := make([]bool, len(targets))
 	var mu sync.Mutex
-	errs := make([]error, c.nshards)
-	var wg sync.WaitGroup
-	for s := range byShard {
-		if len(byShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ids, src := byShard[s], srcIdx[s]
-			errs[s] = c.runAttempts(ctx, kindBounds, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
-				var res boundsRes
-				req := boundsReq{BootID: boot, IDs: ids, Term: wterm, DeadlineMS: deadlineMS(actx)}
-				if err := c.roundTrip(actx, kindBounds, node, ftBounds, &req, ftBoundsRes, &res); err != nil {
-					return nil, err
+	err = s.scatter(ctx, c.partition(targets), kindBounds, func(p shardPart) attempt {
+		return func(actx context.Context, node NodeSpec, boot string) (func(), error) {
+			var res boundsRes
+			req := boundsReq{BootID: boot, IDs: p.ids, Term: wterm, DeadlineMS: deadlineMS(actx)}
+			if err := c.roundTrip(actx, kindBounds, node, ftBounds, &req, ftBoundsRes, &res); err != nil {
+				return nil, err
+			}
+			if len(res.Cands) != len(p.ids) {
+				return nil, fmt.Errorf("dist: node %s answered %d bounds for %d ids", node.Name, len(res.Cands), len(p.ids))
+			}
+			for j, cb := range res.Cands {
+				if cb.ID != p.ids[j] {
+					return nil, fmt.Errorf("dist: node %s answered bounds for mask %d where mask %d was asked", node.Name, cb.ID, p.ids[j])
 				}
-				if len(res.Cands) != len(ids) {
-					return nil, fmt.Errorf("dist: node %s answered %d bounds for %d ids", node.Name, len(res.Cands), len(ids))
-				}
+			}
+			return func() {
+				mu.Lock()
+				st.Merge(res.Stats)
 				for j, cb := range res.Cands {
-					if cb.ID != ids[j] {
-						return nil, fmt.Errorf("dist: node %s answered bounds for mask %d where mask %d was asked", node.Name, cb.ID, ids[j])
-					}
+					cands[p.at(j)] = cb
+					covered[p.at(j)] = true
 				}
-				return func() {
-					mu.Lock()
-					st.Merge(res.Stats)
-					for j, cb := range res.Cands {
-						cands[src[j]] = cb
-						covered[src[j]] = true
-					}
-					mu.Unlock()
-					c.foldReads(res.Node)
-				}, nil
-			})
-		}(s)
-	}
-	wg.Wait()
-	if err := resolve(errs, s.part); err != nil {
+				mu.Unlock()
+				c.foldReads(res.Node)
+			}, nil
+		}
+	})
+	if err != nil {
 		return nil, nil, st, err
 	}
 	return cands, covered, st, nil
@@ -162,47 +177,44 @@ func (s stages) Filter(ctx context.Context, targets []int64, terms []core.CPTerm
 		return nil, nil, st, err
 	}
 	c := s.c
-	byShard, srcIdx := c.partition(targets)
 	keep := make([]bool, len(targets))
 	covered := make([]bool, len(targets))
 	var mu sync.Mutex
-	errs := make([]error, c.nshards)
-	var wg sync.WaitGroup
-	for sh := range byShard {
-		if len(byShard[sh]) == 0 {
-			continue
+	err = s.scatter(ctx, c.partition(targets), kindFilter, func(p shardPart) attempt {
+		return func(actx context.Context, node NodeSpec, boot string) (func(), error) {
+			var res filterRes
+			req := filterReq{BootID: boot, IDs: p.ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
+			if err := c.roundTrip(actx, kindFilter, node, ftFilter, &req, ftFilterRes, &res); err != nil {
+				return nil, err
+			}
+			if len(res.Keep) != len(p.ids) {
+				return nil, fmt.Errorf("dist: node %s answered %d filter decisions for %d ids", node.Name, len(res.Keep), len(p.ids))
+			}
+			return func() {
+				mu.Lock()
+				st.Merge(res.Stats)
+				for j, k := range res.Keep {
+					keep[p.at(j)] = k
+					covered[p.at(j)] = true
+				}
+				mu.Unlock()
+				c.foldReads(res.Node)
+			}, nil
 		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			ids, src := byShard[sh], srcIdx[sh]
-			errs[sh] = c.runAttempts(ctx, kindFilter, sh, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
-				var res filterRes
-				req := filterReq{BootID: boot, IDs: ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
-				if err := c.roundTrip(actx, kindFilter, node, ftFilter, &req, ftFilterRes, &res); err != nil {
-					return nil, err
-				}
-				if len(res.Keep) != len(ids) {
-					return nil, fmt.Errorf("dist: node %s answered %d filter decisions for %d ids", node.Name, len(res.Keep), len(ids))
-				}
-				return func() {
-					mu.Lock()
-					st.Merge(res.Stats)
-					for j, k := range res.Keep {
-						keep[src[j]] = k
-						covered[src[j]] = true
-					}
-					mu.Unlock()
-					c.foldReads(res.Node)
-				}, nil
-			})
-		}(sh)
-	}
-	wg.Wait()
-	if err := resolve(errs, s.part); err != nil {
+	})
+	if err != nil {
 		return nil, nil, st, err
 	}
 	return keep, covered, st, nil
+}
+
+// shipGate is a gate the nodes verify under: Ship describes it for the
+// items sub of a Verify call, which a node rebuilds (core.RebuildGate),
+// and Held is the τ pushed to the nodes as it tightens. Aggregation's
+// gate is one; a top-k ranks on the nodes through Rank instead.
+type shipGate interface {
+	Ship(sub []int) core.GateSpec
+	Held() *core.Scored
 }
 
 // Verify ships verification items to their shards, streaming exact
@@ -215,6 +227,10 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 	if err != nil {
 		return core.Stats{}, err
 	}
+	ship, ok := gate.(shipGate)
+	if !ok {
+		return core.Stats{}, fmt.Errorf("dist: a %T gate does not ship: %w", gate, errNotDistributable)
+	}
 	// Each shard takes its items in the driver's order, best-first: it
 	// verifies its strongest candidates before its long tail, so the
 	// first landed chunks push τ near its final value while the tail
@@ -226,104 +242,113 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 	for i, it := range items {
 		ids[i] = it.ID
 	}
-	g := newGather(len(items), gate, land)
-	c := s.c
-	byShard, srcIdx := c.partition(ids)
-	errs := make([]error, c.nshards)
-	var wg sync.WaitGroup
-	for s := range byShard {
-		if len(byShard[s]) == 0 {
-			continue
+	g := newGather(len(items), ship, land)
+	err = s.scatter(ctx, s.c.partition(ids), kindVerify, func(p shardPart) attempt {
+		sub, shardItems := make([]int, len(p.ids)), make([]core.VerifyItem, len(p.ids))
+		for j := range sub {
+			sub[j] = p.at(j)
+			shardItems[j] = items[sub[j]]
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			src := srcIdx[s]
-			shardItems := make([]core.VerifyItem, len(src))
-			for j, i := range src {
-				shardItems[j] = items[i]
-			}
-			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec, boot string) (func(), error) {
-				return c.verifyAttempt(actx, node, boot, shardItems, src, wterm, g)
-			})
-		}(s)
-	}
-	wg.Wait()
-	// A losing hedged attempt may still be streaming; the driver reads
-	// its candidates once Verify returns, so nothing lands after this.
-	g.mu.Lock()
-	g.onLand = nil
-	g.mu.Unlock()
-	return g.st, resolve(errs, s.part)
-}
-
-// verifyAttempt is one node's streaming verify exchange: write the
-// request (the gate as it stands now), push τ as it tightens, land
-// score chunks as they arrive, finish on the terminal frame. Scores
-// land immediately (not in the commit) because the gate needs them
-// mid-flight; the gather's per-candidate dedup keeps concurrent hedged
-// attempts sound. The commit only folds the response stats, so a
-// losing attempt never double-counts them.
-func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, boot string, items []core.VerifyItem, l2g []int, wterm wireTerm, g *gather) (func(), error) {
-	// Subscribed before the gate ships, no tightening goes unpushed.
-	sub := g.subscribe()
-	defer g.unsubscribe(sub)
-	var res verifyRes
-	err := c.exchange(ctx, node, func(conn net.Conn) (answered bool, err error) {
-		req := verifyReq{BootID: boot, Items: items, Term: wterm, Gate: g.gate.Ship(l2g), DeadlineMS: deadlineMS(ctx)}
-		sz, err := writeMsg(conn, ftVerify, &req)
-		c.bytesSent.Add(int64(sz))
-		if err != nil {
-			return false, err
-		}
-		stopPush := c.pushTau(conn, sub, g)
-		defer func() {
-			if err != nil {
-				conn.Close() // fails a push blocked in its write
-			}
-			stopPush()
-		}()
-		for {
-			typ, payload, n, err := ReadFrame(conn, 0)
-			c.bytesRecv.Add(int64(n))
-			answered = answered || n > 0
-			if err != nil {
-				return answered, err
-			}
-			switch typ {
-			case ftScores:
-				var chunk scoreChunk
-				if err := decodeMsg(payload, &chunk); err != nil {
-					return true, fmt.Errorf("dist: decode score chunk: %w", err)
-				}
-				for _, sc := range chunk {
-					if sc.Idx < 0 || sc.Idx >= len(l2g) {
-						return true, fmt.Errorf("dist: node %s streamed a score for item %d of %d", node.Name, sc.Idx, len(l2g))
-					}
-					g.land(l2g[sc.Idx], sc.Score)
-				}
-			case ftVerifyRes:
-				if err := decodeMsg(payload, &res); err != nil {
-					return true, fmt.Errorf("dist: decode verify result: %w", err)
-				}
-				return true, nil
-			case ftError:
-				return true, remoteErr(payload)
-			default:
-				return true, fmt.Errorf("dist: unexpected frame type 0x%02x in verify stream", typ)
-			}
-		}
+		return s.c.streamAttempt(ftVerifyRes, p, g, func(actx context.Context, boot string) (byte, wireMsg) {
+			return ftVerify, &verifyReq{BootID: boot, Items: shardItems, Term: wterm, Gate: ship.Ship(sub), DeadlineMS: deadlineMS(actx)}
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return func() {
-		g.merge(res.Stats)
-		c.foldReads(res.Node)
-	}, nil
+	g.close()
+	return g.st, err
 }
 
-// pushTau starts the τ pusher: the sole writer on conn after the verify
+// Rank runs a top-k's per-shard routine on every shard's node, one
+// streaming exchange per shard: the node bounds, prunes and verifies
+// its own targets under its own τ, and streams back every exact score
+// that may place. The scores land in tt through a gather (deduplicated
+// per target), whose τ is pushed to every node as it tightens.
+func (s stages) Rank(ctx context.Context, targets []int64, term *core.ScoreTerm, tt *core.TauTracker) (core.Stats, error) {
+	wterm, err := toWireTerm(term.CPTerm)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	k, ord := tt.Query()
+	g := newGather(len(targets), tt, func(i int, score int64) { tt.Add(targets[i], score) })
+	err = s.scatter(ctx, s.c.partition(targets), kindVerify, func(p shardPart) attempt {
+		return s.c.streamAttempt(ftRankRes, p, g, func(actx context.Context, boot string) (byte, wireMsg) {
+			return ftRank, &rankReq{BootID: boot, IDs: p.ids, Term: wterm, K: k, Ord: ord, DeadlineMS: deadlineMS(actx)}
+		})
+	})
+	g.close()
+	return g.st, err
+}
+
+// streamAttempt is shard part p's streaming exchange, verify or rank:
+// write the request req builds (a verify request ships its gate as it
+// stands now), push τ as it tightens, land score chunks, indexed by
+// position in p.ids, as they arrive, and finish on the terminal frame
+// resType. Scores land immediately (not in the commit) because the gate
+// needs them mid-flight; the gather's per-item dedup keeps concurrent
+// hedged attempts sound. The commit only folds the response stats, so
+// a losing attempt never double-counts them.
+func (c *Coordinator) streamAttempt(resType byte, p shardPart, g *gather, req func(ctx context.Context, boot string) (byte, wireMsg)) attempt {
+	return func(ctx context.Context, node NodeSpec, boot string) (func(), error) {
+		// Subscribed before the request is built, no tightening goes
+		// unpushed.
+		sub := g.subscribe()
+		defer g.unsubscribe(sub)
+		var res verifyRes
+		err := c.exchange(ctx, node, func(conn net.Conn) (answered bool, err error) {
+			typ, m := req(ctx, boot)
+			sz, err := writeMsg(conn, typ, m)
+			c.bytesSent.Add(int64(sz))
+			if err != nil {
+				return false, err
+			}
+			stopPush := c.pushTau(conn, sub, g)
+			defer func() {
+				if err != nil {
+					conn.Close() // fails a push blocked in its write
+				}
+				stopPush()
+			}()
+			for {
+				typ, payload, n, err := ReadFrame(conn, 0)
+				c.bytesRecv.Add(int64(n))
+				answered = answered || n > 0
+				if err != nil {
+					return answered, err
+				}
+				switch typ {
+				case ftScores:
+					var chunk scoreChunk
+					if err := decodeMsg(payload, &chunk); err != nil {
+						return true, fmt.Errorf("dist: decode score chunk: %w", err)
+					}
+					for _, sc := range chunk {
+						if sc.Idx < 0 || sc.Idx >= len(p.ids) {
+							return true, fmt.Errorf("dist: node %s streamed a score for item %d of %d", node.Name, sc.Idx, len(p.ids))
+						}
+						g.land(p.at(sc.Idx), sc.Score)
+					}
+				case resType:
+					if err := decodeMsg(payload, &res); err != nil {
+						return true, fmt.Errorf("dist: decode stream result: %w", err)
+					}
+					return true, nil
+				case ftError:
+					return true, remoteErr(payload)
+				default:
+					return true, fmt.Errorf("dist: unexpected frame type 0x%02x in a score stream", typ)
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func() {
+			g.merge(res.Stats)
+			c.foldReads(res.Node)
+		}, nil
+	}
+}
+
+// pushTau starts the τ pusher: the sole writer on conn after the
 // request, woken by every landing in the cluster. A push failure stops
 // pushing but not the attempt: the node then skips by its own τ. The
 // returned stop waits for the pusher to exit, so no write is
@@ -339,7 +364,7 @@ func (c *Coordinator) pushTau(conn net.Conn, sub <-chan struct{}, g *gather) (st
 				return
 			case <-sub:
 			}
-			tau := g.gate.Held()
+			tau := g.tau.Held()
 			if tau == nil || sent != nil && *tau == *sent {
 				continue
 			}
@@ -355,7 +380,7 @@ func (c *Coordinator) pushTau(conn net.Conn, sub <-chan struct{}, g *gather) (st
 	return func() { close(quit); <-exited }
 }
 
-// Stages returns the core.Stages that run one query's filter, bounds
-// and verification on the cluster; part selects the partial-result
-// policy (nil fails closed).
+// Stages returns the core.Stages that run one query's filter, bounds,
+// verification and top-k ranking on the cluster; part selects the
+// partial-result policy (nil fails closed).
 func (c *Coordinator) Stages(part *Partial) core.Stages { return stages{c, part} }

@@ -18,8 +18,9 @@ import (
 // read each other's version and the coordinator rejects a mismatch by
 // name at hello instead of misparsing a work frame mid-query. (Version
 // 1 was the JSON payload encoding, which carried no version; version 4
-// ends every exchange with ftEnd and keeps the connection.)
-const WireVersion = 4
+// ends every exchange with ftEnd and keeps the connection; version 5
+// ranks a top-k in one rank exchange per shard.)
+const WireVersion = 5
 
 // Payload encoding. A frame payload is its message's fields in order,
 // little-endian, with no tags, padding or self-description:
@@ -321,6 +322,15 @@ func (m *verifyReq) wire(w *wire) {
 		num(w, &it.M)
 		w.bool(&it.Indexed)
 	})
+	w.i64(&m.DeadlineMS)
+}
+
+func (m *rankReq) wire(w *wire) {
+	w.str(&m.BootID)
+	slice(w, &m.IDs, idSize, (*wire).i64)
+	codeTerm(w, &m.Term)
+	num(w, &m.K)
+	num(w, &m.Ord)
 	w.i64(&m.DeadlineMS)
 }
 

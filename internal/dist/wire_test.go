@@ -13,8 +13,8 @@ import (
 )
 
 // wireSamples holds one value of every payload type (verifyReq twice:
-// shipping a top-k gate and an aggregation gate), with every field set
-// so a field the codec forgot cannot round-trip.
+// with and without aggregation groups), with every field set so a field
+// the codec forgot cannot round-trip.
 func wireSamples() []wireMsg {
 	term := wireTerm{Name: "obj", Spec: core.RegionSpec{Kind: core.RegionRect, Rect: core.Rect{X0: 1, Y0: 2, X1: 30, Y1: 31}},
 		Range: core.ValueRange{Lo: math.Inf(-1), Hi: 0.8}}
@@ -40,6 +40,7 @@ func wireSamples() []wireMsg {
 			Groups: []core.GateGroup{{Key: -9, Off: 0, N: 1, Pending: 0}, {Key: 1 << 41, Off: 1, N: 3, Pending: 2}},
 			Opt:    []float64{12.5, math.Inf(1), -0.25, 0},
 			Items:  []core.GateItem{{G: 1, M: 3, Indexed: true}, {G: 0, M: 0}}}, DeadlineMS: 4},
+		&rankReq{BootID: "b", IDs: []int64{4, 1 << 40}, Term: term, K: 10, Ord: core.Asc, DeadlineMS: 5},
 		&scoreChunk{{Idx: 0, Score: 17}, {Idx: 15, Score: -1}},
 		&tauPush{ID: -42, Score: 21.5},
 		&verifyRes{Stats: st, Node: info},
@@ -97,6 +98,7 @@ func TestWireElementSizes(t *testing.T) {
 		one, none wireMsg
 	}{
 		{"id", idSize, &boundsReq{IDs: []int64{0}}, &boundsReq{}},
+		{"rank id", idSize, &rankReq{IDs: []int64{0}}, &rankReq{}},
 		{"bool", boolSize, &filterRes{Keep: []bool{false}}, &filterRes{}},
 		{"cand", candSize, &boundsRes{Cands: make([]core.CandBound, 1)}, &boundsRes{}},
 		{"item", itemSize, &verifyReq{Items: make([]core.VerifyItem, 1)}, &verifyReq{}},
