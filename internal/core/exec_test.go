@@ -345,12 +345,13 @@ func TestTauTracker(t *testing.T) {
 
 // TestTauGatePrunesVerifyLoads is the saving a shard node makes with no
 // push at all, on a sequential env: the rank routine of a top-k request
-// (k, under the node's own tracker) and a gate rebuilt from an
-// aggregation request each load strictly fewer masks than an open gate
-// over the same best-first items, every score they land equals the
-// exact one, and every candidate they skip (or, ranking, do not emit)
-// provably cannot place — its exact entry, or its group's, ranks after
-// the k-th best of the whole query.
+// (k, under the node's own tracker) loads strictly fewer masks than the
+// same routine on the plain env, which prunes alike but verifies
+// ungated, and a gate rebuilt from an aggregation request strictly
+// fewer than an open gate over the same best-first items; every score
+// they land equals the exact one, and every candidate they skip (or,
+// ranking, do not emit) provably cannot place — its exact entry, or its
+// group's, ranks after the k-th best of the whole query.
 func TestTauGatePrunesVerifyLoads(t *testing.T) {
 	// Saliency-shaped masks: their CP spreads far wider than the
 	// bounds' slack, as on real data, so bounds can fall beyond τ.
@@ -397,24 +398,19 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 		return landed, st
 	}
 	for _, ord := range []Order{Desc, Asc} {
-		// Top-k: items best-first, as the driver ships them.
-		at := make([]int, n)
-		for i := range at {
-			at[i] = i
-		}
-		bestFirst(at, ord, func(i int) float64 { return float64(cands[i].B.best(ord)) })
-		items := make([]VerifyItem, n)
+		// Top-k: the rank routine on the plain sequential env (the same
+		// static prune, then every candidate verified) is the baseline.
+		ids := make([]int64, n)
 		all := make([]Scored, n)
-		for j, i := range at {
-			items[j] = VerifyItem{ID: cands[i].ID, B: cands[i].B}
-			all[i] = Scored{ID: cands[i].ID, Score: float64(exact[cands[i].ID])}
+		for i, c := range cands {
+			ids[i] = c.ID
+			all[i] = Scored{ID: c.ID, Score: float64(exact[c.ID])}
 		}
 		SortScored(all, ord)
 		kth := ranked[int64]{int64(all[k-1].Score), all[k-1].ID}
-		_, open := run(items, nil)
-		ids := make([]int64, n)
-		for i := range ids {
-			ids[i] = cands[i].ID
+		open, err := rankOn(context.Background(), env, ids, newScoreTerm(term), NewTauTracker(k, ord), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		emitted := make([]bool, n)
 		st, err := RankShard(context.Background(), env, ids, term, NewTauTracker(k, ord), func(i int, score int64) {
@@ -426,7 +422,7 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Loaded >= open.Loaded || st.Loaded+st.AcceptedByBounds+st.RejectedByBounds != n {
-			t.Fatalf("%v top-k: the rank routine's stats %+v (an open gate loaded %d of %d)", ord, st, open.Loaded, n)
+			t.Fatalf("%v top-k: the rank routine's stats %+v (ungated, it loaded %d of %d)", ord, st, open.Loaded, n)
 		}
 		for i, id := range ids {
 			if !emitted[i] && !(ranked[int64]{exact[id], id}).after(kth, ord) {

@@ -38,7 +38,9 @@ type Stages interface {
 	// Rank runs rankOn over targets, landing in tt every exact score
 	// that may place, at most once per target: in this process over all
 	// of them, on a cluster over each shard's on its node. A shard that
-	// did not answer (a degraded remote query) lands nothing more.
+	// did not answer (a degraded remote query) lands nothing; one that
+	// failed after some of its scores landed fails the query, since
+	// those scores stay in tt and may have tightened its τ.
 	Rank(ctx context.Context, targets []int64, term *ScoreTerm, tt *TauTracker) (Stats, error)
 }
 

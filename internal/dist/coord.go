@@ -661,16 +661,23 @@ func (p shardPart) at(j int) int {
 }
 
 // partition splits ids into per-shard parts, remembering each id's
-// position so gathered results reassemble in caller order: ascending
-// ids (catalog targets) as one sub-slice per shard, unsorted ones (such
-// as best-first verify items) one by one.
+// position so gathered results reassemble in caller order. Ascending
+// ids (catalog targets) are cut into one sub-slice per shard by binary
+// search, as a shard holds a contiguous id range; others (such as
+// best-first verify items) are routed one by one.
 func (c *Coordinator) partition(ids []int64) []shardPart {
 	parts := make([]shardPart, c.nshards)
-	if runs, ok := shardRuns(ids, c.shardOf); ok && (len(runs) == 0 || runs[0].s >= 0 && runs[len(runs)-1].s < c.nshards) {
-		for _, r := range runs {
-			parts[r.s] = shardPart{ids: ids[r.lo:r.hi:r.hi], off: r.lo}
+	for lo, sorted := 0, slices.IsSorted(ids); sorted && lo < len(ids); {
+		s := c.shardOf(ids[lo])
+		if s < 0 || s >= c.nshards || parts[s].ids != nil {
+			clear(parts) // not one run per shard: route id by id
+			break
 		}
-		return parts
+		hi := lo + sort.Search(len(ids)-lo, func(j int) bool { return c.shardOf(ids[lo+j]) != s })
+		parts[s] = shardPart{ids: ids[lo:hi:hi], off: lo}
+		if lo = hi; lo == len(ids) {
+			return parts
+		}
 	}
 	for i, id := range ids {
 		s := c.shardOf(id)
@@ -683,29 +690,6 @@ func (c *Coordinator) partition(ids []int64) []shardPart {
 		parts[s].src = append(parts[s].src, i)
 	}
 	return parts
-}
-
-// shardRun is ids[lo:hi], the run of an id list on shard s.
-type shardRun struct{ s, lo, hi int }
-
-// shardRuns cuts ascending ids into one run per shard, in shard order,
-// with one binary search per run: a shard holds a contiguous id range
-// (shardOf is monotone, as the store's is). ok is false when ids do not
-// ascend, or a shard recurs after another.
-func shardRuns(ids []int64, shardOf func(int64) int) (runs []shardRun, ok bool) {
-	if !slices.IsSorted(ids) {
-		return nil, false
-	}
-	for lo := 0; lo < len(ids); {
-		s := shardOf(ids[lo])
-		if len(runs) > 0 && s <= runs[len(runs)-1].s {
-			return nil, false
-		}
-		hi := lo + sort.Search(len(ids)-lo, func(j int) bool { return shardOf(ids[lo+j]) != s })
-		runs = append(runs, shardRun{s, lo, hi})
-		lo = hi
-	}
-	return runs, true
 }
 
 // helloAddr probes a single address outside any coordinator (msinspect

@@ -1000,6 +1000,42 @@ func TestDistRankCorruptTerminalFailsOver(t *testing.T) {
 	}
 }
 
+// TestDistStreamCutFailsDegradedQuery: a proxy corrupts each of node
+// a's terminal stream frames, after its scores were relayed, and shard
+// 0 has no other route. Under the degraded policy the top-k and the
+// aggregation fail instead of answering without shard 0: its scores
+// stay landed, so a degraded answer could hold entries of the shard it
+// reports missing.
+func TestDistStreamCutFailsDegradedQuery(t *testing.T) {
+	c := newCluster(t, 2)
+	_, addrA := c.startNode("a", nil)
+	_, addrB := c.startNode("b", nil)
+	addrX := frameProxy(t, addrA, func(conn net.Conn, typ byte, payload []byte) error {
+		if typ != ftRankRes && typ != ftVerifyRes {
+			return relay(conn, typ, payload)
+		}
+		var f bytes.Buffer
+		WriteFrame(&f, typ, payload)
+		f.Bytes()[f.Len()-1] ^= 1
+		_, err := conn.Write(f.Bytes())
+		return err
+	}, false)
+	coord := c.coordinator(map[string]string{"x": addrX, "b": addrB}, [][]string{{"x"}, {"b"}}, CoordOptions{Retries: -1, HedgeAfter: -1})
+	ctx := context.Background()
+	for _, ord := range []core.Order{core.Desc, core.Asc} {
+		part := coord.NewPartial()
+		got, _, err := core.TopKOn(ctx, coord.Stages(part), c.targets(), c.terms, 0, 10, ord)
+		if !errors.Is(err, ErrShardUnavailable) || part.Degraded() {
+			t.Fatalf("topk %v: err %v, missing %v, answer %v", ord, err, part.Missing(), got)
+		}
+		part = coord.NewPartial()
+		got, _, err = core.AggTopKOn(ctx, coord.Stages(part), c.cat.GroupByImage(nil), c.terms, 0, core.Mean, 10, ord)
+		if !errors.Is(err, ErrShardUnavailable) || part.Degraded() {
+			t.Fatalf("agg %v: err %v, missing %v, answer %v", ord, err, part.Missing(), got)
+		}
+	}
+}
+
 // TestDistRankHedgedDuplicateLands: a proxy holds each of node a's rank
 // terminal frames back, so a hedge to node b ranks the same shard and
 // both nodes stream every score that may place. Each target lands once:
@@ -1052,7 +1088,7 @@ func TestRankGateHoldsEarlyPush(t *testing.T) {
 	}
 	waitFor(t, "the push read", func() bool { return n.tauRecv.Load() == 1 })
 	tt := core.NewTauTracker(3, core.Desc)
-	p.arm(tt)
+	p.add(nil, tt)
 	if h := tt.Held(); h == nil || *h != (core.Scored{ID: 7, Score: 30}) {
 		t.Fatalf("gate armed after a push holds τ %+v, want 30 held by mask 7", h)
 	}
@@ -1095,6 +1131,21 @@ func TestDistPartitionRuns(t *testing.T) {
 		}
 		if seen != len(ids) {
 			t.Fatalf("parts hold %d of %d ids", seen, len(ids))
+		}
+	}
+	// Ascending ids whose shards recur, or fall outside the topology,
+	// are routed id by id, an unknown id to the last shard.
+	odd := &Coordinator{nshards: 2, shardOf: func(id int64) int { return map[int64]int{1: 0, 2: 1, 3: 0, 4: 1, 5: 7}[id] }}
+	for _, tc := range []struct {
+		ids  []int64
+		want []shardPart
+	}{
+		{[]int64{1, 2, 4}, []shardPart{{ids: []int64{1}}, {ids: []int64{2, 4}, off: 1}}},
+		{[]int64{1, 2, 3}, []shardPart{{ids: []int64{1, 3}, src: []int{0, 2}}, {ids: []int64{2}, src: []int{1}}}},
+		{[]int64{1, 2, 5}, []shardPart{{ids: []int64{1}, src: []int{0}}, {ids: []int64{2, 5}, src: []int{1, 2}}}},
+	} {
+		if got := odd.partition(tc.ids); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("partition(%v) = %+v, want %+v", tc.ids, got, tc.want)
 		}
 	}
 }

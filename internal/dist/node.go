@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -10,6 +11,8 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,19 +216,20 @@ func (n *Node) info() nodeInfo {
 }
 
 // checkOwned rejects ids routed to a node that does not serve their
-// shard: once per shard run when ids ascend (shardRuns), id by id
-// otherwise.
+// shard: id by id, or once per shard run when ids ascend (a shard holds
+// a contiguous id range).
 func (n *Node) checkOwned(ids []int64) error {
 	if n.served == nil {
 		return nil
 	}
-	runs, ok := shardRuns(ids, n.st.ShardOf)
-	for i := 0; !ok && i < len(ids); i++ {
-		runs = append(runs, shardRun{n.st.ShardOf(ids[i]), i, i + 1})
-	}
-	for _, r := range runs {
-		if !n.served[r.s] {
-			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, r.s, ids[r.lo])
+	sorted := slices.IsSorted(ids)
+	for i := 0; i < len(ids); i++ {
+		s := n.st.ShardOf(ids[i])
+		if !n.served[s] {
+			return fmt.Errorf("dist: node %s does not serve shard %d (mask %d)", n.name, s, ids[i])
+		}
+		if sorted { // on to the next shard's first id
+			i += sort.Search(len(ids)-i, func(j int) bool { return n.st.ShardOf(ids[i+j]) != s }) - 1
 		}
 	}
 	return nil
@@ -330,31 +334,21 @@ func (n *Node) serveOne(conn net.Conn) bool {
 }
 
 // pushes is one request's τ pushes: the latest, and the request's gate
-// once built, which each push tightens; a gate built after a push is
-// seeded from it (arm).
+// once armed, which every push tightens and the latest seeds.
 type pushes struct {
 	mu   sync.Mutex
 	tau  *core.Scored
 	gate interface{ Tighten(core.Scored) }
 }
 
-// push tightens the gate, if there is one yet, and keeps t.
-func (p *pushes) push(t core.Scored) {
+// add keeps the push t or arms the gate g, whichever is set, and
+// tightens the armed gate by the latest push.
+func (p *pushes) add(t *core.Scored, g interface{ Tighten(core.Scored) }) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.tau = &t
-	if p.gate != nil {
-		p.gate.Tighten(t)
-	}
-}
-
-// arm makes g the request's gate, tightened by the latest push.
-func (p *pushes) arm(g interface{ Tighten(core.Scored) }) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.gate = g
-	if p.tau != nil {
-		g.Tighten(*p.tau)
+	p.tau, p.gate = cmp.Or(t, p.tau), cmp.Or(g, p.gate)
+	if p.tau != nil && p.gate != nil {
+		p.gate.Tighten(*p.tau)
 	}
 }
 
@@ -375,7 +369,7 @@ func (n *Node) readRest(conn net.Conn, cancel context.CancelFunc, p *pushes) <-c
 			}
 			var push tauPush
 			if decodeMsg(payload, &push) == nil && !math.IsNaN(push.Score) {
-				p.push(core.Scored(push))
+				p.add((*core.Scored)(&push), nil)
 				n.tauRecv.Add(1)
 			}
 		}
@@ -524,7 +518,7 @@ func (n *Node) handleVerify(ctx context.Context, cancel context.CancelFunc, conn
 	if err != nil {
 		return fmt.Errorf("dist: node %s: %w", n.name, err)
 	}
-	p.arm(gate)
+	p.add(nil, gate)
 	return n.stream(ctx, cancel, conn, req.DeadlineMS, ftVerifyRes, func(ctx context.Context, emit func(int, int64)) (core.Stats, error) {
 		return gate.Verify(ctx, n.env(), req.Items, term, emit)
 	})
@@ -548,7 +542,7 @@ func (n *Node) handleRank(ctx context.Context, cancel context.CancelFunc, conn n
 		return err
 	}
 	tt := core.NewTauTracker(req.K, req.Ord)
-	p.arm(tt)
+	p.add(nil, tt)
 	return n.stream(ctx, cancel, conn, req.DeadlineMS, ftRankRes, func(ctx context.Context, emit func(int, int64)) (core.Stats, error) {
 		return core.RankShard(ctx, n.env(), req.IDs, term, tt, emit)
 	})

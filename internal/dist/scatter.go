@@ -62,6 +62,18 @@ func (g *gather) land(i int, score int64) {
 	g.mu.Unlock()
 }
 
+// landedIn reports whether a score of part p has landed.
+func (g *gather) landedIn(p shardPart) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for j := range p.ids {
+		if g.landed[p.at(j)] {
+			return true
+		}
+	}
+	return false
+}
+
 // close ends the landings: a hedged loser may stream on after a scatter.
 func (g *gather) close() {
 	g.mu.Lock()
@@ -100,7 +112,10 @@ type stages struct {
 
 // scatter runs one request per shard with ids, concurrently, through
 // runAttempts, and applies the partial-result policy to the outcomes.
-func (s stages) scatter(ctx context.Context, parts []shardPart, kind int, run func(p shardPart) attempt) error {
+// A streaming scatter passes its gather g: a shard that failed after
+// some of its scores landed fails the query under any policy, since
+// they stay landed and their τ may have let other shards skip.
+func (s stages) scatter(ctx context.Context, parts []shardPart, kind int, g *gather, run func(p shardPart) attempt) error {
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for sh, p := range parts {
@@ -114,6 +129,11 @@ func (s stages) scatter(ctx context.Context, parts []shardPart, kind int, run fu
 		}()
 	}
 	wg.Wait()
+	for sh, p := range parts {
+		if errs[sh] != nil && g != nil && g.landedIn(p) {
+			return errs[sh]
+		}
+	}
 	return resolve(errs, s.part)
 }
 
@@ -130,7 +150,7 @@ func (s stages) Bounds(ctx context.Context, targets []int64, term *core.ScoreTer
 	cands := make([]core.CandBound, len(targets))
 	covered := make([]bool, len(targets))
 	var mu sync.Mutex
-	err = s.scatter(ctx, c.partition(targets), kindBounds, func(p shardPart) attempt {
+	err = s.scatter(ctx, c.partition(targets), kindBounds, nil, func(p shardPart) attempt {
 		return func(actx context.Context, node NodeSpec, boot string) (func(), error) {
 			var res boundsRes
 			req := boundsReq{BootID: boot, IDs: p.ids, Term: wterm, DeadlineMS: deadlineMS(actx)}
@@ -180,7 +200,7 @@ func (s stages) Filter(ctx context.Context, targets []int64, terms []core.CPTerm
 	keep := make([]bool, len(targets))
 	covered := make([]bool, len(targets))
 	var mu sync.Mutex
-	err = s.scatter(ctx, c.partition(targets), kindFilter, func(p shardPart) attempt {
+	err = s.scatter(ctx, c.partition(targets), kindFilter, nil, func(p shardPart) attempt {
 		return func(actx context.Context, node NodeSpec, boot string) (func(), error) {
 			var res filterRes
 			req := filterReq{BootID: boot, IDs: p.ids, Terms: wterms, Pred: wpred, DeadlineMS: deadlineMS(actx)}
@@ -243,7 +263,7 @@ func (s stages) Verify(ctx context.Context, items []core.VerifyItem, term *core.
 		ids[i] = it.ID
 	}
 	g := newGather(len(items), ship, land)
-	err = s.scatter(ctx, s.c.partition(ids), kindVerify, func(p shardPart) attempt {
+	err = s.scatter(ctx, s.c.partition(ids), kindVerify, g, func(p shardPart) attempt {
 		sub, shardItems := make([]int, len(p.ids)), make([]core.VerifyItem, len(p.ids))
 		for j := range sub {
 			sub[j] = p.at(j)
@@ -269,7 +289,7 @@ func (s stages) Rank(ctx context.Context, targets []int64, term *core.ScoreTerm,
 	}
 	k, ord := tt.Query()
 	g := newGather(len(targets), tt, func(i int, score int64) { tt.Add(targets[i], score) })
-	err = s.scatter(ctx, s.c.partition(targets), kindVerify, func(p shardPart) attempt {
+	err = s.scatter(ctx, s.c.partition(targets), kindVerify, g, func(p shardPart) attempt {
 		return s.c.streamAttempt(ftRankRes, p, g, func(actx context.Context, boot string) (byte, wireMsg) {
 			return ftRank, &rankReq{BootID: boot, IDs: p.ids, Term: wterm, K: k, Ord: ord, DeadlineMS: deadlineMS(actx)}
 		})
