@@ -45,6 +45,9 @@ import (
 	"masksearch/internal/serve"
 )
 
+// eagerUsage is -eager-index's help text; a coordinator holds no index.
+const eagerUsage = "build the full CHI index at startup (vanilla MaskSearch); cannot be combined with -topology"
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msserve: ")
@@ -52,7 +55,7 @@ func main() {
 	var (
 		dbDir      = flag.String("db", "", "database directory (required)")
 		addr       = flag.String("addr", ":8080", "listen address")
-		eager      = flag.Bool("eager-index", false, "build the full CHI index at startup (vanilla MaskSearch)")
+		eager      = flag.Bool("eager-index", false, eagerUsage)
 		noSave     = flag.Bool("no-persist", false, "do not persist the incrementally built index on shutdown")
 		workers    = flag.Int("workers", 0, "engine worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
 		cacheB     = flag.Int64("cache-bytes", -1, "mask cache budget in bytes (0 = no cache, -1 = unbounded)")

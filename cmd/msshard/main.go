@@ -85,12 +85,13 @@ func main() {
 		st.Close()
 		log.Fatal(err)
 	}
+	loadStart := time.Now()
 	idx, from, err := store.LoadIndex(*dbDir, cfg)
 	switch {
 	case err != nil:
 		log.Printf("discarded the persisted index, starting empty: %v", err)
 	case from != "":
-		log.Printf("restored %d index entries from %s", idx.Len(), from)
+		log.Printf("restored %d index entries from %s in %.1f ms", idx.Len(), from, time.Since(loadStart).Seconds()*1e3)
 	}
 
 	if *name == "" {

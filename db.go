@@ -36,7 +36,8 @@ type Options struct {
 	// EagerIndex builds the full CHI index at open time ("vanilla
 	// MaskSearch"). When false the index starts from whatever was
 	// persisted (if anything) and grows incrementally as queries
-	// verify masks (§3.6).
+	// verify masks (§3.6). OpenWith rejects it together with
+	// TopologyFile: a coordinator holds no index of its own.
 	EagerIndex bool
 	// PersistIndexOnClose saves the index to <db>/chi.idx on Close so
 	// later sessions reuse it.
@@ -78,7 +79,9 @@ type Options struct {
 	// execution unless a query opts into degraded results and a shard
 	// is missing. A distributed DB rejects Append (remote nodes cannot
 	// see this process's WAL tail) and refuses to open over a dataset
-	// with uncompacted WAL masks.
+	// with uncompacted WAL masks. The shard nodes own the CHI index: a
+	// coordinator neither reads nor writes <db>/chi.idx, and its
+	// IndexStats stay empty.
 	TopologyFile string
 	// Dist tunes the distributed coordinator (hedging, retries, dial
 	// timeout); ignored without TopologyFile.
@@ -103,13 +106,18 @@ func (o Options) validate() error {
 	if o.PlanCacheEntries < -1 {
 		return fmt.Errorf("masksearch: Options.PlanCacheEntries must be >= -1 (0 = default %d, -1 = off), got %d", DefaultPlanCacheEntries, o.PlanCacheEntries)
 	}
+	if o.EagerIndex && o.TopologyFile != "" {
+		return fmt.Errorf("masksearch: Options.EagerIndex cannot be combined with Options.TopologyFile (shard nodes own the bounds stage)")
+	}
 	return nil
 }
 
 // exec translates the Workers option into a core execution strategy.
 func (o Options) exec() core.Exec { return core.ExecFor(o.Workers) }
 
-// IndexStats summarizes the state of a DB's CHI index.
+// IndexStats summarizes the state of a DB's CHI index. On a
+// distributed coordinator it reports no entries and no file: the shard
+// nodes hold the index.
 type IndexStats struct {
 	// IndexedMasks is how many masks currently have a CHI.
 	IndexedMasks int
@@ -230,6 +238,17 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 		planEntries = DefaultPlanCacheEntries
 	}
 	db := &DB{dir: dir, opts: opts, st: st, cat: cat, plans: newPlanCache(planEntries)}
+	if opts.TopologyFile != "" {
+		// A coordinator's index stays empty and clean: the shard nodes
+		// own every stage that reads one, so its chi.idx is neither
+		// read nor ever rewritten.
+		db.idx = core.NewMemoryIndex(cfg)
+		if err := db.openCoordinator(opts.TopologyFile); err != nil {
+			st.Close()
+			return nil, err
+		}
+		return db, nil
+	}
 	db.idx, db.idxFile.name, db.idxFile.err = store.LoadIndex(dir, cfg)
 	if db.idxFile.err == nil {
 		db.idxFile.entries = db.idx.Len()
@@ -259,12 +278,6 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 		}
 		if built > 0 {
 			db.dirty.Store(true)
-		}
-	}
-	if opts.TopologyFile != "" {
-		if err := db.openCoordinator(opts.TopologyFile); err != nil {
-			st.Close()
-			return nil, err
 		}
 	}
 	return db, nil
@@ -867,9 +880,8 @@ func (db *DB) run(ctx context.Context, env *core.Env, view store.CatalogView, s 
 	}
 	if qo.eagerBounds {
 		if db.coord != nil {
-			// Eager bounds build the coordinator's local index, which
-			// remote execution never consults: the nodes own the bounds
-			// stage.
+			// Eager bounds would build an index on the coordinator,
+			// which holds none: the nodes own the bounds stage.
 			return nil, fmt.Errorf("masksearch: WithEagerBounds is not available on a distributed DB (shard nodes own the bounds stage)")
 		}
 		if err := db.ensureBounds(ctx, env, targets); err != nil {

@@ -1,7 +1,9 @@
 package masksearch
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"net"
@@ -310,6 +312,147 @@ func TestDistributedRejections(t *testing.T) {
 	if _, err := OpenWith(tailDir, Options{TopologyFile: topoPath}); err == nil ||
 		!strings.Contains(err.Error(), "WAL-tail") {
 		t.Fatalf("distributed open over a WAL tail: %v, want WAL-tail rejection", err)
+	}
+}
+
+// TestCoordinatorIndexNotRead: a coordinator does not read the
+// directory's chi.idx (the shard nodes own the index), so one a local
+// open discards as malformed leaves the coordinator's open clean: its
+// IndexStats name no file, no entries and no error, and its answers
+// equal the local DB's.
+func TestCoordinatorIndexNotRead(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte("MSCHIIDX"), make([]byte, 40)...)
+	if err := os.WriteFile(filepath.Join(dir, store.IndexFileName), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	local, err := OpenWith(dir, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if st := local.Stats().Index; st.File != store.IndexFileName || st.FileError == "" {
+		t.Fatalf("local open over the malformed file: %+v, want it discarded with an error", st)
+	}
+	a := startTestNode(t, dir, "a", nil)
+	db, err := OpenWith(dir, Options{TopologyFile: writeTopology(t, map[string]*testNode{"a": a}, [][]string{{"a"}, {"a"}})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i, q := range shardEquivQueries {
+		got, err := db.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := local.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("query %d: coordinator answer differs from local:\ngot  %+v\nwant %+v", i, got, want)
+		}
+	}
+	st := db.Stats().Index
+	if st.File != "" || st.FileError != "" || st.FileEntries != 0 || st.IndexedMasks != 0 || st.IndexBytes != 0 {
+		t.Fatalf("coordinator index stats %+v, want no file, no entries and no error", st)
+	}
+}
+
+// TestCoordinatorIndexFileUntouched: with PersistIndexOnClose, a
+// coordinator's CheckpointIndex and Close leave a valid chi.idx
+// byte-identical, and a legacy chi.gob in place with no chi.idx beside
+// it — a local open would migrate that one at its next persist.
+func TestCoordinatorIndexFileUntouched(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seed, err := OpenWith(dir, Options{PersistIndexOnClose: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.Query(ctx, shardEquivQueries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idxPath, gobPath := filepath.Join(dir, store.IndexFileName), filepath.Join(dir, store.LegacyIndexFileName)
+	valid, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.ReadMemoryIndex(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() == 0 {
+		t.Fatal("the seed session persisted no index entries")
+	}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(struct {
+		Cfg  core.Config
+		Chis map[int64]*core.CHI
+	}{Cfg: ix.Config()}); err != nil {
+		t.Fatal(err)
+	}
+
+	a := startTestNode(t, dir, "a", nil)
+	topo := writeTopology(t, map[string]*testNode{"a": a}, [][]string{{"a"}, {"a"}})
+	coordinate := func(stage string) {
+		t.Helper()
+		db, err := OpenWith(dir, Options{TopologyFile: topo, PersistIndexOnClose: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range shardEquivQueries {
+			if _, err := db.Query(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CheckpointIndex(); err != nil {
+			t.Fatalf("%s: CheckpointIndex: %v", stage, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", stage, err)
+		}
+	}
+	unchanged := func(stage, path string, want []byte) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s changed (%d bytes, err %v), want its %d bytes as they were", stage, filepath.Base(path), len(got), err, len(want))
+		}
+	}
+
+	coordinate("chi.idx")
+	unchanged("chi.idx", idxPath, valid)
+
+	if err := os.Remove(idxPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gobPath, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coordinate("chi.gob")
+	unchanged("chi.gob", gobPath, legacy.Bytes())
+	if _, err := os.Stat(idxPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("coordinator over a legacy chi.gob wrote chi.idx (stat err %v)", err)
+	}
+}
+
+// TestEagerIndexRejectedWithTopology: EagerIndex builds an index a
+// coordinator never holds, so OpenWith refuses the pair before opening
+// anything, naming both options.
+func TestEagerIndexRejectedWithTopology(t *testing.T) {
+	_, err := OpenWith(t.TempDir(), Options{EagerIndex: true, TopologyFile: "topology.json"})
+	if err == nil || !strings.Contains(err.Error(), "EagerIndex") || !strings.Contains(err.Error(), "TopologyFile") {
+		t.Fatalf("OpenWith(EagerIndex, TopologyFile) = %v, want an error naming both options", err)
 	}
 }
 

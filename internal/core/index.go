@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"io/fs"
 	"maps"
 	"math"
 	"math/bits"
@@ -285,7 +286,7 @@ func (ix *MemoryIndex) Encode(out io.Writer) error {
 // have built (see CHI.validate): queries trust every entry's shape and
 // counts, so a malformed one would panic a query or decide it wrongly.
 func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
-	b, err := io.ReadAll(r)
+	b, err := readSized(r)
 	var ix *MemoryIndex
 	if err == nil && bytes.HasPrefix(b, []byte(indexMagic)) {
 		ix, err = decodeIndex(b)
@@ -296,6 +297,26 @@ func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
 		return nil, fmt.Errorf("core: read index: %w", err)
 	}
 	return ix, nil
+}
+
+// readSized reads r to its end into one buffer sized from r — Stat on
+// a file, Len or Size in memory — so the read never regrows it; a
+// reader that reports no size is read as its data grows the buffer.
+func readSized(r io.Reader) ([]byte, error) {
+	n := 0
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		n = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			n = int(fi.Size())
+		}
+	case interface{ Size() int64 }:
+		n = int(s.Size())
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // decodeIndex reads an index file. Every count the file declares is

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 // allocated reports the heap bytes allocated while fn ran.
@@ -119,6 +124,133 @@ func TestIndexFileHugeCount(t *testing.T) {
 		}
 		if grew > 1024 {
 			t.Fatalf("%s: rejecting the count allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// wildsIndexFile is the index file of 4 500 128x128 masks at the
+// facade's default granularity (the explore workloads' shape, 3.28 MB),
+// 16 saliency-shaped masks' CHIs repeated across the ids.
+var wildsIndexFile = sync.OnceValue(func() []byte {
+	rng := rand.New(rand.NewSource(44))
+	ix := NewMemoryIndex(Config{CellW: 32, CellH: 32, Edges: DefaultEdges(10)})
+	var chis [16]*CHI
+	for i := range chis {
+		chis[i], _ = Build(bimodalByteMask(rng, 128, 128), ix.Config())
+	}
+	for id := int64(1); id <= 4500; id++ {
+		ix.Add(id, chis[id%16])
+	}
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil || ix.Len() != 4500 {
+		panic(fmt.Sprintf("encoding %d entries: %v", ix.Len(), err))
+	}
+	return buf.Bytes()
+})
+
+// writeIndexFile writes enc to a file in a temp dir and returns its path.
+func writeIndexFile(tb testing.TB, enc []byte) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "chi.idx")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// readIndexShapes reads the file at path through each input shape
+// ReadMemoryIndex meets: a file (sized by Stat), an in-memory reader
+// (sized by Len) and a reader that reports no size and returns half of
+// what each Read asks for.
+func readIndexShapes(t *testing.T, path string) map[string]func() (*MemoryIndex, error) {
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]func() (*MemoryIndex, error){
+		"file": func() (*MemoryIndex, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			return ReadMemoryIndex(f)
+		},
+		"bytes.Reader": func() (*MemoryIndex, error) { return ReadMemoryIndex(bytes.NewReader(enc)) },
+		"unsized":      func() (*MemoryIndex, error) { return ReadMemoryIndex(iotest.HalfReader(bytes.NewReader(enc))) },
+	}
+}
+
+// TestReadMemoryIndexInputShapes: whatever the reader's shape, an index
+// file of two pages (one absent between them) decodes to an index that
+// re-encodes byte-identically, and the file cut short by one byte fails
+// with the slab count's error.
+func TestReadMemoryIndexInputShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	ix := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(4)})
+	for _, id := range []int64{1, 700, 2*chiPageSize + 5} {
+		ix.Observe(id, bimodalByteMask(rng, 16, 16))
+	}
+	enc := encodeIndex(t, ix)
+	for name, read := range readIndexShapes(t, writeIndexFile(t, enc)) {
+		ix, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if re := encodeIndex(t, ix); !bytes.Equal(re, enc) {
+			t.Fatalf("%s: re-encodes to %d bytes differing from the %d read", name, len(re), len(enc))
+		}
+	}
+	for name, read := range readIndexShapes(t, writeIndexFile(t, enc[:len(enc)-1])) {
+		if _, err := read(); err == nil || !strings.Contains(err.Error(), "2 pages of 65536 counts declared") {
+			t.Fatalf("%s: the file cut by one byte read with err %v, want the slab count's error", name, err)
+		}
+	}
+}
+
+// TestReadMemoryIndexAllocs: one read of the 4 500-entry index file
+// from disk allocates at most 2.5x the file — the file's bytes once,
+// the slabs they fill, the pages' CHI headers — as a read into one
+// buffer sized from the file does; a buffer grown as it reads (6.3x)
+// fails. The least of three reads is the reader's own allocation.
+func TestReadMemoryIndexAllocs(t *testing.T) {
+	enc := wildsIndexFile()
+	path := writeIndexFile(t, enc)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, allocated(func() { _, err = ReadMemoryIndex(f) }))
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if limit := uint64(len(enc)) * 5 / 2; least > limit {
+		t.Fatalf("reading the %d-byte index file allocated %d bytes (%.2fx), limit 2.5x", len(enc), least, float64(least)/float64(len(enc)))
+	}
+}
+
+// BenchmarkReadMemoryIndex is the restore layer: one ReadMemoryIndex of
+// the 4 500-entry 128x128 index file from disk per op (what LoadIndex
+// does at every open of a DB or shard node), with the file's size as
+// its bytes; the page cache holds the file after the first op.
+func BenchmarkReadMemoryIndex(b *testing.B) {
+	enc := wildsIndexFile()
+	path := writeIndexFile(b, enc)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = ReadMemoryIndex(f)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
