@@ -13,9 +13,13 @@ import (
 // and Verify queue the masks they need and park the driver; once every
 // live driver is parked or has returned, the last one to arrive runs
 // the round: each distinct queued mask is loaded once, in id order,
-// and refined for every driver that queued it. A driver whose τ gate
-// rejects a mask is skipped, and a mask no driver still wants is not
-// loaded at all.
+// and refined for every driver that queued it, drivers in order and
+// each driver's copies of an id in the order it queued them. A driver
+// whose τ gate rejects a mask is skipped, and a mask no driver still
+// wants is not loaded at all. A round finds its consumers by merging
+// the parked requests, each first put in id order on its own (only a
+// request whose ids do not already ascend is sorted): O(u · log n) for
+// u queued ids over n drivers, in buffers kept across rounds.
 //
 // Each driver sees exactly what its stages would answer alone: decisions
 // are per driver, a shared load refines every consumer with its own
@@ -60,6 +64,8 @@ type batch struct {
 	queued []*batchReq // the parked drivers' requests for the next round
 	next   *round
 	err    error // the first error, once any driver or round failed
+
+	asm assembly // the running round's buffers
 }
 
 // round is one barrier: parked drivers wait on done.
@@ -137,35 +143,152 @@ func (b *batch) runLocked() {
 	close(rd.done)
 }
 
-// use is one request's interest in one mask.
+// use is one request's interest in one mask: ids[j] of request r.
 type use struct {
 	id   int64
 	r, j int
 }
 
+// assembly holds one Batch's round buffers. Rounds run one at a time,
+// so they are reused across the batch's rounds.
+type assembly struct {
+	uses  []use
+	runs  []int
+	order []int    // the id orders of the requests whose ids do not ascend
+	curs  []cursor // per request
+	heap  []head
+}
+
+// cursor walks one request's ids in ascending (id, position) order.
+type cursor struct {
+	ids    []int64
+	sorted bool  // ids already ascend
+	order  []int // the positions of ids in that order, unless sorted
+	k      int   // next rank in the order
+}
+
+// at is the position of ids at rank k.
+func (c *cursor) at(k int) int {
+	if c.sorted {
+		return k
+	}
+	return c.order[k]
+}
+
+// head is a request's next id in the merge heap, which orders heads on
+// (id, request).
+type head struct {
+	id int64
+	r  int
+}
+
+func (x head) before(y head) bool { return x.id < y.id || x.id == y.id && x.r < y.r }
+
+// siftDown restores the heap order of h below i.
+func siftDown(h []head, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// assemble lists every (request, position) the requests queued as uses
+// in (id, request, position) order, and returns runs: runs[k] is the
+// first use of the k-th distinct id, and a last entry is len(uses).
+// Each request is put in id order on its own (a filter's ids already
+// ascend; a verification's best-first items are sorted alone), and a
+// heap over the requests' heads merges them, in O(uses · log requests).
+// The returned slices are a's buffers, valid until the next call.
+func (a *assembly) assemble(reqs []*batchReq) (uses []use, runs []int) {
+	a.curs = exactly(a.curs, len(reqs))
+	n, unsorted := 0, 0
+	for r, req := range reqs {
+		c := cursor{ids: req.ids, sorted: slices.IsSorted(req.ids)}
+		if n += len(c.ids); !c.sorted {
+			unsorted += len(c.ids)
+		}
+		a.curs[r] = c
+	}
+	a.uses, a.runs, a.order = exactly(a.uses, n), exactly(a.runs, n+1), exactly(a.order, unsorted)
+	h, order := a.heap[:0], a.order
+	for r := range a.curs {
+		c := &a.curs[r]
+		if len(c.ids) == 0 {
+			continue
+		}
+		if !c.sorted {
+			c.order, order = order[:len(c.ids)], order[len(c.ids):]
+			for j := range c.order {
+				c.order[j] = j
+			}
+			ids := c.ids
+			slices.SortFunc(c.order, func(x, y int) int {
+				if o := cmp.Compare(ids[x], ids[y]); o != 0 {
+					return o
+				}
+				return cmp.Compare(x, y)
+			})
+		}
+		h = append(h, head{c.ids[c.at(0)], r})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	uses, runs = a.uses[:0], a.runs[:0]
+	for len(h) > 0 {
+		id, r := h[0].id, h[0].r
+		c := &a.curs[r]
+		if len(uses) == 0 || uses[len(uses)-1].id != id {
+			runs = append(runs, len(uses))
+		}
+		// A request may queue an id more than once: its uses of id are
+		// adjacent in its order and precede every later request's.
+		for {
+			uses = append(uses, use{id, r, c.at(c.k)})
+			if c.k++; c.k == len(c.ids) {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+				break
+			}
+			if next := c.ids[c.at(c.k)]; next != id {
+				h[0].id = next
+				break
+			}
+		}
+		siftDown(h, 0)
+	}
+	a.heap = h
+	return uses, append(runs, len(uses))
+}
+
+// exactly returns s resized to n, reallocated at exactly n only when it
+// is too small.
+func exactly[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // load loads every distinct id the requests queued once, in id order
 // through env.forEach, and refines it for each request still wanting
-// it. Stats are billed to each request from per-worker slots.
+// it, consumers in request order. Stats are billed to each request
+// from per-worker slots.
 func (b *batch) load(reqs []*batchReq) error {
 	if err := b.ctx.Err(); err != nil {
 		return err
 	}
-	var uses []use
-	for r, req := range reqs {
-		for j, id := range req.ids {
-			uses = append(uses, use{id, r, j})
-		}
-	}
-	slices.SortFunc(uses, func(x, y use) int {
-		return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.r, y.r), cmp.Compare(x.j, y.j))
-	})
-	var runs []int // runs[k]: the first use of the k-th distinct id
-	for u := range uses {
-		if u == 0 || uses[u].id != uses[u-1].id {
-			runs = append(runs, u)
-		}
-	}
-	runs = append(runs, len(uses))
+	uses, runs := b.asm.assemble(reqs)
 	// A cache line of spare capacity keeps one worker's slots off the
 	// line its neighbour's allocation starts on.
 	wst := make([][]Stats, b.env.Exec.workers())

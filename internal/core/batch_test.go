@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -366,4 +370,191 @@ func TestBatchLiveness(t *testing.T) {
 			})
 		}
 	}
+}
+
+// assemblyReference is what a round's assembly must produce: every
+// (request, position) as a use, sorted on (id, request, position), and
+// the first use of each distinct id, closed by len(uses).
+func assemblyReference(reqs []*batchReq) ([]use, []int) {
+	var uses []use
+	for r, req := range reqs {
+		for j, id := range req.ids {
+			uses = append(uses, use{id, r, j})
+		}
+	}
+	slices.SortFunc(uses, func(x, y use) int {
+		return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.r, y.r), cmp.Compare(x.j, y.j))
+	})
+	var runs []int
+	for u := range uses {
+		if u == 0 || uses[u].id != uses[u-1].id {
+			runs = append(runs, u)
+		}
+	}
+	return uses, append(runs, len(uses))
+}
+
+// checkAssembly assembles reqs on a and compares with the reference.
+func checkAssembly(t *testing.T, a *assembly, reqs []*batchReq) {
+	t.Helper()
+	want, wantRuns := assemblyReference(reqs)
+	uses, runs := a.assemble(reqs)
+	if len(uses) != len(want) {
+		t.Fatalf("%d requests: %d uses, want %d", len(reqs), len(uses), len(want))
+	}
+	for u := range want {
+		if uses[u] != want[u] {
+			t.Fatalf("%d requests: use %d is %+v, want %+v", len(reqs), u, uses[u], want[u])
+		}
+	}
+	if !slices.Equal(runs, wantRuns) {
+		t.Fatalf("%d requests: runs %v, want %v", len(reqs), runs, wantRuns)
+	}
+}
+
+// randomRound draws n requests over a shared id pool: ascending (a
+// filter's targets), strictly ascending, descending, shuffled (a
+// verification's best-first items) or empty, with repeats inside a
+// request and ids shared between requests.
+func randomRound(rng *rand.Rand, n int) []*batchReq {
+	base, pool := rng.Int63n(1<<50), 1+rng.Intn(400)
+	reqs := make([]*batchReq, n)
+	for r := range reqs {
+		ids := make([]int64, rng.Intn(80))
+		for j := range ids {
+			ids[j] = base + int64(rng.Intn(pool))
+		}
+		switch rng.Intn(5) {
+		case 0:
+			slices.Sort(ids)
+		case 1:
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
+		case 2:
+			slices.Sort(ids)
+			slices.Reverse(ids)
+		case 3:
+			ids = nil
+		}
+		reqs[r] = &batchReq{ids: ids}
+	}
+	return reqs
+}
+
+// TestBatchRoundAssembly holds a round's merge of id-ordered requests
+// to a global sort on (id, request, position): the order each
+// consumer is evaluated in, and so its τ landings. One assembly is
+// reused across rounds of every size, as a batch reuses it.
+func TestBatchRoundAssembly(t *testing.T) {
+	var a assembly
+	checkAssembly(t, &a, []*batchReq{{}})
+	checkAssembly(t, &a, []*batchReq{{ids: []int64{7, 7, 7}}, {ids: []int64{7}}, {}, {ids: []int64{7, 7}}})
+	checkAssembly(t, &a, []*batchReq{{ids: []int64{5, 3, 5, 1}}, {ids: []int64{1, 3, 5}}, {ids: []int64{5, 1}}})
+	// Extreme ids, whose differences overflow an int64.
+	wide := []int64{math.MaxInt64, 0, math.MinInt64, 0, 1 << 62, math.MaxInt64}
+	checkAssembly(t, &a, []*batchReq{{ids: wide}, {ids: []int64{math.MinInt64, 0, math.MaxInt64}}, {ids: []int64{1 << 62, -1}}})
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{1, 2, 5, 300} {
+		for range 20 {
+			checkAssembly(t, &a, randomRound(rng, n))
+		}
+	}
+	for range 200 {
+		checkAssembly(t, &a, randomRound(rng, 1+rng.Intn(300)))
+	}
+}
+
+// FuzzBatchRound checks the round's merge against the reference sort on
+// requests read from bytes: 255 closes a request as it is, 254 closes
+// it sorted ascending, 253 and 252 are the ids math.MinInt64 and
+// math.MaxInt64, and any other byte is an id from a pool of 64, so
+// requests repeat and share ids. Past 300 requests, bytes extend the
+// last one. The same assembly then assembles them again in reverse.
+func FuzzBatchRound(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 254, 2, 2, 1, 255, 255, 7, 0, 7})
+	f.Add([]byte{9, 8, 7, 6, 255, 6, 7, 8, 9, 254, 6, 6, 6})
+	f.Add([]byte{255, 255, 255})
+	f.Add([]byte{252, 3, 253, 252, 255, 253, 0, 252, 254, 252, 253})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs := []*batchReq{{}}
+		for _, c := range data {
+			last := reqs[len(reqs)-1]
+			switch c {
+			case 254:
+				slices.Sort(last.ids)
+				fallthrough
+			case 255:
+				if len(reqs) == 300 {
+					break
+				}
+				reqs = append(reqs, &batchReq{})
+			case 253:
+				last.ids = append(last.ids, math.MinInt64)
+			case 252:
+				last.ids = append(last.ids, math.MaxInt64)
+			default:
+				last.ids = append(last.ids, int64(c%64))
+			}
+		}
+		var a assembly
+		checkAssembly(t, &a, reqs)
+		slices.Reverse(reqs)
+		checkAssembly(t, &a, reqs)
+	})
+}
+
+// batchBench is BenchmarkBatchRound's fixture: 6 000 64x64 saliency
+// masks in memory, every third unindexed as in a session that has not
+// yet seen it, at workers 2.
+var batchBench = sync.OnceValue(func() (f struct {
+	env *Env
+	ids []int64
+}) {
+	const n, w, h = 6000, 64, 64
+	rng := rand.New(rand.NewSource(47))
+	loader := &syncLoader{masks: map[int64]*Mask{}}
+	idx := NewMemoryIndex(Config{CellW: w / 4, CellH: h / 4, Edges: DefaultEdges(10)})
+	f.ids = make([]int64, n)
+	for i := range f.ids {
+		f.ids[i] = int64(i + 1)
+		m := blobByteMask(rng, w, h)
+		loader.masks[f.ids[i]] = m
+		if i%3 != 2 {
+			chi, _ := Build(m, idx.Config())
+			idx.Add(f.ids[i], chi)
+		}
+	}
+	f.env = &Env{Loader: loader, Index: idx, Exec: Exec{Workers: 2}}
+	return f
+})
+
+// BenchmarkBatchRound is one core.Batch shaped like a session.cold
+// batch: four filters and one top-k over the 6 000 masks, their regions
+// and ranges drawn per op from the ranking benchmarks' query list.
+// Every filter keeps masks whose region is more than a tenth in range.
+// loaded/op is the masks the five drivers evaluated exactly.
+func BenchmarkBatchRound(b *testing.B) {
+	env, ids := batchBench().env, batchBench().ids
+	loaded, i := 0, 0
+	for b.Loop() {
+		var st [5]Stats
+		err := Batch(context.Background(), env, 5, func(ctx context.Context, d int, s Stages) (err error) {
+			terms, k := rankBenchQuery(5*i + d)
+			if d == 4 {
+				_, st[d], err = TopKOn(ctx, s, ids, terms, 0, k, Desc)
+			} else {
+				r := terms[0].Region(0)
+				_, st[d], err = FilterOn(ctx, s, ids, terms, Cmp{T: 0, Op: OpGt, C: int64(r.Area() / 10)})
+			}
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range st {
+			loaded += s.Loaded
+		}
+		i++
+	}
+	b.ReportMetric(float64(loaded)/float64(i), "loaded/op")
 }

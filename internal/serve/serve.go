@@ -12,7 +12,7 @@
 // Endpoints:
 //
 //	POST /query    {"sql", "args", "session", "stream", "timeout_ms"}
-//	POST /batch    {"sqls": [...]} or {"sql", "arg_sets": [[...], ...]}
+//	POST /batch    {"sqls": [...]} or {"sql", "arg_sets": [[...], ...]}, at most 256
 //	POST /explain  {"sql", "args"}
 //	POST /ingest   {"masks": [{..., "pixels": base64}, ...]} — ack after fsync
 //	POST /compact  fold the WAL into the base layout
@@ -252,9 +252,19 @@ func toResponse(res *masksearch.Result, session string) queryResponse {
 	return out
 }
 
-// decode reads one JSON request body (bounded at 1 MiB).
+const (
+	// maxBody caps a JSON request body.
+	maxBody = 1 << 20
+	// maxBatch caps a /batch request's statements or argument sets. A
+	// batch runs one driver per statement, and each of its rounds holds
+	// one entry per (statement, undecided target): a maxBody sweep of
+	// one-element argument sets would be ~250 000 drivers.
+	maxBatch = 256
+)
+
+// decode reads one JSON request body (bounded at maxBody).
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeBounded(w, r, v, 1<<20)
+	return decodeBounded(w, r, v, maxBody)
 }
 
 // decodeBounded is decode with an explicit body cap (ingest bodies
@@ -479,6 +489,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if sweep && len(req.ArgSets) == 0 {
 		s.failStatus(w, http.StatusBadRequest, `"sql" batches need "arg_sets"`)
+		return
+	}
+	if n := max(len(req.SQLs), len(req.ArgSets)); n > maxBatch {
+		s.failStatus(w, http.StatusBadRequest, fmt.Sprintf("a batch holds at most %d statements or argument sets, got %d", maxBatch, n))
 		return
 	}
 	release, ok := s.admit(w, r)

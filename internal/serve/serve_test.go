@@ -275,6 +275,43 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchStatementCap: a /batch of more than maxBatch statements or
+// argument sets is refused with a 400 naming the cap before anything
+// binds or runs, and a sweep of exactly maxBatch runs.
+func TestBatchStatementCap(t *testing.T) {
+	_, _, url := newTestServer(t, Config{})
+	const metaSQL = `SELECT mask_id FROM masks WHERE model_id = ?`
+	before := fetchMetrics(t, url)["msserve.Batches"].Value
+	argSets := make([][]any, maxBatch+1)
+	sqls := make([]string, maxBatch+1)
+	for i := range argSets {
+		argSets[i] = []any{i % 3}
+		sqls[i] = fmt.Sprintf("SELECT mask_id FROM masks WHERE model_id = %d", i%3)
+	}
+	for name, req := range map[string]batchRequest{
+		"sweep": {SQL: metaSQL, ArgSets: argSets},
+		"sqls":  {SQLs: sqls},
+	} {
+		status, raw := post(t, url+"/batch", req, nil)
+		if status != http.StatusBadRequest || !strings.Contains(raw, fmt.Sprint(maxBatch)) {
+			t.Errorf("%s of %d: status %d %s, want 400 naming %d", name, maxBatch+1, status, raw, maxBatch)
+		}
+	}
+	if got := fetchMetrics(t, url)["msserve.Batches"].Value; got != before {
+		t.Fatalf("msserve.Batches %v after refused batches, want %v", got, before)
+	}
+	var out batchResponse
+	if status, raw := post(t, url+"/batch", batchRequest{SQL: metaSQL, ArgSets: argSets[:maxBatch]}, &out); status != http.StatusOK {
+		t.Fatalf("sweep of %d: status %d %s", maxBatch, status, raw)
+	}
+	if len(out.Results) != maxBatch {
+		t.Fatalf("%d results, want %d", len(out.Results), maxBatch)
+	}
+	if got := fetchMetrics(t, url)["msserve.Batches"].Value; got != before+1 {
+		t.Fatalf("msserve.Batches %v after one sweep, want %v", got, before+1)
+	}
+}
+
 func TestExplainEndpoint(t *testing.T) {
 	_, db, url := newTestServer(t, Config{})
 	want, err := db.Explain(paramSQL)
