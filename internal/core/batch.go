@@ -349,15 +349,21 @@ func (b *batch) Filter(ctx context.Context, ids []int64, terms []CPTerm, pred Pr
 	if err != nil {
 		return nil, nil, st, err
 	}
-	r := &batchReq{}
-	var at []int
+	n := 0
+	for _, u := range undec {
+		if u {
+			n++
+		}
+	}
+	if n == 0 {
+		return keep, nil, st, nil
+	}
+	r := &batchReq{ids: make([]int64, 0, n)}
+	at := make([]int, 0, n)
 	for i, u := range undec {
 		if u {
 			r.ids, at = append(r.ids, ids[i]), append(at, i)
 		}
-	}
-	if len(r.ids) == 0 {
-		return keep, nil, st, nil
 	}
 	r.eval = func(w, j int, chi *CHI, m *Mask) {
 		bs := wbs[w]

@@ -62,7 +62,12 @@ func checkBuild(t *testing.T, pix []byte, w, h int, cfg Config) {
 // cell sizes (1x1 up to larger than the mask), edge counts (one edge,
 // the default 10, 16, one per byte value, more edges than byte values,
 // and edges exactly on and just below byte values) and pixel content
-// (uniform at both extremes, random, long runs).
+// (uniform at both extremes, random, long runs). Then the cells
+// geCount9 takes, widths a multiple of 16: 16², 32², 48×17, a 16×300
+// and a 48×300 cell whose rows the kernel takes in blocks, and partial
+// cells at the right and bottom edges of 65- and 320-wide masks, under
+// edge sets on both sides of its 10-bin limit, among them on-byte
+// edges with empty bins between.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var onByte []float64
@@ -99,6 +104,54 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	vecEdges := [][]float64{{0}, DefaultEdges(2), DefaultEdges(10), DefaultEdges(11), onByte[:18], onByte}
+	for _, g := range [][4]int{
+		{64, 64, 16, 16}, {128, 128, 32, 32}, {96, 51, 48, 17},
+		{32, 600, 16, 300}, {96, 600, 48, 300},
+		{65, 33, 16, 16}, {65, 70, 32, 32}, {320, 40, 48, 16},
+	} {
+		w, h := g[0], g[1]
+		random := make([]byte, w*h)
+		rng.Read(random)
+		for _, pix := range [][]byte{make([]byte, w*h), slices.Repeat([]byte{255}, w*h), random, testPixels(rng, w, h)} {
+			for _, edges := range vecEdges {
+				checkBuild(t, pix, w, h, Config{CellW: g[2], CellH: g[3], Edges: edges})
+			}
+		}
+	}
+}
+
+// TestGECellMatchesLUT counts every cell of the two benchmark shapes
+// under the default edges through vecCell and through lutCell and
+// requires the same counts: the kernel that runs against the portable
+// one it replaces.
+func TestGECellMatchesLUT(t *testing.T) {
+	if !geKernel {
+		t.Skip("no geCount9 kernel on this platform")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, sh := range [][2]int{{128, 32}, {64, 16}} {
+		n, cell := sh[0], sh[1]
+		bd := newBuilder(Config{CellW: cell, CellH: cell, Edges: DefaultEdges(10)})
+		if !bd.geCell {
+			t.Fatalf("%dx%d: the default edges do not take the kernel", n, n)
+		}
+		random := make([]byte, n*n)
+		rng.Read(random)
+		for _, pix := range [][]byte{random, testPixels(rng, n, n)} {
+			var lanes [4][256]int32
+			for y0 := 0; y0 < n; y0 += cell {
+				for x0 := 0; x0 < n; x0 += cell {
+					vec, lut := make([]int32, 10), make([]int32, 10)
+					bd.vecCell(vec, pix, n, x0, x0+cell, y0, y0+cell)
+					bd.lutCell(lut, pix, n, x0, x0+cell, y0, y0+cell, &lanes)
+					if !slices.Equal(vec, lut) {
+						t.Fatalf("%dx%d cell (%d, %d): kernel %v, LUT %v", n, n, x0, y0, vec, lut)
+					}
+				}
+			}
+		}
+	}
 }
 
 // FuzzBuild decodes geometry, edges and pixels from the input and
@@ -107,6 +160,10 @@ func FuzzBuild(f *testing.F) {
 	f.Add([]byte{15, 15, 4, 4, 3, 26, 0, 128, 1, 200, 2, 0, 255, 7, 7, 7, 90})
 	f.Add([]byte{63, 0, 63, 1, 0, 255, 0, 1})
 	f.Add(binary.LittleEndian.AppendUint64([]byte{7, 2, 2, 3, 2, 1, 1, 254, 1}, 0x00ff10ff10ff10ff))
+	// Cell widths of 16, 32 and 48 under at most 10 bins take geCount9.
+	f.Add([]byte{63, 63, 15, 15, 9, 26, 0, 51, 0, 77, 0, 102, 0, 128, 0, 153, 0, 179, 0, 204, 0, 230, 0, 255, 7, 0, 128, 200, 31, 3})
+	f.Add([]byte{63, 40, 31, 11, 4, 1, 0, 2, 1, 128, 2, 255, 0, 9, 250, 17, 1, 0, 255})
+	f.Add([]byte{50, 20, 47, 69, 2, 100, 0, 101, 1, 99, 100, 101, 102, 255, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -141,9 +198,10 @@ func FuzzBuild(f *testing.F) {
 }
 
 // TestObserveAllocs: observing a mask builds straight into its slot of
-// the index arena and allocates nothing — the four counter lanes stay
-// on the stack and the index's builder made its tables once — while a
-// one-off Build allocates the CHI and its counts and nothing else.
+// the index arena and allocates nothing — lutCell's four counter lanes
+// and vecCell's counts stay on the stack, and the index's builder made
+// its tables and geCount9's thresholds once — while a one-off Build
+// allocates the CHI and its counts and nothing else.
 func TestObserveAllocs(t *testing.T) {
 	m := &Mask{W: 64, H: 64, Bytes: testPixels(rand.New(rand.NewSource(5)), 64, 64)}
 	cfg := Config{CellW: 16, CellH: 16, Edges: DefaultEdges(10)}

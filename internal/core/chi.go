@@ -125,6 +125,11 @@ type builder struct {
 	compact [256]uint8
 	realIdx [256]int32
 	bins    int
+	// thr broadcasts the first byte of each compact bin 1..9 over 16
+	// bytes, geCount9's thresholds; geCell reports that there are at
+	// most 10 compact bins and a geCount9 kernel to count them.
+	thr    [9 * 16]byte
+	geCell bool
 }
 
 // newBuilder normalizes cfg and fills the byte tables in one merge of
@@ -146,6 +151,11 @@ func newBuilder(cfg Config) builder {
 		if end <= b {
 			continue // no byte value falls in [Edges[j], Edges[j+1])
 		}
+		if c := bd.bins; c >= 1 && c <= 9 {
+			for i := range 16 {
+				bd.thr[(c-1)*16+i] = byte(b)
+			}
+		}
 		for ; b < end; b++ {
 			bd.bin[b] = int32(j)
 			bd.compact[b] = uint8(bd.bins)
@@ -153,6 +163,7 @@ func newBuilder(cfg Config) builder {
 		bd.realIdx[bd.bins] = int32(j)
 		bd.bins++
 	}
+	bd.geCell = geKernel && bd.bins <= 10
 	return bd
 }
 
@@ -196,14 +207,16 @@ func (bd *builder) header(w, h int) CHI {
 func (bd *builder) fill(c *CHI, m *Mask) {
 	cfg := bd.cfg
 	k, gw, gh := len(cfg.Edges), c.GW, c.GH
+	if m.Bytes != nil {
+		bd.accumBytes(c.Cum, m.Bytes, m.W, m.H, gw, gh)
+		return
+	}
 	// First accumulate per-bin counts, then suffix-sum each cell.
-	if m.Bytes == nil && m.RLE != nil {
+	if m.RLE != nil {
 		// Compressed fast path: whole repeat runs fold through the
 		// value→bin LUT in one update per cell they touch — no pixel
 		// materialization.
 		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &bd.bin)
-	} else if m.Bytes != nil {
-		bd.accumBytes(c.Cum, m.Bytes, m.W, m.H, gw, gh)
 	} else {
 		for y := 0; y < m.H; y++ {
 			cy := y / cfg.CellH
@@ -216,56 +229,98 @@ func (bd *builder) fill(c *CHI, m *Mask) {
 		}
 	}
 	for cell := 0; cell < gw*gh; cell++ {
-		base := cell * k
-		for j := k - 2; j >= 0; j-- {
-			c.Cum[base+j] += c.Cum[base+j+1]
+		suffixSum(c.Cum[cell*k:][:k])
+	}
+}
+
+// suffixSum turns one cell's per-bin counts into counts at or above
+// each edge.
+func suffixSum(col []int32) {
+	for j := len(col) - 2; j >= 0; j-- {
+		col[j] += col[j+1]
+	}
+}
+
+// accumBytes is the byte-domain build: the counts at or above each
+// edge of every cell into cum. Pixels are quantized to 256 levels, so
+// the byte tables replace a per-pixel binary search, and byteVal
+// reproduces the store's decoding exactly, so the counts equal the
+// float path's. Under a builder with geCell, a cell whose width is a
+// multiple of 16 goes through vecCell; every other cell through
+// lutCell.
+func (bd *builder) accumBytes(cum []int32, pix []byte, w, h, gw, gh int) {
+	var lanes [4][256]int32
+	cw, ch, k := bd.cfg.CellW, bd.cfg.CellH, len(bd.cfg.Edges)
+	for cy := 0; cy < gh; cy++ {
+		y0, y1 := cy*ch, min((cy+1)*ch, h)
+		for cx := 0; cx < gw; cx++ {
+			x0, x1 := cx*cw, min((cx+1)*cw, w)
+			dst := cum[(cy*gw+cx)*k:][:k]
+			if g := (x1 - x0) / 16; bd.geCell && g*16 == x1-x0 && g <= 255 {
+				bd.vecCell(dst, pix, w, x0, x1, y0, y1)
+			} else {
+				bd.lutCell(dst, pix, w, x0, x1, y0, y1, &lanes)
+			}
 		}
 	}
 }
 
-// accumBytes is the byte-domain kernel: per-bin counts of every cell
-// into cum. Pixels are quantized to 256 levels, so the byte tables
-// replace a per-pixel binary search, and byteVal reproduces the store's
-// decoding exactly, so the counts equal the float path's.
-//
-// It walks the mask cell by cell, counting each cell's row slices into
-// four stack-resident lanes of fixed-size counters — eight pixels per
-// load, the pixel at offset j into lane j%4 — and flushes the lanes'
-// sums into the cell's counts once per cell. Fixed arrays indexed by a
-// uint8 carry no bounds checks, and the lanes keep runs of equal
-// pixels from chaining every increment through one counter's store and
-// reload.
-func (bd *builder) accumBytes(cum []int32, pix []byte, w, h, gw, gh int) {
-	var lanes [4][256]int32
-	cw, ch, k := bd.cfg.CellW, bd.cfg.CellH, len(bd.cfg.Edges)
-	realIdx := bd.realIdx[:bd.bins]
-	for cy := 0; cy < gh; cy++ {
-		for cx := 0; cx < gw; cx++ {
-			x0, x1 := cx*cw, min((cx+1)*cw, w)
-			for y := cy * ch; y < min((cy+1)*ch, h); y++ {
-				row := pix[y*w+x0 : y*w+x1]
-				i := 0
-				for ; i+8 <= len(row); i += 8 {
-					q := binary.LittleEndian.Uint64(row[i:])
-					lanes[0][bd.compact[uint8(q)]]++
-					lanes[1][bd.compact[uint8(q>>8)]]++
-					lanes[2][bd.compact[uint8(q>>16)]]++
-					lanes[3][bd.compact[uint8(q>>24)]]++
-					lanes[0][bd.compact[uint8(q>>32)]]++
-					lanes[1][bd.compact[uint8(q>>40)]]++
-					lanes[2][bd.compact[uint8(q>>48)]]++
-					lanes[3][bd.compact[uint8(q>>56)]]++
-				}
-				for _, b := range row[i:] {
-					lanes[0][bd.compact[b]]++
-				}
-			}
-			dst := cum[(cy*gw+cx)*k:][:k]
-			for c, j := range realIdx {
-				dst[j] = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c]
-				lanes[0][c], lanes[1][c], lanes[2][c], lanes[3][c] = 0, 0, 0, 0
-			}
+// lutCell counts the cell [x0, x1)×[y0, y1) of the w-wide pix into dst,
+// a zeroed column of the cell's counts, through the byte→compact-bin
+// table. It counts the cell's row slices into four lanes of fixed-size
+// counters — eight pixels per load, the pixel at offset j into lane
+// j%4 — and flushes the lanes' sums into dst, leaving them zeroed for
+// the next cell. Fixed arrays indexed by a uint8 carry no bounds
+// checks, and the lanes keep runs of equal pixels from chaining every
+// increment through one counter's store and reload.
+func (bd *builder) lutCell(dst []int32, pix []byte, w, x0, x1, y0, y1 int, lanes *[4][256]int32) {
+	for y := y0; y < y1; y++ {
+		row := pix[y*w+x0 : y*w+x1]
+		i := 0
+		for ; i+8 <= len(row); i += 8 {
+			q := binary.LittleEndian.Uint64(row[i:])
+			lanes[0][bd.compact[uint8(q)]]++
+			lanes[1][bd.compact[uint8(q>>8)]]++
+			lanes[2][bd.compact[uint8(q>>16)]]++
+			lanes[3][bd.compact[uint8(q>>24)]]++
+			lanes[0][bd.compact[uint8(q>>32)]]++
+			lanes[1][bd.compact[uint8(q>>40)]]++
+			lanes[2][bd.compact[uint8(q>>48)]]++
+			lanes[3][bd.compact[uint8(q>>56)]]++
 		}
+		for _, b := range row[i:] {
+			lanes[0][bd.compact[b]]++
+		}
+	}
+	for c, j := range bd.realIdx[:bd.bins] {
+		dst[j] = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c]
+		lanes[0][c], lanes[1][c], lanes[2][c], lanes[3][c] = 0, 0, 0, 0
+	}
+	suffixSum(dst)
+}
+
+// vecCell is lutCell for a cell whose width is a multiple of 16 (at
+// most 255 groups of 16), under at most 10 compact bins: geCount9
+// counts the bytes at or above the first byte of each compact bin past
+// the first, sixteen pixels at a time, so the cell's counts come out
+// suffix-summed. Its byte accumulators wrap at 255, so it takes the
+// cell in blocks of at most 255 row groups. Edge j's count is that of
+// the first compact bin whose edge is at or above j; the first edge's
+// is the cell's area.
+func (bd *builder) vecCell(dst []int32, pix []byte, w, x0, x1, y0, y1 int) {
+	groups := (x1 - x0) / 16
+	ge := [10]int32{int32((x1 - x0) * (y1 - y0))}
+	for y := y0; y < y1; {
+		rows := min(255/groups, y1-y)
+		geCount9(&bd.thr, &pix[y*w+x0], w, groups, rows, (*[9]int32)(ge[1:]))
+		y += rows
+	}
+	c := bd.bins
+	for j := len(dst) - 1; j >= 0; j-- {
+		if bd.realIdx[c-1] == int32(j) {
+			c--
+		}
+		dst[j] = ge[c]
 	}
 }
 

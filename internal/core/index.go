@@ -150,11 +150,20 @@ func (ix *MemoryIndex) claim(id int64, w, h int) (*chiPage, int) {
 		}
 		ix.grow.Unlock()
 	}
-	pg, bit := dir[p], uint64(1)<<(i&63)
-	if pg.taken[i>>6].Load()&bit != 0 || pg.taken[i>>6].Or(bit)&bit != 0 {
-		return nil, 0
+	pg := dir[p]
+	// A Load/CompareAndSwap loop, not taken.Or: go1.24.0 at GOAMD64=v3
+	// reuses the slot index's register inside the loop it lowers an Or
+	// whose result is used into, and indexes taken with garbage.
+	word, bit := &pg.taken[i>>6], uint64(1)<<(i&63)
+	for {
+		old := word.Load()
+		if old&bit != 0 {
+			return nil, 0
+		}
+		if word.CompareAndSwap(old, old|bit) {
+			return pg, i
+		}
 	}
-	return pg, i
 }
 
 // publish makes a built slot visible to ChiFor.

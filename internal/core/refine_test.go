@@ -529,8 +529,10 @@ func BenchmarkCPBounds(b *testing.B) {
 // the facade's default granularity: 128x128 under 32² cells (the
 // wilds-sim masks) and 64x64 under 16² cells (imagenet-sim). "build" is
 // the one-off Build, which makes its tables per call; "index" is
-// MemoryIndex.Observe, which reuses its index's. ns/px compares
-// directly with the verification kernel's core.kernel_ns_per_px.
+// MemoryIndex.Observe, which reuses its index's. "portable" counts the
+// byte form's cells through lutCell alone, the kernel that runs where
+// geCount9 does not. ns/px compares directly with the verification
+// kernel's core.kernel_ns_per_px.
 func BenchmarkBuild(b *testing.B) {
 	big := benchRLEMask(b).Decoded()
 	half := make([]byte, 64*64)
@@ -540,11 +542,12 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 	small := &Mask{W: 64, H: 64, Bytes: half}
+	shapes := []struct {
+		m    *Mask
+		cell int
+	}{{big, 32}, {small, 16}}
 	for _, form := range []string{"byte", "rle", "float"} {
-		for _, sh := range []struct {
-			m    *Mask
-			cell int
-		}{{big, 32}, {small, 16}} {
+		for _, sh := range shapes {
 			m := sh.m
 			switch form {
 			case "rle":
@@ -578,6 +581,25 @@ func BenchmarkBuild(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
 			})
 		}
+	}
+	for _, sh := range shapes {
+		m, cell := sh.m, sh.cell
+		bd := newBuilder(Config{CellW: cell, CellH: cell, Edges: DefaultEdges(10)})
+		b.Run(fmt.Sprintf("portable/%dx%d", m.W, m.H), func(b *testing.B) {
+			c := bd.header(m.W, m.H)
+			c.Cum = make([]int32, c.GW*c.GH*len(c.Edges))
+			var lanes [4][256]int32
+			for b.Loop() {
+				clear(c.Cum)
+				for y0 := 0; y0 < m.H; y0 += cell {
+					for x0 := 0; x0 < m.W; x0 += cell {
+						dst := c.Cum[((y0/cell)*c.GW+x0/cell)*len(c.Edges):][:len(c.Edges)]
+						bd.lutCell(dst, m.Bytes, m.W, x0, min(x0+cell, m.W), y0, min(y0+cell, m.H), &lanes)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.W*m.H), "ns/px")
+		})
 	}
 }
 
