@@ -126,7 +126,7 @@ func TestBuildMatchesReference(t *testing.T) {
 // requires the same counts: the kernel that runs against the portable
 // one it replaces.
 func TestGECellMatchesLUT(t *testing.T) {
-	if !geKernel {
+	if !vecKernels {
 		t.Skip("no geCount9 kernel on this platform")
 	}
 	rng := rand.New(rand.NewSource(9))

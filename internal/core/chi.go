@@ -163,7 +163,7 @@ func newBuilder(cfg Config) builder {
 		bd.realIdx[bd.bins] = int32(j)
 		bd.bins++
 	}
-	bd.geCell = geKernel && bd.bins <= 10
+	bd.geCell = vecKernels && bd.bins <= 10
 	return bd
 }
 

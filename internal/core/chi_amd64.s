@@ -91,3 +91,78 @@ group:
 	FLUSH(X7, 28)
 	FLUSH(X8, 32)
 	RET
+
+// func rangeCount16(p *byte, stride, width, rows int, lo, top byte) int
+//
+// X0 counts, per byte lane, the bytes x with lo <= x <= lo+top: with
+// d = x - lo wrapping, min(d, top) == d exactly when d <= top, and a
+// byte below lo wraps to a d above every top that leaves lo+top <= 255.
+// A row ends in a ragged group when width%16 != 0: the row's last 16
+// bytes are re-read and ANDed with tailMask at offset width%16, which
+// keeps only their high width%16 lanes, the bytes no full group took.
+TEXT ·rangeCount16(SB), NOSPLIT, $0-48
+	MOVQ    p+0(FP), SI
+	MOVQ    stride+8(FP), BX
+	MOVQ    width+16(FP), R11
+	MOVQ    rows+24(FP), DX
+	MOVQ    $0x0101010101010101, R8
+	MOVBQZX lo+32(FP), AX
+	IMULQ   R8, AX
+	MOVQ    AX, X1
+	PUNPCKLQDQ X1, X1
+	MOVBQZX top+33(FP), AX
+	IMULQ   R8, AX
+	MOVQ    AX, X2
+	PUNPCKLQDQ X2, X2
+	MOVQ    R11, R10
+	ANDQ    $15, R10
+	LEAQ    tailMask<>(SB), AX
+	MOVOU   (AX)(R10*1), X3
+	MOVQ    R11, CX
+	SHRQ    $4, CX
+	PXOR    X0, X0
+
+row:
+	MOVQ SI, R8
+	MOVQ CX, R9
+
+group:
+	MOVOU   (R8), X4
+	PSUBB   X1, X4
+	MOVO    X4, X5
+	PMINUB  X2, X5
+	PCMPEQB X5, X4
+	PSUBB   X4, X0
+	ADDQ    $16, R8
+	DECQ    R9
+	JNZ     group
+	TESTQ   R10, R10
+	JZ      next
+	MOVOU   -16(SI)(R11*1), X4
+	PSUBB   X1, X4
+	MOVO    X4, X5
+	PMINUB  X2, X5
+	PCMPEQB X5, X4
+	PAND    X3, X4
+	PSUBB   X4, X0
+
+next:
+	ADDQ BX, SI
+	DECQ DX
+	JNZ  row
+
+	PXOR   X6, X6
+	PSADBW X6, X0
+	PSHUFD $0xee, X0, X1
+	PADDQ  X1, X0
+	MOVQ   X0, AX
+	MOVQ   AX, ret+40(FP)
+	RET
+
+// tailMask is sixteen zero bytes then sixteen 0xff: the 16 bytes at
+// offset r are 0xff in their high r lanes only.
+DATA  tailMask<>+0(SB)/8, $0
+DATA  tailMask<>+8(SB)/8, $0
+DATA  tailMask<>+16(SB)/8, $-1
+DATA  tailMask<>+24(SB)/8, $-1
+GLOBL tailMask<>(SB), RODATA|NOPTR, $32

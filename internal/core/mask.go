@@ -120,9 +120,9 @@ func (vr ValueRange) String() string {
 //     layout (see EncodeRLE), still in the uint8 pixel domain.
 //
 // When Bytes is non-nil it is authoritative and the kernels run in
-// the byte domain (SWAR counting over quantized thresholds, no float
-// conversion); Pix may then be nil. When only RLE is non-nil the hot
-// kernels (ExactCP, CHI Build) iterate the runs directly without
+// the byte domain (SSE2 or SWAR counting over quantized thresholds, no
+// float conversion); Pix may then be nil. When only RLE is non-nil the
+// hot kernels (ExactCP, CHI Build) iterate the runs directly without
 // materializing pixels; everything else decodes first via Decoded.
 // Masks loaded from a store are byte- or RLE-backed depending on the
 // store's codec; masks built in memory via NewMask are float-backed.
@@ -374,13 +374,45 @@ func (rc *rangeCounter) countMask(m *Mask, r Rect) int64 {
 	return exactCPRLE(m, r, rc)
 }
 
+// maxVecWidth is the widest row rangeCount16 takes: a block of one row
+// of at most 255 groups of 16 keeps its byte accumulators from wrapping.
+const maxVecWidth = 255 * 16
+
 // countRect counts the qualifying bytes of rect r in row-major pixels
-// of the given stride: each 8-pixel word costs a handful of bit
-// operations and one popcount — no float conversion, no table, no
-// data-dependent branch. The loop is chosen once per call (band, or
-// open-topped with OR or AND combination) and consumes each row as a
-// shrinking slice, so a word pays no mode test and no bounds check.
+// of the given stride. On amd64 a non-empty range over a rect 16 to
+// maxVecWidth wide goes through vecRect, sixteen pixels per SSE2
+// compare; everything else through swarRect.
 func (rc *rangeCounter) countRect(pix []uint8, stride int, r Rect) int64 {
+	if rw := r.W(); vecKernels && rw >= 16 && rw <= maxVecWidth && rc.bLo < rc.bHi {
+		return rc.vecRect(pix, stride, r)
+	}
+	return rc.swarRect(pix, stride, r)
+}
+
+// vecRect is countRect through rangeCount16, for a non-empty range and
+// a rect 16 to maxVecWidth wide. The kernel's byte accumulators wrap
+// past 255, so it takes the rect in blocks of at most 255 groups of 16,
+// a ragged row end counting as one group.
+func (rc *rangeCounter) vecRect(pix []uint8, stride int, r Rect) int64 {
+	rw := r.W()
+	block := 255 / ((rw + 15) / 16)
+	lo, top := byte(rc.bLo), byte(rc.bHi-rc.bLo-1)
+	n := 0
+	for y := r.Y0; y < r.Y1; y += block {
+		rows := min(block, r.Y1-y)
+		_ = pix[(y+rows-1)*stride+r.X1-1] // the last byte the kernel reads
+		n += rangeCount16(&pix[y*stride+r.X0], stride, rw, rows, lo, top)
+	}
+	return int64(n)
+}
+
+// swarRect is the portable countRect: each 8-pixel word costs a
+// handful of bit operations and one popcount — no float conversion, no
+// table, no data-dependent branch. The loop is chosen once per call
+// (band, or open-topped with OR or AND combination) and consumes each
+// row as a shrinking slice, so a word pays no mode test and no bounds
+// check.
+func (rc *rangeCounter) swarRect(pix []uint8, stride int, r Rect) int64 {
 	rw := r.W()
 	n := 0
 	if rw < 8 {

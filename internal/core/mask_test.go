@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +90,63 @@ func TestByteFloatKernelAgreement(t *testing.T) {
 		for i := range bc.Cum {
 			if bc.Cum[i] != fc.Cum[i] {
 				t.Fatalf("iter %d: LUT CHI differs from float CHI at %d: %d vs %d", iter, i, bc.Cum[i], fc.Cum[i])
+			}
+		}
+	}
+}
+
+// TestCountRectMatchesReference pins countRect and both of its
+// kernels — vecRect (rangeCount16, amd64 only) and the portable
+// swarRect — to a per-byte matches loop under full, band, one-byte and
+// open-topped ranges: on every row width from 16 to 300 at every X0%16,
+// on rows about maxVecWidth wide, and on rects of all-matching pixels
+// taller than one accumulator block, where a byte accumulator that
+// wrapped past 255 would lose counts.
+func TestCountRectMatchesReference(t *testing.T) {
+	ranges := [][2]int{{0, 256}, {77, 200}, {130, 131}, {254, 255}, {0, 1}, {100, 256}, {200, 256}, {255, 256}}
+	check := func(pix []byte, stride int, r Rect) {
+		t.Helper()
+		for _, br := range ranges {
+			rc := rangeCounter{bLo: br[0], bHi: br[1], cLo: geCounterFor(br[0]), cHi: geCounterFor(br[1])}
+			want := int64(0)
+			for y := r.Y0; y < r.Y1; y++ {
+				for _, b := range pix[y*stride+r.X0 : y*stride+r.X1] {
+					if rc.matches(b) {
+						want++
+					}
+				}
+			}
+			got := map[string]int64{"countRect": rc.countRect(pix, stride, r), "swarRect": rc.swarRect(pix, stride, r)}
+			if vecKernels && r.W() >= 16 && r.W() <= maxVecWidth {
+				got["vecRect"] = rc.vecRect(pix, stride, r)
+			}
+			for kernel, n := range got {
+				if n != want {
+					t.Fatalf("%s of %v (stride %d) in [%d, %d) = %d, per-byte count %d", kernel, r, stride, br[0], br[1], n, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	narrow := randomByteMask(rng, 320, 3)
+	for w := 16; w <= 300; w++ {
+		for x0 := 0; x0 < 16; x0++ {
+			check(narrow.Bytes, narrow.W, Rect{x0, 0, x0 + w, 3})
+		}
+	}
+	wide := randomByteMask(rng, maxVecWidth+40, 2)
+	for _, w := range []int{maxVecWidth - 17, maxVecWidth - 1, maxVecWidth, maxVecWidth + 1, maxVecWidth + 16} {
+		for _, x0 := range []int{0, 7, 16} {
+			check(wide.Bytes, wide.W, Rect{x0, 0, x0 + w, 1})
+			check(wide.Bytes, wide.W, Rect{x0, 0, x0 + w, 2})
+		}
+	}
+	for _, sh := range [][2]int{{16, 300}, {64, 300}, {128, 128}, {20, 300}, {100, 200}, {255, 40}} {
+		for _, br := range ranges {
+			for _, fill := range []int{255, br[0]} {
+				pix := bytes.Repeat([]byte{byte(fill)}, (sh[0]+3)*sh[1])
+				check(pix, sh[0]+3, Rect{0, 0, sh[0], sh[1]})
+				check(pix, sh[0]+3, Rect{3, 0, sh[0] + 3, sh[1]})
 			}
 		}
 	}

@@ -261,6 +261,14 @@ func FuzzRefineCP(f *testing.F) {
 	f.Add([]byte{255, 255, 0, 0, 255, 255, 0, 0, 13}, uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), uint8(3), 0.0, 1.0, uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(6), uint8(9), uint8(9), uint8(16), uint8(2), uint8(1), uint8(9), uint8(9), 0.03, 0.04, uint8(2))
 	f.Add([]byte{90, 91, 92, 93}, uint8(2), uint8(1), uint8(2), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), 0.7, 0.3, uint8(3))
+	// 4096 px of two qualifying values as a 32-wide mask and a 20-wide
+	// one (a ragged group per row): the raw regions span more than one
+	// accumulator block of rangeCount16; the last seed's RLE literal
+	// runs are one row each.
+	sat := bytes.Repeat([]byte{255, 200}, 2048)
+	f.Add(sat, uint8(31), uint8(15), uint8(15), uint8(9), uint8(0), uint8(0), uint8(32), uint8(128), 0.5, 1.0, uint8(0))
+	f.Add(sat, uint8(19), uint8(15), uint8(15), uint8(9), uint8(0), uint8(0), uint8(20), uint8(204), 0.7, 0.9, uint8(0))
+	f.Add(sat, uint8(19), uint8(7), uint8(30), uint8(4), uint8(1), uint8(3), uint8(19), uint8(200), 0.5, 1.0, uint8(1))
 	f.Fuzz(func(t *testing.T, pix []byte, w, cellW, cellH, edges, x0, y0, rw, rh uint8, lo, hi float64, backing uint8) {
 		if len(pix) == 0 || len(pix) > 4096 || w == 0 || math.IsNaN(lo) || math.IsNaN(hi) || hi < 0 {
 			t.Skip()
@@ -642,15 +650,29 @@ func BenchmarkRefine(b *testing.B) {
 // BenchmarkExactCP is the one-off verification kernel (range quantized
 // per call) on a 128x128 byte mask: the near-full frame beside the
 // square regions queries typically name, where per-call set-up shows.
+// "portable" quantizes the range the same way and counts through
+// swarRect alone, the kernel that runs where rangeCount16 does not.
 func BenchmarkExactCP(b *testing.B) {
 	m := benchRLEMask(b).Decoded()
-	for _, vr := range []ValueRange{{0.6, 1}, {0.3, 0.6}} {
-		for _, roi := range []Rect{{10, 10, 118, 118}, {10, 10, 22, 22}, {10, 10, 54, 54}, {10, 10, 86, 86}} {
-			b.Run(fmt.Sprintf("%v/w%d", vr, roi.W()), func(b *testing.B) {
-				for b.Loop() {
-					benchSink += ExactCP(m, roi, vr)
+	for _, portable := range []bool{false, true} {
+		for _, vr := range []ValueRange{{0.6, 1}, {0.3, 0.6}} {
+			for _, roi := range []Rect{{10, 10, 118, 118}, {10, 10, 22, 22}, {10, 10, 54, 54}, {10, 10, 86, 86}} {
+				name := fmt.Sprintf("%v/w%d", vr, roi.W())
+				if portable {
+					name = "portable/" + name
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					for b.Loop() {
+						if portable {
+							rc := newRangeCounter(vr)
+							benchSink += rc.swarRect(m.Bytes, m.W, roi)
+						} else {
+							benchSink += ExactCP(m, roi, vr)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(roi.Area()), "ns/px")
+				})
+			}
 		}
 	}
 }

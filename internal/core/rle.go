@@ -15,8 +15,8 @@ import (
 // Runs never cross a row boundary, so every row decodes independently
 // and the row structure is recoverable from control bytes alone.
 // Keeping literal pixels contiguous in the stream is what lets the
-// kernels compute on the compressed form: ExactCP runs the same SWAR
-// word loop over a literal segment that it runs over uncompressed
+// kernels compute on the compressed form: ExactCP runs the same
+// countRect over a literal segment that it runs over uncompressed
 // rows, and a repeat run collapses to one predicate test times the
 // run's overlap with the query rect. Saliency-style masks — large
 // smooth regions, saturated plateaus, low-frequency background — make
@@ -158,7 +158,7 @@ func IndexRLE(rle []byte, w, h int, dir []uint32) error {
 	if w <= 0 || h <= 0 {
 		return fmt.Errorf("core: rle: dimensions %dx%d must be positive", w, h)
 	}
-	if dir != nil && (len(dir) != h || len(rle) > math.MaxUint32) {
+	if dir != nil && (len(dir) != h || uint64(len(rle)) > math.MaxUint32) {
 		return fmt.Errorf("core: rle: row directory of %d entries cannot index a %d-byte stream of %d rows", len(dir), len(rle), h)
 	}
 	i := 0
@@ -197,7 +197,7 @@ func IndexRLE(rle []byte, w, h int, dir []uint32) error {
 
 // exactCPRLE counts qualifying pixels directly on the compressed
 // stream, with no materialization: repeat runs contribute overlap ×
-// predicate(value) in O(1), literal runs go through the SWAR range
+// predicate(value) in O(1), literal runs go through the range
 // counter over their in-ROI slice. With a row directory the kernel
 // seeks: it starts each ROI row at its recorded offset and leaves it at
 // the ROI's right edge, so the cost follows the pixels counted. Without
