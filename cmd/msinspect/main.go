@@ -18,11 +18,10 @@
 // negative offset is a usage error, exit 2) and a negative -limit means
 // all remaining rows.
 //
-// The summary names the catalog format the dataset was stored in:
-// "catalog: bin (N rows × 56 B)", or "catalog: json (legacy, …)" for a
-// dataset written before catalog.bin, which this open migrates. A
-// corrupt catalog.bin fails the open (exit 1) with an error naming the
-// bad row.
+// A corrupt catalog.bin fails the open (exit 1) with an error naming the
+// bad row. A segment without catalog.bin, as earlier versions wrote
+// them, fails it too, naming the file: such a dataset must be
+// regenerated.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 
 	"masksearch"
 	"masksearch/internal/dist"
-	"masksearch/internal/store"
 )
 
 func main() {
@@ -71,19 +69,6 @@ func main() {
 		log.Printf("-offset must be >= 0, got %d", *offset)
 		os.Exit(2)
 	}
-	// The catalog format is probed before the open below, which is an
-	// ingest open and so migrates a legacy catalog.json on the way.
-	catalogLine := ""
-	if !*rows && *maskID == 0 {
-		format, n, err := store.CatalogFormat(*dbDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		catalogLine = fmt.Sprintf("catalog: bin (%d rows × %d B)", n, store.CatalogRowSize)
-		if format != "bin" {
-			catalogLine = "catalog: json (legacy, migrated to catalog.bin by this open)"
-		}
-	}
 	db, err := masksearch.OpenWith(*dbDir, masksearch.Options{PersistIndexOnClose: false})
 	if err != nil {
 		log.Fatal(err)
@@ -114,7 +99,7 @@ func main() {
 	}()
 
 	if *maskID == 0 {
-		summarize(db, catalogLine)
+		summarize(db)
 		return
 	}
 	inspectMask(db, *maskID, *lo, *hi, *width)
@@ -208,15 +193,13 @@ func dumpRows(db *masksearch.DB, offset, limit int, header bool) {
 	}
 }
 
-// summarize prints dataset-level statistics; catalogLine names the
-// catalog format the dataset was stored in when it was opened.
-func summarize(db *masksearch.DB, catalogLine string) {
+// summarize prints dataset-level statistics.
+func summarize(db *masksearch.DB) {
 	entries := db.Entries()
 	fmt.Printf("masks: %d\n", len(entries))
 	if s := db.Shards(); s > 1 {
 		fmt.Printf("storage: %d shards\n", s)
 	}
-	fmt.Println(catalogLine)
 	dbStats := db.Stats()
 	if c := db.Codec(); c != "" {
 		stored := db.StoredBytes()
@@ -258,8 +241,6 @@ func summarize(db *masksearch.DB, catalogLine string) {
 		switch {
 		case s.FileError != "":
 			fmt.Printf("index file: %s discarded: %s\n", s.File, s.FileError)
-		case s.File == store.LegacyIndexFileName:
-			fmt.Printf("index file: %s (legacy gob, %d entries)\n", s.File, s.FileEntries)
 		case s.File != "":
 			fmt.Printf("index file: %s (arena, %d entries)\n", s.File, s.FileEntries)
 		default:

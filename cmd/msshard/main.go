@@ -72,11 +72,12 @@ func main() {
 	}
 
 	// Same index granularity the DB facade defaults to, and the same
-	// persisted-index reuse: a chi.idx (or a legacy chi.gob) left by a
-	// local session or an eager build seeds this node's bounds, read
-	// straight into the index's pages. The index only changes load
-	// counts, never results, so nodes with different index states still
-	// answer identically; a discarded file is logged with its reason.
+	// persisted-index reuse: a chi.idx left by a local session or an
+	// eager build seeds this node's bounds, read straight into the
+	// index's pages (an earlier version's index file is ignored, as if
+	// absent). The index only changes load counts, never results, so
+	// nodes with different index states still answer identically; a
+	// discarded file is logged with its reason.
 	cfg, err := core.Config{
 		CellW: max(2, st.MaskW()/4), CellH: max(2, st.MaskH()/4),
 		Edges: core.DefaultEdges(10),

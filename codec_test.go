@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"masksearch/internal/core"
 	"masksearch/internal/store"
 )
 
@@ -263,10 +261,8 @@ func TestCheckpointIndexExplicit(t *testing.T) {
 // TestOpenOverMalformedIndex: an index file that holds an entry its
 // config could not have built is dropped at open like one of another
 // granularity: the DB starts an empty index, reports why it discarded
-// the file, and answers exactly as before. Both formats are covered:
-// a chi.idx whose slot for mask 1 counts one pixel too many, and a
-// legacy chi.gob with mask 1's counts cut to half their length (which
-// used to panic the first query that bounded that mask).
+// the file, and answers exactly as before: here a chi.idx whose slot
+// for mask 1 counts one pixel too many.
 func TestOpenOverMalformedIndex(t *testing.T) {
 	dir := t.TempDir()
 	if err := GenerateDataset(dir, TinyDataset()); err != nil {
@@ -303,10 +299,6 @@ func TestOpenOverMalformedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := core.ReadMemoryIndex(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reopen := func(name, file string) {
 		t.Helper()
 		re, err := OpenWith(dir, Options{})
@@ -338,31 +330,6 @@ func TestOpenOverMalformedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopen("chi.idx", store.IndexFileName)
-
-	// A legacy chi.gob in the envelope earlier versions wrote, read only
-	// when chi.idx is absent.
-	file := struct {
-		Cfg  core.Config
-		Chis map[int64]*core.CHI
-	}{Cfg: good.Config(), Chis: map[int64]*core.CHI{}}
-	for id := int64(1); id <= int64(good.Len()); id++ {
-		c, _ := good.ChiFor(id)
-		cp := *c
-		file.Chis[id] = &cp
-	}
-	c := file.Chis[1]
-	c.Cum = c.Cum[:len(c.Cum)/2]
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, store.LegacyIndexFileName), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopen("chi.gob", store.LegacyIndexFileName)
 }
 
 // TestQueryCorruptRLEMask damages one mask's stream in an rle dataset

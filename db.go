@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"iter"
 	"path/filepath"
 	"sync"
@@ -127,8 +126,8 @@ type IndexStats struct {
 	DataBytes int64
 	// Fraction is IndexBytes/DataBytes.
 	Fraction float64
-	// File is the persisted index file Open read (chi.idx, or a legacy
-	// chi.gob), empty when there was none.
+	// File is the persisted index file Open read (chi.idx), empty when
+	// there was none; an earlier version's index file is not read.
 	File string
 	// FileError says why Open discarded File and started an empty
 	// index instead, empty when it restored it.
@@ -253,9 +252,6 @@ func openWith(dir string, opts Options, fsys store.FS) (*DB, error) {
 	if db.idxFile.err == nil {
 		db.idxFile.entries = db.idx.Len()
 	}
-	// A legacy index is rewritten in the current format at the next
-	// persist, which then removes the legacy file.
-	db.dirty.Store(db.idxFile.err == nil && db.idxFile.name == store.LegacyIndexFileName)
 	if opts.EagerIndex {
 		// Eager ("vanilla MaskSearch") construction fans mask loads
 		// and CHI builds across the worker pool.
@@ -317,20 +313,12 @@ func (db *DB) Close() error {
 // persistIndex publishes <db>/chi.idx via the store's atomic
 // write-fsync-rename-dirsync path, so a crash at any point leaves
 // either the old index or the new one — never a torn file the next
-// Open would discard — then removes a legacy chi.gob, which the new
-// file supersedes. Encode writes the arena's pages as they are, with
+// Open would discard. Encode writes the arena's pages as they are, with
 // no per-entry work beyond their byte order. Callers (Close,
 // checkpointIndex) are mutually exclusive, which the fixed temp name
 // relies on.
 func (db *DB) persistIndex() error {
-	fsys := store.DirFS()
-	if err := store.AtomicWriteFile(fsys, filepath.Join(db.dir, store.IndexFileName), db.idx.Encode); err != nil {
-		return err
-	}
-	if err := fsys.Remove(filepath.Join(db.dir, store.LegacyIndexFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
+	return store.AtomicWriteFile(store.DirFS(), filepath.Join(db.dir, store.IndexFileName), db.idx.Encode)
 }
 
 // CheckpointIndex durably persists the CHI index to <db>/chi.idx now,

@@ -3,7 +3,6 @@ package masksearch
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"net"
@@ -365,8 +364,7 @@ func TestCoordinatorIndexNotRead(t *testing.T) {
 
 // TestCoordinatorIndexFileUntouched: with PersistIndexOnClose, a
 // coordinator's CheckpointIndex and Close leave a valid chi.idx
-// byte-identical, and a legacy chi.gob in place with no chi.idx beside
-// it — a local open would migrate that one at its next persist.
+// byte-identical.
 func TestCoordinatorIndexFileUntouched(t *testing.T) {
 	dir := t.TempDir()
 	if err := GenerateShardedDatasetCodec(dir, TinyDataset(), 2, CodecRaw); err != nil {
@@ -383,7 +381,7 @@ func TestCoordinatorIndexFileUntouched(t *testing.T) {
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	idxPath, gobPath := filepath.Join(dir, store.IndexFileName), filepath.Join(dir, store.LegacyIndexFileName)
+	idxPath := filepath.Join(dir, store.IndexFileName)
 	valid, err := os.ReadFile(idxPath)
 	if err != nil {
 		t.Fatal(err)
@@ -394,13 +392,6 @@ func TestCoordinatorIndexFileUntouched(t *testing.T) {
 	}
 	if ix.Len() == 0 {
 		t.Fatal("the seed session persisted no index entries")
-	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(struct {
-		Cfg  core.Config
-		Chis map[int64]*core.CHI
-	}{Cfg: ix.Config()}); err != nil {
-		t.Fatal(err)
 	}
 
 	a := startTestNode(t, dir, "a", nil)
@@ -432,18 +423,6 @@ func TestCoordinatorIndexFileUntouched(t *testing.T) {
 
 	coordinate("chi.idx")
 	unchanged("chi.idx", idxPath, valid)
-
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(gobPath, legacy.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	coordinate("chi.gob")
-	unchanged("chi.gob", gobPath, legacy.Bytes())
-	if _, err := os.Stat(idxPath); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("coordinator over a legacy chi.gob wrote chi.idx (stat err %v)", err)
-	}
 }
 
 // TestEagerIndexRejectedWithTopology: EagerIndex builds an index a

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -349,10 +346,7 @@ func TestIncrementalObserve(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTrip checks Encode/ReadMemoryIndex preserve bounds, and
-// that testdata/parent_chi.gob — the same fixture encoded by the commit
-// before the index became a paged table — still decodes to the same
-// index: the chi.gob envelope did not change.
+// TestIndexRoundTrip checks Encode/ReadMemoryIndex preserve bounds.
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	_, idx, ids := buildEngineFixture(rng, 10, 16, 16)
@@ -360,27 +354,21 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err := idx.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	parent, err := os.ReadFile("testdata/parent_chi.gob")
+	back, err := ReadMemoryIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, enc := range map[string][]byte{"re-encoded": buf.Bytes(), "parent commit's file": parent} {
-		back, err := ReadMemoryIndex(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if back.Len() != idx.Len() || back.SizeBytes() != idx.SizeBytes() || back.Config().Key() != idx.Config().Key() {
-			t.Fatalf("%s: round trip lost state: %d/%d/%s vs %d/%d/%s", name, back.Len(), back.SizeBytes(), back.Config().Key(),
-				idx.Len(), idx.SizeBytes(), idx.Config().Key())
-		}
-		for _, roi := range []Rect{{3, 3, 13, 11}, {0, 0, 16, 16}, {5, 6, 7, 9}} {
-			for _, vr := range []ValueRange{{Lo: 0.35, Hi: 1.0}, {Lo: 0, Hi: 0.5}, {Lo: 0.8, Hi: 0.9}} {
-				for _, id := range ids {
-					a, _ := idx.ChiFor(id)
-					b, _ := back.ChiFor(id)
-					if b == nil || a.CPBounds(roi, vr) != b.CPBounds(roi, vr) {
-						t.Fatalf("%s: mask %d: bounds for %v %v differ after round trip", name, id, roi, vr)
-					}
+	if back.Len() != idx.Len() || back.SizeBytes() != idx.SizeBytes() || back.Config().Key() != idx.Config().Key() {
+		t.Fatalf("round trip lost state: %d/%d/%s vs %d/%d/%s", back.Len(), back.SizeBytes(), back.Config().Key(),
+			idx.Len(), idx.SizeBytes(), idx.Config().Key())
+	}
+	for _, roi := range []Rect{{3, 3, 13, 11}, {0, 0, 16, 16}, {5, 6, 7, 9}} {
+		for _, vr := range []ValueRange{{Lo: 0.35, Hi: 1.0}, {Lo: 0, Hi: 0.5}, {Lo: 0.8, Hi: 0.9}} {
+			for _, id := range ids {
+				a, _ := idx.ChiFor(id)
+				b, _ := back.ChiFor(id)
+				if b == nil || a.CPBounds(roi, vr) != b.CPBounds(roi, vr) {
+					t.Fatalf("mask %d: bounds for %v %v differ after round trip", id, roi, vr)
 				}
 			}
 		}
@@ -390,66 +378,19 @@ func TestIndexRoundTrip(t *testing.T) {
 // TestReadMemoryIndexRejectsMalformed: an index file whose config is
 // not in normal form, or with an entry its config could not have
 // built, is an error naming the mask — never an index a query trusts.
-// A half-length Cum used to decode cleanly and panic the first Filter.
-// The legacy gob file holds a CHI per entry, so every corruption is an
-// entry's; the arena file holds one header for all of them, so a
-// geometry corruption is the header's and a count corruption a slot's.
-// The arena file is also cut at every offset, given a trailing byte, a
-// presence bit on an empty slot and counts in an absent one.
+// The file holds one header for all entries, so a geometry corruption
+// (half-length counts, a grid one cell too wide, an empty mask, another
+// cell size) is the header's and a count corruption a slot's. An entry
+// with edges other than its config's cannot be written: the header's
+// edges are every entry's. The file is also cut at every offset, given
+// a trailing byte, a presence bit on an empty slot and counts in an
+// absent one.
 func TestReadMemoryIndexRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	loader, idx, ids := buildEngineFixture(rng, 3, 16, 15)
 	cfg := idx.Config()
 	k := len(cfg.Edges)
 	terms := []CPTerm{{Region: FixedRegion(Rect{0, 0, 16, 15}), Range: ValueRange{Lo: 0.35, Hi: 0.85}}}
-	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		corrupt func(c *CHI)
-	}{
-		{"half-length counts", cfg, func(c *CHI) { c.Cum = c.Cum[:len(c.Cum)/2] }},
-		{"grid one cell too wide", cfg, func(c *CHI) { c.GW++; c.Cum = append(c.Cum, make([]int32, c.GH*k)...) }},
-		{"empty mask", cfg, func(c *CHI) { c.W = 0 }},
-		{"other edges", cfg, func(c *CHI) { c.Edges = append(slices.Clone(c.Edges[:k-1]), 0.95) }},
-		{"other cell size", cfg, func(c *CHI) { c.CellW *= 2 }},
-		{"count above cell area", cfg, func(c *CHI) { c.Cum[5*k]++ }},
-		{"count below cell area", cfg, func(c *CHI) { c.Cum[5*k]-- }},
-		{"counts increase", cfg, func(c *CHI) { c.Cum[k-1] = c.Cum[0] + 1 }},
-		{"negative count", cfg, func(c *CHI) { c.Cum[2*k-1] = -1 }},
-		{"config not normalized", Config{CellW: 4, CellH: 4, Edges: []float64{0.5, 0}}, func(*CHI) {}},
-	} {
-		chis := map[int64]*CHI{}
-		for _, id := range ids {
-			c, _ := idx.ChiFor(id)
-			cp := *c
-			cp.Cum = slices.Clone(c.Cum)
-			chis[id] = &cp
-		}
-		bad := ids[1]
-		tc.corrupt(chis[bad])
-		var buf bytes.Buffer
-		file := struct {
-			Cfg  Config
-			Chis map[int64]*CHI
-		}{tc.cfg, chis}
-		if err := gob.NewEncoder(&buf).Encode(file); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := ReadMemoryIndex(&buf)
-		if err == nil {
-			// What the first query over the accepted file would do.
-			_, _, qerr := Filter(context.Background(), &Env{Loader: loader, Index: ix}, ids, terms, Cmp{T: 0, Op: OpGt, C: 50})
-			t.Fatalf("%s: accepted (a query over it returned %v)", tc.name, qerr)
-		}
-		want := fmt.Sprintf("mask %d:", bad)
-		if tc.cfg.Key() != cfg.Key() {
-			want = "not normalized"
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
-		}
-	}
-
 	var buf bytes.Buffer
 	if err := idx.Encode(&buf); err != nil {
 		t.Fatal(err)

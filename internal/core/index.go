@@ -3,11 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"io/fs"
-	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -289,18 +287,17 @@ func (ix *MemoryIndex) Encode(out io.Writer) error {
 	return nil
 }
 
-// ReadMemoryIndex reads an index written by Encode, or by the gob
-// encoder of earlier versions. It rejects, naming the mask, a file whose
-// config is not in normal form or with an entry its config could not
-// have built (see CHI.validate): queries trust every entry's shape and
-// counts, so a malformed one would panic a query or decide it wrongly.
+// ReadMemoryIndex reads an index written by Encode; any other input,
+// an earlier version's gob index among it, is an error. It rejects,
+// naming the mask, a file whose config is not in normal form or with an
+// entry its config could not have built (see CHI.validate): queries
+// trust every entry's shape and counts, so a malformed one would panic
+// a query or decide it wrongly.
 func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
 	b, err := readSized(r)
 	var ix *MemoryIndex
-	if err == nil && bytes.HasPrefix(b, []byte(indexMagic)) {
+	if err == nil {
 		ix, err = decodeIndex(b)
-	} else if err == nil {
-		ix, err = readLegacyIndex(b)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: read index: %w", err)
@@ -335,6 +332,9 @@ func readSized(r io.Reader) ([]byte, error) {
 func decodeIndex(b []byte) (*MemoryIndex, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("%d-byte header", len(b))
+	}
+	if !bytes.HasPrefix(b, []byte(indexMagic)) {
+		return nil, fmt.Errorf("no %q magic: not an index file", indexMagic)
 	}
 	if v := le.Uint32(b[8:]); v != indexVersion {
 		return nil, fmt.Errorf("format version %d, want %d", v, indexVersion)
@@ -408,32 +408,5 @@ func decodeIndex(b []byte) (*MemoryIndex, error) {
 		dir[p] = pg
 	}
 	ix.dir.Store(&dir)
-	return ix, nil
-}
-
-// readLegacyIndex reads the gob index file of earlier versions, a map
-// of CHIs, copying each valid entry into the arena; entries of another
-// geometry than the first (in id order) are left unindexed.
-func readLegacyIndex(b []byte) (*MemoryIndex, error) {
-	var f struct {
-		Cfg  Config
-		Chis map[int64]*CHI
-	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return nil, err
-	}
-	ix := NewMemoryIndex(f.Cfg)
-	if ix.err != nil || !slices.Equal(ix.cfg.Edges, f.Cfg.Edges) {
-		return nil, fmt.Errorf("config %s is not normalized", f.Cfg.Key())
-	}
-	for _, id := range slices.Sorted(maps.Keys(f.Chis)) {
-		if id < 1 || id > maxIndexID {
-			return nil, fmt.Errorf("mask id %d out of range", id)
-		}
-		if err := f.Chis[id].validate(ix.cfg); err != nil {
-			return nil, fmt.Errorf("mask %d: %w", id, err)
-		}
-		ix.Add(id, f.Chis[id])
-	}
 	return ix, nil
 }

@@ -58,9 +58,10 @@ func arenaHeader(cellW, cellH uint32, edges []float64, geo ...uint32) []byte {
 	return b
 }
 
-// FuzzIndexFile decodes arbitrary bytes after the index file's magic:
-// it must never panic nor allocate more than a small multiple of the
-// input, and a file it accepts must re-encode byte-identically. Beside
+// FuzzIndexFile reads arbitrary bytes with ReadMemoryIndex: it must
+// never panic nor allocate more than a small multiple of the input,
+// input without the index file's magic must be an error, and a file it
+// accepts must re-encode byte-identically. Beside
 // that multiple the limit allows the two fixed costs of what a header
 // that passes every check is worth, measured here: the index itself
 // (its builder's byte tables) and, for each page the file fills, the
@@ -79,23 +80,24 @@ func FuzzIndexFile(f *testing.F) {
 	}
 	f.Add(encodeIndex(f, sparse))
 	f.Add(arenaHeader(1, 1, []float64{0}, 1, 1, 1, 1<<22))
+	f.Add(append([]byte("MSCHIIDY"), encodeIndex(f, sparse)[len(indexMagic):]...)) // valid but for its magic
 	index := allocated(func() { sparse = NewMemoryIndex(cfg) })
 	page := allocated(func() { sparse.newPage(&chiGeom{}) })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !bytes.HasPrefix(data, []byte(indexMagic)) {
-			return // a legacy gob file, whose reader is gob's
-		}
-		// The least of three decodes is the decoder's own allocation: the
+		// The least of three reads is the reader's own allocation: the
 		// fuzzing engine's goroutines allocate beside it now and then.
 		var ix *MemoryIndex
 		var err error
 		least := uint64(math.MaxUint64)
 		for range 3 {
-			least = min(least, allocated(func() { ix, err = decodeIndex(data) }))
+			least = min(least, allocated(func() { ix, err = ReadMemoryIndex(bytes.NewReader(data)) }))
 		}
 		n := uint64(len(data))
 		if limit := 4*n + 1024 + index + n/(128+4096)*page; least > limit {
 			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", n, least, limit)
+		}
+		if err == nil && !bytes.HasPrefix(data, []byte(indexMagic)) {
+			t.Fatalf("input without the magic was accepted: %x", data)
 		}
 		if err != nil {
 			return

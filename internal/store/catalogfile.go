@@ -22,12 +22,8 @@ import (
 // modified(1) object x0,y0,x1,y1(4 each), little-endian, the 32-bit
 // fields sign-extended on decode. Open reads the file with one ReadFile
 // and decodes it in one pass; compaction writes a new segment's file
-// whole, and repairBase trims rows a crashed compaction of an older
-// version appended past the top-level segment's count by truncation
-// alone.
-//
-// catalog.json is the format this replaced: read-only opens still read
-// it in memory, and OpenIngest migrates it to catalog.bin.
+// whole. A segment without catalog.bin, as earlier versions wrote them,
+// fails every open: such a dataset must be regenerated.
 const (
 	entrySize = 49
 	// CatalogRowSize is the size of one catalog.bin row.
@@ -136,103 +132,15 @@ func decodeCatalog(b []byte, n int, firstID int64) ([]Entry, error) {
 	return entries, nil
 }
 
-// readCatalog reads the n-row catalog of the segment directory dir,
-// whose first mask is firstID: its catalog.bin, or the legacy
-// catalog.json when no catalog.bin exists.
+// readCatalog reads the n-row catalog.bin of the segment directory dir,
+// whose first mask is firstID.
 func readCatalog(dir string, n int, firstID int64) ([]Entry, error) {
 	b, err := os.ReadFile(filepath.Join(dir, catalogBinFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		entries, err := readLegacyCatalog(dir, n, firstID)
-		if err == nil && len(entries) != n {
-			err = fmt.Errorf("%s has %d rows, manifest says %d masks — inconsistent dataset", legacyCatalogFile, len(entries), n)
-		}
-		return entries, err
+		return nil, fmt.Errorf("%w — a dataset an earlier version wrote must be regenerated", err)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return decodeCatalog(b, n, firstID)
-}
-
-// readLegacyCatalog reads a catalog.json, which must hold at least n
-// rows with ids from firstID on; rows past n (a crashed compaction
-// wrote them before its commit) are returned unchecked.
-func readLegacyCatalog(dir string, n int, firstID int64) ([]Entry, error) {
-	var entries []Entry
-	if err := readJSON(filepath.Join(dir, legacyCatalogFile), &entries); err != nil {
-		return nil, err
-	}
-	if len(entries) < n {
-		return nil, fmt.Errorf("%s has %d rows, manifest says %d masks — inconsistent dataset", legacyCatalogFile, len(entries), n)
-	}
-	for i, e := range entries[:n] {
-		if want := firstID + int64(i); e.MaskID != want {
-			return nil, fmt.Errorf("%s row %d holds mask %d, want %d", legacyCatalogFile, i, e.MaskID, want)
-		}
-	}
-	return entries, nil
-}
-
-// migrateCatalogs converts every segment of the database at dir that
-// still holds a legacy catalog.json: its first NumMasks rows become
-// catalog.bin (written through fsys, fsynced, renamed, directory
-// synced), then the JSON is removed. A crash at any point leaves each
-// segment with either the JSON alone or a complete catalog.bin, which
-// readCatalog prefers; the next migration removes the leftover JSON.
-func migrateCatalogs(fsys FS, dir string, man Manifest) error {
-	for _, seg := range man.segments() {
-		segDir := filepath.Join(dir, seg.Dir)
-		legacy := filepath.Join(segDir, legacyCatalogFile)
-		if _, err := os.Stat(legacy); errors.Is(err, fs.ErrNotExist) {
-			continue
-		} else if err != nil {
-			return err
-		}
-		bin := filepath.Join(segDir, catalogBinFile)
-		if _, err := os.Stat(bin); errors.Is(err, fs.ErrNotExist) {
-			entries, err := readLegacyCatalog(segDir, seg.NumMasks, seg.FirstID)
-			if err != nil {
-				return fmt.Errorf("migrate %s: %w", legacy, err)
-			}
-			rows, err := encodeCatalog(entries[:seg.NumMasks])
-			if err != nil {
-				return fmt.Errorf("migrate %s: %w", legacy, err)
-			}
-			if err := writeFileSync(fsys, bin, rows); err != nil {
-				return fmt.Errorf("migrate %s: %w", legacy, err)
-			}
-			if err := fsys.SyncDir(segDir); err != nil {
-				return err
-			}
-		} else if err != nil {
-			return err
-		}
-		if err := fsys.Remove(legacy); err != nil {
-			return err
-		}
-		if err := fsys.SyncDir(segDir); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CatalogFormat reports, without opening the database at dir, how its
-// catalog is stored: "bin" when every segment holds a catalog.bin,
-// "json" while some segment still holds only a legacy catalog.json
-// (Open reads it in memory, OpenIngest migrates it). rows is the
-// manifest's mask count, the number of rows the stored catalog holds.
-func CatalogFormat(dir string) (format string, rows int, err error) {
-	man, err := LoadManifest(dir)
-	if err != nil {
-		return "", 0, err
-	}
-	for _, seg := range man.segments() {
-		if _, err := os.Stat(filepath.Join(dir, seg.Dir, catalogBinFile)); errors.Is(err, fs.ErrNotExist) {
-			return "json", man.NumMasks, nil
-		} else if err != nil {
-			return "", 0, err
-		}
-	}
-	return "bin", man.NumMasks, nil
 }

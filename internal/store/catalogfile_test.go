@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -149,13 +148,11 @@ func FuzzCatalogRows(f *testing.F) {
 	})
 }
 
-// TestCatalogTornAppendTrimmed: an older version's compaction appended
-// rows to the top-level catalog.bin before its manifest commit, so a
-// crash there leaves rows the manifest does not count — here one whole
-// row and one torn mid-row, past a compaction that added a segment. A
-// plain Open refuses the file, naming it and both counts; recovery
-// truncates it back to the top-level segment's rows without decoding
-// it.
+// TestCatalogTornAppendTrimmed: a top-level catalog.bin that holds
+// rows the manifest does not count — here one whole row and one torn
+// mid-row, past a compaction that added a segment, as an older
+// version's crashed in-place compaction left it — fails every open,
+// ingest opens too, naming the file and both counts.
 func TestCatalogTornAppendTrimmed(t *testing.T) {
 	dir, ws, cat := openIngestTiny(t, 1)
 	top := cat.Len()
@@ -165,28 +162,18 @@ func TestCatalogTornAppendTrimmed(t *testing.T) {
 	if _, err := ws.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := cat.Entries()
 	ws.Close()
 
 	path := filepath.Join(dir, catalogBinFile)
 	appendFile(t, path, bytes.Repeat([]byte{0xA5}, CatalogRowSize+CatalogRowSize/2))
-	if _, _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "catalog.bin holds") ||
-		!strings.Contains(err.Error(), fmt.Sprintf("manifest says %d masks", top)) {
+	torn := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "catalog.bin holds") &&
+			strings.Contains(err.Error(), fmt.Sprintf("manifest says %d masks", top))
+	}
+	if _, _, err := Open(dir); !torn(err) {
 		t.Fatalf("open of an over-long catalog.bin: err = %v", err)
 	}
-	ws2, cat2, err := OpenIngest(DirFS(), dir)
-	if err != nil {
-		t.Fatalf("reopen after a torn catalog append: %v", err)
-	}
-	defer ws2.Close()
-	if !reflect.DeepEqual(cat2.Entries(), want) {
-		t.Fatalf("recovered catalog differs: %d rows, want %d", cat2.Len(), len(want))
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != int64(top*CatalogRowSize) {
-		t.Fatalf("catalog.bin after repair is %d bytes, want %d", fi.Size(), top*CatalogRowSize)
+	if _, _, err := OpenIngest(DirFS(), dir); !torn(err) {
+		t.Fatalf("ingest open of an over-long catalog.bin: err = %v", err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 const (
 	manifestFile      = "manifest.json"
 	catalogBinFile    = "catalog.bin"
-	legacyCatalogFile = "catalog.json"
 	masksFile         = "masks.bin"
 	masksRLEFile      = "masks.rle"
 	masksRLEIndexFile = "masks.rle.idx"
@@ -56,43 +55,35 @@ func validCodec(name string) bool { return name == CodecRaw || name == CodecRLE 
 const GenVersion = 4
 
 // IndexFileName is where the DB facade persists a CHI index inside a
-// database directory; Generate removes it, and LegacyIndexFileName, so
-// a regenerated dataset can never be queried through a stale index.
+// database directory; Generate removes it, so a regenerated dataset can
+// never be queried through a stale index.
 const IndexFileName = "chi.idx"
 
-// LegacyIndexFileName is the gob index file of earlier versions. The
-// DB facade reads it when IndexFileName is absent, and removes it once
-// IndexFileName is written.
-const LegacyIndexFileName = "chi.gob"
-
-// LoadIndex restores the CHI index persisted in dir — IndexFileName,
-// or LegacyIndexFileName when that is absent — and returns it with the
-// name of the file it read, "" when there is none; an absent file
-// leaves an empty index for cfg, which grows as queries observe masks.
-// When the file cannot be read, is malformed or was built under
-// another config, LoadIndex returns the empty index, the file's name
-// and why it discarded the file.
+// LoadIndex restores the CHI index persisted in dir's IndexFileName and
+// returns it with the file's name, "" when there is none; an absent
+// file leaves an empty index for cfg, which grows as queries observe
+// masks. An earlier version's index file is not read: the index starts
+// empty, as for a missing file. When the file cannot be read, is
+// malformed or was built under another config, LoadIndex returns the
+// empty index, the file's name and why it discarded the file.
 func LoadIndex(dir string, cfg core.Config) (*core.MemoryIndex, string, error) {
 	fresh := core.NewMemoryIndex(cfg)
-	for _, name := range []string{IndexFileName, LegacyIndexFileName} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		ix := fresh
-		if err == nil {
-			ix, err = core.ReadMemoryIndex(f)
-			f.Close()
-		}
-		if want := fresh.Config().Key(); err == nil && ix.Config().Key() != want {
-			err = fmt.Errorf("index built under %s, not %s", ix.Config().Key(), want)
-		}
-		if err != nil {
-			return fresh, name, fmt.Errorf("%s: %w", name, err)
-		}
-		return ix, name, nil
+	f, err := os.Open(filepath.Join(dir, IndexFileName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return fresh, "", nil
 	}
-	return fresh, "", nil
+	ix := fresh
+	if err == nil {
+		ix, err = core.ReadMemoryIndex(f)
+		f.Close()
+	}
+	if want := fresh.Config().Key(); err == nil && ix.Config().Key() != want {
+		err = fmt.Errorf("index built under %s, not %s", ix.Config().Key(), want)
+	}
+	if err != nil {
+		return fresh, IndexFileName, fmt.Errorf("%s: %w", IndexFileName, err)
+	}
+	return ix, IndexFileName, nil
 }
 
 // Spec describes a synthetic mask dataset. The generated saliency maps
@@ -199,10 +190,8 @@ func Generate(dir string, spec Spec, shards int, codec string) error {
 	}
 	// A persisted index describes the previous dataset's pixels;
 	// keeping it would silently corrupt query answers.
-	for _, f := range []string{IndexFileName, LegacyIndexFileName} {
-		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
+	if err := os.Remove(filepath.Join(dir, IndexFileName)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	// Likewise a leftover WAL: its segments continue the previous
 	// dataset's id space and would replay foreign masks on open.
@@ -219,7 +208,7 @@ func Generate(dir string, spec Spec, shards int, codec string) error {
 		}
 	}
 	if shards > 1 {
-		for _, f := range []string{masksFile, masksRLEFile, masksRLEIndexFile, catalogBinFile, legacyCatalogFile} {
+		for _, f := range []string{masksFile, masksRLEFile, masksRLEIndexFile, catalogBinFile} {
 			if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
 				return err
 			}
@@ -261,11 +250,11 @@ func Generate(dir string, spec Spec, shards int, codec string) error {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return err
 		}
-		// Remove the other codec's data files and a legacy catalog so a
-		// regenerated segment never carries two layouts.
-		stale := []string{masksRLEFile, masksRLEIndexFile, legacyCatalogFile}
+		// Remove the other codec's data files so a regenerated segment
+		// never carries two layouts.
+		stale := []string{masksRLEFile, masksRLEIndexFile}
 		if codec == CodecRLE {
-			stale = []string{masksFile, legacyCatalogFile}
+			stale = []string{masksFile}
 		}
 		for _, s := range stale {
 			if err := os.Remove(filepath.Join(d, s)); err != nil && !os.IsNotExist(err) {

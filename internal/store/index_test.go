@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,19 +12,16 @@ import (
 )
 
 // TestLoadIndex covers what the facade and msshard find on disk: no
-// file, the arena file (which wins over a legacy one beside it), a
-// legacy gob file (core's parent-commit fixture) when the arena file is
-// absent, a file built under another config, and a file with a
-// malformed entry. Only the last two are discarded, each with a reason
-// naming the file, for an empty index under the asked config.
+// file, the arena file, a file built under another config, and a file
+// with a malformed entry. Only the last two are discarded, each with a
+// reason naming the file, for an empty index under the asked config.
 func TestLoadIndex(t *testing.T) {
-	legacy, err := os.ReadFile("../core/testdata/parent_chi.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ReadMemoryIndex(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(13))
+	want := core.NewMemoryIndex(core.Config{CellW: 4, CellH: 4, Edges: core.DefaultEdges(10)})
+	for id := int64(1); id <= 10; id++ {
+		m := core.NewByteMask(16, 16)
+		rng.Read(m.Bytes)
+		want.Observe(id, m)
 	}
 	cfg := want.Config()
 	var buf bytes.Buffer
@@ -38,28 +36,25 @@ func TestLoadIndex(t *testing.T) {
 	bad[120+128+2*160*4]++
 	for _, tc := range []struct {
 		name         string
-		cur, old     []byte
+		file         []byte
 		cfg          core.Config
-		file, reason string
+		read, reason string
 		entries      int
 	}{
 		{name: "absent", cfg: cfg},
-		{name: "arena", cur: good, old: legacy, cfg: cfg, file: IndexFileName, entries: want.Len()},
-		{name: "legacy gob", old: legacy, cfg: cfg, file: LegacyIndexFileName, entries: want.Len()},
-		{name: "other config", cur: good, cfg: core.Config{CellW: 8, CellH: 8, Edges: cfg.Edges}, file: IndexFileName, reason: "chi.idx: index built under"},
-		{name: "malformed entry", cur: bad, cfg: cfg, file: IndexFileName, reason: "chi.idx: core: read index: mask 3:"},
+		{name: "arena", file: good, cfg: cfg, read: IndexFileName, entries: want.Len()},
+		{name: "other config", file: good, cfg: core.Config{CellW: 8, CellH: 8, Edges: cfg.Edges}, read: IndexFileName, reason: "chi.idx: index built under"},
+		{name: "malformed entry", file: bad, cfg: cfg, read: IndexFileName, reason: "chi.idx: core: read index: mask 3:"},
 	} {
 		dir := t.TempDir()
-		for name, b := range map[string][]byte{IndexFileName: tc.cur, LegacyIndexFileName: tc.old} {
-			if b != nil {
-				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		if tc.file != nil {
+			if err := os.WriteFile(filepath.Join(dir, IndexFileName), tc.file, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
 		ix, file, err := LoadIndex(dir, tc.cfg)
-		if file != tc.file {
-			t.Errorf("%s: read %q, want %q", tc.name, file, tc.file)
+		if file != tc.read {
+			t.Errorf("%s: read %q, want %q", tc.name, file, tc.read)
 		}
 		if tc.reason == "" && err != nil || tc.reason != "" && (err == nil || !strings.Contains(err.Error(), tc.reason)) {
 			t.Errorf("%s: reason %v, want one naming %q", tc.name, err, tc.reason)

@@ -142,6 +142,11 @@ func TestMappedLoadsMatchFiles(t *testing.T) {
 			if n := ws.Base().NumShards(); n != lay.shards+3 {
 				t.Fatalf("%d segments after 3 compactions, want %d", n, lay.shards+3)
 			}
+			// The first compaction, of a single-segment dataset too, added
+			// the next shard-NNN/ directory.
+			if _, err := os.Stat(filepath.Join(dir, ShardDirName(lay.shards), catalogBinFile)); err != nil {
+				t.Fatalf("no segment directory %s after compaction: %v", ShardDirName(lay.shards), err)
+			}
 		})
 	}
 }

@@ -7,8 +7,8 @@
 // a directory holding a contiguous run of mask ids:
 //
 //	catalog.bin    — one fixed-width, checksummed Entry row per mask in
-//	                 id order (catalogfile.go; a legacy catalog.json is
-//	                 still read, and migrated by OpenIngest)
+//	                 id order (catalogfile.go; a segment without it, as
+//	                 earlier versions wrote, fails the open)
 //	masks.bin      — raw uint8 pixels, the segment's k-th mask at
 //	                 offset k*W*H
 //
@@ -236,8 +236,7 @@ const maxMaskSide = 1 << 16
 // without a list — and returns the store together with the full
 // catalog. Each segment's catalog must agree with its listed extent
 // exactly and its pixel file must hold exactly the bytes those masks
-// need; recovery (OpenIngest) trims files a crashed compaction left
-// longer before it opens.
+// need.
 func Open(dir string) (*Store, *Catalog, error) {
 	man, err := LoadManifest(dir)
 	if err != nil {

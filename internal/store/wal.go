@@ -160,18 +160,15 @@ type WALStore struct {
 }
 
 // OpenIngest opens a database directory for reading and online
-// ingestion: it migrates a legacy catalog.json to catalog.bin, repairs
-// any partial compaction left by a crash, opens the base layout, then
-// scans the WAL — truncating torn tails at the first bad checksum or
-// missing commit — and replays the durable prefix into the catalog.
+// ingestion: it repairs any partial compaction left by a crash, opens
+// the base layout, then scans the WAL — truncating torn tails at the
+// first bad checksum or missing commit — and replays the durable prefix
+// into the catalog.
 // Mutating filesystem operations go through fsys (DirFS in production;
 // a FaultFS under test).
 func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 	man, err := LoadManifest(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	if err := migrateCatalogs(fsys, dir, man); err != nil {
 		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	walDir := filepath.Join(dir, walDirName)
@@ -216,24 +213,15 @@ func OpenIngest(fsys FS, dir string) (*WALStore, *Catalog, error) {
 
 // repairBase undoes the visible effects of a compaction that crashed
 // before its commit point (the manifest rename): segment directories
-// the manifest does not list are removed, and a top-level segment's
-// files are trimmed back to its listed extent, because older versions
-// compacted a single-segment dataset by appending to them. Everything
-// either step deletes is still covered by WAL segments, so no durable
-// mask is lost.
+// the manifest does not list are removed. Everything it deletes is
+// still covered by WAL segments, so no durable mask is lost.
 func repairBase(fsys FS, dir string, man Manifest) error {
-	segs := man.segments()
-	if top := segs[0]; filepath.Clean(top.Dir) == "." {
-		if err := trimSegment(fsys, dir, man, top.NumMasks); err != nil {
-			return err
-		}
-	}
 	names, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		return err
 	}
 	listed := map[string]bool{}
-	for _, info := range segs {
+	for _, info := range man.segments() {
 		listed[filepath.Clean(info.Dir)] = true
 	}
 	removed := false
@@ -247,39 +235,6 @@ func repairBase(fsys FS, dir string, man Manifest) error {
 	}
 	if removed {
 		return fsys.SyncDir(dir)
-	}
-	return nil
-}
-
-// trimSegment truncates the files of the segment at dir back to n
-// masks: its pixel file (under RLE the offset column first — its
-// trimmed length bounds the stream bytes) and catalog.bin.
-func trimSegment(fsys FS, dir string, man Manifest, n int) error {
-	if man.Codec == CodecRLE {
-		idxPath := filepath.Join(dir, masksRLEIndexFile)
-		if err := trimFile(fsys, idxPath, int64(8*(n+1))); err != nil {
-			return err
-		}
-		offs, err := readOffsets(idxPath, n)
-		if err != nil {
-			return err
-		}
-		if err := trimFile(fsys, filepath.Join(dir, masksRLEFile), offs[n]); err != nil {
-			return err
-		}
-	} else {
-		spec := man.Spec.withDefaults()
-		if err := trimFile(fsys, filepath.Join(dir, masksFile), int64(n)*int64(spec.W)*int64(spec.H)); err != nil {
-			return err
-		}
-	}
-	return trimFile(fsys, filepath.Join(dir, catalogBinFile), int64(n)*CatalogRowSize)
-}
-
-// trimFile truncates path to size bytes when it is longer.
-func trimFile(fsys FS, path string, size int64) error {
-	if fi, err := os.Stat(path); err == nil && fi.Size() > size {
-		return fsys.Truncate(path, size)
 	}
 	return nil
 }

@@ -2,302 +2,185 @@ package masksearch
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"masksearch/internal/core"
 	"masksearch/internal/store"
 )
 
-// Datasets written before catalog.bin keep each segment's catalog in a
-// catalog.json. Read-only opens read it in memory and write nothing; an
-// ingest open migrates it to catalog.bin once. These tests hold both
-// paths to the answers of a freshly generated dataset, and the migration
-// to the crash contract.
-
-// segmentDirs lists the segment directories of the database at dir —
-// dir itself, or its shard directories — with each one's first id and
-// row count.
-func segmentDirs(t *testing.T, dir string) []store.ShardInfo {
+// dirState maps every path under dir to its content, "/" for a
+// directory.
+func dirState(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	man, err := store.LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Shards) == 0 {
-		return []store.ShardInfo{{Dir: dir, FirstID: 1, NumMasks: man.NumMasks}}
-	}
-	for i := range man.Shards {
-		man.Shards[i].Dir = filepath.Join(dir, man.Shards[i].Dir)
-	}
-	return man.Shards
-}
-
-// writeLegacyDataset generates spec into dir and rewrites it in the
-// format that preceded catalog.bin: each segment's rows as an indented
-// catalog.json, and no catalog.bin.
-func writeLegacyDataset(t *testing.T, dir string, spec DatasetSpec, shards int) {
-	t.Helper()
-	if err := GenerateShardedDatasetCodec(dir, spec, shards, CodecRaw); err != nil {
-		t.Fatal(err)
-	}
-	entries := storeRows(t, dir)
-	for _, seg := range segmentDirs(t, dir) {
-		b, err := json.MarshalIndent(entries[seg.FirstID-1:seg.FirstID-1+int64(seg.NumMasks)], "", "  ")
-		if err != nil {
-			t.Fatal(err)
+	out := map[string]string{}
+	if err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		out[p] = "/"
+		if err == nil && !d.IsDir() {
+			b, rerr := os.ReadFile(p)
+			out[p], err = string(b), rerr
 		}
-		if err := os.WriteFile(filepath.Join(seg.Dir, "catalog.json"), append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(seg.Dir, "catalog.bin")); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// storeRows returns the catalog a read-only store.OpenAny reads at dir.
-func storeRows(t *testing.T, dir string) []store.Entry {
-	t.Helper()
-	st, cat, err := store.OpenAny(dir)
-	if err != nil {
+		return err
+	}); err != nil {
 		t.Fatal(err)
-	}
-	defer st.Close()
-	return cat.Entries()
-}
-
-// catalogFiles reports which catalog files every segment of dir holds:
-// "json", "bin", "both" or "none" per segment.
-func catalogFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	var out []string
-	for _, seg := range segmentDirs(t, dir) {
-		_, jerr := os.Stat(filepath.Join(seg.Dir, "catalog.json"))
-		_, berr := os.Stat(filepath.Join(seg.Dir, "catalog.bin"))
-		out = append(out, map[[2]bool]string{
-			{true, false}: "json", {false, true}: "bin", {true, true}: "both", {false, false}: "none",
-		}[[2]bool{jerr == nil, berr == nil}])
 	}
 	return out
 }
 
-func allOf(s string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = s
+// TestLegacyArtifacts opens what earlier versions left in a database
+// directory, whose every file has one reader, of the current format. A
+// segment with a catalog.json and no catalog.bin, or a top-level segment
+// longer than its manifest by a whole row or a torn one (a crashed
+// in-place compaction), fails every open with an error naming
+// catalog.bin and changes nothing. A chi.gob is ignored as if absent:
+// the index starts empty, answers equal a fresh open's, and a persist
+// writes chi.idx beside the untouched chi.gob.
+func TestLegacyArtifacts(t *testing.T) {
+	fsys := store.DirFS()
+	opens := map[string]func(dir string) (io.Closer, error){
+		"store.Open":       func(dir string) (io.Closer, error) { st, _, err := store.Open(dir); return st, err },
+		"store.OpenIngest": func(dir string) (io.Closer, error) { ws, _, err := store.OpenIngest(fsys, dir); return ws, err },
+		"OpenWith":         func(dir string) (io.Closer, error) { return OpenWith(dir, Options{PersistIndexOnClose: true}) },
 	}
-	return out
-}
-
-// TestLegacyCatalogEquivalence: a legacy dataset, single and sharded,
-// answers every plan kind byte-identically to a freshly generated one —
-// read-only, through a shard node over store.OpenAny (which must leave
-// the JSON in place), and after an ingest open migrated it.
-func TestLegacyCatalogEquivalence(t *testing.T) {
-	ctx := context.Background()
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			fresh, legacy := t.TempDir(), t.TempDir()
-			if err := GenerateShardedDatasetCodec(fresh, TinyDataset(), shards, CodecRaw); err != nil {
-				t.Fatal(err)
+	// refused fails unless every open of dir fails naming each of want
+	// and leaves dir as it was.
+	refused := func(t *testing.T, dir string, want ...string) {
+		t.Helper()
+		before := dirState(t, dir)
+		for name, open := range opens {
+			c, err := open(dir)
+			if err == nil {
+				c.Close()
 			}
-			writeLegacyDataset(t, legacy, TinyDataset(), shards)
-			ref, err := OpenWith(fresh, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			check := func(stage string, db *DB) {
-				t.Helper()
-				for i, q := range shardEquivQueries {
-					got, err := db.Query(ctx, q)
-					if err != nil {
-						t.Fatalf("%s query %d: %v", stage, i, err)
-					}
-					want, err := ref.Query(ctx, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameResult(got, want) {
-						t.Fatalf("%s query %d diverged:\ngot  %+v\nwant %+v", stage, i, got, want)
-					}
+			for _, w := range want {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: err = %v, want one naming %q", name, err, w)
 				}
 			}
+			if !reflect.DeepEqual(dirState(t, dir), before) {
+				t.Fatalf("%s changed the database directory", name)
+			}
+		}
+	}
 
-			if got := storeRows(t, legacy); !reflect.DeepEqual(got, ref.Entries()) {
-				t.Fatal("read-only open of the legacy catalog returns other rows than a fresh dataset")
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("catalog.json/shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := GenerateShardedDatasetCodec(dir, TinyDataset(), shards, CodecRaw); err != nil {
+				t.Fatal(err)
 			}
-			node := startTestNode(t, legacy, "a", nil)
-			routes := make([][]string, shards)
-			for i := range routes {
-				routes[i] = []string{"a"}
-			}
-			coord, err := OpenWith(fresh, Options{TopologyFile: writeTopology(t, map[string]*testNode{"a": node}, routes)})
+			// The last segment's rows as the catalog.json that preceded
+			// catalog.bin held them.
+			st, cat, err := store.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("read-only legacy node", coord)
-			coord.Close()
-			if got := catalogFiles(t, legacy); !reflect.DeepEqual(got, allOf("json", shards)) {
-				t.Fatalf("catalog files after read-only opens: %v, want only the legacy JSON", got)
+			st.Close()
+			seg, rows := dir, cat.Entries()
+			if man, err := store.LoadManifest(dir); err != nil {
+				t.Fatal(err)
+			} else if shards > 1 {
+				last := man.Shards[shards-1]
+				seg, rows = filepath.Join(dir, last.Dir), rows[last.FirstID-1:]
 			}
-
-			db, err := OpenWith(legacy, Options{Workers: 1})
+			b, err := json.MarshalIndent(rows, "", "  ")
+			if err == nil {
+				err = os.WriteFile(filepath.Join(seg, "catalog.json"), b, 0o644)
+			}
+			if err == nil {
+				err = os.Remove(filepath.Join(seg, "catalog.bin"))
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer db.Close()
-			if got := catalogFiles(t, legacy); !reflect.DeepEqual(got, allOf("bin", shards)) {
-				t.Fatalf("catalog files after an ingest open: %v, want catalog.bin only", got)
-			}
-			if !reflect.DeepEqual(db.Entries(), ref.Entries()) {
-				t.Fatal("migrated catalog differs from a fresh dataset's")
-			}
-			check("migrated", db)
+			refused(t, dir, filepath.Join(seg, "catalog.bin"), "regenerate")
 		})
 	}
-}
 
-// TestLegacyMigrationCrash crashes the migrating ingest open at every
-// filesystem operation under each keep policy: every segment keeps a
-// catalog file, a read-only open finds the original rows in whichever
-// one is authoritative, and the next ingest open completes the
-// migration with the same rows.
-func TestLegacyMigrationCrash(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pristine := t.TempDir()
-			writeLegacyDataset(t, pristine, faultSpec(), shards)
-			want := storeRows(t, pristine)
-			migrate := func(dir string, fsys store.FS) {
-				if ws, _, err := store.OpenIngest(fsys, dir); err == nil {
-					ws.Close()
-				}
-			}
-			clean := t.TempDir()
-			copyTree(t, pristine, clean)
-			ffClean := store.NewFaultFS(store.KeepAll)
-			migrate(clean, ffClean)
-			nOps := ffClean.Ops()
-			if got := catalogFiles(t, clean); !reflect.DeepEqual(got, allOf("bin", shards)) {
-				t.Fatalf("clean migration left catalog files %v", got)
-			}
-
-			for _, pol := range []store.KeepPolicy{store.KeepNone, store.KeepHalf, store.KeepAll} {
-				for crashAt := 0; crashAt < nOps; crashAt++ {
-					dir := t.TempDir()
-					copyTree(t, pristine, dir)
-					ff := store.NewFaultFS(pol)
-					ff.SetCrashAt(crashAt)
-					migrate(dir, ff)
-					if !ff.Crashed() {
-						t.Fatalf("%v crashAt=%d: migration finished without reaching the crash point", pol, crashAt)
-					}
-					for i, f := range catalogFiles(t, dir) {
-						if f == "none" {
-							t.Fatalf("%v crashAt=%d: segment %d lost its catalog", pol, crashAt, i)
-						}
-					}
-					if got := storeRows(t, dir); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v crashAt=%d: read-only open after the crash reads other rows", pol, crashAt)
-					}
-					ws, cat, err := store.OpenIngest(store.DirFS(), dir)
-					if err != nil {
-						t.Fatalf("%v crashAt=%d: reopen: %v", pol, crashAt, err)
-					}
-					got := cat.Entries()
-					ws.Close()
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v crashAt=%d: migrated rows differ from the legacy catalog's", pol, crashAt)
-					}
-					if files := catalogFiles(t, dir); !reflect.DeepEqual(files, allOf("bin", shards)) {
-						t.Fatalf("%v crashAt=%d: catalog files after reopen: %v", pol, crashAt, files)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestLegacyIndexMigrates: a dataset whose index an older version
-// persisted as a gob chi.gob opens with that index restored (msinspect
-// names it), answers as with no index at all, and its next persist
-// writes chi.idx and removes chi.gob, after which opens read chi.idx.
-func TestLegacyIndexMigrates(t *testing.T) {
-	dir := t.TempDir()
-	if err := GenerateDataset(dir, TinyDataset()); err != nil {
-		t.Fatal(err)
-	}
-	q := `SELECT mask_id FROM masks WHERE CP(mask, object, 0.8, 1.0) > 20`
-	bare, err := OpenWith(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bare.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare.Close()
-
-	// The gob envelope older versions wrote, over every mask at the
-	// facade's default granularity.
-	st, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{CellW: st.MaskW() / 4, CellH: st.MaskH() / 4, Edges: core.DefaultEdges(10)}
-	file := struct {
-		Cfg  core.Config
-		Chis map[int64]*core.CHI
-	}{Cfg: cfg, Chis: map[int64]*core.CHI{}}
-	for id := int64(1); id <= int64(st.NumMasks()); id++ {
-		m, err := st.LoadMask(id)
+	t.Run("chi.gob", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := GenerateDataset(dir, TinyDataset()); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := OpenWith(dir, Options{EagerIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if file.Chis[id], err = core.Build(m, cfg); err != nil {
+		want := runSuite(t, fresh)
+		// The fresh index in the gob envelope earlier versions wrote.
+		chis := map[int64]*core.CHI{}
+		for id := int64(1); id <= int64(fresh.idx.Len()); id++ {
+			chis[id], _ = fresh.idx.ChiFor(id)
+		}
+		var legacy bytes.Buffer
+		err = gob.NewEncoder(&legacy).Encode(struct {
+			Cfg  core.Config
+			Chis map[int64]*core.CHI
+		}{fresh.idx.Config(), chis})
+		fresh.Close()
+		gobPath := filepath.Join(dir, "chi.gob")
+		if err == nil {
+			err = os.WriteFile(gobPath, legacy.Bytes(), 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		st.ReleaseMask(m)
-	}
-	st.Close()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, store.LegacyIndexFileName)
-	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	for _, tc := range []struct{ file string }{{store.LegacyIndexFileName}, {store.IndexFileName}} {
 		db, err := OpenWith(dir, Options{PersistIndexOnClose: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, _ := db.IndexStats()
-		if is.File != tc.file || is.FileError != "" || is.FileEntries != len(file.Chis) {
-			t.Fatalf("opened with index file %q (%d entries, error %q), want %s with %d", is.File, is.FileEntries, is.FileError, tc.file, len(file.Chis))
+		if st, err := db.IndexStats(); err != nil || st.File != "" || st.FileError != "" || st.IndexedMasks != 0 {
+			t.Fatalf("open over a chi.gob: index stats %+v (err %v), want no file read and an empty index", st, err)
 		}
-		got, err := db.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats.Loaded >= want.Stats.Loaded {
-			t.Fatalf("over %s: ids %v loading %d, want %v loading fewer than %d", tc.file, got.IDs, got.Stats.Loaded, want.IDs, want.Stats.Loaded)
+		for i, got := range runSuite(t, db) {
+			if !sameResult(got, want[i]) {
+				t.Fatalf("query %d over a chi.gob: %+v, want a fresh open's %+v", i, got, want[i])
+			}
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-			t.Fatalf("%s still present after a persist (err %v)", store.LegacyIndexFileName, err)
+		_, ierr := os.Stat(filepath.Join(dir, store.IndexFileName))
+		if got, err := os.ReadFile(gobPath); ierr != nil || err != nil || !bytes.Equal(got, legacy.Bytes()) {
+			t.Fatalf("after close: chi.idx %v; chi.gob %d bytes (err %v), want chi.idx written and chi.gob's %d bytes as they were",
+				ierr, len(got), err, legacy.Len())
 		}
+	})
+
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("over-long top segment/torn=%v", torn), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := GenerateDataset(dir, TinyDataset()); err != nil {
+				t.Fatal(err)
+			}
+			// An ingest open leaves the WAL directory recovery looks for.
+			if db, err := opens["OpenWith"](dir); err != nil || db.Close() != nil {
+				t.Fatal(err)
+			}
+			spec := TinyDataset()
+			for name, n := range map[string]int{"masks.bin": spec.W * spec.H, "catalog.bin": store.CatalogRowSize} {
+				if torn {
+					n /= 2
+				}
+				path := filepath.Join(dir, name)
+				b, err := os.ReadFile(path)
+				if err == nil {
+					err = os.WriteFile(path, append(b, bytes.Repeat([]byte{0xA5}, n)...), 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			refused(t, dir, "catalog.bin holds", fmt.Sprintf("manifest says %d masks", spec.NumMasks()))
+		})
 	}
 }
