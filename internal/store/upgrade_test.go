@@ -11,7 +11,7 @@ import (
 	"masksearch/internal/core"
 )
 
-// upgradeSpec is the dataset the upgrade tests grow: 12 images of one
+// upgradeSpec is the dataset the upgrade test grows: 12 images of one
 // saliency and one human attention map each, ids 1–24.
 var upgradeSpec = Spec{Name: "u", Images: 12, Models: 1, W: 16, H: 16, Seed: 11, HumanAttention: true}
 
@@ -19,17 +19,9 @@ var upgradeSpec = Spec{Name: "u", Images: 12, Models: 1, W: 16, H: 16, Seed: 11,
 // older version's in-place compaction appended for masks, whose ids
 // continue the dataset: their pixels to masks.bin — under RLE their
 // core.EncodeRLE streams to masks.rle and end offsets to masks.rle.idx
-// — and their rows to catalog.bin. With cut >= 0 the offset column
-// (RLE) or masks.bin (raw) and catalog.bin get only their first cut
-// bytes, as a crash mid-compaction leaves them.
-func appendInPlace(t *testing.T, dir, codec string, masks []IngestMask, cut int) {
+// — and their rows to catalog.bin.
+func appendInPlace(t *testing.T, dir, codec string, masks []IngestMask) {
 	t.Helper()
-	clip := func(b []byte) []byte {
-		if cut >= 0 && cut < len(b) {
-			return b[:cut]
-		}
-		return b
-	}
 	var entries []Entry
 	var pix, idx []byte
 	var end int64
@@ -57,11 +49,11 @@ func appendInPlace(t *testing.T, dir, codec string, masks []IngestMask, cut int)
 	}
 	if codec == CodecRLE {
 		appendFile(t, filepath.Join(dir, masksRLEFile), pix)
-		appendFile(t, filepath.Join(dir, masksRLEIndexFile), clip(idx))
+		appendFile(t, filepath.Join(dir, masksRLEIndexFile), idx)
 	} else {
-		appendFile(t, filepath.Join(dir, masksFile), clip(pix))
+		appendFile(t, filepath.Join(dir, masksFile), pix)
 	}
-	appendFile(t, filepath.Join(dir, catalogBinFile), clip(rows))
+	appendFile(t, filepath.Join(dir, catalogBinFile), rows)
 }
 
 // freshMasks opens a fresh generation of upgradeSpec in codec and
@@ -120,9 +112,10 @@ func checkSameMasks(t *testing.T, st MaskStore, cat *Catalog, want []IngestMask,
 // TestUpgradeInPlaceCompacted opens a single-segment dataset an older
 // version compacted in place — masks.bin (or masks.rle and its offset
 // column) and catalog.bin grown, the manifest count bumped, no segment
-// directories — read-only and through ingest. Its next compaction adds
-// shard-001/, and every answer matches a fresh generation of the same
-// masks.
+// directories. Its files match its manifest, so it is a current-format
+// dataset and needs no reader of its own: it opens read-only and
+// through ingest, its next compaction adds shard-001/, and every answer
+// matches a fresh generation of the same masks.
 func TestUpgradeInPlaceCompacted(t *testing.T) {
 	for _, codec := range []string{CodecRaw, CodecRLE} {
 		fresh, _, masks := freshMasks(t, codec)
@@ -133,7 +126,7 @@ func TestUpgradeInPlaceCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The older compaction moved images 9–10 (ids 17–20) in place.
-		appendInPlace(t, dir, codec, masks[16:20], -1)
+		appendInPlace(t, dir, codec, masks[16:20])
 		man, err := LoadManifest(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -177,67 +170,6 @@ func TestUpgradeInPlaceCompacted(t *testing.T) {
 		st, cat, err = Open(dir)
 		if err != nil {
 			t.Fatalf("%q: reopen: %v", codec, err)
-		}
-		checkSameMasks(t, st, cat, masks, fresh)
-		st.Close()
-	}
-}
-
-// TestUpgradeInPlaceCrashRecovers builds the state an older version's
-// in-place compaction left when it crashed before its manifest commit —
-// pixel, offset and catalog files longer than the manifest, torn
-// mid-record, and the WAL intact — and reopens it: every acknowledged
-// mask must come back, from the WAL, with the base trimmed to the
-// manifest's extent; a compaction then adds shard-001/.
-func TestUpgradeInPlaceCrashRecovers(t *testing.T) {
-	for _, codec := range []string{CodecRaw, CodecRLE} {
-		fresh, _, masks := freshMasks(t, codec)
-		dir := t.TempDir()
-		base := upgradeSpec
-		base.Images = 8 // ids 1–16
-		if err := Generate(dir, base, 1, codec); err != nil {
-			t.Fatal(err)
-		}
-		ws, _, err := OpenIngest(DirFS(), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ws.Append(context.Background(), masks[16:]); err != nil {
-			t.Fatal(err)
-		}
-		ws.Close()
-		sizes := map[string]int64{}
-		for _, name := range []string{masksFile, masksRLEFile, masksRLEIndexFile, catalogBinFile} {
-			if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				sizes[name] = fi.Size()
-			}
-		}
-		appendInPlace(t, dir, codec, masks[16:], 3*CatalogRowSize+7)
-
-		ws, cat, err := OpenIngest(DirFS(), dir)
-		if err != nil {
-			t.Fatalf("%q: reopen after the crash: %v", codec, err)
-		}
-		for name, size := range sizes {
-			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() != size {
-				t.Fatalf("%q: %s not trimmed back to %d bytes: %v, %v", codec, name, size, fi.Size(), err)
-			}
-		}
-		if got := ws.IngestStats().TailMasks; got != 8 {
-			t.Fatalf("%q: %d masks replayed to the tail, want 8", codec, got)
-		}
-		checkSameMasks(t, ws, cat, masks, fresh)
-		if n, err := ws.Compact(context.Background()); err != nil || n != 8 {
-			t.Fatalf("%q: compact: moved %d, err %v", codec, n, err)
-		}
-		ws.Close()
-
-		st, cat, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.NumShards() != 2 {
-			t.Fatalf("%q: %d segments, want 2", codec, st.NumShards())
 		}
 		checkSameMasks(t, st, cat, masks, fresh)
 		st.Close()
