@@ -1,9 +1,9 @@
 // Benchmarks that regenerate the paper's figures under `go test
 // -bench`. One benchmark (family) exists per evaluation artifact:
 //
-//	BenchmarkFigure7_*   — Q1–Q5 across MaskSearch and the 3 baselines
-//	                       (Table 2's masks-loaded counts are reported
-//	                       as the masks/op metric)
+//	BenchmarkFigure7_*   — Q1–Q5 on MaskSearch and FullScan (Table 2's
+//	                       masks-loaded counts are reported as the
+//	                       masks/op metric)
 //	BenchmarkFigure8_*   — random queries of each §4.3 type
 //	BenchmarkFigure9_*   — Filter queries reporting FML (time~FML)
 //	BenchmarkFigure11_*  — a multi-query workload under MS / MS-II / NumPy
@@ -12,8 +12,9 @@
 // generated per benchmark, so the whole suite completes in seconds.
 // The per-layer benchmarks (CHI bounds and build, the verification
 // kernel, mask loads) live in internal/core and internal/store; the
-// end-to-end measurements are benchmark/ (BENCHMARK.json).
-package masksearch_test
+// end-to-end measurements are benchmark/ (BENCHMARK.json). FullScan
+// and the random query generators are in fullscan_test.go.
+package masksearch
 
 import (
 	"context"
@@ -21,10 +22,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"masksearch/internal/baseline"
 	"masksearch/internal/core"
 	"masksearch/internal/store"
-	"masksearch/internal/workload"
 )
 
 // benchSeed drives every random query generator.
@@ -47,25 +46,26 @@ type benchDataset struct {
 	idx  *core.MemoryIndex
 }
 
-// openBenchDataset generates spec into a temporary directory, opens it
-// and builds its index; both go away when b finishes.
-func openBenchDataset(b *testing.B, spec store.Spec) *benchDataset {
-	b.Helper()
-	dir := b.TempDir()
-	if err := store.Generate(dir, spec, 1, store.CodecRaw); err != nil {
-		b.Fatal(err)
+// openBenchDataset generates spec with codec into a temporary
+// directory, opens it and builds its index; both go away when tb
+// finishes.
+func openBenchDataset(tb testing.TB, spec store.Spec, codec string) *benchDataset {
+	tb.Helper()
+	dir := tb.TempDir()
+	if err := store.Generate(dir, spec, 1, codec); err != nil {
+		tb.Fatal(err)
 	}
 	st, cat, err := store.Open(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { st.Close() })
+	tb.Cleanup(func() { st.Close() })
 	d := &benchDataset{spec: spec, st: st, cat: cat, cfg: core.Config{
 		CellW: max(2, spec.W/4), CellH: max(2, spec.H/4), Edges: core.DefaultEdges(10),
 	}}
 	d.idx = core.NewMemoryIndex(d.cfg)
 	if _, err := core.IndexAll(context.Background(), st, d.idx, cat.MaskIDs(nil), core.Exec{}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
@@ -74,7 +74,7 @@ func (d *benchDataset) env(ex core.Exec) *core.Env {
 	return &core.Env{Loader: d.st, Index: d.idx, Exec: ex}
 }
 
-// engine is the query surface MaskSearch and the baselines share.
+// engine is the query surface MaskSearch and FullScan share.
 type engine interface {
 	Name() string
 	Filter(ctx context.Context, targets []int64, terms []core.CPTerm, pred core.Pred) ([]int64, core.Stats, error)
@@ -99,9 +99,9 @@ func (m maskSearch) AggTopK(ctx context.Context, groups []core.Group, terms []co
 	return core.AggTopK(ctx, m.env, groups, terms, score, agg, k, ord)
 }
 
-// tableQuery is one of the paper's Table 1 queries resolved against a
-// dataset: an aggregation when groups is set, a filter when pred is,
-// a top-k otherwise.
+// tableQuery is one query resolved against a dataset: a mean
+// aggregation when groups is set, a filter when pred is, a top-k
+// otherwise.
 type tableQuery struct {
 	name    string
 	targets []int64
@@ -109,19 +109,20 @@ type tableQuery struct {
 	terms   []core.CPTerm
 	pred    core.Pred
 	k       int
+	order   core.Order
 }
 
-func (q tableQuery) run(ctx context.Context, e engine) error {
-	var err error
+// run answers q on e: a filter's ids, or a ranking.
+func (q tableQuery) run(ctx context.Context, e engine) (ids []int64, ranked []core.Scored, err error) {
 	switch {
 	case q.groups != nil:
-		_, _, err = e.AggTopK(ctx, q.groups, q.terms, 0, core.Mean, q.k, core.Desc)
+		ranked, _, err = e.AggTopK(ctx, q.groups, q.terms, 0, core.Mean, q.k, q.order)
 	case q.pred != nil:
-		_, _, err = e.Filter(ctx, q.targets, q.terms, q.pred)
+		ids, _, err = e.Filter(ctx, q.targets, q.terms, q.pred)
 	default:
-		_, _, err = e.TopK(ctx, q.targets, q.terms, 0, q.k, core.Desc)
+		ranked, _, err = e.TopK(ctx, q.targets, q.terms, 0, q.k, q.order)
 	}
-	return err
+	return ids, ranked, err
 }
 
 // tableQueries returns the five Table 1 stand-in queries on d:
@@ -157,26 +158,21 @@ func tableQueries(d *benchDataset) []tableQuery {
 func BenchmarkFigure7(b *testing.B) {
 	ctx := context.Background()
 	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
-		d := openBenchDataset(b, spec)
-		engines := []engine{
-			maskSearch{d.env(core.Exec{})},
-			baseline.NewFullScan(d.st),
-			baseline.NewTupleScan(d.st),
-			baseline.NewArraySlice(d.st),
-		}
+		d := openBenchDataset(b, spec, store.CodecRaw)
+		engines := []engine{maskSearch{d.env(core.Exec{})}, fullScan{d.st}}
 		for _, q := range tableQueries(d) {
 			for _, e := range engines {
 				b.Run(fmt.Sprintf("%s/%s/%s", spec.Name, q.name, e.Name()), func(b *testing.B) {
 					before := d.st.Stats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := q.run(ctx, e); err != nil {
+						if _, _, err := q.run(ctx, e); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StopTimer()
 					st := d.st.Stats().Sub(before)
-					b.ReportMetric(float64(st.MasksLoaded+st.RegionReads)/float64(b.N), "masks/op")
+					b.ReportMetric(float64(st.MasksLoaded)/float64(b.N), "masks/op")
 				})
 			}
 		}
@@ -187,7 +183,7 @@ func BenchmarkFigure7(b *testing.B) {
 // types (a fresh random query per iteration).
 func BenchmarkFigure8(b *testing.B) {
 	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
-		d := openBenchDataset(b, spec)
+		d := openBenchDataset(b, spec, store.CodecRaw)
 		benchRandomFamilies(b, d, spec.Name+"/", d.env(core.Exec{}))
 	}
 }
@@ -202,8 +198,8 @@ func benchRandomFamilies(b *testing.B, d *benchDataset, prefix string, env *core
 	b.Run(prefix+"Filter", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(benchSeed))
 		for i := 0; i < b.N; i++ {
-			q := workload.RandomFilter(rng, d.cat, w, h, ids)
-			if _, _, err := core.Filter(ctx, env, q.Targets, q.Terms(d.cat), q.Pred()); err != nil {
+			q := randomFilter(rng, w, h, ids)
+			if _, _, err := core.Filter(ctx, env, q.targets, q.terms(d.cat), q.pred()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -211,8 +207,8 @@ func benchRandomFamilies(b *testing.B, d *benchDataset, prefix string, env *core
 	b.Run(prefix+"TopK", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(benchSeed))
 		for i := 0; i < b.N; i++ {
-			q := workload.RandomTopK(rng, w, h, ids)
-			if _, _, err := core.TopK(ctx, env, q.Targets, q.Terms(), 0, q.K, q.Order); err != nil {
+			q := randomRank(rng, w, h, ids, nil)
+			if _, _, err := core.TopK(ctx, env, q.targets, q.terms(), 0, q.k, q.order); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -220,8 +216,8 @@ func benchRandomFamilies(b *testing.B, d *benchDataset, prefix string, env *core
 	b.Run(prefix+"Aggregation", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(benchSeed))
 		for i := 0; i < b.N; i++ {
-			q := workload.RandomAgg(rng, w, h, groups)
-			if _, _, err := core.AggTopK(ctx, env, q.Groups, q.Terms(), 0, core.Mean, q.K, q.Order); err != nil {
+			q := randomRank(rng, w, h, nil, groups)
+			if _, _, err := core.AggTopK(ctx, env, q.groups, q.terms(), 0, core.Mean, q.k, q.order); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -233,15 +229,15 @@ func benchRandomFamilies(b *testing.B, d *benchDataset, prefix string, env *core
 func BenchmarkFigure9(b *testing.B) {
 	ctx := context.Background()
 	for _, spec := range []store.Spec{wildsQuick, imagenetQuick} {
-		d := openBenchDataset(b, spec)
+		d := openBenchDataset(b, spec, store.CodecRaw)
 		env := d.env(core.Exec{})
 		ids := d.cat.MaskIDs(nil)
 		b.Run(spec.Name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(benchSeed))
 			var fmlSum float64
 			for i := 0; i < b.N; i++ {
-				q := workload.RandomFilter(rng, d.cat, spec.W, spec.H, ids)
-				_, stats, err := core.Filter(ctx, env, q.Targets, q.Terms(d.cat), q.Pred())
+				q := randomFilter(rng, spec.W, spec.H, ids)
+				_, stats, err := core.Filter(ctx, env, q.targets, q.terms(d.cat), q.pred())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -257,12 +253,12 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	ctx := context.Background()
 	const nQueries = 15
-	d := openBenchDataset(b, wildsQuick)
-	queries := workload.MultiQuery(rand.New(rand.NewSource(benchSeed)), d.cat,
+	d := openBenchDataset(b, wildsQuick, store.CodecRaw)
+	queries := multiQuery(rand.New(rand.NewSource(benchSeed)), d.cat,
 		d.spec.W, d.spec.H, nQueries, 0.5)
 	run := func(b *testing.B, e engine) {
 		for _, q := range queries {
-			if _, _, err := e.Filter(ctx, q.Targets, q.Terms(d.cat), q.Pred()); err != nil {
+			if _, _, err := e.Filter(ctx, q.targets, q.terms(d.cat), q.pred()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -281,7 +277,7 @@ func BenchmarkFigure11(b *testing.B) {
 		}
 	})
 	b.Run("NumPy", func(b *testing.B) {
-		e := baseline.NewFullScan(d.st)
+		e := fullScan{d.st}
 		for i := 0; i < b.N; i++ {
 			run(b, e)
 		}
@@ -292,7 +288,7 @@ func BenchmarkFigure11(b *testing.B) {
 // worker-pool engine (8 workers) on the three §4.3 query families.
 // Parallel gains require actual cores; on one core par8 is ~1x.
 func BenchmarkEngine(b *testing.B) {
-	d := openBenchDataset(b, wildsQuick)
+	d := openBenchDataset(b, wildsQuick, store.CodecRaw)
 	for _, mode := range []struct {
 		name string
 		ex   core.Exec
@@ -305,7 +301,7 @@ func BenchmarkEngine(b *testing.B) {
 // sequential vs 8 workers.
 func BenchmarkEagerIndexBuild(b *testing.B) {
 	ctx := context.Background()
-	d := openBenchDataset(b, imagenetQuick)
+	d := openBenchDataset(b, imagenetQuick, store.CodecRaw)
 	ids := d.cat.MaskIDs(nil)
 	for _, mode := range []struct {
 		name string

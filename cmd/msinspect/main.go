@@ -86,12 +86,12 @@ func main() {
 	defer func() {
 		st := db.Stats()
 		rs := st.Reads
-		fmt.Printf("\nstore reads: %d masks, %d regions, %d bytes (cache: %d hits, %d misses, %d evicted)\n",
-			rs.MasksLoaded, rs.RegionReads, rs.BytesRead, rs.CacheHits, rs.CacheMisses, rs.CacheEvicted)
+		fmt.Printf("\nstore reads: %d masks, %d bytes (cache: %d hits, %d misses, %d evicted)\n",
+			rs.MasksLoaded, rs.BytesRead, rs.CacheHits, rs.CacheMisses, rs.CacheEvicted)
 		if st.Shards > 1 {
 			for i, srs := range st.ShardReads {
-				fmt.Printf("  shard %03d: %d masks, %d regions, %d bytes\n",
-					i, srs.MasksLoaded, srs.RegionReads, srs.BytesRead)
+				fmt.Printf("  shard %03d: %d masks, %d bytes\n",
+					i, srs.MasksLoaded, srs.BytesRead)
 			}
 		}
 		fmt.Printf("plan cache: %d entries, %d hits, %d misses\n",
@@ -293,14 +293,12 @@ func inspectMask(db *masksearch.DB, id int64, lo, hi float64, renderW int) {
 	fmt.Print(render(m, e.Object, renderW))
 }
 
+// histogram16 counts m's pixels into 16 equal-width value bins; a
+// saturated pixel lands in the top bin.
 func histogram16(m *masksearch.Mask) []int {
 	h := make([]int, 16)
-	for _, v := range m.ToFloat().Pix {
-		i := int(v * 16)
-		if i > 15 {
-			i = 15
-		}
-		h[i]++
+	for _, b := range m.Decoded().Bytes {
+		h[min(int(float32(b)/255*16), 15)]++
 	}
 	return h
 }

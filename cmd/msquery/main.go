@@ -186,8 +186,8 @@ func streamFirst(db *masksearch.DB, sql string, args []any, n int, cacheB int64)
 
 func printReadStats(db *masksearch.DB, elapsed time.Duration, cacheB int64) {
 	rs := db.ReadStats()
-	fmt.Printf("total: %s   store reads: %d masks, %d regions, %d bytes",
-		elapsed.Round(time.Microsecond), rs.MasksLoaded, rs.RegionReads, rs.BytesRead)
+	fmt.Printf("total: %s   store reads: %d masks, %d bytes",
+		elapsed.Round(time.Microsecond), rs.MasksLoaded, rs.BytesRead)
 	if cacheB != 0 {
 		fmt.Printf("   cache: %d hits, %d misses, %d evicted", rs.CacheHits, rs.CacheMisses, rs.CacheEvicted)
 	}

@@ -179,7 +179,6 @@ func serveMetrics(addr string, node *dist.Node, st store.MaskStore) {
 			"msshard.BytesOut":   float64(ns.BytesOut),
 
 			"msshard.store.MasksLoaded": float64(rs.MasksLoaded),
-			"msshard.store.RegionReads": float64(rs.RegionReads),
 			"msshard.store.BytesRead":   float64(rs.BytesRead),
 			"msshard.store.CacheHits":   float64(rs.CacheHits),
 			"msshard.store.CacheMisses": float64(rs.CacheMisses),

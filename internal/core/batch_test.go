@@ -520,8 +520,7 @@ var batchBench = sync.OnceValue(func() (f struct {
 		m := blobByteMask(rng, w, h)
 		loader.masks[f.ids[i]] = m
 		if i%3 != 2 {
-			chi, _ := Build(m, idx.Config())
-			idx.Add(f.ids[i], chi)
+			idx.Observe(f.ids[i], m)
 		}
 	}
 	f.env = &Env{Loader: loader, Index: idx, Exec: Exec{Workers: 2}}

@@ -211,23 +211,10 @@ func (bd *builder) fill(c *CHI, m *Mask) {
 		bd.accumBytes(c.Cum, m.Bytes, m.W, m.H, gw, gh)
 		return
 	}
-	// First accumulate per-bin counts, then suffix-sum each cell.
-	if m.RLE != nil {
-		// Compressed fast path: whole repeat runs fold through the
-		// value→bin LUT in one update per cell they touch — no pixel
-		// materialization.
-		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &bd.bin)
-	} else {
-		for y := 0; y < m.H; y++ {
-			cy := y / cfg.CellH
-			rowBase := cy * gw
-			for x := 0; x < m.W; x++ {
-				v := float64(m.Pix[y*m.W+x])
-				base := (rowBase + x/cfg.CellW) * k
-				c.Cum[base+binIndex(cfg.Edges, v)]++
-			}
-		}
-	}
+	// An RLE mask: whole repeat runs fold through the value→bin LUT in
+	// one update per cell they touch, with no pixel materialization;
+	// then each cell's per-bin counts are suffix-summed.
+	accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &bd.bin)
 	for cell := 0; cell < gw*gh; cell++ {
 		suffixSum(c.Cum[cell*k:][:k])
 	}
@@ -244,10 +231,10 @@ func suffixSum(col []int32) {
 // accumBytes is the byte-domain build: the counts at or above each
 // edge of every cell into cum. Pixels are quantized to 256 levels, so
 // the byte tables replace a per-pixel binary search, and byteVal
-// reproduces the store's decoding exactly, so the counts equal the
-// float path's. Under a builder with geCell, a cell whose width is a
-// multiple of 16 goes through vecCell; every other cell through
-// lutCell.
+// reproduces the store's decoding exactly, so each pixel lands in the
+// bin binIndex gives its decoded value. Under a builder with geCell, a
+// cell whose width is a multiple of 16 goes through vecCell; every
+// other cell through lutCell.
 func (bd *builder) accumBytes(cum []int32, pix []byte, w, h, gw, gh int) {
 	var lanes [4][256]int32
 	cw, ch, k := bd.cfg.CellW, bd.cfg.CellH, len(bd.cfg.Edges)

@@ -11,21 +11,20 @@ import (
 	"testing"
 )
 
-// randomMask draws a mask with clustered values plus forced exact-0.0
-// and exact-1.0 pixels so the top-bin edge case is always exercised.
+// randomMask draws a byte mask with clustered values plus forced 0
+// and 255 pixels so the top-bin edge case is always exercised.
 func randomMask(rng *rand.Rand, w, h int) *Mask {
-	m := NewMask(w, h)
-	for i := range m.Pix {
+	m := NewByteMask(w, h)
+	for i := range m.Bytes {
 		switch rng.Intn(10) {
 		case 0:
-			m.Pix[i] = 1.0
+			m.Bytes[i] = 255
 		case 1:
-			m.Pix[i] = 0.0
+			m.Bytes[i] = 0
 		case 2:
-			// Quantized like the on-disk store.
-			m.Pix[i] = float32(rng.Intn(256)) / 255
+			m.Bytes[i] = byte(rng.Intn(256))
 		default:
-			m.Pix[i] = rng.Float32()
+			m.Bytes[i] = byte(math.Round(float64(rng.Float32()) * 255))
 		}
 	}
 	return m
@@ -143,9 +142,9 @@ func TestCPBoundsExactWhenAligned(t *testing.T) {
 // TestCPTopBinSaturated pins the v == 1.0 edge: a fully saturated mask
 // must report every pixel in any top-closed range and zero in [x, 1).
 func TestCPTopBinSaturated(t *testing.T) {
-	m := NewMask(8, 8)
-	for i := range m.Pix {
-		m.Pix[i] = 1.0
+	m := NewByteMask(8, 8)
+	for i := range m.Bytes {
+		m.Bytes[i] = 255
 	}
 	if got := ExactCP(m, m.Bounds(), ValueRange{Lo: 0.9, Hi: 1.0}); got != 64 {
 		t.Fatalf("top-closed CP over saturated mask = %d, want 64", got)
@@ -187,8 +186,7 @@ func buildEngineFixture(rng *rand.Rand, n, w, h int) (*mapLoader, *MemoryIndex, 
 		id := int64(i)
 		m := randomMask(rng, w, h)
 		loader.masks[id] = m
-		chi, _ := Build(m, idx.Config())
-		idx.Add(id, chi)
+		idx.Observe(id, m)
 		ids = append(ids, id)
 	}
 	return loader, idx, ids

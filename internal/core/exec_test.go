@@ -43,8 +43,7 @@ func buildParFixture(rng *rand.Rand, n, w, h int) (*syncLoader, *MemoryIndex, []
 		m := randomMask(rng, w, h)
 		loader.masks[id] = m
 		if i%3 != 0 {
-			chi, _ := Build(m, idx.Config())
-			idx.Add(id, chi)
+			idx.Observe(id, m)
 		}
 		ids = append(ids, id)
 	}
@@ -218,8 +217,7 @@ func TestIndexAll(t *testing.T) {
 	loader, _, ids := buildParFixture(rng, 50, 16, 16)
 	for _, w := range workerCounts {
 		idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
-		pre, _ := Build(loader.masks[ids[0]], idx.Config())
-		idx.Add(ids[0], pre)
+		idx.Observe(ids[0], loader.masks[ids[0]])
 		built, err := IndexAll(context.Background(), loader, idx, ids, Exec{Workers: w})
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +366,7 @@ func TestTauGatePrunesVerifyLoads(t *testing.T) {
 		id, m := int64(i+1), bimodalByteMask(rng, 16, 16)
 		chi, _ := Build(m, idx.Config())
 		loader.masks[id] = m
-		idx.Add(id, chi)
+		idx.Observe(id, m)
 		cands[i] = CandBound{ID: id, B: chi.CPBounds(roi, vr), Indexed: true}
 		exact[id] = ExactCP(m, roi, vr)
 	}
@@ -730,12 +728,9 @@ func TestMemoryIndexOutOfRangeIDs(t *testing.T) {
 func BenchmarkChiFor(b *testing.B) {
 	const n = 20000
 	idx := NewMemoryIndex(Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
-	chi, err := Build(randomMask(rand.New(rand.NewSource(1)), 16, 16), idx.Config())
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := randomMask(rand.New(rand.NewSource(1)), 16, 16)
 	for id := int64(1); id <= n; id++ {
-		idx.Add(id, chi)
+		idx.Observe(id, m)
 	}
 	ids := rand.New(rand.NewSource(2)).Perm(n)
 	lookup := func(k int) {

@@ -170,19 +170,6 @@ func (ix *MemoryIndex) publish(pg *chiPage, i int) {
 	ix.n.Add(1)
 }
 
-// Add stores a copy of a prebuilt CHI for id unless id is already
-// indexed. A CHI the index's config could not have built, one of
-// another geometry, and an id outside [1, 2^32] are ignored.
-func (ix *MemoryIndex) Add(id int64, chi *CHI) {
-	if chi == nil || chi.validate(ix.cfg) != nil {
-		return
-	}
-	if pg, i := ix.claim(id, chi.W, chi.H); pg != nil {
-		copy(pg.chis[i].Cum, chi.Cum)
-		ix.publish(pg, i)
-	}
-}
-
 // Observe indexes a mask that a query just loaded, if it is not
 // indexed yet. Its signature matches Env.OnVerify so the incremental
 // mode is wired as OnVerify: idx.Observe. It never retains m: the

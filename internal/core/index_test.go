@@ -136,12 +136,12 @@ func TestIndexFileHugeCount(t *testing.T) {
 var wildsIndexFile = sync.OnceValue(func() []byte {
 	rng := rand.New(rand.NewSource(44))
 	ix := NewMemoryIndex(Config{CellW: 32, CellH: 32, Edges: DefaultEdges(10)})
-	var chis [16]*CHI
-	for i := range chis {
-		chis[i], _ = Build(bimodalByteMask(rng, 128, 128), ix.Config())
+	var masks [16]*Mask
+	for i := range masks {
+		masks[i] = bimodalByteMask(rng, 128, 128)
 	}
 	for id := int64(1); id <= 4500; id++ {
-		ix.Add(id, chis[id%16])
+		ix.Observe(id, masks[id%16])
 	}
 	var buf bytes.Buffer
 	if err := ix.Encode(&buf); err != nil || ix.Len() != 4500 {

@@ -92,8 +92,8 @@ func byteVal(b int) float64 { return float64(float32(b) / 255) }
 // query: a stored byte b satisfies the range iff lo <= b < hi (hi
 // ranges up to 256). Because byteVal is strictly increasing, the byte
 // interval selects exactly the bytes whose decoded value satisfies
-// Contains, so byte-domain kernels agree bit-for-bit with the float
-// path on quantized masks.
+// Contains, so the byte-domain kernels count exactly the pixels whose
+// decoded value Contains accepts.
 func (vr ValueRange) ByteBounds() (lo, hi int) {
 	lo = sort.Search(256, func(b int) bool { return byteVal(b) >= vr.Lo })
 	if vr.Hi >= 1 {
@@ -111,23 +111,21 @@ func (vr ValueRange) String() string {
 	return fmt.Sprintf("[%g, %g)", vr.Lo, vr.Hi)
 }
 
-// Mask is a dense 2-D array of pixel values in [0, 1], row-major.
-// It has three interchangeable backings:
+// Mask is a dense 2-D array of pixel values in [0, 1], row-major,
+// stored in the uint8 pixel domain (value = b/255). It has two
+// interchangeable backings:
 //
-//   - Pix, float32 values, the general representation;
-//   - Bytes, raw uint8 pixels as stored on disk (value = b/255); and
+//   - Bytes, raw uint8 pixels as stored on disk; and
 //   - RLE, the run-length-encoded byte stream of the compressed
-//     layout (see EncodeRLE), still in the uint8 pixel domain.
+//     layout (see EncodeRLE).
 //
-// When Bytes is non-nil it is authoritative and the kernels run in
-// the byte domain (SSE2 or SWAR counting over quantized thresholds, no
-// float conversion); Pix may then be nil. When only RLE is non-nil the
-// hot kernels (ExactCP, CHI Build) iterate the runs directly without
-// materializing pixels; everything else decodes first via Decoded.
-// Masks loaded from a store are byte- or RLE-backed depending on the
-// store's codec; masks built in memory via NewMask are float-backed.
-// Consumers should read pixels through At, ExactCP or ToFloat rather
-// than ranging over Pix directly, which is nil on byte-backed masks.
+// When Bytes is non-nil it is authoritative and the kernels count it
+// directly (SSE2 or SWAR over quantized thresholds, no float
+// conversion). When only RLE is non-nil the hot kernels (ExactCP, CHI
+// Build) iterate the runs directly without materializing pixels;
+// everything else decodes first via Decoded. Masks loaded from a store
+// are byte- or RLE-backed depending on the store's codec; masks built
+// in memory via NewByteMask are byte-backed.
 //
 // RowDir, when non-nil, is the row directory of RLE (see IndexRLE):
 // RowDir[y] is the stream offset of row y. It is an optional
@@ -135,15 +133,9 @@ func (vr ValueRange) String() string {
 // RLE mask leaves it nil and the kernels walk from row 0.
 type Mask struct {
 	W, H   int
-	Pix    []float32
 	Bytes  []uint8
 	RLE    []byte
 	RowDir []uint32
-}
-
-// NewMask allocates a zero float-backed mask of the given dimensions.
-func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Pix: make([]float32, w*h)}
 }
 
 // NewByteMask allocates a zero byte-backed mask of the given
@@ -159,10 +151,7 @@ func (m *Mask) At(x, y int) float32 {
 	if m.Bytes != nil {
 		return float32(m.Bytes[y*m.W+x]) / 255
 	}
-	if m.RLE != nil {
-		return float32(m.rleAt(x, y)) / 255
-	}
-	return m.Pix[y*m.W+x]
+	return float32(m.rleAt(x, y)) / 255
 }
 
 // rleRowStart returns the stream offset of row y: from the row
@@ -213,43 +202,25 @@ func (m *Mask) rleAt(x, y int) uint8 {
 	}
 }
 
-// Set stores v at pixel (x, y). The caller must stay in bounds. On a
-// byte-backed mask the value is clamped to [0, 1] and quantized to
-// the storage domain, so a subsequent At may return the nearest
-// representable value rather than v itself.
+// Set stores v at pixel (x, y). The caller must stay in bounds. The
+// value is clamped to [0, 1] and quantized to the storage domain, so a
+// subsequent At may return the nearest representable value rather
+// than v itself.
 func (m *Mask) Set(x, y int, v float32) {
-	if m.Bytes != nil {
-		v = min(max(v, 0), 1)
-		m.Bytes[y*m.W+x] = uint8(math.Round(float64(v) * 255))
-		return
-	}
-	if m.RLE != nil {
+	if m.Bytes == nil {
 		// The compressed stream is immutable; writable copies come from
 		// Decoded.
 		panic("core: Set on an RLE-backed mask; call Decoded first")
 	}
-	m.Pix[y*m.W+x] = v
-}
-
-// ToFloat returns a float-backed view of the mask: the mask itself
-// when already float-backed, otherwise a converted copy.
-func (m *Mask) ToFloat() *Mask {
-	if m.Pix != nil {
-		return m
-	}
-	b := m.Decoded().Bytes
-	out := NewMask(m.W, m.H)
-	for i, v := range b {
-		out.Pix[i] = float32(v) / 255
-	}
-	return out
+	v = min(max(v, 0), 1)
+	m.Bytes[y*m.W+x] = uint8(math.Round(float64(v) * 255))
 }
 
 // Decoded returns a mask with materialized pixels: the mask itself
-// when Bytes or Pix is already present, otherwise a byte-backed copy
+// when Bytes is already present, otherwise a byte-backed copy
 // decompressed from the RLE stream. It is the decode-then-scan
-// fallback for code without a compressed path (rendering, histograms,
-// region extraction). The stream must be valid (the store validates
+// fallback for code without a compressed path (rendering,
+// histograms). The stream must be valid (the store validates
 // every mask it serves); a corrupt stream panics.
 func (m *Mask) Decoded() *Mask {
 	if m.Bytes != nil || m.RLE == nil {
@@ -268,8 +239,7 @@ func (m *Mask) Bounds() Rect { return Rect{0, 0, m.W, m.H} }
 // ExactCP computes CP(mask, roi, vr): the count of pixels inside roi
 // whose value falls in vr. It is the one-off form of the verification
 // kernel — executors quantize the range once per query (termPlan) and
-// count through the same rangeCounter. Byte- and RLE-backed masks never
-// touch a float.
+// count through the same rangeCounter, never touching a float.
 func ExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
 	roi = roi.Intersect(m.Bounds())
 	if roi.Empty() || vr.IsEmpty() {
@@ -277,31 +247,6 @@ func ExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
 	}
 	rc := newRangeCounter(vr)
 	return rc.countMask(m, roi)
-}
-
-// exactCPFloat counts on a float-backed mask. Comparisons happen in
-// float64 so the kernel agrees exactly with ValueRange.Contains and
-// with CHI bin assignment.
-func exactCPFloat(m *Mask, roi Rect, vr ValueRange) int64 {
-	var n int64
-	closedTop := vr.Hi >= 1
-	for y := roi.Y0; y < roi.Y1; y++ {
-		row := m.Pix[y*m.W+roi.X0 : y*m.W+roi.X1]
-		for _, p := range row {
-			v := float64(p)
-			if v < vr.Lo {
-				continue
-			}
-			if closedTop {
-				if v <= 1 {
-					n++
-				}
-			} else if v < vr.Hi {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // SWAR constants: the low bit and the high (sign) bit of every byte
@@ -362,8 +307,6 @@ func (rc *rangeCounter) matches(b byte) bool { return int(b) >= rc.bLo && int(b)
 // inside r, which must lie within the mask.
 func (rc *rangeCounter) countMask(m *Mask, r Rect) int64 {
 	switch {
-	case m.Bytes == nil && m.RLE == nil:
-		return exactCPFloat(m, r, rc.vr)
 	case rc.bLo >= rc.bHi:
 		return 0
 	case rc.bLo == 0 && rc.bHi == 256:

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,41 +56,43 @@ func TestByteBoundsMatchContains(t *testing.T) {
 	}
 }
 
-// TestByteFloatKernelAgreement is the byte-domain correctness
-// property: for random quantized masks, the byte-domain ExactCP and
-// LUT-based Build must agree exactly with the float64 kernels on the
-// converted mask.
-func TestByteFloatKernelAgreement(t *testing.T) {
+// TestByteKernelsMatchContains is the kernels' correctness property:
+// for random quantized masks, ExactCP on the byte, RLE and
+// row-directory RLE forms counts exactly the pixels whose decoded
+// value vr.Contains, and Build on each form gives refCum's counts.
+func TestByteKernelsMatchContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 300; iter++ {
 		w, h := 4+rng.Intn(29), 4+rng.Intn(29)
 		bm := randomByteMask(rng, w, h)
-		fm := bm.ToFloat()
-		if fm.Bytes != nil || bm.Pix != nil {
-			t.Fatal("backing mixup")
-		}
+		forms := backings(t, bm)
 		for probe := 0; probe < 10; probe++ {
 			roi := randomROI(rng, w, h)
 			vr := randomVR(rng)
-			if got, want := ExactCP(bm, roi, vr), ExactCP(fm, roi, vr); got != want {
-				t.Fatalf("iter %d: byte ExactCP = %d, float = %d (roi %v vr %v)", iter, got, want, roi, vr)
+			var want int64
+			in := roi.Intersect(bm.Bounds())
+			for y := in.Y0; y < in.Y1; y++ {
+				for _, b := range bm.Bytes[y*w+in.X0 : y*w+in.X1] {
+					if vr.Contains(byteVal(int(b))) {
+						want++
+					}
+				}
+			}
+			for i, m := range forms {
+				if got := ExactCP(m, roi, vr); got != want {
+					t.Fatalf("iter %d: backing %d ExactCP = %d, Contains counts %d (roi %v vr %v)", iter, i, got, want, roi, vr)
+				}
 			}
 		}
 		cfg := randomConfig(rng)
-		bc, err := Build(bm, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := Build(fm, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bc.Cum) != len(fc.Cum) {
-			t.Fatalf("iter %d: CHI shapes differ", iter)
-		}
-		for i := range bc.Cum {
-			if bc.Cum[i] != fc.Cum[i] {
-				t.Fatalf("iter %d: LUT CHI differs from float CHI at %d: %d vs %d", iter, i, bc.Cum[i], fc.Cum[i])
+		want := refCum(bm.Bytes, w, h, cfg)
+		for i, m := range forms {
+			c, err := Build(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(c.Cum, want) {
+				t.Fatalf("iter %d: backing %d CHI differs from refCum under %+v", iter, i, cfg)
 			}
 		}
 	}
@@ -192,7 +195,7 @@ func popcnt(x uint64) int {
 	return n
 }
 
-// TestByteMaskAccessors covers At/ToFloat on both backings.
+// TestByteMaskAccessors covers At and Set on a byte-backed mask.
 func TestByteMaskAccessors(t *testing.T) {
 	bm := NewByteMask(4, 2)
 	bm.Bytes[5] = 255
@@ -203,14 +206,7 @@ func TestByteMaskAccessors(t *testing.T) {
 	if bm.At(2, 0) != float32(51)/255 {
 		t.Fatalf("byte At = %g", bm.At(2, 0))
 	}
-	fm := bm.ToFloat()
-	if fm.At(1, 1) != 1.0 || fm.At(2, 0) != float32(51)/255 {
-		t.Fatal("ToFloat lost values")
-	}
-	if fm.ToFloat() != fm {
-		t.Fatal("ToFloat of a float mask should be identity")
-	}
-	// Set on a byte-backed mask quantizes into the storage domain.
+	// Set quantizes into the storage domain.
 	bm.Set(0, 0, 0.2)
 	if bm.Bytes[0] != 51 {
 		t.Fatalf("byte Set stored %d, want 51", bm.Bytes[0])
@@ -219,9 +215,5 @@ func TestByteMaskAccessors(t *testing.T) {
 	bm.Set(3, 0, -2)  // clamped to 0.0
 	if bm.Bytes[1] != 255 || bm.Bytes[3] != 0 {
 		t.Fatalf("byte Set clamping stored %d/%d, want 255/0", bm.Bytes[1], bm.Bytes[3])
-	}
-	fm.Set(0, 0, 0.25)
-	if fm.At(0, 0) != 0.25 {
-		t.Fatal("float Set lost value")
 	}
 }

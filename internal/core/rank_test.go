@@ -50,8 +50,7 @@ var rankBench = sync.OnceValue(func() (f struct {
 		ids[i] = int64(i + 1)
 		m := blobByteMask(rng, w, h)
 		loader.masks[ids[i]] = m
-		chi, _ := Build(m, idx.Config())
-		idx.Add(ids[i], chi)
+		idx.Observe(ids[i], m)
 	}
 	for g := range groups {
 		groups[g] = Group{Key: int64(g + 1), IDs: ids[3*g : 3*g+3]}
@@ -138,8 +137,7 @@ func tieFixture(rng *rand.Rand, n int) (*syncLoader, *MemoryIndex, []int64, []Gr
 		}
 		loader.masks[ids[i]] = m
 		if i%3 != 2 {
-			chi, _ := Build(m, idx.Config())
-			idx.Add(ids[i], chi)
+			idx.Observe(ids[i], m)
 		}
 	}
 	var groups []Group

@@ -88,12 +88,11 @@ type refineCase struct {
 	vr  ValueRange
 }
 
-// backings returns the mask in its three interchangeable backings. The
-// float one is the byte mask converted, so all three hold the same
-// logical pixels.
+// backings returns the mask as bytes, as RLE with a row directory and
+// as bare RLE, all holding the same logical pixels.
 func backings(tb testing.TB, bm *Mask) []*Mask {
 	rle := EncodeRLE(bm.Bytes, bm.W, bm.H)
-	return []*Mask{bm, withRowDir(tb, rle, bm.W, bm.H), {W: bm.W, H: bm.H, RLE: rle}, bm.ToFloat()}
+	return []*Mask{bm, withRowDir(tb, rle, bm.W, bm.H), {W: bm.W, H: bm.H, RLE: rle}}
 }
 
 // bimodalByteMask is saliency-shaped: a dark background, a saturated
@@ -206,8 +205,8 @@ func checkRefine(tb testing.TB, c refineCase) {
 	}
 }
 
-// TestRefineCP is the refinement property over random byte, RLE and
-// float masks, regions (empty, 1-px-wide, off-grid, full-frame, partly
+// TestRefineCP is the refinement property over random byte and RLE
+// masks, regions (empty, 1-px-wide, off-grid, full-frame, partly
 // outside), ranges (edge-aligned, off-edge, band, top-closed, empty)
 // and configs (cells from 1x1 to larger than the mask, 1-16 edges).
 func TestRefineCP(t *testing.T) {
@@ -276,7 +275,7 @@ func FuzzRefineCP(f *testing.F) {
 		mw := int(w)%len(pix) + 1
 		mh := len(pix) / mw
 		bm := &Mask{W: mw, H: mh, Bytes: pix[:mw*mh]}
-		m := backings(t, bm)[int(backing)%4]
+		m := backings(t, bm)[int(backing)%3]
 		cfg := Config{CellW: int(cellW)%70 + 1, CellH: int(cellH)%70 + 1, Edges: DefaultEdges(int(edges)%16 + 1)}
 		roi := Rect{int(x0), int(y0), int(x0) + int(rw), int(y0) + int(rh)}
 		checkRefine(t, refineCase{m, cfg, roi, ValueRange{Lo: lo, Hi: hi}})
@@ -336,7 +335,7 @@ func TestFilterAndOfTwoTerms(t *testing.T) {
 		id := int64(i + 1)
 		ids[i] = id
 		bm := bimodalByteMask(rng, 24, 20)
-		loader.masks[id] = backings(t, bm)[rng.Intn(4)]
+		loader.masks[id] = backings(t, bm)[rng.Intn(3)]
 		if i%5 != 0 { // every fifth mask is unindexed
 			idx.Observe(id, bm)
 		}
@@ -383,11 +382,9 @@ func TestFilterAndOfTwoTerms(t *testing.T) {
 	}
 }
 
-// TestEdgesInterned: every entry of an index — built by Observe, added
-// from a private value-equal copy, or read back from the index file —
-// views the index's one Edges slice, SizeBytes counts the one page's
-// slab and nothing per entry, and a CHI under other edges is not
-// indexed.
+// TestEdgesInterned: every entry of an index — built by Observe or
+// read back from the index file — views the index's one Edges slice,
+// and SizeBytes counts the one page's slab and nothing per entry.
 func TestEdgesInterned(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)}
@@ -395,11 +392,6 @@ func TestEdgesInterned(t *testing.T) {
 	for id := int64(1); id <= 5; id++ {
 		idx.Observe(id, randomByteMask(rng, 8, 8))
 	}
-	private, err := Build(randomByteMask(rng, 8, 8), Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.Add(6, private)
 	var buf bytes.Buffer
 	if err := idx.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -408,6 +400,7 @@ func TestEdgesInterned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stride := len(mustChi(t, idx, 1).Cum)
 	for _, ix := range []*MemoryIndex{idx, back} {
 		shared := ix.Config().Edges
 		ix.each(func(id int64, c *CHI) {
@@ -415,18 +408,9 @@ func TestEdgesInterned(t *testing.T) {
 				t.Errorf("mask %d holds a private copy of the index's edges", id)
 			}
 		})
-		if got, want := ix.SizeBytes(), int64(chiPageSize*len(private.Cum)*4); ix.Len() != 6 || got != want {
-			t.Errorf("%d entries in %d bytes, want 6 in one page's slab of %d", ix.Len(), got, want)
+		if got, want := ix.SizeBytes(), int64(chiPageSize*stride*4); ix.Len() != 5 || got != want {
+			t.Errorf("%d entries in %d bytes, want 5 in one page's slab of %d", ix.Len(), got, want)
 		}
-	}
-	other, err := Build(randomByteMask(rng, 8, 8), Config{CellW: 4, CellH: 4, Edges: DefaultEdges(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := idx.SizeBytes()
-	idx.Add(7, other)
-	if chi, _ := idx.ChiFor(7); chi != nil || idx.Len() != 6 || idx.SizeBytes() != before {
-		t.Errorf("a CHI under other edges was indexed: %d entries, %d -> %d bytes", idx.Len(), before, idx.SizeBytes())
 	}
 }
 
@@ -468,20 +452,24 @@ func TestSelectNth(t *testing.T) {
 
 // benchIndex is 4 500 saliency-shaped 128x128 masks' worth of CHIs at
 // the facade's default granularity — the explore workloads' shape —
-// plus one object box per mask.
-func benchIndex(tb testing.TB) ([]*CHI, []Rect) {
+// each built alone and observed into an index under id i+1, plus one
+// object box per mask.
+func benchIndex(tb testing.TB) ([]*CHI, *MemoryIndex, []Rect) {
 	rng := rand.New(rand.NewSource(22))
 	cfg := Config{CellW: 32, CellH: 32, Edges: DefaultEdges(10)}
+	ix := NewMemoryIndex(cfg)
 	chis, boxes := make([]*CHI, 4500), make([]Rect, 4500)
 	for i := range chis {
-		chi, err := Build(bimodalByteMask(rng, 128, 128), cfg)
+		m := bimodalByteMask(rng, 128, 128)
+		chi, err := Build(m, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		ix.Observe(int64(i+1), m)
 		x0, y0 := rng.Intn(80), rng.Intn(80)
 		chis[i], boxes[i] = chi, Rect{x0, y0, x0 + 25 + rng.Intn(23), y0 + 25 + rng.Intn(23)}
 	}
-	return chis, boxes
+	return chis, ix, boxes
 }
 
 // BenchmarkCPBounds is the bounds layer, reported per mask: one pass in
@@ -489,16 +477,12 @@ func benchIndex(tb testing.TB) ([]*CHI, []Rect) {
 // (memoized cover) and per-mask object boxes; oneoff is CHI.CPBounds,
 // which derives a plan per call. The index cases take each CHI from a
 // MemoryIndex through ChiFor, as the engine does: index-built holds
-// the same CHIs added in shuffled id order, index-read that index
-// written out and read back, so both see the index's layout.
+// the same CHIs built by Observe, index-read that index written out
+// and read back, so both see the index's layout.
 func BenchmarkCPBounds(b *testing.B) {
-	chis, boxes := benchIndex(b)
+	chis, built, boxes := benchIndex(b)
 	vr := ValueRange{0.6, 1}
 	rect := Rect{30, 20, 74, 64}
-	built := NewMemoryIndex(chis[0].Config())
-	for _, i := range rand.New(rand.NewSource(24)).Perm(len(chis)) {
-		built.Add(int64(i+1), chis[i])
-	}
 	var file bytes.Buffer
 	if err := built.Encode(&file); err != nil {
 		b.Fatal(err)
@@ -532,8 +516,8 @@ func BenchmarkCPBounds(b *testing.B) {
 
 // BenchmarkBuild is the index-build layer, one saliency-shaped mask per
 // op, on each mask form: byte (the raw store's masks, counted cell by
-// cell through the byte tables), rle (whole runs folded through the
-// value→bin LUT) and float (a binary search per pixel). Two shapes at
+// cell through the byte tables) and rle (whole runs folded through the
+// value→bin LUT). Two shapes at
 // the facade's default granularity: 128x128 under 32² cells (the
 // wilds-sim masks) and 64x64 under 16² cells (imagenet-sim). "build" is
 // the one-off Build, which makes its tables per call; "index" is
@@ -554,14 +538,11 @@ func BenchmarkBuild(b *testing.B) {
 		m    *Mask
 		cell int
 	}{{big, 32}, {small, 16}}
-	for _, form := range []string{"byte", "rle", "float"} {
+	for _, form := range []string{"byte", "rle"} {
 		for _, sh := range shapes {
 			m := sh.m
-			switch form {
-			case "rle":
+			if form == "rle" {
 				m = withRowDir(b, EncodeRLE(m.Bytes, m.W, m.H), m.W, m.H)
-			case "float":
-				m = m.ToFloat()
 			}
 			cfg := Config{CellW: sh.cell, CellH: sh.cell, Edges: DefaultEdges(10)}
 			px := float64(m.W * m.H)

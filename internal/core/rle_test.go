@@ -195,7 +195,7 @@ func int32sEqual(a, b []int32) bool {
 }
 
 // TestRLEAccessors checks the decode-then-scan fallbacks: At walks
-// runs, Decoded materializes bytes, ToFloat converts, Set refuses.
+// runs, Decoded materializes bytes, Set refuses.
 func TestRLEAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w, h := 19, 11
@@ -211,10 +211,6 @@ func TestRLEAccessors(t *testing.T) {
 	dec := rm.Decoded()
 	if !bytes.Equal(dec.Bytes, pix) {
 		t.Fatal("Decoded bytes differ from source pixels")
-	}
-	ff := rm.ToFloat()
-	if ff.Pix[3] != float32(pix[3])/255 {
-		t.Fatal("ToFloat mismatch")
 	}
 	defer func() {
 		if recover() == nil {

@@ -262,7 +262,7 @@ func (c *Coordinator) foldReads(info nodeInfo) {
 // differenced against a fresher baseline would otherwise subtract from
 // the accumulator.
 func clampReads(d store.ReadStats) store.ReadStats {
-	for _, f := range []*int64{&d.MasksLoaded, &d.RegionReads, &d.BytesRead, &d.CacheHits, &d.CacheMisses, &d.CacheEvicted, &d.TailLoads} {
+	for _, f := range []*int64{&d.MasksLoaded, &d.BytesRead, &d.CacheHits, &d.CacheMisses, &d.CacheEvicted, &d.TailLoads} {
 		if *f < 0 {
 			*f = 0
 		}

@@ -19,8 +19,9 @@ import (
 // name at hello instead of misparsing a work frame mid-query. (Version
 // 1 was the JSON payload encoding, which carried no version; version 4
 // ends every exchange with ftEnd and keeps the connection; version 5
-// ranks a top-k in one rank exchange per shard.)
-const WireVersion = 5
+// ranks a top-k in one rank exchange per shard; version 6 drops
+// RegionReads from node stats.)
+const WireVersion = 6
 
 // Payload encoding. A frame payload is its message's fields in order,
 // little-endian, with no tags, padding or self-description:
@@ -63,7 +64,7 @@ const (
 	scoreSize = 2 * 8
 	termSize  = 4 + 7*8
 	cmpSize   = 3 * 8
-	readsSize = 7 * 8
+	readsSize = 6 * 8
 	pushSize  = 2 * 8
 	groupSize = 4 * 8
 	optSize   = 8
@@ -361,7 +362,6 @@ func (m *nodeInfo) wire(w *wire) {
 	w.str(&m.BootID)
 	slice(w, &m.Reads, readsSize, func(w *wire, r *store.ReadStats) {
 		w.i64(&r.MasksLoaded)
-		w.i64(&r.RegionReads)
 		w.i64(&r.BytesRead)
 		w.i64(&r.CacheHits)
 		w.i64(&r.CacheMisses)

@@ -20,7 +20,7 @@ func wireSamples() []wireMsg {
 		Range: core.ValueRange{Lo: math.Inf(-1), Hi: 0.8}}
 	st := core.Stats{Targets: 9, IndexHits: 8, AcceptedByBounds: 3, RejectedByBounds: 2, Loaded: 4}
 	info := nodeInfo{Node: "a", BootID: "0123456789abcdef", Reads: []store.ReadStats{
-		{MasksLoaded: 1, RegionReads: 2, BytesRead: 3, CacheHits: 4, CacheMisses: 5, CacheEvicted: 6, TailLoads: 7}, {}}}
+		{MasksLoaded: 1, BytesRead: 3, CacheHits: 4, CacheMisses: 5, CacheEvicted: 6, TailLoads: 7}, {}}}
 	items := []core.VerifyItem{{ID: 4, B: core.Bounds{Lo: 2, Hi: 9}}, {ID: 1 << 40, B: core.Bounds{Lo: -1, Hi: 0}}}
 	return []wireMsg{
 		&helloReq{},

@@ -14,11 +14,10 @@ import (
 // around them that ignores ctx would keep dialing dead nodes after
 // the query was cancelled.
 var loadCallNames = map[string]bool{
-	"LoadMask":   true,
-	"LoadRegion": true,
-	"verify":     true,
-	"roundTrip":  true,
-	"helloAddr":  true,
+	"LoadMask":  true,
+	"verify":    true,
+	"roundTrip": true,
+	"helloAddr": true,
 }
 
 // ctxLoopScope is the packages CtxLoop checks: the verification core

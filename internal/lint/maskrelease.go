@@ -6,9 +6,9 @@ import (
 )
 
 // MaskRelease enforces the mask ownership contract: every value
-// obtained from LoadMask/LoadRegion must, on every path out of the
-// function, either be released (ReleaseMask, a pool Put) or escape to
-// an owner that pins it — returned to the caller, stored into a
+// obtained from LoadMask must, on every path out of the function,
+// either be released (ReleaseMask, a pool Put) or escape to an owner
+// that pins it — returned to the caller, stored into a
 // struct field, map, slice, channel or composite literal, or captured
 // by a closure. A mask that reaches no release and no owner bypasses
 // the sync.Pool recycling that keeps a steady verification stream
@@ -37,7 +37,7 @@ import (
 // mask referenced inside one escapes (the closure owns it).
 var MaskRelease = &Analyzer{
 	Name: "maskrelease",
-	Doc:  "every LoadMask/LoadRegion result must reach ReleaseMask (or a pool/pinning owner) on all paths",
+	Doc:  "every LoadMask result must reach ReleaseMask (or a pool/pinning owner) on all paths",
 	Run: func(p *Pass) {
 		for _, f := range p.Pkg.Files {
 			for _, d := range f.Decls {
@@ -265,7 +265,7 @@ func (mf *maskFlow) walkAssign(v *ast.AssignStmt, s *maskScope) {
 		return
 	}
 	name := calleeName(call)
-	if name != "LoadMask" && name != "LoadRegion" {
+	if name != "LoadMask" {
 		return
 	}
 	maskName := identName(v.Lhs[0])

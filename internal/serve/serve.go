@@ -617,7 +617,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"msserve.sessions.StmtHits": float64(s.sessions.stmtHits.Load()),
 
 		"msserve.store.MasksLoaded":  float64(ds.Reads.MasksLoaded),
-		"msserve.store.RegionReads":  float64(ds.Reads.RegionReads),
 		"msserve.store.BytesRead":    float64(ds.Reads.BytesRead),
 		"msserve.store.CacheHits":    float64(ds.Reads.CacheHits),
 		"msserve.store.CacheMisses":  float64(ds.Reads.CacheMisses),

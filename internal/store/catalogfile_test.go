@@ -148,12 +148,12 @@ func FuzzCatalogRows(f *testing.F) {
 	})
 }
 
-// TestCatalogTornAppendTrimmed: a top-level catalog.bin that holds
+// TestCatalogOverLongRefused: a top-level catalog.bin that holds
 // rows the manifest does not count — here one whole row and one torn
 // mid-row, past a compaction that added a segment, as an older
 // version's crashed in-place compaction left it — fails every open,
 // ingest opens too, naming the file and both counts.
-func TestCatalogTornAppendTrimmed(t *testing.T) {
+func TestCatalogOverLongRefused(t *testing.T) {
 	dir, ws, cat := openIngestTiny(t, 1)
 	top := cat.Len()
 	if _, err := ws.Append(context.Background(), ingestBatch(4, 16, 16, 3)); err != nil {

@@ -70,8 +70,8 @@ func genBothCodecs(t *testing.T, spec Spec, shards int) (rawDir, rleDir string) 
 }
 
 // TestRLELayoutEquivalence checks that the rle codec stores the exact
-// same logical dataset as raw — every pixel of every mask, every
-// region read — while Open detects it transparently.
+// same logical dataset as raw — every pixel of every mask — while Open
+// detects it transparently.
 func TestRLELayoutEquivalence(t *testing.T) {
 	spec := Spec{Name: "t", Images: 10, Models: 2, W: 24, H: 20, Seed: 5, HumanAttention: true}
 	for _, shards := range []int{1, 3} {
@@ -101,23 +101,8 @@ func TestRLELayoutEquivalence(t *testing.T) {
 		if rleSt.StoredBytes() >= rawSt.StoredBytes() {
 			t.Fatalf("shards=%d: rle stored %d bytes, raw %d — no compression", shards, rleSt.StoredBytes(), rawSt.StoredBytes())
 		}
-		region := core.Rect{X0: 3, Y0: 2, X1: 17, Y1: 13}
-		for id := int64(1); id <= int64(rawSt.NumMasks()); id++ {
-			rr, err := rawSt.LoadRegion(id, region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cr, err := rleSt.LoadRegion(id, region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rr.Bytes, cr.Bytes) {
-				t.Fatalf("shards=%d mask %d: region pixels differ between codecs", shards, id)
-			}
-		}
 		// Whole-mask loads must charge the compressed size, not the
-		// logical size (region reads are measured separately: under rle
-		// they pay the whole compressed stream, see LoadRegion).
+		// logical size.
 		rawBefore, rleBefore := rawSt.Stats(), rleSt.Stats()
 		for id := int64(1); id <= int64(rawSt.NumMasks()); id++ {
 			rm, err := rawSt.LoadMask(id)
@@ -188,11 +173,12 @@ func TestRLECacheAccounting(t *testing.T) {
 	}
 }
 
-// TestRLECompactAndRepair ingests into an rle-codec database, compacts
-// into the compressed layout, then appends to the top-level stream file
-// and offset column what an older version's crashed in-place compaction
-// left there: the ingest open refuses it, naming the offset column.
-func TestRLECompactAndRepair(t *testing.T) {
+// TestRLECompactAndRefuseOverLong ingests into an rle-codec database,
+// compacts into the compressed layout, then appends to the top-level
+// stream file and offset column what an older version's crashed
+// in-place compaction left there: the ingest open refuses it, naming
+// the offset column.
+func TestRLECompactAndRefuseOverLong(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Name: "t", Images: 6, Models: 1, W: 16, H: 16, Seed: 7}
 	if err := Generate(dir, spec, 1, CodecRLE); err != nil {
@@ -333,10 +319,10 @@ func cutRLEMask(t *testing.T, dir string, id int64, cut int) {
 
 // TestRLECorruptMaskIsolated damages one mask's byte range — a flipped
 // control byte, a truncated stream — and checks that, on a fresh open,
-// the first LoadMask and the first LoadRegion of that mask each return
-// the wrapped "corrupt rle stream" error (never a panic, and again on
-// the next attempt: a failed validation is not remembered as a pass),
-// while every other mask still loads and validates.
+// the first LoadMask of that mask returns the wrapped "corrupt rle
+// stream" error (never a panic, and again on the next attempt: a
+// failed validation is not remembered as a pass), while every other
+// mask still loads and validates.
 func TestRLECorruptMaskIsolated(t *testing.T) {
 	spec := Spec{Name: "t", Images: 6, Models: 1, W: 24, H: 20, Seed: 11}
 	const bad = int64(3)
@@ -356,42 +342,31 @@ func TestRLECorruptMaskIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		apply(t, dir)
-		loads := map[string]func(st *Store) error{
-			"LoadMask": func(st *Store) error {
-				m, err := st.LoadMask(bad)
-				st.ReleaseMask(m)
-				return err
-			},
-			"LoadRegion": func(st *Store) error {
-				_, err := st.LoadRegion(bad, core.Rect{X0: 2, Y0: 3, X1: 9, Y1: 12})
-				return err
-			},
+		st, _, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
 		}
-		for op, load := range loads {
-			st, _, err := Open(dir)
+		for attempt := 0; attempt < 2; attempt++ {
+			m, err := st.LoadMask(bad)
+			st.ReleaseMask(m)
+			if err == nil || !containsStr(err.Error(), "corrupt rle stream") {
+				t.Fatalf("%s: LoadMask attempt %d of the damaged mask: err = %v, want a corrupt rle stream error", name, attempt, err)
+			}
+		}
+		for id := int64(1); id <= int64(st.NumMasks()); id++ {
+			if id == bad {
+				continue
+			}
+			m, err := st.LoadMask(id)
 			if err != nil {
-				t.Fatalf("%s: open: %v", name, err)
+				t.Fatalf("%s: undamaged mask %d: %v", name, id, err)
 			}
-			for attempt := 0; attempt < 2; attempt++ {
-				if err := load(st); err == nil || !containsStr(err.Error(), "corrupt rle stream") {
-					t.Fatalf("%s: %s attempt %d of the damaged mask: err = %v, want a corrupt rle stream error", name, op, attempt, err)
-				}
+			if m.RowDir == nil {
+				t.Fatalf("%s: mask %d served without its row directory", name, id)
 			}
-			for id := int64(1); id <= int64(st.NumMasks()); id++ {
-				if id == bad {
-					continue
-				}
-				m, err := st.LoadMask(id)
-				if err != nil {
-					t.Fatalf("%s: undamaged mask %d: %v", name, id, err)
-				}
-				if m.RowDir == nil {
-					t.Fatalf("%s: mask %d served without its row directory", name, id)
-				}
-				st.ReleaseMask(m)
-			}
-			st.Close()
+			st.ReleaseMask(m)
 		}
+		st.Close()
 	}
 }
 
@@ -710,36 +685,4 @@ func BenchmarkLoadMask(b *testing.B) {
 	b.Run("rle-first/parallel", first(true))
 	b.Run("rle-repeat", repeat(rleDir, 0, false))
 	b.Run("rle-repeat/parallel", repeat(rleDir, 0, true))
-}
-
-// BenchmarkLoadRegion is the ArraySlice access path on a raw store: a
-// full-width region (contiguous in the file) and a narrow one (one
-// strided row at a time), both half the mask's height.
-func BenchmarkLoadRegion(b *testing.B) {
-	dir := b.TempDir()
-	spec := wildsLikeSpec(100)
-	if err := Generate(dir, spec, 1, CodecRaw); err != nil {
-		b.Fatal(err)
-	}
-	st, _, err := Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	w, h := st.MaskW(), st.MaskH()
-	ids := rand.New(rand.NewSource(1)).Perm(spec.NumMasks())
-	for name, r := range map[string]core.Rect{
-		"full-width": {X0: 0, Y0: h / 4, X1: w, Y1: 3 * h / 4},
-		"narrow":     {X0: w / 4, Y0: h / 4, X1: 3 * w / 4, Y1: 3 * h / 4},
-	} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := st.LoadRegion(int64(ids[i%len(ids)]+1), r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.ReleaseMask(m)
-			}
-		})
-	}
 }

@@ -90,14 +90,11 @@ type readCounters struct {
 		masksLoaded, bytesRead atomic.Int64
 		_                      [48]byte
 	}
-	regionReads, regionBytes             atomic.Int64
 	cacheHits, cacheMisses, cacheEvicted atomic.Int64
 }
 
 func (c *readCounters) snapshot() ReadStats {
 	st := ReadStats{
-		RegionReads:  c.regionReads.Load(),
-		BytesRead:    c.regionBytes.Load(),
 		CacheHits:    c.cacheHits.Load(),
 		CacheMisses:  c.cacheMisses.Load(),
 		CacheEvicted: c.cacheEvicted.Load(),

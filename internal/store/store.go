@@ -47,10 +47,7 @@ type ReadStats struct {
 	// view of the mapped pixel file (a cache hit serves the mask
 	// without touching this counter).
 	MasksLoaded int64
-	// RegionReads counts sub-rectangle reads (the ArraySlice baseline).
-	RegionReads int64
-	// BytesRead counts the stored pixel bytes the charged loads and
-	// region reads covered.
+	// BytesRead counts the stored pixel bytes the charged loads covered.
 	BytesRead int64
 	// CacheHits counts LoadMask calls served from the mask cache
 	// without a charge. Zero when no cache is configured.
@@ -73,7 +70,6 @@ type ReadStats struct {
 func (s ReadStats) Sub(prev ReadStats) ReadStats {
 	return ReadStats{
 		MasksLoaded:  s.MasksLoaded - prev.MasksLoaded,
-		RegionReads:  s.RegionReads - prev.RegionReads,
 		BytesRead:    s.BytesRead - prev.BytesRead,
 		CacheHits:    s.CacheHits - prev.CacheHits,
 		CacheMisses:  s.CacheMisses - prev.CacheMisses,
@@ -85,7 +81,6 @@ func (s ReadStats) Sub(prev ReadStats) ReadStats {
 // Add accumulates o into s, field by field.
 func (s *ReadStats) Add(o ReadStats) {
 	s.MasksLoaded += o.MasksLoaded
-	s.RegionReads += o.RegionReads
 	s.BytesRead += o.BytesRead
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
@@ -142,7 +137,6 @@ func (man Manifest) segments() []ShardInfo {
 // cache. Appends go through the WALStore itself.
 type MaskStore interface {
 	LoadMask(id int64) (*core.Mask, error)
-	LoadRegion(id int64, r core.Rect) (*core.Mask, error)
 	ReleaseMask(m *core.Mask)
 	NumMasks() int
 	MaskW() int
@@ -451,61 +445,6 @@ func (s *Store) LoadMask(id int64) (*core.Mask, error) {
 func (s *Store) ReleaseMask(m *core.Mask) {
 	if m != nil && m.W == s.w && m.H == s.h {
 		recycle(m)
-	}
-}
-
-// decodeScratch holds the full-mask pixel buffers LoadRegion decodes
-// RLE streams into before copying the requested rows out.
-var decodeScratch sync.Pool
-
-// LoadRegion returns only the pixels of one mask inside r (clamped to
-// the mask bounds), copied out of the mapping into a standalone
-// byte-backed mask the caller owns. This is the access path of the
-// ArraySlice baseline: only the region's logical bytes are charged to
-// the read stats. On an RLE store the variable-length rows are not
-// addressable without the stream, so the whole compressed mask is
-// charged and decoded through a scratch buffer (DecodeRLE validates
-// strictly as it goes) — region reads lose the partial-read advantage
-// under compression.
-func (s *Store) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
-	pix, g, err := s.stored(id)
-	if err != nil {
-		return nil, err
-	}
-	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h})
-	if r.Empty() {
-		g.life.regionReads.Add(1)
-		return core.NewByteMask(0, 0), nil
-	}
-	charge := r.Area()
-	if s.codec == CodecRLE {
-		tmp, _ := decodeScratch.Get().(*[]byte)
-		if tmp == nil || len(*tmp) != s.w*s.h {
-			b := make([]byte, s.w*s.h)
-			tmp = &b
-		}
-		defer decodeScratch.Put(tmp)
-		if err := core.DecodeRLE(pix, s.w, s.h, *tmp); err != nil {
-			return nil, fmt.Errorf("store: mask %d: corrupt rle stream: %w", id, err)
-		}
-		charge, pix = len(pix), *tmp
-	}
-	g.life.regionReads.Add(1)
-	g.life.regionBytes.Add(int64(charge))
-	out := core.NewByteMask(r.W(), r.H())
-	copyRegion(out.Bytes, pix, s.w, r)
-	return out, nil
-}
-
-// copyRegion copies the rows of r out of pix, a full mask of width w,
-// into dst (r.W()*r.H() bytes). A full-width region is one copy.
-func copyRegion(dst, pix []byte, w int, r core.Rect) {
-	if r.W() == w {
-		copy(dst, pix[r.Y0*w:r.Y1*w])
-		return
-	}
-	for y, rw := r.Y0, r.W(); y < r.Y1; y++ {
-		copy(dst[(y-r.Y0)*rw:(y-r.Y0+1)*rw], pix[y*w+r.X0:])
 	}
 }
 

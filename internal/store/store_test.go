@@ -52,47 +52,16 @@ func TestGenerateOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRegionMatchesMask(t *testing.T) {
-	_, st, _ := genTiny(t)
-	m, err := st.LoadMask(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := core.Rect{X0: 2, Y0: 5, X1: 11, Y1: 13}
-	sub, err := st.LoadRegion(3, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.W != r.W() || sub.H != r.H() {
-		t.Fatalf("region dims %dx%d, want %dx%d", sub.W, sub.H, r.W(), r.H())
-	}
-	for y := 0; y < sub.H; y++ {
-		for x := 0; x < sub.W; x++ {
-			if sub.At(x, y) != m.At(x+r.X0, y+r.Y0) {
-				t.Fatalf("region pixel (%d,%d) differs from mask", x, y)
-			}
-		}
-	}
-	vr := core.ValueRange{Lo: 0.4, Hi: 1.0}
-	if core.ExactCP(sub, sub.Bounds(), vr) != core.ExactCP(m, r, vr) {
-		t.Fatal("CP over region load differs from CP over full mask")
-	}
-}
-
-// TestReadStatsAndThrottle pins the charge of each access path: a
-// whole-mask load charges its stored bytes, a region read its area.
+// TestReadStatsAndThrottle pins the charge of a whole-mask load: its
+// stored bytes.
 func TestReadStatsAndThrottle(t *testing.T) {
 	_, st, _ := genTiny(t)
 	before := st.Stats()
 	if _, err := st.LoadMask(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.LoadRegion(2, core.Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}); err != nil {
-		t.Fatal(err)
-	}
-	s := st.Stats().Sub(before)
-	if s.MasksLoaded != 1 || s.RegionReads != 1 || s.BytesRead != 16*16+16 {
-		t.Fatalf("stats %+v, want 1 mask, 1 region, %d bytes", s, 16*16+16)
+	if s := st.Stats().Sub(before); s != (ReadStats{MasksLoaded: 1, BytesRead: 16 * 16}) {
+		t.Fatalf("stats %+v, want 1 mask, %d bytes", s, 16*16)
 	}
 }
 
@@ -135,34 +104,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestLoadRegionFullWidth pins the coalesced single-ReadAt path: a
-// full-width region must match per-pixel reads and keep the exact
-// same stats accounting as the row-loop path.
-func TestLoadRegionFullWidth(t *testing.T) {
-	_, st, _ := genTiny(t)
-	m, err := st.LoadMask(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := core.Rect{X0: 0, Y0: 3, X1: 16, Y1: 12}
-	before := st.Stats()
-	sub, err := st.LoadRegion(5, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := st.Stats().Sub(before)
-	if s.RegionReads != 1 || s.BytesRead != int64(r.Area()) || s.MasksLoaded != 0 {
-		t.Fatalf("full-width region stats %+v, want 1 region / %d bytes", s, r.Area())
-	}
-	for y := 0; y < sub.H; y++ {
-		for x := 0; x < sub.W; x++ {
-			if sub.At(x, y) != m.At(x+r.X0, y+r.Y0) {
-				t.Fatalf("full-width region pixel (%d,%d) differs from mask", x, y)
-			}
-		}
-	}
-}
-
 // TestReleaseMaskPool checks that released mask buffers are recycled
 // and that reloads into a pooled buffer return the right pixels.
 func TestReleaseMaskPool(t *testing.T) {
@@ -193,5 +134,4 @@ func TestReleaseMaskPool(t *testing.T) {
 	// Foreign-shaped masks must be ignored, not pooled.
 	st.ReleaseMask(core.NewByteMask(3, 3))
 	st.ReleaseMask(nil)
-	st.ReleaseMask(core.NewMask(16, 16)) // float-backed
 }

@@ -812,54 +812,23 @@ func (ws *WALStore) compactLocked(entries []Entry, pixes [][]byte) error {
 // copy, private and immutable from Append on. A compaction that drops
 // the tail entry leaves a lent copy to the garbage collector.
 func (ws *WALStore) LoadMask(id int64) (*core.Mask, error) {
-	tm, err := ws.tailMask(id)
-	if err != nil {
-		return nil, err
+	if id > ws.baseMax.Load() {
+		ws.tailMu.RLock()
+		tm, ok := ws.tail[id]
+		ws.tailMu.RUnlock()
+		if ok {
+			m := headers.Get().(*core.Mask)
+			m.W, m.H, m.Bytes = ws.w, ws.h, tm.pix
+			ws.tailLoads.Add(1)
+			return m, nil
+		}
+		// On a miss, compaction may have migrated the id between the
+		// baseMax check and the tail lookup; the base serves it now.
+		if id > ws.baseMax.Load() {
+			return nil, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ws.nextIDSnapshot()-1)
+		}
 	}
-	if tm.pix == nil {
-		return ws.base.LoadMask(id)
-	}
-	m := headers.Get().(*core.Mask)
-	m.W, m.H, m.Bytes = ws.w, ws.h, tm.pix
-	ws.tailLoads.Add(1)
-	return m, nil
-}
-
-// tailMask resolves id to its WAL tail entry; a zero tailMask means the
-// base store serves the id.
-func (ws *WALStore) tailMask(id int64) (tailMask, error) {
-	if id <= ws.baseMax.Load() {
-		return tailMask{}, nil
-	}
-	ws.tailMu.RLock()
-	tm, ok := ws.tail[id]
-	ws.tailMu.RUnlock()
-	// On a miss, compaction may have migrated the id between the baseMax
-	// check and the tail lookup; the base serves it now.
-	if !ok && id > ws.baseMax.Load() {
-		return tailMask{}, fmt.Errorf("store: mask id %d out of range [1, %d]", id, ws.nextIDSnapshot()-1)
-	}
-	return tm, nil
-}
-
-// LoadRegion serves sub-rectangle reads, from the base store or the
-// tail copy.
-func (ws *WALStore) LoadRegion(id int64, r core.Rect) (*core.Mask, error) {
-	tm, err := ws.tailMask(id)
-	if err != nil {
-		return nil, err
-	}
-	if tm.pix == nil {
-		return ws.base.LoadRegion(id, r)
-	}
-	r = r.Intersect(core.Rect{X0: 0, Y0: 0, X1: ws.w, Y1: ws.h})
-	if r.Empty() {
-		return core.NewByteMask(0, 0), nil
-	}
-	out := core.NewByteMask(r.W(), r.H())
-	copyRegion(out.Bytes, tm.pix, ws.w, r)
-	ws.tailLoads.Add(1)
-	return out, nil
+	return ws.base.LoadMask(id)
 }
 
 // ReleaseMask hands the mask to the base store, which recycles its

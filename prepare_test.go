@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"masksearch/internal/workload"
 )
 
 // TestPreparedSweepEquivalence is the ISSUE 5 acceptance property: a
@@ -42,32 +40,32 @@ func TestPreparedSweepEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			var swept [][]int64
 			for shape := 0; shape < 4; shape++ {
-				q := workload.RandomFilter(rng, db.cat, spec.W, spec.H, ids)
-				sql, args := q.SQL()
+				q := randomFilter(rng, spec.W, spec.H, ids)
+				sql, args := q.sql()
 				stmt, err := db.Prepare(sql)
 				if err != nil {
 					t.Fatalf("%s/w%d: Prepare(%q): %v", layout.name, workers, sql, err)
 				}
-				area := float64(q.ROI.Area())
-				if q.UseObject {
+				area := float64(q.roi.Area())
+				if q.useObject {
 					area = float64(spec.W * spec.H / 8)
 				}
 				for _, frac := range []float64{0.01, 0.1, 0.4} {
-					q.Thresh = int64(frac * area)
-					args[2] = q.Thresh
+					q.thresh = int64(frac * area)
+					args[2] = q.thresh
 					// Read-only execution pins the index state, so the
 					// two paths must agree on stats too, not just ids.
 					prepared, err := stmt.Query(ctx, append(args, WithoutIndexUpdates())...)
 					if err != nil {
 						t.Fatalf("%s/w%d: prepared query: %v", layout.name, workers, err)
 					}
-					literal, err := db.Query(ctx, q.LiteralSQL(), WithoutIndexUpdates())
+					literal, err := db.Query(ctx, q.literalSQL(), WithoutIndexUpdates())
 					if err != nil {
-						t.Fatalf("%s/w%d: literal query %q: %v", layout.name, workers, q.LiteralSQL(), err)
+						t.Fatalf("%s/w%d: literal query %q: %v", layout.name, workers, q.literalSQL(), err)
 					}
 					if !reflect.DeepEqual(prepared, literal) {
 						t.Fatalf("%s/w%d shape %d thresh %d: prepared result differs from literal:\nprepared %+v\nliteral  %+v",
-							layout.name, workers, shape, q.Thresh, prepared, literal)
+							layout.name, workers, shape, q.thresh, prepared, literal)
 					}
 					swept = append(swept, prepared.IDs)
 				}

@@ -90,7 +90,6 @@ func TestShardedQueryEquivalence(t *testing.T) {
 				var sum ReadStats
 				for _, s := range per {
 					sum.MasksLoaded += s.MasksLoaded
-					sum.RegionReads += s.RegionReads
 					sum.BytesRead += s.BytesRead
 					sum.CacheHits += s.CacheHits
 					sum.CacheMisses += s.CacheMisses

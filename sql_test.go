@@ -430,7 +430,7 @@ func TestExplainDoesNotTouchData(t *testing.T) {
 	if _, err := db.Explain(`SELECT mask_id FROM masks WHERE CP(mask, object, 0.8, 1.0) > 10`); err != nil {
 		t.Fatal(err)
 	}
-	if s := db.st.Stats().Sub(before); s.MasksLoaded != 0 || s.RegionReads != 0 {
+	if s := db.st.Stats().Sub(before); s != (ReadStats{}) {
 		t.Fatalf("Explain read data: %+v", s)
 	}
 }
